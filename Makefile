@@ -4,7 +4,8 @@
 PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 export PYTHONPATH
 
-.PHONY: test test-fast lint check bench-kernel bench-json golden-regen
+.PHONY: test test-fast lint check bench-kernel bench-json bench-e2e \
+	bench-e2e-selftest golden-regen
 
 # Tier-1 verify: the full suite, fail-fast.
 test:
@@ -45,6 +46,21 @@ bench-kernel:
 # speedup asserts — what the CI perf-smoke job runs on shared runners.
 bench-json:
 	BENCH_SNAPSHOT=1 python benchmarks/bench_kernel.py
+
+# End-to-end benchmark (BENCHMARK.json, perfbench/README.md): one
+# untraced 15 s run of each workload, seed 1, one JSON result per run.
+# Per-layer numbers: rerun a workload with --trace 1.  Seed 9001 is
+# held out for confirming a gain.
+BENCH_E2E_WORKLOADS := forest_pa orient_pa star_known delta_stream
+
+bench-e2e:
+	for w in $(BENCH_E2E_WORKLOADS); do \
+		python3 perfbench/run.py --workload $$w --seed 1 --seconds 15 --trace 0 || exit 1; \
+	done
+
+# The end-to-end harness's own self-tests (outside testpaths = tests).
+bench-e2e-selftest:
+	python3 -m pytest perfbench -q
 
 # Re-freeze tests/golden/*.json after an intentional output change.
 golden-regen:

@@ -19,6 +19,16 @@ cap is too small for the instance (paper constants are asymptotic) the
 search falls back to an uncapped run and the event is counted in
 ``stats.locality_violations`` — the output is still a valid
 decomposition, and benches report the violation rate per regime.
+
+Every ``R'``-ball (a cluster's ``C'`` and each augmenting search's
+``N^{R'}(e)``) is resolved per connected component.  One multi-source
+BFS from each component's root gives ``ecc(root)``, and the triangle
+inequality through the root gives ``ecc(x) ≤ 2·ecc(root)`` for every
+``x`` in the component.  So when ``2·ecc(root) ≤ R'`` every ``R'``-ball
+of sources inside that component *is* the component, exactly: its
+vertex set is built once and shared.  Other components (and sources
+spanning two components) run the bounded BFS.  The balls are the same
+sets as a per-call BFS builds, so outputs do not depend on the rule.
 """
 
 from __future__ import annotations
@@ -27,8 +37,10 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..errors import AugmentationError, DecompositionError
-from ..graph.csr import resolve_backend
+from ..graph.csr import CSRGraph, resolve_backend
 from ..graph.multigraph import MultiGraph
 from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -169,10 +181,12 @@ def algorithm2(
     backend:
         Graph substrate: ``"auto"`` (default, kernel-backed),
         ``"dict"`` (the byte-identical reference paths throughout),
-        ``"csr"``, or ``"sharded"`` (multi-worker peeling waves with
+        ``"csr"``, ``"sharded"`` (multi-worker peeling waves with
         ``workers`` threads; traversal/color phases run on the same
-        CSR arrays as ``"csr"``).  Outputs are identical across
-        backends and worker counts (certified by the
+        CSR arrays as ``"csr"``), ``"parallel"`` (sharded peeling plus
+        the shared wave engine for the BFS-shaped phases), or ``"mp"``
+        (the shared-memory process backend).  Outputs are identical
+        across backends and worker counts (certified by the
         kernel-equivalence suite).
     """
     if backend not in ("auto", "dict", "csr", "sharded", "parallel", "mp"):
@@ -242,6 +256,7 @@ def algorithm2(
             workers=workers, carve_rule=carve_rule,
         )
 
+    balls = _BallResolver(state.csr_snapshot())
     log_n = max(1, math.ceil(math.log2(n + 1)))
     with counter.phase("cluster processing"):
         for clusters in nd.classes:
@@ -251,6 +266,7 @@ def algorithm2(
                         graph,
                         state,
                         controller,
+                        balls,
                         cluster,
                         r,
                         r_prime,
@@ -266,10 +282,50 @@ def algorithm2(
     return Algorithm2Result(state, stats, counter)
 
 
+class _BallResolver:
+    """``N^r(X)`` over one run's snapshot, resolved per component.
+
+    Returns exactly :meth:`CSRGraph.neighborhood_set`.  A component
+    whose root (minimum dense index) has ``2·ecc(root) ≤ r`` answers
+    with its whole vertex set, built once on first use and shared, so
+    callers treat balls as read-only; anything else runs the bounded
+    BFS (see the module's locality note).
+    """
+
+    def __init__(self, snapshot: CSRGraph) -> None:
+        self.snapshot = snapshot
+        labels = snapshot.component_labels()
+        roots = np.flatnonzero(labels == np.arange(labels.size))
+        dist = snapshot.distance_array(roots)
+        ecc = np.zeros(labels.size, dtype=np.int64)
+        np.maximum.at(ecc, labels, dist)
+        self._labels = labels
+        self._label_list = labels.tolist()
+        self._bound = (2 * ecc).tolist()  # indexed by component label
+        self._components: Dict[int, Set[int]] = {}
+
+    def ball(self, sources: Sequence[int], radius: Optional[int]) -> Set[int]:
+        snapshot = self.snapshot
+        components = {
+            self._label_list[snapshot.index_of(vertex)] for vertex in sources
+        }
+        if len(components) != 1:
+            return snapshot.neighborhood_set(sources, radius)
+        (label,) = components
+        if radius is not None and self._bound[label] > radius:
+            return snapshot.neighborhood_set(sources, radius)
+        component = self._components.get(label)
+        if component is None:
+            component = snapshot.vertex_set_from_mask(self._labels == label)
+            self._components[label] = component
+        return component
+
+
 def _process_cluster(
     graph: MultiGraph,
     state: PartialListForestDecomposition,
     controller: CutController,
+    balls: _BallResolver,
     cluster: Sequence[int],
     r: int,
     r_prime: int,
@@ -278,8 +334,7 @@ def _process_cluster(
     counter: RoundCounter,
 ) -> None:
     stats.clusters_processed += 1
-    snapshot = state.csr_snapshot()
-    core = snapshot.neighborhood_set(cluster, r_prime)  # C' = N^{R'}(C)
+    core = balls.ball(cluster, r_prime)  # C' = N^{R'}(C)
     controller.cut(core, r)
     if is_cut_good(state, core, r):
         stats.good_cuts += 1
@@ -296,7 +351,7 @@ def _process_cluster(
         if state.color_of(eid) is not None or state.is_leftover(eid):
             continue
         u, v = graph.endpoints(eid)
-        ball = snapshot.neighborhood_set((u, v), r_prime)
+        ball = balls.ball((u, v), r_prime)
         search_stats = AugmentationStats()
         try:
             sequence = augment_edge(state, eid, ball, stats=search_stats)

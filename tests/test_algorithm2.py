@@ -4,9 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.graph import MultiGraph
+from repro.graph.csr import snapshot_of
 from repro.graph.generators import (
+    add_parallel_copies,
+    complete_graph,
     cycle_graph,
     grid_graph,
     line_multigraph,
@@ -20,6 +25,7 @@ from repro.core import (
     algorithm2,
     forest_decomposition_algorithm2,
 )
+from repro.core.forest_decomposition import _BallResolver
 from repro.nashwilliams import exact_arboricity
 from repro.verify import (
     check_forest_decomposition,
@@ -109,6 +115,112 @@ def test_algorithm2_rounds_charged():
     assert any("network decomposition" in key for key in phases)
     assert any("cluster processing" in key for key in phases)
     assert rc.total > 0
+
+
+# ----------------------------------------------------------------------
+# R'-balls resolved per component
+# ----------------------------------------------------------------------
+
+
+def _multi_component_graph(rng):
+    """Random multigraph with several components (some isolated
+    vertices), gappy vertex ids added out of order, parallel edges and
+    deleted edges."""
+    count = rng.randint(1, 24)
+    ids = rng.sample(range(3 * count + 5), count)
+    g = MultiGraph()
+    for vertex in ids:
+        g.add_vertex(vertex)
+    groups = []
+    rest = list(ids)
+    while rest:
+        size = rng.randint(1, max(1, len(rest)))
+        groups.append(rest[:size])
+        rest = rest[size:]
+    for group in groups:
+        for i in range(1, len(group)):  # random spanning tree
+            g.add_edge(group[rng.randrange(i)], group[i])
+        for _ in range(rng.randint(0, len(group))):
+            if len(group) > 1:
+                u, v = rng.sample(group, 2)
+                g.add_edge(u, v)
+    for eid in rng.sample(g.edge_ids(), min(g.m, rng.randint(0, 2))):
+        g.add_edge(*g.endpoints(eid))  # parallel copy
+    for eid in rng.sample(g.edge_ids(), min(g.m, rng.randint(0, 3))):
+        g.remove_edge(eid)  # may split a group into two components
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 100_000))
+def test_ball_resolver_matches_neighborhood_set(seed):
+    """The resolver returns exactly ``neighborhood_set`` (same set, same
+    iteration order) for sources in one component and spanning two,
+    at radii from 0 to beyond every component's diameter."""
+    rng = random.Random(seed)
+    g = _multi_component_graph(rng)
+    snapshot = snapshot_of(g)
+    resolver = _BallResolver(snapshot)
+    components = []
+    seen = set()
+    for vertex in g.vertices():
+        if vertex not in seen:
+            component = snapshot.neighborhood_set([vertex], None)
+            seen |= component
+            components.append(sorted(component))
+    source_sets = []
+    for component in components:
+        source_sets.append([rng.choice(component)])
+        source_sets.append(rng.sample(component, min(2, len(component))))
+        source_sets.append(list(component))
+    for _ in range(3):
+        if len(components) >= 2:
+            a, b = rng.sample(components, 2)
+            source_sets.append([rng.choice(a), rng.choice(b)])
+    for sources in source_sets:
+        for radius in list(range(0, g.n + 2)) + [None]:
+            expected = snapshot.neighborhood_set(sources, radius)
+            got = resolver.ball(sources, radius)
+            assert got == expected
+            assert list(got) == list(expected)
+
+
+def test_algorithm2_mixed_ball_regimes_match_bfs(monkeypatch):
+    """One small dense component is short-circuited (2·ecc(root) ≤ R')
+    and one long path falls back to BFS; the run equals a run whose
+    balls all come from BFS."""
+    g = add_parallel_copies(complete_graph(5), 2)  # alpha = 5
+    path_start = g.n
+    for _ in range(30):
+        g.add_vertex()
+    for v in range(path_start, g.n - 1):
+        g.add_edge(v, v + 1)
+    palettes = uniform_palette(g, range(8))
+
+    def run():
+        rc = RoundCounter()
+        result = algorithm2(g, palettes, 0.5, 5, seed=21, rounds=rc)
+        return result.colored, result.leftover, result.stats, rc.by_phase()
+
+    regimes = []
+    ball = _BallResolver.ball
+
+    def spying_ball(self, sources, radius):
+        found = ball(self, sources, radius)
+        regimes.append(any(found is c for c in self._components.values()))
+        return found
+
+    monkeypatch.setattr(_BallResolver, "ball", spying_ball)
+    resolved = run()
+    assert True in regimes and False in regimes
+
+    monkeypatch.setattr(
+        _BallResolver, "ball",
+        lambda self, sources, radius: self.snapshot.neighborhood_set(
+            sources, radius
+        ),
+    )
+    assert run() == resolved
 
 
 # ----------------------------------------------------------------------
