@@ -1301,7 +1301,8 @@ with tempfile.TemporaryDirectory() as root:
         for f in os.listdir(mmap_dir)
     )
     # the out-of-core recipe: h-partition orientation with a pinned
-    # pseudoarboricity (no exact-flow pass, no per-edge dict state)
+    # pseudoarboricity (no exact pseudoarboricity pass, no per-edge
+    # Python state)
     config = repro.DecompositionConfig(
         backend="csr",
         options={"method": "hpartition", "pseudoarboricity": 24},

@@ -4,7 +4,8 @@ Every bench reproduces one table or figure of the paper: it runs the
 experiment, asserts the claim's *shape* (who wins, by what factor,
 where thresholds sit), prints the paper-style rows, and archives them
 under ``benchmarks/results/`` so EXPERIMENTS.md can quote stable
-artifacts.  Timing itself is delegated to pytest-benchmark.
+artifacts.  Timing itself is delegated to pytest-benchmark when it is
+installed; ``run_paper.py`` runs every bench without it.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ def once(benchmark, func):
 
     Heavy experiments cannot afford pytest-benchmark's auto-calibrated
     repetition; ``pedantic`` with one round keeps the timing column
-    honest without re-running the experiment dozens of times.
+    honest without re-running the experiment dozens of times.  With
+    ``benchmark=None`` (``make bench-paper``, no pytest-benchmark
+    installed) ``func`` simply runs once, untimed.
     """
+    if benchmark is None:
+        return func()
     return benchmark.pedantic(func, rounds=1, iterations=1)

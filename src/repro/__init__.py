@@ -24,8 +24,8 @@ Tasks: ``"forest"`` (Theorem 4.6), ``"list_forest"`` (Theorem 4.10),
 ``"pseudoforest"`` / ``"orientation"`` (Corollary 1.1).
 
 For repeated queries against one graph, a :class:`repro.Session` caches
-the graph-prep phase — CSR snapshot, exact arboricity /
-pseudoarboricity (the Gabow–Westermann ground truth), per-color
+the graph-prep phase — CSR snapshot, exact arboricity (the
+Gabow–Westermann ground truth) and pseudoarboricity, per-color
 sub-CSRs — across calls::
 
     session = repro.Session(graph)

@@ -4,9 +4,9 @@ The production story of this library is *repeated* decomposition
 queries against one graph: decide a forest decomposition, then an
 orientation, then a star-forest schedule, sweep epsilon for a latency
 budget, ...  Before :class:`Session`, every call re-paid graph prep —
-the CSR snapshot and, far worse, the exact arboricity /
-pseudoarboricity ground truth (Gabow–Westermann matroid machinery) —
-because each wrapper was a standalone function.
+the CSR snapshot and, far worse, the exact arboricity ground truth
+(Gabow–Westermann matroid machinery) and pseudoarboricity — because
+each wrapper was a standalone function.
 
 A ``Session(graph)`` owns that shared state:
 

@@ -1,7 +1,7 @@
 """Dinic's maximum-flow algorithm on integer-capacity networks.
 
-Used by the exact pseudoarboricity computation (binary search over
-orientations / Goldberg-style density testing) and by tests as an
+Used for witness k-orientations (``orientation_exists`` in
+:mod:`repro.nashwilliams.pseudoarboricity`) and by tests as an
 independent oracle for matchings.  Written from scratch; no external
 graph library involved.
 """
@@ -65,7 +65,7 @@ class FlowNetwork:
                 return total
             next_arc = [0] * n
             while True:
-                pushed = self._dfs_push(s, t, float("inf"), level, next_arc)
+                pushed = self._dfs_push(s, t, level, next_arc)
                 if pushed == 0:
                     break
                 total += pushed
@@ -84,23 +84,41 @@ class FlowNetwork:
         return level if level[t] >= 0 else None
 
     def _dfs_push(
-        self, u: int, t: int, limit, level: List[int], next_arc: List[int]
+        self, s: int, t: int, level: List[int], next_arc: List[int]
     ) -> int:
-        if u == t:
-            return int(limit)
-        while next_arc[u] < len(self._adj[u]):
-            arc = self._adj[u][next_arc[u]]
-            v = self._head[arc]
-            if self._cap[arc] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs_push(
-                    v, t, min(limit, self._cap[arc]), level, next_arc
-                )
-                if pushed > 0:
-                    self._cap[arc] -= pushed
-                    self._cap[arc ^ 1] += pushed
-                    return pushed
+        """Push one augmenting path of the level graph; 0 if none.
+
+        An explicit stack of path arcs replaces recursion, so paths of
+        any length fit; arcs are tried in the recursive order (a
+        vertex's ``next_arc`` advances only past arcs that dead-end).
+        """
+        adj, head, cap = self._adj, self._head, self._cap
+        path: List[int] = []
+        u = s
+        while u != t:
+            arcs = adj[u]
+            i = next_arc[u]
+            while i < len(arcs):
+                arc = arcs[i]
+                v = head[arc]
+                if cap[arc] > 0 and level[v] == level[u] + 1:
+                    break
+                i += 1
+            next_arc[u] = i
+            if i < len(arcs):
+                path.append(arc)
+                u = v
+                continue
+            if not path:
+                return 0
+            # Dead end: retreat one arc and skip it at its tail.
+            u = head[path.pop() ^ 1]
             next_arc[u] += 1
-        return 0
+        pushed = min(cap[arc] for arc in path)
+        for arc in path:
+            cap[arc] -= pushed
+            cap[arc ^ 1] += pushed
+        return pushed
 
     def flow_on(self, arc: int) -> int:
         """Flow currently routed on the arc returned by :meth:`add_arc`."""

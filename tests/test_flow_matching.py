@@ -170,3 +170,78 @@ def test_matching_matches_flow(seed):
     assert got == want
     # Greedy is a 1/2-approximation of maximum.
     assert len(greedy_matching(adj)) >= (got + 1) // 2
+
+
+def recursive_dinic(net, s, t):
+    """The recursive Dinic FlowNetwork.max_flow used to run, on ``net``'s
+    arrays: the iterative push must visit arcs in the same order."""
+    from collections import deque
+
+    adj, head, cap = net._adj, net._head, net._cap
+    n = len(adj)
+
+    def push(u, limit, level, next_arc):
+        if u == t:
+            return limit
+        while next_arc[u] < len(adj[u]):
+            arc = adj[u][next_arc[u]]
+            v = head[arc]
+            if cap[arc] > 0 and level[v] == level[u] + 1:
+                pushed = push(v, min(limit, cap[arc]), level, next_arc)
+                if pushed > 0:
+                    cap[arc] -= pushed
+                    cap[arc ^ 1] += pushed
+                    return pushed
+            next_arc[u] += 1
+        return 0
+
+    total = 0
+    while True:
+        level = [-1] * n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for arc in adj[u]:
+                if cap[arc] > 0 and level[head[arc]] < 0:
+                    level[head[arc]] = level[u] + 1
+                    queue.append(head[arc])
+        if level[t] < 0:
+            return total
+        next_arc = [0] * n
+        while True:
+            pushed = push(s, float("inf"), level, next_arc)
+            if pushed == 0:
+                break
+            total += pushed
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10_000))
+def test_flow_residuals_match_recursive_dinic(seed):
+    rng = random.Random(seed)
+    n = rng.randint(2, 9)
+    arcs = [
+        (u, v, rng.randint(0, 4))
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < 0.4
+    ]
+    nets = [FlowNetwork(), FlowNetwork()]
+    for net in nets:
+        for u, v, c in arcs:
+            net.add_arc(u, v, c)
+        net.add_arc(0, 0, 0)  # register the source even without arcs
+        net.add_arc(n - 1, n - 1, 0)
+    got = nets[0].max_flow(0, n - 1)
+    want = recursive_dinic(nets[1], nets[1]._index[0], nets[1]._index[n - 1])
+    assert got == want
+    assert nets[0]._cap == nets[1]._cap
+
+
+def test_flow_long_augmenting_path():
+    # One augmenting path of 5000 arcs: deeper than the recursion limit.
+    net = FlowNetwork()
+    for i in range(5000):
+        net.add_arc(i, i + 1, 1)
+    assert net.max_flow(0, 5000) == 1

@@ -179,8 +179,8 @@ def test_decompose_on_memmap_snapshot_matches_ram_path(tmp_path):
         backend="csr",
         seed=5,
         # the out-of-core recipe: the h-partition peel with a pinned
-        # pseudoarboricity never needs the exact-flow machinery (which
-        # wants the dict surface) and runs entirely on CSR arrays
+        # pseudoarboricity never needs the exact path-reversal loop
+        # (per-edge Python lists) and runs entirely on CSR arrays
         options={"method": "hpartition", "pseudoarboricity": 6},
     )
     from_mmap = repro.decompose(
