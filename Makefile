@@ -37,8 +37,11 @@ check:
 # the simultaneous carve rule vs the doubling csr carve (>= 1.5x
 # best-over-workers at n >= 50k, classes bit-identical everywhere),
 # and the concurrent pass schedule vs the serial depth_cut sweep
-# (>= 1.3x best-over-workers at n >= 50k, cuts bit-identical);
-# writes benchmarks/results/BENCH_*.json (incl. BENCH_passes).
+# (>= 1.3x best-over-workers at n >= 50k, cuts bit-identical), and
+# the out-of-core leg (a 10^7-edge memmap ingest + decompose in a
+# fresh subprocess, peak RSS <= ~2x the on-disk snapshot);
+# writes benchmarks/results/BENCH_*.json (incl. BENCH_passes,
+# BENCH_ooc).
 bench-kernel:
 	python benchmarks/bench_kernel.py
 

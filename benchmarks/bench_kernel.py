@@ -49,14 +49,9 @@ Seven sections, one per substrate milestone:
   carve (in practice the win is algorithmic and large), with classes
   asserted bit-identical across serial and every worker count.
 
-* ``bench_mp`` — the shared-memory multiprocess backend
-  (``backend="mp"``) vs. the serial csr peel, workers in {1, 2, 4},
-  with bit-identical classes asserted everywhere and a real
-  process-dispatch assertion at n >= 262144.  The >= 1.5x floor is
-  gated on ``os.cpu_count() >= 2`` (process fan-out cannot beat the
-  serial kernel on one core).  Plus the out-of-core leg: a 10^7-edge
-  graph streamed through ``CSRGraph.from_edge_iter(mmap_dir=...)``
-  into ``decompose()`` in a fresh subprocess, asserting peak RSS stays
+* ``bench_ooc`` — the out-of-core leg: a 10^7-edge graph streamed
+  through ``CSRGraph.from_edge_iter(mmap_dir=...)`` into
+  ``decompose()`` in a fresh subprocess, asserting peak RSS stays
   within ~2x the snapshot's on-disk footprint.
 
 All sections check output equality where applicable, assert their
@@ -1230,33 +1225,17 @@ def run_delta_comparison():
 
 
 # ----------------------------------------------------------------------
-# Shared-memory multiprocess backend + out-of-core ingest (PR-10)
+# Out-of-core ingest
 # ----------------------------------------------------------------------
-
-MP_REPEATS = 2
-MP_SPEEDUP_FLOOR = 1.5
-MP_WORKER_COUNTS = (1, 2, 4)
-
-# (name, asserted, threshold, factory).  The asserted workload is a
-# bulk peel: nearly every vertex falls inside the first few waves, so
-# each wave's scan crosses the mp fan-out gates (n >= 262144) and the
-# numpy kernel work genuinely splits across worker processes — the
-# only shape where paying ~1ms per process dispatch can win.  The
-# cascade grid is the opposite: hundreds of tiny frontiers that the
-# gates deliberately keep inline (mp == sharded there); it is reported
-# unasserted to keep the trade-off visible.
-MP_WORKLOADS = [
-    ("pref n=280k d=4 bulk t=8", True, 8,
-     lambda: preferential_attachment(280_000, 4, seed=61)),
-    ("grid 520x520 cascade t=2", False, 2,
-     lambda: grid_graph(520, 520)),
-]
 
 #: out-of-core leg: edge count of the streamed graph (override to
 #: shrink locally; the acceptance scale is 10^7).
 OOC_EDGES = int(os.environ.get("REPRO_BENCH_OOC_EDGES", str(10_000_000)))
+#: peak-RSS budget for the snapshot itself, as a multiple of its
+#: on-disk footprint.
+OOC_RSS_DISK_RATIO = 2.0
 #: RSS allowance for the bare interpreter + numpy + result arrays on
-#: top of the ~2x on-disk-footprint budget for the snapshot itself.
+#: top of the on-disk-footprint budget.
 OOC_RSS_BASE_BYTES = 256 * 1024 * 1024
 
 # The out-of-core measurement runs in a fresh subprocess so its
@@ -1338,146 +1317,56 @@ def _run_ooc_leg():
     return json.loads(out.stdout)
 
 
-def run_mp_comparison():
-    from repro.parallel.shm import mp_pool_stats
-
-    rows = []
-    json_rows = []
-    asserted = []
-    for name, assertable, threshold, make in MP_WORKLOADS:
-        graph = make()
-        snapshot = snapshot_of(graph)
-        reference = h_partition(
-            graph, threshold, backend="csr", snapshot=snapshot
-        )
-        csr_ms = _best(
-            lambda: h_partition(
-                graph, threshold, backend="csr", snapshot=snapshot
-            ),
-            MP_REPEATS,
-        )
-        best_speedup = 0.0
-        for workers in MP_WORKER_COUNTS:
-            before = mp_pool_stats()["mp_dispatches"]
-            result = h_partition(
-                graph, threshold, backend="mp",
-                snapshot=snapshot, workers=workers,
-            )
-            # The backend's contract: bit-identical classes for every
-            # worker/process count.
-            assert result.classes == reference.classes
-            dispatched = mp_pool_stats()["mp_dispatches"] - before
-            if workers > 1 and graph.n >= 262_144:
-                # the scan gate reads only wave content, so at this n
-                # the first wave must have crossed the process boundary
-                assert dispatched > 0, (
-                    f"{name}: no mp dispatch at workers={workers}"
-                )
-            mp_ms = _best(
-                lambda: h_partition(
-                    graph, threshold, backend="mp",
-                    snapshot=snapshot, workers=workers,
-                ),
-                MP_REPEATS,
-            )
-            speedup = csr_ms / mp_ms
-            best_speedup = max(best_speedup, speedup)
-            rows.append(
-                (
-                    name,
-                    graph.n,
-                    graph.m,
-                    workers,
-                    f"{csr_ms * 1e3:.1f}",
-                    f"{mp_ms * 1e3:.1f}",
-                    f"{speedup:.2f}x",
-                )
-            )
-            json_rows.append(
-                {
-                    "workload": name,
-                    "n": graph.n,
-                    "m": graph.m,
-                    "op": "h_partition",
-                    "workers": workers,
-                    "csr_ms": round(csr_ms * 1e3, 3),
-                    "mp_ms": round(mp_ms * 1e3, 3),
-                    "speedup": round(speedup, 3),
-                }
-            )
-        if assertable:
-            asserted.append((name, best_speedup))
-
+def run_ooc_comparison():
     ooc = _run_ooc_leg()
-    rows.append(
+    rows = [
         (
-            f"out-of-core er m={ooc['m']}",
+            f"er m={ooc['m']}",
             ooc["n"],
             ooc["m"],
-            "-",
-            f"ingest {ooc['ingest_s']:.1f}s",
-            f"decompose {ooc['decompose_s']:.1f}s",
-            f"rss {ooc['peak_rss_bytes'] / 2**20:.0f}MB / "
-            f"disk {ooc['disk_bytes'] / 2**20:.0f}MB",
+            f"{ooc['ingest_s']:.1f}",
+            f"{ooc['decompose_s']:.1f}",
+            f"{ooc['peak_rss_bytes'] / 2**20:.0f}",
+            f"{ooc['disk_bytes'] / 2**20:.0f}",
         )
-    )
-
+    ]
     emit(
-        "mp",
+        "ooc",
         format_table(
-            "Multiprocess shared-memory peel vs serial csr + out-of-core",
+            "Out-of-core: streamed memmap ingest + decompose",
             [
                 "workload",
                 "n",
                 "m",
-                "workers",
-                "csr ms",
-                "mp ms",
-                "speedup",
+                "ingest s",
+                "decompose s",
+                "rss MB",
+                "disk MB",
             ],
             rows,
         ),
     )
     emit_json(
-        "BENCH_mp",
+        "BENCH_ooc",
         {
-            "bench": "mp",
+            "bench": "ooc",
             "schema_version": 1,
             "mode": "snapshot" if SNAPSHOT_MODE else "assert",
-            "threshold": MP_SPEEDUP_FLOOR,
-            "cpu_count": os.cpu_count() or 1,
-            "worker_counts": list(MP_WORKER_COUNTS),
-            "rows": json_rows,
+            "threshold": OOC_RSS_DISK_RATIO,
             "out_of_core": ooc,
-            "asserted": [
-                {"workload": name, "best_speedup": round(value, 3)}
-                for name, value in asserted
-            ],
         },
     )
 
     if not SNAPSHOT_MODE:
-        # Out-of-core acceptance: the decomposition's working set stays
-        # within ~2x the snapshot's on-disk footprint (plus a fixed
-        # interpreter/numpy allowance) — the backing arrays are paged,
-        # not resident.
-        budget = 2.0 * ooc["disk_bytes"] + OOC_RSS_BASE_BYTES
+        # The decomposition's working set stays within ~2x the
+        # snapshot's on-disk footprint (plus a fixed interpreter/numpy
+        # allowance) — the backing arrays are paged, not resident.
+        budget = OOC_RSS_DISK_RATIO * ooc["disk_bytes"] + OOC_RSS_BASE_BYTES
         assert ooc["peak_rss_bytes"] <= budget, (
             f"out-of-core peak RSS {ooc['peak_rss_bytes'] / 2**20:.0f}MB "
             f"exceeds budget {budget / 2**20:.0f}MB "
             f"(disk {ooc['disk_bytes'] / 2**20:.0f}MB)"
         )
-        # The >= 1.5x claim is a multi-core claim: process fan-out
-        # cannot beat the serial kernel on one core (dispatch +
-        # result-pickling overhead with zero added compute bandwidth),
-        # so the floor is gated on the machine actually having cores.
-        if (os.cpu_count() or 1) >= 2:
-            for name, best in asserted:
-                assert best >= MP_SPEEDUP_FLOOR, (
-                    f"{name}: best mp speedup {best:.2f}x < "
-                    f"{MP_SPEEDUP_FLOOR}x on a {os.cpu_count()}-core "
-                    "machine — the process backend's reason to exist"
-                )
     return rows
 
 
@@ -1553,13 +1442,13 @@ def bench_delta(benchmark=None):
         once(benchmark, run_delta_comparison)
 
 
-def bench_mp(benchmark=None):
+def bench_ooc(benchmark=None):
     if benchmark is None:
-        run_mp_comparison()
+        run_ooc_comparison()
     else:
         from harness import once
 
-        once(benchmark, run_mp_comparison)
+        once(benchmark, run_ooc_comparison)
 
 
 if __name__ == "__main__":
@@ -1571,4 +1460,4 @@ if __name__ == "__main__":
     bench_carve()
     bench_passes()
     bench_delta()
-    bench_mp()
+    bench_ooc()

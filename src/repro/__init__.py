@@ -42,7 +42,8 @@ Key pieces:
   round-trippable.
 * :func:`repro.register_task` / :func:`repro.register_backend` — the
   extension seam (the dict/csr substrates live here, as do the
-  wave-engine ``sharded``, ``parallel`` and ``mp`` backends).
+  wave-engine ``sharded`` and ``parallel`` backends; ``mp`` is an
+  alias of ``parallel``).
 * Legacy-shaped wrappers, all registry-backed and accepting
   ``backend=``: :func:`repro.forest_decomposition`,
   :func:`repro.list_forest_decomposition`,

@@ -15,8 +15,8 @@ Usage examples::
 
 Graphs are plain edge lists (see :mod:`repro.graph.io`).  Every
 decomposition subcommand takes ``--backend
-auto|dict|csr|sharded|parallel|mp`` (graph substrate; the wave-engine
-backends take ``--workers``) and ``--json`` (print the structured
+auto|dict|csr|sharded|parallel`` (graph substrate, ``mp`` is an alias of
+``parallel``; the wave-engine backends take ``--workers``) and ``--json`` (print the structured
 ``to_json()`` payload — colors, stats, config, round accounting —
 instead of the human report, so downstream tooling stops parsing
 printed text).
@@ -56,13 +56,12 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", default="auto",
                         help="graph substrate: auto|dict|csr|sharded|"
-                        "parallel|mp or any registered backend "
-                        "(default: auto)")
+                        "parallel or any registered backend; mp is an "
+                        "alias of parallel (default: auto)")
     parser.add_argument("--workers", type=int, default=0,
-                        help="workers for the wave-engine backends "
-                        "(threads for sharded/parallel, processes "
-                        "for mp; 0 = auto; results are identical for "
-                        "every value)")
+                        help="worker threads for the wave-engine "
+                        "backends (sharded/parallel; 0 = auto; results "
+                        "are identical for every value)")
     parser.add_argument("--out", default=None, help="write coloring here")
     parser.add_argument("--json", action="store_true",
                         help="print the structured result (to_json()) "

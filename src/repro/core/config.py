@@ -23,14 +23,11 @@ Semantics of the shared fields:
   paths), ``"csr"`` (flat-array kernel), ``"sharded"`` (multi-worker
   peeling waves at ``n >= 50k``, csr below), ``"parallel"`` (the full
   wave-engine substrate: sharded peeling plus engine-backed BFS paths
-  — ball carving, color-class scans, diameter reduction), ``"mp"``
-  (the same substrate on worker *processes*: shard kernels ship as
-  shared-memory descriptors to a spawn-safe process pool — true
-  multi-core, no GIL), or any registered name.
-* ``workers`` — worker count for the wave-engine backends
-  (``sharded`` / ``parallel`` / ``mp``); ``0`` (default) auto-sizes
-  to the machine (one cached ``REPRO_SHARD_WORKERS`` /
-  ``REPRO_MP_WORKERS`` read, cores otherwise).  Results are
+  — ball carving, color-class scans, diameter reduction), or any
+  registered name.  ``"mp"`` is an alias of ``"parallel"``.
+* ``workers`` — worker threads for the wave-engine backends
+  (``sharded`` / ``parallel``); ``0`` (default) auto-sizes to the
+  machine (one cached ``REPRO_SHARD_WORKERS`` read, cores otherwise).  Results are
   bit-identical for every value, so this is purely a throughput knob.
 * ``diameter_mode`` — forest-diameter bounding per Corollary 2.5:
   ``None`` (unbounded), ``"safe"``, ``"strong"``, or ``"auto"``.

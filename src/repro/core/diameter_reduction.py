@@ -117,11 +117,11 @@ def depth_cut(
     rng = make_rng(seed)
     resolved = resolve_backend(graph, backend, DecompositionError)
     engine = None
-    if resolved in ("parallel", "mp"):
-        engine = engine_for(snapshot_of(graph), workers, mp=resolved == "mp")
+    if resolved == "parallel":
+        engine = engine_for(snapshot_of(graph), workers)
     classes = sorted(color_classes(coloring).items())
     batched: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    if schedule == "concurrent" and resolved in ("csr", "parallel", "mp"):
+    if schedule == "concurrent" and resolved in ("csr", "parallel"):
         snap = snapshot_of(graph)
         eligible = [
             i
@@ -139,7 +139,7 @@ def depth_cut(
     deletion_tail: Dict[int, int] = {}
     for index, (color, eids) in enumerate(classes):
         use_arrays = (
-            resolved in ("csr", "parallel", "mp")
+            resolved in ("csr", "parallel")
             and len(eids) >= DEPTH_CUT_ARRAYS_MIN_EDGES
         )
         if use_arrays:

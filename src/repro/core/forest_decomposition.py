@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import AugmentationError, DecompositionError
-from ..graph.csr import CSRGraph, resolve_backend
+from ..graph.csr import CSRGraph, _canonical_backend, resolve_backend
 from ..graph.multigraph import MultiGraph
 from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -74,14 +74,13 @@ def _split_backend(backend: str) -> Tuple[str, str]:
     color-class scans, diameter reduction) through the shared wave
     engine — ``resolve_backend`` gates each callsite by size.
     """
+    backend = _canonical_backend(backend)
     if backend == "dict":
         return "dict", "dict"
     if backend == "sharded":
         return "sharded", "csr"
     if backend == "parallel":
         return "sharded", "parallel"
-    if backend == "mp":
-        return "mp", "mp"
     return "csr", "csr"
 
 
@@ -184,12 +183,12 @@ def algorithm2(
         ``"csr"``, ``"sharded"`` (multi-worker peeling waves with
         ``workers`` threads; traversal/color phases run on the same
         CSR arrays as ``"csr"``), ``"parallel"`` (sharded peeling plus
-        the shared wave engine for the BFS-shaped phases), or ``"mp"``
-        (the shared-memory process backend).  Outputs are identical
-        across backends and worker counts (certified by the
-        kernel-equivalence suite).
+        the shared wave engine for the BFS-shaped phases; ``"mp"`` is
+        an alias).  Outputs are identical across backends and worker
+        counts (certified by the kernel-equivalence suite).
     """
-    if backend not in ("auto", "dict", "csr", "sharded", "parallel", "mp"):
+    backend = _canonical_backend(backend)
+    if backend not in ("auto", "dict", "csr", "sharded", "parallel"):
         raise DecompositionError(f"unknown backend {backend!r}")
     counter = ensure_counter(rounds)
     rng = make_rng(seed)

@@ -42,9 +42,9 @@ import numpy as np
 
 from ..errors import PaletteError, ValidationError
 from ..graph.csr import (
+    _canonical_backend,
     _concat_ranges,
     bfs_distance_array,
-    force_mp,
     force_parallel_traversal,
     snapshot_of,
 )
@@ -71,7 +71,8 @@ class PartialListForestDecomposition:
         backend: str = "auto",
         workers: int = 0,
     ) -> None:
-        if backend not in ("auto", "dict", "csr", "parallel", "mp"):
+        backend = _canonical_backend(backend)
+        if backend not in ("auto", "dict", "csr", "parallel"):
             raise ValidationError(f"unknown color-class backend {backend!r}")
         self.graph = graph
         self.backend = backend
@@ -229,7 +230,7 @@ class PartialListForestDecomposition:
         eids = self._class_eids.get(color)
         if not eids:
             return False
-        if self.backend in ("csr", "parallel", "mp"):
+        if self.backend in ("csr", "parallel"):
             return True
         return (
             len(eids) >= COLOR_CSR_MIN_EDGES
@@ -239,21 +240,13 @@ class PartialListForestDecomposition:
     def _wave_engine(self):
         """The shared wave engine for kernel-backed color-class sweeps,
         or None when this instance runs serial.  Active for
-        ``backend="parallel"`` / ``"mp"`` and under
-        ``REPRO_FORCE_PARALLEL`` / ``REPRO_FORCE_MP``; waves below the
-        engine's frontier gate run inline either way, so small color
-        classes stay serial with identical results."""
-        wants_mp = self.backend == "mp" or force_mp()
-        if (
-            self.backend not in ("parallel", "mp")
-            and not wants_mp
-            and not force_parallel_traversal()
-        ):
+        ``backend="parallel"`` and under ``REPRO_FORCE_PARALLEL``; waves
+        below the engine's frontier gate run inline either way, so small
+        color classes stay serial with identical results."""
+        if self.backend != "parallel" and not force_parallel_traversal():
             return None
         if self._engine is None:
-            self._engine = engine_for(
-                self.csr_snapshot(), self.workers, mp=wants_mp
-            )
+            self._engine = engine_for(self.csr_snapshot(), self.workers)
         return self._engine
 
     def _color_arrays(self, color: int) -> Tuple:

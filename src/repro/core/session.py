@@ -38,6 +38,7 @@ throwaway session.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import time
 from collections import OrderedDict
@@ -46,7 +47,12 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, GraphError, PaletteError, ValidationError
-from ..graph.csr import SHARDED_AUTO_CUTOFF, mutation_fingerprint, snapshot_of
+from ..graph.csr import (
+    SHARDED_AUTO_CUTOFF,
+    _BACKEND_ALIASES,
+    mutation_fingerprint,
+    snapshot_of,
+)
 from ..graph.shard import plan_of
 from ..parallel.engine import engine_for, pool_stats
 from ..local.rounds import RoundCounter, ensure_counter
@@ -214,18 +220,16 @@ class Session:
             "shard_plan", lambda: plan_of(self.snapshot())
         )
 
-    def wave_engine(self, workers: int = 0, mp: bool = False):
+    def wave_engine(self, workers: int = 0):
         """A :class:`~repro.parallel.engine.WaveEngine` over this
         graph's cached snapshot and shard plan — the runtime the
-        ``sharded`` / ``parallel`` backends execute their waves on
-        (``mp=True`` builds the process-pool
-        :class:`~repro.parallel.engine.MPWaveEngine` the ``mp``
-        backend uses).  ``workers=0`` falls back to the session
-        config's ``workers`` knob (then to the auto sizing); worker
-        count never changes results."""
+        ``sharded`` / ``parallel`` backends execute their waves on.
+        ``workers=0`` falls back to the session config's ``workers``
+        knob (then to the auto sizing); worker count never changes
+        results."""
         if workers == 0:
             workers = self.config.workers
-        return engine_for(self.snapshot(), workers, self.shard_plan(), mp=mp)
+        return engine_for(self.snapshot(), workers, self.shard_plan())
 
     def prepare(self) -> "Session":
         """Force the graph-prep phase now: snapshot + exact arboricity
@@ -608,7 +612,7 @@ def _run_orientation(
         if method == "hpartition" else None,
         shard_plan=session.shard_plan()
         if method == "hpartition"
-        and session.substrate(config) in ("sharded", "parallel", "mp")
+        and session.substrate(config) in ("sharded", "parallel")
         else None,
         schedule=config.schedule,
     )
@@ -638,7 +642,7 @@ def _run_pseudoforest(
         if method == "hpartition" else None,
         shard_plan=session.shard_plan()
         if method == "hpartition"
-        and session.substrate(config) in ("sharded", "parallel", "mp")
+        and session.substrate(config) in ("sharded", "parallel")
         else None,
         schedule=config.schedule,
     )
@@ -745,18 +749,10 @@ register_backend(BackendSpec(
         "parallel" if graph.n >= SHARDED_AUTO_CUTOFF else "csr"
     ),
 ))
-register_backend(BackendSpec(
-    name="mp",
-    description="the wave-engine substrate on worker *processes*: "
-    "shard kernels ship as shared-memory descriptors and run on a "
-    "spawn-safe process pool (true multi-core, no GIL), bit-identical "
-    f"to csr for every worker count; auto-selects at n >= "
-    f"{SHARDED_AUTO_CUTOFF}, csr below",
-    capabilities=frozenset({"peeling", "traversal", "color_bfs"}),
-    resolve=lambda graph: (
-        "mp" if graph.n >= SHARDED_AUTO_CUTOFF else "csr"
-    ),
-))
+for _alias, _target in _BACKEND_ALIASES.items():
+    register_backend(dataclasses.replace(
+        get_backend(_target), name=_alias, description=f"alias of {_target!r}"
+    ))
 
 __all__ = [
     "Session",

@@ -21,7 +21,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, PaletteError
-from ..graph.csr import CSRGraph, EdgeArrayMap, force_mp, force_sharded_peeling
+from ..graph.csr import (
+    CSRGraph,
+    EdgeArrayMap,
+    _canonical_backend,
+    force_sharded_peeling,
+)
 from ..graph.forests import RootedForest
 from ..graph.multigraph import MultiGraph
 from ..graph.shard import ShardPlan, ShardedPeelingView, plan_of
@@ -109,14 +114,14 @@ def h_partition(
     keeps the original dict-of-sets loop (reference implementation,
     used by the equivalence tests and benchmarks).  All three produce
     identical classes — sharded is bit-identical for every worker
-    count.  A prebuilt ``snapshot`` of ``graph`` can be supplied to
+    count.  ``"parallel"`` (and its alias ``"mp"``) peel on the sharded
+    view.  A prebuilt ``snapshot`` of ``graph`` can be supplied to
     amortize conversion across several kernel-backed passes.
 
-    Setting ``REPRO_FORCE_SHARDED=1`` (or the stronger
-    ``REPRO_FORCE_PARALLEL=1``, which also reroutes the BFS-shaped hot
-    paths through the wave engine) reroutes every ``csr`` peel through
-    the sharded view — the CI forced-backend leg runs the full fast
-    suite this way.  The worker count comes from
+    Setting ``REPRO_FORCE_PARALLEL=1`` (which also reroutes the
+    BFS-shaped hot paths through the wave engine) reroutes every
+    ``csr`` peel through the sharded view — the CI forced-backend leg
+    runs the full fast suite this way.  The worker count comes from
     ``REPRO_SHARD_WORKERS`` via the engine's single cached read
     (:func:`repro.parallel.engine.resolve_workers`), machine cores
     capped otherwise.
@@ -131,6 +136,7 @@ def h_partition(
             if waves:
                 counter.charge(waves, "H-partition wave")
             return HPartition(cached, threshold)
+    backend = _canonical_backend(backend)
     if backend == "dict":
         partition = _h_partition_dict(graph, threshold, counter, cap)
         if oracle is not None:
@@ -141,18 +147,15 @@ def h_partition(
         # engine-backed BFS specialization lives in the traversal /
         # carving layers.
         backend = "sharded"
-    if backend == "csr":
-        if force_mp():
-            backend = "mp"
-        elif force_sharded_peeling():
-            backend = "sharded"
-    if backend not in ("csr", "sharded", "mp"):
+    if backend == "csr" and force_sharded_peeling():
+        backend = "sharded"
+    if backend not in ("csr", "sharded"):
         raise DecompositionError(f"unknown h_partition backend {backend!r}")
 
     snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
-    if backend in ("sharded", "mp"):
+    if backend == "sharded":
         plan = shard_plan if shard_plan is not None else plan_of(snap)
-        view = ShardedPeelingView(snap, plan, workers, mp=backend == "mp")
+        view = ShardedPeelingView(snap, plan, workers)
     else:
         view = snap.peeling_view()
     vertex_ids = snap.vertex_ids.tolist()
@@ -242,6 +245,7 @@ def acyclic_orientation(
     counter = ensure_counter(rounds)
     classes = partition.classes
     orientation: Orientation
+    backend = _canonical_backend(backend)
     if backend == "dict":
         orientation = {}
         for eid, u, v in graph.edges():
@@ -250,7 +254,7 @@ def acyclic_orientation(
                 orientation[eid] = u
             else:
                 orientation[eid] = v
-    elif backend in ("csr", "sharded", "parallel", "mp"):
+    elif backend in ("csr", "sharded", "parallel"):
         # the wave-engine backends only specialize the peel / BFS
         # phases; the per-edge comparison is one vectorized pass
         # either way.  The result is an array-backed mapping

@@ -64,9 +64,8 @@ def list_star_forest_decomposition(
         The ε of the theorem.
     backend, workers:
         Peeling substrate for the H-partition phase (``"csr"``,
-        ``"sharded"``, ``"parallel"`` or ``"mp"`` — the latter three
-        peel on the wave engine at scale, thread- or process-pooled;
-        ``"auto"``/``"dict"`` resolve to the kernel — the batch
+        ``"sharded"`` or ``"parallel"`` — the latter two peel on the
+        wave engine at scale; ``"auto"``/``"dict"`` resolve to the kernel — the batch
         coloring itself is dict-based either way).
 
     Returns edge id -> chosen color.  Raises :class:`PaletteError` if

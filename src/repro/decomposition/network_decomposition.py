@@ -41,13 +41,9 @@ from ..rng import SeedLike, make_rng
 
 GraphLike = Union[MultiGraph, CSRGraph]
 
-#: backends that run on the flat-array kernel ("parallel" / "mp"
-#: additionally route ball-growth shells through the shared wave engine,
-#: thread- or process-pooled respectively)
-_KERNEL = ("csr", "parallel", "mp")
-
-#: kernel backends that build a wave engine
-_ENGINE = ("parallel", "mp")
+#: backends that run on the flat-array kernel ("parallel" additionally
+#: routes ball-growth shells through the shared wave engine)
+_KERNEL = ("csr", "parallel")
 
 #: ball-growth rules: "doubling" carves one ball at a time (grow until
 #: the next shell stops doubling it), "simultaneous" grows every live
@@ -138,9 +134,7 @@ def network_decomposition(
     if resolved in _KERNEL:
         snap = snapshot_of(graph)
         engine = (
-            engine_for(snap, workers, mp=resolved == "mp")
-            if resolved in _ENGINE
-            else None
+            engine_for(snap, workers) if resolved == "parallel" else None
         )
         if carve_rule == "simultaneous":
             classes = _decompose_simultaneous_csr(snap, n, engine)

@@ -139,20 +139,20 @@ def force_parallel_traversal() -> bool:
 
 
 def force_sharded_peeling() -> bool:
-    """True when ``REPRO_FORCE_SHARDED=1`` *or* the stronger
-    ``REPRO_FORCE_PARALLEL=1``: every csr peel reroutes through the
-    sharded wave view."""
-    return _env_flag("REPRO_FORCE_SHARDED") or _env_flag("REPRO_FORCE_PARALLEL")
+    """True when ``REPRO_FORCE_PARALLEL=1``: every csr peel reroutes
+    through the sharded wave view too."""
+    return force_parallel_traversal()
 
 
-def force_mp() -> bool:
-    """True when ``REPRO_FORCE_MP=1``: every wave-engine-resolved
-    callsite (peels *and* traversals) reroutes through the
-    process-backed ``"mp"`` substrate regardless of size — the mp CI
-    leg runs the whole fast suite this way.  Outputs are bit-identical
-    to every other backend; the process pool is sized by
-    ``REPRO_MP_WORKERS``."""
-    return _env_flag("REPRO_FORCE_MP")
+#: Alias backend names and the backend each one runs, so configs, CLI
+#: flags and direct calls written against an alias keep working.
+_BACKEND_ALIASES = {"mp": "parallel"}
+
+
+def _canonical_backend(backend: str) -> str:
+    """``backend`` with a retired alias replaced by the backend it
+    runs (every other name passes through unchanged)."""
+    return _BACKEND_ALIASES.get(backend, backend)
 
 
 def resolve_backend(graph, backend: str, error_cls=GraphError, peeling: bool = False) -> str:
@@ -160,40 +160,31 @@ def resolve_backend(graph, backend: str, error_cls=GraphError, peeling: bool = F
 
     ``auto`` routes :class:`CSRGraph` inputs (and large ``MultiGraph``
     inputs) to the kernel and keeps small dict graphs on the reference
-    path.  The ``sharded`` / ``parallel`` / ``mp`` names select the
+    path.  The ``sharded`` / ``parallel`` names select the
     wave-engine substrates, each auto-gated by size (the multi-worker
     wave machinery only pays for itself at scale; results are identical
     either way):
 
-    * peeling callsites (``peeling=True``) get ``"sharded"`` (or
-      ``"mp"``) at ``n >= SHARDED_AUTO_CUTOFF`` and ``"csr"`` below;
+    * peeling callsites (``peeling=True``) get ``"sharded"`` at
+      ``n >= SHARDED_AUTO_CUTOFF`` and ``"csr"`` below;
     * traversal / network-decomposition / color-class callsites get
-      ``"parallel"`` (or ``"mp"``) — engine-backed BFS waves — at
+      ``"parallel"`` — engine-backed BFS waves — at
       ``n >= PARALLEL_BFS_AUTO_CUTOFF`` and ``"csr"`` below — never
       the dict reference path.
 
-    ``mp`` is the same wave contract fanned over worker *processes*
-    with shared-memory snapshots (:class:`repro.parallel.MPWaveEngine`).
+    The retired name ``"mp"`` is an alias of ``"parallel"``.
 
     ``REPRO_FORCE_PARALLEL=1`` reroutes every csr-resolved
     non-peeling callsite through ``"parallel"`` regardless of size
-    (the forced-backend CI leg); ``REPRO_FORCE_MP=1`` does the same
-    through ``"mp"``, peels included, and supersedes the parallel
-    force.  Unknown names raise ``error_cls`` so each layer keeps its
-    own error taxonomy.
+    (the forced-backend CI leg).  Unknown names raise ``error_cls`` so
+    each layer keeps its own error taxonomy.
     """
-    if backend in ("sharded", "parallel", "mp"):
-        wants_mp = backend == "mp" or force_mp()
+    backend = _canonical_backend(backend)
+    if backend in ("sharded", "parallel"):
         if peeling:
-            if graph.n >= SHARDED_AUTO_CUTOFF or force_mp():
-                return "mp" if wants_mp else "sharded"
-            return "csr"
-        if (
-            graph.n >= PARALLEL_BFS_AUTO_CUTOFF
-            or force_parallel_traversal()
-            or force_mp()
-        ):
-            return "mp" if wants_mp else "parallel"
+            return "sharded" if graph.n >= SHARDED_AUTO_CUTOFF else "csr"
+        if graph.n >= PARALLEL_BFS_AUTO_CUTOFF or force_parallel_traversal():
+            return "parallel"
         return "csr"
     if backend == "auto":
         if isinstance(graph, CSRGraph):
@@ -204,11 +195,8 @@ def resolve_backend(graph, backend: str, error_cls=GraphError, peeling: bool = F
         raise error_cls(f"unknown backend {backend!r}")
     else:
         resolved = backend
-    if resolved == "csr" and not peeling:
-        if force_mp():
-            return "mp"
-        if force_parallel_traversal():
-            return "parallel"
+    if resolved == "csr" and not peeling and force_parallel_traversal():
+        return "parallel"
     return resolved
 
 

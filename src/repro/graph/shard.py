@@ -51,7 +51,6 @@ import numpy as np
 
 from ..parallel.engine import engine_for, resolve_workers
 from ..parallel.plan import ShardPlan, plan_of
-from ..parallel.shm import SharedKernel, shared_state
 from .csr import (
     CSRGraph,
     PeelingView,
@@ -67,29 +66,6 @@ __all__ = [
     "plan_of",
     "resolve_workers",
 ]
-
-
-def _mp_peel_scan(arrays, part, threshold):
-    """Shared-kernel twin of the closure scan in ``_scan_shards``:
-    live vertices at or below the threshold within one shard range."""
-    lo, hi = part
-    local = np.flatnonzero(
-        arrays["alive"][lo:hi] & (arrays["remaining"][lo:hi] <= threshold)
-    )
-    if local.size and lo:
-        local += lo
-    return local
-
-
-def _mp_peel_gather(arrays, part):
-    """Shared-kernel twin of the closure gather in
-    ``_gather_cut_neighbors``: live neighbors (with multiplicity)
-    across one work-group's half-edges."""
-    offsets = arrays["offsets"]
-    half = _concat_ranges(offsets[part], offsets[part + 1])
-    nbrs = arrays["neighbors"][half]
-    alive = arrays["alive"]
-    return nbrs[alive[nbrs]]
 
 
 class ShardedPeelingView(PeelingView):
@@ -114,53 +90,20 @@ class ShardedPeelingView(PeelingView):
     stays correct under arbitrary interleaving, like the serial one.
     """
 
-    __slots__ = (
-        "engine",
-        "_cand",
-        "_cand_threshold",
-        "_mp_scan_kernel",
-        "_mp_gather_kernel",
-    )
+    __slots__ = ("engine", "_cand", "_cand_threshold")
 
     def __init__(
         self,
         snapshot: CSRGraph,
         plan: Optional[ShardPlan] = None,
         workers: int = 0,
-        mp: bool = False,
     ) -> None:
         super().__init__(snapshot)
         # engine_for validates the plan against the snapshot (torn
         # plans — built from a different snapshot — are rejected).
-        self.engine = engine_for(snapshot, workers, plan, mp=mp)
+        self.engine = engine_for(snapshot, workers, plan)
         self._cand: Optional[np.ndarray] = None
         self._cand_threshold: Optional[int] = None
-        self._mp_scan_kernel: Optional[SharedKernel] = None
-        self._mp_gather_kernel: Optional[SharedKernel] = None
-        if mp:
-            # Per-run state moves into shared-memory segments so worker
-            # processes read the master's single-writer updates
-            # zero-copy; the master keeps writing these views in the
-            # reconcile, exactly like the thread backend writes its
-            # plain arrays.  Segments are reclaimed by
-            # ``repro.parallel.engine.shutdown()`` / atexit.
-            self._alive_arr = shared_state(self._alive_arr)
-            self._remaining_arr = shared_state(self._remaining_arr)
-            self._mp_scan_kernel = SharedKernel(
-                _mp_peel_scan,
-                {
-                    "alive": self._alive_arr,
-                    "remaining": self._remaining_arr,
-                },
-            )
-            self._mp_gather_kernel = SharedKernel(
-                _mp_peel_gather,
-                {
-                    "offsets": snapshot.vertex_offsets,
-                    "neighbors": snapshot.neighbor_ids,
-                    "alive": self._alive_arr,
-                },
-            )
 
     @property
     def plan(self) -> ShardPlan:
@@ -176,10 +119,6 @@ class ShardedPeelingView(PeelingView):
         """Full shard-wise scan: the first wave (and any wave after a
         threshold change or a scalar-mode interlude), where no
         reconcile has prepared a work-list yet."""
-        if self._mp_scan_kernel is not None:
-            return self.engine.scan_shards(
-                self._mp_scan_kernel.with_args(int(threshold))
-            )
         alive = self._alive_arr
         remaining = self._remaining_arr
 
@@ -207,10 +146,6 @@ class ShardedPeelingView(PeelingView):
         total_half = int(
             (offsets[removed + 1] - offsets[removed]).sum()
         ) if removed.size else 0
-        if self._mp_gather_kernel is not None:
-            return self.engine.gather(
-                self._mp_gather_kernel, removed, total_half
-            )
         neighbor_ids = self.snapshot.neighbor_ids
         alive = self._alive_arr
 

@@ -25,12 +25,7 @@ The hot entry points (:func:`bfs_distances`, :func:`neighborhood`,
   frontier gathers + scatter-dedup reconciles) at
   ``n >= PARALLEL_BFS_AUTO_CUTOFF``, ``csr`` below.  Bit-identical
   outputs for every worker count; ``workers`` is purely a throughput
-  knob;
-* ``"mp"`` — the same wave contract on the process-backed
-  :class:`~repro.parallel.engine.MPWaveEngine`: kernels ship as
-  shared-memory descriptors and worker processes map the CSR arrays
-  zero-copy, which unlocks multi-core on the Python-overhead-bound
-  sweeps the GIL caps for threads.  Same gates, same bit-identity;
+  knob (``"mp"`` is an alias of ``"parallel"``);
 * ``"auto"`` (default) — ``csr`` for :class:`CSRGraph` inputs and for
   large ``MultiGraph`` inputs, ``dict`` below the size cutoff where
   array setup outweighs the win.  ``power_graph`` is the exception: on
@@ -55,7 +50,6 @@ from ..parallel.bfs import (
     parallel_bfs_distance_array,
 )
 from ..parallel.engine import engine_for, engine_for_offsets
-from ..parallel.shm import SharedKernel
 from .csr import (
     CSRGraph,
     bfs_distance_array,
@@ -66,13 +60,9 @@ from .multigraph import MultiGraph
 
 GraphLike = Union[MultiGraph, CSRGraph]
 
-#: traversal backends that run on the flat-array kernel ("parallel" and
-#: "mp" additionally route frontier waves through the shared wave
-#: engine — threads and processes respectively)
-_KERNEL = ("csr", "parallel", "mp")
-
-#: the engine-backed subset of _KERNEL
-_ENGINE = ("parallel", "mp")
+#: traversal backends that run on the flat-array kernel ("parallel"
+#: additionally routes frontier waves through the shared wave engine)
+_KERNEL = ("csr", "parallel")
 
 
 def _resolve_backend(graph: GraphLike, backend: str) -> str:
@@ -95,11 +85,10 @@ def bfs_distances(
     if resolved in _KERNEL:
         snap = snapshot_of(graph)
         seeds = [snap.index_of(source) for source in sources]
-        if resolved in _ENGINE:
+        if resolved == "parallel":
             dist = parallel_bfs_distance_array(
                 snap.vertex_offsets, snap.neighbor_ids, snap.num_vertices,
-                seeds, radius,
-                engine_for(snap, workers, mp=resolved == "mp"),
+                seeds, radius, engine_for(snap, workers),
             )
         else:
             dist = snap.distance_array(seeds, radius)
@@ -303,10 +292,8 @@ def diameter_of_component(
         # source: cluster-sized work, independent of the host graph.
         offsets, nbr = snap.induced_sub_csr(members)
         k = int(members.size)
-        if resolved in _ENGINE:
-            engine = engine_for_offsets(
-                offsets, workers, mp=resolved == "mp"
-            )
+        if resolved == "parallel":
+            engine = engine_for_offsets(offsets, workers)
             best, connected = induced_eccentricity_sweep(
                 offsets, nbr, k, engine
             )
@@ -367,35 +354,20 @@ def weak_diameter(
         )
         offsets, nbr = snap.vertex_offsets, snap.neighbor_ids
         n = snap.num_vertices
-        engine = (
-            engine_for(snap, workers, mp=resolved == "mp")
-            if resolved in _ENGINE
-            else None
-        )
-
-        if engine is None:
-            results = [
-                _weak_diameter_block(offsets, nbr, members, n, 0,
-                                     int(members.size))
-            ]
-        elif engine.mp:
-            fn = SharedKernel(
-                _mp_weak_diameter_block,
-                {"offsets": offsets, "neighbors": nbr, "members": members},
-                args=(n,),
-            )
-            results = engine.map_ranges(
-                fn, int(members.size), cost=int(members.size) * n
-            )
-        else:
+        if resolved == "parallel":
 
             def block(lo: int, hi: int):
                 return _weak_diameter_block(offsets, nbr, members, n, lo, hi)
 
             # Every member's sweep walks the whole graph (n vertices).
-            results = engine.map_ranges(
+            results = engine_for(snap, workers).map_ranges(
                 block, int(members.size), cost=int(members.size) * n
             )
+        else:
+            results = [
+                _weak_diameter_block(offsets, nbr, members, n, 0,
+                                     int(members.size))
+            ]
         if not all(ok for _best, ok in results):
             raise GraphError("weak_diameter: vertices not mutually reachable")
         return max((best for best, _ok in results), default=0)
@@ -430,14 +402,6 @@ def _weak_diameter_block(
             return best_local, False
         best_local = max(best_local, int(to_members.max()))
     return best_local, True
-
-
-def _mp_weak_diameter_block(arrays, part, n):
-    """Shared-kernel twin of the weak-diameter member block."""
-    lo, hi = part
-    return _weak_diameter_block(
-        arrays["offsets"], arrays["neighbors"], arrays["members"], n, lo, hi
-    )
 
 
 def distance_between_sets(

@@ -11,27 +11,12 @@ from .engine import (
     FAN_OUT_MIN_HALF_EDGES,
     FAN_OUT_MIN_SCAN_VERTICES,
     MAX_AUTO_WORKERS,
-    MPWaveEngine,
     WaveEngine,
     engine_for,
     engine_for_offsets,
     pool_stats,
     resolve_workers,
     shutdown,
-)
-from .shm import (
-    MAX_INLINE_BYTES,
-    MP_FAN_OUT_MIN_HALF_EDGES,
-    MP_FAN_OUT_MIN_SCAN_VERTICES,
-    SharedKernel,
-    mp_pool_stats,
-    mp_shutdown,
-    owned_segments,
-    release_shared,
-    resolve_mp_workers,
-    share_array,
-    shared_kernel,
-    shared_state,
 )
 from .plan import (
     MAX_SHARDS,
@@ -52,19 +37,6 @@ from .bfs import (
 
 __all__ = [
     "WaveEngine",
-    "MPWaveEngine",
-    "SharedKernel",
-    "shared_kernel",
-    "share_array",
-    "shared_state",
-    "release_shared",
-    "owned_segments",
-    "resolve_mp_workers",
-    "mp_shutdown",
-    "mp_pool_stats",
-    "MAX_INLINE_BYTES",
-    "MP_FAN_OUT_MIN_HALF_EDGES",
-    "MP_FAN_OUT_MIN_SCAN_VERTICES",
     "ShardPlan",
     "engine_for",
     "engine_for_offsets",

@@ -30,7 +30,6 @@ import numpy as np
 from ..errors import GraphError
 from ..graph.csr import _concat_ranges
 from .engine import WaveEngine
-from .shm import SharedKernel
 
 __all__ = [
     "parallel_bfs_distance_array",
@@ -122,14 +121,6 @@ def segment_kth_largest(
     return out
 
 
-def _mp_frontier_kernel(arrays, part):
-    """Shared-kernel twin of the frontier gather closure: candidates
-    (with duplicates) of one work-group, read from shared CSR arrays."""
-    offsets = arrays["offsets"]
-    half = _concat_ranges(offsets[part], offsets[part + 1])
-    return arrays["neighbors"][half]
-
-
 def frontier_candidates(
     offsets: np.ndarray,
     neighbors: np.ndarray,
@@ -138,20 +129,12 @@ def frontier_candidates(
 ) -> np.ndarray:
     """Raw neighbor candidates (with duplicates) of an ascending
     frontier — ``neighbors[half]`` of the serial sweep, shard-fanned
-    through the engine when the wave passes the gate.  On an mp engine
-    the kernel ships as a shared-memory descriptor, so worker processes
-    read the same frozen CSR arrays zero-copy."""
+    through the engine when the wave passes the gate."""
 
     if engine is None:
         half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
         return neighbors[half]
     cost = int((offsets[frontier + 1] - offsets[frontier]).sum())
-    if engine.mp:
-        kernel = SharedKernel(
-            _mp_frontier_kernel,
-            {"offsets": offsets, "neighbors": neighbors},
-        )
-        return engine.gather(kernel, frontier, cost)
 
     def kernel(part: np.ndarray) -> np.ndarray:
         half = _concat_ranges(offsets[part], offsets[part + 1])
@@ -214,30 +197,17 @@ def induced_eccentricity_sweep(
     worker — nesting pool dispatch inside pool workers would deadlock
     small pools).  The max is order-free, and connectivity is uniform
     across sources (any BFS reaches exactly its component), so chunked
-    results reconcile to exactly the serial answer.
-
-    This per-source loop is Python-overhead-bound (the GIL caps the
-    thread engine at one core on it), which makes it the showcase
-    workload of the mp backend: each worker process runs its source
-    block against the shared CSR arrays at full speed."""
+    results reconcile to exactly the serial answer."""
 
     if engine is None:
         return _ecc_block_impl(offsets, neighbors, k, 0, k)
-    if engine.mp:
-        fn = SharedKernel(
-            _mp_ecc_block,
-            {"offsets": offsets, "neighbors": neighbors},
-            args=(int(k),),
-        )
-        results = engine.map_ranges(fn, k, cost=k * k)
-    else:
 
-        def block(lo: int, hi: int) -> Tuple[int, bool]:
-            return _ecc_block_impl(offsets, neighbors, k, lo, hi)
+    def block(lo: int, hi: int) -> Tuple[int, bool]:
+        return _ecc_block_impl(offsets, neighbors, k, lo, hi)
 
-        # Each source's sweep touches >= k vertices, so k*k lower-bounds
-        # the scan's work — the gate that keeps tiny clusters inline.
-        results = engine.map_ranges(block, k, cost=k * k)
+    # Each source's sweep touches >= k vertices, so k*k lower-bounds
+    # the scan's work — the gate that keeps tiny clusters inline.
+    results = engine.map_ranges(block, k, cost=k * k)
     best = max((ecc for ecc, _ok in results), default=0)
     connected = all(ok for _ecc, ok in results)
     return best, connected
@@ -259,9 +229,3 @@ def _ecc_block_impl(
             return best, False
         best = max(best, int(dist.max()))
     return best, True
-
-
-def _mp_ecc_block(arrays, part, k):
-    """Shared-kernel twin of the eccentricity source block."""
-    lo, hi = part
-    return _ecc_block_impl(arrays["offsets"], arrays["neighbors"], k, lo, hi)

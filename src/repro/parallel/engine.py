@@ -61,26 +61,15 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ThreadPoolExecutor
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
 from ..errors import GraphError
 from .plan import ShardPlan, plan_of
-from .shm import (
-    MP_FAN_OUT_MIN_HALF_EDGES,
-    MP_FAN_OUT_MIN_SCAN_VERTICES,
-    SharedKernel,
-    map_on_mp_pool,
-    mp_pool_stats,
-    mp_shutdown,
-    release_shared,
-    resolve_mp_workers,
-)
 
 __all__ = [
     "WaveEngine",
-    "MPWaveEngine",
     "engine_for",
     "engine_for_offsets",
     "resolve_workers",
@@ -165,23 +154,17 @@ def _pool_for(workers: int) -> ThreadPoolExecutor:
 
 
 def shutdown(wait: bool = True) -> None:
-    """Shut down every worker pool the engine owns — thread pools,
-    the mp backend's process pools, and its shared-memory segments.
+    """Shut down every worker pool the engine owns.
 
     Safe to call repeatedly; pools recreate lazily on next use.
     Registered with ``atexit`` so interpreter shutdown never leaks
-    executor threads (the PR-4 module-global pools were never torn
-    down) or ``/dev/shm`` segments; the serve daemon's SIGTERM path
-    calls this too, so a killed daemon reclaims everything.  Process
-    pools drain before segments unlink so no worker is mid-wave on a
-    vanishing mapping.
+    executor threads; the serve daemon's SIGTERM path calls this too,
+    so a killed daemon reclaims everything.
     """
     pools = list(_POOLS.values())
     _POOLS.clear()
     for pool in pools:
         pool.shutdown(wait=wait)
-    mp_shutdown(wait=wait)
-    release_shared()
 
 
 atexit.register(shutdown)
@@ -190,22 +173,18 @@ atexit.register(shutdown)
 def pool_stats() -> Dict[str, int]:
     """Aggregate pool statistics (ints, cache_info-friendly):
     live pool count, their total worker threads, and how many waves
-    were dispatched to a pool (vs. run inline) process-wide — plus the
-    mp backend's process-pool/segment counters (``mp_pools``,
-    ``mp_workers``, ``mp_dispatches``, ``shm_segments``).
+    were dispatched to a pool (vs. run inline) process-wide.
 
     ``_POOLS`` is keyed by worker count, so the key sum *is* the
     thread total — no reliance on ``ThreadPoolExecutor`` internals
     (an earlier version read the private ``_max_workers`` attribute,
     which an executor implementation change would break).
     """
-    stats = {
+    return {
         "pools": len(_POOLS),
         "workers": sum(_POOLS.keys()),
         "dispatches": _DISPATCHES,
     }
-    stats.update(mp_pool_stats())
-    return stats
 
 
 def _map_on_pool(workers: int, fn, items) -> Optional[list]:
@@ -269,10 +248,6 @@ class WaveEngine:
         "min_scan_items",
         "dispatches",
     )
-
-    #: True on :class:`MPWaveEngine` — lets clients decide whether to
-    #: publish their state arrays as shared memory.
-    mp = False
 
     def __init__(
         self,
@@ -429,118 +404,12 @@ class WaveEngine:
         )
 
 
-class MPWaveEngine(WaveEngine):
-    """A :class:`WaveEngine` that fans :class:`SharedKernel` waves out
-    over worker **processes** (``backend="mp"``).
-
-    Plain closure kernels fall through to the inherited thread/inline
-    path unchanged, so un-ported call sites stay correct; shared
-    kernels dispatch to the spawn-context process pool with only
-    ``(function path, segment descriptors, shard slice)`` crossing the
-    pipe — the snapshot arrays are mapped zero-copy on the other side.
-    Results concatenate in plan order exactly like the thread path, and
-    a rejected dispatch (pool shutdown race, broken pool) falls back to
-    the serial kernel — so the bit-identical-across-worker-counts
-    contract is inherited, not re-proven.
-
-    The fan-out gates default an order of magnitude above the thread
-    gates: a process dispatch costs ~1ms against a thread's ~50us.
-    """
-
-    __slots__ = ()
-
-    mp = True
-
-    def __init__(
-        self,
-        plan: ShardPlan,
-        workers: int = 0,
-        min_gather_work: int = MP_FAN_OUT_MIN_HALF_EDGES,
-        min_scan_items: int = MP_FAN_OUT_MIN_SCAN_VERTICES,
-    ) -> None:
-        super().__init__(
-            plan, resolve_mp_workers(workers), min_gather_work, min_scan_items
-        )
-
-    def gather(
-        self,
-        kernel: Callable[[np.ndarray], object],
-        work: np.ndarray,
-        cost: Optional[int] = None,
-    ) -> object:
-        if isinstance(kernel, SharedKernel) and self.should_fan_out(
-            cost, int(work.size)
-        ):
-            groups = self._index_groups(work)
-            if len(groups) > 1:
-                parts = map_on_mp_pool(self.workers, kernel, groups)
-                if parts is not None:
-                    self._note_dispatch()
-                    first = parts[0]
-                    if isinstance(first, tuple):
-                        return tuple(
-                            _concat_arrays([p[i] for p in parts])
-                            for i in range(len(first))
-                        )
-                    return _concat_arrays(parts)
-        return super().gather(kernel, work, cost)
-
-    def scan_shards(
-        self, kernel: Callable[[int, int], np.ndarray]
-    ) -> np.ndarray:
-        if (
-            isinstance(kernel, SharedKernel)
-            and self.workers > 1
-            and self.plan.num_items >= self.min_scan_items
-        ):
-            bounds = self.plan.boundaries
-            pairs = [
-                (int(bounds[shard]), int(bounds[shard + 1]))
-                for shard in range(self.num_shards)
-            ]
-            parts = map_on_mp_pool(self.workers, kernel, pairs)
-            if parts is not None:
-                self._note_dispatch()
-                parts = [p for p in parts if p.size]
-                if not parts:
-                    return np.empty(0, dtype=np.int64)
-                return _concat_arrays(parts)
-        return super().scan_shards(kernel)
-
-    def map_ranges(
-        self,
-        fn: Callable[[int, int], object],
-        count: int,
-        cost: Optional[int] = None,
-    ) -> List[object]:
-        if isinstance(fn, SharedKernel) and count > 0:
-            chunks = min(self.workers, count)
-            if chunks > 1 and self.should_fan_out(cost, count):
-                bounds = [
-                    (index * count) // chunks for index in range(chunks + 1)
-                ]
-                pairs = list(zip(bounds[:-1], bounds[1:]))
-                parts = map_on_mp_pool(self.workers, fn, pairs)
-                if parts is not None:
-                    self._note_dispatch()
-                    return parts
-        return super().map_ranges(fn, count, cost)
-
-    def __repr__(self) -> str:
-        return (
-            f"MPWaveEngine(shards={self.num_shards}, "
-            f"workers={self.workers})"
-        )
-
-
 def engine_for(
     snapshot,
     workers: int = 0,
     plan: Optional[ShardPlan] = None,
-    mp: bool = False,
 ) -> WaveEngine:
-    """A :class:`WaveEngine` over a snapshot's (cached) shard plan
-    (``mp=True`` for the process-backed :class:`MPWaveEngine`).
+    """A :class:`WaveEngine` over a snapshot's (cached) shard plan.
 
     An explicitly supplied plan is validated against the snapshot —
     a torn plan (built from a different snapshot) is rejected up
@@ -553,16 +422,15 @@ def engine_for(
             f"shard plan covers {plan.num_items} vertices, "
             f"snapshot has {snapshot.num_vertices}"
         )
-    return MPWaveEngine(plan, workers) if mp else WaveEngine(plan, workers)
+    return WaveEngine(plan, workers)
 
 
 def engine_for_offsets(
     offsets: np.ndarray,
     workers: int = 0,
     num_shards: Optional[int] = None,
-    mp: bool = False,
 ) -> WaveEngine:
     """A :class:`WaveEngine` over a bare CSR offset array (sub-CSR
     extractions: per-color classes, induced cluster subgraphs)."""
     plan = ShardPlan.from_offsets(offsets, num_shards)
-    return MPWaveEngine(plan, workers) if mp else WaveEngine(plan, workers)
+    return WaveEngine(plan, workers)

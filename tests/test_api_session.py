@@ -353,9 +353,9 @@ def test_orientation_hpartition_sharded_uses_session_plan(monkeypatch):
     seen_plans = []
     original_init = shard_module.ShardedPeelingView.__init__
 
-    def recording_init(self, snapshot, plan=None, workers=0, mp=False):
+    def recording_init(self, snapshot, plan=None, workers=0):
         seen_plans.append(plan)
-        original_init(self, snapshot, plan, workers, mp=mp)
+        original_init(self, snapshot, plan, workers)
 
     monkeypatch.setattr(
         shard_module.ShardedPeelingView, "__init__", recording_init
@@ -565,10 +565,12 @@ def test_backend_dict_csr_identical_through_api():
         backend: repro.forest_decomposition(
             graph, epsilon=0.5, seed=13, backend=backend
         )
-        for backend in ("auto", "dict", "csr")
+        for backend in ("auto", "dict", "csr", "mp")
     }
     assert results["auto"].coloring == results["dict"].coloring
     assert results["dict"].coloring == results["csr"].coloring
+    # "mp" is an alias of "parallel" (at this size: the csr kernel)
+    assert results["mp"].coloring == results["csr"].coloring
     assert (
         results["auto"].rounds.total
         == results["dict"].rounds.total
@@ -596,3 +598,22 @@ def test_dir_lists_high_level_api():
 def test_lazy_getattr_unknown_name():
     with pytest.raises(AttributeError, match="no attribute"):
         repro.definitely_not_a_name
+
+
+def test_import_does_not_load_multiprocessing():
+    """``import repro`` stays off ``multiprocessing``: the library runs
+    its waves on threads, and loading the process machinery would add
+    its import time to every run."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run(
+        [
+            sys.executable, "-c",
+            "import repro, sys; assert 'multiprocessing' not in sys.modules",
+        ],
+        env=env, check=True,
+    )

@@ -147,13 +147,20 @@ def test_ported_algorithms_match_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
-def test_low_outdegree_orientation_matches_reference(seed):
+def test_low_outdegree_orientation_matches_reference(seed, monkeypatch):
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("empty instance")
     ref = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dict")
     csr = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="csr")
     assert csr == ref
+    # The engine backends, forced on at corpus sizes; "mp" is the
+    # retired process backend's name, an alias of "parallel".
+    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+    for backend in ("parallel", "mp"):
+        assert low_outdegree_orientation(
+            graph, 0.5, method="hpartition", backend=backend, workers=2
+        ) == ref
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
@@ -421,6 +428,15 @@ def test_sharded_peeling_matches_reference(seed):
             assert sharded.classes == ref.classes
             assert sharded.threshold == ref.threshold
             assert rounds.total == ref_rounds.total
+    # "parallel" peels on the sharded view, and "mp" is its alias.
+    for backend in ("parallel", "mp"):
+        rounds = RoundCounter()
+        aliased = h_partition(
+            graph, threshold, rounds, backend=backend, snapshot=snap,
+            workers=2,
+        )
+        assert aliased.classes == ref.classes
+        assert rounds.total == ref_rounds.total
 
 
 def test_sharded_boundary_heavy_parallel_edges():
@@ -520,7 +536,6 @@ def test_resolve_backend_sharded_size_fallback(monkeypatch):
     # REPRO_FORCE_PARALLEL reroutes csr-resolved traversal callsites,
     # which is exactly what this test pins down for the default env.
     monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-    monkeypatch.delenv("REPRO_FORCE_MP", raising=False)
     small = MultiGraph.with_vertices(10)
     assert resolve_backend(small, "sharded", peeling=True) == "csr"
 
@@ -654,7 +669,7 @@ def test_depth_cut_backends_identical(seed, monkeypatch):
     # Drop the gate so every class exercises the arrays path.
     monkeypatch.setattr(dr, "DEPTH_CUT_ARRAYS_MIN_EDGES", 0)
     monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-    for backend in ("csr", "parallel"):
+    for backend in ("csr", "parallel", "mp"):
         got = depth_cut(
             graph, coloring, z=3, seed=seed, backend=backend, workers=2
         )

@@ -200,10 +200,7 @@ def test_session_cache_info_surfaces_pool_stats():
     graph = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     info = Session(graph).cache_info()
     pools = info["worker_pools"]
-    assert set(pools) == {
-        "pools", "workers", "dispatches",
-        "mp_pools", "mp_workers", "mp_dispatches", "shm_segments",
-    }
+    assert set(pools) == {"pools", "workers", "dispatches"}
     assert all(isinstance(value, int) for value in pools.values())
 
 
@@ -297,34 +294,26 @@ def test_traversal_parallel_backend_matches_csr(seed, monkeypatch):
 
 
 def test_force_env_flags(monkeypatch):
-    """REPRO_FORCE_SHARDED alone still forces the peel (but not the
-    BFS paths); REPRO_FORCE_PARALLEL supersedes it and forces both."""
+    """REPRO_FORCE_PARALLEL is the one force flag: it forces both the
+    sharded peel and the BFS paths, and unset forces neither."""
     from repro.graph.csr import force_parallel_traversal, force_sharded_peeling
 
     monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-    monkeypatch.delenv("REPRO_FORCE_MP", raising=False)
-    monkeypatch.delenv("REPRO_FORCE_SHARDED", raising=False)
     assert not force_sharded_peeling()
     assert not force_parallel_traversal()
-    monkeypatch.setenv("REPRO_FORCE_SHARDED", "1")
-    assert force_sharded_peeling()
-    assert not force_parallel_traversal()
-    monkeypatch.delenv("REPRO_FORCE_SHARDED")
     monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
     assert force_sharded_peeling()
     assert force_parallel_traversal()
 
 
 def test_force_sharded_alone_reroutes_peel(monkeypatch):
-    """The legacy forced-sharded env (no REPRO_FORCE_PARALLEL) must
-    keep routing csr peels through the sharded view — CI's forced leg
-    moved to the stronger flag, so this pins the standalone one."""
+    """REPRO_FORCE_PARALLEL alone (no backend name) forces the sharded
+    peel: a plain csr h_partition runs on the sharded view and still
+    matches the dict reference."""
     import repro.graph.shard as shard_module
     from repro.decomposition.hpartition import h_partition
 
-    monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-    monkeypatch.delenv("REPRO_FORCE_MP", raising=False)
-    monkeypatch.setenv("REPRO_FORCE_SHARDED", "1")
+    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
     builds = []
     original_init = shard_module.ShardedPeelingView.__init__
 
@@ -339,14 +328,13 @@ def test_force_sharded_alone_reroutes_peel(monkeypatch):
     reference = h_partition(graph, 2, backend="dict")
     forced = h_partition(graph, 2, backend="csr")
     assert forced.classes == reference.classes
-    assert builds, "REPRO_FORCE_SHARDED=1 did not reroute the csr peel"
+    assert builds, "REPRO_FORCE_PARALLEL=1 did not reroute the csr peel"
 
 
-def test_parallel_backend_registry_resolution():
+def test_parallel_backend_registry_resolution(monkeypatch):
+    import repro.core.session as session_module
     from repro.core.registry import get_backend
     from repro.graph.csr import SHARDED_AUTO_CUTOFF
-
-    spec = get_backend("parallel")
 
     class _FakeBig:
         n = SHARDED_AUTO_CUTOFF
@@ -354,21 +342,42 @@ def test_parallel_backend_registry_resolution():
     class _FakeSmall:
         n = 10
 
-    assert spec.substrate_for(_FakeBig()) == "parallel"
-    assert spec.substrate_for(_FakeSmall()) == "csr"
-
-
-def test_parallel_backend_registered():
-    assert "parallel" in repro.available_backends()
+    # "mp" (the retired process backend's name) resolves like
+    # "parallel" on both sides of the size cutoff.
     graph = MultiGraph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+    for name in ("parallel", "mp"):
+        spec = get_backend(name)
+        assert spec.substrate_for(_FakeBig()) == "parallel"
+        assert spec.substrate_for(_FakeSmall()) == "csr"
+        config = DecompositionConfig(backend=name)
+        assert Session(graph).substrate(config) == "csr"
+        with monkeypatch.context() as patch:
+            patch.setattr(session_module, "SHARDED_AUTO_CUTOFF", 1)
+            assert Session(graph).substrate(config) == "parallel"
+
+
+def test_parallel_backend_registered(monkeypatch):
+    from repro.errors import RegistryError
+
+    assert {"parallel", "mp"} <= set(repro.available_backends())
+    graph = random_multigraph(3)
+    with pytest.raises(RegistryError):
+        repro.decompose(
+            graph, task="forest",
+            config=DecompositionConfig(backend="processes"),
+        )
     reference = repro.decompose(
         graph, task="forest", config=DecompositionConfig(seed=7, backend="csr")
     )
-    parallel = repro.decompose(
-        graph, task="forest",
-        config=DecompositionConfig(seed=7, backend="parallel", workers=2),
-    )
-    assert parallel.coloring == reference.coloring
+    # Forced on, so the engine paths run at this size.
+    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+    for backend in ("parallel", "mp"):
+        result = repro.decompose(
+            graph, task="forest",
+            config=DecompositionConfig(seed=7, backend=backend, workers=2),
+        )
+        assert result.coloring == reference.coloring
+        assert result.rounds.total == reference.rounds.total
 
 
 # ----------------------------------------------------------------------

@@ -194,7 +194,6 @@ def test_auto_schedule_gates_on_size(monkeypatch):
     # legitimately flips small-n "auto" to concurrent — clear it so
     # this test gates on size alone.
     monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-    monkeypatch.delenv("REPRO_FORCE_MP", raising=False)
     assert resolve_schedule(100, "auto") == "serial"
     assert resolve_schedule(100_000, "auto") == "concurrent"
     assert resolve_schedule(100, "concurrent") == "concurrent"
@@ -208,7 +207,6 @@ def test_auto_schedule_honors_force_parallel(monkeypatch):
 
 def test_session_resolve_schedule(monkeypatch):
     monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
-    monkeypatch.delenv("REPRO_FORCE_MP", raising=False)
     g = union_of_random_forests(30, 2, seed=0)
     session = Session(g)
     assert session.resolve_schedule() == "serial"

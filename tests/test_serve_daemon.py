@@ -238,10 +238,6 @@ def test_daemon_shutdown_reclaims_worker_pools(tmp_path):
     server.stop()
     stats = pool_stats()
     assert stats["pools"] == 0
-    # the mp backend's resources obey the same lifecycle: no process
-    # pools and no shared-memory segments may survive engine shutdown
-    assert stats["mp_pools"] == 0
-    assert stats["shm_segments"] == 0
     if os.path.isdir("/dev/shm"):
         leaked = [
             name for name in os.listdir("/dev/shm")

@@ -262,7 +262,7 @@ def test_bfs_backends_agree_on_radius_capped_multi_seed():
     g = _three_component_graph()
     for radius in (0, 1, 2):
         reference = bfs_distances(g, [0, 4, 8], radius=radius, backend="dict")
-        for backend in ("csr", "parallel"):
+        for backend in ("csr", "parallel", "mp"):
             assert bfs_distances(
                 g, [0, 4, 8], radius=radius, backend=backend
             ) == reference

@@ -44,9 +44,7 @@ KERNEL_PACKAGES = (
 #: the only functions allowed to read the process environment: every
 #: other callsite must go through them so each knob is read exactly
 #: once (the PR 5 pool-lifecycle rule).
-SANCTIONED_ENV_READERS = frozenset(
-    {"_env_flag", "_env_default_workers", "_env_mp_workers"}
-)
+SANCTIONED_ENV_READERS = frozenset({"_env_flag", "_env_default_workers"})
 
 PRAGMA_RULE = "pragma"
 
