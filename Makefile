@@ -31,13 +31,12 @@ check:
 
 # Dict vs flat-array kernel on the peeling + traversal hot paths
 # (asserts >= 2x at n >= 2000), session reuse (>= 1.5x warm prep),
-# sharded vs serial peeling (>= 1.5x at n >= 50k), and the
-# engine-backed parallel BFS paths (>= 1.5x on dense-frontier
-# workloads at n >= 50k, outputs bit-identical per worker count), and
-# the simultaneous carve rule vs the doubling csr carve (>= 1.5x
-# best-over-workers at n >= 50k, classes bit-identical everywhere),
-# and the concurrent pass schedule vs the serial depth_cut sweep
-# (>= 1.3x best-over-workers at n >= 50k, cuts bit-identical), and
+# the csr peel's work-list vs the full-scan peel (>= 1.5x on wave
+# cascades at n >= 50k), the scatter-dedup BFS vs the sort-dedup BFS
+# (>= 1.5x on dense-frontier workloads at n >= 50k), the simultaneous
+# carve rule vs the doubling csr carve (>= 1.5x at n >= 50k), the
+# concurrent pass schedule vs the serial depth_cut sweep (>= 1.3x at
+# n >= 50k, cuts identical), the delta engine vs full recompute, and
 # the out-of-core leg (a 10^7-edge memmap ingest + decompose in a
 # fresh subprocess, peak RSS <= ~2x the on-disk snapshot);
 # writes benchmarks/results/BENCH_*.json (incl. BENCH_passes,

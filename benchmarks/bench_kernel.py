@@ -14,40 +14,33 @@ Seven sections, one per substrate milestone:
   decomposition task pays on the same session, vs. what a fresh run
   pays.  Asserts the session's reason to exist (>= 1.5x faster warm
   prep at n >= 2000; in practice the warm path is pure cache hits).
-* ``bench_shard`` — the sharded multi-worker peeling backend vs. the
-  serial csr kernel at n >= 50k, workers in {1, 2, 4}.  Asserts
-  >= 1.5x on the wave-cascade workloads (many peel waves — the serial
-  path's worst case, where it rescans all n vertices per wave) and
-  verifies bit-identical classes everywhere; wave-poor workloads are
-  reported unasserted (sharding is deliberately ~1x there).
-* ``bench_parallel_bfs`` — the PR-5 engine-backed BFS paths vs. the
-  serial csr sweeps at n >= 50k, workers in {1, 2, 4}.  Asserts
-  >= 1.5x on the dense-frontier workloads (multi-seed reachability,
-  per-color-class sub-CSR scans: the engine reconcile scatter-dedups
-  each wave in O(n + h) where the serial sweep sorts in
-  O(h log h)) with outputs asserted bit-identical for every worker
-  count; sparse-frontier BFS and the sequential ball carving are
-  reported unasserted (~1x single-core by design, thread fan-out adds
-  on multi-core).
+* ``bench_shard`` — the csr peel's frontier work-list vs. a
+  bench-local copy of the full-scan peel it replaced, at n >= 50k.
+  Asserts >= 1.5x on the wave-cascade workloads (many peel waves — the
+  full scan's worst case, where it rescans all n vertices per wave)
+  and verifies identical classes everywhere; wave-poor workloads are
+  reported unasserted (~1x there by design).
+* ``bench_parallel_bfs`` — ``bfs_distance_array`` (scatter-mask dedup
+  on dense waves) vs. a bench-local copy of the sort-dedup BFS it
+  replaced, at n >= 50k.  Asserts >= 1.5x on the dense-frontier
+  workloads (multi-seed reachability, per-color-class sub-CSR scans:
+  O(n + h) scatter vs. O(h log h) sort per wave) with distances
+  asserted identical; sparse-frontier BFS is reported unasserted.
 * ``bench_passes`` — the pass scheduler's concurrent color-class
   batching (``schedule="concurrent"``) vs. the serial per-class sweep
-  on ``depth_cut`` at n >= 50k, workers in {1, 2, 4}.  The serial
-  schedule roots each color forest with its own union-find + BFS; the
-  concurrent schedule stacks every array-eligible class into one
-  ``rooted_forest_class_depths`` call (single-CPU win: the speedup is
-  algorithmic batching, not thread fan-out).  Asserts best-over-workers
-  >= 1.3x with kept/deleted/deletion_tail asserted bit-identical to
-  the serial reference for every worker count — the pipeline
-  determinism contract.
+  on ``depth_cut`` at n >= 50k.  The serial schedule roots each color
+  forest with its own union-find + BFS; the concurrent schedule stacks
+  every array-eligible class into one ``rooted_forest_class_depths``
+  call (the speedup is algorithmic batching).  Asserts >= 1.3x with
+  kept/deleted/deletion_tail asserted identical to the serial
+  reference — the pipeline determinism contract.
 * ``bench_carve`` — the simultaneous carve rule
   (``carve_rule="simultaneous"``) vs. the doubling rule's sequential
   ball-at-a-time carve at n >= 50k.  The doubling rule grows one ball
-  per BFS level per *cluster* (the very sequential path the section
-  above leaves unasserted); the simultaneous rule grows every live
+  per BFS level per *cluster*; the simultaneous rule grows every live
   ball one level per wave, so a class finishes in O(log n) array-wide
-  waves.  Asserts best-over-workers >= 1.5x vs. the doubling csr
-  carve (in practice the win is algorithmic and large), with classes
-  asserted bit-identical across serial and every worker count.
+  waves.  Asserts >= 1.5x vs. the doubling csr carve (in practice the
+  win is algorithmic and large).
 
 * ``bench_ooc`` — the out-of-core leg: a 10^7-edge graph streamed
   through ``CSRGraph.from_edge_iter(mmap_dir=...)`` into
@@ -483,19 +476,18 @@ def run_session_comparison():
 
 
 # ----------------------------------------------------------------------
-# Sharded multi-worker peeling vs. the serial csr kernel
+# Peel work-list vs. the full-scan peel
 # ----------------------------------------------------------------------
 
 SHARD_SPEEDUP_FLOOR = 1.5
 SHARD_REPEATS = 5
-SHARD_WORKER_COUNTS = (1, 2, 4)
 
 # (name, asserted, threshold, factory).  The asserted workloads are
 # wave cascades: peeling proceeds frontier by frontier (hundreds of
-# waves), so the serial kernel pays a full O(n) scan per wave while the
-# sharded backend's reconcile hands each wave its exact work-list.
-# The unasserted ones are wave-poor (a handful of waves) — there both
-# backends do the same bulk work and sharding is honestly ~1x; they are
+# waves), so a full-scan peel pays an O(n) scan per wave while the csr
+# peel's work-list hands each wave its exact removal set.  The
+# unasserted ones are wave-poor (a handful of waves) — there both do
+# the same bulk work and the work-list is honestly ~1x; they are
 # reported so the trade-off stays visible in the artifacts.
 SHARD_WORKLOADS = [
     ("grid 320x320 cascade t=2", True, 2,
@@ -509,6 +501,39 @@ SHARD_WORKLOADS = [
 ]
 
 
+def full_scan_h_partition(snapshot, threshold):
+    """The csr peel as it was before the work-list: every wave scans
+    all n vertices for ``alive & (remaining <= threshold)``.  Returns
+    classes keyed by vertex id, like ``h_partition(...).classes``."""
+    import numpy as np
+
+    from repro.graph.csr import _concat_ranges
+
+    n = snapshot.num_vertices
+    offsets = snapshot.vertex_offsets
+    alive = np.ones(n, dtype=bool)
+    remaining = snapshot.degrees().astype(np.int64, copy=True)
+    vertex_ids = snapshot.vertex_ids.tolist()
+    classes = {}
+    wave = 0
+    while alive.any():
+        wave += 1
+        removed = np.flatnonzero(alive & (remaining <= threshold))
+        assert removed.size, "threshold too small"
+        alive[removed] = False
+        half = _concat_ranges(offsets[removed], offsets[removed + 1])
+        neighbors = snapshot.neighbor_ids[half]
+        neighbors = neighbors[alive[neighbors]]
+        if neighbors.size * 4 >= n:
+            remaining -= np.bincount(neighbors, minlength=n)
+        elif neighbors.size:
+            touched, counts = np.unique(neighbors, return_counts=True)
+            remaining[touched] -= counts
+        for index in removed.tolist():
+            classes[vertex_ids[index]] = wave
+    return classes
+
+
 def run_shard_comparison():
     rows = []
     json_rows = []
@@ -519,70 +544,54 @@ def run_shard_comparison():
         reference = h_partition(
             graph, threshold, backend="csr", snapshot=snapshot
         )
+        assert full_scan_h_partition(snapshot, threshold) == reference.classes
+        full_ms = _best(
+            lambda: full_scan_h_partition(snapshot, threshold), SHARD_REPEATS
+        )
         csr_ms = _best(
             lambda: h_partition(
                 graph, threshold, backend="csr", snapshot=snapshot
             ),
             SHARD_REPEATS,
         )
-        best_speedup = 0.0
-        for workers in SHARD_WORKER_COUNTS:
-            sharded = h_partition(
-                graph, threshold, backend="sharded",
-                snapshot=snapshot, workers=workers,
+        speedup = full_ms / csr_ms
+        rows.append(
+            (
+                name,
+                graph.n,
+                graph.m,
+                reference.num_classes,
+                f"{full_ms * 1e3:.1f}",
+                f"{csr_ms * 1e3:.1f}",
+                f"{speedup:.2f}x",
             )
-            # The backend's contract: bit-identical classes for every
-            # worker count.
-            assert sharded.classes == reference.classes
-            sharded_ms = _best(
-                lambda: h_partition(
-                    graph, threshold, backend="sharded",
-                    snapshot=snapshot, workers=workers,
-                ),
-                SHARD_REPEATS,
-            )
-            speedup = csr_ms / sharded_ms
-            best_speedup = max(best_speedup, speedup)
-            rows.append(
-                (
-                    name,
-                    graph.n,
-                    graph.m,
-                    reference.num_classes,
-                    workers,
-                    f"{csr_ms * 1e3:.1f}",
-                    f"{sharded_ms * 1e3:.1f}",
-                    f"{speedup:.2f}x",
-                )
-            )
-            json_rows.append(
-                {
-                    "workload": name,
-                    "n": graph.n,
-                    "m": graph.m,
-                    "op": "h_partition",
-                    "waves": reference.num_classes,
-                    "workers": workers,
-                    "csr_ms": round(csr_ms * 1e3, 3),
-                    "sharded_ms": round(sharded_ms * 1e3, 3),
-                    "speedup": round(speedup, 3),
-                }
-            )
+        )
+        json_rows.append(
+            {
+                "workload": name,
+                "n": graph.n,
+                "m": graph.m,
+                "op": "h_partition",
+                "waves": reference.num_classes,
+                "full_scan_ms": round(full_ms * 1e3, 3),
+                "csr_ms": round(csr_ms * 1e3, 3),
+                "speedup": round(speedup, 3),
+            }
+        )
         if assertable:
-            asserted.append((name, best_speedup))
+            asserted.append((name, speedup))
 
     emit(
         "shard",
         format_table(
-            "Sharded multi-worker peeling vs serial csr kernel (n >= 50k)",
+            "csr peel work-list vs full-scan peel (n >= 50k)",
             [
                 "workload",
                 "n",
                 "m",
                 "waves",
-                "workers",
+                "full-scan ms",
                 "csr ms",
-                "sharded ms",
                 "speedup",
             ],
             rows,
@@ -592,45 +601,40 @@ def run_shard_comparison():
         "BENCH_shard",
         {
             "bench": "shard",
-            "schema_version": 1,
+            "schema_version": 2,
             "mode": "snapshot" if SNAPSHOT_MODE else "assert",
             "threshold": SHARD_SPEEDUP_FLOOR,
-            "worker_counts": list(SHARD_WORKER_COUNTS),
             "rows": json_rows,
             "asserted": [
-                {"workload": name, "best_speedup": round(value, 3)}
+                {"workload": name, "speedup": round(value, 3)}
                 for name, value in asserted
             ],
         },
     )
 
     if not SNAPSHOT_MODE:
-        for name, best in asserted:
-            assert best >= SHARD_SPEEDUP_FLOOR, (
-                f"{name}: best sharded speedup {best:.2f}x < "
-                f"{SHARD_SPEEDUP_FLOOR}x at n >= 50k — the sharded "
-                "backend's reason to exist"
+        for name, speedup in asserted:
+            assert speedup >= SHARD_SPEEDUP_FLOOR, (
+                f"{name}: work-list speedup {speedup:.2f}x < "
+                f"{SHARD_SPEEDUP_FLOOR}x at n >= 50k — the peel "
+                "work-list's reason to exist"
             )
     return rows
 
 
 # ----------------------------------------------------------------------
-# Engine-backed parallel BFS vs. the serial csr kernel
+# Scatter-dedup BFS vs. the sort-dedup BFS
 # ----------------------------------------------------------------------
 
 PARALLEL_BFS_SPEEDUP_FLOOR = 1.5
 PARALLEL_BFS_REPEATS = 5
-PARALLEL_BFS_WORKER_COUNTS = (1, 2, 4)
 
 # (name, asserted, kind, factory).  The asserted workloads are
 # dense-frontier BFS sweeps (multi-seed reachability and per-color-
-# class scans): the serial csr sweep dedups every wave with a sort
-# (O(h log h)) while the engine reconcile scatter-dedups in O(n + h),
-# so the parallel path wins even single-core — mirroring the sharded
-# peel's frontier-proportional story.  Sparse-frontier BFS (grid) and
-# the ball carving are reported unasserted: their per-wave arrays are
-# small, the engine is honestly ~1x there on one core, and the thread
-# fan-out only adds on multi-core machines.
+# class scans): a sort-dedup sweep dedups every wave in O(h log h),
+# while bfs_distance_array scatter-dedups dense waves in O(n + h).
+# Sparse-frontier BFS (grid) is reported unasserted: its waves stay
+# below n / 8 half-edges, so both sweeps sort and the ratio is ~1x.
 PARALLEL_BFS_WORKLOADS = [
     ("pref n=120k d=5 multi-seed bfs", True, "bfs",
      lambda: preferential_attachment(120000, 5, seed=51)),
@@ -638,123 +642,98 @@ PARALLEL_BFS_WORKLOADS = [
      lambda: union_of_random_forests(100000, 5, seed=52)),
     ("grid 350x350 multi-seed bfs", False, "bfs",
      lambda: grid_graph(350, 350)),
-    ("pref n=120k d=5 ball carving", False, "carving",
-     lambda: preferential_attachment(120000, 5, seed=51)),
 ]
 
 
-def _parallel_bfs_case(graph, kind):
-    """``(serial_fn, parallel_fn_for_workers)`` for one workload."""
-    from repro.graph.csr import bfs_distance_array
-    from repro.parallel import engine_for, engine_for_offsets
-    from repro.parallel import parallel_bfs_distance_array
+def sort_dedup_bfs(offsets, neighbors, n, seeds):
+    """The csr BFS as it was before the scatter dedup: every wave
+    dedups its candidates with ``np.unique``."""
+    import numpy as np
 
+    from repro.graph.csr import _concat_ranges
+
+    dist = np.full(n, -1, dtype=np.int64)
+    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    dist[frontier] = 0
+    depth = 0
+    while frontier.size:
+        half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
+        targets = np.unique(neighbors[half])
+        targets = targets[dist[targets] < 0]
+        depth += 1
+        dist[targets] = depth
+        frontier = targets
+    return dist
+
+
+def _bfs_case(graph, kind):
+    """``(offsets, neighbors, n, seeds)`` for one workload."""
     snap = snapshot_of(graph)
+    n = snap.num_vertices
     if kind == "bfs":
-        n = snap.num_vertices
-        seeds = [0, n // 3, (2 * n) // 3]
-        offsets, nbr = snap.vertex_offsets, snap.neighbor_ids
-
-        def serial():
-            return bfs_distance_array(offsets, nbr, n, seeds)
-
-        def parallel(workers):
-            return parallel_bfs_distance_array(
-                offsets, nbr, n, seeds, engine=engine_for(snap, workers)
-            )
-
-    elif kind == "color_bfs":
-        # One color class of the forest union (every 5th edge position
-        # approximates a per-color subset) extracted as a sub-CSR over
-        # the host indices — the Session.sub_csr shape.
-        eids = snap.edge_id.tolist()[::5]
-        offsets, nbr, _eids = snap.edge_subset_csr_arrays(eids)
-        n = snap.num_vertices
-        seeds = [0, n // 2]
-
-        def serial():
-            return bfs_distance_array(offsets, nbr, n, seeds)
-
-        def parallel(workers):
-            return parallel_bfs_distance_array(
-                offsets, nbr, n, seeds,
-                engine=engine_for_offsets(offsets, workers),
-            )
-
-    else:  # carving
-        def serial():
-            return network_decomposition(graph, backend="csr").classes
-
-        def parallel(workers):
-            return network_decomposition(
-                graph, backend="parallel", workers=workers
-            ).classes
-
-    return serial, parallel
+        return snap.vertex_offsets, snap.neighbor_ids, n, [
+            0, n // 3, (2 * n) // 3,
+        ]
+    # One color class of the forest union (every 5th edge position
+    # approximates a per-color subset) extracted as a sub-CSR over the
+    # host indices — the Session.sub_csr shape.
+    eids = snap.edge_id.tolist()[::5]
+    offsets, nbr, _eids = snap.edge_subset_csr_arrays(eids)
+    return offsets, nbr, n, [0, n // 2]
 
 
 def run_parallel_bfs_comparison():
     import numpy as np
+
+    from repro.graph.csr import bfs_distance_array
 
     rows = []
     json_rows = []
     asserted = []
     for name, assertable, kind, make in PARALLEL_BFS_WORKLOADS:
         graph = make()
-        serial, parallel = _parallel_bfs_case(graph, kind)
-        reference = serial()
-        csr_ms = _best(serial, PARALLEL_BFS_REPEATS)
-        best_speedup = 0.0
-        for workers in PARALLEL_BFS_WORKER_COUNTS:
-            result = parallel(workers)
-            # The engine's contract: bit-identical outputs for every
-            # worker count.
-            if isinstance(reference, np.ndarray):
-                assert np.array_equal(result, reference)
-            else:
-                assert result == reference
-            parallel_ms = _best(lambda: parallel(workers), PARALLEL_BFS_REPEATS)
-            speedup = csr_ms / parallel_ms
-            best_speedup = max(best_speedup, speedup)
-            rows.append(
-                (
-                    name,
-                    graph.n,
-                    graph.m,
-                    kind,
-                    workers,
-                    f"{csr_ms * 1e3:.1f}",
-                    f"{parallel_ms * 1e3:.1f}",
-                    f"{speedup:.2f}x",
-                )
+        args = _bfs_case(graph, kind)
+        reference = sort_dedup_bfs(*args)
+        assert np.array_equal(bfs_distance_array(*args), reference)
+        sort_ms = _best(lambda: sort_dedup_bfs(*args), PARALLEL_BFS_REPEATS)
+        csr_ms = _best(lambda: bfs_distance_array(*args), PARALLEL_BFS_REPEATS)
+        speedup = sort_ms / csr_ms
+        rows.append(
+            (
+                name,
+                graph.n,
+                graph.m,
+                kind,
+                f"{sort_ms * 1e3:.1f}",
+                f"{csr_ms * 1e3:.1f}",
+                f"{speedup:.2f}x",
             )
-            json_rows.append(
-                {
-                    "workload": name,
-                    "n": graph.n,
-                    "m": graph.m,
-                    "op": kind,
-                    "workers": workers,
-                    "csr_ms": round(csr_ms * 1e3, 3),
-                    "parallel_ms": round(parallel_ms * 1e3, 3),
-                    "speedup": round(speedup, 3),
-                }
-            )
+        )
+        json_rows.append(
+            {
+                "workload": name,
+                "n": graph.n,
+                "m": graph.m,
+                "op": kind,
+                "sort_dedup_ms": round(sort_ms * 1e3, 3),
+                "csr_ms": round(csr_ms * 1e3, 3),
+                "speedup": round(speedup, 3),
+            }
+        )
         if assertable:
-            asserted.append((name, best_speedup))
+            asserted.append((name, speedup))
 
     emit(
         "parallel_bfs",
         format_table(
-            "Engine-backed parallel BFS vs serial csr kernel (n >= 50k)",
+            "csr scatter-dedup BFS vs sort-dedup BFS (n >= 50k)",
             [
                 "workload",
                 "n",
                 "m",
                 "op",
-                "workers",
+                "sort-dedup ms",
                 "csr ms",
-                "parallel ms",
                 "speedup",
             ],
             rows,
@@ -764,24 +743,23 @@ def run_parallel_bfs_comparison():
         "BENCH_parallel_bfs",
         {
             "bench": "parallel_bfs",
-            "schema_version": 1,
+            "schema_version": 2,
             "mode": "snapshot" if SNAPSHOT_MODE else "assert",
             "threshold": PARALLEL_BFS_SPEEDUP_FLOOR,
-            "worker_counts": list(PARALLEL_BFS_WORKER_COUNTS),
             "rows": json_rows,
             "asserted": [
-                {"workload": name, "best_speedup": round(value, 3)}
+                {"workload": name, "speedup": round(value, 3)}
                 for name, value in asserted
             ],
         },
     )
 
     if not SNAPSHOT_MODE:
-        for name, best in asserted:
-            assert best >= PARALLEL_BFS_SPEEDUP_FLOOR, (
-                f"{name}: best parallel speedup {best:.2f}x < "
+        for name, speedup in asserted:
+            assert speedup >= PARALLEL_BFS_SPEEDUP_FLOOR, (
+                f"{name}: scatter-dedup speedup {speedup:.2f}x < "
                 f"{PARALLEL_BFS_SPEEDUP_FLOOR}x at n >= 50k — the "
-                "engine-backed BFS path's reason to exist"
+                "scatter dedup's reason to exist"
             )
     return rows
 
@@ -792,7 +770,6 @@ def run_parallel_bfs_comparison():
 
 CARVE_REPEATS = 3
 CARVE_SPEEDUP_FLOOR = 1.5
-CARVE_WORKER_COUNTS = (1, 2, 4)
 
 # Grids are the doubling rule's worst case at scale: balls stay small
 # (planar growth never doubles for long), so the sequential carve pays
@@ -814,12 +791,9 @@ def run_carve_comparison():
         def doubling():
             return network_decomposition(graph, backend="csr").classes
 
-        def simultaneous(workers):
+        def simultaneous():
             return network_decomposition(
-                graph,
-                backend="parallel",
-                workers=workers,
-                carve_rule="simultaneous",
+                graph, backend="csr", carve_rule="simultaneous"
             ).classes
 
         # One timed shot for the baseline: it is tens of times slower
@@ -829,41 +803,32 @@ def run_carve_comparison():
         doubling()
         doubling_ms = (time.perf_counter() - start) * 1e3
 
-        reference = network_decomposition(
-            graph, backend="csr", carve_rule="simultaneous"
-        ).classes
-        best_speedup = 0.0
-        for workers in CARVE_WORKER_COUNTS:
-            # Bit-identical classes for every worker count — the
-            # simultaneous rule's determinism contract.
-            assert simultaneous(workers) == reference
-            sim_ms = _best(lambda: simultaneous(workers), CARVE_REPEATS) * 1e3
-            speedup = doubling_ms / sim_ms
-            best_speedup = max(best_speedup, speedup)
-            rows.append(
-                (
-                    name,
-                    graph.n,
-                    graph.m,
-                    workers,
-                    f"{doubling_ms:.1f}",
-                    f"{sim_ms:.1f}",
-                    f"{speedup:.2f}x",
-                )
+        # The simultaneous rule is deterministic: two runs agree.
+        assert simultaneous() == simultaneous()
+        sim_ms = _best(simultaneous, CARVE_REPEATS) * 1e3
+        speedup = doubling_ms / sim_ms
+        rows.append(
+            (
+                name,
+                graph.n,
+                graph.m,
+                f"{doubling_ms:.1f}",
+                f"{sim_ms:.1f}",
+                f"{speedup:.2f}x",
             )
-            json_rows.append(
-                {
-                    "workload": name,
-                    "n": graph.n,
-                    "m": graph.m,
-                    "workers": workers,
-                    "doubling_ms": round(doubling_ms, 3),
-                    "simultaneous_ms": round(sim_ms, 3),
-                    "speedup": round(speedup, 3),
-                }
-            )
+        )
+        json_rows.append(
+            {
+                "workload": name,
+                "n": graph.n,
+                "m": graph.m,
+                "doubling_ms": round(doubling_ms, 3),
+                "simultaneous_ms": round(sim_ms, 3),
+                "speedup": round(speedup, 3),
+            }
+        )
         if assertable:
-            asserted.append((name, best_speedup))
+            asserted.append((name, speedup))
 
     emit(
         "carve",
@@ -873,7 +838,6 @@ def run_carve_comparison():
                 "workload",
                 "n",
                 "m",
-                "workers",
                 "doubling ms",
                 "simultaneous ms",
                 "speedup",
@@ -885,22 +849,21 @@ def run_carve_comparison():
         "BENCH_carve",
         {
             "bench": "carve",
-            "schema_version": 1,
+            "schema_version": 2,
             "mode": "snapshot" if SNAPSHOT_MODE else "assert",
             "threshold": CARVE_SPEEDUP_FLOOR,
-            "worker_counts": list(CARVE_WORKER_COUNTS),
             "rows": json_rows,
             "asserted": [
-                {"workload": name, "best_speedup": round(value, 3)}
+                {"workload": name, "speedup": round(value, 3)}
                 for name, value in asserted
             ],
         },
     )
 
     if not SNAPSHOT_MODE:
-        for name, best in asserted:
-            assert best >= CARVE_SPEEDUP_FLOOR, (
-                f"{name}: best simultaneous-carve speedup {best:.2f}x < "
+        for name, speedup in asserted:
+            assert speedup >= CARVE_SPEEDUP_FLOOR, (
+                f"{name}: simultaneous-carve speedup {speedup:.2f}x < "
                 f"{CARVE_SPEEDUP_FLOOR}x at n >= 50k — the simultaneous "
                 "rule's reason to exist"
             )
@@ -913,7 +876,6 @@ def run_carve_comparison():
 
 PASSES_REPEATS = 3
 PASSES_SPEEDUP_FLOOR = 1.3
-PASSES_WORKER_COUNTS = (1, 2, 4)
 PASSES_Z = 37
 PASSES_SEED = 5
 
@@ -959,64 +921,48 @@ def run_passes_comparison():
     for name, assertable, make in PASSES_WORKLOADS:
         graph, coloring = make()
 
-        def serial():
+        def run(schedule):
             return depth_cut(
                 graph,
                 coloring,
                 PASSES_Z,
                 seed=PASSES_SEED,
                 backend="csr",
-                schedule="serial",
+                schedule=schedule,
             )
 
-        def concurrent(workers):
-            return depth_cut(
-                graph,
-                coloring,
-                PASSES_Z,
-                seed=PASSES_SEED,
-                backend="parallel",
-                workers=workers,
-                schedule="concurrent",
+        # Bit-identical cuts across schedules — the pipeline
+        # determinism contract (serial is the reference schedule).
+        reference = run("serial")
+        result = run("concurrent")
+        assert result.kept == reference.kept
+        assert result.deleted == reference.deleted
+        assert result.deletion_tail == reference.deletion_tail
+        serial_ms = _best(lambda: run("serial"), PASSES_REPEATS) * 1e3
+        conc_ms = _best(lambda: run("concurrent"), PASSES_REPEATS) * 1e3
+        speedup = serial_ms / conc_ms
+        rows.append(
+            (
+                name,
+                graph.n,
+                graph.m,
+                f"{serial_ms:.1f}",
+                f"{conc_ms:.1f}",
+                f"{speedup:.2f}x",
             )
-
-        reference = serial()
-        serial_ms = _best(serial, PASSES_REPEATS) * 1e3
-        best_speedup = 0.0
-        for workers in PASSES_WORKER_COUNTS:
-            # Bit-identical cuts for every worker count — the pipeline
-            # determinism contract (serial is the reference schedule).
-            result = concurrent(workers)
-            assert result.kept == reference.kept
-            assert result.deleted == reference.deleted
-            assert result.deletion_tail == reference.deletion_tail
-            conc_ms = _best(lambda: concurrent(workers), PASSES_REPEATS) * 1e3
-            speedup = serial_ms / conc_ms
-            best_speedup = max(best_speedup, speedup)
-            rows.append(
-                (
-                    name,
-                    graph.n,
-                    graph.m,
-                    workers,
-                    f"{serial_ms:.1f}",
-                    f"{conc_ms:.1f}",
-                    f"{speedup:.2f}x",
-                )
-            )
-            json_rows.append(
-                {
-                    "workload": name,
-                    "n": graph.n,
-                    "m": graph.m,
-                    "workers": workers,
-                    "serial_ms": round(serial_ms, 3),
-                    "concurrent_ms": round(conc_ms, 3),
-                    "speedup": round(speedup, 3),
-                }
-            )
+        )
+        json_rows.append(
+            {
+                "workload": name,
+                "n": graph.n,
+                "m": graph.m,
+                "serial_ms": round(serial_ms, 3),
+                "concurrent_ms": round(conc_ms, 3),
+                "speedup": round(speedup, 3),
+            }
+        )
         if assertable:
-            asserted.append((name, best_speedup))
+            asserted.append((name, speedup))
 
     emit(
         "passes",
@@ -1026,7 +972,6 @@ def run_passes_comparison():
                 "workload",
                 "n",
                 "m",
-                "workers",
                 "serial ms",
                 "concurrent ms",
                 "speedup",
@@ -1038,22 +983,21 @@ def run_passes_comparison():
         "BENCH_passes",
         {
             "bench": "passes",
-            "schema_version": 1,
+            "schema_version": 2,
             "mode": "snapshot" if SNAPSHOT_MODE else "assert",
             "threshold": PASSES_SPEEDUP_FLOOR,
-            "worker_counts": list(PASSES_WORKER_COUNTS),
             "rows": json_rows,
             "asserted": [
-                {"workload": name, "best_speedup": round(value, 3)}
+                {"workload": name, "speedup": round(value, 3)}
                 for name, value in asserted
             ],
         },
     )
 
     if not SNAPSHOT_MODE:
-        for name, best in asserted:
-            assert best >= PASSES_SPEEDUP_FLOOR, (
-                f"{name}: best concurrent-schedule speedup {best:.2f}x < "
+        for name, speedup in asserted:
+            assert speedup >= PASSES_SPEEDUP_FLOOR, (
+                f"{name}: concurrent-schedule speedup {speedup:.2f}x < "
                 f"{PASSES_SPEEDUP_FLOOR}x at n >= 50k — the concurrent "
                 "schedule's reason to exist"
             )

@@ -41,9 +41,8 @@ Key pieces:
   seed, backend, diameter_mode, cut_rule, validation), JSON
   round-trippable.
 * :func:`repro.register_task` / :func:`repro.register_backend` — the
-  extension seam (the dict/csr substrates live here, as do the
-  wave-engine ``sharded`` and ``parallel`` backends; ``mp`` is an
-  alias of ``parallel``).
+  extension seam (the dict/csr substrates live here; ``sharded``,
+  ``parallel`` and ``mp`` are aliases of ``csr``).
 * Legacy-shaped wrappers, all registry-backed and accepting
   ``backend=``: :func:`repro.forest_decomposition`,
   :func:`repro.list_forest_decomposition`,

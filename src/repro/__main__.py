@@ -14,9 +14,9 @@ Usage examples::
     python -m repro generate forest-union --n 100 --alpha 4 --out graph.txt
 
 Graphs are plain edge lists (see :mod:`repro.graph.io`).  Every
-decomposition subcommand takes ``--backend
-auto|dict|csr|sharded|parallel`` (graph substrate, ``mp`` is an alias of
-``parallel``; the wave-engine backends take ``--workers``) and ``--json`` (print the structured
+decomposition subcommand takes ``--backend auto|dict|csr`` (graph
+substrate; ``sharded``, ``parallel`` and ``mp`` are aliases of
+``csr``) and ``--json`` (print the structured
 ``to_json()`` payload — colors, stats, config, round accounting —
 instead of the human report, so downstream tooling stops parsing
 printed text).
@@ -55,13 +55,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="arboricity if known (else computed exactly)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", default="auto",
-                        help="graph substrate: auto|dict|csr|sharded|"
-                        "parallel or any registered backend; mp is an "
-                        "alias of parallel (default: auto)")
-    parser.add_argument("--workers", type=int, default=0,
-                        help="worker threads for the wave-engine "
-                        "backends (sharded/parallel; 0 = auto; results "
-                        "are identical for every value)")
+                        help="graph substrate: auto|dict|csr or any "
+                        "registered backend; sharded, parallel and mp "
+                        "are aliases of csr (default: auto)")
     parser.add_argument("--out", default=None, help="write coloring here")
     parser.add_argument("--json", action="store_true",
                         help="print the structured result (to_json()) "
@@ -104,7 +100,7 @@ def _cmd_fd(args: argparse.Namespace) -> int:
     result = forest_decomposition(
         graph, epsilon=args.epsilon, alpha=args.alpha,
         diameter_mode="auto" if args.bounded_diameter else None,
-        seed=args.seed, backend=args.backend, workers=args.workers,
+        seed=args.seed, backend=args.backend,
     )
     check_forest_decomposition(graph, result.coloring)
     if not args.json:
@@ -126,7 +122,7 @@ def _cmd_sfd(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
     result = star_forest_decomposition(
         graph, epsilon=args.epsilon, alpha=args.alpha, seed=args.seed,
-        backend=args.backend, workers=args.workers,
+        backend=args.backend,
     )
     count = check_star_forest_decomposition(graph, result.coloring)
     if not args.json:
@@ -148,7 +144,7 @@ def _cmd_orient(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
     config = DecompositionConfig(
         epsilon=args.epsilon, alpha=args.alpha, seed=args.seed,
-        backend=args.backend, workers=args.workers,
+        backend=args.backend,
     )
     result = decompose(
         graph, task="orientation", config=config, method=args.method
@@ -205,7 +201,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         alpha=args.alpha,
         seed=args.seed,
         backend=args.backend,
-        workers=args.workers,
         diameter_mode=args.diameter_mode,
         cut_rule=args.cut_rule,
         carve_rule=args.carve_rule,
@@ -272,7 +267,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     config = DecompositionConfig(
         backend=args.backend,
-        workers=args.workers,
         delta_mode=args.delta_mode,
         delta_threshold=args.delta_threshold,
     )
@@ -403,8 +397,7 @@ def main(argv=None) -> int:
     p_dec.add_argument("--schedule", default="auto",
                        choices=("auto", "serial", "concurrent"),
                        help="pass-DAG execution mode (outputs are "
-                       "identical; auto gates on graph size / "
-                       "REPRO_FORCE_PARALLEL)")
+                       "identical; auto gates on graph size)")
     p_dec.add_argument("--profile", action="store_true",
                        help="print the executed per-pass records "
                        "(wall time, rounds, engine waves, reconcile "
@@ -433,7 +426,6 @@ def main(argv=None) -> int:
     p_serve.add_argument("--graph", default=None,
                          help="edge-list file to load at startup")
     p_serve.add_argument("--backend", default="auto")
-    p_serve.add_argument("--workers", type=int, default=0)
     p_serve.add_argument("--delta-mode", default="auto",
                          choices=("auto", "incremental", "full"),
                          help="delta engine policy (latency only; "

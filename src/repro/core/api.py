@@ -148,7 +148,6 @@ def forest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> ForestDecompositionResult:
@@ -173,13 +172,12 @@ def forest_decomposition(
     carve_rule:
         Ball-growth schedule of the network-decomposition phase:
         ``"doubling"`` (default) or ``"simultaneous"`` (multi-ball
-        growth on the wave engine; deterministic for every worker
-        count).
+        growth, see :func:`~repro.decomposition.network_decomposition`).
     backend:
         Graph substrate: ``"auto"`` (default), ``"dict"`` (reference),
-        ``"csr"`` (kernel), ``"sharded"`` (multi-worker peeling with
-        ``workers`` threads; csr below n = 50k), or any registered
-        backend name.
+        ``"csr"`` (kernel), or any registered backend name
+        (``"sharded"``, ``"parallel"`` and ``"mp"`` are aliases of
+        ``"csr"``).
 
     Returns a :class:`ForestDecompositionResult` whose ``coloring`` maps
     every edge id to a forest index, with ``colors_used`` and charged
@@ -192,7 +190,7 @@ def forest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        workers=workers, diameter_mode=diameter_mode, cut_rule=cut_rule,
+        diameter_mode=diameter_mode, cut_rule=cut_rule,
         carve_rule=carve_rule, schedule=schedule,
     )
     return decompose(graph, task="forest", config=config, rounds=rounds)
@@ -211,7 +209,6 @@ def list_forest_decomposition(
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> ListForestDecompositionResult:
@@ -224,7 +221,7 @@ def list_forest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        workers=workers, cut_rule=cut_rule, schedule=schedule,
+        cut_rule=cut_rule, schedule=schedule,
     )
     return decompose(
         graph, task="list_forest", config=config, rounds=rounds,
@@ -241,7 +238,6 @@ def star_forest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> StarForestResult:
@@ -250,7 +246,7 @@ def star_forest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        workers=workers, schedule=schedule,
+        schedule=schedule,
     )
     return decompose(graph, task="star_forest", config=config, rounds=rounds)
 
@@ -264,7 +260,6 @@ def list_star_forest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> StarForestResult:
@@ -276,7 +271,7 @@ def list_star_forest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        workers=workers, schedule=schedule,
+        schedule=schedule,
     )
     return decompose(
         graph, task="list_star_forest", config=config, rounds=rounds,
@@ -292,7 +287,6 @@ def pseudoforest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> Tuple[Dict[int, int], int]:
@@ -304,7 +298,7 @@ def pseudoforest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        workers=workers, schedule=schedule,
+        schedule=schedule,
     )
     result = decompose(
         graph, task="pseudoforest", config=config, rounds=rounds,
@@ -321,7 +315,6 @@ def low_outdegree_orientation(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> Tuple[Orientation, int]:
@@ -332,7 +325,7 @@ def low_outdegree_orientation(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        workers=workers, schedule=schedule,
+        schedule=schedule,
     )
     result = decompose(
         graph, task="orientation", config=config, rounds=rounds,
@@ -347,7 +340,6 @@ def barenboim_elkin_forest_decomposition(
     pseudoarboricity: Optional[int] = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    workers: int = 0,
 ) -> Tuple[Dict[int, int], int]:
     """The (2+ε)α baseline the paper improves on ([BE10] / Theorem 2.1).
 
@@ -367,13 +359,10 @@ def barenboim_elkin_forest_decomposition(
         rooted_forests_from_orientation,
     )
 
-    peel_backend = resolve_backend(
-        graph, backend, DecompositionError, peeling=True
-    )
+    peel_backend = resolve_backend(graph, backend, DecompositionError)
     snapshot = snapshot_of(graph) if peel_backend != "dict" else None
     partition = h_partition(
-        graph, threshold, counter, backend=peel_backend,
-        snapshot=snapshot, workers=workers,
+        graph, threshold, counter, backend=peel_backend, snapshot=snapshot,
     )
     orientation = acyclic_orientation(
         graph, partition, counter, backend=peel_backend, snapshot=snapshot

@@ -20,15 +20,8 @@ Semantics of the shared fields:
   results bit-for-bit.
 * ``backend`` — graph-substrate name resolved through the backend
   registry: ``"auto"`` (default), ``"dict"`` (byte-identical reference
-  paths), ``"csr"`` (flat-array kernel), ``"sharded"`` (multi-worker
-  peeling waves at ``n >= 50k``, csr below), ``"parallel"`` (the full
-  wave-engine substrate: sharded peeling plus engine-backed BFS paths
-  — ball carving, color-class scans, diameter reduction), or any
-  registered name.  ``"mp"`` is an alias of ``"parallel"``.
-* ``workers`` — worker threads for the wave-engine backends
-  (``sharded`` / ``parallel``); ``0`` (default) auto-sizes to the
-  machine (one cached ``REPRO_SHARD_WORKERS`` read, cores otherwise).  Results are
-  bit-identical for every value, so this is purely a throughput knob.
+  paths), ``"csr"`` (flat-array kernel), or any registered name.
+  ``"sharded"``, ``"parallel"`` and ``"mp"`` are aliases of ``"csr"``.
 * ``diameter_mode`` — forest-diameter bounding per Corollary 2.5:
   ``None`` (unbounded), ``"safe"``, ``"strong"``, or ``"auto"``.
 * ``cut_rule`` — CUT implementation per Theorem 4.2.
@@ -36,20 +29,16 @@ Semantics of the shared fields:
   ``"doubling"`` (default; one ball at a time, grow until the next
   shell stops doubling it) or ``"simultaneous"`` (every unvisited
   vertex is a live seed on a staggered start; contested vertices
-  resolve by ``(level, seed id)``, so output stays bit-identical for
-  every worker and shard count while the carve waves are finally wide
-  enough for the engine to fan out).
+  resolve by ``(level, seed id)``).
 * ``validation`` — ``"none"`` (default), ``"basic"`` (structural
   checks via :mod:`repro.verify` after the run), or ``"full"``
   (structure + palette membership where applicable).
 * ``schedule`` — how the task's declared pass pipeline executes:
   ``"serial"`` (topological order, the bit-identical reference),
-  ``"concurrent"`` (independent passes and per-color-class fan-outs
-  overlap on the wave engine's pools / batched kernels), or
-  ``"auto"`` (default; concurrent at ``n >= 50k`` or under
-  ``REPRO_FORCE_PARALLEL=1``, matching the backend auto-gating).
-  Outputs are bit-identical across schedules — purely a throughput
-  knob, like ``workers``.
+  ``"concurrent"`` (per-color-class fan-outs run through a batched
+  kernel where the pass provides one), or ``"auto"`` (default;
+  concurrent at ``n >= 50k``).  Outputs are bit-identical across
+  schedules — purely a throughput knob.
 * ``delta_mode`` — how :meth:`~repro.core.session.Session.apply_delta`
   maintains watched decompositions under edge-stream mutations:
   ``"auto"`` (default; repair the dirty cascade incrementally, fall
@@ -89,7 +78,6 @@ class DecompositionConfig:
     alpha: Optional[int] = None
     seed: SeedLike = None
     backend: str = "auto"
-    workers: int = 0
     diameter_mode: Optional[str] = None
     cut_rule: str = "depth_residue"
     carve_rule: str = "doubling"
@@ -100,11 +88,6 @@ class DecompositionConfig:
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.workers, int) or self.workers < 0:
-            raise ValidationError(
-                f"workers must be a nonnegative int (0 = auto), "
-                f"got {self.workers!r}"
-            )
         if self.validation not in VALIDATION_LEVELS:
             raise ValidationError(
                 f"unknown validation level {self.validation!r}; "
@@ -179,8 +162,17 @@ class DecompositionConfig:
         """Rebuild a config from :meth:`to_json` output.
 
         Unknown keys raise so that configs written by a newer library
-        version fail loudly instead of being silently truncated.
+        version fail loudly instead of being silently truncated.  The
+        one exception is ``workers``, the retired thread-count field:
+        checkpoints and daemon payloads written before its removal
+        carry it, so a non-negative int there is accepted and dropped.
         """
+        payload = dict(payload)
+        workers = payload.pop("workers", 0)
+        if not isinstance(workers, int) or workers < 0:
+            raise ValidationError(
+                f"workers must be a nonnegative int, got {workers!r}"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known
         if unknown:

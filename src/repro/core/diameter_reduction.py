@@ -30,18 +30,16 @@ Backends: ``depth_cut`` / ``reduce_diameter`` accept the shared
 every color class with :class:`~repro.graph.forests.RootedForest`; the
 kernel path roots large classes on flat arrays
 (:func:`~repro.graph.csr.rooted_forest_arrays` — identical root
-selection and depths, one vectorized multi-source BFS per class) and
-the parallel path additionally fans each BFS level through the shared
-:class:`~repro.parallel.engine.WaveEngine`.  Small color classes stay
-on the dict path under any kernel backend (the array extraction costs
-more than the walk there); every path produces byte-identical cuts
-because tree depths are unique.
+selection and depths, one vectorized multi-source BFS per class).
+Small color classes stay on the dict path under any kernel backend
+(the array extraction costs more than the walk there); every path
+produces byte-identical cuts because tree depths are unique.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -55,7 +53,6 @@ from ..graph.csr import (
 from ..graph.forests import RootedForest, color_classes
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
-from ..parallel.engine import engine_for
 from ..rng import SeedLike, make_rng
 
 Coloring = Dict[int, int]
@@ -94,7 +91,6 @@ def depth_cut(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "dict",
-    workers: int = 0,
     schedule: str = "serial",
 ) -> DiameterReductionResult:
     """Cut every color forest at a random depth residue mod ``z``.
@@ -116,12 +112,9 @@ def depth_cut(
     counter = ensure_counter(rounds)
     rng = make_rng(seed)
     resolved = resolve_backend(graph, backend, DecompositionError)
-    engine = None
-    if resolved == "parallel":
-        engine = engine_for(snapshot_of(graph), workers)
     classes = sorted(color_classes(coloring).items())
     batched: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    if schedule == "concurrent" and resolved in ("csr", "parallel"):
+    if schedule == "concurrent" and resolved == "csr":
         snap = snapshot_of(graph)
         eligible = [
             i
@@ -139,7 +132,7 @@ def depth_cut(
     deletion_tail: Dict[int, int] = {}
     for index, (color, eids) in enumerate(classes):
         use_arrays = (
-            resolved in ("csr", "parallel")
+            resolved == "csr"
             and len(eids) >= DEPTH_CUT_ARRAYS_MIN_EDGES
         )
         if use_arrays:
@@ -148,7 +141,7 @@ def depth_cut(
                 residue = rng.randrange(z)
             else:
                 snap = snapshot_of(graph)
-                arrays = rooted_forest_arrays(snap, eids, engine=engine)
+                arrays = rooted_forest_arrays(snap, eids)
                 residue = rng.randrange(z)
                 positions = snap.edge_positions(eids)
                 du = arrays.depth[snap.edge_u[positions]]
@@ -255,7 +248,6 @@ def reduce_diameter(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "dict",
-    workers: int = 0,
     schedule: str = "serial",
 ) -> DiameterReductionResult:
     """Corollary 2.5 front-end: pick ``z`` by regime.
@@ -266,7 +258,7 @@ def reduce_diameter(
       with per-vertex load ~ εα/20 in expectation at any α.
     * ``mode="auto"``: strong when α ≥ log₂ n, else safe.
 
-    ``backend`` / ``workers`` select the rooting substrate per color
+    ``backend`` selects the rooting substrate per color
     class (see :func:`depth_cut`); cuts are identical on every backend.
     """
     n = max(graph.n, 2)
@@ -280,5 +272,5 @@ def reduce_diameter(
         raise DecompositionError(f"unknown diameter-reduction mode {mode!r}")
     return depth_cut(
         graph, coloring, z, seed=seed, rounds=rounds,
-        backend=backend, workers=workers, schedule=schedule,
+        backend=backend, schedule=schedule,
     )

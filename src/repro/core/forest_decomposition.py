@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import AugmentationError, DecompositionError
-from ..graph.csr import CSRGraph, _canonical_backend, resolve_backend
+from ..graph.csr import CSRGraph, _canonical_backend
 from ..graph.multigraph import MultiGraph
 from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -65,23 +65,11 @@ from .results import DecompositionResult
 Palettes = Dict[int, Sequence[int]]
 
 
-def _split_backend(backend: str) -> Tuple[str, str]:
-    """``(peel, substrate)`` substrates for a pipeline backend string.
-
-    The sharded backend only specializes threshold peeling (its
-    traversal phases run on plain CSR arrays); the parallel backend
-    additionally routes the BFS-shaped phases (ball carving,
-    color-class scans, diameter reduction) through the shared wave
-    engine — ``resolve_backend`` gates each callsite by size.
-    """
-    backend = _canonical_backend(backend)
-    if backend == "dict":
-        return "dict", "dict"
-    if backend == "sharded":
-        return "sharded", "csr"
-    if backend == "parallel":
-        return "sharded", "parallel"
-    return "csr", "csr"
+def _kernel_backend(backend: str) -> str:
+    """The concrete substrate a pipeline backend runs on: the dict
+    reference path for ``"dict"``, the csr kernel for everything else
+    (``"auto"`` included)."""
+    return "dict" if _canonical_backend(backend) == "dict" else "csr"
 
 
 @dataclass
@@ -154,7 +142,6 @@ def algorithm2(
     rounds: Optional[RoundCounter] = None,
     strict_locality: bool = False,
     backend: str = "auto",
-    workers: int = 0,
     carve_rule: str = "doubling",
 ) -> Algorithm2Result:
     """Run Algorithm 2 on ``graph`` with the given per-edge palettes.
@@ -180,24 +167,17 @@ def algorithm2(
     backend:
         Graph substrate: ``"auto"`` (default, kernel-backed),
         ``"dict"`` (the byte-identical reference paths throughout),
-        ``"csr"``, ``"sharded"`` (multi-worker peeling waves with
-        ``workers`` threads; traversal/color phases run on the same
-        CSR arrays as ``"csr"``), ``"parallel"`` (sharded peeling plus
-        the shared wave engine for the BFS-shaped phases; ``"mp"`` is
-        an alias).  Outputs are identical across backends and worker
-        counts (certified by the kernel-equivalence suite).
+        ``"csr"`` (``"sharded"``, ``"parallel"`` and ``"mp"`` are its
+        aliases).  Outputs are identical across backends (certified by
+        the kernel-equivalence suite).
     """
     backend = _canonical_backend(backend)
-    if backend not in ("auto", "dict", "csr", "sharded", "parallel"):
+    if backend not in ("auto", "dict", "csr"):
         raise DecompositionError(f"unknown backend {backend!r}")
     counter = ensure_counter(rounds)
     rng = make_rng(seed)
     stats = Algorithm2Stats()
-    state = PartialListForestDecomposition(
-        graph, palettes,
-        backend="csr" if backend == "sharded" else backend,
-        workers=workers,
-    )
+    state = PartialListForestDecomposition(graph, palettes, backend=backend)
     if graph.m == 0:
         return Algorithm2Result(state, stats, counter)
 
@@ -209,7 +189,7 @@ def algorithm2(
     stats.search_radius = r_prime
     d = r + r_prime
 
-    peel_backend, substrate = _split_backend(backend)
+    substrate = _kernel_backend(backend)
     orientation_j = None
     if cut_rule == "conditioned_sampling":
         with counter.phase("orientation J"):
@@ -217,11 +197,11 @@ def algorithm2(
             snapshot = None if substrate == "dict" else state.csr_snapshot()
             partition = h_partition(
                 graph, max(1, 3 * pseudo), counter,
-                backend=peel_backend, snapshot=snapshot, workers=workers,
+                backend=substrate, snapshot=snapshot,
             )
             orientation_j = acyclic_orientation(
                 graph, partition, counter,
-                backend=peel_backend, snapshot=snapshot,
+                backend=substrate, snapshot=snapshot,
             )
 
     controller = CutController(
@@ -252,7 +232,7 @@ def algorithm2(
             )
         nd = network_decomposition(
             power, counter, radius_cost=2 * d, backend=substrate,
-            workers=workers, carve_rule=carve_rule,
+            carve_rule=carve_rule,
         )
 
     balls = _BallResolver(state.csr_snapshot())
@@ -439,7 +419,6 @@ def _forest_algorithm2(ctx: PipelineContext) -> None:
             seed=child_rng(ctx["rng"], "alg2"),
             rounds=counter,
             backend=ctx["backend"],
-            workers=ctx["workers"],
             carve_rule=ctx["carve_rule"],
         )
     ctx["alg2"] = result
@@ -453,14 +432,12 @@ def _forest_leftover_recolor(ctx: PipelineContext) -> None:
     if ctx["empty"]:
         return
     counter = ctx.counter
-    peel_backend, _substrate = _split_backend(ctx["backend"])
     with counter.phase("leftover recoloring"):
         ctx["next_color"] = _recolor_fresh(
             ctx["graph"], ctx["leftover"], ctx["coloring"],
             ctx["next_color"], counter,
             as_star_forests=ctx["diameter_mode"] is not None,
-            backend=peel_backend,
-            workers=ctx["workers"],
+            backend=_kernel_backend(ctx["backend"]),
         )
     ctx.note(reconcile_volume=len(ctx["leftover"]))
 
@@ -469,7 +446,6 @@ def _forest_diameter_reduce(ctx: PipelineContext) -> None:
     if ctx["empty"] or ctx["diameter_mode"] is None:
         return
     counter = ctx.counter
-    peel_backend, _substrate = _split_backend(ctx["backend"])
     with counter.phase("diameter reduction"):
         reduction = reduce_diameter(
             ctx["graph"],
@@ -480,7 +456,6 @@ def _forest_diameter_reduce(ctx: PipelineContext) -> None:
             seed=child_rng(ctx["rng"], "diam"),
             rounds=counter,
             backend=ctx["backend"],
-            workers=ctx["workers"],
             schedule=ctx.schedule,
         )
         ctx["coloring"] = dict(reduction.kept)
@@ -491,8 +466,7 @@ def _forest_diameter_reduce(ctx: PipelineContext) -> None:
             ctx["next_color"],
             counter,
             as_star_forests=True,
-            backend=peel_backend,
-            workers=ctx["workers"],
+            backend=_kernel_backend(ctx["backend"]),
         )
     ctx.note(
         items=len(set(ctx["coloring"].values())),
@@ -582,7 +556,6 @@ def forest_decomposition_algorithm2(
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
     backend: str = "auto",
-    workers: int = 0,
     carve_rule: str = "doubling",
     schedule: str = "auto",
 ) -> ForestDecompositionResult:
@@ -613,11 +586,10 @@ def forest_decomposition_algorithm2(
             "radius": radius,
             "search_radius": search_radius,
             "backend": backend,
-            "workers": workers,
             "carve_rule": carve_rule,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule), workers)
+    scheduler = Scheduler(resolve_schedule(graph, schedule))
     result = scheduler.run(FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result
@@ -631,7 +603,6 @@ def _recolor_fresh(
     counter: RoundCounter,
     as_star_forests: bool,
     backend: str = "csr",
-    workers: int = 0,
 ) -> int:
     """Color ``eids`` with fresh colors starting at ``next_color`` via
     Theorem 2.1; returns the next unused color index."""
@@ -640,12 +611,7 @@ def _recolor_fresh(
     sub = graph.edge_subgraph(eids)
     pseudo = max(1, exact_pseudoarboricity(sub))
     threshold = max(1, math.floor(2.5 * pseudo))
-    # Re-resolve per subgraph: the leftover is usually far below the
-    # sharding cutoff even when the host graph runs sharded.
-    peel = resolve_backend(sub, backend, DecompositionError, peeling=True)
-    partition = h_partition(
-        sub, threshold, counter, backend=peel, workers=workers
-    )
+    partition = h_partition(sub, threshold, counter, backend=backend)
     if as_star_forests:
         star = star_forest_decomposition_via_hpartition(sub, partition, counter)
         labels = sorted(set(star.values()))

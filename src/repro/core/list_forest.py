@@ -115,7 +115,6 @@ def _lf_algorithm2(ctx: PipelineContext) -> None:
             seed=child_rng(ctx["rng"], "alg2"),
             rounds=counter,
             backend=ctx["backend"],
-            workers=ctx["workers"],
         )
     ctx["coloring_0"] = dict(result.colored)
     ctx["leftover"] = set(result.leftover)
@@ -137,7 +136,6 @@ def _lf_diameter_reduce(ctx: PipelineContext) -> None:
             seed=child_rng(ctx["rng"], "diam"),
             rounds=counter,
             backend=ctx["backend"],
-            workers=ctx["workers"],
             schedule=ctx.schedule,
         )
     ctx["coloring_0"] = dict(reduction.kept)
@@ -158,7 +156,7 @@ def _lf_reserve(ctx: PipelineContext) -> None:
         ctx["coloring_1"] = _reserve_lsfd(
             ctx["graph"], sorted(ctx["leftover"]),
             ctx["split"].palettes_1, counter,
-            backend=ctx["backend"], workers=ctx["workers"],
+            backend=ctx["backend"],
         )
     ctx.note(reconcile_volume=len(ctx["coloring_1"]))
 
@@ -253,7 +251,6 @@ def list_forest_decomposition(
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
 ) -> ListForestDecompositionResult:
     """Theorem 4.10: (1+ε)α-LFD of a multigraph.
@@ -283,10 +280,9 @@ def list_forest_decomposition(
             "radius": radius,
             "search_radius": search_radius,
             "backend": backend,
-            "workers": workers,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule), workers)
+    scheduler = Scheduler(resolve_schedule(graph, schedule))
     result = scheduler.run(LIST_FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result
@@ -323,13 +319,9 @@ def _reserve_lsfd(
     reserve_palettes: Palettes,
     counter: RoundCounter,
     backend: str = "csr",
-    workers: int = 0,
 ) -> Dict[int, int]:
     """Color the leftover edges from their reserve palettes via
-    Theorem 2.3 (a star forest is in particular a forest).  The
-    H-partition phase inherits the pipeline's backend/workers — the
-    leftover subgraph re-resolves per its own size, so small leftovers
-    stay serial."""
+    Theorem 2.3 (a star forest is in particular a forest)."""
     if not leftover:
         return {}
     sub = graph.edge_subgraph(leftover)
@@ -342,6 +334,5 @@ def _reserve_lsfd(
             "increase palette sizes or epsilon"
         )
     return list_star_forest_decomposition(
-        sub, palettes, pseudo, 0.5, counter,
-        backend=backend, workers=workers,
+        sub, palettes, pseudo, 0.5, counter, backend=backend,
     )

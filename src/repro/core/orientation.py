@@ -128,7 +128,6 @@ def _or_decompose(ctx: PipelineContext) -> None:
             seed=ctx["seed"],
             rounds=ctx.counter,
             backend=ctx["backend"],
-            workers=ctx["workers"],
             schedule=ctx.schedule,
         )
         ctx["forest_result"] = result
@@ -136,7 +135,7 @@ def _or_decompose(ctx: PipelineContext) -> None:
         ctx.note(reconcile_volume=len(result.coloring))
     elif method == "hpartition":
         peel_backend = resolve_backend(
-            graph, ctx["backend"], DecompositionError, peeling=True
+            graph, ctx["backend"], DecompositionError
         )
         pseudo = ctx["pseudoarboricity"]
         if pseudo is None:
@@ -145,8 +144,7 @@ def _or_decompose(ctx: PipelineContext) -> None:
         snapshot = snapshot_of(graph) if peel_backend != "dict" else None
         ctx["partition"] = h_partition(
             graph, threshold, ctx.counter, backend=peel_backend,
-            snapshot=snapshot, workers=ctx["workers"],
-            shard_plan=ctx["shard_plan"],
+            snapshot=snapshot,
         )
         ctx["peel_backend"] = peel_backend
         ctx["snapshot"] = snapshot
@@ -280,8 +278,6 @@ def _run_orientation_pipeline(
     counter: RoundCounter,
     backend: str,
     pseudoarboricity: Optional[int],
-    workers: int,
-    shard_plan,
     schedule: str,
 ):
     ctx = PipelineContext(
@@ -294,11 +290,9 @@ def _run_orientation_pipeline(
             "seed": seed,
             "backend": backend,
             "pseudoarboricity": pseudoarboricity,
-            "workers": workers,
-            "shard_plan": shard_plan,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule), workers)
+    scheduler = Scheduler(resolve_schedule(graph, schedule))
     result = scheduler.run(pipeline, ctx)
     result.stats.passes = ctx.pass_stats
     return result
@@ -313,8 +307,6 @@ def orientation_decomposition(
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
-    workers: int = 0,
-    shard_plan=None,
     schedule: str = "auto",
 ) -> OrientationResult:
     """Corollary 1.1 as a protocol result: runs
@@ -327,7 +319,7 @@ def orientation_decomposition(
     counter = ensure_counter(rounds)
     return _run_orientation_pipeline(
         ORIENTATION_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, backend, pseudoarboricity, workers, shard_plan, schedule,
+        counter, backend, pseudoarboricity, schedule,
     )
 
 
@@ -340,8 +332,6 @@ def pseudoforest_decomposition_result(
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
-    workers: int = 0,
-    shard_plan=None,
     schedule: str = "auto",
 ) -> PseudoforestResult:
     """The pseudoforest companion of Corollary 1.1: runs
@@ -351,7 +341,7 @@ def pseudoforest_decomposition_result(
     counter = ensure_counter(rounds)
     return _run_orientation_pipeline(
         PSEUDOFOREST_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, backend, pseudoarboricity, workers, shard_plan, schedule,
+        counter, backend, pseudoarboricity, schedule,
     )
 
 
@@ -364,8 +354,6 @@ def low_outdegree_orientation(
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
-    workers: int = 0,
-    shard_plan=None,
     schedule: str = "auto",
 ) -> Tuple[Orientation, int]:
     """A (1+ε)α-orientation; returns (orientation, out-degree bound).
@@ -379,18 +367,16 @@ def low_outdegree_orientation(
     * ``"exact"`` — centralized flow witness at ⌈(1+ε)α⌉ (ground truth).
 
     ``backend`` selects the graph substrate (``"csr"`` kernel,
-    ``"dict"`` reference, ``"sharded"`` multi-worker peeling with
-    ``workers``/``shard_plan``, or ``"auto"``); the ``"exact"`` method
+    ``"dict"`` reference, or ``"auto"``); the ``"exact"`` method
     ignores it.  ``pseudoarboricity`` lets callers (e.g. a
     :class:`~repro.core.session.Session`) inject the memoized exact
-    value for the ``"hpartition"`` method instead of recomputing it,
-    and ``shard_plan`` the session's cached shard plan.  ``schedule``
-    picks the pass-DAG execution mode (outputs identical either way).
+    value for the ``"hpartition"`` method instead of recomputing it.
+    ``schedule`` picks the pass-DAG execution mode (outputs identical
+    either way).
     """
     result = orientation_decomposition(
         graph, epsilon, alpha=alpha, method=method, seed=seed,
         rounds=rounds, backend=backend,
-        pseudoarboricity=pseudoarboricity, workers=workers,
-        shard_plan=shard_plan, schedule=schedule,
+        pseudoarboricity=pseudoarboricity, schedule=schedule,
     )
     return result.orientation, result.bound

@@ -15,20 +15,17 @@ augmentation framework operates on.  It tracks
 Every mutation maintains the invariant that each color class is a
 forest; ``set_color`` refuses to close a cycle.
 
-The color-class BFS runs on one of three substrates.  The dict backend
+The color-class BFS runs on one of two substrates.  The dict backend
 is the original per-color adjacency-dict walk, preserved as the
 reference path.  The csr backend extracts the color class as a sub-CSR
 over the host snapshot's dense indices (a color class is just an edge
 subset, so :meth:`~repro.graph.csr.CSRGraph.edge_subset_csr_arrays`
 produces its flat adjacency directly) and sweeps it with frontier-array
 BFS; the extraction is cached per color and invalidated by a version
-counter bumped on every attach/detach.  The parallel backend routes
-those sweeps through the shared
-:class:`~repro.parallel.engine.WaveEngine` (shard-fanned frontier
-gathers, ``workers`` threads), auto-gated by frontier size so small
-color classes stay serial.  ``backend="auto"`` keeps small classes on
-the dict path — rebuilding arrays there costs more than the walk — and
-moves classes past the extraction threshold onto the kernel.  All
+counter bumped on every attach/detach.  ``backend="auto"`` keeps
+small classes on the dict path — rebuilding arrays there costs more
+than the walk — and moves classes past the extraction threshold onto
+the kernel.  All
 paths return identical values: paths in a forest are unique, and the
 component/connectivity queries are order-free.
 """
@@ -45,13 +42,10 @@ from ..graph.csr import (
     _canonical_backend,
     _concat_ranges,
     bfs_distance_array,
-    force_parallel_traversal,
     snapshot_of,
 )
 from ..graph.multigraph import MultiGraph
 from ..graph.union_find import UnionFind
-from ..parallel.bfs import parallel_bfs_distance_array
-from ..parallel.engine import engine_for
 
 Palettes = Dict[int, Sequence[int]]
 
@@ -69,15 +63,12 @@ class PartialListForestDecomposition:
         graph: MultiGraph,
         palettes: Palettes,
         backend: str = "auto",
-        workers: int = 0,
     ) -> None:
         backend = _canonical_backend(backend)
-        if backend not in ("auto", "dict", "csr", "parallel"):
+        if backend not in ("auto", "dict", "csr"):
             raise ValidationError(f"unknown color-class backend {backend!r}")
         self.graph = graph
         self.backend = backend
-        self.workers = workers
-        self._engine = None  # lazy wave engine over the host snapshot
         self.palettes = {
             eid: tuple(palettes[eid]) for eid in graph.edge_ids()
         }
@@ -230,24 +221,12 @@ class PartialListForestDecomposition:
         eids = self._class_eids.get(color)
         if not eids:
             return False
-        if self.backend in ("csr", "parallel"):
+        if self.backend == "csr":
             return True
         return (
             len(eids) >= COLOR_CSR_MIN_EDGES
             and 8 * len(eids) >= self.graph.n
         )
-
-    def _wave_engine(self):
-        """The shared wave engine for kernel-backed color-class sweeps,
-        or None when this instance runs serial.  Active for
-        ``backend="parallel"`` and under ``REPRO_FORCE_PARALLEL``; waves
-        below the engine's frontier gate run inline either way, so small
-        color classes stay serial with identical results."""
-        if self.backend != "parallel" and not force_parallel_traversal():
-            return None
-        if self._engine is None:
-            self._engine = engine_for(self.csr_snapshot(), self.workers)
-        return self._engine
 
     def _color_arrays(self, color: int) -> Tuple:
         """Cached sub-CSR ``(offsets, neighbors, edge ids)`` of a color
@@ -315,31 +294,19 @@ class PartialListForestDecomposition:
         src = snap.index_of(u)
         dst = snap.index_of(v)
         n = snap.num_vertices
-        engine = self._wave_engine()
         parent_eid = np.full(n, -1, dtype=np.int64)
         parent_vtx = np.full(n, -1, dtype=np.int64)
         visited = np.zeros(n, dtype=bool)
         visited[src] = True
         frontier = np.asarray([src], dtype=np.int64)
-
-        def expand(part: np.ndarray):
-            # Shard-phase kernel: reads the frozen visited mask; the
-            # per-group filtered triples concatenate in plan order, so
-            # the engine path sees the serial gather byte for byte.
-            lengths_ = offsets[part + 1] - offsets[part]
-            half = _concat_ranges(offsets[part], offsets[part + 1])
-            origins_ = np.repeat(part, lengths_)
-            targets_ = nbr[half]
-            via_ = eids[half]
-            fresh_ = ~visited[targets_]
-            return targets_[fresh_], via_[fresh_], origins_[fresh_]
-
         while frontier.size and not visited[dst]:
-            if engine is None:
-                targets, via, origins = expand(frontier)
-            else:
-                cost = int((offsets[frontier + 1] - offsets[frontier]).sum())
-                targets, via, origins = engine.gather(expand, frontier, cost)
+            lengths = offsets[frontier + 1] - offsets[frontier]
+            half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
+            origins = np.repeat(frontier, lengths)
+            targets = nbr[half]
+            via = eids[half]
+            fresh = ~visited[targets]
+            targets, via, origins = targets[fresh], via[fresh], origins[fresh]
             # Within a level a vertex may be reached via several edges;
             # first occurrence wins (any parent reconstructs the same
             # unique path — color classes are forests).
@@ -368,16 +335,9 @@ class PartialListForestDecomposition:
         if self._use_kernel(color):
             snap = self.csr_snapshot()
             offsets, nbr, _eids = self._color_arrays(color)
-            engine = self._wave_engine()
-            if engine is not None:
-                dist = parallel_bfs_distance_array(
-                    offsets, nbr, snap.num_vertices,
-                    [snap.index_of(start)], engine=engine,
-                )
-            else:
-                dist = bfs_distance_array(
-                    offsets, nbr, snap.num_vertices, [snap.index_of(start)]
-                )
+            dist = bfs_distance_array(
+                offsets, nbr, snap.num_vertices, [snap.index_of(start)]
+            )
             return set(snap.vertex_ids[dist >= 0].tolist())
         seen = {start}
         queue = deque([start])

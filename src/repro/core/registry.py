@@ -14,12 +14,12 @@ tasks (registered by :mod:`repro.core.session` on import) are::
     pseudoforest      Corollary 1.1 companion
     orientation       Corollary 1.1
 
-*Backends* name graph substrates with declared capabilities.  The
-built-ins are ``auto`` / ``dict`` / ``csr``; the ROADMAP's upcoming
-sharded-peeling backend registers here without touching any pipeline.
-A backend ultimately resolves to the concrete substrate string the
-lower layers understand (``"auto"``, ``"dict"`` or ``"csr"``), so a
-custom backend is free to pick per-graph.
+*Backends* name graph substrates.  The built-ins are ``auto`` /
+``dict`` / ``csr``, plus ``sharded``, ``parallel`` and ``mp``, retired
+names registered as aliases of ``csr``.  A backend ultimately resolves
+to the concrete substrate string the lower layers understand
+(``"auto"``, ``"dict"`` or ``"csr"``), so a custom backend is free to
+pick per-graph.
 
 Use :func:`register_task` / :func:`register_backend` to extend either
 registry (``override=True`` to replace an entry); unknown names raise
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import RegistryError
 
@@ -76,13 +76,10 @@ class TaskSpec:
 
 @dataclass(frozen=True)
 class BackendSpec:
-    """One graph substrate: name, resolution rule, capabilities."""
+    """One graph substrate: name and resolution rule."""
 
     name: str
     description: str = ""
-    #: feature set the backend provides; purely declarative today, the
-    #: dispatch seam for substrate-specific scheduling tomorrow
-    capabilities: FrozenSet[str] = frozenset()
     #: maps (graph) -> the concrete substrate string the lower layers
     #: accept; defaults to the backend's own name
     resolve: Optional[Callable[[Any], str]] = None

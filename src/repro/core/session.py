@@ -14,14 +14,8 @@ A ``Session(graph)`` owns that shared state:
   :func:`~repro.graph.csr.snapshot_of`, so the cache is shared with
   every internal kernel path);
 * memoized exact arboricity and pseudoarboricity;
-* per-color sub-CSR adjacency extractions (:meth:`Session.sub_csr`),
-  the sharding handle for color-class passes (digest-keyed,
-  LRU-bounded);
-* the :class:`~repro.parallel.plan.ShardPlan` the wave-engine
-  backends consume (:meth:`Session.shard_plan`), plus
-  :meth:`Session.wave_engine` handing out the shared
-  :class:`~repro.parallel.engine.WaveEngine` over it (pool stats show
-  up in :meth:`Session.cache_info` under ``"worker_pools"``);
+* per-color sub-CSR adjacency extractions (:meth:`Session.sub_csr`,
+  digest-keyed, LRU-bounded);
 
 all keyed by the graph's mutation fingerprint, so mutating the graph
 transparently invalidates everything and N queries on an unchanged
@@ -38,7 +32,6 @@ throwaway session.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import time
 from collections import OrderedDict
@@ -47,14 +40,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, GraphError, PaletteError, ValidationError
-from ..graph.csr import (
-    SHARDED_AUTO_CUTOFF,
-    _BACKEND_ALIASES,
-    mutation_fingerprint,
-    snapshot_of,
-)
-from ..graph.shard import plan_of
-from ..parallel.engine import engine_for, pool_stats
+from ..graph.csr import _BACKEND_ALIASES, mutation_fingerprint, snapshot_of
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
 from ..nashwilliams.pseudoarboricity import exact_pseudoarboricity
@@ -207,30 +193,6 @@ class Session:
         self._misses["sub_csr"] = self._misses.get("sub_csr", 0) + 1
         return arrays
 
-    def shard_plan(self, num_shards: Optional[int] = None):
-        """The :class:`~repro.parallel.plan.ShardPlan` for this graph's
-        snapshot, fingerprint-cached like the snapshot itself (the
-        plan is a pure function of the snapshot, so it invalidates
-        exactly when the snapshot does).  Tasks running on the
-        wave-engine backends reuse it across queries instead of
-        re-balancing shards per call."""
-        if num_shards is not None:
-            return plan_of(self.snapshot(), num_shards)
-        return self._memoized(
-            "shard_plan", lambda: plan_of(self.snapshot())
-        )
-
-    def wave_engine(self, workers: int = 0):
-        """A :class:`~repro.parallel.engine.WaveEngine` over this
-        graph's cached snapshot and shard plan — the runtime the
-        ``sharded`` / ``parallel`` backends execute their waves on.
-        ``workers=0`` falls back to the session config's ``workers``
-        knob (then to the auto sizing); worker count never changes
-        results."""
-        if workers == 0:
-            workers = self.config.workers
-        return engine_for(self.snapshot(), workers, self.shard_plan())
-
     def prepare(self) -> "Session":
         """Force the graph-prep phase now: snapshot + exact arboricity
         + pseudoarboricity.  Every task runs this implicitly; calling
@@ -246,9 +208,8 @@ class Session:
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
         """Hit/miss/eviction counts per cached computation, plus the
-        process-wide wave-engine pool stats under ``"worker_pools"``
-        (live pools, their total threads, waves dispatched to a pool —
-        see :func:`repro.parallel.engine.pool_stats`)."""
+        per-pass execution totals under ``"passes"`` and the delta
+        engine's counters under ``"delta"`` once one is live."""
         keys = set(self._hits) | set(self._misses) | set(self._evictions)
         info = {
             key: {
@@ -258,7 +219,6 @@ class Session:
             }
             for key in sorted(keys)
         }
-        info["worker_pools"] = pool_stats()
         info["passes"] = {
             name: dict(totals)
             for name, totals in sorted(self._pass_totals.items())
@@ -488,7 +448,6 @@ def _run_forest(
         radius=radius,
         search_radius=search_radius,
         backend=session.substrate(config),
-        workers=config.workers,
         schedule=config.schedule,
     )
 
@@ -518,7 +477,6 @@ def _run_list_forest(
         radius=radius,
         search_radius=search_radius,
         backend=session.substrate(config),
-        workers=config.workers,
         schedule=config.schedule,
     )
 
@@ -537,7 +495,6 @@ def _run_star_forest(
         rounds=rounds,
         max_lll_rounds=max_lll_rounds,
         backend=session.substrate(config),
-        workers=config.workers,
         schedule=config.schedule,
     )
 
@@ -573,7 +530,7 @@ def _run_list_star_forest(
         pseudo = session.pseudoarboricity()
         coloring = lsfd_theorem23(
             session.graph, palettes, max(1, pseudo), 0.5, counter,
-            backend=session.substrate(config), workers=config.workers,
+            backend=session.substrate(config),
         )
         colors_used = len(set(coloring.values()))
         return StarForestResult(
@@ -604,16 +561,11 @@ def _run_orientation(
         seed=config.seed,
         rounds=rounds,
         backend=session.substrate(config),
-        workers=config.workers,
         pseudoarboricity=(
             pseudoarboricity if pseudoarboricity is not None
             else session.pseudoarboricity()
         )
         if method == "hpartition" else None,
-        shard_plan=session.shard_plan()
-        if method == "hpartition"
-        and session.substrate(config) in ("sharded", "parallel")
-        else None,
         schedule=config.schedule,
     )
 
@@ -634,16 +586,11 @@ def _run_pseudoforest(
         seed=config.seed,
         rounds=rounds,
         backend=session.substrate(config),
-        workers=config.workers,
         pseudoarboricity=(
             pseudoarboricity if pseudoarboricity is not None
             else session.pseudoarboricity()
         )
         if method == "hpartition" else None,
-        shard_plan=session.shard_plan()
-        if method == "hpartition"
-        and session.substrate(config) in ("sharded", "parallel")
-        else None,
         schedule=config.schedule,
     )
 
@@ -715,43 +662,20 @@ register_backend(BackendSpec(
     name="auto",
     description="per-callsite choice: kernel for large graphs and CSR "
     "inputs, dict reference for small ones",
-    capabilities=frozenset({"peeling", "traversal", "color_bfs"}),
 ))
 register_backend(BackendSpec(
     name="dict",
     description="dict-of-dicts reference paths (byte-identical goldens)",
-    capabilities=frozenset({"peeling", "traversal", "color_bfs"}),
 ))
 register_backend(BackendSpec(
     name="csr",
     description="flat-array CSR kernel (vectorized peeling/traversal)",
-    capabilities=frozenset({"peeling", "traversal", "color_bfs"}),
-))
-register_backend(BackendSpec(
-    name="sharded",
-    description="multi-worker sharded peeling waves over the CSR "
-    "kernel (bit-identical to csr for every worker count); "
-    f"auto-selects at n >= {SHARDED_AUTO_CUTOFF}, csr below",
-    capabilities=frozenset({"peeling", "traversal", "color_bfs"}),
-    resolve=lambda graph: (
-        "sharded" if graph.n >= SHARDED_AUTO_CUTOFF else "csr"
-    ),
-))
-register_backend(BackendSpec(
-    name="parallel",
-    description="the full wave-engine substrate: sharded peeling "
-    "waves plus engine-backed BFS paths (ball carving, color-class "
-    "scans, diameter reduction), bit-identical to csr for every "
-    f"worker count; auto-selects at n >= {SHARDED_AUTO_CUTOFF}, "
-    "csr below",
-    capabilities=frozenset({"peeling", "traversal", "color_bfs"}),
-    resolve=lambda graph: (
-        "parallel" if graph.n >= SHARDED_AUTO_CUTOFF else "csr"
-    ),
 ))
 for _alias, _target in _BACKEND_ALIASES.items():
-    register_backend(dataclasses.replace(
-        get_backend(_target), name=_alias, description=f"alias of {_target!r}"
+    register_backend(BackendSpec(
+        name=_alias,
+        description=f"alias of {_target!r}",
+        resolve=lambda graph, target=_target: target,
     ))
 
 __all__ = [

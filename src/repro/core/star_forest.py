@@ -19,7 +19,7 @@ Both variants are declared pass DAGs (:data:`STAR_FOREST_PIPELINE`,
 are the natural fan-out unit: each LLL round maps the independent
 matchings through ``ctx.fan_out`` (the color-set draws stay in the
 single RNG stream, and matchings consume no randomness, so outputs are
-bit-identical across schedules and worker counts).
+bit-identical across schedules).
 
 Baselines for Corollary 1.2 are also here:
 :func:`two_coloring_star_forests` (the classical ``αstar ≤ 2α``) and
@@ -286,7 +286,7 @@ def _sf_leftover_recolor(ctx: PipelineContext) -> None:
     with counter.phase("leftover recoloring"):
         _recolor_leftover_stars(
             ctx["graph"], ctx["leftover"], ctx["coloring"], counter,
-            backend=ctx["backend"], workers=ctx["workers"],
+            backend=ctx["backend"],
         )
     ctx.note(reconcile_volume=len(ctx["leftover"]))
 
@@ -366,7 +366,6 @@ def star_forest_decomposition_amr(
     rounds: Optional[RoundCounter] = None,
     max_lll_rounds: int = 60,
     backend: str = "auto",
-    workers: int = 0,
     schedule: str = "auto",
 ) -> StarForestResult:
     """Theorem 5.4(1): (1+O(ε))α-SFD of a simple graph.
@@ -374,9 +373,9 @@ def star_forest_decomposition_amr(
     Colors matched edges via per-vertex H_v matchings with uniformly
     random α-subsets C(v) (Lemma 5.2); vertices whose matching deficit
     exceeds ``⌈2εα⌉`` are resampled (distributed LLL); the unmatched
-    leftover is recolored with fresh colors via Theorem 2.1(3) —
-    ``backend``/``workers`` select that recoloring pass's peeling
-    substrate (the matching phase itself is per-vertex work).
+    leftover is recolored with fresh colors via Theorem 2.1(3) on the
+    csr kernel (``backend`` is validated; the matching phase itself is
+    per-vertex work).
 
     Executes :data:`STAR_FOREST_PIPELINE` under ``schedule``; outputs
     are bit-identical across schedules, and the executed per-pass
@@ -394,10 +393,9 @@ def star_forest_decomposition_amr(
             "rng": make_rng(seed),
             "max_lll_rounds": max_lll_rounds,
             "backend": backend,
-            "workers": workers,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule), workers)
+    scheduler = Scheduler(resolve_schedule(graph, schedule))
     result = scheduler.run(STAR_FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result
@@ -409,23 +407,15 @@ def _recolor_leftover_stars(
     coloring: Dict[int, object],
     counter: RoundCounter,
     backend: str = "auto",
-    workers: int = 0,
 ) -> None:
     """Theorem 2.1(3) on the leftover subgraph, with fresh color names."""
     if not leftover:
         return
     sub = graph.edge_subgraph(leftover)
     pseudo = max(1, exact_pseudoarboricity(sub))
-    # The leftover is a small subgraph; re-resolve so "sharded" (or
-    # "auto") picks the right substrate for *its* size, and keep the
-    # dict reference path out of this kernel-only helper.
-    peel = resolve_backend(sub, backend, DecompositionError, peeling=True)
-    if peel == "dict":
-        peel = "csr"
-    partition = h_partition(
-        sub, max(1, math.floor(2.5 * pseudo)), counter,
-        backend=peel, workers=workers,
-    )
+    # Validate the name only: this helper always peels on the kernel.
+    resolve_backend(sub, backend, DecompositionError)
+    partition = h_partition(sub, max(1, math.floor(2.5 * pseudo)), counter)
     star = star_forest_decomposition_via_hpartition(sub, partition, counter)
     for eid, label in star.items():
         coloring[eid] = ("extra", label)
@@ -643,7 +633,7 @@ def list_star_forest_decomposition_amr(
             "max_lll_rounds": max_lll_rounds,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule), 0)
+    scheduler = Scheduler(resolve_schedule(graph, schedule))
     result = scheduler.run(LIST_STAR_FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result

@@ -21,15 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, PaletteError
-from ..graph.csr import (
-    CSRGraph,
-    EdgeArrayMap,
-    _canonical_backend,
-    force_sharded_peeling,
-)
+from ..graph.csr import CSRGraph, EdgeArrayMap, _canonical_backend
 from ..graph.forests import RootedForest
 from ..graph.multigraph import MultiGraph
-from ..graph.shard import ShardPlan, ShardedPeelingView, plan_of
 from ..local.rounds import RoundCounter, ensure_counter
 from .cole_vishkin import three_color_rooted_forest
 
@@ -96,8 +90,6 @@ def h_partition(
     max_iterations: Optional[int] = None,
     backend: str = "csr",
     snapshot: Optional[CSRGraph] = None,
-    workers: int = 0,
-    shard_plan: Optional[ShardPlan] = None,
 ) -> HPartition:
     """Peel vertices of remaining degree <= threshold into classes.
 
@@ -107,24 +99,14 @@ def h_partition(
     peeling wave.
 
     ``backend="csr"`` (default) runs each wave vectorized on the
-    flat-array kernel; ``backend="sharded"`` runs the same waves on the
-    multi-worker sharded view (``workers``: 0 = auto; ``shard_plan``:
-    a cached :class:`~repro.graph.shard.ShardPlan`, e.g. from
-    :meth:`~repro.core.session.Session.shard_plan`); ``backend="dict"``
-    keeps the original dict-of-sets loop (reference implementation,
-    used by the equivalence tests and benchmarks).  All three produce
-    identical classes — sharded is bit-identical for every worker
-    count.  ``"parallel"`` (and its alias ``"mp"``) peel on the sharded
-    view.  A prebuilt ``snapshot`` of ``graph`` can be supplied to
-    amortize conversion across several kernel-backed passes.
-
-    Setting ``REPRO_FORCE_PARALLEL=1`` (which also reroutes the
-    BFS-shaped hot paths through the wave engine) reroutes every
-    ``csr`` peel through the sharded view — the CI forced-backend leg
-    runs the full fast suite this way.  The worker count comes from
-    ``REPRO_SHARD_WORKERS`` via the engine's single cached read
-    (:func:`repro.parallel.engine.resolve_workers`), machine cores
-    capped otherwise.
+    flat-array kernel, touching only the previous wave's
+    threshold-crossing frontier after the first full scan (see
+    :class:`~repro.graph.csr.PeelingView`); ``backend="dict"`` keeps
+    the original dict-of-sets loop (reference implementation, used by
+    the equivalence tests and benchmarks).  Both produce identical
+    classes.  ``"sharded"``, ``"parallel"`` and ``"mp"`` are aliases
+    of ``"csr"``.  A prebuilt ``snapshot`` of ``graph`` can be supplied
+    to amortize conversion across several kernel-backed passes.
     """
     counter = ensure_counter(rounds)
     cap = max_iterations if max_iterations is not None else 4 * graph.n + 8
@@ -142,22 +124,11 @@ def h_partition(
         if oracle is not None:
             oracle.record(graph, threshold, partition.classes)
         return partition
-    if backend == "parallel":
-        # The parallel pipeline backend peels on the sharded view; the
-        # engine-backed BFS specialization lives in the traversal /
-        # carving layers.
-        backend = "sharded"
-    if backend == "csr" and force_sharded_peeling():
-        backend = "sharded"
-    if backend not in ("csr", "sharded"):
+    if backend != "csr":
         raise DecompositionError(f"unknown h_partition backend {backend!r}")
 
     snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
-    if backend == "sharded":
-        plan = shard_plan if shard_plan is not None else plan_of(snap)
-        view = ShardedPeelingView(snap, plan, workers)
-    else:
-        view = snap.peeling_view()
+    view = snap.peeling_view()
     vertex_ids = snap.vertex_ids.tolist()
     classes: Dict[int, int] = {}
     wave = 0
@@ -254,10 +225,8 @@ def acyclic_orientation(
                 orientation[eid] = u
             else:
                 orientation[eid] = v
-    elif backend in ("csr", "sharded", "parallel"):
-        # the wave-engine backends only specialize the peel / BFS
-        # phases; the per-edge comparison is one vectorized pass
-        # either way.  The result is an array-backed mapping
+    elif backend == "csr":
+        # The result is an array-backed mapping
         # (:class:`~repro.graph.csr.EdgeArrayMap`) — == any dict with
         # the same items, but never materializes m Python ints unless a
         # caller truly iterates it, which is what keeps the orientation

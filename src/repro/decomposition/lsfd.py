@@ -49,7 +49,6 @@ def list_star_forest_decomposition(
     epsilon: float = 0.5,
     rounds: Optional[RoundCounter] = None,
     backend: str = "csr",
-    workers: int = 0,
 ) -> Dict[int, int]:
     """Compute a list-star-forest decomposition (Theorem 2.3).
 
@@ -62,11 +61,10 @@ def list_star_forest_decomposition(
         (An upper bound on) α*(G), used for the H-partition threshold.
     epsilon:
         The ε of the theorem.
-    backend, workers:
-        Peeling substrate for the H-partition phase (``"csr"``,
-        ``"sharded"`` or ``"parallel"`` — the latter two peel on the
-        wave engine at scale; ``"auto"``/``"dict"`` resolve to the kernel — the batch
-        coloring itself is dict-based either way).
+    backend:
+        Validated against the known backend names; the H-partition
+        phase always peels on the csr kernel, and the batch coloring
+        itself is dict-based either way.
 
     Returns edge id -> chosen color.  Raises :class:`PaletteError` if
     some palette is exhausted (possible only when the size requirement
@@ -76,16 +74,11 @@ def list_star_forest_decomposition(
     if graph.m == 0:
         return {}
 
-    peel = resolve_backend(graph, backend, PaletteError, peeling=True)
-    if peel == "dict":
-        peel = "csr"
+    resolve_backend(graph, backend, PaletteError)
     threshold = max(1, int(math.floor((2.0 + epsilon / 10.0) * pseudoarboricity)))
     with counter.phase("h-partition"):
         snapshot = CSRGraph.from_multigraph(graph)
-        partition = h_partition(
-            graph, threshold, counter, snapshot=snapshot,
-            backend=peel, workers=workers,
-        )
+        partition = h_partition(graph, threshold, counter, snapshot=snapshot)
         orientation = acyclic_orientation(
             graph, partition, counter, snapshot=snapshot
         )

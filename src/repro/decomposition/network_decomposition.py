@@ -36,14 +36,9 @@ from ..graph.csr import CSRGraph, _concat_ranges, resolve_backend, snapshot_of
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..parallel.bfs import resolve_claims
-from ..parallel.engine import WaveEngine, engine_for
 from ..rng import SeedLike, make_rng
 
 GraphLike = Union[MultiGraph, CSRGraph]
-
-#: backends that run on the flat-array kernel ("parallel" additionally
-#: routes ball-growth shells through the shared wave engine)
-_KERNEL = ("csr", "parallel")
 
 #: ball-growth rules: "doubling" carves one ball at a time (grow until
 #: the next shell stops doubling it), "simultaneous" grows every live
@@ -92,7 +87,6 @@ def network_decomposition(
     rounds: Optional[RoundCounter] = None,
     radius_cost: int = 1,
     backend: str = "auto",
-    workers: int = 0,
     carve_rule: str = "doubling",
 ) -> NetworkDecomposition:
     """Deterministic (O(log n), O(log n)) network decomposition.
@@ -110,16 +104,12 @@ def network_decomposition(
 
     * ``"doubling"`` (default) — one ball at a time: grow a BFS ball
       from the minimum unvisited id until the next shell would not
-      double it, carve it, defer its boundary shell.  The carve order
-      is inherently sequential (each ball's shell masks later seeds),
-      so ``backend="parallel"`` only fans out individual shell gathers.
+      double it, carve it, defer its boundary shell.
     * ``"simultaneous"`` — every unvisited vertex is a live seed with a
       deterministic hash-derived staggered start; each wave grows every
-      live ball one BFS level through a single fanned gather, and
-      contested vertices resolve by ``(level, seed id)`` — the
-      tie-break :func:`_mpx_sweep_csr` uses — so clusters are
-      bit-identical for every worker count x shard plan while the wave
-      finally has enough frontier for the engine to fan out.
+      live ball one BFS level through a single gather, and contested
+      vertices resolve by ``(level, seed id)`` — the tie-break
+      :func:`_mpx_sweep_csr` uses.
     """
     if carve_rule not in CARVE_RULES:
         raise DecompositionError(
@@ -130,16 +120,12 @@ def network_decomposition(
     if n == 0:
         return NetworkDecomposition([])
 
-    resolved = _resolve_backend(graph, backend)
-    if resolved in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
-        engine = (
-            engine_for(snap, workers) if resolved == "parallel" else None
-        )
         if carve_rule == "simultaneous":
-            classes = _decompose_simultaneous_csr(snap, n, engine)
+            classes = _decompose_simultaneous_csr(snap, n)
         else:
-            classes = _decompose_csr(snap, n, engine)
+            classes = _decompose_csr(snap, n)
     elif carve_rule == "simultaneous":
         classes = _decompose_simultaneous_dict(graph, n)
     else:
@@ -172,9 +158,7 @@ def _decompose_dict(graph: GraphLike, n: int) -> List[List[List[int]]]:
     return classes
 
 
-def _decompose_csr(
-    snapshot: CSRGraph, n: int, engine: Optional[WaveEngine] = None
-) -> List[List[List[int]]]:
+def _decompose_csr(snapshot: CSRGraph, n: int) -> List[List[List[int]]]:
     """Ball carving over dense-index masks; cluster-for-cluster equal to
     :func:`_decompose_dict` (seeds by minimum vertex id, identical
     doubling rule).
@@ -182,10 +166,7 @@ def _decompose_csr(
     Seeds come from a cursor over the id-sorted vertex order: within a
     class the minimum unvisited id only grows, so the scan is amortized
     O(n) per class.  Ball membership uses a stamp array (stamp[i] ==
-    current cluster token) so no per-cluster mask is allocated.  An
-    optional engine fans each shell's half-edge gather out across
-    shard-aligned frontier groups (shell sets are dedup-order-free, so
-    clusters are identical for every worker count).
+    current cluster token) so no per-cluster mask is allocated.
     """
     vertex_ids = snapshot.vertex_ids
     order_by_id = np.argsort(vertex_ids, kind="stable").tolist()
@@ -209,7 +190,7 @@ def _decompose_csr(
                 break
             seed_index = order_by_id[cursor]
             ball, shell = _grow_doubling_ball_csr(
-                snapshot, seed_index, unvisited, stamp, token, engine, scratch
+                snapshot, seed_index, unvisited, stamp, token, scratch
             )
             token += 1
             clusters.append(np.sort(vertex_ids[ball]).tolist())
@@ -247,7 +228,6 @@ def _grow_doubling_ball_csr(
     allowed: np.ndarray,
     stamp: np.ndarray,
     token: int,
-    engine: Optional[WaveEngine] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Frontier-vectorized :func:`_grow_doubling_ball` over dense
@@ -256,10 +236,7 @@ def _grow_doubling_ball_csr(
     fresh mask per cluster).  ``scratch`` is an all-False bool mask the
     dense-shell path borrows for its scatter dedup (and restores before
     returning) — one allocation per decomposition instead of one per
-    shell.  With an engine, each shell's gather is one wave:
-    shard-phase kernels slice the frozen CSR arrays, the reconcile
-    dedups and filters — shell sets are order-free, so the ball is
-    identical under any worker count."""
+    shell."""
     n = snapshot.num_vertices
     offsets = snapshot.vertex_offsets
     nbr = snapshot.neighbor_ids
@@ -268,23 +245,8 @@ def _grow_doubling_ball_csr(
     parts = [frontier]
     ball_size = 1
     while True:
-        if engine is not None and engine.workers > 1 and frontier.size >= 64:
-            # Fan the shell gather out only when threads can overlap
-            # AND the frontier is big enough that even the work-list
-            # accounting (summing its half-edge counts) is noise —
-            # most balls are tiny and sequential, and paying that
-            # accounting per shell measurably slowed the carve.
-            cost = int((offsets[frontier + 1] - offsets[frontier]).sum())
-            candidates = engine.gather(
-                lambda part: nbr[
-                    _concat_ranges(offsets[part], offsets[part + 1])
-                ],
-                frontier,
-                cost,
-            )
-        else:
-            half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
-            candidates = nbr[half]
+        half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
+        candidates = nbr[half]
         if candidates.size > n >> 2:
             # Dense frontier: a scatter mask dedups in O(n + |half|),
             # beating unique's O(|half| log |half|) sort.
@@ -341,8 +303,7 @@ def _grow_doubling_ball_csr(
 # Both backends run this schedule step for step: the dict path with
 # scalar hashes and per-wave dicts, the csr path with the vectorized
 # hash and sort-based claim resolution (`resolve_claims`), which is
-# order-free — so dict == csr == parallel holds bit for bit for every
-# worker count and shard plan.
+# order-free — so dict == csr holds bit for bit.
 
 _SHIFT_MIX_1 = 0x9E3779B97F4A7C15
 _SHIFT_MIX_2 = 0xBF58476D1CE4E5B9
@@ -477,7 +438,7 @@ def _carve_class_simultaneous_dict(
 
 
 def _decompose_simultaneous_csr(
-    snapshot: CSRGraph, n: int, engine: Optional[WaveEngine] = None
+    snapshot: CSRGraph, n: int
 ) -> List[List[List[int]]]:
     """Simultaneous carve over dense-index arrays; cluster-for-cluster
     equal to :func:`_decompose_simultaneous_dict`.
@@ -485,10 +446,6 @@ def _decompose_simultaneous_csr(
     Ball priority compares seed *ids*, so the csr path works in id
     ranks (position in the id-sorted vertex order): rank comparisons
     equal id comparisons, and every state array stays dense-indexed.
-    With an engine, each wave's proposal gather and each boundary/
-    cascade scan fans out across shard-aligned groups; the reconcile
-    (:func:`~repro.parallel.bfs.resolve_claims`) is order-free, so
-    clusters are identical for every worker count and shard plan.
     """
     vertex_ids = snapshot.vertex_ids
     order_by_id = np.argsort(vertex_ids, kind="stable")
@@ -514,7 +471,6 @@ def _decompose_simultaneous_csr(
             owner,
             parent,
             kept,
-            engine,
         )
         classes.append(clusters)
         remaining[kept_indices] = False
@@ -530,7 +486,6 @@ def _carve_class_simultaneous_csr(
     owner: np.ndarray,
     parent: np.ndarray,
     kept: np.ndarray,
-    engine: Optional[WaveEngine],
 ) -> Tuple[List[List[int]], np.ndarray]:
     """Grow, bound and cascade one simultaneous class; returns
     ``(clusters, kept dense indices)``.  ``owner``/``parent``/``kept``
@@ -553,27 +508,22 @@ def _carve_class_simultaneous_csr(
         starts[act_order], np.arange(cap + 2, dtype=np.int64)
     )
 
-    def propose(part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # Proposal priority packs (seed rank, proposer rank) into one
-        # key — the minimum recovers the dict path's (seed id,
-        # proposer id) lexicographic winner, because ranks order
-        # exactly like ids.
-        half = _concat_ranges(offsets[part], offsets[part + 1])
-        counts = offsets[part + 1] - offsets[part]
-        priorities = np.repeat(owner[part] * n + rank_of[part], counts)
-        return nbr[half], priorities
-
     waves: List[np.ndarray] = []
     frontier = np.empty(0, dtype=np.int64)
     claimed = 0
     first_wave = int(starts.min()) if live.size else cap + 1
     for wave in range(first_wave, cap + 1):
         if frontier.size:
-            cost = int((offsets[frontier + 1] - offsets[frontier]).sum())
-            if engine is not None:
-                targets, priorities = engine.gather(propose, frontier, cost)
-            else:
-                targets, priorities = propose(frontier)
+            # Proposal priority packs (seed rank, proposer rank) into
+            # one key — the minimum recovers the dict path's (seed id,
+            # proposer id) lexicographic winner, because ranks order
+            # exactly like ids.
+            half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
+            counts = offsets[frontier + 1] - offsets[frontier]
+            targets = nbr[half]
+            priorities = np.repeat(
+                owner[frontier] * n + rank_of[frontier], counts
+            )
             open_targets = owner[targets] == _UNCLAIMED
             targets = targets[open_targets]
             priorities = priorities[open_targets]
@@ -601,21 +551,13 @@ def _carve_class_simultaneous_csr(
         if claimed == live.size:
             break
 
-    # One-sided boundary rule: one full fanned gather over the class
-    # marks every vertex adjacent to a smaller-seed ball as deferred.
-    def boundary_ok(part: np.ndarray) -> np.ndarray:
-        half = _concat_ranges(offsets[part], offsets[part + 1])
-        counts = offsets[part + 1] - offsets[part]
-        theirs = owner[nbr[half]]
-        foreign = (theirs >= 0) & (theirs < np.repeat(owner[part], counts))
-        return ~_segment_any(foreign, counts)
-
-    cost = int((offsets[live + 1] - offsets[live]).sum())
-    if engine is not None:
-        ok = engine.gather(boundary_ok, live, cost)
-    else:
-        ok = boundary_ok(live)
-    kept[live] = ok
+    # One-sided boundary rule: one full gather over the class marks
+    # every vertex adjacent to a smaller-seed ball as deferred.
+    half = _concat_ranges(offsets[live], offsets[live + 1])
+    counts = offsets[live + 1] - offsets[live]
+    theirs = owner[nbr[half]]
+    foreign = (theirs >= 0) & (theirs < np.repeat(owner[live], counts))
+    kept[live] = ~_segment_any(foreign, counts)
 
     # Parent-chain cascade in claim-wave order (parents are claimed
     # strictly earlier, so their verdict is already final): a vertex
@@ -731,10 +673,7 @@ def partial_network_decomposition(
     if n == 0:
         return {}
 
-    # The MPX sweep is a scalar Dijkstra whose heap order is the whole
-    # determinism story — "parallel" resolves to the same csr arrays
-    # (there is no wave to fan out without reordering the heap).
-    if _resolve_backend(graph, backend) in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         head_of = _mpx_sweep_csr(snapshot_of(graph), beta, rng)
     else:
         head_of = _mpx_sweep_dict(graph, beta, rng)
@@ -812,7 +751,7 @@ def cut_edges_of_clustering(
     :class:`DecompositionError` naming the vertex (on both backends),
     instead of leaking a bare ``KeyError`` out of the gather.
     """
-    if _resolve_backend(graph, backend) in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
         if snap.num_edges == 0:
             return []

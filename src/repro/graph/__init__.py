@@ -3,7 +3,6 @@ forests, flow, matching, generators."""
 
 from .multigraph import MultiGraph
 from .csr import CSRGraph, PeelingView, rooted_forest_arrays, snapshot_of
-from .shard import ShardPlan, ShardedPeelingView, plan_of, resolve_workers
 from .union_find import RollbackUnionFind, UnionFind
 from .traversal import (
     bfs_distances,
@@ -32,10 +31,6 @@ __all__ = [
     "MultiGraph",
     "CSRGraph",
     "PeelingView",
-    "ShardPlan",
-    "ShardedPeelingView",
-    "plan_of",
-    "resolve_workers",
     "rooted_forest_arrays",
     "snapshot_of",
     "UnionFind",

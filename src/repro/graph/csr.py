@@ -49,13 +49,11 @@ like the dict-backed loops they replace; results are byte-identical
 (see ``tests/test_kernel_equivalence.py``).  The view never touches the
 snapshot arrays, so many views can share one snapshot.
 
-This kernel is the substrate for the sharded multi-worker peeling
-backend (:mod:`repro.graph.shard`): a shard is a contiguous slice of
-the offset array, per-wave degree updates are batched through
-:func:`apply_degree_decrements`, and
-:class:`~repro.graph.shard.ShardedPeelingView` subclasses
-:class:`PeelingView` with wave/reconcile bookkeeping that is
-bit-identical to the serial view regardless of worker count.
+Threshold waves keep a work-list: the vertices a wave's batched
+degree update (:func:`apply_degree_decrements`) pushed to or below
+the threshold are exactly the next wave's removals, so a cascade of
+waves touches only its frontier instead of rescanning all ``n``
+vertices per wave (see :meth:`PeelingView.peel_leq`).
 """
 
 from __future__ import annotations
@@ -113,40 +111,9 @@ def _half_edge_csr(
 # under backend="auto": converting to arrays costs more than it saves.
 AUTO_CSR_CUTOFF = 256
 
-# Below this vertex count the sharded peeling backend falls back to the
-# serial csr kernel: per-wave coordination overhead only pays for
-# itself at scale (see repro.graph.shard).
-SHARDED_AUTO_CUTOFF = 50_000
-
-# Below this vertex count the parallel (engine-backed) BFS paths fall
-# back to the serial csr kernel for the same reason; small frontiers
-# and small color classes stay serial (see repro.parallel).
-PARALLEL_BFS_AUTO_CUTOFF = 50_000
-
-
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() not in (
-        "", "0", "false", "no", "off"
-    )
-
-
-def force_parallel_traversal() -> bool:
-    """True when ``REPRO_FORCE_PARALLEL=1``: every csr-resolved
-    traversal / BFS callsite reroutes through the engine-backed
-    parallel path (outputs are bit-identical; the CI forced-backend
-    leg runs the whole suite this way)."""
-    return _env_flag("REPRO_FORCE_PARALLEL")
-
-
-def force_sharded_peeling() -> bool:
-    """True when ``REPRO_FORCE_PARALLEL=1``: every csr peel reroutes
-    through the sharded wave view too."""
-    return force_parallel_traversal()
-
-
-#: Alias backend names and the backend each one runs, so configs, CLI
-#: flags and direct calls written against an alias keep working.
-_BACKEND_ALIASES = {"mp": "parallel"}
+#: Retired backend names and the backend each one runs, so configs,
+#: CLI flags and direct calls written against one keep working.
+_BACKEND_ALIASES = {"sharded": "csr", "parallel": "csr", "mp": "csr"}
 
 
 def _canonical_backend(backend: str) -> str:
@@ -155,78 +122,49 @@ def _canonical_backend(backend: str) -> str:
     return _BACKEND_ALIASES.get(backend, backend)
 
 
-def resolve_backend(graph, backend: str, error_cls=GraphError, peeling: bool = False) -> str:
+def resolve_backend(graph, backend: str, error_cls=GraphError) -> str:
     """Shared backend dispatch for the traversal / decomposition layers.
 
     ``auto`` routes :class:`CSRGraph` inputs (and large ``MultiGraph``
     inputs) to the kernel and keeps small dict graphs on the reference
-    path.  The ``sharded`` / ``parallel`` names select the
-    wave-engine substrates, each auto-gated by size (the multi-worker
-    wave machinery only pays for itself at scale; results are identical
-    either way):
-
-    * peeling callsites (``peeling=True``) get ``"sharded"`` at
-      ``n >= SHARDED_AUTO_CUTOFF`` and ``"csr"`` below;
-    * traversal / network-decomposition / color-class callsites get
-      ``"parallel"`` — engine-backed BFS waves — at
-      ``n >= PARALLEL_BFS_AUTO_CUTOFF`` and ``"csr"`` below — never
-      the dict reference path.
-
-    The retired name ``"mp"`` is an alias of ``"parallel"``.
-
-    ``REPRO_FORCE_PARALLEL=1`` reroutes every csr-resolved
-    non-peeling callsite through ``"parallel"`` regardless of size
-    (the forced-backend CI leg).  Unknown names raise ``error_cls`` so
+    path.  The retired names ``"sharded"``, ``"parallel"`` and ``"mp"``
+    are aliases of ``"csr"``.  Unknown names raise ``error_cls`` so
     each layer keeps its own error taxonomy.
     """
     backend = _canonical_backend(backend)
-    if backend in ("sharded", "parallel"):
-        if peeling:
-            return "sharded" if graph.n >= SHARDED_AUTO_CUTOFF else "csr"
-        if graph.n >= PARALLEL_BFS_AUTO_CUTOFF or force_parallel_traversal():
-            return "parallel"
-        return "csr"
     if backend == "auto":
         if isinstance(graph, CSRGraph):
-            resolved = "csr"
-        else:
-            resolved = "csr" if graph.n >= AUTO_CSR_CUTOFF else "dict"
-    elif backend not in ("dict", "csr"):
+            return "csr"
+        return "csr" if graph.n >= AUTO_CSR_CUTOFF else "dict"
+    if backend not in ("dict", "csr"):
         raise error_cls(f"unknown backend {backend!r}")
-    else:
-        resolved = backend
-    if resolved == "csr" and not peeling and force_parallel_traversal():
-        return "parallel"
-    return resolved
+    return backend
 
 
 def apply_degree_decrements(
-    remaining: np.ndarray, neighbors: np.ndarray, n: int,
-    want_touched: bool = False,
-) -> Optional[np.ndarray]:
-    """Batched ``remaining[v] -= multiplicity of v in neighbors``.
+    remaining: np.ndarray, neighbors: np.ndarray, n: int
+) -> np.ndarray:
+    """Batched ``remaining[v] -= multiplicity of v in neighbors``;
+    returns the sorted unique decremented indices.
 
-    The one degree-update primitive shared by the serial peeling wave
-    and the sharded reconcile step.  Parallel edges are handled exactly
-    like the ``np.subtract.at`` call this replaces — one decrement per
-    occurrence — but the dense path is a single ``np.bincount``
-    subtraction (buffered, several times faster than the unbuffered
-    ``ufunc.at`` scatter on dense waves) and the sparse path a
-    sorted-unique scatter that never touches the full array.
-
-    With ``want_touched=True`` returns the sorted unique decremented
-    indices (the sharded reconcile uses them to find the vertices that
-    crossed the peeling threshold); returns None otherwise.
+    The one degree-update primitive of the peeling wave.  Parallel
+    edges are handled exactly like the ``np.subtract.at`` call this
+    replaces — one decrement per occurrence — but the dense path is a
+    single ``np.bincount`` subtraction (buffered, several times faster
+    than the unbuffered ``ufunc.at`` scatter on dense waves) and the
+    sparse path a sorted-unique scatter that never touches the full
+    array.  The wave reads the returned indices to find the vertices
+    that crossed its threshold.
     """
     if neighbors.size == 0:
-        return np.empty(0, dtype=np.int64) if want_touched else None
+        return np.empty(0, dtype=np.int64)
     if neighbors.size * 4 >= n:
         counts = np.bincount(neighbors, minlength=n)
         remaining -= counts
-        return np.flatnonzero(counts) if want_touched else None
+        return np.flatnonzero(counts)
     touched, counts = np.unique(neighbors, return_counts=True)
     remaining[touched] -= counts
-    return touched if want_touched else None
+    return touched
 
 
 def bfs_distance_array(
@@ -242,6 +180,10 @@ def bfs_distance_array(
     the induced-subgraph diameter scan, and the per-color component
     queries: returns per-index distances (-1 unreached), stopping at
     ``radius`` when given.
+
+    A wave whose candidate gather holds at least ``n / 8`` half-edges
+    dedups with a scatter mask, O(n + h), instead of ``np.unique``'s
+    O(h log h) sort; both yield the same ascending unique targets.
     """
     dist = np.full(n, -1, dtype=np.int64)
     if len(seeds) == 0:
@@ -259,8 +201,15 @@ def bfs_distance_array(
     depth = 0
     while frontier.size and (radius is None or depth < radius):
         half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
-        targets = np.unique(neighbors[half])
-        targets = targets[dist[targets] < 0]
+        candidates = neighbors[half]
+        if candidates.size * 8 >= n:
+            mask = np.zeros(n, dtype=bool)
+            mask[candidates] = True
+            mask &= dist < 0
+            targets = np.flatnonzero(mask)
+        else:
+            targets = np.unique(candidates)
+            targets = targets[dist[targets] < 0]
         depth += 1
         dist[targets] = depth
         frontier = targets
@@ -428,7 +377,6 @@ class CSRGraph:
         "_endpoint_lists",
         "_adj_lists",
         "_vertex_id_list",
-        "_shard_plan_cache",
         "mmap_dir",
     )
 
@@ -469,9 +417,6 @@ class CSRGraph:
         self._endpoint_lists: Optional[Tuple[Sequence, Sequence]] = None
         self._adj_lists: Optional[Tuple[List[int], List[int]]] = None
         self._vertex_id_list: Optional[List[int]] = None
-        # Default ShardPlan over this snapshot (repro.graph.shard);
-        # snapshots are immutable, so the plan never invalidates.
-        self._shard_plan_cache = None
         #: directory holding this snapshot's .npy memmaps (None = RAM)
         self.mmap_dir = mmap_dir
 
@@ -1092,6 +1037,17 @@ class PeelingView:
     remaining degree, with lazy deletion of stale entries — so the
     frequent operation (a neighbor's degree drops by one) costs an
     integer push instead of a tuple push into one big heap.
+
+    Threshold waves keep a work-list: ``_cand`` is the exact removal
+    set of the next wave at threshold ``_cand_threshold``.  Invariant:
+    after a ``peel_leq(t)`` wave, a live vertex has remaining degree
+    <= t iff that wave's degree update pushed it to <= t, since any
+    other such vertex would have been removed by the wave itself.  So
+    the update's threshold-crossing set *is* the next full scan's
+    ``flatnonzero(alive & (remaining <= t))``.  A threshold change
+    invalidates the work-list, so that wave scans in full; the first
+    ``pop_min`` switches the view to scalar mode for good, and scalar
+    waves never read the work-list.
     """
 
     __slots__ = (
@@ -1104,6 +1060,8 @@ class PeelingView:
         "_buckets",
         "_dmin",
         "_identity",
+        "_cand",
+        "_cand_threshold",
     )
 
     def __init__(self, snapshot: CSRGraph) -> None:
@@ -1123,6 +1081,8 @@ class PeelingView:
         self._identity = snapshot._index_of is None
         self._buckets: Optional[List[list]] = None
         self._dmin = 0
+        self._cand: Optional[np.ndarray] = None
+        self._cand_threshold: Optional[int] = None
 
     # -- threshold peeling ---------------------------------------------
 
@@ -1137,7 +1097,11 @@ class PeelingView:
             return self._peel_leq_scalar(threshold)
         alive = self._alive_arr
         remaining = self._remaining_arr
-        removed = np.flatnonzero(alive & (remaining <= threshold))
+        if self._cand is not None and self._cand_threshold == threshold:
+            removed = self._cand
+        else:
+            removed = np.flatnonzero(alive & (remaining <= threshold))
+        self._cand = None
         if removed.size == 0:
             return removed
         alive[removed] = False
@@ -1146,7 +1110,11 @@ class PeelingView:
         half = _concat_ranges(offsets[removed], offsets[removed + 1])
         neighbors = self.snapshot.neighbor_ids[half]
         neighbors = neighbors[alive[neighbors]]
-        apply_degree_decrements(remaining, neighbors, self.snapshot.num_vertices)
+        touched = apply_degree_decrements(
+            remaining, neighbors, self.snapshot.num_vertices
+        )
+        self._cand = touched[remaining[touched] <= threshold]
+        self._cand_threshold = threshold
         return removed
 
     def _peel_leq_scalar(self, threshold: int) -> np.ndarray:
@@ -1304,7 +1272,6 @@ def rooted_forest_arrays(
     snapshot: CSRGraph,
     eids: Sequence[int],
     preferred_roots: Optional[Iterable[int]] = None,
-    engine=None,
 ) -> ForestArrays:
     """Root the forest formed by ``eids``, entirely on flat arrays.
 
@@ -1315,11 +1282,7 @@ def rooted_forest_arrays(
 
     A union-find pass validates acyclicity and groups components; one
     multi-source frontier-vectorized BFS then assigns depths and parent
-    edges (unique in a forest, so no tie-breaking is needed).  An
-    optional :class:`~repro.parallel.engine.WaveEngine` fans each BFS
-    level's gather out across shard-aligned frontier groups —
-    bit-identical depths for every worker count (duck-typed so this
-    module stays independent of :mod:`repro.parallel`).
+    edges (unique in a forest, so no tie-breaking is needed).
     """
     n = snapshot.num_vertices
     depth = np.full(n, -1, dtype=np.int64)
@@ -1368,29 +1331,16 @@ def rooted_forest_arrays(
     # Sub-CSR over the forest edges, then one multi-source BFS.
     sub_offsets, sub_nbr, sub_edge = _half_edge_csr(n, sub_u, sub_v, sub_eid)
 
-    def expand(part: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        # Shard-phase kernel: reads the frozen depth array, returns the
-        # fresh (target, parent edge) pairs of its frontier slice.
-        half = _concat_ranges(sub_offsets[part], sub_offsets[part + 1])
-        targets = sub_nbr[half]
-        via = sub_edge[half]
-        fresh = depth[targets] < 0
-        return targets[fresh], via[fresh]
-
     frontier = np.asarray(sorted(roots), dtype=np.int64)
     depth[frontier] = 0
     level = 0
     while frontier.size:
         level += 1
-        if engine is None:
-            targets, via = expand(frontier)
-        else:
-            # Shard-aligned groups need an ascending work-list; depth /
-            # parent assignments are per unique target (forests reach
-            # each vertex once per level), so sorting is output-free.
-            work = np.sort(frontier)
-            cost = int((sub_offsets[work + 1] - sub_offsets[work]).sum())
-            targets, via = engine.gather(expand, work, cost)
+        half = _concat_ranges(sub_offsets[frontier], sub_offsets[frontier + 1])
+        targets = sub_nbr[half]
+        via = sub_edge[half]
+        fresh = depth[targets] < 0
+        targets, via = targets[fresh], via[fresh]
         depth[targets] = level
         parent_eid[targets] = via
         frontier = targets

@@ -20,12 +20,8 @@ The hot entry points (:func:`bfs_distances`, :func:`neighborhood`,
 * ``"csr"`` — frontier-array BFS on the flat-array kernel (snapshots of
   a ``MultiGraph`` are cached on the instance, so repeated calls pay
   the conversion once);
-* ``"parallel"`` / ``"sharded"`` — the same sweeps routed through the
-  shared :class:`~repro.parallel.engine.WaveEngine` (shard-fanned
-  frontier gathers + scatter-dedup reconciles) at
-  ``n >= PARALLEL_BFS_AUTO_CUTOFF``, ``csr`` below.  Bit-identical
-  outputs for every worker count; ``workers`` is purely a throughput
-  knob (``"mp"`` is an alias of ``"parallel"``);
+* ``"sharded"``, ``"parallel"``, ``"mp"`` — retired names, aliases of
+  ``"csr"``;
 * ``"auto"`` (default) — ``csr`` for :class:`CSRGraph` inputs and for
   large ``MultiGraph`` inputs, ``dict`` below the size cutoff where
   array setup outweighs the win.  ``power_graph`` is the exception: on
@@ -45,11 +41,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 import numpy as np
 
 from ..errors import GraphError
-from ..parallel.bfs import (
-    induced_eccentricity_sweep,
-    parallel_bfs_distance_array,
-)
-from ..parallel.engine import engine_for, engine_for_offsets
 from .csr import (
     CSRGraph,
     bfs_distance_array,
@@ -59,10 +50,6 @@ from .csr import (
 from .multigraph import MultiGraph
 
 GraphLike = Union[MultiGraph, CSRGraph]
-
-#: traversal backends that run on the flat-array kernel ("parallel"
-#: additionally routes frontier waves through the shared wave engine)
-_KERNEL = ("csr", "parallel")
 
 
 def _resolve_backend(graph: GraphLike, backend: str) -> str:
@@ -74,24 +61,16 @@ def bfs_distances(
     sources: Iterable[int],
     radius: Optional[int] = None,
     backend: str = "auto",
-    workers: int = 0,
 ) -> Dict[int, int]:
     """Breadth-first distances from a set of sources.
 
     Returns a dict mapping each reachable vertex to its distance from
     the nearest source; vertices beyond ``radius`` (if given) are omitted.
     """
-    resolved = _resolve_backend(graph, backend)
-    if resolved in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
         seeds = [snap.index_of(source) for source in sources]
-        if resolved == "parallel":
-            dist = parallel_bfs_distance_array(
-                snap.vertex_offsets, snap.neighbor_ids, snap.num_vertices,
-                seeds, radius, engine_for(snap, workers),
-            )
-        else:
-            dist = snap.distance_array(seeds, radius)
+        dist = snap.distance_array(seeds, radius)
         reached = np.flatnonzero(dist >= 0)
         return dict(
             zip(snap.vertex_ids[reached].tolist(), dist[reached].tolist())
@@ -123,7 +102,7 @@ def neighborhood(
     backend: str = "auto",
 ) -> Set[int]:
     """``N^r(X)``: vertices within distance ``radius`` of any source vertex."""
-    if _resolve_backend(graph, backend) in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
         return snap.neighborhood_set(sources, radius)
     return set(bfs_distances(graph, sources, radius, backend="dict").keys())
@@ -161,7 +140,7 @@ def power_graph(
     """
     if backend == "auto":
         backend = "csr" if isinstance(graph, CSRGraph) else "dict"
-    if _resolve_backend(graph, backend) in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         if radius < 1:
             raise GraphError(f"power graph radius must be >= 1, got {radius}")
         return snapshot_of(graph).power_csr(radius)
@@ -182,7 +161,7 @@ def connected_components(
     graph: GraphLike, backend: str = "auto"
 ) -> List[List[int]]:
     """Connected components as lists of vertices (deterministic order)."""
-    if _resolve_backend(graph, backend) in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
         labels = snap.component_labels()
         if labels.size == 0:
@@ -264,20 +243,16 @@ def diameter_of_component(
     graph: GraphLike,
     vertices: Sequence[int],
     backend: str = "auto",
-    workers: int = 0,
 ) -> int:
     """Exact strong diameter of the subgraph induced by ``vertices``.
 
     Runs a BFS from every vertex of the component, so it is quadratic —
     fine for the cluster sizes the validators and benches inspect.  The
     csr path extracts the induced sub-CSR once, then sweeps it with
-    frontier-array BFS per source; the parallel path chunks the
-    sources across the wave engine's workers (the per-source max is
-    order-free, so the result is identical).  Disconnected input
-    raises :class:`GraphError`.
+    frontier-array BFS per source.  Disconnected input raises
+    :class:`GraphError`.
     """
-    resolved = _resolve_backend(graph, backend)
-    if resolved in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         if not vertices:
             return 0
         snap = snapshot_of(graph)
@@ -292,16 +267,6 @@ def diameter_of_component(
         # source: cluster-sized work, independent of the host graph.
         offsets, nbr = snap.induced_sub_csr(members)
         k = int(members.size)
-        if resolved == "parallel":
-            engine = engine_for_offsets(offsets, workers)
-            best, connected = induced_eccentricity_sweep(
-                offsets, nbr, k, engine
-            )
-            if not connected:
-                raise GraphError(
-                    "diameter_of_component: vertex set is disconnected"
-                )
-            return best
         best = 0
         for start in range(k):
             dist = bfs_distance_array(offsets, nbr, k, [start])
@@ -333,17 +298,14 @@ def weak_diameter(
     graph: GraphLike,
     vertices: Sequence[int],
     backend: str = "auto",
-    workers: int = 0,
 ) -> int:
     """Weak diameter: max distance *in the whole graph* between members.
 
     The kernel path runs one whole-graph BFS per member over the flat
-    arrays; the parallel path chunks the members across the wave
-    engine's workers (the pairwise max is order-free).  Distances in a
-    graph are unique, so every backend returns the same value.
+    arrays.  Distances in a graph are unique, so every backend returns
+    the same value.
     """
-    resolved = _resolve_backend(graph, backend)
-    if resolved in _KERNEL:
+    if _resolve_backend(graph, backend) == "csr":
         if not vertices:
             return 0
         snap = snapshot_of(graph)
@@ -352,25 +314,15 @@ def weak_diameter(
             dtype=np.int64,
             count=len(vertices),
         )
-        offsets, nbr = snap.vertex_offsets, snap.neighbor_ids
-        n = snap.num_vertices
-        if resolved == "parallel":
-
-            def block(lo: int, hi: int):
-                return _weak_diameter_block(offsets, nbr, members, n, lo, hi)
-
-            # Every member's sweep walks the whole graph (n vertices).
-            results = engine_for(snap, workers).map_ranges(
-                block, int(members.size), cost=int(members.size) * n
-            )
-        else:
-            results = [
-                _weak_diameter_block(offsets, nbr, members, n, 0,
-                                     int(members.size))
-            ]
-        if not all(ok for _best, ok in results):
-            raise GraphError("weak_diameter: vertices not mutually reachable")
-        return max((best for best, _ok in results), default=0)
+        best = 0
+        for member in members.tolist():
+            to_members = snap.distance_array([member])[members]
+            if int(to_members.min()) < 0:
+                raise GraphError(
+                    "weak_diameter: vertices not mutually reachable"
+                )
+            best = max(best, int(to_members.max()))
+        return best
     best = 0
     members = sorted(set(vertices))
     for start in vertices:
@@ -380,28 +332,6 @@ def weak_diameter(
                 raise GraphError("weak_diameter: vertices not mutually reachable")
             best = max(best, dist[other])
     return best
-
-
-def _weak_diameter_block(
-    offsets: np.ndarray,
-    nbr: np.ndarray,
-    members: np.ndarray,
-    n: int,
-    lo: int,
-    hi: int,
-):
-    """One member block of the weak-diameter sweep: a whole-graph BFS
-    per member, early exit on the first unreachable pair."""
-    best_local = 0
-    for position in range(lo, hi):
-        dist = parallel_bfs_distance_array(
-            offsets, nbr, n, [int(members[position])]
-        )
-        to_members = dist[members]
-        if int(to_members.min()) < 0:
-            return best_local, False
-        best_local = max(best_local, int(to_members.max()))
-    return best_local, True
 
 
 def distance_between_sets(

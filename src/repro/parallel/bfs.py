@@ -1,49 +1,20 @@
-"""Engine-backed BFS primitives (the second wave family).
+"""Order-free reconcile primitives.
 
-:func:`repro.graph.csr.bfs_distance_array` is the serial reference
-sweep: per wave it gathers the frontier's half-edges and dedups the
-candidate targets with ``np.unique`` (a sort).  This module runs the
-same sweep through the :class:`~repro.parallel.engine.WaveEngine`:
-
-* the **shard phase** gathers each frontier group's raw neighbor
-  candidates (pure reads of frozen CSR arrays, GIL-releasing slices,
-  fanned out along shard boundaries when the wave is big enough);
-* the **reconcile** dedups the concatenated candidates and writes the
-  distance array once per wave — and on dense waves it dedups with a
-  scatter mask in O(n + |half|) instead of the sort's
-  O(|half| log |half|), which is where the single-core speedup of the
-  ``parallel`` traversal backend comes from (mirroring the sharded
-  peel's frontier-proportional reconcile; see ``bench_parallel_bfs``).
-
-Outputs are **bit-identical** to the serial sweep for every worker
-count and shard plan: candidate sets are dedup-order-free, scatter and
-sort both produce the ascending unique array, and the distance write
-is one batched assignment either way.
+Both functions turn a batch of proposals into one deterministic answer
+that does not depend on the order the proposals arrive in:
+:func:`resolve_claims` settles the simultaneous carve's contested
+vertex claims (:mod:`repro.decomposition.network_decomposition`), and
+:func:`segment_kth_largest` computes the delta engine's per-vertex
+order statistics (:mod:`repro.service.delta`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from ..errors import GraphError
-from ..graph.csr import _concat_ranges
-from .engine import WaveEngine
-
-__all__ = [
-    "parallel_bfs_distance_array",
-    "frontier_candidates",
-    "induced_eccentricity_sweep",
-    "resolve_claims",
-    "segment_kth_largest",
-    "DENSE_WAVE_DIVISOR",
-]
-
-#: a wave whose candidate gather is at least ``n / DENSE_WAVE_DIVISOR``
-#: half-edges dedups via scatter mask instead of sort — O(n + h) vs
-#: O(h log h), identical ascending-unique output.
-DENSE_WAVE_DIVISOR = 8
+__all__ = ["resolve_claims", "segment_kth_largest"]
 
 
 def resolve_claims(
@@ -54,14 +25,12 @@ def resolve_claims(
     """Deterministically resolve contested writes of one wave.
 
     ``targets`` and ``priorities`` are parallel arrays of proposals
-    (several shard kernels may propose the same target with different
+    (several proposers may name the same target with different
     priorities); the winner of each target is its **minimum** priority.
     Returns ``(winning targets ascending, their priorities)``.
 
     The resolution is *order-free*: every permutation or concatenation
-    order of the proposal arrays produces byte-identical output, which
-    is what lets a reconcile phase built on it keep the engine's
-    "bit-identical for every worker count x shard plan" contract.
+    order of the proposal arrays produces byte-identical output.
 
     ``limit`` is an exclusive upper bound on the priority values.  When
     ``max(target) * limit`` fits comfortably in int64 the proposals
@@ -119,113 +88,3 @@ def segment_kth_largest(
     starts = ends - lengths
     out[big] = np.asarray(values, dtype=np.int64)[order[starts[big] + k]]
     return out
-
-
-def frontier_candidates(
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    frontier: np.ndarray,
-    engine: Optional[WaveEngine] = None,
-) -> np.ndarray:
-    """Raw neighbor candidates (with duplicates) of an ascending
-    frontier — ``neighbors[half]`` of the serial sweep, shard-fanned
-    through the engine when the wave passes the gate."""
-
-    if engine is None:
-        half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
-        return neighbors[half]
-    cost = int((offsets[frontier + 1] - offsets[frontier]).sum())
-
-    def kernel(part: np.ndarray) -> np.ndarray:
-        half = _concat_ranges(offsets[part], offsets[part + 1])
-        return neighbors[half]
-
-    return engine.gather(kernel, frontier, cost)
-
-
-def parallel_bfs_distance_array(
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    n: int,
-    seeds: Sequence[int],
-    radius: Optional[int] = None,
-    engine: Optional[WaveEngine] = None,
-) -> np.ndarray:
-    """Multi-source BFS distances, bit-identical to
-    :func:`repro.graph.csr.bfs_distance_array` (-1 unreached, stop at
-    ``radius``), with each wave's gather run through the engine and a
-    scatter-dedup reconcile on dense waves."""
-    dist = np.full(n, -1, dtype=np.int64)
-    if len(seeds) == 0:
-        return dist
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
-    # Same seed validation as the serial sweep: negative seeds would
-    # silently wrap under fancy indexing, out-of-range ones would raise
-    # a bare IndexError mid-sweep.
-    if frontier[0] < 0 or frontier[-1] >= n:
-        bad = frontier[0] if frontier[0] < 0 else frontier[-1]
-        raise GraphError(
-            f"BFS seed index {int(bad)} out of range for {n} vertices"
-        )
-    dist[frontier] = 0
-    depth = 0
-    while frontier.size and (radius is None or depth < radius):
-        candidates = frontier_candidates(offsets, neighbors, frontier, engine)
-        depth += 1
-        if candidates.size * DENSE_WAVE_DIVISOR >= n:
-            mask = np.zeros(n, dtype=bool)
-            mask[candidates] = True
-            mask &= dist < 0
-            targets = np.flatnonzero(mask)
-        else:
-            targets = np.unique(candidates)
-            targets = targets[dist[targets] < 0]
-        dist[targets] = depth
-        frontier = targets
-    return dist
-
-
-def induced_eccentricity_sweep(
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    k: int,
-    engine: Optional[WaveEngine] = None,
-) -> Tuple[int, bool]:
-    """``(max eccentricity, connected)`` of a compacted sub-CSR on
-    ``k`` local indices: one BFS per source, sources chunked across
-    the engine's workers (each chunk's sweeps run serially inside a
-    worker — nesting pool dispatch inside pool workers would deadlock
-    small pools).  The max is order-free, and connectivity is uniform
-    across sources (any BFS reaches exactly its component), so chunked
-    results reconcile to exactly the serial answer."""
-
-    if engine is None:
-        return _ecc_block_impl(offsets, neighbors, k, 0, k)
-
-    def block(lo: int, hi: int) -> Tuple[int, bool]:
-        return _ecc_block_impl(offsets, neighbors, k, lo, hi)
-
-    # Each source's sweep touches >= k vertices, so k*k lower-bounds
-    # the scan's work — the gate that keeps tiny clusters inline.
-    results = engine.map_ranges(block, k, cost=k * k)
-    best = max((ecc for ecc, _ok in results), default=0)
-    connected = all(ok for _ecc, ok in results)
-    return best, connected
-
-
-def _ecc_block_impl(
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    k: int,
-    lo: int,
-    hi: int,
-) -> Tuple[int, bool]:
-    """One source block of the eccentricity sweep: serial per-source
-    BFS, early exit on the first disconnected source."""
-    best = 0
-    for start in range(lo, hi):
-        dist = parallel_bfs_distance_array(offsets, neighbors, k, [start])
-        if int((dist >= 0).sum()) != k:
-            return best, False
-        best = max(best, int(dist.max()))
-    return best, True

@@ -4,9 +4,9 @@ The paper's algorithms are fixed sequences of frontier-synchronous
 stages.  This package turns each registered task's run into a declared
 :class:`Pipeline` of :class:`Pass` stages, validated as a DAG and
 executed by a :class:`Scheduler` — serially in topological order (the
-bit-identical reference) or concurrently on the wave engine's shared
-thread pools, with color classes as the natural fan-out unit.  Every
-pass is instrumented as a :class:`PassStats` record surfaced through
+bit-identical reference) or concurrently, with color classes as the
+natural fan-out unit of the batched kernels.  Every pass is
+instrumented as a :class:`PassStats` record surfaced through
 ``result.stats["passes"]``, ``Session.cache_info()`` and
 ``repro decompose --profile``.
 """

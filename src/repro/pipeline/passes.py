@@ -6,8 +6,8 @@ dependencies, the context keys it reads and writes, and a runner over a
 shared :class:`PipelineContext`.  The declarations are what
 :class:`~repro.pipeline.pipeline.Pipeline` validates into a DAG and the
 :class:`~repro.pipeline.scheduler.Scheduler` executes (serially in
-topological order — the bit-identical reference — or concurrently on
-the wave engine's thread pools).
+topological order — the bit-identical reference — or concurrently,
+with fan-outs routed through batched kernels).
 
 Every executed pass produces one :class:`PassStats` record — wall time,
 charged LOCAL rounds, engine waves, fan-out width, reconcile volume and
@@ -18,7 +18,6 @@ vertices touched — collected on the context and surfaced as
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -35,8 +34,8 @@ class PassStats:
     * ``wall_ms`` — wall-clock milliseconds spent in the runner;
     * ``rounds`` — LOCAL rounds charged to the shared counter during
       the pass;
-    * ``engine_waves`` — wave-engine pool dispatches during the pass
-      (plus any waves the runner reports via ``ctx.note``);
+    * ``engine_waves`` — waves the runner reports via ``ctx.note``
+      (no built-in pass does, so it reads 0; kept for the schema);
     * ``items`` — fan-out width (e.g. color classes mapped through
       ``ctx.fan_out``);
     * ``reconcile_volume`` — elements reconciled into shared state
@@ -79,8 +78,8 @@ class Pass:
     """One declared pipeline stage.
 
     ``deps`` are pass names that must complete first; ``reads`` /
-    ``writes`` document the context keys the runner touches (passes
-    scheduled concurrently must have disjoint writes).  ``citation``
+    ``writes`` document the context keys the runner touches (checked
+    by ``make check``).  ``citation``
     names the theorem/corollary the stage implements, for
     :func:`repro.describe`.
     """
@@ -123,9 +122,8 @@ class PipelineContext:
         self.values: Dict[str, Any] = dict(values or {})
         self.pass_stats: List[PassStats] = []
         self.scheduler: Any = None
-        # Per-thread current-pass stack so note()/fan_out() attribute
-        # correctly even when independent passes run on pool threads.
-        self._local = threading.local()
+        # Current-pass stack that note()/fan_out() attribute to.
+        self._stack: List[PassStats] = []
 
     # -- value access ---------------------------------------------------
 
@@ -154,21 +152,14 @@ class PipelineContext:
             return "serial"
         return self.scheduler.schedule
 
-    @property
-    def workers(self) -> int:
-        if self.scheduler is None:
-            return 0
-        return self.scheduler.workers
-
     def fan_out(self, thunks, batched=None) -> list:
         """Run independent thunks as this pass's fan-out unit.
 
         Serial schedule: a plain in-order loop (the reference).
         Concurrent schedule: the batched kernel when one is provided
-        (it must return the same per-item result list), else the
-        engine's shared thread pool.  Item order — and therefore any
-        in-order reconcile the caller performs — is preserved on every
-        path.
+        (it must return the same per-item result list), else the same
+        in-order loop.  Item order — and therefore any in-order
+        reconcile the caller performs — is preserved on every path.
         """
         thunks = list(thunks)
         self.note(items=len(thunks))
@@ -190,19 +181,11 @@ class PipelineContext:
             setattr(stats, key, getattr(stats, key) + int(value))
 
     def _current(self) -> Optional[PassStats]:
-        stack = getattr(self._local, "stack", None)
-        if not stack:
-            return None
-        return stack[-1]
+        return self._stack[-1] if self._stack else None
 
     def _begin(self, stats: PassStats) -> None:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        stack.append(stats)
+        self._stack.append(stats)
 
     def _end(self) -> None:
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            stack.pop()
+        if self._stack:
+            self._stack.pop()

@@ -6,9 +6,7 @@ dependencies and dependency cycles all raise
 *levels* (antichains of the dependency order): level 0 holds the passes
 with no dependencies, level ``k`` the passes whose deepest dependency
 sits at level ``k - 1``.  Flattening the levels in declaration order
-yields the canonical topological order the serial schedule executes;
-the concurrent schedule may overlap passes *within* a level (they are
-mutually independent by construction) but never across levels.
+yields the canonical topological order every schedule executes.
 
 A :class:`RetryRule` declares a pipeline-level Las Vegas retry: when a
 matching exception escapes a pass, execution restarts from the level

@@ -4,25 +4,13 @@ Two schedules, one contract:
 
 * ``"serial"`` — every pass runs inline in the pipeline's canonical
   topological order.  This is the bit-identical reference.
-* ``"concurrent"`` — passes that share a DAG level (mutually
-  independent by construction) may run on the wave engine's shared
-  thread pools, and pass fan-outs (``ctx.fan_out``) route through the
-  pool or a batched vectorized kernel.  Outputs are required to be
-  identical to the serial schedule for every worker count — the same
-  determinism contract the sharded/parallel backends honor — which is
-  why fan-outs preserve item order and batched kernels must reproduce
-  the per-item results exactly.
+* ``"concurrent"`` — pass fan-outs (``ctx.fan_out``) use the batched
+  vectorized kernel when the pass provides one, which must reproduce
+  the per-item results exactly; fan-outs without one, and multi-pass
+  levels, run in declaration order as under ``"serial"``.
 
-``schedule="auto"`` picks concurrent for graphs at or above the same
-size cutoff that auto-gates the sharded/parallel backends (or whenever
-``REPRO_FORCE_PARALLEL=1`` forces the parallel substrate), serial
-below it.
-
-Shared-counter constraint: :class:`~repro.local.rounds.RoundCounter`
-is not thread-safe, so only one pass of a concurrently-running level
-may charge rounds.  The built-in task pipelines are dependency chains
-(every level has exactly one pass), which satisfies this trivially;
-synthetic multi-pass levels must keep their extra passes charge-free.
+``schedule="auto"`` picks concurrent for graphs of at least
+:data:`CONCURRENT_MIN_VERTICES` vertices, serial below.
 """
 
 from __future__ import annotations
@@ -36,38 +24,37 @@ from .pipeline import Pipeline
 
 SCHEDULES = ("auto", "serial", "concurrent")
 
+#: ``schedule="auto"`` resolves to ``"concurrent"`` from this vertex
+#: count on: below it a batched kernel's setup outweighs the per-item
+#: loop it replaces.
+CONCURRENT_MIN_VERTICES = 50_000
+
 
 def resolve_schedule(graph_or_n: Any, schedule: str = "auto") -> str:
-    """Resolve an ``"auto"`` schedule against the graph size, mirroring
-    the backend auto-gating: concurrent at n >= the sharded cutoff or
-    under ``REPRO_FORCE_PARALLEL=1``, serial below."""
+    """Resolve an ``"auto"`` schedule against the graph size:
+    concurrent at n >= :data:`CONCURRENT_MIN_VERTICES`, serial below."""
     if schedule not in SCHEDULES:
         raise RegistryError(
             f"unknown schedule {schedule!r}; expected one of {SCHEDULES}"
         )
     if schedule != "auto":
         return schedule
-    from ..graph.csr import SHARDED_AUTO_CUTOFF, force_parallel_traversal
-
-    if force_parallel_traversal():
-        return "concurrent"
     n = getattr(graph_or_n, "n", graph_or_n)
     if n is None:
         return "serial"
-    return "concurrent" if int(n) >= SHARDED_AUTO_CUTOFF else "serial"
+    return "concurrent" if int(n) >= CONCURRENT_MIN_VERTICES else "serial"
 
 
 class Scheduler:
     """Runs a :class:`Pipeline`'s passes under a resolved schedule."""
 
-    def __init__(self, schedule: str = "serial", workers: int = 0) -> None:
+    def __init__(self, schedule: str = "serial") -> None:
         if schedule not in ("serial", "concurrent"):
             raise RegistryError(
                 f"scheduler requires a resolved schedule, got {schedule!r} "
                 "(resolve 'auto' via resolve_schedule first)"
             )
         self.schedule = schedule
-        self.workers = workers
 
     @property
     def concurrent(self) -> bool:
@@ -80,25 +67,13 @@ class Scheduler:
         thunks: Sequence[Callable[[], Any]],
         batched: Optional[Callable[[], List[Any]]] = None,
     ) -> List[Any]:
-        """Run independent thunks, preserving item order.
-
-        Concurrent schedule: prefer the batched kernel (one vectorized
-        call replacing the whole loop — the algorithmic win on
-        single-core hosts), else fan onto the engine pool when more
-        than one worker is available.  Serial schedule, single items,
-        and dead-pool fallback all take the plain in-order loop.
-        """
+        """Run independent thunks, preserving item order: the batched
+        kernel (one vectorized call replacing the whole loop) under the
+        concurrent schedule when one is given and there is more than one
+        item, else the plain in-order loop."""
         thunks = list(thunks)
-        if self.concurrent and len(thunks) > 1:
-            if batched is not None:
-                return batched()
-            from ..parallel.engine import _map_on_pool, resolve_workers
-
-            workers = resolve_workers(self.workers)
-            if workers > 1:
-                out = _map_on_pool(workers, _call_thunk, thunks)
-                if out is not None:
-                    return out
+        if self.concurrent and batched is not None and len(thunks) > 1:
+            return batched()
         return [thunk() for thunk in thunks]
 
     # -- pass execution --------------------------------------------------
@@ -121,7 +96,8 @@ class Scheduler:
         levels = pipeline.levels
         while level_idx < len(levels):
             try:
-                self._run_level(levels[level_idx], ctx)
+                for p in levels[level_idx]:
+                    self._run_pass(p, ctx)
             except Exception as exc:
                 if (
                     retry is not None
@@ -137,36 +113,6 @@ class Scheduler:
             level_idx += 1
         return ctx.get(pipeline.result_key)
 
-    def _run_level(self, level: Sequence[Pass], ctx: PipelineContext) -> None:
-        if len(level) == 1 or not self.concurrent:
-            for p in level:
-                self._run_pass(p, ctx)
-            return
-        # Concurrent multi-pass level: overlap on the engine pool, but
-        # record PassStats in declaration order so the stats surface is
-        # schedule-independent.  Fall back inline on a dead pool.
-        from ..parallel.engine import _map_on_pool, resolve_workers
-
-        workers = resolve_workers(self.workers)
-        records = [
-            PassStats(name=p.name, schedule=self.schedule) for p in level
-        ]
-        if workers > 1:
-            thunks = [
-                _PassThunk(self, p, ctx, rec)
-                for p, rec in zip(level, records)
-            ]
-            out = _map_on_pool(workers, _call_thunk, thunks)
-            if out is not None:
-                errors = [e for e in out if e is not None]
-                ctx.pass_stats.extend(records)
-                if errors:
-                    raise errors[0]
-                return
-        for p, rec in zip(level, records):
-            self._execute_pass(p, ctx, rec)
-        ctx.pass_stats.extend(records)
-
     def _run_pass(self, p: Pass, ctx: PipelineContext) -> None:
         record = PassStats(name=p.name, schedule=self.schedule)
         try:
@@ -179,7 +125,6 @@ class Scheduler:
     ) -> None:
         counter = ctx.counter
         rounds_before = counter.total if counter is not None else 0
-        waves_before = _engine_dispatches()
         # repro: allow(det-wallclock) — observability only: wall_ms feeds
         # PassStats reporting, never any ordering or algorithmic choice.
         started = time.perf_counter()
@@ -193,33 +138,3 @@ class Scheduler:
             record.wall_ms += (time.perf_counter() - started) * 1000.0
             if counter is not None:
                 record.rounds += counter.total - rounds_before
-            record.engine_waves += _engine_dispatches() - waves_before
-
-
-class _PassThunk:
-    """Picklable-free callable wrapper for pooled pass execution;
-    returns the raised exception (or None) so the pool map never
-    swallows one mid-level."""
-
-    def __init__(self, scheduler, p, ctx, record) -> None:
-        self.scheduler = scheduler
-        self.p = p
-        self.ctx = ctx
-        self.record = record
-
-    def __call__(self):
-        try:
-            self.scheduler._execute_pass(self.p, self.ctx, self.record)
-        except Exception as exc:  # re-raised by the caller, in order
-            return exc
-        return None
-
-
-def _call_thunk(thunk: Callable[[], Any]) -> Any:
-    return thunk()
-
-
-def _engine_dispatches() -> int:
-    from ..parallel.engine import pool_stats
-
-    return pool_stats()["dispatches"]

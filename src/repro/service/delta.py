@@ -24,9 +24,7 @@ Layers in this module:
   dicts; byte-identical arrays to ``CSRGraph.from_multigraph``.
 * :func:`repair_waves` — the dirty-cascade worklist over the snapshot,
   one vectorized order-statistic evaluation per wave
-  (:func:`repro.parallel.bfs.segment_kth_largest`), fanned through the
-  shared :class:`~repro.parallel.engine.WaveEngine` when a frontier is
-  wide enough; aborts (returning None) when the dirty fraction crosses
+  (:func:`repro.parallel.bfs.segment_kth_largest`); aborts (returning None) when the dirty fraction crosses
   the configured threshold so the caller falls back to a full peel.
 * :class:`SessionWaveOracle` — the per-graph cache ``h_partition``
   consults (see :func:`repro.decomposition.hpartition.install_wave_oracle`);
@@ -70,7 +68,6 @@ from ..decomposition.hpartition import (
 )
 from ..local.rounds import ensure_counter
 from ..parallel.bfs import segment_kth_largest
-from ..parallel.engine import FAN_OUT_MIN_HALF_EDGES
 from ..core.algorithm_stats import TaskStats
 from ..core.config import DecompositionConfig
 from ..core.registry import get_task, set_task_delta
@@ -132,9 +129,6 @@ class DeltaReport:
     delta_mode: str
     dirty_vertices: int
     dirty_fraction: float
-    #: dirty vertex count per shard of the session's shard plan (the
-    #: worst repaired threshold); empty when nothing was repaired
-    shard_dirty: Tuple[int, ...]
     watches: List[WatchReport]
     wall_ms: float
     chain: str
@@ -157,7 +151,6 @@ class DeltaReport:
             "delta_mode": self.delta_mode,
             "dirty_vertices": self.dirty_vertices,
             "dirty_fraction": round(self.dirty_fraction, 6),
-            "shard_dirty": list(self.shard_dirty),
             "watches": [w.to_json() for w in self.watches],
             "wall_ms": round(self.wall_ms, 3),
             "chain": self.chain,
@@ -330,26 +323,15 @@ def _frontier_wave_values(
     waves: np.ndarray,
     frontier: np.ndarray,
     threshold: int,
-    engine_factory=None,
 ) -> np.ndarray:
     """Evaluate the fixed-point equation for an ascending frontier."""
-
-    def kernel(part: np.ndarray) -> np.ndarray:
-        starts = offsets[part]
-        ends = offsets[part + 1]
-        half = _concat_ranges(starts, ends)
-        kth = segment_kth_largest(
-            waves[neighbors[half]], ends - starts, threshold, fill=0
-        )
-        return kth + 1
-
-    if engine_factory is not None:
-        cost = int((offsets[frontier + 1] - offsets[frontier]).sum())
-        if cost >= FAN_OUT_MIN_HALF_EDGES:
-            engine = engine_factory()
-            if engine is not None:
-                return engine.gather(kernel, frontier, cost)
-    return kernel(frontier)
+    starts = offsets[frontier]
+    ends = offsets[frontier + 1]
+    half = _concat_ranges(starts, ends)
+    kth = segment_kth_largest(
+        waves[neighbors[half]], ends - starts, threshold, fill=0
+    )
+    return kth + 1
 
 
 def repair_waves(
@@ -358,7 +340,6 @@ def repair_waves(
     seeds: np.ndarray,
     threshold: int,
     max_dirty: int,
-    engine_factory=None,
 ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
     """Worklist repair of an H-partition wave assignment.
 
@@ -386,7 +367,7 @@ def repair_waves(
         if steps > cap:
             return None
         new_vals = _frontier_wave_values(
-            offsets, neighbors, waves, frontier, threshold, engine_factory
+            offsets, neighbors, waves, frontier, threshold
         )
         diff = new_vals != waves[frontier]
         changed = frontier[diff]
@@ -812,15 +793,6 @@ def _seed_indices(snap: CSRGraph, info_edges) -> np.ndarray:
     return np.unique(idx)
 
 
-def _shard_dirty_counts(session, changed: np.ndarray) -> Tuple[int, ...]:
-    """Dirty vertices per shard of the session's cached plan."""
-    if changed.size == 0:
-        return ()
-    plan = session.shard_plan()
-    positions = np.searchsorted(changed, plan.boundaries)
-    return tuple(int(c) for c in np.diff(positions))
-
-
 def apply_delta(
     session,
     inserts: Sequence[Tuple[int, int]] = (),
@@ -885,20 +857,13 @@ def apply_delta(
         max_dirty = int(cfg.delta_threshold * n)
     seeds = _seed_indices(new_snap, ins_records + del_records)
 
-    def engine_factory():
-        try:
-            return session.wave_engine()
-        except Exception:
-            return None
-
     for threshold in list(oracle.entries.keys()):
         entry = oracle.entries[threshold]
         if entry.fingerprint != old_fp or mode == "full":
             oracle.drop(threshold)
             continue
         repaired = repair_waves(
-            new_snap, entry.waves, seeds, threshold, max_dirty,
-            engine_factory,
+            new_snap, entry.waves, seeds, threshold, max_dirty
         )
         if repaired is None:
             oracle.fallbacks += 1
@@ -979,9 +944,6 @@ def apply_delta(
     dirty = max(
         (int(c.size) for c in changed_by_threshold.values()), default=0
     )
-    worst = max(
-        changed_by_threshold.values(), key=lambda c: c.size, default=None
-    ) if changed_by_threshold else None
     report = DeltaReport(
         seq=state.seq,
         inserted=tuple(eid for eid, _u, _v in ins_records),
@@ -989,8 +951,6 @@ def apply_delta(
         delta_mode=mode,
         dirty_vertices=dirty,
         dirty_fraction=dirty / n if n else 0.0,
-        shard_dirty=_shard_dirty_counts(session, worst)
-        if worst is not None else (),
         watches=watch_reports,
         wall_ms=(time.perf_counter() - start) * 1000.0,
         chain=state.chain,

@@ -30,9 +30,7 @@ generation (:mod:`repro.service.checkpoint`).  ``kill -9`` at any
 instant loses at most the unacknowledged in-flight batch;
 ``repro serve --resume`` replays the journal and reconstructs the
 exact pre-crash state.  SIGTERM/SIGINT trigger a graceful exit:
-final checkpoint, socket teardown, and
-:func:`repro.parallel.engine.shutdown` so no worker thread outlives
-the daemon.
+final checkpoint, then socket teardown.
 
 Per-request structured logs (JSON lines: op, wall time, outcome) and
 PassStats-style per-op totals (``stats`` op) make the daemon
@@ -57,8 +55,6 @@ from ..core.config import DecompositionConfig
 from ..core.session import Session
 from ..errors import GraphError, ReproError
 from ..graph.multigraph import MultiGraph
-from ..parallel.engine import pool_stats
-from ..parallel.engine import shutdown as engine_shutdown
 from . import checkpoint as checkpoint_mod
 from .checkpoint import Checkpointer, restore_session
 
@@ -205,8 +201,8 @@ class ReproServer:
         self._shutdown_event.set()
 
     def stop(self, final_checkpoint: bool = True) -> None:
-        """Graceful teardown: final checkpoint, close the socket, shut
-        down the shared worker pools (no thread outlives the daemon)."""
+        """Graceful teardown: final checkpoint, then close the socket
+        and join the serving thread."""
         with self._lock:
             if (
                 final_checkpoint
@@ -222,7 +218,6 @@ class ReproServer:
             self._thread = None
         if self.checkpointer is not None:
             self.checkpointer.close()
-        engine_shutdown()
         self.log("shutdown", uptime_s=round(time.time() - self._started, 3))
 
     # -- logging / stats ----------------------------------------------
@@ -475,7 +470,6 @@ class ReproServer:
                     "hits": self._query_hits,
                     "misses": self._query_misses,
                 },
-                "pools": pool_stats(),
             }
             if session is not None:
                 state = session._delta_state
@@ -530,8 +524,8 @@ def serve(
     """Run the daemon until a shutdown op or SIGTERM/SIGINT.
 
     Prints the ``REPRO_SERVE_READY port=<p> pid=<p>`` handshake once
-    the socket is bound.  On signal: final checkpoint, socket close,
-    worker-pool shutdown — then returns 0.
+    the socket is bound.  On signal: final checkpoint, socket close —
+    then returns 0.
     """
     server = ReproServer(
         host=host,

@@ -74,15 +74,24 @@ def test_config_rejects_bad_values():
         DecompositionConfig(diameter_mode="sideways")
     with pytest.raises(ValidationError):
         DecompositionConfig(epsilon=-1.0)
-    with pytest.raises(ValidationError):
-        DecompositionConfig(workers=-1)
-    with pytest.raises(ValidationError):
-        DecompositionConfig(workers=2.5)
+    with pytest.raises(TypeError):
+        DecompositionConfig(workers=2)
 
 
 def test_config_workers_roundtrip():
-    config = DecompositionConfig(backend="sharded", workers=4)
+    """Payloads written before the ``workers`` field was retired carry
+    it: a non-negative int is accepted and dropped, anything else in
+    it still raises, and to_json() no longer emits it."""
+    config = DecompositionConfig(backend="sharded")
+    assert "workers" not in config.to_json()
     assert DecompositionConfig.from_json(config.to_json()) == config
+    legacy = dict(config.to_json(), workers=4)
+    assert DecompositionConfig.from_json(legacy) == config
+    for bad in (-1, 2.5, "2"):
+        with pytest.raises(ValidationError):
+            DecompositionConfig.from_json(dict(config.to_json(), workers=bad))
+    with pytest.raises(ValidationError):
+        DecompositionConfig.from_json(dict(config.to_json(), threads=2))
 
 
 def test_config_replace_and_defaults():
@@ -162,7 +171,6 @@ def test_register_task_and_override():
 def test_register_backend_and_resolution():
     spec = BackendSpec(
         name="_test_backend",
-        capabilities=frozenset({"peeling"}),
         resolve=lambda graph: "dict",
     )
     registry.register_backend(spec)
@@ -297,77 +305,25 @@ def test_session_sub_csr_lru_bound_and_evictions(monkeypatch):
     assert session.cache_info()["sub_csr"]["misses"] == 8
 
 
-def test_session_shard_plan_cached_and_invalidated():
-    graph = small_graph()
-    session = Session(graph)
-    plan = session.shard_plan()
-    assert session.shard_plan() is plan
-    assert session.cache_info()["shard_plan"]["hits"] == 1
-    assert int(plan.boundaries[-1]) == graph.n
-    graph.add_edge(0, 1)
-    assert session.shard_plan() is not plan  # fingerprint moved
-    # explicit shard counts bypass the memo
-    assert session.shard_plan(3).num_shards == 3
-
-
 def test_sharded_backend_registered_and_equivalent():
     assert "sharded" in repro.available_backends()
     graph = small_graph()
-    # Below the cutoff the backend resolves to the serial csr kernel...
+    # The retired name resolves to the csr kernel...
     from repro.core.registry import get_backend
 
     assert get_backend("sharded").substrate_for(graph) == "csr"
-    # ...and forcing it end-to-end through the dispatcher (any workers)
-    # reproduces the csr results bit for bit.
+    # ...and running it end-to-end through the dispatcher reproduces
+    # the csr results bit for bit.
     reference = decompose(
         graph, task="forest",
         config=DecompositionConfig(epsilon=0.5, seed=11, backend="csr"),
     )
-    for workers in (0, 2):
-        result = decompose(
-            graph, task="forest",
-            config=DecompositionConfig(
-                epsilon=0.5, seed=11, backend="sharded", workers=workers,
-            ),
-        )
-        assert result.coloring == reference.coloring
-        assert result.rounds.total == reference.rounds.total
-
-
-def test_orientation_hpartition_sharded_uses_session_plan(monkeypatch):
-    """With the sharding cutoff lowered below the test graph's size,
-    the dispatcher resolves to the real sharded substrate, passes the
-    session's cached shard plan into h_partition, and still matches
-    the csr reference bit for bit."""
-    import repro.core.session as session_module
-    import repro.graph.csr as csr_module
-    import repro.graph.shard as shard_module
-
-    monkeypatch.setattr(session_module, "SHARDED_AUTO_CUTOFF", 1)
-    monkeypatch.setattr(csr_module, "SHARDED_AUTO_CUTOFF", 1)
-    graph = small_graph()
-    session = Session(graph)
-    config = DecompositionConfig(seed=5, backend="sharded", workers=2)
-    assert session.substrate(config) == "sharded"
-
-    seen_plans = []
-    original_init = shard_module.ShardedPeelingView.__init__
-
-    def recording_init(self, snapshot, plan=None, workers=0):
-        seen_plans.append(plan)
-        original_init(self, snapshot, plan, workers)
-
-    monkeypatch.setattr(
-        shard_module.ShardedPeelingView, "__init__", recording_init
+    result = decompose(
+        graph, task="forest",
+        config=DecompositionConfig(epsilon=0.5, seed=11, backend="sharded"),
     )
-    reference = Session(graph).decompose(
-        "orientation", DecompositionConfig(seed=5, backend="csr"),
-        method="hpartition",
-    )
-    result = session.decompose("orientation", config, method="hpartition")
-    assert session.shard_plan() in seen_plans  # the cached plan was used
-    assert result.orientation == reference.orientation
-    assert result.bound == reference.bound
+    assert result.coloring == reference.coloring
+    assert result.rounds.total == reference.rounds.total
 
 
 def test_unknown_lsfd_method_is_decomposition_error():
@@ -569,7 +525,7 @@ def test_backend_dict_csr_identical_through_api():
     }
     assert results["auto"].coloring == results["dict"].coloring
     assert results["dict"].coloring == results["csr"].coloring
-    # "mp" is an alias of "parallel" (at this size: the csr kernel)
+    # "mp" is an alias of "csr"
     assert results["mp"].coloring == results["csr"].coloring
     assert (
         results["auto"].rounds.total
@@ -600,9 +556,28 @@ def test_lazy_getattr_unknown_name():
         repro.definitely_not_a_name
 
 
+def test_import_does_not_load_concurrent_futures():
+    """``import repro`` stays off ``concurrent.futures`` too: there is
+    no thread executor left, and the import alone costs ~9 ms."""
+    import os
+    import subprocess
+    import sys
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    subprocess.run(
+        [
+            sys.executable, "-c",
+            "import repro, repro.core, sys; "
+            "assert 'concurrent.futures' not in sys.modules",
+        ],
+        env=env, check=True,
+    )
+
+
 def test_import_does_not_load_multiprocessing():
     """``import repro`` stays off ``multiprocessing``: the library runs
-    its waves on threads, and loading the process machinery would add
+    every wave serially, and loading the process machinery would add
     its import time to every run."""
     import os
     import subprocess

@@ -190,14 +190,23 @@ def test_det_env_fires_everywhere_in_src(tmp_path):
     assert rules_of(report) == ["det-env"]
 
 
-def test_det_env_sanctioned_helper_exempt(tmp_path):
-    report = check_tree(tmp_path, {KERNEL: """
+def test_det_env_sanctioned_helper_exempt(tmp_path, monkeypatch):
+    from tools.checks import core, determinism
+
+    source = {KERNEL: """
         import os
 
         def _env_flag(name):
             return os.environ.get(name, "") == "1"
-    """})
-    assert report.active == []
+    """}
+    # The library sanctions no reader, so even a helper-shaped read
+    # fires; a name added to the sanctioned set is exempt.
+    assert core.SANCTIONED_ENV_READERS == frozenset()
+    assert rules_of(check_tree(tmp_path / "none", source)) == ["det-env"]
+    monkeypatch.setattr(
+        determinism, "SANCTIONED_ENV_READERS", frozenset({"_env_flag"})
+    )
+    assert check_tree(tmp_path / "named", source).active == []
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ import pytest
 from repro.errors import GraphError, ValidationError
 from repro.graph import CSRGraph, MultiGraph, RootedForest, rooted_forest_arrays
 from repro.graph.csr import bfs_distance_array, resolve_backend, snapshot_of
-from repro.graph.shard import ShardPlan, ShardedPeelingView, plan_of
 from repro.graph.traversal import (
     bfs_distances,
     connected_components,
@@ -147,19 +146,17 @@ def test_ported_algorithms_match_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
-def test_low_outdegree_orientation_matches_reference(seed, monkeypatch):
+def test_low_outdegree_orientation_matches_reference(seed):
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("empty instance")
     ref = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dict")
     csr = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="csr")
     assert csr == ref
-    # The engine backends, forced on at corpus sizes; "mp" is the
-    # retired process backend's name, an alias of "parallel".
-    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-    for backend in ("parallel", "mp"):
+    # The retired backend names are aliases of csr.
+    for backend in ("sharded", "parallel", "mp"):
         assert low_outdegree_orientation(
-            graph, 0.5, method="hpartition", backend=backend, workers=2
+            graph, 0.5, method="hpartition", backend=backend
         ) == ref
 
 
@@ -398,85 +395,107 @@ def test_rooted_forest_arrays_rejects_cycles():
 
 
 # ----------------------------------------------------------------------
-# Sharded multi-worker peeling backend
+# Threshold-peel work-list (PeelingView) and the retired peel aliases
 # ----------------------------------------------------------------------
+
+
+class _DictPeel:
+    """Dict reference for :class:`PeelingView`'s two disciplines: a
+    threshold wave removes every live vertex of remaining degree <= t
+    at once; delete-min removes the live vertex minimizing
+    ``(remaining degree, vertex id)``."""
+
+    def __init__(self, graph):
+        self.graph = graph
+        self.remaining = {v: graph.degree(v) for v in graph.vertices()}
+
+    def _remove(self, vertices):
+        for v in vertices:
+            del self.remaining[v]
+        for v in vertices:
+            for _eid, other in self.graph.incident(v):
+                if other in self.remaining:
+                    self.remaining[other] -= 1
+
+    def peel_leq(self, threshold):
+        leaving = sorted(
+            v for v, d in self.remaining.items() if d <= threshold
+        )
+        self._remove(leaving)
+        return leaving
+
+    def pop_min(self):
+        vertex = min(self.remaining, key=lambda v: (self.remaining[v], v))
+        degree = self.remaining[vertex]
+        self._remove([vertex])
+        return vertex, degree
+
+
+def _view_ids(snap, indices):
+    return sorted(int(snap.vertex_ids[i]) for i in indices)
+
+
+def _assert_peel_matches(graph, threshold):
+    """dict == csr H-partition classes and charged rounds, and every
+    retired peel name (an alias of csr) agrees too."""
+    ref_rounds = RoundCounter()
+    ref = h_partition(graph, threshold, ref_rounds, backend="dict")
+    snap = snapshot_of(graph)
+    for backend in ("csr", "sharded", "parallel", "mp"):
+        rounds = RoundCounter()
+        got = h_partition(
+            graph, threshold, rounds, backend=backend, snapshot=snap
+        )
+        assert got.classes == ref.classes
+        assert got.threshold == ref.threshold
+        assert rounds.total == ref_rounds.total
+    return ref
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
 def test_sharded_peeling_matches_reference(seed):
-    """dict == csr == sharded H-partition classes and charged rounds,
-    for every worker count and shard granularity — the backend's
-    bit-identity contract.  The corpus includes parallel-edge and
-    gappy-id instances; tiny shard counts make every wave cross shard
-    boundaries."""
+    """The csr peel's wave work-list reproduces the dict reference's
+    classes and charged rounds on the corpus (parallel-edge and
+    gappy-id instances included)."""
     graph = random_multigraph(seed)
     d, _ = degeneracy_ordering(graph)
-    threshold = max(1, d)
-    ref_rounds = RoundCounter()
-    ref = h_partition(graph, threshold, ref_rounds, backend="dict")
-    csr_partition = h_partition(graph, threshold, backend="csr")
-    assert csr_partition.classes == ref.classes
-    snap = snapshot_of(graph)
-    for workers in (1, 2, 4):
-        for num_shards in (1, 3, 7):
-            plan = ShardPlan.from_snapshot(snap, num_shards)
-            rounds = RoundCounter()
-            sharded = h_partition(
-                graph, threshold, rounds, backend="sharded",
-                snapshot=snap, workers=workers, shard_plan=plan,
-            )
-            assert sharded.classes == ref.classes
-            assert sharded.threshold == ref.threshold
-            assert rounds.total == ref_rounds.total
-    # "parallel" peels on the sharded view, and "mp" is its alias.
-    for backend in ("parallel", "mp"):
-        rounds = RoundCounter()
-        aliased = h_partition(
-            graph, threshold, rounds, backend=backend, snapshot=snap,
-            workers=2,
-        )
-        assert aliased.classes == ref.classes
-        assert rounds.total == ref_rounds.total
+    _assert_peel_matches(graph, max(1, d))
 
 
 def test_sharded_boundary_heavy_parallel_edges():
-    """Parallel edges straddling every shard boundary: multiplicities
-    must decrement once per copy across the reconcile, with one shard
-    per vertex (all decrements are boundary decrements)."""
-    graph = MultiGraph.with_vertices(12)
+    """Long wave cascades, where the work-list carries every wave after
+    the first: a chain with 1-3 parallel copies per pair (multiplicities
+    must decrement once per copy) and a 40 x 40 grid at t = 2."""
+    from repro.graph.generators import grid_graph
+
+    chain = MultiGraph.with_vertices(12)
     for i in range(11):
         for _ in range(1 + i % 3):  # 1-3 parallel copies per pair
-            graph.add_edge(i, i + 1)
-    ref = h_partition(graph, 3, backend="dict")
-    assert ref.num_classes > 1  # a real wave cascade, not one wave
-    snap = snapshot_of(graph)
-    for num_shards in (2, 6, 12):
-        plan = ShardPlan.from_snapshot(snap, num_shards)
-        for workers in (1, 2, 4):
-            sharded = h_partition(
-                graph, 3, backend="sharded", snapshot=snap,
-                workers=workers, shard_plan=plan,
-            )
-            assert sharded.classes == ref.classes
+            chain.add_edge(i, i + 1)
+    for graph, threshold in ((chain, 3), (grid_graph(40, 40), 2)):
+        ref = _assert_peel_matches(graph, threshold)
+        assert ref.num_classes > 1  # a real wave cascade, not one wave
 
 
 def test_sharded_view_interleaves_disciplines():
-    """pop_min after sharded peel_leq (and a wave after pop_min) stays
-    consistent: the scalar-mode fallback must see the updated state and
-    the stale wave work-list must be discarded."""
+    """pop_min after a threshold wave (and a wave after pop_min) stays
+    consistent with the dict reference: the scalar-mode switch must see
+    the updated state and the wave work-list must be discarded."""
     graph = MultiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
     snap = CSRGraph.from_multigraph(graph)
-    reference = snap.peeling_view()
-    view = ShardedPeelingView(snap, ShardPlan.from_snapshot(snap, 3), 2)
-    assert view.peel_leq(1).tolist() == reference.peel_leq(1).tolist()
-    assert view.pop_min() == reference.pop_min()
-    assert view.peel_leq(5).tolist() == reference.peel_leq(5).tolist()
-    assert view.alive_count == reference.alive_count == 0
+    reference = _DictPeel(graph)
+    view = snap.peeling_view()
+    assert _view_ids(snap, view.peel_leq(1)) == reference.peel_leq(1)
+    index, degree = view.pop_min()
+    assert (int(snap.vertex_ids[index]), degree) == reference.pop_min()
+    assert _view_ids(snap, view.peel_leq(5)) == reference.peel_leq(5)
+    assert view.alive_count == len(reference.remaining) == 0
+    _assert_peel_matches(graph, 2)
 
 
 def test_sharded_view_threshold_changes_between_waves():
     """The wave work-list is threshold-specific; changing the threshold
-    between waves must trigger a fresh shard scan, not reuse of the old
+    between waves must trigger a full scan, not reuse of the old
     candidate set."""
     rng = random.Random(77)
     graph = MultiGraph.with_vertices(40)
@@ -484,74 +503,34 @@ def test_sharded_view_threshold_changes_between_waves():
         u, v = rng.sample(range(40), 2)
         graph.add_edge(u, v)
     snap = snapshot_of(graph)
-    reference = snap.peeling_view()
-    view = ShardedPeelingView(snap, ShardPlan.from_snapshot(snap, 5), 2)
-    for threshold in (1, 3, 2, 6, 4, 100):
-        assert view.peel_leq(threshold).tolist() == \
-            reference.peel_leq(threshold).tolist()
-        assert view.alive_count == reference.alive_count
+    reference = _DictPeel(graph)
+    view = snap.peeling_view()
+    for threshold in (1, 1, 3, 2, 6, 6, 4, 100):
+        assert _view_ids(snap, view.peel_leq(threshold)) == \
+            reference.peel_leq(threshold)
+        assert view.alive_count == len(reference.remaining)
         if view.alive_count == 0:
             break
     assert view.alive_count == 0
+    d, _ = degeneracy_ordering(graph)
+    _assert_peel_matches(graph, max(1, d))
 
 
-def test_shard_plan_properties():
-    graph = random_multigraph(7)
-    snap = snapshot_of(graph)
-    for num_shards in (1, 2, 5, snap.num_vertices):
-        plan = ShardPlan.from_snapshot(snap, num_shards)
-        bounds = plan.boundaries
-        assert bounds[0] == 0 and bounds[-1] == snap.num_vertices
-        assert np.all(np.diff(bounds) >= 0)
-        assert plan.num_shards == min(num_shards, snap.num_vertices)
-        for index in range(snap.num_vertices):
-            shard = plan.shard_of(index)
-            assert bounds[shard] <= index < bounds[shard + 1]
-    # split() partitions an ascending index array along the boundaries
-    plan = ShardPlan.from_snapshot(snap, 4)
-    indices = np.arange(snap.num_vertices, dtype=np.int64)
-    parts = plan.split(indices)
-    assert len(parts) == plan.num_shards
-    assert np.concatenate(parts).tolist() == indices.tolist()
-
-
-def test_shard_plan_default_is_cached_on_snapshot():
-    graph = random_multigraph(11)
-    snap = snapshot_of(graph)
-    assert plan_of(snap) is plan_of(snap)
-    assert plan_of(snap, 3) is not plan_of(snap, 3)  # explicit = fresh
-
-
-def test_sharded_plan_mismatch_rejected():
-    small = snapshot_of(MultiGraph.with_vertices(3))
-    large = snapshot_of(MultiGraph.with_vertices(9))
-    with pytest.raises(GraphError):
-        ShardedPeelingView(large, plan_of(small))
-
-
-def test_resolve_backend_sharded_size_fallback(monkeypatch):
-    from repro.graph.csr import SHARDED_AUTO_CUTOFF
-
-    # Pin the forced-backend env off: the CI leg that sets
-    # REPRO_FORCE_PARALLEL reroutes csr-resolved traversal callsites,
-    # which is exactly what this test pins down for the default env.
-    monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
+def test_resolve_backend_sharded_size_fallback():
+    """The retired names resolve to csr at every size, for every
+    layer; ``auto`` keeps its own size gate."""
     small = MultiGraph.with_vertices(10)
-    assert resolve_backend(small, "sharded", peeling=True) == "csr"
 
     class _FakeBig:
-        n = SHARDED_AUTO_CUTOFF
+        n = 1_000_000
 
-    assert resolve_backend(_FakeBig(), "sharded", peeling=True) == "sharded"
-    assert resolve_backend(_FakeBig(), "parallel", peeling=True) == "sharded"
-    # Non-peeling layers (traversal, network decomposition, color
-    # classes) route to the engine-backed parallel path at scale and
-    # to the csr kernel below — never the dict reference path, never
-    # the peeling-only "sharded" substrate.
-    assert resolve_backend(_FakeBig(), "sharded") == "parallel"
-    assert resolve_backend(_FakeBig(), "parallel") == "parallel"
-    assert resolve_backend(small, "sharded") == "csr"
-    assert resolve_backend(small, "parallel") == "csr"
+    for graph in (small, _FakeBig()):
+        for name in ("sharded", "parallel", "mp", "csr"):
+            assert resolve_backend(graph, name) == "csr"
+    assert resolve_backend(small, "auto") == "dict"
+    assert resolve_backend(_FakeBig(), "auto") == "csr"
+    with pytest.raises(GraphError):
+        resolve_backend(small, "threads")
 
 
 def test_traversal_accepts_sharded_backend_on_kernel_path():
@@ -609,15 +588,14 @@ def test_peeling_view_interleaves_disciplines():
 
 
 # ----------------------------------------------------------------------
-# Parallel (wave-engine) backend equivalence
+# Retired backend aliases and the concurrent schedule
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
-def test_parallel_traversal_matches_reference(seed, monkeypatch):
-    """dict == csr == parallel for the BFS-shaped entry points, with
-    the engine forced on so even corpus-sized graphs run real waves."""
-    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
+def test_parallel_traversal_matches_reference(seed):
+    """dict == parallel (an alias of csr) for the BFS-shaped entry
+    points."""
     graph = random_multigraph(seed)
     vertices = graph.vertices()
     sources = vertices[: max(1, len(vertices) // 4)]
@@ -630,7 +608,7 @@ def test_parallel_traversal_matches_reference(seed, monkeypatch):
         connected_components(graph, backend="dict")
 
     nd_ref = network_decomposition(graph, backend="dict")
-    nd_par = network_decomposition(graph, backend="parallel", workers=2)
+    nd_par = network_decomposition(graph, backend="parallel")
     assert nd_par.classes == nd_ref.classes
 
     for comp in connected_components(graph, backend="dict")[:2]:
@@ -640,9 +618,15 @@ def test_parallel_traversal_matches_reference(seed, monkeypatch):
 
 @pytest.mark.parametrize("seed", range(3, 200, 16))
 def test_depth_cut_backends_identical(seed, monkeypatch):
-    """depth_cut's arrays path (and the engine-backed rooting) cuts
-    exactly the dict RootedForest path's edges, same RNG stream."""
+    """depth_cut's arrays path (per-class and, under the concurrent
+    schedule, the stacked batched rooting) cuts exactly the dict
+    RootedForest path's edges, same RNG stream; and the forest,
+    orientation and list_forest tasks are bit-identical across
+    schedules on the csr kernel."""
+    import repro
+    from repro.core import DecompositionConfig
     from repro.core.diameter_reduction import depth_cut
+    from repro.graph.generators import random_palettes
     import repro.core.diameter_reduction as dr
 
     graph = random_multigraph(seed)
@@ -668,20 +652,45 @@ def test_depth_cut_backends_identical(seed, monkeypatch):
     reference = depth_cut(graph, coloring, z=3, seed=seed, backend="dict")
     # Drop the gate so every class exercises the arrays path.
     monkeypatch.setattr(dr, "DEPTH_CUT_ARRAYS_MIN_EDGES", 0)
-    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-    for backend in ("csr", "parallel", "mp"):
-        got = depth_cut(
-            graph, coloring, z=3, seed=seed, backend=backend, workers=2
+    for schedule in ("serial", "concurrent"):
+        for backend in ("csr", "parallel", "mp"):
+            got = depth_cut(
+                graph, coloring, z=3, seed=seed, backend=backend,
+                schedule=schedule,
+            )
+            assert got.kept == reference.kept
+            assert got.deleted == reference.deleted
+            assert got.deletion_tail == reference.deletion_tail
+
+    # Whole tasks: the schedule is a parameter of the run, the dict
+    # serial run is the reference.
+    alpha = max(1, len(finders))
+    palettes = random_palettes(graph, 2 * alpha + 2, 4 * alpha + 4, seed=seed)
+    tasks = (
+        ("forest", {}, {"diameter_mode": "auto"}),
+        ("orientation", {}, {}),
+        ("list_forest", {"palettes": palettes}, {}),
+    )
+    for task, kwargs, fields in tasks:
+        reference = repro.decompose(
+            graph, task=task, config=DecompositionConfig(
+                seed=seed, backend="dict", schedule="serial", **fields
+            ), **kwargs,
         )
-        assert got.kept == reference.kept
-        assert got.deleted == reference.deleted
-        assert got.deletion_tail == reference.deletion_tail
+        for schedule in ("serial", "concurrent"):
+            got = repro.decompose(
+                graph, task=task, config=DecompositionConfig(
+                    seed=seed, backend="csr", schedule=schedule, **fields
+                ), **kwargs,
+            )
+            assert got.coloring == reference.coloring
+            assert got.rounds.total == reference.rounds.total
 
 
 @pytest.mark.parametrize("seed", range(5, 120, 18))
 def test_color_class_parallel_backend_matches_dict(seed):
     """PartialListForestDecomposition path/component queries agree
-    between the dict walk and the engine-backed parallel sweeps under
+    between the dict walk and the "parallel" alias (csr sweeps) under
     an identical mutation history."""
     graph = random_multigraph(seed)
     if graph.m == 0:
@@ -691,7 +700,7 @@ def test_color_class_parallel_backend_matches_dict(seed):
     states = {
         "dict": PartialListForestDecomposition(graph, palettes, "dict"),
         "parallel": PartialListForestDecomposition(
-            graph, palettes, "parallel", workers=2
+            graph, palettes, "parallel"
         ),
     }
     for eid in sorted(graph.edge_ids()):

@@ -306,7 +306,7 @@ def test_nd_guard_counts_current_class(monkeypatch):
     assert calls["dict"] == guard  # one singleton cluster per class
 
     def singleton_ball_csr(
-        snapshot, seed_index, unvisited, stamp, token, engine, scratch
+        snapshot, seed_index, unvisited, stamp, token, scratch
     ):
         calls["csr"] += 1
         others = np.flatnonzero(unvisited)

@@ -92,13 +92,16 @@ def test_unknown_schedule_rejected():
 # ----------------------------------------------------------------------
 
 
-def _toy_pipeline():
+def _toy_pipeline(width=6):
     def produce(ctx):
-        ctx["xs"] = list(range(6))
+        ctx["xs"] = list(range(width))
 
     def fan(ctx):
+        # The batched kernel runs under the concurrent schedule when
+        # there is more than one item; it must match the per-item loop.
         ctx["ys"] = ctx.fan_out(
-            [(lambda x=x: x * x) for x in ctx["xs"]]
+            [(lambda x=x: x * x) for x in ctx["xs"]],
+            batched=lambda: [x * x for x in ctx["xs"]],
         )
 
     def reduce_(ctx):
@@ -112,13 +115,13 @@ def _toy_pipeline():
 
 
 @pytest.mark.parametrize("schedule", ["serial", "concurrent"])
-@pytest.mark.parametrize("workers", [1, 2, 4])
-def test_toy_pipeline_identical_across_schedules(schedule, workers):
+@pytest.mark.parametrize("width", [1, 2, 4])
+def test_toy_pipeline_identical_across_schedules(schedule, width):
     ctx = PipelineContext(counter=RoundCounter())
-    out = Scheduler(schedule, workers).run(_toy_pipeline(), ctx)
-    assert out == 55
+    out = Scheduler(schedule).run(_toy_pipeline(width), ctx)
+    assert out == sum(x * x for x in range(width))
     fan_stats = [s for s in ctx.pass_stats if s.name == "fan"]
-    assert fan_stats[0].items == 6
+    assert fan_stats[0].items == width
     assert [s.name for s in ctx.pass_stats] == ["produce", "fan", "reduce"]
 
 
@@ -177,7 +180,7 @@ def test_concurrent_level_runs_independent_passes():
             "result", sorted(ctx["acc"])), deps=("left", "right")),
     ])
     ctx = PipelineContext(counter=RoundCounter())
-    assert Scheduler("concurrent", 2).run(pipe, ctx) == ["left", "right"]
+    assert Scheduler("concurrent").run(pipe, ctx) == ["left", "right"]
     # PassStats for a concurrent level land in declaration order.
     assert [s.name for s in ctx.pass_stats] == [
         "seed", "left", "right", "join",
@@ -189,24 +192,19 @@ def test_concurrent_level_runs_independent_passes():
 # ----------------------------------------------------------------------
 
 
-def test_auto_schedule_gates_on_size(monkeypatch):
-    # The CI forced-backend leg sets REPRO_FORCE_PARALLEL, which
-    # legitimately flips small-n "auto" to concurrent — clear it so
-    # this test gates on size alone.
-    monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
+def test_auto_schedule_gates_on_size():
+    from repro.pipeline.scheduler import CONCURRENT_MIN_VERTICES
+
+    assert CONCURRENT_MIN_VERTICES == 50_000
     assert resolve_schedule(100, "auto") == "serial"
+    assert resolve_schedule(CONCURRENT_MIN_VERTICES - 1, "auto") == "serial"
+    assert resolve_schedule(CONCURRENT_MIN_VERTICES, "auto") == "concurrent"
     assert resolve_schedule(100_000, "auto") == "concurrent"
     assert resolve_schedule(100, "concurrent") == "concurrent"
     assert resolve_schedule(100_000, "serial") == "serial"
 
 
-def test_auto_schedule_honors_force_parallel(monkeypatch):
-    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-    assert resolve_schedule(10, "auto") == "concurrent"
-
-
-def test_session_resolve_schedule(monkeypatch):
-    monkeypatch.delenv("REPRO_FORCE_PARALLEL", raising=False)
+def test_session_resolve_schedule():
     g = union_of_random_forests(30, 2, seed=0)
     session = Session(g)
     assert session.resolve_schedule() == "serial"
@@ -216,7 +214,7 @@ def test_session_resolve_schedule(monkeypatch):
 
 
 # ----------------------------------------------------------------------
-# Bit-identity of real tasks across schedules and workers
+# Bit-identity of real tasks across schedules
 # ----------------------------------------------------------------------
 
 
@@ -227,10 +225,8 @@ def _corpus():
     ]
 
 
-def _run(graph, task, schedule, workers, seed, **kwargs):
-    config = DecompositionConfig(
-        seed=seed, schedule=schedule, workers=workers,
-    )
+def _run(graph, task, schedule, seed, **kwargs):
+    config = DecompositionConfig(seed=seed, schedule=schedule)
     return repro.decompose(graph, task=task, config=config, **kwargs)
 
 
@@ -241,36 +237,19 @@ def test_serial_concurrent_bit_identity(task):
     for graph, _alpha in _corpus():
         if task == "star_forest" and not graph.is_simple():
             continue
-        reference = _run(graph, task, "serial", 1, seed=5)
-        for workers in (1, 2, 4):
-            got = _run(graph, task, "concurrent", workers, seed=5)
-            assert got.coloring == reference.coloring
-            assert got.rounds.total == reference.rounds.total
+        reference = _run(graph, task, "serial", seed=5)
+        got = _run(graph, task, "concurrent", seed=5)
+        assert got.coloring == reference.coloring
+        assert got.rounds.total == reference.rounds.total
 
 
 def test_list_forest_bit_identity_across_schedules():
     graph, alpha = _corpus()[0]
     palettes = random_palettes(graph, 12, 36, seed=7)
-    reference = _run(
-        graph, "list_forest", "serial", 1, seed=5, palettes=palettes
-    )
-    for workers in (1, 2, 4):
-        got = _run(
-            graph, "list_forest", "concurrent", workers, seed=5,
-            palettes=palettes,
-        )
-        assert got.coloring == reference.coloring
-        assert got.rounds.total == reference.rounds.total
-
-
-def test_forced_parallel_leg_matches(monkeypatch):
-    graph, _ = _corpus()[0]
-    reference = _run(graph, "forest", "serial", 1, seed=9)
-    monkeypatch.setenv("REPRO_FORCE_PARALLEL", "1")
-    forced = _run(graph, "forest", "auto", 2, seed=9)
-    assert forced.coloring == reference.coloring
-    assert forced.rounds.total == reference.rounds.total
-    assert any(s.schedule == "concurrent" for s in forced.stats.passes)
+    reference = _run(graph, "list_forest", "serial", seed=5, palettes=palettes)
+    got = _run(graph, "list_forest", "concurrent", seed=5, palettes=palettes)
+    assert got.coloring == reference.coloring
+    assert got.rounds.total == reference.rounds.total
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +259,7 @@ def test_forced_parallel_leg_matches(monkeypatch):
 
 def test_pass_stats_surface_on_results():
     graph, _ = _corpus()[0]
-    result = _run(graph, "forest", "serial", 0, seed=3)
+    result = _run(graph, "forest", "serial", seed=3)
     passes = result.stats["passes"]
     assert [p.name for p in passes] == [
         "setup", "algorithm2", "leftover_recolor", "diameter_reduce",
@@ -302,7 +281,7 @@ def test_pass_stats_surface_on_results():
 
 def test_star_forest_stats_keep_alias_keys():
     graph = union_of_random_forests(40, 2, seed=4, simple=True)
-    result = _run(graph, "star_forest", "serial", 0, seed=4)
+    result = _run(graph, "star_forest", "serial", seed=4)
     payload = result.stats.to_json()
     # Legacy reader contract: the old computed key survives as an alias.
     assert payload["max_deficit"] == result.stats.max_deficit

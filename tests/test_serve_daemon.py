@@ -19,6 +19,7 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 import time
 
 import numpy as np
@@ -27,7 +28,6 @@ import pytest
 import repro
 from repro import DecompositionConfig, GraphError
 from repro.graph.generators import union_of_random_forests
-from repro.parallel.engine import pool_stats
 from repro.service import checkpoint as checkpoint_mod
 from repro.service.checkpoint import Checkpointer, restore_session
 from repro.service.client import ServeClient, ServeError
@@ -80,6 +80,37 @@ def test_checkpoint_round_trip(tmp_path):
         == session.current("orientation").coloring
     )
     # chains continue identically from the restored position
+    a = session.apply_delta(inserts=[(5, 6)])
+    b = twin.apply_delta(inserts=[(5, 6)])
+    assert a.chain == b.chain and a.inserted == b.inserted
+
+
+def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
+    """Checkpoints written while the config still had a ``workers``
+    field carry ``"workers": n`` in every config payload; resuming one
+    must drop the key and rebuild a bit-identical state."""
+    session = make_session(seed=4)
+    session.apply_delta(inserts=[(0, 1), (2, 3)])
+    ckpt = Checkpointer(str(tmp_path))
+    generation = ckpt.checkpoint(session)
+    ckpt.close()
+
+    state_path = tmp_path / f"state-{generation:06d}.json"
+    meta = json.loads(state_path.read_text(encoding="utf-8"))
+    meta["config"]["workers"] = 2
+    for entry in meta["watches"]:
+        entry["config"]["workers"] = 2
+    state_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
+
+    restored = checkpoint_mod.load(str(tmp_path))
+    assert restored.config == session.config
+    twin = restore_session(restored)
+    assert twin.content_digest() == session.content_digest()
+    assert twin.fingerprint() == session.fingerprint()
+    assert (
+        twin.current("orientation").coloring
+        == session.current("orientation").coloring
+    )
     a = session.apply_delta(inserts=[(5, 6)])
     b = twin.apply_delta(inserts=[(5, 6)])
     assert a.chain == b.chain and a.inserted == b.inserted
@@ -219,12 +250,12 @@ def test_daemon_error_paths(daemon):
 
 
 def test_daemon_shutdown_reclaims_worker_pools(tmp_path):
-    """SIGTERM-path regression: stop() must leave zero live pools (the
-    shared engine pools are process-global; a daemon that exits without
-    engine shutdown leaks its worker threads)."""
+    """SIGTERM-path regression: stop() must leave no thread the daemon
+    started running, and checkpoint on exit."""
+    threads_before = set(threading.enumerate())
     server = ReproServer(
         checkpoint_dir=str(tmp_path),
-        config=DecompositionConfig(backend="parallel", workers=2),
+        config=DecompositionConfig(backend="parallel"),
     )
     server.start()
     client = ServeClient(*server.address[:2])
@@ -236,8 +267,12 @@ def test_daemon_shutdown_reclaims_worker_pools(tmp_path):
     client.close()
     assert server.wait_for_shutdown(10)
     server.stop()
-    stats = pool_stats()
-    assert stats["pools"] == 0
+    deadline = time.monotonic() + 10.0
+    leftover = [t for t in threading.enumerate() if t not in threads_before]
+    while leftover and time.monotonic() < deadline:
+        leftover[0].join(timeout=0.1)
+        leftover = [t for t in leftover if t.is_alive()]
+    assert leftover == []
     if os.path.isdir("/dev/shm"):
         leaked = [
             name for name in os.listdir("/dev/shm")

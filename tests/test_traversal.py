@@ -1,5 +1,6 @@
 """Tests for BFS / neighborhood / power-graph utilities."""
 
+import numpy as np
 import pytest
 
 from repro.errors import GraphError
@@ -204,7 +205,6 @@ def _three_component_graph():
 
 def test_bfs_distance_array_multi_seed_disconnected():
     from repro.graph.csr import bfs_distance_array, snapshot_of
-    from repro.parallel import parallel_bfs_distance_array, engine_for
 
     g = _three_component_graph()
     snap = snapshot_of(g)
@@ -212,12 +212,6 @@ def test_bfs_distance_array_multi_seed_disconnected():
     dist = bfs_distance_array(offsets, nbr, n, [0, 4])
     # Seeds reach only their own components; everything else stays -1.
     assert dist.tolist() == [0, 1, 2, 3, 0, 1, 1, -1, -1]
-    for workers in (1, 2, 4):
-        engine = engine_for(snap, workers)
-        engine.min_gather_work = 0  # open the gate on this toy graph
-        assert parallel_bfs_distance_array(
-            offsets, nbr, n, [0, 4], engine=engine
-        ).tolist() == dist.tolist()
     # The dict-facing entry point agrees across all three backends.
     for backend in ("dict", "csr", "parallel"):
         assert bfs_distances(g, [0, 4], backend=backend) == {
@@ -227,20 +221,17 @@ def test_bfs_distance_array_multi_seed_disconnected():
 
 def test_bfs_distance_array_empty_seed_set():
     from repro.graph.csr import bfs_distance_array, snapshot_of
-    from repro.parallel import parallel_bfs_distance_array
 
     g = _three_component_graph()
     snap = snapshot_of(g)
     args = (snap.vertex_offsets, snap.neighbor_ids, snap.num_vertices, [])
     assert bfs_distance_array(*args).tolist() == [-1] * g.n
-    assert parallel_bfs_distance_array(*args).tolist() == [-1] * g.n
     for backend in ("dict", "csr", "parallel"):
         assert bfs_distances(g, [], backend=backend) == {}
 
 
 def test_bfs_distance_array_single_vertex_component():
     from repro.graph.csr import bfs_distance_array, snapshot_of
-    from repro.parallel import parallel_bfs_distance_array, engine_for
 
     g = _three_component_graph()
     snap = snapshot_of(g)
@@ -249,9 +240,6 @@ def test_bfs_distance_array_single_vertex_component():
     expected = [-1] * n
     expected[7] = 0
     assert dist.tolist() == expected
-    assert parallel_bfs_distance_array(
-        offsets, nbr, n, [7], engine=engine_for(snap, 2)
-    ).tolist() == expected
     for backend in ("dict", "csr", "parallel"):
         assert bfs_distances(g, [7], backend=backend) == {7: 0}
         assert diameter_of_component(g, [7], backend=backend) == 0
@@ -259,6 +247,9 @@ def test_bfs_distance_array_single_vertex_component():
 
 
 def test_bfs_backends_agree_on_radius_capped_multi_seed():
+    from repro.graph.csr import bfs_distance_array, snapshot_of
+    from repro.graph.generators import preferential_attachment
+
     g = _three_component_graph()
     for radius in (0, 1, 2):
         reference = bfs_distances(g, [0, 4, 8], radius=radius, backend="dict")
@@ -266,6 +257,22 @@ def test_bfs_backends_agree_on_radius_capped_multi_seed():
             assert bfs_distances(
                 g, [0, 4, 8], radius=radius, backend=backend
             ) == reference
+
+    # Dense waves: on a preferential-attachment graph the frontier's
+    # half-edges soon reach n / 8, where bfs_distance_array dedups with
+    # a scatter mask instead of a sort.
+    pa = preferential_attachment(3000, 3, seed=5)
+    snap = snapshot_of(pa)
+    offsets, nbr, n = snap.vertex_offsets, snap.neighbor_ids, snap.num_vertices
+    for seeds in ([0], [2999], list(range(0, 3000, 47))):
+        for radius in (None, 1, 2, 3):
+            reference = bfs_distances(pa, seeds, radius=radius, backend="dict")
+            dist = bfs_distance_array(offsets, nbr, n, seeds, radius)
+            reached = {
+                int(snap.vertex_ids[i]): int(dist[i])
+                for i in np.flatnonzero(dist >= 0)
+            }
+            assert reached == reference
 
 
 def test_weak_diameter_backends_agree():

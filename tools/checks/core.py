@@ -32,8 +32,9 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: packages whose modules are "kernel" scope: they implement the
-#: deterministic substrate (wave engine, CSR kernel, decomposition
-#: algorithms, pass scheduler), so the determinism rules apply in full.
+#: deterministic substrate (reconcile primitives, CSR kernel,
+#: decomposition algorithms, pass scheduler), so the determinism rules
+#: apply in full.
 KERNEL_PACKAGES = (
     "repro/parallel",
     "repro/graph",
@@ -43,8 +44,9 @@ KERNEL_PACKAGES = (
 
 #: the only functions allowed to read the process environment: every
 #: other callsite must go through them so each knob is read exactly
-#: once (the PR 5 pool-lifecycle rule).
-SANCTIONED_ENV_READERS = frozenset({"_env_flag", "_env_default_workers"})
+#: once.  The library has no environment knobs, so none is sanctioned
+#: and ``det-env`` flags every read in ``src``.
+SANCTIONED_ENV_READERS: frozenset = frozenset()
 
 PRAGMA_RULE = "pragma"
 

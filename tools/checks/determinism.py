@@ -1,7 +1,7 @@
 """Determinism lint: rules over the kernel packages.
 
 The library's core guarantee is that every decomposition is
-bit-identical across backends × workers × shards × schedules.  These
+bit-identical across backends × schedules.  These
 rules flag the constructs that historically (or structurally) break it:
 
 * ``det-hash`` — ``hash()`` on anything.  ``hash(str)`` is randomized
@@ -23,9 +23,10 @@ rules flag the constructs that historically (or structurally) break it:
   legitimate for observability (PassStats timing) and need a pragma
   saying so.
 * ``det-env`` — ``os.environ`` / ``os.getenv`` outside the sanctioned
-  single-read helpers (:data:`~tools.checks.core.SANCTIONED_ENV_READERS`).
-  Scattered env reads made the PR 4 pools re-read knobs mid-run; every
-  knob is read exactly once, in one named place.
+  single-read helpers (:data:`~tools.checks.core.SANCTIONED_ENV_READERS`,
+  empty: the library has no environment knobs).  Scattered env reads
+  let a knob be re-read mid-run; a knob, if one is ever added, is read
+  exactly once, in one named place.
 
 ``det-env`` applies to all of ``src``; the others are kernel-only
 (``src/repro/{parallel,graph,decomposition,pipeline}``).
@@ -303,10 +304,10 @@ class EnvReadRule(Rule):
                 continue
             yield self.finding(
                 module, node,
-                f"{hit}: knobs are read exactly once via the sanctioned "
-                "helpers (" + ", ".join(sorted(SANCTIONED_ENV_READERS))
-                + "); scattered reads let mid-run env changes perturb "
-                "results",
+                f"{hit}: environment reads belong in a sanctioned "
+                "single-read helper (SANCTIONED_ENV_READERS in "
+                "tools/checks/core.py); scattered reads let mid-run env "
+                "changes perturb results",
             )
 
 

@@ -1,11 +1,12 @@
 """Fan-out race detector.
 
-Closures handed to the concurrency seams — ``ctx.fan_out`` thunks,
-``engine.gather``/``wave``/``scan_shards``/``map_ranges`` kernels, pool
-``submit`` — may run on wave-engine threads.  The engine's determinism
-contract requires them to *only read frozen shared state*: all writes
-to shared state belong in the reconcile phase (or the in-order loop
-over returned thunk results).  PR 7's star-forest bug was exactly a
+Closures handed to the concurrency seams — ``ctx.fan_out`` thunks
+(which a batched kernel may replace under the concurrent schedule),
+``gather``/``wave``/``scan_shards``/``map_ranges`` kernels, pool
+``submit`` — may run out of order or on other threads.  Determinism
+requires them to *only read frozen shared state*: all writes to shared
+state belong in the reconcile phase (or the in-order loop over
+returned thunk results).  PR 7's star-forest bug was exactly a
 fanned thunk accumulating ``stats.dummy_slots`` through its closure —
 correct serially, a lost-update race concurrently; the fix moved the
 accumulation into thunk return values.
