@@ -35,7 +35,7 @@ check:
 # cascades at n >= 50k), the scatter-dedup BFS vs the sort-dedup BFS
 # (>= 1.5x on dense-frontier workloads at n >= 50k), the simultaneous
 # carve rule vs the doubling csr carve (>= 1.5x at n >= 50k), the
-# concurrent pass schedule vs the serial depth_cut sweep (>= 1.3x at
+# stacked csr depth_cut vs the per-class rooting sweep (>= 1.3x at
 # n >= 50k, cuts identical), the delta engine vs full recompute, and
 # the out-of-core leg (a 10^7-edge memmap ingest + decompose in a
 # fresh subprocess, peak RSS <= ~2x the on-disk snapshot);

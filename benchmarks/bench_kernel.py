@@ -26,14 +26,12 @@ Seven sections, one per substrate milestone:
   workloads (multi-seed reachability, per-color-class sub-CSR scans:
   O(n + h) scatter vs. O(h log h) sort per wave) with distances
   asserted identical; sparse-frontier BFS is reported unasserted.
-* ``bench_passes`` — the pass scheduler's concurrent color-class
-  batching (``schedule="concurrent"``) vs. the serial per-class sweep
-  on ``depth_cut`` at n >= 50k.  The serial schedule roots each color
-  forest with its own union-find + BFS; the concurrent schedule stacks
-  every array-eligible class into one ``rooted_forest_class_depths``
-  call (the speedup is algorithmic batching).  Asserts >= 1.3x with
-  kept/deleted/deletion_tail asserted identical to the serial
-  reference — the pipeline determinism contract.
+* ``bench_passes`` — the csr ``depth_cut`` (every color class rooted
+  in one stacked ``rooted_forest_class_depths`` call) vs. a bench-local
+  copy of the per-class sweep it replaced (``rooted_forest_arrays``
+  per class of 64+ edges, ``RootedForest`` below that).  Asserts
+  >= 1.3x at n >= 50k with kept/deleted/deletion_tail asserted
+  identical; smaller rows are reported unasserted.
 * ``bench_carve`` — the simultaneous carve rule
   (``carve_rule="simultaneous"``) vs. the doubling rule's sequential
   ball-at-a-time carve at n >= 50k.  The doubling rule grows one ball
@@ -871,7 +869,7 @@ def run_carve_comparison():
 
 
 # ----------------------------------------------------------------------
-# Concurrent pass schedule vs serial per-class sweep (PR-7)
+# Stacked depth cut vs the per-class sweep
 # ----------------------------------------------------------------------
 
 PASSES_REPEATS = 3
@@ -897,9 +895,58 @@ def forest_coloring_graph(n, k, seed):
     return graph, coloring
 
 
-# Many mid-sized classes are the serial schedule's worst case: each
-# class pays its own union-find rooting + per-class BFS, while the
-# concurrent schedule stacks them all into one array pass.
+def per_class_depth_cut(graph, coloring, z, seed):
+    """The csr ``depth_cut`` as it was before the stacked rooting:
+    each class of 64+ edges is rooted on its own with
+    ``rooted_forest_arrays`` (a union-find + BFS per class), smaller
+    ones with ``RootedForest``.  Same residue stream, so it returns
+    the same ``(kept, deleted, deletion_tail)``."""
+    import numpy as np
+
+    from repro.graph import RootedForest, rooted_forest_arrays
+    from repro.graph.forests import color_classes
+    from repro.rng import make_rng
+
+    rng = make_rng(seed)
+    snap = snapshot_of(graph)
+    kept, deleted, deletion_tail = {}, [], {}
+    for color, eids in sorted(color_classes(coloring).items()):
+        if len(eids) < 64:
+            forest = RootedForest(graph, eids)
+            residue = rng.randrange(z)
+            cut_edges = set(forest.edges_at_depth_residue(residue, z))
+            for eid in eids:
+                if eid in cut_edges:
+                    u, v = graph.endpoints(eid)
+                    deleted.append(eid)
+                    deletion_tail[eid] = (
+                        u if forest.depth[u] > forest.depth[v] else v
+                    )
+                else:
+                    kept[eid] = color
+            continue
+        depth = rooted_forest_arrays(snap, eids).depth
+        residue = rng.randrange(z)
+        positions = snap.edge_positions(eids)
+        du = depth[snap.edge_u[positions]]
+        dv = depth[snap.edge_v[positions]]
+        child_ids = np.where(
+            du > dv, snap.edge_u_ids[positions], snap.edge_v_ids[positions]
+        )
+        is_cut = (np.maximum(du, dv) % z) == residue
+        for eid, cut, child in zip(eids, is_cut.tolist(), child_ids.tolist()):
+            if cut:
+                deleted.append(eid)
+                deletion_tail[eid] = int(child)
+            else:
+                kept[eid] = color
+    return kept, deleted, deletion_tail
+
+
+# (name, asserted, factory).  Many mid-sized classes are the per-class
+# sweep's worst case: each class pays its own union-find rooting and
+# BFS, while the stacked rooting handles every class in one array
+# pass.  The small rows are reported unasserted.
 PASSES_WORKLOADS = [
     (
         "forest-classes n=60k k=8",
@@ -911,6 +958,16 @@ PASSES_WORKLOADS = [
         True,
         lambda: forest_coloring_graph(50_000, 12, seed=2),
     ),
+    (
+        "forest-classes n=600 k=3",
+        False,
+        lambda: forest_coloring_graph(600, 3, seed=3),
+    ),
+    (
+        "forest-classes n=3000 k=20",
+        False,
+        lambda: forest_coloring_graph(3_000, 20, seed=4),
+    ),
 ]
 
 
@@ -921,33 +978,30 @@ def run_passes_comparison():
     for name, assertable, make in PASSES_WORKLOADS:
         graph, coloring = make()
 
-        def run(schedule):
+        def stacked():
             return depth_cut(
-                graph,
-                coloring,
-                PASSES_Z,
-                seed=PASSES_SEED,
-                backend="csr",
-                schedule=schedule,
+                graph, coloring, PASSES_Z, seed=PASSES_SEED, backend="csr"
             )
 
-        # Bit-identical cuts across schedules — the pipeline
-        # determinism contract (serial is the reference schedule).
-        reference = run("serial")
-        result = run("concurrent")
-        assert result.kept == reference.kept
-        assert result.deleted == reference.deleted
-        assert result.deletion_tail == reference.deletion_tail
-        serial_ms = _best(lambda: run("serial"), PASSES_REPEATS) * 1e3
-        conc_ms = _best(lambda: run("concurrent"), PASSES_REPEATS) * 1e3
-        speedup = serial_ms / conc_ms
+        def per_class():
+            return per_class_depth_cut(
+                graph, coloring, PASSES_Z, PASSES_SEED
+            )
+
+        result = stacked()
+        assert (
+            result.kept, result.deleted, result.deletion_tail
+        ) == per_class()
+        per_class_ms = _best(per_class, PASSES_REPEATS) * 1e3
+        stacked_ms = _best(stacked, PASSES_REPEATS) * 1e3
+        speedup = per_class_ms / stacked_ms
         rows.append(
             (
                 name,
                 graph.n,
                 graph.m,
-                f"{serial_ms:.1f}",
-                f"{conc_ms:.1f}",
+                f"{per_class_ms:.1f}",
+                f"{stacked_ms:.1f}",
                 f"{speedup:.2f}x",
             )
         )
@@ -956,8 +1010,8 @@ def run_passes_comparison():
                 "workload": name,
                 "n": graph.n,
                 "m": graph.m,
-                "serial_ms": round(serial_ms, 3),
-                "concurrent_ms": round(conc_ms, 3),
+                "per_class_ms": round(per_class_ms, 3),
+                "stacked_ms": round(stacked_ms, 3),
                 "speedup": round(speedup, 3),
             }
         )
@@ -967,13 +1021,13 @@ def run_passes_comparison():
     emit(
         "passes",
         format_table(
-            "Concurrent pass schedule vs serial depth_cut sweep (n >= 50k)",
+            "Stacked depth_cut vs per-class sweep (asserted at n >= 50k)",
             [
                 "workload",
                 "n",
                 "m",
-                "serial ms",
-                "concurrent ms",
+                "per-class ms",
+                "stacked ms",
                 "speedup",
             ],
             rows,
@@ -983,7 +1037,7 @@ def run_passes_comparison():
         "BENCH_passes",
         {
             "bench": "passes",
-            "schema_version": 2,
+            "schema_version": 3,
             "mode": "snapshot" if SNAPSHOT_MODE else "assert",
             "threshold": PASSES_SPEEDUP_FLOOR,
             "rows": json_rows,
@@ -997,9 +1051,9 @@ def run_passes_comparison():
     if not SNAPSHOT_MODE:
         for name, speedup in asserted:
             assert speedup >= PASSES_SPEEDUP_FLOOR, (
-                f"{name}: concurrent-schedule speedup {speedup:.2f}x < "
-                f"{PASSES_SPEEDUP_FLOOR}x at n >= 50k — the concurrent "
-                "schedule's reason to exist"
+                f"{name}: stacked depth-cut speedup {speedup:.2f}x < "
+                f"{PASSES_SPEEDUP_FLOOR}x at n >= 50k — the stacked "
+                "rooting's reason to exist"
             )
     return rows
 

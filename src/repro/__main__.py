@@ -9,7 +9,7 @@ Usage examples::
     python -m repro decompose graph.txt --task forest --json
     python -m repro decompose graph.txt --task list_forest \\
         --palettes palettes.txt --epsilon 1.0
-    python -m repro decompose graph.txt --schedule concurrent --profile
+    python -m repro decompose graph.txt --profile
     python -m repro describe list_forest
     python -m repro generate forest-union --n 100 --alpha 4 --out graph.txt
 
@@ -177,17 +177,16 @@ def _print_pass_profile(result) -> None:
         print("(no per-pass records on this result)")
         return
     header = (
-        f"{'pass':<18} {'sched':<10} {'wall_ms':>9} {'rounds':>7} "
-        f"{'waves':>6} {'items':>7} {'reconcile':>9} {'touched':>8}"
+        f"{'pass':<18} {'wall_ms':>9} {'rounds':>7} "
+        f"{'items':>7} {'reconcile':>9} {'touched':>8}"
     )
     print(header)
     print("-" * len(header))
     for record in passes:
         print(
-            f"{record.name:<18} {record.schedule:<10} "
-            f"{record.wall_ms:>9.2f} {record.rounds:>7} "
-            f"{record.engine_waves:>6} {record.items:>7} "
-            f"{record.reconcile_volume:>9} {record.vertices_touched:>8}"
+            f"{record.name:<18} {record.wall_ms:>9.2f} {record.rounds:>7} "
+            f"{record.items:>7} {record.reconcile_volume:>9} "
+            f"{record.vertices_touched:>8}"
         )
 
 
@@ -205,7 +204,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         cut_rule=args.cut_rule,
         carve_rule=args.carve_rule,
         validation=args.validation,
-        schedule=args.schedule,
     )
     from .core.registry import get_task
     from .errors import RegistryError
@@ -394,14 +392,10 @@ def main(argv=None) -> int:
                        choices=("doubling", "simultaneous"))
     p_dec.add_argument("--validation", default="basic",
                        choices=("none", "basic", "full"))
-    p_dec.add_argument("--schedule", default="auto",
-                       choices=("auto", "serial", "concurrent"),
-                       help="pass-DAG execution mode (outputs are "
-                       "identical; auto gates on graph size)")
     p_dec.add_argument("--profile", action="store_true",
                        help="print the executed per-pass records "
-                       "(wall time, rounds, engine waves, reconcile "
-                       "volume) after the run")
+                       "(wall time, rounds, fan-out items, reconcile "
+                       "volume, vertices touched) after the run")
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_desc = sub.add_parser(

@@ -9,7 +9,7 @@ funneled through one shim (:func:`_config_from_kwargs`) into a
 :class:`~repro.core.config.DecompositionConfig` before dispatching
 through :func:`repro.decompose`.  The wrappers, the
 :class:`~repro.core.session.Session` workflow, and the CLI therefore
-share one code path (and one ``backend=`` / ``schedule=`` seam).
+share one code path (and one ``backend=`` seam).
 Return shapes are unchanged — result objects where they always were,
 ``(coloring, bound)`` tuples where they always were — so existing code
 and the golden regressions are untouched.  The per-knob keyword
@@ -148,7 +148,6 @@ def forest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> ForestDecompositionResult:
     """(1+ε)α forest decomposition of a multigraph (Theorem 4.6).
@@ -183,15 +182,13 @@ def forest_decomposition(
     every edge id to a forest index, with ``colors_used`` and charged
     LOCAL ``rounds``; the result implements the uniform protocol
     (``forests()``, ``coloring_array()``, ``validate()``, ``to_json()``).
-    ``schedule`` picks the pass-DAG execution mode (``"auto"`` /
-    ``"serial"`` / ``"concurrent"``; outputs identical either way); or
-    pass ``config=`` to skip the per-knob keywords entirely.
+    Pass ``config=`` to skip the per-knob keywords entirely.
     """
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
         diameter_mode=diameter_mode, cut_rule=cut_rule,
-        carve_rule=carve_rule, schedule=schedule,
+        carve_rule=carve_rule,
     )
     return decompose(graph, task="forest", config=config, rounds=rounds)
 
@@ -209,7 +206,6 @@ def list_forest_decomposition(
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
     backend: str = "auto",
-    schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> ListForestDecompositionResult:
     """(1+ε)α list-forest decomposition of a multigraph (Theorem 4.10).
@@ -221,7 +217,7 @@ def list_forest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        cut_rule=cut_rule, schedule=schedule,
+        cut_rule=cut_rule,
     )
     return decompose(
         graph, task="list_forest", config=config, rounds=rounds,
@@ -238,7 +234,6 @@ def star_forest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> StarForestResult:
     """(1+O(ε))α star-forest decomposition of a simple graph
@@ -246,7 +241,6 @@ def star_forest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        schedule=schedule,
     )
     return decompose(graph, task="star_forest", config=config, rounds=rounds)
 
@@ -260,7 +254,6 @@ def list_star_forest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> StarForestResult:
     """List star-forest decomposition of a simple graph.
@@ -271,7 +264,6 @@ def list_star_forest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        schedule=schedule,
     )
     return decompose(
         graph, task="list_star_forest", config=config, rounds=rounds,
@@ -287,7 +279,6 @@ def pseudoforest_decomposition(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> Tuple[Dict[int, int], int]:
     """(1+ε)α pseudoforest decomposition (the Corollary 1.1 companion).
@@ -298,7 +289,6 @@ def pseudoforest_decomposition(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        schedule=schedule,
     )
     result = decompose(
         graph, task="pseudoforest", config=config, rounds=rounds,
@@ -315,7 +305,6 @@ def low_outdegree_orientation(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
-    schedule: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> Tuple[Orientation, int]:
     """A (1+ε)α-orientation (Corollary 1.1); returns (orientation,
@@ -325,7 +314,6 @@ def low_outdegree_orientation(
     config = _config_from_kwargs(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
-        schedule=schedule,
     )
     result = decompose(
         graph, task="orientation", config=config, rounds=rounds,

@@ -33,12 +33,6 @@ Semantics of the shared fields:
 * ``validation`` — ``"none"`` (default), ``"basic"`` (structural
   checks via :mod:`repro.verify` after the run), or ``"full"``
   (structure + palette membership where applicable).
-* ``schedule`` — how the task's declared pass pipeline executes:
-  ``"serial"`` (topological order, the bit-identical reference),
-  ``"concurrent"`` (per-color-class fan-outs run through a batched
-  kernel where the pass provides one), or ``"auto"`` (default;
-  concurrent at ``n >= 50k``).  Outputs are bit-identical across
-  schedules — purely a throughput knob.
 * ``delta_mode`` — how :meth:`~repro.core.session.Session.apply_delta`
   maintains watched decompositions under edge-stream mutations:
   ``"auto"`` (default; repair the dirty cascade incrementally, fall
@@ -66,7 +60,6 @@ from ..rng import SeedLike
 
 VALIDATION_LEVELS = ("none", "basic", "full")
 CARVE_RULES = ("doubling", "simultaneous")
-SCHEDULE_MODES = ("auto", "serial", "concurrent")
 DELTA_MODES = ("auto", "incremental", "full")
 
 
@@ -82,7 +75,6 @@ class DecompositionConfig:
     cut_rule: str = "depth_residue"
     carve_rule: str = "doubling"
     validation: str = "none"
-    schedule: str = "auto"
     delta_mode: str = "auto"
     delta_threshold: float = 0.25
     options: Dict[str, Any] = field(default_factory=dict)
@@ -101,11 +93,6 @@ class DecompositionConfig:
             raise ValidationError(
                 f"unknown carve_rule {self.carve_rule!r}; "
                 f"expected one of {CARVE_RULES}"
-            )
-        if self.schedule not in SCHEDULE_MODES:
-            raise ValidationError(
-                f"unknown schedule {self.schedule!r}; "
-                f"expected one of {SCHEDULE_MODES}"
             )
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValidationError(
@@ -163,15 +150,27 @@ class DecompositionConfig:
 
         Unknown keys raise so that configs written by a newer library
         version fail loudly instead of being silently truncated.  The
-        one exception is ``workers``, the retired thread-count field:
-        checkpoints and daemon payloads written before its removal
-        carry it, so a non-negative int there is accepted and dropped.
+        exceptions are the retired ``workers`` (thread count) and
+        ``schedule`` (pass-execution mode) fields: checkpoints and
+        daemon payloads written before their removal carry them, so a
+        value the old field accepted is dropped and any other value
+        (a bool included) raises.
         """
         payload = dict(payload)
         workers = payload.pop("workers", 0)
-        if not isinstance(workers, int) or workers < 0:
+        if (
+            not isinstance(workers, int)
+            or isinstance(workers, bool)
+            or workers < 0
+        ):
             raise ValidationError(
                 f"workers must be a nonnegative int, got {workers!r}"
+            )
+        schedule = payload.pop("schedule", "auto")
+        if schedule not in ("auto", "serial", "concurrent"):
+            raise ValidationError(
+                f"schedule must be 'auto', 'serial' or 'concurrent', "
+                f"got {schedule!r}"
             )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known

@@ -28,38 +28,27 @@ max out-degree certifies their pseudo-arboricity.
 Backends: ``depth_cut`` / ``reduce_diameter`` accept the shared
 ``backend`` knob.  The dict path (default for direct callers) roots
 every color class with :class:`~repro.graph.forests.RootedForest`; the
-kernel path roots large classes on flat arrays
-(:func:`~repro.graph.csr.rooted_forest_arrays` — identical root
-selection and depths, one vectorized multi-source BFS per class).
-Small color classes stay on the dict path under any kernel backend
-(the array extraction costs more than the walk there); every path
-produces byte-identical cuts because tree depths are unique.
+kernel path roots all color classes in one stacked call
+(:func:`~repro.graph.csr.rooted_forest_class_depths` — identical root
+selection and depths).  Both paths produce byte-identical cuts because
+tree depths are unique.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 import numpy as np
 
 from ..errors import DecompositionError
-from ..graph.csr import (
-    resolve_backend,
-    rooted_forest_arrays,
-    rooted_forest_class_depths,
-    snapshot_of,
-)
+from ..graph.csr import resolve_backend, rooted_forest_class_depths, snapshot_of
 from ..graph.forests import RootedForest, color_classes
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..rng import SeedLike, make_rng
 
 Coloring = Dict[int, int]
-
-#: color classes below this edge count keep the dict rooting — the
-#: sub-CSR extraction costs more than the walk (outputs identical).
-DEPTH_CUT_ARRAYS_MIN_EDGES = 64
 
 
 class DiameterReductionResult:
@@ -91,21 +80,15 @@ def depth_cut(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "dict",
-    schedule: str = "serial",
 ) -> DiameterReductionResult:
     """Cut every color forest at a random depth residue mod ``z``.
 
     The result's trees have strong diameter at most ``2(z-1)``.  Every
     backend produces the same cuts (see the module docstring); the
     default stays on the dict reference path, the pipelines pass their
-    own backend through.
-
-    ``schedule="concurrent"`` (from the pass scheduler) roots *all*
-    array-eligible color classes in one stacked
-    :func:`~repro.graph.csr.rooted_forest_class_depths` call instead of
-    a per-class union-find + BFS — identical roots, depths and cuts,
-    with the per-class residue draws kept in the same sorted-color
-    order (rooting consumes no randomness).
+    own backend through.  One residue is drawn per color class in
+    sorted color order on every backend (rooting consumes no
+    randomness).
     """
     if z < 1:
         raise DecompositionError(f"z must be >= 1, got {z}")
@@ -113,49 +96,21 @@ def depth_cut(
     rng = make_rng(seed)
     resolved = resolve_backend(graph, backend, DecompositionError)
     classes = sorted(color_classes(coloring).items())
-    batched: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-    if schedule == "concurrent" and resolved == "csr":
-        snap = snapshot_of(graph)
-        eligible = [
-            i
-            for i, (_color, eids) in enumerate(classes)
-            if len(eids) >= DEPTH_CUT_ARRAYS_MIN_EDGES
-        ]
-        if eligible:
-            per_class, _waves = rooted_forest_class_depths(
-                snap,
-                [snap.edge_positions(classes[i][1]) for i in eligible],
-            )
-            batched = dict(zip(eligible, per_class))
     kept: Coloring = {}
     deleted: List[int] = []
     deletion_tail: Dict[int, int] = {}
-    for index, (color, eids) in enumerate(classes):
-        use_arrays = (
-            resolved == "csr"
-            and len(eids) >= DEPTH_CUT_ARRAYS_MIN_EDGES
+    if resolved == "csr":
+        snap = snapshot_of(graph)
+        per_class, _waves = rooted_forest_class_depths(
+            snap, [snap.edge_positions(eids) for _color, eids in classes]
         )
-        if use_arrays:
-            if index in batched:
-                du, dv, child_ids = batched[index]
-                residue = rng.randrange(z)
-            else:
-                snap = snapshot_of(graph)
-                arrays = rooted_forest_arrays(snap, eids)
-                residue = rng.randrange(z)
-                positions = snap.edge_positions(eids)
-                du = arrays.depth[snap.edge_u[positions]]
-                dv = arrays.depth[snap.edge_v[positions]]
-                child_ids = np.where(
-                    du > dv,
-                    snap.edge_u_ids[positions],
-                    snap.edge_v_ids[positions],
-                )
+        for (color, eids), (du, dv, child_ids) in zip(classes, per_class):
+            residue = rng.randrange(z)
             # The child endpoint of a forest edge is the deeper one
             # (depths differ by exactly 1); cutting the parent edges of
             # vertices at depth ≡ residue (mod z) is cutting the edges
             # whose child depth hits the residue.
-            is_cut = (np.maximum(du, dv) % z) == (residue % z)
+            is_cut = (np.maximum(du, dv) % z) == residue
             for eid, cut, child in zip(
                 eids, is_cut.tolist(), child_ids.tolist()
             ):
@@ -163,19 +118,20 @@ def depth_cut(
                     deleted.append(eid)
                     deletion_tail[eid] = int(child)
                 else:
-                    kept[eid] = coloring[eid]
-            continue
-        forest = RootedForest(graph, eids)
-        residue = rng.randrange(z)
-        cut_edges = set(forest.edges_at_depth_residue(residue, z))
-        for eid in eids:
-            if eid in cut_edges:
-                u, v = graph.endpoints(eid)
-                child = u if forest.depth[u] > forest.depth[v] else v
-                deleted.append(eid)
-                deletion_tail[eid] = child
-            else:
-                kept[eid] = coloring[eid]
+                    kept[eid] = color
+    else:
+        for color, eids in classes:
+            forest = RootedForest(graph, eids)
+            residue = rng.randrange(z)
+            cut_edges = set(forest.edges_at_depth_residue(residue, z))
+            for eid in eids:
+                if eid in cut_edges:
+                    u, v = graph.endpoints(eid)
+                    child = u if forest.depth[u] > forest.depth[v] else v
+                    deleted.append(eid)
+                    deletion_tail[eid] = child
+                else:
+                    kept[eid] = color
     # Rooting + cutting is O(z) rounds distributed (depth mod z is known
     # within z hops of the root segment); we charge the target diameter.
     counter.charge(2 * z, "depth-cut diameter reduction")
@@ -248,7 +204,6 @@ def reduce_diameter(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     backend: str = "dict",
-    schedule: str = "serial",
 ) -> DiameterReductionResult:
     """Corollary 2.5 front-end: pick ``z`` by regime.
 
@@ -258,8 +213,8 @@ def reduce_diameter(
       with per-vertex load ~ εα/20 in expectation at any α.
     * ``mode="auto"``: strong when α ≥ log₂ n, else safe.
 
-    ``backend`` selects the rooting substrate per color
-    class (see :func:`depth_cut`); cuts are identical on every backend.
+    ``backend`` selects the rooting substrate (see :func:`depth_cut`);
+    cuts are identical on every backend.
     """
     n = max(graph.n, 2)
     if mode == "auto":
@@ -271,6 +226,5 @@ def reduce_diameter(
     else:
         raise DecompositionError(f"unknown diameter-reduction mode {mode!r}")
     return depth_cut(
-        graph, coloring, z, seed=seed, rounds=rounds,
-        backend=backend, schedule=schedule,
+        graph, coloring, z, seed=seed, rounds=rounds, backend=backend
     )

@@ -54,7 +54,7 @@ from ..decomposition.hpartition import (
     star_forest_decomposition_via_hpartition,
 )
 from ..decomposition.network_decomposition import network_decomposition
-from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler, resolve_schedule
+from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler
 from .algorithm_stats import TaskStats
 from .augmenting import AugmentationStats, augment_edge
 from .cut import CutController, is_cut_good
@@ -456,7 +456,6 @@ def _forest_diameter_reduce(ctx: PipelineContext) -> None:
             seed=child_rng(ctx["rng"], "diam"),
             rounds=counter,
             backend=ctx["backend"],
-            schedule=ctx.schedule,
         )
         ctx["coloring"] = dict(reduction.kept)
         ctx["next_color"] = _recolor_fresh(
@@ -497,8 +496,7 @@ def _forest_finalize(ctx: PipelineContext) -> None:
 
 
 #: Theorem 4.6 as a declared pass DAG (a dependency chain: each stage
-#: consumes the previous stage's coloring, so levels are singletons and
-#: the concurrency lives inside the diameter pass's batched rooting).
+#: consumes the previous stage's coloring, so levels are singletons).
 FOREST_PIPELINE = Pipeline(
     "forest",
     [
@@ -557,7 +555,6 @@ def forest_decomposition_algorithm2(
     search_radius: Optional[int] = None,
     backend: str = "auto",
     carve_rule: str = "doubling",
-    schedule: str = "auto",
 ) -> ForestDecompositionResult:
     """Theorem 4.6: a (1+ε)α-forest decomposition of a multigraph.
 
@@ -568,10 +565,8 @@ def forest_decomposition_algorithm2(
     pass then bounds forest diameters, recoloring its own deletions as
     star forests (diameter 2).
 
-    Executes :data:`FOREST_PIPELINE` under ``schedule`` (``"auto"`` /
-    ``"serial"`` / ``"concurrent"``); outputs are bit-identical across
-    schedules, and the executed per-pass records land in
-    ``result.stats["passes"]``.
+    Executes :data:`FOREST_PIPELINE`; the executed per-pass records
+    land in ``result.stats["passes"]``.
     """
     counter = ensure_counter(rounds)
     ctx = PipelineContext(
@@ -589,8 +584,7 @@ def forest_decomposition_algorithm2(
             "carve_rule": carve_rule,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule))
-    result = scheduler.run(FOREST_PIPELINE, ctx)
+    result = Scheduler().run(FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result
 

@@ -28,7 +28,7 @@ from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
 from ..nashwilliams.pseudoarboricity import exact_pseudoarboricity
-from ..pipeline import Pass, Pipeline, PipelineContext, RetryRule, Scheduler, resolve_schedule
+from ..pipeline import Pass, Pipeline, PipelineContext, RetryRule, Scheduler
 from ..rng import SeedLike, child_rng, make_rng
 from ..decomposition.lsfd import list_star_forest_decomposition
 from .algorithm_stats import ListForestStats
@@ -136,7 +136,6 @@ def _lf_diameter_reduce(ctx: PipelineContext) -> None:
             seed=child_rng(ctx["rng"], "diam"),
             rounds=counter,
             backend=ctx["backend"],
-            schedule=ctx.schedule,
         )
     ctx["coloring_0"] = dict(reduction.kept)
     ctx["leftover"].update(reduction.deleted)
@@ -251,7 +250,6 @@ def list_forest_decomposition(
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
     backend: str = "auto",
-    schedule: str = "auto",
 ) -> ListForestDecompositionResult:
     """Theorem 4.10: (1+ε)α-LFD of a multigraph.
 
@@ -260,8 +258,7 @@ def list_forest_decomposition(
     (α ≥ Ω(log n) regime) or ``"independent"`` (ε²α ≥ Ω(log Δ) regime,
     LLL-based).
 
-    Executes :data:`LIST_FOREST_PIPELINE` under ``schedule``; outputs
-    are bit-identical across schedules, and the executed per-pass
+    Executes :data:`LIST_FOREST_PIPELINE`; the executed per-pass
     records (including any Las Vegas retries) land in
     ``result.stats["passes"]``.
     """
@@ -282,8 +279,7 @@ def list_forest_decomposition(
             "backend": backend,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule))
-    result = scheduler.run(LIST_FOREST_PIPELINE, ctx)
+    result = Scheduler().run(LIST_FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result
 

@@ -18,7 +18,7 @@ H-partition, or nothing for the exact witness), an ``orient`` pass
 converting it, and for pseudoforests a ``fold`` pass grouping the
 out-edges.  The augmentation orient step fans the per-color tree
 rootings out through ``ctx.fan_out`` — rooting consumes no randomness,
-so the reconciled orientation is bit-identical across schedules.
+so the reconciled orientation does not depend on execution order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from ..nashwilliams.pseudoarboricity import (
     orientation_exists,
     pseudoforest_decomposition_from_orientation,
 )
-from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler, resolve_schedule
+from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler
 from ..rng import SeedLike
 from ..decomposition.hpartition import (
     acyclic_orientation,
@@ -76,8 +76,7 @@ def orientation_from_forest_decomposition(
     Out-degree is bounded by the number of colors.  Charges O(D) rounds
     where D is the largest tree diameter (the paper's conversion cost).
     Given a pipeline ``ctx``, the per-color rootings fan out through
-    the scheduler (reconciled in sorted color order, so the orientation
-    is identical on every schedule).
+    ``ctx.fan_out`` (reconciled in sorted color order).
     """
     counter = ensure_counter(rounds)
     snapshot = snapshot_of(graph)
@@ -128,7 +127,6 @@ def _or_decompose(ctx: PipelineContext) -> None:
             seed=ctx["seed"],
             rounds=ctx.counter,
             backend=ctx["backend"],
-            schedule=ctx.schedule,
         )
         ctx["forest_result"] = result
         ctx["bound"] = result.colors_used
@@ -278,7 +276,6 @@ def _run_orientation_pipeline(
     counter: RoundCounter,
     backend: str,
     pseudoarboricity: Optional[int],
-    schedule: str,
 ):
     ctx = PipelineContext(
         counter=counter,
@@ -292,8 +289,7 @@ def _run_orientation_pipeline(
             "pseudoarboricity": pseudoarboricity,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule))
-    result = scheduler.run(pipeline, ctx)
+    result = Scheduler().run(pipeline, ctx)
     result.stats.passes = ctx.pass_stats
     return result
 
@@ -307,10 +303,9 @@ def orientation_decomposition(
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
-    schedule: str = "auto",
 ) -> OrientationResult:
     """Corollary 1.1 as a protocol result: runs
-    :data:`ORIENTATION_PIPELINE` under ``schedule`` and returns the
+    :data:`ORIENTATION_PIPELINE` and returns the
     :class:`~repro.core.results.OrientationResult` (per-pass records in
     ``result.stats["passes"]``).  See :func:`low_outdegree_orientation`
     for the knobs; that wrapper unwraps this result into the historical
@@ -319,7 +314,7 @@ def orientation_decomposition(
     counter = ensure_counter(rounds)
     return _run_orientation_pipeline(
         ORIENTATION_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, backend, pseudoarboricity, schedule,
+        counter, backend, pseudoarboricity,
     )
 
 
@@ -332,7 +327,6 @@ def pseudoforest_decomposition_result(
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
-    schedule: str = "auto",
 ) -> PseudoforestResult:
     """The pseudoforest companion of Corollary 1.1: runs
     :data:`PSEUDOFOREST_PIPELINE` (the orientation passes plus the
@@ -341,7 +335,7 @@ def pseudoforest_decomposition_result(
     counter = ensure_counter(rounds)
     return _run_orientation_pipeline(
         PSEUDOFOREST_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, backend, pseudoarboricity, schedule,
+        counter, backend, pseudoarboricity,
     )
 
 
@@ -354,7 +348,6 @@ def low_outdegree_orientation(
     rounds: Optional[RoundCounter] = None,
     backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
-    schedule: str = "auto",
 ) -> Tuple[Orientation, int]:
     """A (1+ε)α-orientation; returns (orientation, out-degree bound).
 
@@ -371,12 +364,10 @@ def low_outdegree_orientation(
     ignores it.  ``pseudoarboricity`` lets callers (e.g. a
     :class:`~repro.core.session.Session`) inject the memoized exact
     value for the ``"hpartition"`` method instead of recomputing it.
-    ``schedule`` picks the pass-DAG execution mode (outputs identical
-    either way).
     """
     result = orientation_decomposition(
         graph, epsilon, alpha=alpha, method=method, seed=seed,
         rounds=rounds, backend=backend,
-        pseudoarboricity=pseudoarboricity, schedule=schedule,
+        pseudoarboricity=pseudoarboricity,
     )
     return result.orientation, result.bound

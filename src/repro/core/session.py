@@ -260,15 +260,6 @@ class Session:
         resolved through the backend registry."""
         return get_backend(config.backend).substrate_for(self.graph)
 
-    def resolve_schedule(self, config: Optional[DecompositionConfig] = None) -> str:
-        """The concrete pass-DAG schedule (``"serial"`` or
-        ``"concurrent"``) that ``config.schedule`` resolves to for this
-        graph — the same gate the pipelines apply internally."""
-        from ..pipeline import resolve_schedule as _resolve
-
-        cfg = config if config is not None else self.config
-        return _resolve(self.graph, cfg.schedule)
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -448,7 +439,6 @@ def _run_forest(
         radius=radius,
         search_radius=search_radius,
         backend=session.substrate(config),
-        schedule=config.schedule,
     )
 
 
@@ -477,7 +467,6 @@ def _run_list_forest(
         radius=radius,
         search_radius=search_radius,
         backend=session.substrate(config),
-        schedule=config.schedule,
     )
 
 
@@ -495,7 +484,6 @@ def _run_star_forest(
         rounds=rounds,
         max_lll_rounds=max_lll_rounds,
         backend=session.substrate(config),
-        schedule=config.schedule,
     )
 
 
@@ -518,7 +506,6 @@ def _run_list_star_forest(
             seed=config.seed,
             rounds=rounds,
             max_lll_rounds=max_lll_rounds,
-            schedule=config.schedule,
         )
     if method == "hpartition":
         from ..decomposition.lsfd import (
@@ -566,7 +553,6 @@ def _run_orientation(
             else session.pseudoarboricity()
         )
         if method == "hpartition" else None,
-        schedule=config.schedule,
     )
 
 
@@ -591,7 +577,6 @@ def _run_pseudoforest(
             else session.pseudoarboricity()
         )
         if method == "hpartition" else None,
-        schedule=config.schedule,
     )
 
 

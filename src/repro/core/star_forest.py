@@ -18,8 +18,7 @@ Both variants are declared pass DAGs (:data:`STAR_FOREST_PIPELINE`,
 :data:`LIST_STAR_FOREST_PIPELINE`).  The per-vertex ``H_v`` matchings
 are the natural fan-out unit: each LLL round maps the independent
 matchings through ``ctx.fan_out`` (the color-set draws stay in the
-single RNG stream, and matchings consume no randomness, so outputs are
-bit-identical across schedules).
+single RNG stream, and matchings consume no randomness).
 
 Baselines for Corollary 1.2 are also here:
 :func:`two_coloring_star_forests` (the classical ``αstar ≤ 2α``) and
@@ -42,7 +41,7 @@ from ..nashwilliams.pseudoarboricity import (
     exact_pseudoarboricity,
     orientation_exists,
 )
-from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler, resolve_schedule
+from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler
 from ..rng import SeedLike, make_rng
 from ..decomposition.hpartition import (
     h_partition,
@@ -366,7 +365,6 @@ def star_forest_decomposition_amr(
     rounds: Optional[RoundCounter] = None,
     max_lll_rounds: int = 60,
     backend: str = "auto",
-    schedule: str = "auto",
 ) -> StarForestResult:
     """Theorem 5.4(1): (1+O(ε))α-SFD of a simple graph.
 
@@ -377,8 +375,7 @@ def star_forest_decomposition_amr(
     csr kernel (``backend`` is validated; the matching phase itself is
     per-vertex work).
 
-    Executes :data:`STAR_FOREST_PIPELINE` under ``schedule``; outputs
-    are bit-identical across schedules, and the executed per-pass
+    Executes :data:`STAR_FOREST_PIPELINE`; the executed per-pass
     records land in ``result.stats["passes"]``.
     """
     if not graph.is_simple():
@@ -395,8 +392,7 @@ def star_forest_decomposition_amr(
             "backend": backend,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule))
-    result = scheduler.run(STAR_FOREST_PIPELINE, ctx)
+    result = Scheduler().run(STAR_FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result
 
@@ -606,7 +602,6 @@ def list_star_forest_decomposition_amr(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     max_lll_rounds: int = 200,
-    schedule: str = "auto",
 ) -> StarForestResult:
     """Theorem 5.4(2): (1+O(ε))α-LSFD of a simple graph.
 
@@ -616,8 +611,7 @@ def list_star_forest_decomposition_amr(
     has no leftover to absorb deficits; Lemma 5.3's regime is
     α ≥ Ω(log Δ) with palettes of size α(1+200ε)).
 
-    Executes :data:`LIST_STAR_FOREST_PIPELINE` under ``schedule``;
-    outputs are bit-identical across schedules.
+    Executes :data:`LIST_STAR_FOREST_PIPELINE`.
     """
     if not graph.is_simple():
         raise GraphError("Section 5 star-forest decomposition needs a simple graph")
@@ -633,8 +627,7 @@ def list_star_forest_decomposition_amr(
             "max_lll_rounds": max_lll_rounds,
         },
     )
-    scheduler = Scheduler(resolve_schedule(graph, schedule))
-    result = scheduler.run(LIST_STAR_FOREST_PIPELINE, ctx)
+    result = Scheduler().run(LIST_STAR_FOREST_PIPELINE, ctx)
     result.stats.passes = ctx.pass_stats
     return result
 

@@ -1353,8 +1353,7 @@ def rooted_forest_class_depths(
     class_positions: Sequence[np.ndarray],
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
     """Root *every* color class's forest in one stacked, fully
-    vectorized computation — the concurrent-schedule kernel behind the
-    batched depth-cut pass.
+    vectorized computation — the kernel behind the csr depth cut.
 
     ``class_positions`` holds one array of snapshot edge positions per
     color class.  Classes are stacked into a single disjoint forest
@@ -1393,11 +1392,13 @@ def rooted_forest_class_depths(
     key_u = cls * n + snapshot.edge_u[all_pos]
     key_v = cls * n + snapshot.edge_v[all_pos]
 
-    nodes = np.unique(np.concatenate((key_u, key_v)))
-    su = np.searchsorted(nodes, key_u)
-    sv = np.searchsorted(nodes, key_v)
-    count_nodes = int(nodes.size)
     count_edges = int(all_pos.size)
+    nodes, inverse = np.unique(
+        np.concatenate((key_u, key_v)), return_inverse=True
+    )
+    su = inverse[:count_edges]
+    sv = inverse[count_edges:]
+    count_nodes = int(nodes.size)
 
     offsets, nbr, nbr_edge = _half_edge_csr(
         count_nodes, su, sv, np.arange(count_edges, dtype=np.int64)
@@ -1428,9 +1429,8 @@ def rooted_forest_class_depths(
         peeled[peel_nodes] = True
         peeled_count += int(peel_nodes.size)
         deg[peel_nodes] = 0
-        np.subtract.at(deg, peel_nb, 1)
+        touched = apply_degree_decrements(deg, peel_nb, count_nodes)
         np.bitwise_xor.at(exor, peel_nb, edge[peel])
-        touched = np.unique(peel_nb)
         frontier = touched[(deg[touched] == 1) & ~peeled[touched]]
     if peeled_count != count_edges:
         raise GraphError("edge set is not a forest")

@@ -3,9 +3,8 @@
 The paper's algorithms are fixed sequences of frontier-synchronous
 stages.  This package turns each registered task's run into a declared
 :class:`Pipeline` of :class:`Pass` stages, validated as a DAG and
-executed by a :class:`Scheduler` — serially in topological order (the
-bit-identical reference) or concurrently, with color classes as the
-natural fan-out unit of the batched kernels.  Every pass is
+executed by a :class:`Scheduler` in topological order, with color
+classes as the natural fan-out unit.  Every pass is
 instrumented as a :class:`PassStats` record surfaced through
 ``result.stats["passes"]``, ``Session.cache_info()`` and
 ``repro decompose --profile``.
@@ -13,7 +12,7 @@ instrumented as a :class:`PassStats` record surfaced through
 
 from .passes import Pass, PassStats, PipelineContext
 from .pipeline import Pipeline, RetryRule
-from .scheduler import SCHEDULES, Scheduler, resolve_schedule
+from .scheduler import Scheduler
 
 __all__ = [
     "Pass",
@@ -21,7 +20,5 @@ __all__ = [
     "PipelineContext",
     "Pipeline",
     "RetryRule",
-    "SCHEDULES",
     "Scheduler",
-    "resolve_schedule",
 ]

@@ -5,9 +5,8 @@ A *pass* is one named stage of a task pipeline — "color splitting",
 dependencies, the context keys it reads and writes, and a runner over a
 shared :class:`PipelineContext`.  The declarations are what
 :class:`~repro.pipeline.pipeline.Pipeline` validates into a DAG and the
-:class:`~repro.pipeline.scheduler.Scheduler` executes (serially in
-topological order — the bit-identical reference — or concurrently,
-with fan-outs routed through batched kernels).
+:class:`~repro.pipeline.scheduler.Scheduler` executes in topological
+order.
 
 Every executed pass produces one :class:`PassStats` record — wall time,
 charged LOCAL rounds, engine waves, fan-out width, reconcile volume and
@@ -29,8 +28,6 @@ class PassStats:
     Fields (all in :meth:`to_json`):
 
     * ``name`` — the declared pass name;
-    * ``schedule`` — the schedule the pass executed under
-      (``"serial"`` or ``"concurrent"``);
     * ``wall_ms`` — wall-clock milliseconds spent in the runner;
     * ``rounds`` — LOCAL rounds charged to the shared counter during
       the pass;
@@ -46,7 +43,6 @@ class PassStats:
     """
 
     name: str
-    schedule: str = "serial"
     wall_ms: float = 0.0
     rounds: int = 0
     engine_waves: int = 0
@@ -58,7 +54,6 @@ class PassStats:
         """Explicit JSON schema — one key per documented field."""
         return {
             "name": self.name,
-            "schedule": self.schedule,
             "wall_ms": self.wall_ms,
             "rounds": self.rounds,
             "engine_waves": self.engine_waves,
@@ -100,9 +95,7 @@ class PipelineContext:
     handles every stage needs: the owning :class:`~repro.core.session.
     Session` (may be ``None`` for standalone function entry points),
     the :class:`~repro.core.config.DecompositionConfig`, the shared
-    :class:`~repro.local.rounds.RoundCounter`, and the executing
-    scheduler (set by :meth:`Scheduler.run
-    <repro.pipeline.scheduler.Scheduler.run>`).
+    :class:`~repro.local.rounds.RoundCounter`.
 
     Runners report instrumentation via :meth:`note` and fan indexed
     work (color classes, vertex chunks) through :meth:`fan_out`; both
@@ -121,7 +114,6 @@ class PipelineContext:
         self.counter = counter
         self.values: Dict[str, Any] = dict(values or {})
         self.pass_stats: List[PassStats] = []
-        self.scheduler: Any = None
         # Current-pass stack that note()/fan_out() attribute to.
         self._stack: List[PassStats] = []
 
@@ -142,30 +134,15 @@ class PipelineContext:
     def update(self, mapping: Dict[str, Any]) -> None:
         self.values.update(mapping)
 
-    # -- schedule plumbing ----------------------------------------------
+    # -- fan-out ---------------------------------------------------------
 
-    @property
-    def schedule(self) -> str:
-        """The resolved schedule of the executing scheduler
-        (``"serial"`` when running outside one)."""
-        if self.scheduler is None:
-            return "serial"
-        return self.scheduler.schedule
-
-    def fan_out(self, thunks, batched=None) -> list:
-        """Run independent thunks as this pass's fan-out unit.
-
-        Serial schedule: a plain in-order loop (the reference).
-        Concurrent schedule: the batched kernel when one is provided
-        (it must return the same per-item result list), else the same
-        in-order loop.  Item order — and therefore any in-order
-        reconcile the caller performs — is preserved on every path.
-        """
+    def fan_out(self, thunks) -> list:
+        """Run independent thunks in order as this pass's fan-out unit
+        (noted as ``items``); any reconcile the caller performs over
+        the results sees them in item order."""
         thunks = list(thunks)
         self.note(items=len(thunks))
-        if self.scheduler is None:
-            return [thunk() for thunk in thunks]
-        return self.scheduler.map_items(thunks, batched=batched)
+        return [thunk() for thunk in thunks]
 
     # -- instrumentation ------------------------------------------------
 

@@ -81,17 +81,32 @@ def test_config_rejects_bad_values():
 def test_config_workers_roundtrip():
     """Payloads written before the ``workers`` field was retired carry
     it: a non-negative int is accepted and dropped, anything else in
-    it still raises, and to_json() no longer emits it."""
+    it (a bool included) still raises, and to_json() no longer emits
+    it."""
     config = DecompositionConfig(backend="sharded")
     assert "workers" not in config.to_json()
     assert DecompositionConfig.from_json(config.to_json()) == config
     legacy = dict(config.to_json(), workers=4)
     assert DecompositionConfig.from_json(legacy) == config
-    for bad in (-1, 2.5, "2"):
+    for bad in (-1, 2.5, "2", True, False):
         with pytest.raises(ValidationError):
             DecompositionConfig.from_json(dict(config.to_json(), workers=bad))
     with pytest.raises(ValidationError):
         DecompositionConfig.from_json(dict(config.to_json(), threads=2))
+
+
+def test_config_legacy_schedule_key():
+    """Payloads written before the ``schedule`` field was retired
+    carry it: a value the old field accepted is dropped, anything
+    else raises."""
+    config = DecompositionConfig(seed=3)
+    assert "schedule" not in config.to_json()
+    for value in ("auto", "serial", "concurrent"):
+        legacy = dict(config.to_json(), schedule=value)
+        assert DecompositionConfig.from_json(legacy) == config
+    for bad in ("sometimes", True, None):
+        with pytest.raises(ValidationError):
+            DecompositionConfig.from_json(dict(config.to_json(), schedule=bad))
 
 
 def test_config_replace_and_defaults():

@@ -194,6 +194,28 @@ def test_cli_decompose_forest(graph_file, capsys):
     assert "colors used:" in out
 
 
+def test_cli_decompose_profile(graph_file, capsys):
+    """--profile prints the pass table: its header, a rule, then one
+    row per executed pass in execution order."""
+    from repro.core.forest_decomposition import FOREST_PIPELINE
+
+    assert cli_main([
+        "decompose", graph_file, "--task", "forest", "--alpha", "2",
+        "--profile",
+    ]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("pass"))
+    assert lines[start].split() == [
+        "pass", "wall_ms", "rounds", "items", "reconcile", "touched",
+    ]
+    assert set(lines[start + 1]) == {"-"}
+    rows = [line.split() for line in lines[start + 2:]]
+    assert [row[0] for row in rows] == [
+        p.name for level in FOREST_PIPELINE.levels for p in level
+    ]
+    assert all(len(row) == 6 for row in rows)
+
+
 def test_cli_decompose_carve_rule(graph_file, capsys):
     """--carve-rule reaches the config; both rules produce a valid
     forest decomposition with the same color count on this instance."""

@@ -588,7 +588,7 @@ def test_peeling_view_interleaves_disciplines():
 
 
 # ----------------------------------------------------------------------
-# Retired backend aliases and the concurrent schedule
+# Retired backend aliases and the stacked depth cut
 # ----------------------------------------------------------------------
 
 
@@ -617,17 +617,17 @@ def test_parallel_traversal_matches_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(3, 200, 16))
-def test_depth_cut_backends_identical(seed, monkeypatch):
-    """depth_cut's arrays path (per-class and, under the concurrent
-    schedule, the stacked batched rooting) cuts exactly the dict
-    RootedForest path's edges, same RNG stream; and the forest,
-    orientation and list_forest tasks are bit-identical across
-    schedules on the csr kernel."""
+def test_depth_cut_backends_identical(seed):
+    """depth_cut's stacked csr rooting (every color class in one call)
+    cuts exactly the dict RootedForest path's edges, same RNG stream,
+    on greedy forest colorings and on colorings that mix small classes
+    (1-63 edges) with full-size ones; a small class holding a cycle
+    raises GraphError on both backends; and the forest, orientation
+    and list_forest tasks are bit-identical across backends."""
     import repro
     from repro.core import DecompositionConfig
     from repro.core.diameter_reduction import depth_cut
     from repro.graph.generators import random_palettes
-    import repro.core.diameter_reduction as dr
 
     graph = random_multigraph(seed)
     if graph.m == 0:
@@ -649,21 +649,25 @@ def test_depth_cut_backends_identical(seed, monkeypatch):
             finders.append(uf)
             coloring[eid] = len(finders) - 1
 
-    reference = depth_cut(graph, coloring, z=3, seed=seed, backend="dict")
-    # Drop the gate so every class exercises the arrays path.
-    monkeypatch.setattr(dr, "DEPTH_CUT_ARRAYS_MIN_EDGES", 0)
-    for schedule in ("serial", "concurrent"):
+    mixed_graph, mixed = _mixed_size_forest_coloring(seed)
+    for g, col, z in ((graph, coloring, 3), (mixed_graph, mixed, 5)):
+        reference = depth_cut(g, col, z=z, seed=seed, backend="dict")
         for backend in ("csr", "parallel", "mp"):
-            got = depth_cut(
-                graph, coloring, z=3, seed=seed, backend=backend,
-                schedule=schedule,
-            )
+            got = depth_cut(g, col, z=z, seed=seed, backend=backend)
             assert got.kept == reference.kept
             assert got.deleted == reference.deleted
             assert got.deletion_tail == reference.deletion_tail
 
-    # Whole tasks: the schedule is a parameter of the run, the dict
-    # serial run is the reference.
+    # Two parallel edges as one small class: not a forest.
+    u, v = mixed_graph.endpoints(min(mixed))
+    cyclic = dict(mixed)
+    for _ in range(2):
+        cyclic[mixed_graph.add_edge(u, v)] = -1
+    for backend in ("dict", "csr"):
+        with pytest.raises(GraphError):
+            depth_cut(mixed_graph, cyclic, z=5, seed=seed, backend=backend)
+
+    # Whole tasks: the dict run is the reference.
     alpha = max(1, len(finders))
     palettes = random_palettes(graph, 2 * alpha + 2, 4 * alpha + 4, seed=seed)
     tasks = (
@@ -674,17 +678,39 @@ def test_depth_cut_backends_identical(seed, monkeypatch):
     for task, kwargs, fields in tasks:
         reference = repro.decompose(
             graph, task=task, config=DecompositionConfig(
-                seed=seed, backend="dict", schedule="serial", **fields
+                seed=seed, backend="dict", **fields
             ), **kwargs,
         )
-        for schedule in ("serial", "concurrent"):
-            got = repro.decompose(
-                graph, task=task, config=DecompositionConfig(
-                    seed=seed, backend="csr", schedule=schedule, **fields
-                ), **kwargs,
-            )
-            assert got.coloring == reference.coloring
-            assert got.rounds.total == reference.rounds.total
+        got = repro.decompose(
+            graph, task=task, config=DecompositionConfig(
+                seed=seed, backend="csr", **fields
+            ), **kwargs,
+        )
+        assert got.coloring == reference.coloring
+        assert got.rounds.total == reference.rounds.total
+
+
+def _mixed_size_forest_coloring(seed):
+    """Three full-size random forests plus a fourth split into classes
+    of 1-63 edges (an edge subset of a forest is a forest)."""
+    rng = random.Random(seed)
+    n = 150
+    graph = MultiGraph.with_vertices(n)
+    coloring = {}
+    for color in range(4):
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for i in range(1, n):
+            coloring[graph.add_edge(perm[i], perm[rng.randrange(i)])] = color
+    small = sorted(e for e, c in coloring.items() if c == 3)
+    start, color = 0, 3
+    while start < len(small):
+        size = rng.randint(1, 63)
+        for eid in small[start:start + size]:
+            coloring[eid] = color
+        start += size
+        color += 1
+    return graph, coloring
 
 
 @pytest.mark.parametrize("seed", range(5, 120, 18))

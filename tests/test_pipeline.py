@@ -1,9 +1,8 @@
-"""Tests for the pass-pipeline compiler: DAG validation, the
-serial/concurrent scheduler's bit-identity contract, per-pass
+"""Tests for the pass-pipeline compiler: DAG validation, scheduler
+semantics, bit-identity of pipelined tasks across backends, per-pass
 instrumentation, ``describe``, and the config-first dispatch shim."""
 
 import json
-import math
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +25,6 @@ from repro.pipeline import (
     PipelineContext,
     RetryRule,
     Scheduler,
-    resolve_schedule,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -80,13 +78,6 @@ def test_levels_follow_declaration_order():
     assert pipe.pass_names() == ["a", "b", "c", "d"]
 
 
-def test_unknown_schedule_rejected():
-    with pytest.raises(RegistryError, match="unknown schedule"):
-        resolve_schedule(10, "eventually")
-    with pytest.raises(RegistryError, match="resolved schedule"):
-        Scheduler("auto")
-
-
 # ----------------------------------------------------------------------
 # Scheduler semantics on toy pipelines
 # ----------------------------------------------------------------------
@@ -97,12 +88,7 @@ def _toy_pipeline(width=6):
         ctx["xs"] = list(range(width))
 
     def fan(ctx):
-        # The batched kernel runs under the concurrent schedule when
-        # there is more than one item; it must match the per-item loop.
-        ctx["ys"] = ctx.fan_out(
-            [(lambda x=x: x * x) for x in ctx["xs"]],
-            batched=lambda: [x * x for x in ctx["xs"]],
-        )
+        ctx["ys"] = ctx.fan_out([(lambda x=x: x * x) for x in ctx["xs"]])
 
     def reduce_(ctx):
         ctx["result"] = sum(ctx["ys"])
@@ -117,8 +103,13 @@ def _toy_pipeline(width=6):
 @pytest.mark.parametrize("schedule", ["serial", "concurrent"])
 @pytest.mark.parametrize("width", [1, 2, 4])
 def test_toy_pipeline_identical_across_schedules(schedule, width):
-    ctx = PipelineContext(counter=RoundCounter())
-    out = Scheduler(schedule).run(_toy_pipeline(width), ctx)
+    """A config carrying either value of the retired ``schedule`` field
+    still loads, and the pipeline it drives runs the one execution
+    path: same result and same per-pass history for both values."""
+    config = DecompositionConfig.from_json({"schedule": schedule})
+    assert config == DecompositionConfig()
+    ctx = PipelineContext(config=config, counter=RoundCounter())
+    out = Scheduler().run(_toy_pipeline(width), ctx)
     assert out == sum(x * x for x in range(width))
     fan_stats = [s for s in ctx.pass_stats if s.name == "fan"]
     assert fan_stats[0].items == width
@@ -143,7 +134,7 @@ def test_retry_reruns_from_declared_pass_and_keeps_history():
                         max_attempts=5),
     )
     ctx = PipelineContext(counter=RoundCounter())
-    assert Scheduler("serial").run(pipe, ctx) == 4
+    assert Scheduler().run(pipe, ctx) == 4
     # Execution history keeps the failed attempts.
     assert [s.name for s in ctx.pass_stats] == [
         "setup", "flaky", "flaky", "flaky",
@@ -160,7 +151,7 @@ def test_retry_exhaustion_reraises():
                         max_attempts=3),
     )
     with pytest.raises(ValueError):
-        Scheduler("serial").run(pipe, PipelineContext(counter=RoundCounter()))
+        Scheduler().run(pipe, PipelineContext(counter=RoundCounter()))
 
 
 def test_concurrent_level_runs_independent_passes():
@@ -180,41 +171,16 @@ def test_concurrent_level_runs_independent_passes():
             "result", sorted(ctx["acc"])), deps=("left", "right")),
     ])
     ctx = PipelineContext(counter=RoundCounter())
-    assert Scheduler("concurrent").run(pipe, ctx) == ["left", "right"]
-    # PassStats for a concurrent level land in declaration order.
+    assert Scheduler().run(pipe, ctx) == ["left", "right"]
+    # PassStats for a level of independent passes land in declaration
+    # order.
     assert [s.name for s in ctx.pass_stats] == [
         "seed", "left", "right", "join",
     ]
 
 
 # ----------------------------------------------------------------------
-# Schedule gating
-# ----------------------------------------------------------------------
-
-
-def test_auto_schedule_gates_on_size():
-    from repro.pipeline.scheduler import CONCURRENT_MIN_VERTICES
-
-    assert CONCURRENT_MIN_VERTICES == 50_000
-    assert resolve_schedule(100, "auto") == "serial"
-    assert resolve_schedule(CONCURRENT_MIN_VERTICES - 1, "auto") == "serial"
-    assert resolve_schedule(CONCURRENT_MIN_VERTICES, "auto") == "concurrent"
-    assert resolve_schedule(100_000, "auto") == "concurrent"
-    assert resolve_schedule(100, "concurrent") == "concurrent"
-    assert resolve_schedule(100_000, "serial") == "serial"
-
-
-def test_session_resolve_schedule():
-    g = union_of_random_forests(30, 2, seed=0)
-    session = Session(g)
-    assert session.resolve_schedule() == "serial"
-    assert session.resolve_schedule(
-        DecompositionConfig(schedule="concurrent")
-    ) == "concurrent"
-
-
-# ----------------------------------------------------------------------
-# Bit-identity of real tasks across schedules
+# Bit-identity of real tasks across backends
 # ----------------------------------------------------------------------
 
 
@@ -225,8 +191,8 @@ def _corpus():
     ]
 
 
-def _run(graph, task, schedule, seed, **kwargs):
-    config = DecompositionConfig(seed=seed, schedule=schedule)
+def _run(graph, task, seed, backend="auto", **kwargs):
+    config = DecompositionConfig(seed=seed, backend=backend)
     return repro.decompose(graph, task=task, config=config, **kwargs)
 
 
@@ -234,20 +200,27 @@ def _run(graph, task, schedule, seed, **kwargs):
     "forest", "star_forest", "orientation", "pseudoforest",
 ])
 def test_serial_concurrent_bit_identity(task):
+    """The pipelined task on the dict reference (one color class at a
+    time) and on the csr kernel (orientation's depth cut roots every
+    class in one stacked call) agrees bit for bit."""
     for graph, _alpha in _corpus():
         if task == "star_forest" and not graph.is_simple():
             continue
-        reference = _run(graph, task, "serial", seed=5)
-        got = _run(graph, task, "concurrent", seed=5)
+        reference = _run(graph, task, seed=5, backend="dict")
+        got = _run(graph, task, seed=5, backend="csr")
         assert got.coloring == reference.coloring
         assert got.rounds.total == reference.rounds.total
 
 
 def test_list_forest_bit_identity_across_schedules():
+    """list_forest on the dict reference and on the csr kernel (every
+    color class rooted in one stacked call) agrees bit for bit."""
     graph, alpha = _corpus()[0]
     palettes = random_palettes(graph, 12, 36, seed=7)
-    reference = _run(graph, "list_forest", "serial", seed=5, palettes=palettes)
-    got = _run(graph, "list_forest", "concurrent", seed=5, palettes=palettes)
+    reference = _run(
+        graph, "list_forest", seed=5, backend="dict", palettes=palettes
+    )
+    got = _run(graph, "list_forest", seed=5, backend="csr", palettes=palettes)
     assert got.coloring == reference.coloring
     assert got.rounds.total == reference.rounds.total
 
@@ -259,7 +232,7 @@ def test_list_forest_bit_identity_across_schedules():
 
 def test_pass_stats_surface_on_results():
     graph, _ = _corpus()[0]
-    result = _run(graph, "forest", "serial", seed=3)
+    result = _run(graph, "forest", seed=3)
     passes = result.stats["passes"]
     assert [p.name for p in passes] == [
         "setup", "algorithm2", "leftover_recolor", "diameter_reduce",
@@ -272,7 +245,7 @@ def test_pass_stats_surface_on_results():
     payload = result.stats.to_json()
     assert [p["name"] for p in payload["passes"]] == [p.name for p in passes]
     assert set(payload["passes"][0]) == {
-        "name", "schedule", "wall_ms", "rounds", "engine_waves", "items",
+        "name", "wall_ms", "rounds", "engine_waves", "items",
         "reconcile_volume", "vertices_touched",
     }
     # The whole result payload stays JSON-serializable.
@@ -281,7 +254,7 @@ def test_pass_stats_surface_on_results():
 
 def test_star_forest_stats_keep_alias_keys():
     graph = union_of_random_forests(40, 2, seed=4, simple=True)
-    result = _run(graph, "star_forest", "serial", seed=4)
+    result = _run(graph, "star_forest", seed=4)
     payload = result.stats.to_json()
     # Legacy reader contract: the old computed key survives as an alias.
     assert payload["max_deficit"] == result.stats.max_deficit
@@ -352,19 +325,3 @@ def test_wrappers_accept_config_first_and_legacy_kwargs():
         graph, 99.0, config=DecompositionConfig(epsilon=0.5, seed=2)
     )
     assert legacy_or == config_or
-
-
-def test_config_json_roundtrip_includes_schedule():
-    config = DecompositionConfig(schedule="concurrent")
-    assert DecompositionConfig.from_json(config.to_json()).schedule == (
-        "concurrent"
-    )
-    # Old payloads without the key still load (default "auto").
-    payload = config.to_json()
-    del payload["schedule"]
-    assert DecompositionConfig.from_json(payload).schedule == "auto"
-
-
-def test_unknown_schedule_value_rejected_in_config():
-    with pytest.raises(Exception, match="schedule"):
-        DecompositionConfig(schedule="sometimes")

@@ -86,9 +86,10 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
-    """Checkpoints written while the config still had a ``workers``
-    field carry ``"workers": n`` in every config payload; resuming one
-    must drop the key and rebuild a bit-identical state."""
+    """Checkpoints written while the config still had the ``workers``
+    and ``schedule`` fields carry them in every config payload;
+    resuming one must drop the keys and rebuild a bit-identical
+    state."""
     session = make_session(seed=4)
     session.apply_delta(inserts=[(0, 1), (2, 3)])
     ckpt = Checkpointer(str(tmp_path))
@@ -97,9 +98,9 @@ def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
 
     state_path = tmp_path / f"state-{generation:06d}.json"
     meta = json.loads(state_path.read_text(encoding="utf-8"))
-    meta["config"]["workers"] = 2
+    meta["config"].update(workers=2, schedule="concurrent")
     for entry in meta["watches"]:
-        entry["config"]["workers"] = 2
+        entry["config"].update(workers=2, schedule="auto")
     state_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
     restored = checkpoint_mod.load(str(tmp_path))

@@ -4,7 +4,7 @@ The stage scheduler (PR 7) trusts each :class:`repro.pipeline.Pass`'s
 declared ``writes`` to decide which passes may overlap: passes sharing
 a DAG level must have disjoint writes.  A runner that writes a context
 key it never declared silently breaks that contract — the DAG stays
-green while the concurrent schedule races.  These rules make the
+green while any reordering of that level's passes races.  These rules make the
 declarations provably honest, the way the paper's round-by-round LOCAL
 model makes per-round effects explicit.
 

@@ -1,9 +1,9 @@
 """Fan-out race detector.
 
-Closures handed to the concurrency seams — ``ctx.fan_out`` thunks
-(which a batched kernel may replace under the concurrent schedule),
+Closures handed to the fan-out seams — ``ctx.fan_out`` thunks,
 ``gather``/``wave``/``scan_shards``/``map_ranges`` kernels, pool
-``submit`` — may run out of order or on other threads.  Determinism
+``submit`` — are the points where work may be reordered, batched or
+run on other threads.  Determinism
 requires them to *only read frozen shared state*: all writes to shared
 state belong in the reconcile phase (or the in-order loop over
 returned thunk results).  PR 7's star-forest bug was exactly a
