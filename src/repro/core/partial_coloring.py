@@ -4,30 +4,24 @@
 augmentation framework operates on.  It tracks
 
 * the coloring ``ψ: edge id -> color | None``;
-* per-color adjacency, so the path query ``C(e, c)`` — the unique
-  ``u``–``v`` path in the color-``c`` forest for ``e = uv``, or ``∅``
-  when ``u`` and ``v`` are disconnected in that color — runs as one BFS
-  over the color class (this is the workhorse of Algorithm 1);
+* one :class:`~repro.graph.dynforest.DynamicForest` per color, so the
+  path query ``C(e, c)`` — the unique ``u``–``v`` path in the
+  color-``c`` forest for ``e = uv``, or ``∅`` when ``u`` and ``v`` are
+  disconnected in that color — is a parent walk to the lowest common
+  ancestor, not a search (this is the workhorse of Algorithm 1);
 * the *leftover* edge set (edges removed by CUT), with the orientation
   recorded at removal time so the pseudo-arboricity accounting of
   Theorem 4.2 is checkable.
 
 Every mutation maintains the invariant that each color class is a
-forest; ``set_color`` refuses to close a cycle.
+forest: the forest's ``link`` refuses to close a cycle, and
+``set_color`` turns that into a :class:`~repro.errors.ValidationError`.
 
-The color-class BFS runs on one of two substrates.  The dict backend
-is the original per-color adjacency-dict walk, preserved as the
-reference path.  The csr backend extracts the color class as a sub-CSR
-over the host snapshot's dense indices (a color class is just an edge
-subset, so :meth:`~repro.graph.csr.CSRGraph.edge_subset_csr_arrays`
-produces its flat adjacency directly) and sweeps it with frontier-array
-BFS; the extraction is cached per color and invalidated by a version
-counter bumped on every attach/detach.  ``backend="auto"`` keeps
-small classes on the dict path — rebuilding arrays there costs more
-than the walk — and moves classes past the extraction threshold onto
-the kernel.  All
-paths return identical values: paths in a forest are unique, and the
-component/connectivity queries are order-free.
+``backend="dict"`` keeps a BFS over the forest's adjacency as the
+reference the equivalence corpus compares against; ``"auto"`` and
+``"csr"`` read the parent pointers (paths, connectivity) and the
+per-tree vertex sets (components).  All paths return identical values:
+paths in a forest are unique, and the component queries are order-free.
 """
 
 from __future__ import annotations
@@ -35,24 +29,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
 from ..errors import PaletteError, ValidationError
-from ..graph.csr import (
-    _canonical_backend,
-    _concat_ranges,
-    bfs_distance_array,
-    snapshot_of,
-)
+from ..graph.csr import _canonical_backend, snapshot_of
+from ..graph.dynforest import DynamicForest
 from ..graph.multigraph import MultiGraph
 from ..graph.union_find import UnionFind
 
 Palettes = Dict[int, Sequence[int]]
-
-# A color class moves onto the sub-CSR path once it has this many edges
-# AND is dense relative to the host (>= n/8 edges): below either bound
-# the dict walk beats the array extraction.
-COLOR_CSR_MIN_EDGES = 64
 
 
 class PartialListForestDecomposition:
@@ -75,17 +58,10 @@ class PartialListForestDecomposition:
         self._color: Dict[int, Optional[int]] = {
             eid: None for eid in graph.edge_ids()
         }
-        # _adj[color][vertex] = list of (eid, other endpoint)
-        self._adj: Dict[int, Dict[int, List[Tuple[int, int]]]] = {}
+        # One link/cut forest per color class.
+        self._forests: Dict[int, DynamicForest] = {}
         self._leftover: Set[int] = set()
         self._leftover_tail: Dict[int, int] = {}
-        # Per-color kernel bookkeeping: the edge set feeding the sub-CSR
-        # extraction, a version stamp bumped on every mutation, and the
-        # extracted (offsets, neighbors, edge ids) arrays keyed by the
-        # version they were built at.
-        self._class_eids: Dict[int, Set[int]] = {}
-        self._class_version: Dict[int, int] = {}
-        self._class_arrays: Dict[int, Tuple[int, Tuple]] = {}
 
     def csr_snapshot(self):
         """Flat-array snapshot of the host graph (cached on the graph).
@@ -136,10 +112,8 @@ class PartialListForestDecomposition:
 
     def class_edges(self, color: int) -> List[int]:
         """Edge ids currently holding ``color``."""
-        out = []
-        for _vertex, incident in self._adj.get(color, {}).items():
-            out.extend(eid for eid, _other in incident)
-        return sorted(set(out))
+        forest = self._forests.get(color)
+        return sorted(forest.edges) if forest is not None else []
 
     # ------------------------------------------------------------------
     # Mutation
@@ -159,7 +133,8 @@ class PartialListForestDecomposition:
             return
         if current is not None:
             self._detach(eid, current)
-        if self._connected_in_color(u, v, color):
+        forest = self._forests.get(color)
+        if forest is not None and forest.connected(u, v):
             # Restore previous state before failing.
             if current is not None:
                 self._attach(eid, current)
@@ -193,56 +168,17 @@ class PartialListForestDecomposition:
 
     def _attach(self, eid: int, color: int) -> None:
         u, v = self.graph.endpoints(eid)
-        adj = self._adj.setdefault(color, {})
-        adj.setdefault(u, []).append((eid, v))
-        adj.setdefault(v, []).append((eid, u))
-        self._class_eids.setdefault(color, set()).add(eid)
-        self._class_version[color] = self._class_version.get(color, 0) + 1
+        forest = self._forests.get(color)
+        if forest is None:
+            forest = self._forests[color] = DynamicForest()
+        forest.link(eid, u, v)
 
     def _detach(self, eid: int, color: int) -> None:
-        u, v = self.graph.endpoints(eid)
-        adj = self._adj[color]
-        adj[u] = [(e, w) for e, w in adj[u] if e != eid]
-        if not adj[u]:
-            del adj[u]
-        adj[v] = [(e, w) for e, w in adj[v] if e != eid]
-        if not adj[v]:
-            del adj[v]
-        self._class_eids[color].discard(eid)
-        self._class_version[color] = self._class_version.get(color, 0) + 1
+        self._forests[color].cut(eid)
 
     # ------------------------------------------------------------------
     # Path queries
     # ------------------------------------------------------------------
-
-    def _use_kernel(self, color: int) -> bool:
-        if self.backend == "dict":
-            return False
-        eids = self._class_eids.get(color)
-        if not eids:
-            return False
-        if self.backend == "csr":
-            return True
-        return (
-            len(eids) >= COLOR_CSR_MIN_EDGES
-            and 8 * len(eids) >= self.graph.n
-        )
-
-    def _color_arrays(self, color: int) -> Tuple:
-        """Cached sub-CSR ``(offsets, neighbors, edge ids)`` of a color
-        class, rebuilt when the class mutated since extraction."""
-        version = self._class_version.get(color, 0)
-        cached = self._class_arrays.get(color)
-        if cached is not None and cached[0] == version:
-            return cached[1]
-        arrays = self.csr_snapshot().edge_subset_csr_arrays(
-            sorted(self._class_eids[color])
-        )
-        self._class_arrays[color] = (version, arrays)
-        return arrays
-
-    def _connected_in_color(self, u: int, v: int, color: int) -> bool:
-        return self._path_search(u, v, color) is not None
 
     def color_path(self, eid: int, color: int) -> Optional[List[int]]:
         """``C(e, c)``: edge ids of the unique u-v path in color ``c``.
@@ -257,18 +193,21 @@ class PartialListForestDecomposition:
         return self._path_search(u, v, color)
 
     def _path_search(self, u: int, v: int, color: int) -> Optional[List[int]]:
-        adj = self._adj.get(color)
-        if not adj or u not in adj or v not in adj:
+        forest = self._forests.get(color)
+        if forest is None:
+            return None
+        if self.backend != "dict":
+            return forest.path(u, v)
+        adj = forest.adj
+        if u not in adj or v not in adj:
             return None
         if u == v:
             return []
-        if self._use_kernel(color):
-            return self._path_search_kernel(u, v, color)
         parent: Dict[int, Tuple[int, int]] = {u: (u, -1)}
         queue = deque([u])
         while queue:
             vertex = queue.popleft()
-            for eid, other in adj.get(vertex, ()):
+            for eid, other in adj[vertex].items():
                 if other not in parent:
                     parent[other] = (vertex, eid)
                     if other == v:
@@ -283,67 +222,21 @@ class PartialListForestDecomposition:
                     queue.append(other)
         return None
 
-    def _path_search_kernel(self, u: int, v: int, color: int) -> Optional[List[int]]:
-        """Frontier-array BFS on the color class's sub-CSR.
-
-        The path in a forest is unique, so the returned edge list is
-        identical to the dict walk's.
-        """
-        snap = self.csr_snapshot()
-        offsets, nbr, eids = self._color_arrays(color)
-        src = snap.index_of(u)
-        dst = snap.index_of(v)
-        n = snap.num_vertices
-        parent_eid = np.full(n, -1, dtype=np.int64)
-        parent_vtx = np.full(n, -1, dtype=np.int64)
-        visited = np.zeros(n, dtype=bool)
-        visited[src] = True
-        frontier = np.asarray([src], dtype=np.int64)
-        while frontier.size and not visited[dst]:
-            lengths = offsets[frontier + 1] - offsets[frontier]
-            half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
-            origins = np.repeat(frontier, lengths)
-            targets = nbr[half]
-            via = eids[half]
-            fresh = ~visited[targets]
-            targets, via, origins = targets[fresh], via[fresh], origins[fresh]
-            # Within a level a vertex may be reached via several edges;
-            # first occurrence wins (any parent reconstructs the same
-            # unique path — color classes are forests).
-            targets, first = np.unique(targets, return_index=True)
-            visited[targets] = True
-            parent_eid[targets] = via[first]
-            parent_vtx[targets] = origins[first]
-            frontier = targets
-        if not visited[dst]:
-            return None
-        path: List[int] = []
-        walk = dst
-        while walk != src:
-            path.append(int(parent_eid[walk]))
-            walk = int(parent_vtx[walk])
-        path.reverse()
-        return path
-
     def color_component_vertices(
         self, start: int, color: int
     ) -> Set[int]:
         """Vertices reachable from ``start`` through color-``c`` edges."""
-        adj = self._adj.get(color, {})
-        if start not in adj:
+        forest = self._forests.get(color)
+        if forest is None or start not in forest.adj:
             return {start}
-        if self._use_kernel(color):
-            snap = self.csr_snapshot()
-            offsets, nbr, _eids = self._color_arrays(color)
-            dist = bfs_distance_array(
-                offsets, nbr, snap.num_vertices, [snap.index_of(start)]
-            )
-            return set(snap.vertex_ids[dist >= 0].tolist())
+        if self.backend != "dict":
+            return forest.component(start)
+        adj = forest.adj
         seen = {start}
         queue = deque([start])
         while queue:
             vertex = queue.popleft()
-            for _eid, other in adj.get(vertex, ()):
+            for other in adj[vertex].values():
                 if other not in seen:
                     seen.add(other)
                     queue.append(other)

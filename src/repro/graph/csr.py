@@ -31,9 +31,9 @@ build time:
 
 The snapshot is only valid while the source graph is unmutated; every
 algorithm in this library treats its input graph as read-only, so one
-snapshot per run (cached e.g. on
-:class:`~repro.core.partial_coloring.PartialListForestDecomposition`)
-is safe.
+snapshot per run (cached on the graph by :func:`snapshot_of`, which
+:class:`~repro.core.partial_coloring.PartialListForestDecomposition`
+hands to CUT and the augmenting search) is safe.
 
 :class:`PeelingView` layers *mutable* degree bookkeeping over a frozen
 snapshot.  It supports the two deletion disciplines the decomposition

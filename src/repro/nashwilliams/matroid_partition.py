@@ -25,58 +25,36 @@ from collections import deque
 from typing import Dict, List, Optional, Set, Tuple
 
 from ..errors import DecompositionError
+from ..graph.dynforest import DynamicForest
 from ..graph.multigraph import MultiGraph
 
 
 class _Forest:
-    """One forest of the partition, with O(path) cycle queries.
+    """One forest of the partition, over a link/cut forest.
 
-    Stores adjacency of its edges; `cycle_with(u, v)` returns the edge
-    ids on the unique u-v path (the cycle closed by a new u-v edge), or
-    None if u, v are in different trees.
+    ``path_edges(source, target)`` returns the edge ids on the unique
+    tree path in target -> source order (the cycle a new source-target
+    edge would close), or None if they are in different trees.  ``add``
+    raises if it would close a cycle; the back-to-front exchange never
+    does, since every prefix of a shortest exchange is independent.
     """
 
     def __init__(self, graph: MultiGraph) -> None:
         self.graph = graph
-        self.edges: Set[int] = set()
-        self._adj: Dict[int, List[Tuple[int, int]]] = {}
+        self._forest = DynamicForest()
 
     def add(self, eid: int) -> None:
         u, v = self.graph.endpoints(eid)
-        self.edges.add(eid)
-        self._adj.setdefault(u, []).append((eid, v))
-        self._adj.setdefault(v, []).append((eid, u))
+        self._forest.link(eid, u, v)
 
     def remove(self, eid: int) -> None:
-        u, v = self.graph.endpoints(eid)
-        self.edges.discard(eid)
-        self._adj[u] = [(e, w) for e, w in self._adj[u] if e != eid]
-        self._adj[v] = [(e, w) for e, w in self._adj[v] if e != eid]
+        self._forest.cut(eid)
 
     def path_edges(self, source: int, target: int) -> Optional[List[int]]:
-        """Edge ids on the tree path source -> target, or None."""
+        """Edge ids on the tree path, target -> source, or None."""
         if source == target:
             return []
-        if source not in self._adj or target not in self._adj:
-            return None
-        parent_edge: Dict[int, int] = {}
-        parent: Dict[int, int] = {source: source}
-        queue = deque([source])
-        while queue:
-            vertex = queue.popleft()
-            for eid, other in self._adj.get(vertex, ()):
-                if other not in parent:
-                    parent[other] = vertex
-                    parent_edge[other] = eid
-                    if other == target:
-                        path = []
-                        walk = target
-                        while walk != source:
-                            path.append(parent_edge[walk])
-                            walk = parent[walk]
-                        return path
-                    queue.append(other)
-        return None
+        return self._forest.path(target, source)
 
 
 class MatroidPartitionResult:

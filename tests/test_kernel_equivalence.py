@@ -16,10 +16,10 @@ edge ids) — assert that
   (``network_decomposition``, ``partial_network_decomposition``,
   ``cut_edges_of_clustering``) return identical values on both
   backends, including cluster and head orderings;
-* the per-color sub-CSR path of
+* the link/cut color forests of
   :class:`~repro.core.partial_coloring.PartialListForestDecomposition`
-  answers every path/component/connectivity query exactly like the
-  dict walk under an identical mutation history;
+  answer every path/component/connectivity query exactly like the
+  dict BFS reference under an identical mutation history;
 * :func:`rooted_forest_arrays` reproduces :class:`RootedForest`'s
   rooting (depths, parent edges, root choice) on forest subsets.
 
@@ -294,10 +294,22 @@ def test_partial_network_decomposition_matches_reference(seed):
         ) == cut_edges_of_clustering(graph, ref, backend="dict")
 
 
+def _assert_color_queries_match(ref, ker, graph, probes, palette):
+    for color in palette:
+        for eid in probes:
+            assert ref.color_path(eid, color) == ker.color_path(eid, color)
+            for vertex in graph.endpoints(eid):
+                assert ref.color_component_vertices(
+                    vertex, color
+                ) == ker.color_component_vertices(vertex, color)
+
+
 @pytest.mark.parametrize("seed", range(0, 200, 10))
 def test_partial_coloring_backends_match(seed):
     """An identical mutation history on the dict and forced-csr color
-    backends must agree on every success/failure, path, and component."""
+    backends must agree on every success/failure, and on paths and
+    components after every mutation (colorings, recolorings and
+    uncolorings interleave links and cuts in the color forests)."""
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("empty instance")
@@ -305,10 +317,11 @@ def test_partial_coloring_backends_match(seed):
     palettes = {eid: palette for eid in graph.edge_ids()}
     ref = PartialListForestDecomposition(graph, palettes, backend="dict")
     ker = PartialListForestDecomposition(graph, palettes, backend="csr")
+    edge_ids = graph.edge_ids()
 
     rng = random.Random(seed * 131 + 5)
-    for eid in graph.edge_ids():
-        color = rng.randrange(4)
+
+    def color_both(eid, color):
         outcomes = []
         for state in (ref, ker):
             try:
@@ -317,12 +330,24 @@ def test_partial_coloring_backends_match(seed):
             except ValidationError:
                 outcomes.append(False)
         assert outcomes[0] == outcomes[1]
+        assert ref.color_of(eid) == ker.color_of(eid)
+        probes = [eid] + rng.sample(edge_ids, min(6, len(edge_ids)))
+        _assert_color_queries_match(ref, ker, graph, probes, palette)
+
+    for eid in edge_ids:
+        color_both(eid, rng.randrange(4))
         if rng.random() < 0.25:
             ref.uncolor(eid)
             ker.uncolor(eid)
+            _assert_color_queries_match(ref, ker, graph, [eid], palette)
+        colored = sorted(ref.colored_edges())
+        if colored and rng.random() < 0.5:
+            # Recolor: set_color on an already-colored edge cuts it from
+            # one forest and links it into another (or restores it).
+            color_both(rng.choice(colored), rng.randrange(4))
     assert ref.coloring() == ker.coloring()
 
-    for eid in graph.edge_ids():
+    for eid in edge_ids:
         for color in palette:
             assert ref.color_path(eid, color) == ker.color_path(eid, color)
     for vertex in graph.vertices():

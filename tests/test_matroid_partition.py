@@ -1,6 +1,7 @@
 """Tests for the exact matroid-partition forest decomposition."""
 
 import math
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -135,3 +136,116 @@ def test_er_graphs_valid(seed):
     g = erdos_renyi(15, 0.3, seed=seed)
     result = exact_forest_partition(g)
     check_valid_fd(g, result.coloring, max(result.num_forests, 1))
+
+
+# -- witness pin ----------------------------------------------------------
+#
+# A test-local copy of the matroid partition as it stood with a dict BFS
+# per path query.  The link/cut forests must reproduce its coloring
+# exactly: paths in a forest are unique, so the exchange search visits
+# the same edges in the same order.
+
+
+def _bfs_path(adj, source, target):
+    """Edge ids on the tree path, target -> source, or None."""
+    if source == target:
+        return []
+    if source not in adj or target not in adj:
+        return None
+    parent = {source: (source, -1)}
+    queue = deque([source])
+    while queue:
+        vertex = queue.popleft()
+        for eid, other in adj.get(vertex, ()):
+            if other not in parent:
+                parent[other] = (vertex, eid)
+                if other == target:
+                    path = []
+                    walk = target
+                    while walk != source:
+                        walk, via = parent[walk]
+                        path.append(via)
+                    return path
+                queue.append(other)
+    return None
+
+
+def _reference_partition(graph):
+    forests = [{}]  # per forest: vertex -> list of (eid, other)
+    color_of = {}
+
+    def add(forest, eid):
+        u, v = graph.endpoints(eid)
+        forest.setdefault(u, []).append((eid, v))
+        forest.setdefault(v, []).append((eid, u))
+
+    def remove(forest, eid):
+        for vertex in graph.endpoints(eid):
+            forest[vertex] = [(e, w) for e, w in forest[vertex] if e != eid]
+
+    def try_insert(new_edge):
+        predecessor = {}
+        visited = {new_edge}
+        queue = deque([new_edge])
+        while queue:
+            edge = queue.popleft()
+            u, v = graph.endpoints(edge)
+            for color, forest in enumerate(forests):
+                if color_of.get(edge) == color:
+                    continue
+                cycle = _bfs_path(forest, u, v)
+                if cycle is None:
+                    chain = [(edge, color)]
+                    while edge in predecessor:
+                        edge, via_color = predecessor[edge]
+                        chain.append((edge, via_color))
+                    for eid, target in chain:
+                        old = color_of.get(eid)
+                        if old is not None:
+                            remove(forests[old], eid)
+                        add(forests[target], eid)
+                        color_of[eid] = target
+                    return True
+                for blocked in cycle:
+                    if blocked not in visited:
+                        visited.add(blocked)
+                        predecessor[blocked] = (edge, color)
+                        queue.append(blocked)
+        return False
+
+    for eid in graph.edge_ids():
+        while not try_insert(eid):
+            forests.append({})
+    return color_of, len(forests) if graph.m else 0
+
+
+def _pin_graph(seed):
+    import random
+
+    rng = random.Random(seed * 6151 + 29)
+    n = rng.randint(3, 30)
+    ids = sorted(rng.sample(range(4 * n), n))
+    g = MultiGraph()
+    for vertex in ids:
+        g.add_vertex(vertex)
+    pairs = []
+    for _ in range(rng.randint(n, 4 * n)):
+        if pairs and rng.random() < 0.3:
+            u, v = rng.choice(pairs)  # parallel copy
+        else:
+            u, v = rng.sample(ids, 2)
+        pairs.append((u, v))
+        g.add_edge(u, v)
+    for eid in rng.sample(g.edge_ids(), g.m // 5):
+        g.remove_edge(eid)
+    return g
+
+
+@pytest.mark.parametrize("seed", range(50))
+def test_coloring_matches_dict_bfs_reference(seed):
+    g = _pin_graph(seed)
+    result = exact_forest_partition(g)
+    coloring, num_forests = _reference_partition(g)
+    assert result.coloring == coloring
+    assert list(result.coloring) == list(coloring)
+    assert result.num_forests == num_forests

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import PaletteError, ValidationError
+from repro.errors import GraphError, PaletteError, ValidationError
 from repro.graph import MultiGraph
 from repro.graph.generators import cycle_graph, path_graph, uniform_palette
 from repro.core import PartialListForestDecomposition
@@ -149,11 +149,24 @@ def test_assert_valid_detects_tampering():
     state = fresh_state(g)
     state.set_color(0, 0)
     state.set_color(1, 0)
-    # Bypass the guard to fabricate a cycle.
+    # Bypass the guard to fabricate a cycle: assert_valid re-checks the
+    # coloring map from scratch and reads nothing else.
     state._color[2] = 0
-    state._attach(2, 0)
     with pytest.raises(ValidationError):
         state.assert_valid()
+
+
+def test_cycle_closing_attach_raises():
+    g = cycle_graph(3)
+    state = fresh_state(g)
+    state.set_color(0, 0)
+    state.set_color(1, 0)
+    with pytest.raises(GraphError):
+        state._attach(2, 0)
+    # The refused link left the color class untouched.
+    assert state.class_edges(0) == [0, 1]
+    assert state.color_path(2, 0) is not None
+    state.assert_valid()
 
 
 def test_coloring_snapshot_is_copy():
