@@ -15,7 +15,7 @@ from repro.core.augmenting import augment_edge
 from repro.decomposition import acyclic_orientation, h_partition
 from repro.graph import neighborhood
 from repro.graph.generators import line_multigraph, uniform_palette
-from repro.nashwilliams import exact_pseudoarboricity, orientation_exists
+from repro.nashwilliams import exact_pseudoarboricity
 
 from harness import emit, format_table, once
 

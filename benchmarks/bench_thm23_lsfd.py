@@ -6,8 +6,6 @@ validates the decomposition across graph families and shows the charged
 round scaling with n.
 """
 
-import math
-
 from repro.decomposition import (
     list_star_forest_decomposition,
     lsfd_palette_requirement,

@@ -40,9 +40,7 @@ Key pieces:
 * :class:`repro.DecompositionConfig` — shared knobs (epsilon, alpha,
   seed, backend, diameter_mode, cut_rule, validation), JSON
   round-trippable.
-* :func:`repro.register_task` / :func:`repro.register_backend` — the
-  extension seam (the dict/csr substrates live here; ``sharded``,
-  ``parallel`` and ``mp`` are aliases of ``csr``).
+* :func:`repro.register_task` — the extension seam for new tasks.
 * Legacy-shaped wrappers, all registry-backed and accepting
   ``backend=``: :func:`repro.forest_decomposition`,
   :func:`repro.list_forest_decomposition`,
@@ -84,9 +82,7 @@ _API_EXPORTS = (
     "DecompositionConfig",
     "DecompositionResult",
     "register_task",
-    "register_backend",
     "available_tasks",
-    "available_backends",
     "forest_decomposition",
     "list_forest_decomposition",
     "star_forest_decomposition",

@@ -15,11 +15,9 @@ Usage examples::
 
 Graphs are plain edge lists (see :mod:`repro.graph.io`).  Every
 decomposition subcommand takes ``--backend auto|dict|csr`` (graph
-substrate; ``sharded``, ``parallel`` and ``mp`` are aliases of
-``csr``) and ``--json`` (print the structured
-``to_json()`` payload — colors, stats, config, round accounting —
-instead of the human report, so downstream tooling stops parsing
-printed text).
+substrate) and ``--json`` (print the structured ``to_json()`` payload
+— colors, stats, config, round accounting — instead of the human
+report, so downstream tooling stops parsing printed text).
 """
 
 from __future__ import annotations
@@ -55,9 +53,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="arboricity if known (else computed exactly)")
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--backend", default="auto",
-                        help="graph substrate: auto|dict|csr or any "
-                        "registered backend; sharded, parallel and mp "
-                        "are aliases of csr (default: auto)")
+                        choices=("auto", "dict", "csr"),
+                        help="graph substrate (default: auto)")
     parser.add_argument("--out", default=None, help="write coloring here")
     parser.add_argument("--json", action="store_true",
                         help="print the structured result (to_json()) "
@@ -400,7 +397,7 @@ def main(argv=None) -> int:
 
     p_desc = sub.add_parser(
         "describe",
-        help="print a task's declared pass DAG (no execution)",
+        help="print a task's declared passes (no execution)",
     )
     p_desc.add_argument(
         "task",
@@ -419,7 +416,9 @@ def main(argv=None) -> int:
                          "port is printed in the READY handshake)")
     p_serve.add_argument("--graph", default=None,
                          help="edge-list file to load at startup")
-    p_serve.add_argument("--backend", default="auto")
+    p_serve.add_argument("--backend", default="auto",
+                         choices=("auto", "dict", "csr"),
+                         help="graph substrate (default: auto)")
     p_serve.add_argument("--delta-mode", default="auto",
                          choices=("auto", "incremental", "full"),
                          help="delta engine policy (latency only; "

@@ -7,11 +7,8 @@ from .api import describe
 from .algorithm_stats import ListForestStats, StarForestStats, TaskStats
 from .config import DecompositionConfig
 from .registry import (
-    BackendSpec,
     TaskSpec,
-    available_backends,
     available_tasks,
-    register_backend,
     register_task,
 )
 from .results import (
@@ -73,11 +70,8 @@ __all__ = [
     "OrientationResult",
     "PseudoforestResult",
     "TaskSpec",
-    "BackendSpec",
     "register_task",
-    "register_backend",
     "available_tasks",
-    "available_backends",
     "PartialListForestDecomposition",
     "AugmentationStats",
     "find_almost_augmenting_sequence",

@@ -16,8 +16,8 @@ and the golden regressions are untouched.  The per-knob keyword
 spellings remain supported indefinitely, but new code should prefer
 passing ``config=`` (see the deprecation note in ``docs/api.md``).
 
-:func:`describe` prints a task's declared pass DAG — names,
-dependencies, and paper citations — without running anything.
+:func:`describe` prints a task's declared passes — names, in
+execution order, and paper citations — without running anything.
 
 For repeated queries against one graph prefer::
 
@@ -53,10 +53,8 @@ from .forest_decomposition import (
 from .list_forest import ListForestDecompositionResult
 from .orientation import Orientation
 from .registry import (
-    available_backends,
     available_tasks,
     get_task,
-    register_backend,
     register_task,
 )
 from .results import (
@@ -75,9 +73,7 @@ __all__ = [
     "DecompositionConfig",
     "DecompositionResult",
     "register_task",
-    "register_backend",
     "available_tasks",
-    "available_backends",
     # task wrappers (legacy shapes, registry-backed)
     "forest_decomposition",
     "list_forest_decomposition",
@@ -119,12 +115,11 @@ def _config_from_kwargs(
 
 
 def describe(task: str) -> str:
-    """The declared pass DAG of a registered task, as text.
+    """The declared pass list of a registered task, as text.
 
-    Lists the passes in canonical (serial) topological order with
-    their dependencies, descriptions and paper citations, plus any
-    Las Vegas retry rule — without running anything.  Also available
-    as ``python -m repro describe <task>``.
+    Lists the passes in execution order with their descriptions and
+    paper citations, plus any Las Vegas retry rule — without running
+    anything.  Also available as ``python -m repro describe <task>``.
     """
     spec = get_task(task)
     lines = [f"task: {spec.name}"]
@@ -173,10 +168,8 @@ def forest_decomposition(
         ``"doubling"`` (default) or ``"simultaneous"`` (multi-ball
         growth, see :func:`~repro.decomposition.network_decomposition`).
     backend:
-        Graph substrate: ``"auto"`` (default), ``"dict"`` (reference),
-        ``"csr"`` (kernel), or any registered backend name
-        (``"sharded"``, ``"parallel"`` and ``"mp"`` are aliases of
-        ``"csr"``).
+        Graph substrate: ``"auto"`` (default), ``"dict"`` (reference)
+        or ``"csr"`` (kernel).
 
     Returns a :class:`ForestDecompositionResult` whose ``coloring`` maps
     every edge id to a forest index, with ``colors_used`` and charged

@@ -19,9 +19,9 @@ augmenting sequence.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import AugmentationError, ValidationError
+from ..errors import AugmentationError
 from .partial_coloring import PartialListForestDecomposition
 
 Sequence_ = List[Tuple[int, int]]  # [(edge id, color), ...]

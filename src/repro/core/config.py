@@ -18,10 +18,12 @@ Semantics of the shared fields:
   memoized exact computation (Gabow–Westermann ground truth).
 * ``seed`` — root of the deterministic RNG tree; equal seeds reproduce
   results bit-for-bit.
-* ``backend`` — graph-substrate name resolved through the backend
-  registry: ``"auto"`` (default), ``"dict"`` (byte-identical reference
-  paths), ``"csr"`` (flat-array kernel), or any registered name.
-  ``"sharded"``, ``"parallel"`` and ``"mp"`` are aliases of ``"csr"``.
+* ``backend`` — graph substrate: ``"auto"`` (default; each layer picks
+  the kernel or the reference path, see
+  :func:`~repro.graph.csr.resolve_backend`), ``"dict"`` (byte-identical
+  reference paths) or ``"csr"`` (flat-array kernel).  Any other name
+  raises; :meth:`DecompositionConfig.from_json` still loads the
+  retired names of persisted configs.
 * ``diameter_mode`` — forest-diameter bounding per Corollary 2.5:
   ``None`` (unbounded), ``"safe"``, ``"strong"``, or ``"auto"``.
 * ``cut_rule`` — CUT implementation per Theorem 4.2.
@@ -65,7 +67,7 @@ DELTA_MODES = ("auto", "incremental", "full")
 
 @dataclass(frozen=True)
 class DecompositionConfig:
-    """Shared knobs for every task run through the registry."""
+    """Shared knobs for every task run through the task registry."""
 
     epsilon: Optional[float] = None
     alpha: Optional[int] = None
@@ -80,6 +82,11 @@ class DecompositionConfig:
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.backend not in ("auto", "dict", "csr"):
+            raise ValidationError(
+                f"unknown backend {self.backend!r}; "
+                "expected one of ('auto', 'dict', 'csr')"
+            )
         if self.validation not in VALIDATION_LEVELS:
             raise ValidationError(
                 f"unknown validation level {self.validation!r}; "
@@ -154,9 +161,13 @@ class DecompositionConfig:
         ``schedule`` (pass-execution mode) fields: checkpoints and
         daemon payloads written before their removal carry them, so a
         value the old field accepted is dropped and any other value
-        (a bool included) raises.
+        (a bool included) raises.  Likewise the retired backend names
+        ``"sharded"``, ``"parallel"`` and ``"mp"`` ran the csr kernel,
+        so they load as ``"csr"``.
         """
         payload = dict(payload)
+        if payload.get("backend") in _RETIRED_BACKENDS:
+            payload["backend"] = "csr"
         workers = payload.pop("workers", 0)
         if (
             not isinstance(workers, int)
@@ -179,6 +190,11 @@ class DecompositionConfig:
                 f"unknown DecompositionConfig fields: {sorted(unknown)}"
             )
         return cls(**payload)
+
+
+#: Backend names of the retired thread and process executors; every one
+#: ran the csr kernel when it was last accepted.
+_RETIRED_BACKENDS = ("sharded", "parallel", "mp")
 
 
 def _json_roundtrips(value: Any) -> bool:

@@ -34,11 +34,10 @@ out-degree accounting."""
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..errors import DecompositionError
 from ..graph.forests import RootedForest
-from ..graph.multigraph import MultiGraph
 from ..graph.traversal import neighborhood
 from ..local.rounds import RoundCounter, ensure_counter
 from ..rng import SeedLike, make_rng

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import AugmentationError, DecompositionError
-from ..graph.csr import CSRGraph, _canonical_backend
+from ..graph.csr import CSRGraph
 from ..graph.multigraph import MultiGraph
 from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -63,13 +63,6 @@ from .partial_coloring import PartialListForestDecomposition
 from .results import DecompositionResult
 
 Palettes = Dict[int, Sequence[int]]
-
-
-def _kernel_backend(backend: str) -> str:
-    """The concrete substrate a pipeline backend runs on: the dict
-    reference path for ``"dict"``, the csr kernel for everything else
-    (``"auto"`` included)."""
-    return "dict" if _canonical_backend(backend) == "dict" else "csr"
 
 
 @dataclass
@@ -166,12 +159,10 @@ def algorithm2(
         of falling back to an uncapped search.
     backend:
         Graph substrate: ``"auto"`` (default, kernel-backed),
-        ``"dict"`` (the byte-identical reference paths throughout),
-        ``"csr"`` (``"sharded"``, ``"parallel"`` and ``"mp"`` are its
-        aliases).  Outputs are identical across backends (certified by
+        ``"dict"`` (the byte-identical reference paths throughout) or
+        ``"csr"``.  Outputs are identical across backends (certified by
         the kernel-equivalence suite).
     """
-    backend = _canonical_backend(backend)
     if backend not in ("auto", "dict", "csr"):
         raise DecompositionError(f"unknown backend {backend!r}")
     counter = ensure_counter(rounds)
@@ -189,7 +180,8 @@ def algorithm2(
     stats.search_radius = r_prime
     d = r + r_prime
 
-    substrate = _kernel_backend(backend)
+    # "auto" runs the kernel throughout Algorithm 2.
+    substrate = "dict" if backend == "dict" else "csr"
     orientation_j = None
     if cut_rule == "conditioned_sampling":
         with counter.phase("orientation J"):
@@ -437,7 +429,7 @@ def _forest_leftover_recolor(ctx: PipelineContext) -> None:
             ctx["graph"], ctx["leftover"], ctx["coloring"],
             ctx["next_color"], counter,
             as_star_forests=ctx["diameter_mode"] is not None,
-            backend=_kernel_backend(ctx["backend"]),
+            backend=ctx["backend"],
         )
     ctx.note(reconcile_volume=len(ctx["leftover"]))
 
@@ -465,7 +457,7 @@ def _forest_diameter_reduce(ctx: PipelineContext) -> None:
             ctx["next_color"],
             counter,
             as_star_forests=True,
-            backend=_kernel_backend(ctx["backend"]),
+            backend=ctx["backend"],
         )
     ctx.note(
         items=len(set(ctx["coloring"].values())),
@@ -495,8 +487,8 @@ def _forest_finalize(ctx: PipelineContext) -> None:
     )
 
 
-#: Theorem 4.6 as a declared pass DAG (a dependency chain: each stage
-#: consumes the previous stage's coloring, so levels are singletons).
+#: Theorem 4.6 as a declared pass list (each stage consumes the
+#: previous stage's coloring).
 FOREST_PIPELINE = Pipeline(
     "forest",
     [
@@ -508,7 +500,7 @@ FOREST_PIPELINE = Pipeline(
             citation="Theorem 4.6 budget split",
         ),
         Pass(
-            "algorithm2", _forest_algorithm2, deps=("setup",),
+            "algorithm2", _forest_algorithm2,
             reads=("graph", "palettes", "eps_prime", "alpha"),
             writes=("alg2", "coloring", "next_color", "leftover"),
             description="Algorithm 2: network decomposition schedules "
@@ -518,7 +510,6 @@ FOREST_PIPELINE = Pipeline(
         ),
         Pass(
             "leftover_recolor", _forest_leftover_recolor,
-            deps=("algorithm2",),
             reads=("leftover",), writes=("coloring", "next_color"),
             description="recolor the CUT leftover with fresh colors "
                         "via an H-partition",
@@ -526,7 +517,6 @@ FOREST_PIPELINE = Pipeline(
         ),
         Pass(
             "diameter_reduce", _forest_diameter_reduce,
-            deps=("leftover_recolor",),
             reads=("coloring",), writes=("coloring", "next_color"),
             description="depth-cut every color class at a random "
                         "residue mod z, recolor deletions as star "
@@ -534,7 +524,7 @@ FOREST_PIPELINE = Pipeline(
             citation="Corollary 2.5",
         ),
         Pass(
-            "finalize", _forest_finalize, deps=("diameter_reduce",),
+            "finalize", _forest_finalize,
             reads=("coloring",), writes=("result",),
             description="assemble the ForestDecompositionResult",
         ),
@@ -596,16 +586,20 @@ def _recolor_fresh(
     next_color: int,
     counter: RoundCounter,
     as_star_forests: bool,
-    backend: str = "csr",
+    backend: str,
 ) -> int:
     """Color ``eids`` with fresh colors starting at ``next_color`` via
-    Theorem 2.1; returns the next unused color index."""
+    Theorem 2.1; returns the next unused color index.  The peel runs
+    on the kernel unless ``backend`` is ``"dict"``, as in Algorithm 2."""
     if not eids:
         return next_color
     sub = graph.edge_subgraph(eids)
     pseudo = max(1, exact_pseudoarboricity(sub))
     threshold = max(1, math.floor(2.5 * pseudo))
-    partition = h_partition(sub, threshold, counter, backend=backend)
+    partition = h_partition(
+        sub, threshold, counter,
+        backend="dict" if backend == "dict" else "csr",
+    )
     if as_star_forests:
         star = star_forest_decomposition_via_hpartition(sub, partition, counter)
         labels = sorted(set(star.values()))

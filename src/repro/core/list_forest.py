@@ -182,7 +182,7 @@ def _lf_on_retry(ctx: PipelineContext) -> None:
     ctx["stats"].reserve_retries += 1
 
 
-#: Theorem 4.10 as a declared pass DAG with a Las Vegas retry edge.
+#: Theorem 4.10 as a declared pass list with a Las Vegas retry rule.
 LIST_FOREST_PIPELINE = Pipeline(
     "list_forest",
     [
@@ -192,21 +192,21 @@ LIST_FOREST_PIPELINE = Pipeline(
             description="resolve α and split the ε budget (ε' = ε/10)",
         ),
         Pass(
-            "split", _lf_split, deps=("setup",),
+            "split", _lf_split,
             reads=("palettes",), writes=("split", "stats"),
             description="vertex-color-splitting of every palette into "
                         "main Q0 / reserve Q1",
             citation="Theorem 4.9 / Proposition 4.8",
         ),
         Pass(
-            "algorithm2", _lf_algorithm2, deps=("split",),
+            "algorithm2", _lf_algorithm2,
             reads=("split", "alpha"),
             writes=("coloring_0", "leftover", "stats"),
             description="Algorithm 2 on the main palettes colors E0",
             citation="Theorem 4.5",
         ),
         Pass(
-            "diameter_reduce", _lf_diameter_reduce, deps=("algorithm2",),
+            "diameter_reduce", _lf_diameter_reduce,
             reads=("coloring_0",),
             writes=("coloring_0", "leftover", "stats"),
             description="depth-cut φ0's deep trees; deletions join the "
@@ -214,14 +214,14 @@ LIST_FOREST_PIPELINE = Pipeline(
             citation="Proposition 2.4",
         ),
         Pass(
-            "reserve", _lf_reserve, deps=("diameter_reduce",),
+            "reserve", _lf_reserve,
             reads=("leftover", "split"), writes=("coloring_1",),
             description="LSFD recolors the leftover from the reserve "
                         "palettes",
             citation="Theorem 2.3",
         ),
         Pass(
-            "combine", _lf_combine, deps=("reserve",),
+            "combine", _lf_combine,
             reads=("coloring_0", "coloring_1"), writes=("result",),
             description="overlay the two phases",
             citation="Proposition 4.8",

@@ -11,7 +11,7 @@ Also provided: the (2+ε)α*-orientation baseline from the H-partition
 (Theorem 2.1(2)) and the exact flow-based witness, so benches can
 compare all three.
 
-Both registry tasks run as declared pass DAGs
+Both registry tasks run as declared pass lists
 (:data:`ORIENTATION_PIPELINE`, :data:`PSEUDOFOREST_PIPELINE`): a
 ``decompose`` pass producing the substrate (forest decomposition,
 H-partition, or nothing for the exact witness), an ``orient`` pass
@@ -103,7 +103,7 @@ def orientation_from_forest_decomposition(
 
 
 # ----------------------------------------------------------------------
-# Corollary 1.1 as a pass DAG
+# Corollary 1.1 as a pass list
 # ----------------------------------------------------------------------
 
 
@@ -209,7 +209,7 @@ _ORIENT_PASSES = [
         description="validate the method selection",
     ),
     Pass(
-        "decompose", _or_decompose, deps=("setup",),
+        "decompose", _or_decompose,
         writes=(
             "forest_result", "partition", "bound",
             "peel_backend", "snapshot",
@@ -220,7 +220,7 @@ _ORIENT_PASSES = [
         citation="Theorem 4.6 / Theorem 2.1(2)",
     ),
     Pass(
-        "orient", _or_orient, deps=("decompose",),
+        "orient", _or_orient,
         reads=("forest_result", "partition"),
         writes=("orientation", "bound"),
         description="point every edge at its parent / peel level / "
@@ -230,12 +230,12 @@ _ORIENT_PASSES = [
     ),
 ]
 
-#: Corollary 1.1 as a declared pass DAG.
+#: Corollary 1.1 as a declared pass list.
 ORIENTATION_PIPELINE = Pipeline(
     "orientation",
     _ORIENT_PASSES + [
         Pass(
-            "finalize", _or_finalize, deps=("orient",),
+            "finalize", _or_finalize,
             reads=("orientation", "bound"), writes=("result",),
             description="assemble the OrientationResult",
         ),
@@ -249,14 +249,14 @@ PSEUDOFOREST_PIPELINE = Pipeline(
     "pseudoforest",
     _ORIENT_PASSES + [
         Pass(
-            "fold", _pf_fold, deps=("orient",),
+            "fold", _pf_fold,
             reads=("orientation",), writes=("pf_coloring",),
             description="group each vertex's out-edges into one "
                         "pseudoforest per out-slot",
             citation="Corollary 1.1 companion",
         ),
         Pass(
-            "finalize", _pf_finalize, deps=("fold",),
+            "finalize", _pf_finalize,
             reads=("pf_coloring", "bound"), writes=("result",),
             description="assemble the PseudoforestResult",
         ),

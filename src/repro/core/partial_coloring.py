@@ -30,7 +30,7 @@ from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PaletteError, ValidationError
-from ..graph.csr import _canonical_backend, snapshot_of
+from ..graph.csr import snapshot_of
 from ..graph.dynforest import DynamicForest
 from ..graph.multigraph import MultiGraph
 from ..graph.union_find import UnionFind
@@ -47,7 +47,6 @@ class PartialListForestDecomposition:
         palettes: Palettes,
         backend: str = "auto",
     ) -> None:
-        backend = _canonical_backend(backend)
         if backend not in ("auto", "dict", "csr"):
             raise ValidationError(f"unknown color-class backend {backend!r}")
         self.graph = graph

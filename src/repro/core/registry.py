@@ -1,5 +1,5 @@
-"""Task and backend registries: the one seam where decompositions and
-graph substrates plug into the public API.
+"""Task registry: the one seam where decompositions plug into the
+public API.
 
 Every headline result of the paper is a *task* — a named recipe that
 takes a :class:`~repro.core.session.Session` plus a
@@ -14,16 +14,11 @@ tasks (registered by :mod:`repro.core.session` on import) are::
     pseudoforest      Corollary 1.1 companion
     orientation       Corollary 1.1
 
-*Backends* name graph substrates.  The built-ins are ``auto`` /
-``dict`` / ``csr``, plus ``sharded``, ``parallel`` and ``mp``, retired
-names registered as aliases of ``csr``.  A backend ultimately resolves
-to the concrete substrate string the lower layers understand
-(``"auto"``, ``"dict"`` or ``"csr"``), so a custom backend is free to
-pick per-graph.
-
-Use :func:`register_task` / :func:`register_backend` to extend either
-registry (``override=True`` to replace an entry); unknown names raise
-:class:`~repro.errors.RegistryError` listing what is available.
+Use :func:`register_task` to add a task (``override=True`` to replace
+an entry); unknown names raise :class:`~repro.errors.RegistryError`
+listing what is available.  Graph substrates are not registered: the
+config's ``backend`` field is one of ``"auto"``, ``"dict"`` or
+``"csr"`` (see :mod:`repro.core.config`).
 """
 
 from __future__ import annotations
@@ -74,29 +69,7 @@ class TaskSpec:
     delta: Optional[TaskRunner] = None
 
 
-@dataclass(frozen=True)
-class BackendSpec:
-    """One graph substrate: name and resolution rule."""
-
-    name: str
-    description: str = ""
-    #: maps (graph) -> the concrete substrate string the lower layers
-    #: accept; defaults to the backend's own name
-    resolve: Optional[Callable[[Any], str]] = None
-
-    def substrate_for(self, graph: Any) -> str:
-        if self.resolve is None:
-            return self.name
-        return self.resolve(graph)
-
-
 _TASKS: Dict[str, TaskSpec] = {}
-_BACKENDS: Dict[str, BackendSpec] = {}
-
-
-# ----------------------------------------------------------------------
-# Tasks
-# ----------------------------------------------------------------------
 
 
 def register_task(spec: TaskSpec, override: bool = False) -> TaskSpec:
@@ -141,36 +114,3 @@ def available_tasks() -> Tuple[str, ...]:
     """Registered task names, sorted."""
     return tuple(sorted(_TASKS))
 
-
-# ----------------------------------------------------------------------
-# Backends
-# ----------------------------------------------------------------------
-
-
-def register_backend(spec: BackendSpec, override: bool = False) -> BackendSpec:
-    """Register a graph-substrate backend; ``override=True`` replaces."""
-    if spec.name in _BACKENDS and not override:
-        raise RegistryError(
-            f"backend {spec.name!r} is already registered "
-            "(pass override=True to replace it)"
-        )
-    _BACKENDS[spec.name] = spec
-    return spec
-
-
-def unregister_backend(name: str) -> None:
-    _BACKENDS.pop(name, None)
-
-
-def get_backend(name: str) -> BackendSpec:
-    try:
-        return _BACKENDS[name]
-    except KeyError:
-        raise RegistryError(
-            f"unknown backend {name!r}; available: {available_backends()}"
-        ) from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """Registered backend names, sorted."""
-    return tuple(sorted(_BACKENDS))

@@ -24,10 +24,10 @@ graph pay prep once (see ``bench_session`` in
 
 Dispatch goes through the task registry: ``session.decompose(task=...)``
 looks the task up, resolves the config (task-default epsilon, memoized
-alpha, backend substrate), runs it, binds the graph/config to the
-result, and optionally validates per ``config.validation``.  The
-module-level :func:`decompose` is the one-shot convenience that makes a
-throwaway session.
+alpha), runs it, binds the graph/config to the result, and optionally
+validates per ``config.validation``.  The module-level
+:func:`decompose` is the one-shot convenience that makes a throwaway
+session.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, GraphError, PaletteError, ValidationError
-from ..graph.csr import _BACKEND_ALIASES, mutation_fingerprint, snapshot_of
+from ..graph.csr import mutation_fingerprint, snapshot_of
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
 from ..nashwilliams.pseudoarboricity import exact_pseudoarboricity
@@ -57,13 +57,9 @@ from .orientation import (
     pseudoforest_decomposition_result,
 )
 from .registry import (
-    BackendSpec,
     TaskSpec,
-    available_backends,
     available_tasks,
-    get_backend,
     get_task,
-    register_backend,
     register_task,
 )
 from .results import DecompositionResult, OrientationResult, PseudoforestResult
@@ -255,11 +251,6 @@ class Session:
             return config.alpha
         return self.arboricity()
 
-    def substrate(self, config: DecompositionConfig) -> str:
-        """The concrete substrate string for ``config.backend``,
-        resolved through the backend registry."""
-        return get_backend(config.backend).substrate_for(self.graph)
-
     # ------------------------------------------------------------------
     # Dispatch
     # ------------------------------------------------------------------
@@ -287,9 +278,6 @@ class Session:
                 f"config must be a DecompositionConfig, got {type(cfg).__name__}"
             )
         cfg = cfg.with_defaults(spec.default_epsilon)
-        # registry-level checks happen here, once, for every task —
-        # including third-party registrations
-        get_backend(cfg.backend)
         if spec.simple_only and not self.graph.is_simple():
             raise GraphError(
                 f"task {spec.name!r} needs a simple graph "
@@ -438,7 +426,7 @@ def _run_forest(
         rounds=rounds,
         radius=radius,
         search_radius=search_radius,
-        backend=session.substrate(config),
+        backend=config.backend,
     )
 
 
@@ -466,7 +454,7 @@ def _run_list_forest(
         rounds=rounds,
         radius=radius,
         search_radius=search_radius,
-        backend=session.substrate(config),
+        backend=config.backend,
     )
 
 
@@ -483,7 +471,7 @@ def _run_star_forest(
         seed=config.seed,
         rounds=rounds,
         max_lll_rounds=max_lll_rounds,
-        backend=session.substrate(config),
+        backend=config.backend,
     )
 
 
@@ -517,7 +505,7 @@ def _run_list_star_forest(
         pseudo = session.pseudoarboricity()
         coloring = lsfd_theorem23(
             session.graph, palettes, max(1, pseudo), 0.5, counter,
-            backend=session.substrate(config),
+            backend=config.backend,
         )
         colors_used = len(set(coloring.values()))
         return StarForestResult(
@@ -547,7 +535,7 @@ def _run_orientation(
         method=method,
         seed=config.seed,
         rounds=rounds,
-        backend=session.substrate(config),
+        backend=config.backend,
         pseudoarboricity=(
             pseudoarboricity if pseudoarboricity is not None
             else session.pseudoarboricity()
@@ -571,7 +559,7 @@ def _run_pseudoforest(
         method=method,
         seed=config.seed,
         rounds=rounds,
-        backend=session.substrate(config),
+        backend=config.backend,
         pseudoarboricity=(
             pseudoarboricity if pseudoarboricity is not None
             else session.pseudoarboricity()
@@ -643,33 +631,10 @@ register_task(TaskSpec(
     uses=("arboricity", "pseudoarboricity"),
 ))
 
-register_backend(BackendSpec(
-    name="auto",
-    description="per-callsite choice: kernel for large graphs and CSR "
-    "inputs, dict reference for small ones",
-))
-register_backend(BackendSpec(
-    name="dict",
-    description="dict-of-dicts reference paths (byte-identical goldens)",
-))
-register_backend(BackendSpec(
-    name="csr",
-    description="flat-array CSR kernel (vectorized peeling/traversal)",
-))
-for _alias, _target in _BACKEND_ALIASES.items():
-    register_backend(BackendSpec(
-        name=_alias,
-        description=f"alias of {_target!r}",
-        resolve=lambda graph, target=_target: target,
-    ))
-
 __all__ = [
     "Session",
     "decompose",
     "available_tasks",
-    "available_backends",
     "get_task",
-    "get_backend",
     "register_task",
-    "register_backend",
 ]

@@ -14,7 +14,7 @@ list variant.  Unmatched edges are recolored via Theorem 2.1(3)
 (ordinary) — Proposition 5.1 bounds their pseudo-arboricity by the
 matching deficit.
 
-Both variants are declared pass DAGs (:data:`STAR_FOREST_PIPELINE`,
+Both variants are declared pass lists (:data:`STAR_FOREST_PIPELINE`,
 :data:`LIST_STAR_FOREST_PIPELINE`).  The per-vertex ``H_v`` matchings
 are the natural fan-out unit: each LLL round maps the independent
 matchings through ``ctx.fan_out`` (the color-set draws stay in the
@@ -159,7 +159,7 @@ def _sf_vertex_matching(
 
 
 # ----------------------------------------------------------------------
-# Theorem 5.4(1): ordinary star-forest decomposition, as a pass DAG
+# Theorem 5.4(1): ordinary star-forest decomposition, as a pass list
 # ----------------------------------------------------------------------
 
 
@@ -304,7 +304,7 @@ def _sf_finalize(ctx: PipelineContext) -> None:
     )
 
 
-#: Theorem 5.4(1) as a declared pass DAG.
+#: Theorem 5.4(1) as a declared pass list.
 STAR_FOREST_PIPELINE = Pipeline(
     "star_forest",
     [
@@ -314,19 +314,19 @@ STAR_FOREST_PIPELINE = Pipeline(
             description="resolve α and the t = ⌈(1+ε)α⌉ budget",
         ),
         Pass(
-            "orient", _sf_orient, deps=("setup",),
+            "orient", _sf_orient,
             reads=("t",), writes=("out_edges", "stats"),
             description="exact t-orientation ([SV19a] substitute)",
             citation="Theorem 5.4 setup",
         ),
         Pass(
-            "sample", _sf_sample, deps=("orient",),
+            "sample", _sf_sample,
             writes=("color_sets", "deficit_budget", "sample_color_set"),
             description="uniform random α-subsets C(v)",
             citation="Lemma 5.2",
         ),
         Pass(
-            "matchings", _sf_matchings, deps=("sample",),
+            "matchings", _sf_matchings,
             reads=("out_edges", "color_sets"), writes=("matchings",),
             description="per-vertex H_v matchings (fan-out unit), "
                         "LLL-resampling vertices whose deficit exceeds "
@@ -334,21 +334,21 @@ STAR_FOREST_PIPELINE = Pipeline(
             citation="Lemma 5.2 (distributed LLL)",
         ),
         Pass(
-            "assemble", _sf_assemble, deps=("matchings",),
+            "assemble", _sf_assemble,
             reads=("matchings", "out_edges"),
             writes=("coloring", "leftover", "stats"),
             description="matched slots become ('amr', i) colors; "
                         "unmatched edges join the leftover",
         ),
         Pass(
-            "leftover_recolor", _sf_leftover_recolor, deps=("assemble",),
+            "leftover_recolor", _sf_leftover_recolor,
             reads=("leftover",), writes=("coloring",),
             description="Theorem 2.1(3) recoloring of the leftover "
                         "with fresh ('extra', ...) colors",
             citation="Proposition 5.1 / Theorem 2.1(3)",
         ),
         Pass(
-            "finalize", _sf_finalize, deps=("leftover_recolor",),
+            "finalize", _sf_finalize,
             reads=("coloring",), writes=("result",),
             description="assemble the StarForestResult",
         ),
@@ -418,7 +418,7 @@ def _recolor_leftover_stars(
 
 
 # ----------------------------------------------------------------------
-# Theorem 5.4(2): list star-forest decomposition, as a pass DAG
+# Theorem 5.4(2): list star-forest decomposition, as a pass list
 # ----------------------------------------------------------------------
 
 
@@ -551,7 +551,7 @@ def _lsf_finalize(ctx: PipelineContext) -> None:
     ctx.note(reconcile_volume=len(coloring))
 
 
-#: Theorem 5.4(2) as a declared pass DAG (shares the orient pass shape
+#: Theorem 5.4(2) as a declared pass list (shares the orient pass shape
 #: with the ordinary variant; matchings must be perfect, so there is no
 #: leftover stage).
 LIST_STAR_FOREST_PIPELINE = Pipeline(
@@ -563,20 +563,20 @@ LIST_STAR_FOREST_PIPELINE = Pipeline(
             description="resolve α and the t = ⌈(1+ε)α⌉ budget",
         ),
         Pass(
-            "orient", _sf_orient, deps=("setup",),
+            "orient", _sf_orient,
             reads=("t",), writes=("out_edges", "stats"),
             description="exact t-orientation ([SV19a] substitute)",
             citation="Theorem 5.4 setup",
         ),
         Pass(
-            "sample", _lsf_sample, deps=("orient",),
+            "sample", _lsf_sample,
             reads=("palettes",),
             writes=("color_sets", "palette_sets", "sample_color_set"),
             description="independent (1−ε) color retention per vertex",
             citation="Lemma 5.3",
         ),
         Pass(
-            "matchings", _lsf_matchings, deps=("sample",),
+            "matchings", _lsf_matchings,
             reads=("out_edges", "color_sets", "palette_sets"),
             writes=("matchings",),
             description="per-vertex H_v matchings (fan-out unit); "
@@ -584,7 +584,7 @@ LIST_STAR_FOREST_PIPELINE = Pipeline(
             citation="Lemma 5.3 (distributed LLL)",
         ),
         Pass(
-            "finalize", _lsf_finalize, deps=("matchings",),
+            "finalize", _lsf_finalize,
             reads=("matchings", "out_edges"), writes=("result",),
             description="matched slots become palette colors",
         ),

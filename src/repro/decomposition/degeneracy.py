@@ -20,8 +20,8 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import GraphError, PaletteError
-from ..graph.csr import CSRGraph
+from ..errors import PaletteError
+from ..graph.csr import CSRGraph, resolve_backend
 from ..graph.multigraph import MultiGraph
 
 Palettes = Dict[int, Sequence[int]]
@@ -39,12 +39,12 @@ def degeneracy_ordering(
 
     ``backend="csr"`` (default) runs the delete-min loop on the
     flat-array kernel's peeling view; ``backend="dict"`` keeps the
-    original dict-of-sets loop.  Both return identical orders.
+    original dict-of-sets loop; ``backend="auto"`` picks one by
+    :func:`~repro.graph.csr.resolve_backend`.  All return identical
+    orders.
     """
-    if backend == "dict":
+    if resolve_backend(graph, backend) == "dict":
         return _degeneracy_ordering_dict(graph)
-    if backend != "csr":
-        raise GraphError(f"unknown degeneracy backend {backend!r}")
     snapshot = CSRGraph.from_multigraph(graph)
     degeneracy, order_indices = _peel_order(snapshot)
     vertex_ids = snapshot.vertex_ids.tolist()
@@ -96,9 +96,10 @@ def degeneracy_orientation(
 
     Each edge is oriented from the endpoint peeled *earlier* (so every
     vertex's out-edges go to vertices still present when it was peeled:
-    at most ``d`` of them).
+    at most ``d`` of them).  ``backend`` as in
+    :func:`degeneracy_ordering`.
     """
-    if backend == "dict":
+    if resolve_backend(graph, backend) == "dict":
         degeneracy, order = _degeneracy_ordering_dict(graph)
         position = {v: i for i, v in enumerate(order)}
         orientation = {
@@ -106,8 +107,6 @@ def degeneracy_orientation(
             for eid, u, v in graph.edges()
         }
         return degeneracy, orientation
-    if backend != "csr":
-        raise GraphError(f"unknown degeneracy backend {backend!r}")
     snapshot = CSRGraph.from_multigraph(graph)
     degeneracy, order_indices = _peel_order(snapshot)
     if snapshot.num_edges == 0:

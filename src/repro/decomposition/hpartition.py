@@ -21,7 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, PaletteError
-from ..graph.csr import CSRGraph, EdgeArrayMap, _canonical_backend
+from ..graph.csr import CSRGraph, EdgeArrayMap, resolve_backend
 from ..graph.forests import RootedForest
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -103,10 +103,11 @@ def h_partition(
     threshold-crossing frontier after the first full scan (see
     :class:`~repro.graph.csr.PeelingView`); ``backend="dict"`` keeps
     the original dict-of-sets loop (reference implementation, used by
-    the equivalence tests and benchmarks).  Both produce identical
-    classes.  ``"sharded"``, ``"parallel"`` and ``"mp"`` are aliases
-    of ``"csr"``.  A prebuilt ``snapshot`` of ``graph`` can be supplied
-    to amortize conversion across several kernel-backed passes.
+    the equivalence tests and benchmarks); ``backend="auto"`` picks
+    one by :func:`~repro.graph.csr.resolve_backend`.  All produce
+    identical classes.  A prebuilt ``snapshot`` of ``graph`` can be
+    supplied to amortize conversion across several kernel-backed
+    passes.
     """
     counter = ensure_counter(rounds)
     cap = max_iterations if max_iterations is not None else 4 * graph.n + 8
@@ -118,14 +119,11 @@ def h_partition(
             if waves:
                 counter.charge(waves, "H-partition wave")
             return HPartition(cached, threshold)
-    backend = _canonical_backend(backend)
-    if backend == "dict":
+    if resolve_backend(graph, backend, DecompositionError) == "dict":
         partition = _h_partition_dict(graph, threshold, counter, cap)
         if oracle is not None:
             oracle.record(graph, threshold, partition.classes)
         return partition
-    if backend != "csr":
-        raise DecompositionError(f"unknown h_partition backend {backend!r}")
 
     snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
     view = snap.peeling_view()
@@ -211,13 +209,13 @@ def acyclic_orientation(
     threshold.  Charges one round (purely local decision per edge).
     The default ``backend="csr"`` evaluates the per-edge comparison
     vectorized on the flat-array kernel; ``backend="dict"`` is the
-    reference per-edge loop.  Outputs are identical.
+    reference per-edge loop; ``backend="auto"`` picks one by
+    :func:`~repro.graph.csr.resolve_backend`.  Outputs are identical.
     """
     counter = ensure_counter(rounds)
     classes = partition.classes
     orientation: Orientation
-    backend = _canonical_backend(backend)
-    if backend == "dict":
+    if resolve_backend(graph, backend, DecompositionError) == "dict":
         orientation = {}
         for eid, u, v in graph.edges():
             cu, cv = classes[u], classes[v]
@@ -225,7 +223,7 @@ def acyclic_orientation(
                 orientation[eid] = u
             else:
                 orientation[eid] = v
-    elif backend == "csr":
+    else:
         # The result is an array-backed mapping
         # (:class:`~repro.graph.csr.EdgeArrayMap`) — == any dict with
         # the same items, but never materializes m Python ints unless a
@@ -247,8 +245,6 @@ def acyclic_orientation(
             u_wins = (class_u < class_v) | ((class_u == class_v) & (u_ids < v_ids))
             tails = np.where(u_wins, u_ids, v_ids)
             orientation = EdgeArrayMap(snap.edge_id, tails)
-    else:
-        raise DecompositionError(f"unknown orientation backend {backend!r}")
     counter.charge(1, "orientation")
     return orientation
 

@@ -23,14 +23,13 @@ impossible, so each color class is a star forest.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..errors import PaletteError
 from ..graph.csr import CSRGraph, resolve_backend
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from .hpartition import (
-    HPartition,
     acyclic_orientation,
     h_partition,
     out_edges_by_vertex,

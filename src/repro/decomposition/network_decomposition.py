@@ -47,12 +47,6 @@ GraphLike = Union[MultiGraph, CSRGraph]
 CARVE_RULES = ("doubling", "simultaneous")
 
 
-def _resolve_backend(graph: GraphLike, backend: str) -> str:
-    # Shared dispatch (and auto cutoff) with the traversal layer; this
-    # layer reports unknown names in its own error taxonomy.
-    return resolve_backend(graph, backend, DecompositionError)
-
-
 class NetworkDecomposition:
     """A (D, chi) network decomposition: classes of disjoint clusters."""
 
@@ -120,7 +114,7 @@ def network_decomposition(
     if n == 0:
         return NetworkDecomposition([])
 
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend, DecompositionError) == "csr":
         snap = snapshot_of(graph)
         if carve_rule == "simultaneous":
             classes = _decompose_simultaneous_csr(snap, n)
@@ -673,7 +667,7 @@ def partial_network_decomposition(
     if n == 0:
         return {}
 
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend, DecompositionError) == "csr":
         head_of = _mpx_sweep_csr(snapshot_of(graph), beta, rng)
     else:
         head_of = _mpx_sweep_dict(graph, beta, rng)
@@ -751,7 +745,7 @@ def cut_edges_of_clustering(
     :class:`DecompositionError` naming the vertex (on both backends),
     instead of leaking a bare ``KeyError`` out of the gather.
     """
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend, DecompositionError) == "csr":
         snap = snapshot_of(graph)
         if snap.num_edges == 0:
             return []

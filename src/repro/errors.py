@@ -43,8 +43,8 @@ class ReservePaletteError(DecompositionError):
 
 
 class RegistryError(ReproError):
-    """Unknown or conflicting task/backend name in the decomposition
-    registry (see :mod:`repro.core.registry`)."""
+    """Unknown or conflicting task name in the decomposition registry
+    (see :mod:`repro.core.registry`), or a malformed pass pipeline."""
 
 
 class LocalModelError(ReproError):

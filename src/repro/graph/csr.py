@@ -111,27 +111,14 @@ def _half_edge_csr(
 # under backend="auto": converting to arrays costs more than it saves.
 AUTO_CSR_CUTOFF = 256
 
-#: Retired backend names and the backend each one runs, so configs,
-#: CLI flags and direct calls written against one keep working.
-_BACKEND_ALIASES = {"sharded": "csr", "parallel": "csr", "mp": "csr"}
-
-
-def _canonical_backend(backend: str) -> str:
-    """``backend`` with a retired alias replaced by the backend it
-    runs (every other name passes through unchanged)."""
-    return _BACKEND_ALIASES.get(backend, backend)
-
-
 def resolve_backend(graph, backend: str, error_cls=GraphError) -> str:
-    """Shared backend dispatch for the traversal / decomposition layers.
+    """The one backend parser of the traversal / decomposition layers.
 
     ``auto`` routes :class:`CSRGraph` inputs (and large ``MultiGraph``
     inputs) to the kernel and keeps small dict graphs on the reference
-    path.  The retired names ``"sharded"``, ``"parallel"`` and ``"mp"``
-    are aliases of ``"csr"``.  Unknown names raise ``error_cls`` so
-    each layer keeps its own error taxonomy.
+    path.  Unknown names raise ``error_cls`` so each layer keeps its
+    own error taxonomy.
     """
-    backend = _canonical_backend(backend)
     if backend == "auto":
         if isinstance(graph, CSRGraph):
             return "csr"

@@ -9,7 +9,7 @@ graph library involved.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set
 
 from ..errors import GraphError
 

@@ -18,7 +18,7 @@ variants (k-LFD / k-LSFD).
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from ..errors import GraphError
 from ..rng import SeedLike, make_rng

@@ -28,7 +28,7 @@ the decompositions on their own graphs.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, Sequence, TextIO, Tuple, Union
 
 from ..errors import GraphError
 from .multigraph import MultiGraph

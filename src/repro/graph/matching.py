@@ -11,7 +11,7 @@ nodes adjacent to left node ``i``.  Right nodes are arbitrary hashables.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Sequence, Tuple
 
 INFINITY = float("inf")
 

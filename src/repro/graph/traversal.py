@@ -20,8 +20,6 @@ The hot entry points (:func:`bfs_distances`, :func:`neighborhood`,
 * ``"csr"`` — frontier-array BFS on the flat-array kernel (snapshots of
   a ``MultiGraph`` are cached on the instance, so repeated calls pay
   the conversion once);
-* ``"sharded"``, ``"parallel"``, ``"mp"`` — retired names, aliases of
-  ``"csr"``;
 * ``"auto"`` (default) — ``csr`` for :class:`CSRGraph` inputs and for
   large ``MultiGraph`` inputs, ``dict`` below the size cutoff where
   array setup outweighs the win.  ``power_graph`` is the exception: on
@@ -52,10 +50,6 @@ from .multigraph import MultiGraph
 GraphLike = Union[MultiGraph, CSRGraph]
 
 
-def _resolve_backend(graph: GraphLike, backend: str) -> str:
-    return resolve_backend(graph, backend, GraphError)
-
-
 def bfs_distances(
     graph: GraphLike,
     sources: Iterable[int],
@@ -67,7 +61,7 @@ def bfs_distances(
     Returns a dict mapping each reachable vertex to its distance from
     the nearest source; vertices beyond ``radius`` (if given) are omitted.
     """
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
         seeds = [snap.index_of(source) for source in sources]
         dist = snap.distance_array(seeds, radius)
@@ -102,7 +96,7 @@ def neighborhood(
     backend: str = "auto",
 ) -> Set[int]:
     """``N^r(X)``: vertices within distance ``radius`` of any source vertex."""
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
         return snap.neighborhood_set(sources, radius)
     return set(bfs_distances(graph, sources, radius, backend="dict").keys())
@@ -140,7 +134,7 @@ def power_graph(
     """
     if backend == "auto":
         backend = "csr" if isinstance(graph, CSRGraph) else "dict"
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend) == "csr":
         if radius < 1:
             raise GraphError(f"power graph radius must be >= 1, got {radius}")
         return snapshot_of(graph).power_csr(radius)
@@ -161,7 +155,7 @@ def connected_components(
     graph: GraphLike, backend: str = "auto"
 ) -> List[List[int]]:
     """Connected components as lists of vertices (deterministic order)."""
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend) == "csr":
         snap = snapshot_of(graph)
         labels = snap.component_labels()
         if labels.size == 0:
@@ -252,7 +246,7 @@ def diameter_of_component(
     frontier-array BFS per source.  Disconnected input raises
     :class:`GraphError`.
     """
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend) == "csr":
         if not vertices:
             return 0
         snap = snapshot_of(graph)
@@ -305,7 +299,7 @@ def weak_diameter(
     arrays.  Distances in a graph are unique, so every backend returns
     the same value.
     """
-    if _resolve_backend(graph, backend) == "csr":
+    if resolve_backend(graph, backend) == "csr":
         if not vertices:
             return 0
         snap = snapshot_of(graph)

@@ -21,7 +21,7 @@ two implementations.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..errors import LocalModelError
 from ..graph.multigraph import MultiGraph

@@ -20,7 +20,7 @@ Charging conventions (mirroring Section 1.1 and Theorem 4.1):
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 
 class RoundCounter:

@@ -17,11 +17,11 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict
 
 from ..errors import GraphError
 from ..graph.multigraph import MultiGraph
-from .matroid_partition import MatroidPartitionResult, exact_forest_partition
+from .matroid_partition import exact_forest_partition
 
 
 def exact_arboricity(graph: MultiGraph) -> int:

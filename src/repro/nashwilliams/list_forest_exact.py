@@ -11,7 +11,7 @@ a decomposition exists.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence
 
 from ..errors import GraphError
 from ..graph.multigraph import MultiGraph

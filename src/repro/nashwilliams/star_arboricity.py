@@ -9,7 +9,7 @@ standard bounds ``α <= αstar <= 2α``.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..errors import GraphError
 from ..graph.multigraph import MultiGraph

@@ -1,10 +1,10 @@
-"""Pass-pipeline compiler: declared stage DAGs + a stage scheduler.
+"""Pass pipelines: declared stage lists + a stage scheduler.
 
 The paper's algorithms are fixed sequences of frontier-synchronous
 stages.  This package turns each registered task's run into a declared
-:class:`Pipeline` of :class:`Pass` stages, validated as a DAG and
-executed by a :class:`Scheduler` in topological order, with color
-classes as the natural fan-out unit.  Every pass is
+:class:`Pipeline` — its :class:`Pass` stages in execution order —
+executed by a :class:`Scheduler` in that order, with color classes as
+the natural fan-out unit.  Every pass is
 instrumented as a :class:`PassStats` record surfaced through
 ``result.stats["passes"]``, ``Session.cache_info()`` and
 ``repro decompose --profile``.

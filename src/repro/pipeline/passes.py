@@ -1,12 +1,11 @@
 """Pass declarations and the shared execution context.
 
 A *pass* is one named stage of a task pipeline — "color splitting",
-"algorithm2", "diameter reduction", ... — declared as data: its
-dependencies, the context keys it reads and writes, and a runner over a
-shared :class:`PipelineContext`.  The declarations are what
-:class:`~repro.pipeline.pipeline.Pipeline` validates into a DAG and the
-:class:`~repro.pipeline.scheduler.Scheduler` executes in topological
-order.
+"algorithm2", "diameter reduction", ... — declared as data: the context
+keys it reads and writes, and a runner over a shared
+:class:`PipelineContext`.  A :class:`~repro.pipeline.pipeline.Pipeline`
+lists its passes in execution order and the
+:class:`~repro.pipeline.scheduler.Scheduler` runs them in that order.
 
 Every executed pass produces one :class:`PassStats` record — wall time,
 charged LOCAL rounds, engine waves, fan-out width, reconcile volume and
@@ -72,16 +71,13 @@ PassRunner = Callable[["PipelineContext"], None]
 class Pass:
     """One declared pipeline stage.
 
-    ``deps`` are pass names that must complete first; ``reads`` /
-    ``writes`` document the context keys the runner touches (checked
-    by ``make check``).  ``citation``
-    names the theorem/corollary the stage implements, for
-    :func:`repro.describe`.
+    ``reads`` / ``writes`` document the context keys the runner
+    touches (checked by ``make check``).  ``citation`` names the
+    theorem/corollary the stage implements, for :func:`repro.describe`.
     """
 
     name: str
     runner: PassRunner
-    deps: Tuple[str, ...] = ()
     reads: Tuple[str, ...] = ()
     writes: Tuple[str, ...] = ()
     description: str = ""

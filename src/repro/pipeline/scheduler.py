@@ -1,9 +1,9 @@
 """Stage scheduler: executes a validated Pipeline over a context.
 
-Every pass runs inline in the pipeline's canonical topological order;
-fan-outs (``ctx.fan_out``) are plain in-order loops.  The LOCAL rounds
-a pass charges do not depend on the order a host runs it in, so there
-is one execution path and it is the bit-identical reference.
+Every pass runs inline in the pipeline's declared order; fan-outs
+(``ctx.fan_out``) are plain in-order loops.  The LOCAL rounds a pass
+charges do not depend on the order a host runs it in, so there is one
+execution path and it is the bit-identical reference.
 """
 
 from __future__ import annotations
@@ -16,27 +16,25 @@ from .pipeline import Pipeline
 
 
 class Scheduler:
-    """Runs a :class:`Pipeline`'s passes in topological order."""
+    """Runs a :class:`Pipeline`'s passes in list order."""
 
     def run(self, pipeline: Pipeline, ctx: PipelineContext) -> Any:
         """Execute the pipeline over ``ctx``; returns
         ``ctx[pipeline.result_key]`` (or ``None`` if unset).
 
         Retry semantics: when a :class:`RetryRule` exception escapes a
-        pass, execution restarts from the level containing
-        ``retry.from_pass``; the final attempt re-raises.  PassStats
-        of re-executed passes are appended again, so
-        ``result.stats["passes"]`` shows the true execution history.
+        pass, execution restarts at ``retry.from_pass``; the final
+        attempt re-raises.  PassStats of re-executed passes are
+        appended again, so ``result.stats["passes"]`` shows the true
+        execution history.
         """
         retry = pipeline.retry
-        restart_level = pipeline.retry_level()
+        passes = pipeline.passes
         attempt = 1
-        level_idx = 0
-        levels = pipeline.levels
-        while level_idx < len(levels):
+        index = 0
+        while index < len(passes):
             try:
-                for p in levels[level_idx]:
-                    self._run_pass(p, ctx)
+                self._run_pass(passes[index], ctx)
             except Exception as exc:
                 if (
                     retry is not None
@@ -46,10 +44,10 @@ class Scheduler:
                     attempt += 1
                     if retry.on_retry is not None:
                         retry.on_retry(ctx)
-                    level_idx = restart_level
+                    index = pipeline.pass_names().index(retry.from_pass)
                     continue
                 raise
-            level_idx += 1
+            index += 1
         return ctx.get(pipeline.result_key)
 
     def _run_pass(self, p: Pass, ctx: PipelineContext) -> None:

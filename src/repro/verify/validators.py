@@ -8,10 +8,11 @@ with a precise description, or return quietly.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ValidationError
-from ..graph.forests import RootedForest, color_classes, is_forest, is_star_forest
+from ..graph.forests import RootedForest, color_classes, is_star_forest
 from ..graph.multigraph import MultiGraph
 from ..graph.union_find import UnionFind
 
@@ -284,16 +285,45 @@ def check_vertex_coloring_proper(
 def pseudoarboricity_upper_bound_check(
     graph: MultiGraph, eids: Sequence[int], bound: int
 ) -> None:
-    """Check the subgraph on ``eids`` has pseudoarboricity <= bound, via
-    the exact flow-based computation."""
-    from ..nashwilliams.pseudoarboricity import orientation_exists
+    """Check the subgraph on ``eids`` has pseudoarboricity <= bound.
 
-    sub = graph.edge_subgraph(eids)
-    if orientation_exists(sub, bound) is None:
-        raise ValidationError(
-            f"leftover subgraph ({len(eids)} edges) has pseudoarboricity "
-            f"greater than {bound}"
-        )
+    By Hakimi's theorem that holds exactly when every edge can be
+    assigned to one of its endpoints with at most ``bound`` edges per
+    vertex.  The assignment is grown one edge at a time; an edge whose
+    endpoints are both full searches (BFS) for a chain of reassignments
+    ending at a vertex with room.  Every earlier edge is assigned, so
+    by Berge's lemma an edge that finds no such chain proves that no
+    assignment covers them all.
+    """
+    owned: Dict[int, List[int]] = {}  # vertex -> edges assigned to it
+    for eid in dict.fromkeys(eids):
+        u, v = graph.endpoints(eid)
+        # came_from[y] = (edge f, vertex x): f moves from x to y.
+        came_from: Dict[int, Optional[Tuple[int, int]]] = {u: None, v: None}
+        queue = deque(came_from)
+        free = None
+        while queue:
+            x = queue.popleft()
+            if len(owned.get(x, ())) < bound:
+                free = x
+                break
+            for f in owned.get(x, ()):
+                y = graph.other_endpoint(f, x)
+                if y not in came_from:
+                    came_from[y] = (f, x)
+                    queue.append(y)
+        if free is None:
+            raise ValidationError(
+                f"leftover subgraph ({len(eids)} edges) has pseudoarboricity "
+                f"greater than {bound}"
+            )
+        step = came_from[free]
+        while step is not None:
+            f, x = step
+            owned[x].remove(f)
+            owned.setdefault(free, []).append(f)
+            free, step = x, came_from[x]
+        owned.setdefault(free, []).append(eid)
 
 
 def is_pseudoforest(graph: MultiGraph, eids: Sequence[int]) -> bool:

@@ -3,7 +3,6 @@
 import math
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,8 +30,6 @@ from repro.verify import (
     check_forest_decomposition,
     check_forest_diameter,
     check_palettes_respected,
-    count_colors,
-    pseudoarboricity_upper_bound_check,
 )
 
 

@@ -1,5 +1,5 @@
 """Tests for the unified decomposition API: DecompositionConfig,
-the task/backend registry, Session caching, the result protocol, and
+the task registry, Session caching, the result protocol, and
 the legacy shims' equivalence to the registry path."""
 
 import io
@@ -16,7 +16,7 @@ from repro import (
     decompose,
 )
 from repro.core import registry
-from repro.core.registry import BackendSpec, TaskSpec
+from repro.core.registry import TaskSpec
 from repro.core.results import (
     DecompositionResult,
     OrientationResult,
@@ -76,6 +76,9 @@ def test_config_rejects_bad_values():
         DecompositionConfig(epsilon=-1.0)
     with pytest.raises(TypeError):
         DecompositionConfig(workers=2)
+    for retired in ("sharded", "parallel", "mp"):
+        with pytest.raises(ValidationError, match="'csr'"):
+            DecompositionConfig(backend=retired)
 
 
 def test_config_workers_roundtrip():
@@ -83,7 +86,7 @@ def test_config_workers_roundtrip():
     it: a non-negative int is accepted and dropped, anything else in
     it (a bool included) still raises, and to_json() no longer emits
     it."""
-    config = DecompositionConfig(backend="sharded")
+    config = DecompositionConfig(backend="csr")
     assert "workers" not in config.to_json()
     assert DecompositionConfig.from_json(config.to_json()) == config
     legacy = dict(config.to_json(), workers=4)
@@ -107,6 +110,26 @@ def test_config_legacy_schedule_key():
     for bad in ("sometimes", True, None):
         with pytest.raises(ValidationError):
             DecompositionConfig.from_json(dict(config.to_json(), schedule=bad))
+
+
+def test_config_legacy_backend_names():
+    """Payloads written while ``sharded``, ``parallel`` and ``mp`` were
+    accepted backend names (all three ran the csr kernel) load as
+    ``"csr"`` and run exactly like it; any other unknown name still
+    raises."""
+    config = DecompositionConfig(epsilon=0.5, seed=11, backend="csr")
+    graph = small_graph()
+    reference = decompose(graph, task="forest", config=config)
+    for retired in ("sharded", "parallel", "mp"):
+        legacy = dict(config.to_json(), backend=retired)
+        loaded = DecompositionConfig.from_json(legacy)
+        assert loaded == config
+        assert loaded.to_json()["backend"] == "csr"
+        result = decompose(graph, task="forest", config=loaded)
+        assert result.coloring == reference.coloring
+        assert result.rounds.total == reference.rounds.total
+    with pytest.raises(ValidationError, match="unknown backend"):
+        DecompositionConfig.from_json(dict(config.to_json(), backend="threads"))
 
 
 def test_config_replace_and_defaults():
@@ -153,7 +176,7 @@ def test_unknown_task_error_lists_available():
 
 
 def test_unknown_backend_error():
-    with pytest.raises(RegistryError, match="available"):
+    with pytest.raises(ValidationError, match="'auto', 'dict', 'csr'"):
         decompose(
             small_graph(), task="forest",
             config=DecompositionConfig(backend="bogus"),
@@ -181,30 +204,6 @@ def test_register_task_and_override():
     finally:
         registry.unregister_task("_test_task")
     assert "_test_task" not in repro.available_tasks()
-
-
-def test_register_backend_and_resolution():
-    spec = BackendSpec(
-        name="_test_backend",
-        resolve=lambda graph: "dict",
-    )
-    registry.register_backend(spec)
-    try:
-        with pytest.raises(RegistryError, match="already registered"):
-            registry.register_backend(spec)
-        assert "_test_backend" in repro.available_backends()
-        # a custom backend resolves to a concrete substrate and runs
-        graph = small_graph()
-        result = decompose(
-            graph, task="forest",
-            config=DecompositionConfig(
-                epsilon=0.5, seed=11, backend="_test_backend"
-            ),
-        )
-        reference = repro.forest_decomposition(graph, epsilon=0.5, seed=11)
-        assert result.coloring == reference.coloring
-    finally:
-        registry.unregister_backend("_test_backend")
 
 
 # ----------------------------------------------------------------------
@@ -318,27 +317,6 @@ def test_session_sub_csr_lru_bound_and_evictions(monkeypatch):
     assert session.cache_info()["sub_csr"]["hits"] == 1
     session.sub_csr(eids[:1])  # evicted earlier: a miss again
     assert session.cache_info()["sub_csr"]["misses"] == 8
-
-
-def test_sharded_backend_registered_and_equivalent():
-    assert "sharded" in repro.available_backends()
-    graph = small_graph()
-    # The retired name resolves to the csr kernel...
-    from repro.core.registry import get_backend
-
-    assert get_backend("sharded").substrate_for(graph) == "csr"
-    # ...and running it end-to-end through the dispatcher reproduces
-    # the csr results bit for bit.
-    reference = decompose(
-        graph, task="forest",
-        config=DecompositionConfig(epsilon=0.5, seed=11, backend="csr"),
-    )
-    result = decompose(
-        graph, task="forest",
-        config=DecompositionConfig(epsilon=0.5, seed=11, backend="sharded"),
-    )
-    assert result.coloring == reference.coloring
-    assert result.rounds.total == reference.rounds.total
 
 
 def test_unknown_lsfd_method_is_decomposition_error():
@@ -536,12 +514,10 @@ def test_backend_dict_csr_identical_through_api():
         backend: repro.forest_decomposition(
             graph, epsilon=0.5, seed=13, backend=backend
         )
-        for backend in ("auto", "dict", "csr", "mp")
+        for backend in ("auto", "dict", "csr")
     }
     assert results["auto"].coloring == results["dict"].coloring
     assert results["dict"].coloring == results["csr"].coloring
-    # "mp" is an alias of "csr"
-    assert results["mp"].coloring == results["csr"].coloring
     assert (
         results["auto"].rounds.total
         == results["dict"].rounds.total
@@ -558,9 +534,9 @@ def test_dir_lists_high_level_api():
     names = dir(repro)
     for expected in (
         "decompose", "Session", "DecompositionConfig", "register_task",
-        "register_backend", "forest_decomposition",
+        "forest_decomposition",
         "star_forest_decomposition", "low_outdegree_orientation",
-        "available_tasks", "available_backends", "verify", "graph",
+        "available_tasks", "verify", "graph",
     ):
         assert expected in names, expected
     assert set(repro.__all__) <= set(names)

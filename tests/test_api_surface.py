@@ -38,7 +38,7 @@ def test_surface_covers_unified_api():
     surface = api_surface.load_snapshot()
     for name in (
         "decompose", "Session", "DecompositionConfig",
-        "register_task", "register_backend",
+        "register_task",
         "forest_decomposition", "low_outdegree_orientation",
     ):
         assert name in surface, name

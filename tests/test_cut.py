@@ -1,12 +1,11 @@
 """Tests for CUT (Theorem 4.2) and its load accounting."""
 
-import math
 import random
 
 import pytest
 
 from repro.errors import DecompositionError
-from repro.graph import MultiGraph, neighborhood
+from repro.graph import neighborhood
 from repro.graph.generators import (
     line_multigraph,
     path_graph,

@@ -19,7 +19,7 @@ import pytest
 
 import repro
 from repro import DecompositionConfig, GraphError, ValidationError
-from repro.graph.csr import CSRGraph, snapshot_of
+from repro.graph.csr import CSRGraph
 from repro.graph.generators import union_of_random_forests
 from repro.parallel import segment_kth_largest
 from repro.service.delta import (
@@ -117,15 +117,24 @@ def test_stream_corpus_fast(kind, backend, seed):
     assert [r.seq for r in reports] == [1, 2, 3]
 
 
-# Alias tier: the retired backend names (aliases of csr) x stream
-# lengths {1, 2, 4} x 20 seeds = 120 streams.
+# Legacy tier: configs loaded from payloads naming a retired backend
+# (both names load as csr) x stream lengths {1, 2, 4} x 20 seeds = 120
+# distinct csr streams.  Each retired name drives its own 20 seeds, so
+# no stream runs twice.
+RETIRED_BACKENDS = ["sharded", "parallel"]
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("backend", ["sharded", "parallel"])
+@pytest.mark.parametrize("retired_backend", RETIRED_BACKENDS)
 @pytest.mark.parametrize("batches", [1, 2, 4])
 @pytest.mark.parametrize("seed", range(20))
-def test_stream_corpus_engine(backend, batches, seed):
-    cfg = DecompositionConfig(backend=backend, validation="basic")
-    reports = run_stream(seed * 13 + 3, "mixed", cfg, batches=batches)
+def test_stream_corpus_engine(retired_backend, batches, seed):
+    cfg = DecompositionConfig.from_json(
+        {"backend": retired_backend, "validation": "basic"}
+    )
+    assert cfg.backend == "csr"
+    stream = seed + 20 * RETIRED_BACKENDS.index(retired_backend)
+    reports = run_stream(stream * 13 + 3, "mixed", cfg, batches=batches)
     assert len(reports) == batches
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.errors import DecompositionError
-from repro.graph import MultiGraph
 from repro.graph.generators import path_graph, union_of_random_forests
 from repro.core import depth_cut, random_sparse_cut, reduce_diameter
 from repro.decomposition import acyclic_orientation, h_partition

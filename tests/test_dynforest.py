@@ -202,14 +202,20 @@ def _imported_modules(path):
     return names
 
 
+#: Kernel modules the validators must not import: the link/cut forest,
+#: the Nash-Williams ground truth and the max-flow it runs on.
+KERNEL_MODULES = ("repro.graph.dynforest", "repro.nashwilliams", "repro.graph.flow")
+
+
 def test_validators_do_not_import_the_dynamic_forest():
     """Validators must share no code with the kernels they check: they
-    keep their own UnionFind/RootedForest."""
+    keep their own UnionFind/RootedForest and their own Hakimi
+    assignment search."""
     files = sorted(VERIFY_DIR.glob("*.py"))
     assert files
     for path in files:
         for name in _imported_modules(path):
-            assert not name.startswith("repro.graph.dynforest"), (
+            assert not name.startswith(KERNEL_MODULES), (
                 f"{path.name} imports {name}"
             )
     # The resolver sees the validators' real imports.

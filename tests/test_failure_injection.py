@@ -8,7 +8,6 @@ independent checkers reject each corruption.
 import pytest
 
 from repro.errors import ValidationError
-from repro.graph import MultiGraph
 from repro.graph.generators import (
     cycle_graph,
     path_graph,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import MultiGraph, connected_components, is_forest
+from repro.graph import connected_components, is_forest
 from repro.graph.generators import (
     add_parallel_copies,
     complete_graph,

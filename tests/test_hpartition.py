@@ -3,12 +3,11 @@
 import pytest
 
 from repro.errors import DecompositionError, PaletteError
-from repro.graph import MultiGraph, is_forest, is_star_forest
+from repro.graph import is_forest
 from repro.graph.generators import (
     complete_graph,
     cycle_graph,
     line_multigraph,
-    path_graph,
     random_palettes,
     star_graph,
     uniform_palette,

@@ -6,15 +6,11 @@ distributed, list vs ordinary, decomposition vs orientation).
 """
 
 import math
-import random
-
-import pytest
 
 import repro
 from repro.core import (
     forest_decomposition_algorithm2,
     list_forest_decomposition,
-    low_outdegree_orientation,
     star_forest_decomposition_amr,
 )
 from repro.graph.generators import (
@@ -27,14 +23,9 @@ from repro.graph.generators import (
     wheel_graph,
 )
 from repro.local import RoundCounter
-from repro.nashwilliams import (
-    exact_arboricity,
-    exact_forest_partition,
-    exact_pseudoarboricity,
-)
+from repro.nashwilliams import exact_arboricity, exact_forest_partition
 from repro.verify import (
     check_forest_decomposition,
-    check_orientation,
     check_palettes_respected,
     check_star_forest_decomposition,
     forest_diameter_of_coloring,

@@ -6,7 +6,6 @@ import os
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import MultiGraph
 from repro.graph.generators import line_multigraph, union_of_random_forests
 from repro.graph.io import (
     read_coloring,
@@ -210,10 +209,21 @@ def test_cli_decompose_profile(graph_file, capsys):
     ]
     assert set(lines[start + 1]) == {"-"}
     rows = [line.split() for line in lines[start + 2:]]
-    assert [row[0] for row in rows] == [
-        p.name for level in FOREST_PIPELINE.levels for p in level
-    ]
+    assert [row[0] for row in rows] == [p.name for p in FOREST_PIPELINE.passes]
     assert all(len(row) == 6 for row in rows)
+
+
+@pytest.mark.parametrize("command", ["fd", "decompose", "serve"])
+def test_cli_rejects_unknown_backend(graph_file, capsys, command):
+    """An unknown --backend is a usage error (exit status 2), caught by
+    the parser before any graph is read or any daemon started."""
+    argv = [command] + ([] if command == "serve" else [graph_file])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv + ["--backend", "bogus"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: repro " + command)
+    assert "invalid choice: 'bogus'" in err
 
 
 def test_cli_decompose_carve_rule(graph_file, capsys):

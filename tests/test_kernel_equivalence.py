@@ -29,12 +29,12 @@ a failure always reproduces.
 
 import random
 
-import numpy as np
 import pytest
 
-from repro.errors import GraphError, ValidationError
+from repro.errors import DecompositionError, GraphError, ValidationError
 from repro.graph import CSRGraph, MultiGraph, RootedForest, rooted_forest_arrays
 from repro.graph.csr import bfs_distance_array, resolve_backend, snapshot_of
+from repro.graph.generators import preferential_attachment
 from repro.graph.traversal import (
     bfs_distances,
     connected_components,
@@ -145,6 +145,46 @@ def test_ported_algorithms_match_reference(seed):
     assert csr_orient == ref_orient
 
 
+def _peel_classes(graph, backend):
+    return h_partition(graph, _degeneracy(graph), backend=backend).classes
+
+
+def _peel_orientation(graph, backend):
+    partition = h_partition(graph, _degeneracy(graph), backend="dict")
+    return acyclic_orientation(graph, partition, backend=backend)
+
+
+def _degeneracy(graph):
+    return max(1, degeneracy_ordering(graph, backend="dict")[0])
+
+
+@pytest.mark.parametrize(
+    "kernel, error",
+    [
+        (_peel_classes, DecompositionError),
+        (_peel_orientation, DecompositionError),
+        (degeneracy_ordering, GraphError),
+        (degeneracy_orientation, GraphError),
+    ],
+    ids=[
+        "h_partition", "acyclic_orientation",
+        "degeneracy_ordering", "degeneracy_orientation",
+    ],
+)
+def test_peel_kernels_accept_every_config_backend(kernel, error):
+    """The four peel kernels take every value a config's ``backend``
+    can hold (``"auto"`` included: below and above the csr cutoff) with
+    identical outputs, and reject any other name in their layer's error
+    class."""
+    for n in (50, 300):
+        graph = preferential_attachment(n, 3, seed=n)
+        reference = kernel(graph, "dict")
+        for backend in ("auto", "csr"):
+            assert kernel(graph, backend) == reference
+        with pytest.raises(error, match="unknown backend"):
+            kernel(graph, "parallel")
+
+
 @pytest.mark.parametrize("seed", range(0, 200, 10))
 def test_low_outdegree_orientation_matches_reference(seed):
     graph = random_multigraph(seed)
@@ -153,11 +193,6 @@ def test_low_outdegree_orientation_matches_reference(seed):
     ref = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dict")
     csr = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="csr")
     assert csr == ref
-    # The retired backend names are aliases of csr.
-    for backend in ("sharded", "parallel", "mp"):
-        assert low_outdegree_orientation(
-            graph, 0.5, method="hpartition", backend=backend
-        ) == ref
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
@@ -405,8 +440,6 @@ def test_rooted_forest_arrays_empty_edge_set():
 
 
 def test_low_outdegree_orientation_rejects_unknown_backend():
-    from repro.errors import DecompositionError
-
     graph = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
     with pytest.raises(DecompositionError):
         low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dcit")
@@ -420,7 +453,7 @@ def test_rooted_forest_arrays_rejects_cycles():
 
 
 # ----------------------------------------------------------------------
-# Threshold-peel work-list (PeelingView) and the retired peel aliases
+# Threshold-peel work-list (PeelingView) and backend parsing
 # ----------------------------------------------------------------------
 
 
@@ -461,12 +494,12 @@ def _view_ids(snap, indices):
 
 
 def _assert_peel_matches(graph, threshold):
-    """dict == csr H-partition classes and charged rounds, and every
-    retired peel name (an alias of csr) agrees too."""
+    """dict == csr H-partition classes and charged rounds, and
+    ``auto`` (whichever path it picks) agrees too."""
     ref_rounds = RoundCounter()
     ref = h_partition(graph, threshold, ref_rounds, backend="dict")
     snap = snapshot_of(graph)
-    for backend in ("csr", "sharded", "parallel", "mp"):
+    for backend in ("csr", "auto"):
         rounds = RoundCounter()
         got = h_partition(
             graph, threshold, rounds, backend=backend, snapshot=snap
@@ -542,36 +575,30 @@ def test_sharded_view_threshold_changes_between_waves():
 
 
 def test_resolve_backend_sharded_size_fallback():
-    """The retired names resolve to csr at every size, for every
-    layer; ``auto`` keeps its own size gate."""
+    """``csr`` stays ``csr`` at every size; ``auto`` keeps its size
+    gate; the retired executor names (``sharded`` among them) are
+    unknown to the parser at every size."""
     small = MultiGraph.with_vertices(10)
 
     class _FakeBig:
         n = 1_000_000
 
     for graph in (small, _FakeBig()):
-        for name in ("sharded", "parallel", "mp", "csr"):
-            assert resolve_backend(graph, name) == "csr"
+        assert resolve_backend(graph, "csr") == "csr"
+        for name in ("sharded", "parallel", "mp", "threads"):
+            with pytest.raises(GraphError, match="unknown backend"):
+                resolve_backend(graph, name)
     assert resolve_backend(small, "auto") == "dict"
     assert resolve_backend(_FakeBig(), "auto") == "csr"
-    with pytest.raises(GraphError):
-        resolve_backend(small, "threads")
-
-
-def test_traversal_accepts_sharded_backend_on_kernel_path():
-    """Regression: bfs_distances(backend="sharded") must run the CSR
-    kernel (identical results), not the dict reference loop."""
-    graph = random_multigraph(3)
-    sources = graph.vertices()[:2]
-    assert bfs_distances(graph, sources, backend="sharded") == \
-        bfs_distances(graph, sources, backend="csr")
 
 
 def test_h_partition_sharded_empty_and_tiny_graphs():
+    """The csr peel (which ran under the retired ``sharded`` name) on
+    the empty graph and a single vertex."""
     empty = MultiGraph()
-    assert h_partition(empty, 1, backend="sharded").classes == {}
+    assert h_partition(empty, 1, backend="csr").classes == {}
     single = MultiGraph.with_vertices(1)
-    assert h_partition(single, 1, backend="sharded").classes == \
+    assert h_partition(single, 1, backend="csr").classes == \
         h_partition(single, 1, backend="dict").classes
 
 
@@ -613,31 +640,31 @@ def test_peeling_view_interleaves_disciplines():
 
 
 # ----------------------------------------------------------------------
-# Retired backend aliases and the stacked depth cut
+# Traversal entry points and the stacked depth cut
 # ----------------------------------------------------------------------
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
 def test_parallel_traversal_matches_reference(seed):
-    """dict == parallel (an alias of csr) for the BFS-shaped entry
-    points."""
+    """dict == csr (the kernel the retired ``parallel`` name ran) for
+    the BFS-shaped entry points."""
     graph = random_multigraph(seed)
     vertices = graph.vertices()
     sources = vertices[: max(1, len(vertices) // 4)]
 
-    assert bfs_distances(graph, sources, backend="parallel") == \
+    assert bfs_distances(graph, sources, backend="csr") == \
         bfs_distances(graph, sources, backend="dict")
-    assert neighborhood(graph, sources[:1], 2, backend="parallel") == \
+    assert neighborhood(graph, sources[:1], 2, backend="csr") == \
         neighborhood(graph, sources[:1], 2, backend="dict")
-    assert connected_components(graph, backend="parallel") == \
+    assert connected_components(graph, backend="csr") == \
         connected_components(graph, backend="dict")
 
     nd_ref = network_decomposition(graph, backend="dict")
-    nd_par = network_decomposition(graph, backend="parallel")
-    assert nd_par.classes == nd_ref.classes
+    nd_csr = network_decomposition(graph, backend="csr")
+    assert nd_csr.classes == nd_ref.classes
 
     for comp in connected_components(graph, backend="dict")[:2]:
-        assert diameter_of_component(graph, comp, backend="parallel") == \
+        assert diameter_of_component(graph, comp, backend="csr") == \
             diameter_of_component(graph, comp, backend="dict")
 
 
@@ -677,7 +704,7 @@ def test_depth_cut_backends_identical(seed):
     mixed_graph, mixed = _mixed_size_forest_coloring(seed)
     for g, col, z in ((graph, coloring, 3), (mixed_graph, mixed, 5)):
         reference = depth_cut(g, col, z=z, seed=seed, backend="dict")
-        for backend in ("csr", "parallel", "mp"):
+        for backend in ("auto", "csr"):
             got = depth_cut(g, col, z=z, seed=seed, backend=backend)
             assert got.kept == reference.kept
             assert got.deleted == reference.deleted
@@ -741,8 +768,8 @@ def _mixed_size_forest_coloring(seed):
 @pytest.mark.parametrize("seed", range(5, 120, 18))
 def test_color_class_parallel_backend_matches_dict(seed):
     """PartialListForestDecomposition path/component queries agree
-    between the dict walk and the "parallel" alias (csr sweeps) under
-    an identical mutation history."""
+    between the dict walk and the csr parent walk (what the retired
+    ``parallel`` name ran) under an identical mutation history."""
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("edgeless corpus instance")
@@ -750,9 +777,7 @@ def test_color_class_parallel_backend_matches_dict(seed):
     rng = random.Random(seed)
     states = {
         "dict": PartialListForestDecomposition(graph, palettes, "dict"),
-        "parallel": PartialListForestDecomposition(
-            graph, palettes, "parallel"
-        ),
+        "csr": PartialListForestDecomposition(graph, palettes, "csr"),
     }
     for eid in sorted(graph.edge_ids()):
         color = rng.choice((0, 1, 2))
@@ -763,10 +788,10 @@ def test_color_class_parallel_backend_matches_dict(seed):
                 outcomes[name] = "ok"
             except ValidationError:
                 outcomes[name] = "cycle"
-        assert outcomes["dict"] == outcomes["parallel"]
+        assert outcomes["dict"] == outcomes["csr"]
         probe = rng.choice(sorted(graph.edge_ids()))
         assert states["dict"].color_path(probe, color) == \
-            states["parallel"].color_path(probe, color)
+            states["csr"].color_path(probe, color)
         start = rng.choice(graph.vertices())
         assert states["dict"].color_component_vertices(start, color) == \
-            states["parallel"].color_component_vertices(start, color)
+            states["csr"].color_component_vertices(start, color)

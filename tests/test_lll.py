@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import ConvergenceError
 from repro.decomposition import (
-    BadEvent,
     LLLInstance,
     dependency_degree,
     moser_tardos,

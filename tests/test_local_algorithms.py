@@ -1,11 +1,8 @@
 """Tests for genuine distributed node programs (H-partition, Cole-Vishkin)."""
 
-import pytest
-
 from repro.graph import MultiGraph, RootedForest
 from repro.graph.generators import (
     complete_graph,
-    cycle_graph,
     path_graph,
     star_graph,
     union_of_random_forests,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import LocalModelError
 from repro.graph import MultiGraph
-from repro.graph.generators import cycle_graph, path_graph, star_graph
+from repro.graph.generators import path_graph, star_graph
 from repro.local import (
     LocalNetwork,
     NodeAlgorithm,

@@ -8,7 +8,6 @@ from repro.graph.generators import (
     cycle_graph,
     grid_graph,
     line_multigraph,
-    path_graph,
     random_palettes,
     uniform_palette,
     union_of_random_forests,
@@ -22,7 +21,6 @@ from repro.nashwilliams import exact_pseudoarboricity
 from repro.verify import (
     check_palettes_respected,
     check_star_forest_decomposition,
-    count_colors,
 )
 
 

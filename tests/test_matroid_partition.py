@@ -15,7 +15,6 @@ from repro.graph.generators import (
     erdos_renyi,
     grid_graph,
     line_multigraph,
-    path_graph,
     star_graph,
     union_of_random_forests,
 )

@@ -1,22 +1,22 @@
-"""What remains of repro.parallel, and the retired backend names.
+"""What remains of repro.parallel, and the kernel the retired
+backend names ran.
 
 Covers the order-free reconcile helper ``resolve_claims``, the
 zero-reporting ``pool_stats`` the end-to-end benchmark reads, the
 dense-wave scatter dedup folded into ``bfs_distance_array`` (against
-the sort-dedup sweep it replaced and the dict BFS), and the
-``"parallel"`` / ``"mp"`` backend names, which are aliases of
-``"csr"``.
+the sort-dedup sweep it replaced and the dict BFS), and the csr
+traversal entry points that ``backend="parallel"`` ran before that
+name was retired.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core import DecompositionConfig, Session
+from repro.core import Session
 from repro.errors import GraphError
 from repro.graph import MultiGraph
 from repro.graph.csr import _concat_ranges, bfs_distance_array, snapshot_of
-from repro.graph.generators import path_graph
 from repro.graph.traversal import (
     bfs_distances,
     connected_components,
@@ -100,7 +100,7 @@ def test_parallel_bfs_on_color_class_sub_csr():
 
 
 # ----------------------------------------------------------------------
-# The retired backend names
+# The traversal kernel the retired "parallel" name ran
 # ----------------------------------------------------------------------
 
 
@@ -109,54 +109,14 @@ def test_traversal_parallel_backend_matches_csr(seed):
     graph = random_multigraph(seed)
     vertices = graph.vertices()
     sources = vertices[:2]
-    assert bfs_distances(graph, sources, backend="parallel") == \
+    assert bfs_distances(graph, sources, backend="csr") == \
         bfs_distances(graph, sources, backend="dict")
     components = connected_components(graph, backend="dict")
     for comp in components[:3]:
-        assert diameter_of_component(graph, comp, backend="parallel") == \
+        assert diameter_of_component(graph, comp, backend="csr") == \
             diameter_of_component(graph, comp, backend="dict")
-        assert weak_diameter(graph, comp, backend="parallel") == \
+        assert weak_diameter(graph, comp, backend="csr") == \
             weak_diameter(graph, comp, backend="dict")
-
-
-def test_parallel_backend_registry_resolution():
-    from repro.core.registry import get_backend
-
-    class _FakeBig:
-        n = 1_000_000
-
-    class _FakeSmall:
-        n = 10
-
-    graph = path_graph(6)
-    for name in ("sharded", "parallel", "mp"):
-        spec = get_backend(name)
-        assert spec.substrate_for(_FakeBig()) == "csr"
-        assert spec.substrate_for(_FakeSmall()) == "csr"
-        config = DecompositionConfig(backend=name)
-        assert Session(graph).substrate(config) == "csr"
-
-
-def test_parallel_backend_registered():
-    from repro.errors import RegistryError
-
-    assert {"sharded", "parallel", "mp"} <= set(repro.available_backends())
-    graph = random_multigraph(3)
-    with pytest.raises(RegistryError):
-        repro.decompose(
-            graph, task="forest",
-            config=DecompositionConfig(backend="processes"),
-        )
-    reference = repro.decompose(
-        graph, task="forest", config=DecompositionConfig(seed=7, backend="csr")
-    )
-    for backend in ("sharded", "parallel", "mp"):
-        result = repro.decompose(
-            graph, task="forest",
-            config=DecompositionConfig(seed=7, backend=backend),
-        )
-        assert result.coloring == reference.coloring
-        assert result.rounds.total == reference.rounds.total
 
 
 # ----------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Tests for the pass-pipeline compiler: DAG validation, scheduler
+"""Tests for the pass pipelines: declaration validation, scheduler
 semantics, bit-identity of pipelined tasks across backends, per-pass
 instrumentation, ``describe``, and the config-first dispatch shim."""
 
@@ -31,7 +31,7 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ----------------------------------------------------------------------
-# DAG validation
+# Declaration validation
 # ----------------------------------------------------------------------
 
 
@@ -44,19 +44,6 @@ def test_duplicate_pass_name_rejected():
         Pipeline("p", [Pass("a", _noop), Pass("a", _noop)])
 
 
-def test_unknown_dependency_rejected():
-    with pytest.raises(RegistryError, match="unknown pass 'ghost'"):
-        Pipeline("p", [Pass("a", _noop, deps=("ghost",))])
-
-
-def test_dependency_cycle_rejected():
-    with pytest.raises(RegistryError, match="dependency cycle"):
-        Pipeline("p", [
-            Pass("a", _noop, deps=("b",)),
-            Pass("b", _noop, deps=("a",)),
-        ])
-
-
 def test_retry_rule_must_name_known_pass():
     with pytest.raises(RegistryError, match="unknown pass 'nope'"):
         Pipeline(
@@ -66,16 +53,11 @@ def test_retry_rule_must_name_known_pass():
 
 
 def test_levels_follow_declaration_order():
-    pipe = Pipeline("p", [
-        Pass("a", _noop),
-        Pass("b", _noop, deps=("a",)),
-        Pass("c", _noop, deps=("a",)),
-        Pass("d", _noop, deps=("b", "c")),
-    ])
-    assert [[p.name for p in lvl] for lvl in pipe.levels] == [
-        ["a"], ["b", "c"], ["d"],
-    ]
-    assert pipe.pass_names() == ["a", "b", "c", "d"]
+    """A pipeline is its passes in declaration order: no dependency
+    levels are computed, so the list is the execution order."""
+    pipe = Pipeline("p", [Pass(name, _noop) for name in "adbc"])
+    assert pipe.pass_names() == ["a", "d", "b", "c"]
+    assert [p.name for p in pipe.passes] == pipe.pass_names()
 
 
 # ----------------------------------------------------------------------
@@ -95,8 +77,8 @@ def _toy_pipeline(width=6):
 
     return Pipeline("toy", [
         Pass("produce", produce),
-        Pass("fan", fan, deps=("produce",)),
-        Pass("reduce", reduce_, deps=("fan",)),
+        Pass("fan", fan),
+        Pass("reduce", reduce_),
     ])
 
 
@@ -129,7 +111,7 @@ def test_retry_reruns_from_declared_pass_and_keeps_history():
         ctx["result"] = ctx["base"] + calls["n"]
 
     pipe = Pipeline(
-        "flaky", [Pass("setup", setup), Pass("flaky", flaky, deps=("setup",))],
+        "flaky", [Pass("setup", setup), Pass("flaky", flaky)],
         retry=RetryRule(exceptions=(ValueError,), from_pass="flaky",
                         max_attempts=5),
     )
@@ -138,6 +120,32 @@ def test_retry_reruns_from_declared_pass_and_keeps_history():
     # Execution history keeps the failed attempts.
     assert [s.name for s in ctx.pass_stats] == [
         "setup", "flaky", "flaky", "flaky",
+    ]
+
+
+def test_retry_restarts_mid_list_and_reruns_every_later_pass():
+    calls = {"n": 0}
+
+    def flaky(ctx):
+        calls["n"] += 1
+        if calls["n"] < 3:
+            raise ValueError("try again")
+
+    pipe = Pipeline(
+        "p",
+        [
+            Pass("setup", _noop),
+            Pass("split", _noop),
+            Pass("flaky", flaky),
+            Pass("combine", lambda ctx: ctx.__setitem__("result", "ok")),
+        ],
+        retry=RetryRule(exceptions=(ValueError,), from_pass="split"),
+    )
+    ctx = PipelineContext(counter=RoundCounter())
+    assert Scheduler().run(pipe, ctx) == "ok"
+    assert [s.name for s in ctx.pass_stats] == [
+        "setup", "split", "flaky", "split", "flaky", "split", "flaky",
+        "combine",
     ]
 
 
@@ -155,27 +163,26 @@ def test_retry_exhaustion_reraises():
 
 
 def test_concurrent_level_runs_independent_passes():
+    """Passes with no data between them (once one concurrent level) run
+    in list order, and their PassStats land in that order."""
     def seed_(ctx):
-        ctx["acc"] = {}
+        ctx["acc"] = []
 
     def mk(name):
         def run(ctx):
-            ctx["acc"][name] = True
+            ctx["acc"].append(name)
         return run
 
     pipe = Pipeline("p", [
         Pass("seed", seed_),
-        Pass("left", mk("left"), deps=("seed",)),
-        Pass("right", mk("right"), deps=("seed",)),
-        Pass("join", lambda ctx: ctx.__setitem__(
-            "result", sorted(ctx["acc"])), deps=("left", "right")),
+        Pass("right", mk("right")),
+        Pass("left", mk("left")),
+        Pass("join", lambda ctx: ctx.__setitem__("result", ctx["acc"])),
     ])
     ctx = PipelineContext(counter=RoundCounter())
-    assert Scheduler().run(pipe, ctx) == ["left", "right"]
-    # PassStats for a level of independent passes land in declaration
-    # order.
+    assert Scheduler().run(pipe, ctx) == ["right", "left"]
     assert [s.name for s in ctx.pass_stats] == [
-        "seed", "left", "right", "join",
+        "seed", "right", "left", "join",
     ]
 
 
@@ -280,7 +287,8 @@ def test_session_cache_info_aggregates_passes():
 def test_describe_lists_dag_with_citations():
     text = describe("forest")
     assert "task: forest" in text
-    assert "algorithm2" in text and "deps: setup" in text
+    assert "passes (execution order):" in text
+    assert "  1. setup\n" in text and "  2. algorithm2\n" in text
     assert "Theorem 4.5" in text
     assert describe("list_forest").count("retry:") == 1
     with pytest.raises(RegistryError):

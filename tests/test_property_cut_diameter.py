@@ -7,7 +7,6 @@ forest decomposition — these are the load-bearing safety properties of
 Algorithm 2, so they get adversarially random inputs.
 """
 
-import math
 import random
 
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +19,7 @@ from repro.core import (
     is_cut_good,
 )
 from repro.core.augmenting import augment_edge
-from repro.graph import MultiGraph, neighborhood
+from repro.graph import neighborhood
 from repro.graph.generators import uniform_palette, union_of_random_forests
 from repro.nashwilliams import exact_forest_decomposition
 from repro.verify import (

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import GraphError
+from repro.errors import GraphError, ValidationError
 from repro.graph import MultiGraph
 from repro.graph.generators import (
     add_parallel_copies,
@@ -29,6 +29,7 @@ from repro.nashwilliams import (
     out_degrees,
     pseudoforest_decomposition_from_orientation,
 )
+from repro.verify import pseudoarboricity_upper_bound_check
 
 
 def check_orientation(graph, orientation, k):
@@ -251,6 +252,38 @@ def test_pseudoarboricity_is_least_feasible_orientation_bound(graph):
     check_orientation(graph, witness, pseudo)
     if pseudo > 0:
         assert orientation_exists(graph, pseudo - 1) is None
+
+
+def assert_validator_agrees(graph):
+    """The validator's Hakimi assignment search accepts the bound p and
+    rejects p - 1, where p is the path-reversal value."""
+    pseudo = exact_pseudoarboricity(graph)
+    eids = graph.edge_ids()
+    pseudoarboricity_upper_bound_check(graph, eids, pseudo)
+    if pseudo > 0:
+        with pytest.raises(ValidationError, match="greater than"):
+            pseudoarboricity_upper_bound_check(graph, eids, pseudo - 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(multigraphs())
+def test_validator_bound_check_matches_exact_pseudoarboricity(graph):
+    assert_validator_agrees(graph)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        line_multigraph(2, 4),
+        line_multigraph(5, 4),
+        add_parallel_copies(complete_graph(5), 3),
+        add_parallel_copies(cycle_graph(7), 2),
+        MultiGraph.with_vertices(3),
+    ],
+    ids=["line2x4", "line5x4", "K5x3", "C7x2", "edgeless"],
+)
+def test_validator_bound_check_on_parallel_edges(graph):
+    assert_validator_agrees(graph)
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.errors import ValidationError
-from repro.graph.generators import cycle_graph, path_graph, star_graph
+from repro.graph.generators import cycle_graph, star_graph
 from repro.nashwilliams import exact_forest_decomposition
 from repro.rng import (
     child_rng,

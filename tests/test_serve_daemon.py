@@ -27,7 +27,6 @@ import pytest
 
 import repro
 from repro import DecompositionConfig, GraphError
-from repro.graph.generators import union_of_random_forests
 from repro.service import checkpoint as checkpoint_mod
 from repro.service.checkpoint import Checkpointer, restore_session
 from repro.service.client import ServeClient, ServeError
@@ -87,8 +86,9 @@ def test_checkpoint_round_trip(tmp_path):
 
 def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
     """Checkpoints written while the config still had the ``workers``
-    and ``schedule`` fields carry them in every config payload;
-    resuming one must drop the keys and rebuild a bit-identical
+    and ``schedule`` fields and accepted the ``mp`` backend name carry
+    them in every config payload; resuming one must drop the keys, load
+    ``mp`` as the csr backend it ran, and rebuild a bit-identical
     state."""
     session = make_session(seed=4)
     session.apply_delta(inserts=[(0, 1), (2, 3)])
@@ -98,9 +98,10 @@ def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
 
     state_path = tmp_path / f"state-{generation:06d}.json"
     meta = json.loads(state_path.read_text(encoding="utf-8"))
-    meta["config"].update(workers=2, schedule="concurrent")
+    meta["config"].update(workers=2, schedule="concurrent", backend="mp")
     for entry in meta["watches"]:
-        entry["config"].update(workers=2, schedule="auto")
+        assert entry["config"]["backend"] == "csr"
+        entry["config"].update(workers=2, schedule="auto", backend="mp")
     state_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
     restored = checkpoint_mod.load(str(tmp_path))
@@ -256,7 +257,8 @@ def test_daemon_shutdown_reclaims_worker_pools(tmp_path):
     threads_before = set(threading.enumerate())
     server = ReproServer(
         checkpoint_dir=str(tmp_path),
-        config=DecompositionConfig(backend="parallel"),
+        # a payload written while "parallel" named the csr backend
+        config=DecompositionConfig.from_json({"backend": "parallel"}),
     )
     server.start()
     client = ServeClient(*server.address[:2])

@@ -25,7 +25,6 @@ from repro.nashwilliams import exact_arboricity, exact_forest_decomposition
 from repro.verify import (
     check_palettes_respected,
     check_star_forest_decomposition,
-    count_colors,
 )
 
 

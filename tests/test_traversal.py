@@ -213,7 +213,7 @@ def test_bfs_distance_array_multi_seed_disconnected():
     # Seeds reach only their own components; everything else stays -1.
     assert dist.tolist() == [0, 1, 2, 3, 0, 1, 1, -1, -1]
     # The dict-facing entry point agrees across all three backends.
-    for backend in ("dict", "csr", "parallel"):
+    for backend in ("auto", "dict", "csr"):
         assert bfs_distances(g, [0, 4], backend=backend) == {
             0: 0, 1: 1, 2: 2, 3: 3, 4: 0, 5: 1, 6: 1
         }
@@ -226,7 +226,7 @@ def test_bfs_distance_array_empty_seed_set():
     snap = snapshot_of(g)
     args = (snap.vertex_offsets, snap.neighbor_ids, snap.num_vertices, [])
     assert bfs_distance_array(*args).tolist() == [-1] * g.n
-    for backend in ("dict", "csr", "parallel"):
+    for backend in ("auto", "dict", "csr"):
         assert bfs_distances(g, [], backend=backend) == {}
 
 
@@ -240,7 +240,7 @@ def test_bfs_distance_array_single_vertex_component():
     expected = [-1] * n
     expected[7] = 0
     assert dist.tolist() == expected
-    for backend in ("dict", "csr", "parallel"):
+    for backend in ("auto", "dict", "csr"):
         assert bfs_distances(g, [7], backend=backend) == {7: 0}
         assert diameter_of_component(g, [7], backend=backend) == 0
         assert weak_diameter(g, [7], backend=backend) == 0
@@ -253,7 +253,7 @@ def test_bfs_backends_agree_on_radius_capped_multi_seed():
     g = _three_component_graph()
     for radius in (0, 1, 2):
         reference = bfs_distances(g, [0, 4, 8], radius=radius, backend="dict")
-        for backend in ("csr", "parallel", "mp"):
+        for backend in ("auto", "csr"):
             assert bfs_distances(
                 g, [0, 4, 8], radius=radius, backend=backend
             ) == reference
@@ -277,10 +277,10 @@ def test_bfs_backends_agree_on_radius_capped_multi_seed():
 
 def test_weak_diameter_backends_agree():
     g = cycle_graph(8)
-    for backend in ("dict", "csr", "parallel"):
+    for backend in ("auto", "dict", "csr"):
         assert weak_diameter(g, [0, 4], backend=backend) == 4
     broken = MultiGraph.with_vertices(3)
     broken.add_edge(0, 1)
-    for backend in ("dict", "csr", "parallel"):
+    for backend in ("auto", "dict", "csr"):
         with pytest.raises(GraphError):
             weak_diameter(broken, [0, 1, 2], backend=backend)

@@ -1,10 +1,11 @@
 """Pass-effect checker: declared ``reads``/``writes`` vs. the body.
 
-The stage scheduler (PR 7) trusts each :class:`repro.pipeline.Pass`'s
-declared ``writes`` to decide which passes may overlap: passes sharing
-a DAG level must have disjoint writes.  A runner that writes a context
-key it never declared silently breaks that contract — the DAG stays
-green while any reordering of that level's passes races.  These rules make the
+A pipeline runs its :class:`repro.pipeline.Pass` list in order, and
+each pass's declared ``reads`` / ``writes`` are the record of the data
+that flows between those passes — what ``repro describe`` shows and
+what a reader checks before reordering, splitting or merging passes.
+A runner that writes a context key it never declared hides an input
+of every later pass that reads the key.  These rules make the
 declarations provably honest, the way the paper's round-by-round LOCAL
 model makes per-round effects explicit.
 
@@ -21,11 +22,11 @@ accesses to its context parameter (the first argument):
 Rules:
 
 * ``effect-undeclared-write`` — a direct write to a key missing from
-  the declared ``writes``.  This is the hard failure: the scheduler
-  cannot see it.
+  the declared ``writes``.  This is the hard failure: the
+  declarations hide it.
 * ``effect-dead-decl`` — a declared read or write whose key never
-  appears in the body at all.  Dead declarations overconstrain the
-  DAG (fake conflicts serialize passes) and rot into documentation
+  appears in the body at all.  Dead declarations claim a data flow
+  between passes that does not exist and rot into documentation
   lies.
 
 Honest limitations, by design (the dynamic equivalence corpora remain
@@ -273,7 +274,7 @@ def _scan_module(module: SourceModule) -> List[Finding]:
                     site.lineno, site.col_offset,
                     f"pass '{decl.name}' ({decl.runner}) writes context "
                     f"key '{key}' but declares writes={decl.writes!r}: "
-                    "the scheduler cannot see this effect",
+                    "the declarations hide this effect",
                 ))
         for key in decl.writes:
             if key not in mentioned:

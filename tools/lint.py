@@ -9,11 +9,12 @@ Four layers, matching what the environment can guarantee:
    litters ``__pycache__`` into the tree (it used to end up inside CI
    artifacts).
 2. **pyflakes** (when importable): undefined names, unused imports,
-   redefinitions.  The offline dev container does not ship pyflakes,
-   so its absence downgrades to the compile check locally — but with
-   ``LINT_REQUIRE_PYFLAKES=1`` (set by the CI lint job, which installs
-   the ``[test]`` extra) a missing pyflakes is a hard failure, so the
-   silent downgrade can never mask undefined names on CI.
+   redefinitions.  An environment without pyflakes falls back to a
+   stdlib-``ast`` check for unused module-level imports only
+   (:func:`unused_imports`) — but with ``LINT_REQUIRE_PYFLAKES=1``
+   (set by the CI lint job, which installs the ``[test]`` extra) a
+   missing pyflakes is a hard failure, so the narrower fallback can
+   never mask undefined names on CI.
 3. **API-surface check** (tools/api_surface.py): the exported
    names/signatures must match the frozen tools/api_surface.json —
    accidental public-API breakage fails the lint job.
@@ -27,12 +28,14 @@ job gate on it.
 
 from __future__ import annotations
 
+import ast
 import compileall
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator, List, Set
 
 TARGETS = ["src", "tests", "benchmarks", "examples", "tools", "setup.py"]
 
@@ -77,11 +80,106 @@ def pyflakes_check(root: Path) -> bool:
                 "of silently downgrading"
             )
             return False
-        print("lint: pyflakes unavailable; compile check only")
-        return True
+        print("lint: pyflakes unavailable; unused-import fallback only")
+        findings = [
+            finding
+            for target in TARGETS
+            for path in _python_files(root / target)
+            for finding in unused_imports(path)
+        ]
+        for finding in findings:
+            print(finding)
+        return not findings
     paths = [str(root / target) for target in TARGETS if (root / target).exists()]
     reporter = Reporter(sys.stdout, sys.stderr)
     return checkRecursive(paths, reporter) == 0
+
+
+def _python_files(path: Path) -> Iterator[Path]:
+    if path.is_file():
+        yield path
+    elif path.is_dir():
+        yield from sorted(path.rglob("*.py"))
+
+
+def _module_level_imports(body: List[ast.stmt]) -> Iterator[ast.stmt]:
+    """Import statements outside any function or class (descending
+    into module-level ``if`` / ``try`` / ``with`` blocks)."""
+    for node in body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            yield node
+        elif not isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                yield from _module_level_imports(getattr(node, field, []))
+
+
+def _used_names(tree: ast.Module) -> Set[str]:
+    """Every name the module loads, plus the names inside string
+    annotations and the entries of a literal ``__all__``."""
+    used: Set[str] = set()
+    annotations: List[ast.expr] = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.arg) and node.annotation is not None:
+            annotations.append(node.annotation)
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.returns is not None:
+                annotations.append(node.returns)
+        elif isinstance(node, ast.AnnAssign):
+            annotations.append(node.annotation)
+        elif isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            if isinstance(node.value, (ast.List, ast.Tuple)):
+                used.update(
+                    e.value for e in node.value.elts
+                    if isinstance(e, ast.Constant) and isinstance(e.value, str)
+                )
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                try:
+                    parsed = ast.parse(node.value, mode="eval")
+                except SyntaxError:
+                    continue
+                used.update(
+                    n.id for n in ast.walk(parsed) if isinstance(n, ast.Name)
+                )
+    return used
+
+
+def unused_imports(path: Path) -> List[str]:
+    """``path:line: 'name' imported but unused`` for each module-level
+    import the module never uses.  Skips ``__init__.py`` (its imports
+    are re-exports), names listed in ``__all__``, and import lines
+    marked ``# noqa``."""
+    if path.name == "__init__.py":
+        return []
+    source = path.read_text(encoding="utf-8")
+    tree = ast.parse(source, filename=str(path))
+    lines = source.splitlines()
+    used = _used_names(tree)
+    findings = []
+    for node in _module_level_imports(tree.body):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        span = lines[node.lineno - 1:node.end_lineno]
+        if any("# noqa" in line for line in span):
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            bound = alias.asname or alias.name
+            if isinstance(node, ast.Import) and alias.asname is None:
+                bound = alias.name.split(".")[0]
+            if bound not in used:
+                findings.append(
+                    f"{path}:{node.lineno}: {alias.name!r} imported but unused"
+                )
+    return findings
 
 
 def api_surface_check(root: Path) -> bool:
