@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import AugmentationError, DecompositionError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, _concat_ranges, _sorted_unique
 from ..graph.multigraph import MultiGraph
 from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -208,24 +208,24 @@ def algorithm2(
     )
 
     with counter.phase("network decomposition"):
-        # The run's CSR snapshot feeds the power graph directly: the
-        # radius-bounded frontier sweeps assemble G^{2(R+R')} as a CSR
-        # snapshot without ever materializing a dict multigraph, and the
-        # ball carving consumes it on the same arrays.  Clusters are
-        # identical to the dict reference path (kernel-equivalence
-        # suite + golden regression certify this).
+        # G^{2(R+R')} is carved implicitly on G, as Theorem 4.1
+        # simulates it: every shell or wave of the carve is one
+        # depth-≤k relaxation over the run's CSR snapshot, so the power
+        # graph (K_n on a low-diameter input) is never built.  The dict
+        # reference path materializes it and carves the result; the
+        # clusters are identical (kernel-equivalence suite + golden
+        # regression certify this).
+        k = max(1, min(2 * d, 2 * n))
         if substrate == "dict":
-            power = power_graph(
-                graph, max(1, min(2 * d, 2 * n)), backend="dict"
+            nd = network_decomposition(
+                power_graph(graph, k, backend="dict"), counter,
+                radius_cost=2 * d, backend="dict", carve_rule=carve_rule,
             )
         else:
-            power = power_graph(
-                state.csr_snapshot(), max(1, min(2 * d, 2 * n)), backend="csr"
+            nd = network_decomposition(
+                state.csr_snapshot(), counter, radius_cost=2 * d,
+                backend="csr", carve_rule=carve_rule, power=k,
             )
-        nd = network_decomposition(
-            power, counter, radius_cost=2 * d, backend=substrate,
-            carve_rule=carve_rule,
-        )
 
     balls = _BallResolver(state.csr_snapshot())
     log_n = max(1, math.ceil(math.log2(n + 1)))
@@ -292,6 +292,21 @@ class _BallResolver:
         return component
 
 
+def _incident_edge_ids(
+    snapshot: CSRGraph, vertices: Sequence[int]
+) -> List[int]:
+    """Ids of the edges touching ``vertices``, ascending, each once: the
+    snapshot's incidence lists are the vertex -> edge index, so a
+    cluster costs its own degree sum, not O(m)."""
+    index = np.fromiter(
+        (snapshot.index_of(v) for v in vertices),
+        dtype=np.int64, count=len(vertices),
+    )
+    offsets = snapshot.vertex_offsets
+    half = _concat_ranges(offsets[index], offsets[index + 1])
+    return _sorted_unique(snapshot.edge_ids[half]).tolist()
+
+
 def _process_cluster(
     graph: MultiGraph,
     state: PartialListForestDecomposition,
@@ -312,13 +327,12 @@ def _process_cluster(
     else:
         stats.bad_cuts += 1
 
-    cluster_set = set(cluster)
     pending = [
         eid
-        for eid in state.uncolored_edges()
-        if any(v in cluster_set for v in graph.endpoints(eid))
+        for eid in _incident_edge_ids(balls.snapshot, cluster)
+        if state.color_of(eid) is None and not state.is_leftover(eid)
     ]
-    for eid in sorted(pending):
+    for eid in pending:
         if state.color_of(eid) is not None or state.is_leftover(eid):
             continue
         u, v = graph.endpoints(eid)

@@ -14,7 +14,10 @@ Two constructions, matching the two notions used by the paper
   stops growing within log2(n) steps, so cluster radius is O(log n).
   The LOCAL round cost charged follows the randomized algorithms the
   paper cites ([LS93, EN16]: O(log² n) rounds on G, times the radius
-  when applied to a power graph).
+  when applied to a power graph).  With ``power=k`` the csr path
+  carves ``G^k`` implicitly on G, as Theorem 4.1 simulates it: each
+  shell or wave is a depth-≤k relaxation over G, and ``G^k`` is never
+  built.
 
 * :func:`partial_network_decomposition` — the ``(O(log n / β), β)``
   *partial* decomposition of [MPX13] (random exponential shifts): a
@@ -32,8 +35,15 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 import numpy as np
 
 from ..errors import DecompositionError
-from ..graph.csr import CSRGraph, _concat_ranges, resolve_backend, snapshot_of
+from ..graph.csr import (
+    CSRGraph,
+    _concat_ranges,
+    _sorted_unique,
+    resolve_backend,
+    snapshot_of,
+)
 from ..graph.multigraph import MultiGraph
+from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..parallel.bfs import resolve_claims
 from ..rng import SeedLike, make_rng
@@ -82,17 +92,26 @@ def network_decomposition(
     radius_cost: int = 1,
     backend: str = "auto",
     carve_rule: str = "doubling",
+    power: int = 1,
 ) -> NetworkDecomposition:
     """Deterministic (O(log n), O(log n)) network decomposition.
 
     ``radius_cost`` scales the charged rounds when the decomposition is
-    (conceptually) computed on a power graph ``G^r`` simulated over G:
-    pass ``r``.  Charged cost: O(log² n) * radius_cost, following the
-    algorithms cited by Theorem 4.1.
+    computed on a power graph ``G^r`` simulated over G: pass ``r``.
+    Charged cost: O(log² n) * radius_cost, following the algorithms
+    cited by Theorem 4.1.
 
-    Accepts a :class:`MultiGraph` or a CSR snapshot (e.g. the output of
-    ``power_graph(..., backend="csr")``); the csr backend produces
-    exactly the clusters of the dict reference path.
+    ``power=k`` decomposes ``G^k`` (vertices joined at G-distance ≤ k)
+    instead of G.  The csr path carves ``G^k`` implicitly on G: every
+    doubling shell, simultaneous wave and boundary check is one
+    depth-≤k relaxation over G that relays through every vertex of G,
+    so ``G^k`` is never built and a clique component of ``G^k`` costs
+    a few BFS sweeps of G.  The dict reference path materializes
+    ``power_graph(graph, k)`` and carves it.  Both give exactly the
+    clusters of ``network_decomposition(power_graph(graph, k))``.
+
+    Accepts a :class:`MultiGraph` or a CSR snapshot; the csr backend
+    produces exactly the clusters of the dict reference path.
 
     ``carve_rule`` picks the ball-growth schedule:
 
@@ -109,25 +128,119 @@ def network_decomposition(
         raise DecompositionError(
             f"unknown carve_rule {carve_rule!r}; expected one of {CARVE_RULES}"
         )
+    if power < 1:
+        raise DecompositionError(f"power must be >= 1, got {power}")
     counter = ensure_counter(rounds)
     n = graph.n
     if n == 0:
         return NetworkDecomposition([])
 
     if resolve_backend(graph, backend, DecompositionError) == "csr":
-        snap = snapshot_of(graph)
+        reach = _PowerReach(snapshot_of(graph), power)
         if carve_rule == "simultaneous":
-            classes = _decompose_simultaneous_csr(snap, n)
+            classes = _decompose_simultaneous_csr(reach, n)
         else:
-            classes = _decompose_csr(snap, n)
-    elif carve_rule == "simultaneous":
-        classes = _decompose_simultaneous_dict(graph, n)
+            classes = _decompose_csr(reach, n)
     else:
-        classes = _decompose_dict(graph, n)
+        if power > 1:
+            graph = power_graph(graph, power, backend="dict")
+        if carve_rule == "simultaneous":
+            classes = _decompose_simultaneous_dict(graph, n)
+        else:
+            classes = _decompose_dict(graph, n)
 
     log_n = max(1, math.ceil(math.log2(n + 1)))
     counter.charge(log_n * log_n * max(1, radius_cost), "network decomposition")
     return NetworkDecomposition(classes)
+
+
+#: ``_PowerReach`` key of a vertex no source has reached yet
+_NO_KEY = np.iinfo(np.int64).max
+
+
+class _PowerReach:
+    """``G^k`` queries answered on G by a bounded relaxation.
+
+    Every query the csr carves make of ``G^k`` is one question: for each
+    vertex, the minimum key over ``sources`` within G-distance ≤ k.
+    Adjacency in ``G^k`` is "G-distance ≤ k through *any* vertex of G",
+    so the relaxation relays through deferred, carved and out-of-class
+    vertices alike.  A wave pushes only keys that improved, so the sweep
+    stops when nothing improves: on a component of eccentricity e < k
+    it ends after about e waves, not k.  ``best`` is scratch shared by
+    every query and restored on the vertices a query touched, so a query
+    costs the edges it reaches, never O(n).
+    """
+
+    def __init__(self, snapshot: CSRGraph, power: int) -> None:
+        self.snapshot = snapshot
+        self.power = power
+        self._offsets = snapshot.vertex_offsets
+        self._nbr = snapshot.neighbor_ids
+        n = snapshot.num_vertices
+        self._best = np.full(n, _NO_KEY, dtype=np.int64)
+        self._hit = np.zeros(n, dtype=bool)
+
+    def min_keys(
+        self, sources: np.ndarray, keys: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(reached, best)``: the dense indices within G-distance ≤ k
+        of the (distinct) ``sources``, and for each the minimum key over
+        the sources that reach it.  ``reached`` starts with ``sources``
+        in the given order."""
+        offsets, nbr, best = self._offsets, self._nbr, self._best
+        best[sources] = keys
+        parts = [sources]
+        frontier = sources
+        for _ in range(self.power):
+            starts = offsets[frontier]
+            ends = offsets[frontier + 1]
+            targets = nbr[_concat_ranges(starts, ends)]
+            offered = np.repeat(best[frontier], ends - starts)
+            better = offered < best[targets]
+            targets = targets[better]
+            if targets.size == 0:
+                break
+            improved = self._distinct(targets)
+            parts.append(improved[best[improved] == _NO_KEY])
+            np.minimum.at(best, targets, offered[better])
+            frontier = improved
+        reached = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        found = best[reached]
+        best[reached] = _NO_KEY
+        return reached, found
+
+    def reach(self, sources: np.ndarray) -> np.ndarray:
+        """``N^k[sources]`` in G, sources included: :meth:`min_keys`
+        with one shared key, where a key improves exactly when it first
+        arrives, so each wave is a plain BFS level."""
+        offsets, nbr, best = self._offsets, self._nbr, self._best
+        best[sources] = 0
+        parts = [sources]
+        frontier = sources
+        for _ in range(self.power):
+            half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
+            targets = nbr[half]
+            targets = targets[best[targets] == _NO_KEY]
+            if targets.size == 0:
+                break
+            frontier = self._distinct(targets)
+            best[frontier] = 0
+            parts.append(frontier)
+        reached = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        best[reached] = _NO_KEY
+        return reached
+
+    def _distinct(self, targets: np.ndarray) -> np.ndarray:
+        """Ascending distinct ``targets``: a scatter into the scratch
+        mask when the wave is dense (O(n + h)), a sort otherwise."""
+        if targets.size * 8 < self._hit.size:
+            return _sorted_unique(targets)
+        hit = self._hit
+        hit[targets] = True
+        out = np.flatnonzero(hit)
+        hit[out] = False
+        return out
 
 
 def _decompose_dict(graph: GraphLike, n: int) -> List[List[List[int]]]:
@@ -152,21 +265,20 @@ def _decompose_dict(graph: GraphLike, n: int) -> List[List[List[int]]]:
     return classes
 
 
-def _decompose_csr(snapshot: CSRGraph, n: int) -> List[List[List[int]]]:
-    """Ball carving over dense-index masks; cluster-for-cluster equal to
-    :func:`_decompose_dict` (seeds by minimum vertex id, identical
-    doubling rule).
+def _decompose_csr(reach: "_PowerReach", n: int) -> List[List[List[int]]]:
+    """Ball carving of ``G^k`` over dense-index masks; cluster-for-cluster
+    equal to :func:`_decompose_dict` on ``G^k`` (seeds by minimum vertex
+    id, identical doubling rule).
 
     Seeds come from a cursor over the id-sorted vertex order: within a
     class the minimum unvisited id only grows, so the scan is amortized
     O(n) per class.  Ball membership uses a stamp array (stamp[i] ==
     current cluster token) so no per-cluster mask is allocated.
     """
-    vertex_ids = snapshot.vertex_ids
+    vertex_ids = reach.snapshot.vertex_ids
     order_by_id = np.argsort(vertex_ids, kind="stable").tolist()
     remaining = np.ones(n, dtype=bool)
     stamp = np.full(n, -1, dtype=np.int64)
-    scratch = np.zeros(n, dtype=bool)
     classes: List[List[List[int]]] = []
     guard = 2 * max(1, math.ceil(math.log2(n + 1))) + 4
     token = 0
@@ -184,7 +296,7 @@ def _decompose_csr(snapshot: CSRGraph, n: int) -> List[List[List[int]]]:
                 break
             seed_index = order_by_id[cursor]
             ball, shell = _grow_doubling_ball_csr(
-                snapshot, seed_index, unvisited, stamp, token, scratch
+                reach, seed_index, unvisited, stamp, token
             )
             token += 1
             clusters.append(np.sort(vertex_ids[ball]).tolist())
@@ -217,41 +329,24 @@ def _grow_doubling_ball(
 
 
 def _grow_doubling_ball_csr(
-    snapshot: CSRGraph,
+    reach: "_PowerReach",
     center: int,
     allowed: np.ndarray,
     stamp: np.ndarray,
     token: int,
-    scratch: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Frontier-vectorized :func:`_grow_doubling_ball` over dense
-    indices; returns (ball indices, next-shell indices).  ``stamp``
-    marks ball membership with ``token`` (one shared array instead of a
-    fresh mask per cluster).  ``scratch`` is an all-False bool mask the
-    dense-shell path borrows for its scatter dedup (and restores before
-    returning) — one allocation per decomposition instead of one per
-    shell."""
-    n = snapshot.num_vertices
-    offsets = snapshot.vertex_offsets
-    nbr = snapshot.neighbor_ids
+    """:func:`_grow_doubling_ball` in ``G^k`` over dense indices;
+    returns (ball indices, next-shell indices).  Each next shell is
+    ``N^k(frontier) ∩ allowed`` minus the ball, one depth-≤k sweep of G.
+    ``stamp`` marks ball membership with ``token`` (one shared array
+    instead of a fresh mask per cluster)."""
     stamp[center] = token
     frontier = np.asarray([center], dtype=np.int64)
     parts = [frontier]
     ball_size = 1
     while True:
-        half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
-        candidates = nbr[half]
-        if candidates.size > n >> 2:
-            # Dense frontier: a scatter mask dedups in O(n + |half|),
-            # beating unique's O(|half| log |half|) sort.
-            hit = scratch if scratch is not None else np.zeros(n, dtype=bool)
-            hit[candidates] = True
-            shell = np.flatnonzero(hit & allowed & (stamp != token))
-            if scratch is not None:
-                hit[candidates] = False
-        else:
-            shell = np.unique(candidates)
-            shell = shell[allowed[shell] & (stamp[shell] != token)]
+        shell = reach.reach(frontier)
+        shell = shell[allowed[shell] & (stamp[shell] != token)]
         if shell.size == 0 or ball_size + int(shell.size) <= 2 * ball_size:
             ball = parts[0] if len(parts) == 1 else np.concatenate(parts)
             return ball, shell
@@ -432,16 +527,17 @@ def _carve_class_simultaneous_dict(
 
 
 def _decompose_simultaneous_csr(
-    snapshot: CSRGraph, n: int
+    reach: "_PowerReach", n: int
 ) -> List[List[List[int]]]:
-    """Simultaneous carve over dense-index arrays; cluster-for-cluster
-    equal to :func:`_decompose_simultaneous_dict`.
+    """Simultaneous carve of ``G^k`` over dense-index arrays;
+    cluster-for-cluster equal to :func:`_decompose_simultaneous_dict`
+    on ``G^k``.
 
     Ball priority compares seed *ids*, so the csr path works in id
     ranks (position in the id-sorted vertex order): rank comparisons
     equal id comparisons, and every state array stays dense-indexed.
     """
-    vertex_ids = snapshot.vertex_ids
+    vertex_ids = reach.snapshot.vertex_ids
     order_by_id = np.argsort(vertex_ids, kind="stable")
     rank_of = np.empty(n, dtype=np.int64)
     rank_of[order_by_id] = np.arange(n, dtype=np.int64)
@@ -457,7 +553,7 @@ def _decompose_simultaneous_csr(
         if len(classes) >= guard:
             raise DecompositionError("network decomposition did not converge")
         clusters, kept_indices = _carve_class_simultaneous_csr(
-            snapshot,
+            reach,
             remaining,
             len(classes),
             rank_of,
@@ -472,7 +568,7 @@ def _decompose_simultaneous_csr(
 
 
 def _carve_class_simultaneous_csr(
-    snapshot: CSRGraph,
+    reach: "_PowerReach",
     remaining: np.ndarray,
     class_index: int,
     rank_of: np.ndarray,
@@ -481,13 +577,11 @@ def _carve_class_simultaneous_csr(
     parent: np.ndarray,
     kept: np.ndarray,
 ) -> Tuple[List[List[int]], np.ndarray]:
-    """Grow, bound and cascade one simultaneous class; returns
-    ``(clusters, kept dense indices)``.  ``owner``/``parent``/``kept``
-    are reusable scratch arrays owned by the driver."""
-    offsets = snapshot.vertex_offsets
-    nbr = snapshot.neighbor_ids
-    vertex_ids = snapshot.vertex_ids
-    n = snapshot.num_vertices
+    """Grow, bound and cascade one simultaneous class of ``G^k``;
+    returns ``(clusters, kept dense indices)``.  ``owner``/``parent``/
+    ``kept`` are reusable scratch arrays owned by the driver."""
+    vertex_ids = reach.snapshot.vertex_ids
+    n = reach.snapshot.num_vertices
 
     live = np.flatnonzero(remaining)
     cap = max(1, math.ceil(math.log2(live.size + 1)))
@@ -511,12 +605,10 @@ def _carve_class_simultaneous_csr(
             # Proposal priority packs (seed rank, proposer rank) into
             # one key — the minimum recovers the dict path's (seed id,
             # proposer id) lexicographic winner, because ranks order
-            # exactly like ids.
-            half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
-            counts = offsets[frontier + 1] - offsets[frontier]
-            targets = nbr[half]
-            priorities = np.repeat(
-                owner[frontier] * n + rank_of[frontier], counts
+            # exactly like ids.  Each unclaimed target takes the
+            # minimum over the proposers within G-distance k.
+            targets, priorities = reach.min_keys(
+                frontier, owner[frontier] * n + rank_of[frontier]
             )
             open_targets = owner[targets] == _UNCLAIMED
             targets = targets[open_targets]
@@ -545,13 +637,14 @@ def _carve_class_simultaneous_csr(
         if claimed == live.size:
             break
 
-    # One-sided boundary rule: one full gather over the class marks
-    # every vertex adjacent to a smaller-seed ball as deferred.
-    half = _concat_ranges(offsets[live], offsets[live + 1])
-    counts = offsets[live + 1] - offsets[live]
-    theirs = owner[nbr[half]]
-    foreign = (theirs >= 0) & (theirs < np.repeat(owner[live], counts))
-    kept[live] = ~_segment_any(foreign, counts)
+    # One-sided boundary rule: one relaxation over the class finds,
+    # per vertex, the smallest owner within G-distance k (its own
+    # included); a vertex adjacent in G^k to a smaller-seed ball defers.
+    # Every live vertex is claimed by now, and ``reached`` starts with
+    # the sources, so its first ``live.size`` keys line up with ``live``.
+    mine = owner[live]
+    _reached, smallest = reach.min_keys(live, mine)
+    kept[live] = smallest[: live.size] == mine
 
     # Parent-chain cascade in claim-wave order (parents are claimed
     # strictly earlier, so their verdict is already final): a vertex
@@ -573,23 +666,6 @@ def _carve_class_simultaneous_csr(
     edges = [0, *cuts.tolist(), len(flat)]
     clusters = [flat[a:b] for a, b in zip(edges[:-1], edges[1:])]
     return clusters, kept_indices
-
-
-def _segment_any(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Per-segment logical OR of ``values`` split into consecutive
-    segments of ``counts`` lengths (CSR neighbor reductions).  Handles
-    empty segments, which ``logical_or.reduceat`` alone does not."""
-    out = np.zeros(counts.size, dtype=bool)
-    if values.size == 0:
-        return out
-    starts = np.zeros(counts.size, dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    padded = np.concatenate((values, np.zeros(1, dtype=bool)))
-    reduced = np.logical_or.reduceat(
-        padded, np.minimum(starts, values.size)
-    )
-    np.logical_and(reduced, counts > 0, out=out)
-    return out
 
 
 def validate_network_decomposition(

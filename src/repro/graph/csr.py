@@ -71,12 +71,28 @@ from .multigraph import MultiGraph
 
 def _concat_ranges(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """Concatenate ``arange(starts[i], ends[i])`` for all i, vectorized."""
+    if starts.size == 1:
+        return np.arange(starts[0], ends[0], dtype=np.int64)
     lengths = ends - starts
     total = int(lengths.sum())
     if total == 0:
         return np.empty(0, dtype=np.int64)
     before = np.concatenate(([0], np.cumsum(lengths)[:-1]))
     return np.repeat(starts - before, lengths) + np.arange(total, dtype=np.int64)
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct entries of a 1-D int array: one sort and an
+    adjacent-difference mask.  Same output as plain ``np.unique``,
+    which hashes on numpy 2.x and measured 3x slower at 20 entries and
+    ~50x at 200k (numpy 2.4, random int64)."""
+    out = np.sort(values)
+    if out.size > 1:
+        keep = np.empty(out.size, dtype=bool)
+        keep[0] = True
+        np.not_equal(out[1:], out[:-1], out=keep[1:])
+        out = out[keep]
+    return out
 
 
 def _half_edge_csr(
@@ -169,13 +185,13 @@ def bfs_distance_array(
     ``radius`` when given.
 
     A wave whose candidate gather holds at least ``n / 8`` half-edges
-    dedups with a scatter mask, O(n + h), instead of ``np.unique``'s
-    O(h log h) sort; both yield the same ascending unique targets.
+    dedups with a scatter mask, O(n + h), instead of an O(h log h)
+    sort; both yield the same ascending unique targets.
     """
     dist = np.full(n, -1, dtype=np.int64)
     if len(seeds) == 0:
         return dist
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontier = _sorted_unique(np.asarray(seeds, dtype=np.int64))
     # Negative seeds would silently wrap around under numpy fancy
     # indexing and out-of-range ones would raise a bare IndexError
     # mid-sweep; both are caller bugs worth a real error.
@@ -195,7 +211,7 @@ def bfs_distance_array(
             mask &= dist < 0
             targets = np.flatnonzero(mask)
         else:
-            targets = np.unique(candidates)
+            targets = _sorted_unique(candidates)
             targets = targets[dist[targets] < 0]
         depth += 1
         dist[targets] = depth
@@ -670,7 +686,8 @@ class CSRGraph:
         """Distinct neighboring vertex ids (in dense-index order)."""
         i = self.index_of(vertex)
         start, stop = self.incident_slice(i)
-        return self.vertex_ids[np.unique(self.neighbor_ids[start:stop])].tolist()
+        distinct = _sorted_unique(self.neighbor_ids[start:stop])
+        return self.vertex_ids[distinct].tolist()
 
     def edges(self):
         """Iterate ``(eid, u, v)`` triples in edge-position order."""
@@ -780,19 +797,10 @@ class CSRGraph:
     def neighborhood_mask(
         self, sources: Iterable[int], radius: Optional[int]
     ) -> np.ndarray:
-        """``N^r(X)`` as a dense-index mask, via frontier-vectorized BFS."""
-        visited = self.mask_of(sources)
-        frontier = np.flatnonzero(visited)
-        offsets = self.vertex_offsets
-        depth = 0
-        while frontier.size and (radius is None or depth < radius):
-            half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
-            targets = np.unique(self.neighbor_ids[half])
-            targets = targets[~visited[targets]]
-            visited[targets] = True
-            frontier = targets
-            depth += 1
-        return visited
+        """``N^r(X)`` as a dense-index mask: the vertices
+        :func:`bfs_distance_array` reaches within ``radius``."""
+        seeds = np.flatnonzero(self.mask_of(sources))
+        return self.distance_array(seeds, radius) >= 0
 
     def neighborhood_set(
         self, sources: Iterable[int], radius: Optional[int]

@@ -312,6 +312,28 @@ def test_simultaneous_carve_matches_reference(seed):
     assert csr.classes == ref.classes
 
 
+@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
+@pytest.mark.parametrize("seed", range(0, 200, 5))
+def test_implicit_power_carve_matches_materialized(seed, carve_rule):
+    """``power=k`` carves G^k on G without building it: cluster for
+    cluster equal to carving the materialized ``power_graph``, with the
+    same charged rounds."""
+    graph = random_multigraph(seed)
+    snap = snapshot_of(graph)
+    for k in (1, 2, 3, 5, 8):
+        implicit_rounds, explicit_rounds = RoundCounter(), RoundCounter()
+        implicit = network_decomposition(
+            snap, implicit_rounds, radius_cost=k, carve_rule=carve_rule,
+            power=k,
+        )
+        explicit = network_decomposition(
+            power_graph(snap, k), explicit_rounds, radius_cost=k,
+            carve_rule=carve_rule,
+        )
+        assert implicit.classes == explicit.classes, k
+        assert implicit_rounds.total == explicit_rounds.total
+
+
 @pytest.mark.parametrize("seed", range(0, 200, 5))
 def test_partial_network_decomposition_matches_reference(seed):
     graph = random_multigraph(seed)

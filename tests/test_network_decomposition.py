@@ -305,9 +305,7 @@ def test_nd_guard_counts_current_class(monkeypatch):
         network_decomposition(g, backend="dict")
     assert calls["dict"] == guard  # one singleton cluster per class
 
-    def singleton_ball_csr(
-        snapshot, seed_index, unvisited, stamp, token, scratch
-    ):
+    def singleton_ball_csr(reach, seed_index, unvisited, stamp, token):
         calls["csr"] += 1
         others = np.flatnonzero(unvisited)
         return (
@@ -319,3 +317,100 @@ def test_nd_guard_counts_current_class(monkeypatch):
     with pytest.raises(DecompositionError, match="converge"):
         network_decomposition(g, backend="csr")
     assert calls["csr"] == guard
+
+
+# ----------------------------------------------------------------------
+# Implicit power-graph carve (power=k): G^k is carved on G itself
+# ----------------------------------------------------------------------
+
+
+def _with_small_components(g):
+    """``g`` plus an isolated vertex and a 2-vertex component."""
+    g = g.copy()
+    g.add_vertex()
+    a, b = g.add_vertex(), g.add_vertex()
+    g.add_edge(a, b)
+    return g
+
+
+_STRUCTURED = {
+    "path": lambda: _with_small_components(path_graph(40)),
+    "cycle": lambda: _with_small_components(cycle_graph(31)),
+    "grid": lambda: _with_small_components(grid_graph(7, 9)),
+    "lone": lambda: MultiGraph.with_vertices(1),
+    "pair": lambda: _with_small_components(MultiGraph.with_vertices(0)),
+}
+
+
+@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
+@pytest.mark.parametrize("name", sorted(_STRUCTURED))
+def test_nd_implicit_power_matches_materialized(name, carve_rule):
+    from repro.graph.csr import snapshot_of
+    from repro.verify import check_network_decomposition
+
+    g = _STRUCTURED[name]()
+    snap = snapshot_of(g)
+    for k in (1, 2, 3, 5, 8):
+        power = power_graph(g, k, backend="dict")
+        expected = network_decomposition(
+            power, carve_rule=carve_rule, backend="dict"
+        )
+        implicit = network_decomposition(
+            snap, carve_rule=carve_rule, power=k
+        )
+        assert implicit.classes == expected.classes, k
+        assert network_decomposition(
+            g, carve_rule=carve_rule, backend="dict", power=k
+        ).classes == expected.classes
+        # The independent checker certifies the carve against G^k itself.
+        check_network_decomposition(power, implicit.classes)
+
+
+def test_nd_rejects_power_below_one():
+    with pytest.raises(DecompositionError, match="power"):
+        network_decomposition(path_graph(4), power=0)
+
+
+@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
+@pytest.mark.parametrize("name", ["path", "cycle", "grid"])
+@pytest.mark.parametrize("radii", [(1, 1), (2, 1), (2, 3)])
+def test_algorithm2_small_radii_dict_matches_csr(name, carve_rule, radii):
+    """Small ``radius``/``search_radius`` make k = 2(R + R') far below
+    the diameter, so the carve runs real non-clique shells and waves."""
+    from repro.core.forest_decomposition import algorithm2
+    from repro.graph.generators import uniform_palette
+
+    g = _STRUCTURED[name]()
+    palettes = uniform_palette(g, range(3))
+    runs = {}
+    for backend in ("dict", "csr"):
+        counter = RoundCounter()
+        result = algorithm2(
+            g, palettes, 0.5, 2, radius=radii[0], search_radius=radii[1],
+            seed=5, rounds=counter, backend=backend, carve_rule=carve_rule,
+        )
+        runs[backend] = (
+            result.colored, result.leftover, result.stats.clusters_processed,
+            counter.total, counter.by_phase(),
+        )
+    assert runs["csr"] == runs["dict"]
+    assert runs["csr"][2] > 1  # the carve split the graph
+
+
+@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
+@pytest.mark.parametrize("backend", ["auto", "csr"])
+def test_forest_never_builds_power_graph(monkeypatch, backend, carve_rule):
+    import repro
+    from repro.graph.csr import CSRGraph
+    from repro.graph.generators import preferential_attachment
+
+    def refuse(self, radius):
+        raise AssertionError("G^k was materialized")
+
+    monkeypatch.setattr(CSRGraph, "power_csr", refuse)
+    g = preferential_attachment(600, 3, seed=1)
+    config = repro.DecompositionConfig(
+        epsilon=0.5, seed=1, backend=backend, carve_rule=carve_rule
+    )
+    result = repro.decompose(g, "forest", config=config)
+    result.validate()
