@@ -1,4 +1,8 @@
-"""Flat-array kernel vs. dict-backed graph on the decomposition hot paths.
+"""Flat-array kernel vs. dict-backed reference on the decomposition hot paths.
+
+The dict side is the test suite's reference package
+(``tests/reference/``): the dict-adjacency implementations the kernel
+was ported from, which the library itself no longer contains.
 
 Seven sections, one per substrate milestone:
 
@@ -56,6 +60,7 @@ Snapshot mode: BENCH_SNAPSHOT=1 PYTHONPATH=src python benchmarks/bench_kernel.py
 
 import os
 import random
+import sys
 import time
 
 from repro.core import DecompositionConfig, Session, depth_cut
@@ -81,6 +86,14 @@ from repro.graph.traversal import (
 
 from harness import SNAPSHOT_MODE, emit, emit_json, format_table
 
+# The dict-adjacency reference implementations live with the tests.
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "tests")
+)
+from reference import network_decomposition as ref_nd  # noqa: E402
+from reference import peel as ref_peel  # noqa: E402
+from reference import traversal as ref_traversal  # noqa: E402
+
 REPEATS = 5
 TRAVERSAL_REPEATS = 3
 SPEEDUP_FLOOR = 2.0
@@ -93,8 +106,8 @@ WORKLOADS = [
     ("pref n=3000 d=5", True, lambda: preferential_attachment(3000, 5, seed=15)),
 ]
 
-# Traversal workloads sit at the n >= 2000 scale the tentpole targets;
-# the power radius keeps the dict reference path finishable while still
+# Traversal workloads sit at the n >= 2000 scale the kernel targets;
+# the power radius keeps the dict reference finishable while still
 # producing the dense ``G^r`` the network decomposition consumes.
 TRAVERSAL_WORKLOADS = [
     ("er n=2000 p=.003 r=3", True, 3, lambda: erdos_renyi(2000, 0.003, seed=21)),
@@ -121,17 +134,17 @@ def run_kernel_comparison():
         d, _ = degeneracy_ordering(graph)
         threshold = max(1, d)
 
-        partition_dict = h_partition(graph, threshold, backend="dict")
-        partition_csr = h_partition(graph, threshold, backend="csr")
+        partition_dict = ref_peel.h_partition(graph, threshold)
+        partition_csr = h_partition(graph, threshold)
         assert partition_csr.classes == partition_dict.classes
-        order_dict = degeneracy_ordering(graph, backend="dict")
-        order_csr = degeneracy_ordering(graph, backend="csr")
+        order_dict = ref_peel.degeneracy_ordering(graph)
+        order_csr = degeneracy_ordering(graph)
         assert order_csr == order_dict
 
-        hp_dict = _best(lambda: h_partition(graph, threshold, backend="dict"))
-        hp_csr = _best(lambda: h_partition(graph, threshold, backend="csr"))
-        dg_dict = _best(lambda: degeneracy_ordering(graph, backend="dict"))
-        dg_csr = _best(lambda: degeneracy_ordering(graph, backend="csr"))
+        hp_dict = _best(lambda: ref_peel.h_partition(graph, threshold))
+        hp_csr = _best(lambda: h_partition(graph, threshold))
+        dg_dict = _best(lambda: ref_peel.degeneracy_ordering(graph))
+        dg_csr = _best(lambda: degeneracy_ordering(graph))
         combined = (hp_dict + dg_dict) / (hp_csr + dg_csr)
         rows.append(
             (
@@ -168,7 +181,7 @@ def run_kernel_comparison():
     emit(
         "kernel",
         format_table(
-            "Flat-array kernel vs dict backend (hot-path peeling)",
+            "Flat-array kernel vs dict reference (hot-path peeling)",
             [
                 "workload",
                 "n",
@@ -209,16 +222,16 @@ def run_kernel_comparison():
 
 
 def _check_traversal_equivalence(graph, sources):
-    """dict/csr output equality for one workload (cheap ops only; the
-    exhaustive sweep lives in tests/test_kernel_equivalence.py)."""
-    assert bfs_distances(graph, sources, backend="csr") == bfs_distances(
-        graph, sources, backend="dict"
+    """Reference/kernel output equality for one workload (cheap ops
+    only; the exhaustive sweep lives in tests/test_kernel_equivalence.py)."""
+    assert bfs_distances(graph, sources) == ref_traversal.bfs_distances(
+        graph, sources
     )
-    assert connected_components(graph, backend="csr") == connected_components(
-        graph, backend="dict"
+    assert connected_components(graph) == ref_traversal.connected_components(
+        graph
     )
-    heads_dict = partial_network_decomposition(graph, 0.3, seed=7, backend="dict")
-    heads_csr = partial_network_decomposition(graph, 0.3, seed=7, backend="csr")
+    heads_dict = ref_nd.partial_network_decomposition(graph, 0.3, seed=7)
+    heads_csr = partial_network_decomposition(graph, 0.3, seed=7)
     assert heads_dict == heads_csr
 
 
@@ -233,48 +246,48 @@ def run_traversal_comparison():
         _check_traversal_equivalence(graph, sources)
 
         power_dict = _best(
-            lambda: power_graph(graph, radius, backend="dict"), TRAVERSAL_REPEATS
+            lambda: ref_traversal.power_graph(graph, radius), TRAVERSAL_REPEATS
         )
         power_csr = _best(
             lambda: snapshot.power_csr(radius), TRAVERSAL_REPEATS
         )
         bfs_dict = _best(
-            lambda: bfs_distances(graph, sources, backend="dict"),
+            lambda: ref_traversal.bfs_distances(graph, sources),
             TRAVERSAL_REPEATS,
         )
         bfs_csr = _best(
-            lambda: bfs_distances(snapshot, sources, backend="csr"),
+            lambda: bfs_distances(snapshot, sources),
             TRAVERSAL_REPEATS,
         )
         cc_dict = _best(
-            lambda: connected_components(graph, backend="dict"),
+            lambda: ref_traversal.connected_components(graph),
             TRAVERSAL_REPEATS,
         )
         cc_csr = _best(
-            lambda: connected_components(snapshot, backend="csr"),
+            lambda: connected_components(snapshot),
             TRAVERSAL_REPEATS,
         )
         # Ball carving consumes the power graph, each on its substrate.
-        power_ref = power_graph(graph, radius, backend="dict")
-        power_snap = snapshot.power_csr(radius)
+        power_ref = ref_traversal.power_graph(graph, radius)
+        power_snap = power_graph(snapshot, radius)
         assert (
-            network_decomposition(power_ref, backend="dict").classes
-            == network_decomposition(power_snap, backend="csr").classes
+            ref_nd.network_decomposition(power_ref).classes
+            == network_decomposition(power_snap).classes
         )
         nd_dict = _best(
-            lambda: network_decomposition(power_ref, backend="dict"),
+            lambda: ref_nd.network_decomposition(power_ref),
             TRAVERSAL_REPEATS,
         )
         nd_csr = _best(
-            lambda: network_decomposition(power_snap, backend="csr"),
+            lambda: network_decomposition(power_snap),
             TRAVERSAL_REPEATS,
         )
         mpx_dict = _best(
-            lambda: partial_network_decomposition(graph, 0.3, seed=7, backend="dict"),
+            lambda: ref_nd.partial_network_decomposition(graph, 0.3, seed=7),
             TRAVERSAL_REPEATS,
         )
         mpx_csr = _best(
-            lambda: partial_network_decomposition(snapshot, 0.3, seed=7, backend="csr"),
+            lambda: partial_network_decomposition(snapshot, 0.3, seed=7),
             TRAVERSAL_REPEATS,
         )
 
@@ -318,7 +331,7 @@ def run_traversal_comparison():
     emit(
         "traversal",
         format_table(
-            "CSR traversal + network decomposition vs dict backend",
+            "CSR traversal + network decomposition vs dict reference",
             ["workload", "n", "m", "op", "dict ms", "csr ms", "speedup"],
             rows,
         ),
@@ -539,17 +552,13 @@ def run_shard_comparison():
     for name, assertable, threshold, make in SHARD_WORKLOADS:
         graph = make()
         snapshot = snapshot_of(graph)
-        reference = h_partition(
-            graph, threshold, backend="csr", snapshot=snapshot
-        )
+        reference = h_partition(graph, threshold, snapshot=snapshot)
         assert full_scan_h_partition(snapshot, threshold) == reference.classes
         full_ms = _best(
             lambda: full_scan_h_partition(snapshot, threshold), SHARD_REPEATS
         )
         csr_ms = _best(
-            lambda: h_partition(
-                graph, threshold, backend="csr", snapshot=snapshot
-            ),
+            lambda: h_partition(graph, threshold, snapshot=snapshot),
             SHARD_REPEATS,
         )
         speedup = full_ms / csr_ms
@@ -674,7 +683,7 @@ def _bfs_case(graph, kind):
         ]
     # One color class of the forest union (every 5th edge position
     # approximates a per-color subset) extracted as a sub-CSR over the
-    # host indices — the Session.sub_csr shape.
+    # host indices — the per-color extraction shape.
     eids = snap.edge_id.tolist()[::5]
     offsets, nbr, _eids = snap.edge_subset_csr_arrays(eids)
     return offsets, nbr, n, [0, n // 2]
@@ -787,11 +796,11 @@ def run_carve_comparison():
         graph = make()
 
         def doubling():
-            return network_decomposition(graph, backend="csr").classes
+            return network_decomposition(graph).classes
 
         def simultaneous():
             return network_decomposition(
-                graph, backend="csr", carve_rule="simultaneous"
+                graph, carve_rule="simultaneous"
             ).classes
 
         # One timed shot for the baseline: it is tens of times slower
@@ -979,9 +988,7 @@ def run_passes_comparison():
         graph, coloring = make()
 
         def stacked():
-            return depth_cut(
-                graph, coloring, PASSES_Z, seed=PASSES_SEED, backend="csr"
-            )
+            return depth_cut(graph, coloring, PASSES_Z, seed=PASSES_SEED)
 
         def per_class():
             return per_class_depth_cut(
@@ -1115,7 +1122,7 @@ def run_delta_comparison():
     rows = []
     json_rows = []
     asserted = []
-    cfg = DecompositionConfig(backend="csr", validation="none")
+    cfg = DecompositionConfig(validation="none")
     for name, assertable, make in DELTA_WORKLOADS:
         graph = make()
         batches = _delta_batches(graph, seed=31)
@@ -1281,7 +1288,6 @@ with tempfile.TemporaryDirectory() as root:
     # pseudoarboricity (no exact pseudoarboricity pass, no per-edge
     # Python state)
     config = repro.DecompositionConfig(
-        backend="csr",
         options={"method": "hpartition", "pseudoarboricity": 24},
     )
     t0 = time.perf_counter()

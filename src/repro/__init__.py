@@ -34,15 +34,16 @@ sub-CSRs — across calls::
 
 Key pieces:
 
-* :class:`repro.MultiGraph` — the multigraph substrate.
+* :class:`repro.MultiGraph` — the multigraph input type; every
+  algorithm runs on its flat-array CSR snapshot.
 * :func:`repro.decompose` / :class:`repro.Session` — the unified
   dispatcher and the snapshot-reusing session.
 * :class:`repro.DecompositionConfig` — shared knobs (epsilon, alpha,
-  seed, backend, diameter_mode, cut_rule, validation), JSON
+  seed, diameter_mode, cut_rule, carve_rule, validation), JSON
   round-trippable.
 * :func:`repro.register_task` — the extension seam for new tasks.
-* Legacy-shaped wrappers, all registry-backed and accepting
-  ``backend=``: :func:`repro.forest_decomposition`,
+* Legacy-shaped wrappers, all registry-backed:
+  :func:`repro.forest_decomposition`,
   :func:`repro.list_forest_decomposition`,
   :func:`repro.star_forest_decomposition`,
   :func:`repro.list_star_forest_decomposition`,
@@ -53,7 +54,7 @@ Key pieces:
 * :mod:`repro.verify` — independent validity checkers.
 
 The CLI mirrors the library: ``python -m repro decompose graph.txt
---task forest --backend csr --json``.
+--task forest --json``.
 """
 
 from .errors import (

@@ -4,7 +4,7 @@ Usage examples::
 
     python -m repro stats graph.txt
     python -m repro fd graph.txt --epsilon 0.5 --out coloring.txt
-    python -m repro sfd graph.txt --epsilon 0.25 --backend csr
+    python -m repro sfd graph.txt --epsilon 0.25
     python -m repro orient graph.txt --method augmentation --json
     python -m repro decompose graph.txt --task forest --json
     python -m repro decompose graph.txt --task list_forest \\
@@ -14,10 +14,10 @@ Usage examples::
     python -m repro generate forest-union --n 100 --alpha 4 --out graph.txt
 
 Graphs are plain edge lists (see :mod:`repro.graph.io`).  Every
-decomposition subcommand takes ``--backend auto|dict|csr`` (graph
-substrate) and ``--json`` (print the structured ``to_json()`` payload
-— colors, stats, config, round accounting — instead of the human
-report, so downstream tooling stops parsing printed text).
+decomposition subcommand takes ``--json`` (print the structured
+``to_json()`` payload — colors, stats, config, round accounting —
+instead of the human report, so downstream tooling stops parsing
+printed text).
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--alpha", type=int, default=None,
                         help="arboricity if known (else computed exactly)")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--backend", default="auto",
-                        choices=("auto", "dict", "csr"),
-                        help="graph substrate (default: auto)")
     parser.add_argument("--out", default=None, help="write coloring here")
     parser.add_argument("--json", action="store_true",
                         help="print the structured result (to_json()) "
@@ -97,7 +94,7 @@ def _cmd_fd(args: argparse.Namespace) -> int:
     result = forest_decomposition(
         graph, epsilon=args.epsilon, alpha=args.alpha,
         diameter_mode="auto" if args.bounded_diameter else None,
-        seed=args.seed, backend=args.backend,
+        seed=args.seed,
     )
     check_forest_decomposition(graph, result.coloring)
     if not args.json:
@@ -119,7 +116,6 @@ def _cmd_sfd(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
     result = star_forest_decomposition(
         graph, epsilon=args.epsilon, alpha=args.alpha, seed=args.seed,
-        backend=args.backend,
     )
     count = check_star_forest_decomposition(graph, result.coloring)
     if not args.json:
@@ -141,7 +137,6 @@ def _cmd_orient(args: argparse.Namespace) -> int:
     graph = read_edge_list(args.graph)
     config = DecompositionConfig(
         epsilon=args.epsilon, alpha=args.alpha, seed=args.seed,
-        backend=args.backend,
     )
     result = decompose(
         graph, task="orientation", config=config, method=args.method
@@ -196,7 +191,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         epsilon=args.epsilon,
         alpha=args.alpha,
         seed=args.seed,
-        backend=args.backend,
         diameter_mode=args.diameter_mode,
         cut_rule=args.cut_rule,
         carve_rule=args.carve_rule,
@@ -261,7 +255,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .service.server import serve
 
     config = DecompositionConfig(
-        backend=args.backend,
         delta_mode=args.delta_mode,
         delta_threshold=args.delta_threshold,
     )
@@ -416,9 +409,6 @@ def main(argv=None) -> int:
                          "port is printed in the READY handshake)")
     p_serve.add_argument("--graph", default=None,
                          help="edge-list file to load at startup")
-    p_serve.add_argument("--backend", default="auto",
-                         choices=("auto", "dict", "csr"),
-                         help="graph substrate (default: auto)")
     p_serve.add_argument("--delta-mode", default="auto",
                          choices=("auto", "incremental", "full"),
                          help="delta engine policy (latency only; "

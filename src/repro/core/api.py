@@ -9,7 +9,7 @@ funneled through one shim (:func:`_config_from_kwargs`) into a
 :class:`~repro.core.config.DecompositionConfig` before dispatching
 through :func:`repro.decompose`.  The wrappers, the
 :class:`~repro.core.session.Session` workflow, and the CLI therefore
-share one code path (and one ``backend=`` seam).
+share one code path.
 Return shapes are unchanged — result objects where they always were,
 ``(coloring, bound)`` tuples where they always were — so existing code
 and the golden regressions are untouched.  The per-knob keyword
@@ -142,7 +142,6 @@ def forest_decomposition(
     carve_rule: str = "doubling",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> ForestDecompositionResult:
     """(1+ε)α forest decomposition of a multigraph (Theorem 4.6).
@@ -167,9 +166,6 @@ def forest_decomposition(
         Ball-growth schedule of the network-decomposition phase:
         ``"doubling"`` (default) or ``"simultaneous"`` (multi-ball
         growth, see :func:`~repro.decomposition.network_decomposition`).
-    backend:
-        Graph substrate: ``"auto"`` (default), ``"dict"`` (reference)
-        or ``"csr"`` (kernel).
 
     Returns a :class:`ForestDecompositionResult` whose ``coloring`` maps
     every edge id to a forest index, with ``colors_used`` and charged
@@ -179,7 +175,7 @@ def forest_decomposition(
     """
     config = _config_from_kwargs(
         config,
-        epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
+        epsilon=epsilon, alpha=alpha, seed=seed,
         diameter_mode=diameter_mode, cut_rule=cut_rule,
         carve_rule=carve_rule,
     )
@@ -198,7 +194,6 @@ def list_forest_decomposition(
     rounds: Optional[RoundCounter] = None,
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
-    backend: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> ListForestDecompositionResult:
     """(1+ε)α list-forest decomposition of a multigraph (Theorem 4.10).
@@ -209,7 +204,7 @@ def list_forest_decomposition(
     """
     config = _config_from_kwargs(
         config,
-        epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
+        epsilon=epsilon, alpha=alpha, seed=seed,
         cut_rule=cut_rule,
     )
     return decompose(
@@ -226,14 +221,13 @@ def star_forest_decomposition(
     alpha: Optional[int] = None,
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> StarForestResult:
     """(1+O(ε))α star-forest decomposition of a simple graph
     (Theorem 5.4(1); regime α ≥ Ω(√log Δ + log α))."""
     config = _config_from_kwargs(
         config,
-        epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
+        epsilon=epsilon, alpha=alpha, seed=seed,
     )
     return decompose(graph, task="star_forest", config=config, rounds=rounds)
 
@@ -246,7 +240,6 @@ def list_star_forest_decomposition(
     method: str = "amr",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> StarForestResult:
     """List star-forest decomposition of a simple graph.
@@ -256,7 +249,7 @@ def list_star_forest_decomposition(
     Theorem 2.3 fallback ((4+ε)α* colors, any α)."""
     config = _config_from_kwargs(
         config,
-        epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
+        epsilon=epsilon, alpha=alpha, seed=seed,
     )
     return decompose(
         graph, task="list_star_forest", config=config, rounds=rounds,
@@ -271,7 +264,6 @@ def pseudoforest_decomposition(
     method: str = "augmentation",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> Tuple[Dict[int, int], int]:
     """(1+ε)α pseudoforest decomposition (the Corollary 1.1 companion).
@@ -281,7 +273,7 @@ def pseudoforest_decomposition(
     Returns (coloring, number of pseudoforests)."""
     config = _config_from_kwargs(
         config,
-        epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
+        epsilon=epsilon, alpha=alpha, seed=seed,
     )
     result = decompose(
         graph, task="pseudoforest", config=config, rounds=rounds,
@@ -297,7 +289,6 @@ def low_outdegree_orientation(
     method: str = "augmentation",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     config: Optional[DecompositionConfig] = None,
 ) -> Tuple[Orientation, int]:
     """A (1+ε)α-orientation (Corollary 1.1); returns (orientation,
@@ -306,7 +297,7 @@ def low_outdegree_orientation(
     witness ground truth)."""
     config = _config_from_kwargs(
         config,
-        epsilon=epsilon, alpha=alpha, seed=seed, backend=backend,
+        epsilon=epsilon, alpha=alpha, seed=seed,
     )
     result = decompose(
         graph, task="orientation", config=config, rounds=rounds,
@@ -320,15 +311,13 @@ def barenboim_elkin_forest_decomposition(
     epsilon: float = 0.5,
     pseudoarboricity: Optional[int] = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
 ) -> Tuple[Dict[int, int], int]:
     """The (2+ε)α baseline the paper improves on ([BE10] / Theorem 2.1).
 
     Returns (coloring, number of forests).  The coloring is the
     H-partition t-forest decomposition with t = ⌊(2+ε)α*⌋ (each
     vertex's out-edges get distinct forest labels)."""
-    from ..graph.csr import resolve_backend, snapshot_of
-    from ..errors import DecompositionError
+    from ..graph.csr import snapshot_of
     from ..local.rounds import ensure_counter
 
     counter = ensure_counter(rounds)
@@ -340,13 +329,10 @@ def barenboim_elkin_forest_decomposition(
         rooted_forests_from_orientation,
     )
 
-    peel_backend = resolve_backend(graph, backend, DecompositionError)
-    snapshot = snapshot_of(graph) if peel_backend != "dict" else None
-    partition = h_partition(
-        graph, threshold, counter, backend=peel_backend, snapshot=snapshot,
-    )
+    snapshot = snapshot_of(graph)
+    partition = h_partition(graph, threshold, counter, snapshot=snapshot)
     orientation = acyclic_orientation(
-        graph, partition, counter, backend=peel_backend, snapshot=snapshot
+        graph, partition, counter, snapshot=snapshot
     )
     forests = rooted_forests_from_orientation(graph, orientation)
     coloring: Dict[int, int] = {}

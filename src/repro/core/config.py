@@ -18,12 +18,6 @@ Semantics of the shared fields:
   memoized exact computation (Gabow–Westermann ground truth).
 * ``seed`` — root of the deterministic RNG tree; equal seeds reproduce
   results bit-for-bit.
-* ``backend`` — graph substrate: ``"auto"`` (default; each layer picks
-  the kernel or the reference path, see
-  :func:`~repro.graph.csr.resolve_backend`), ``"dict"`` (byte-identical
-  reference paths) or ``"csr"`` (flat-array kernel).  Any other name
-  raises; :meth:`DecompositionConfig.from_json` still loads the
-  retired names of persisted configs.
 * ``diameter_mode`` — forest-diameter bounding per Corollary 2.5:
   ``None`` (unbounded), ``"safe"``, ``"strong"``, or ``"auto"``.
 * ``cut_rule`` — CUT implementation per Theorem 4.2.
@@ -48,6 +42,11 @@ Semantics of the shared fields:
   in ``[0, 1]``: when more than ``delta_threshold * n`` vertices
   change their H-partition wave during repair, the delta engine
   abandons the cascade and recomputes from scratch.
+
+There is no substrate knob: every task runs on the flat-array CSR
+kernel.  The removed ``backend`` field selected between outputs that
+were always identical, so :meth:`DecompositionConfig.from_json` drops
+it from persisted payloads.
 """
 
 from __future__ import annotations
@@ -72,7 +71,6 @@ class DecompositionConfig:
     epsilon: Optional[float] = None
     alpha: Optional[int] = None
     seed: SeedLike = None
-    backend: str = "auto"
     diameter_mode: Optional[str] = None
     cut_rule: str = "depth_residue"
     carve_rule: str = "doubling"
@@ -82,11 +80,6 @@ class DecompositionConfig:
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.backend not in ("auto", "dict", "csr"):
-            raise ValidationError(
-                f"unknown backend {self.backend!r}; "
-                "expected one of ('auto', 'dict', 'csr')"
-            )
         if self.validation not in VALIDATION_LEVELS:
             raise ValidationError(
                 f"unknown validation level {self.validation!r}; "
@@ -157,17 +150,19 @@ class DecompositionConfig:
 
         Unknown keys raise so that configs written by a newer library
         version fail loudly instead of being silently truncated.  The
-        exceptions are the retired ``workers`` (thread count) and
-        ``schedule`` (pass-execution mode) fields: checkpoints and
-        daemon payloads written before their removal carry them, so a
-        value the old field accepted is dropped and any other value
-        (a bool included) raises.  Likewise the retired backend names
-        ``"sharded"``, ``"parallel"`` and ``"mp"`` ran the csr kernel,
-        so they load as ``"csr"``.
+        exceptions are the retired ``workers`` (thread count),
+        ``schedule`` (pass-execution mode) and ``backend`` (graph
+        substrate) fields: checkpoints and daemon payloads written
+        before their removal carry them, so a value the old field
+        accepted is dropped and any other value (a bool included)
+        raises.
         """
         payload = dict(payload)
-        if payload.get("backend") in _RETIRED_BACKENDS:
-            payload["backend"] = "csr"
+        backend = payload.pop("backend", "auto")
+        if not isinstance(backend, str) or backend not in _RETIRED_BACKENDS:
+            raise ValidationError(
+                f"backend must be one of {_RETIRED_BACKENDS}, got {backend!r}"
+            )
         workers = payload.pop("workers", 0)
         if (
             not isinstance(workers, int)
@@ -192,9 +187,9 @@ class DecompositionConfig:
         return cls(**payload)
 
 
-#: Backend names of the retired thread and process executors; every one
-#: ran the csr kernel when it was last accepted.
-_RETIRED_BACKENDS = ("sharded", "parallel", "mp")
+#: Every value the retired ``backend`` field ever accepted; all of them
+#: produced the csr kernel's output.
+_RETIRED_BACKENDS = ("auto", "dict", "csr", "sharded", "parallel", "mp")
 
 
 def _json_roundtrips(value: Any) -> bool:

@@ -25,13 +25,12 @@ modes mirror the two cases of Proposition 2.4:
 The deleted edges are returned with a child-to-parent orientation whose
 max out-degree certifies their pseudo-arboricity.
 
-Backends: ``depth_cut`` / ``reduce_diameter`` accept the shared
-``backend`` knob.  The dict path (default for direct callers) roots
-every color class with :class:`~repro.graph.forests.RootedForest`; the
-kernel path roots all color classes in one stacked call
-(:func:`~repro.graph.csr.rooted_forest_class_depths` — identical root
-selection and depths).  Both paths produce byte-identical cuts because
-tree depths are unique.
+``depth_cut`` roots all color classes in one stacked kernel call
+(:func:`~repro.graph.csr.rooted_forest_class_depths`), with the root
+selection and depths of :class:`~repro.graph.forests.RootedForest`.
+The test suite's reference (``tests/reference/diameter_reduction.py``)
+roots each class with ``RootedForest`` instead; tree depths are
+unique, so both cut the same edges.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ from typing import Dict, List, Optional, Set
 import numpy as np
 
 from ..errors import DecompositionError
-from ..graph.csr import resolve_backend, rooted_forest_class_depths, snapshot_of
+from ..graph.csr import rooted_forest_class_depths, snapshot_of
 from ..graph.forests import RootedForest, color_classes
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -79,59 +78,40 @@ def depth_cut(
     z: int,
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "dict",
 ) -> DiameterReductionResult:
     """Cut every color forest at a random depth residue mod ``z``.
 
-    The result's trees have strong diameter at most ``2(z-1)``.  Every
-    backend produces the same cuts (see the module docstring); the
-    default stays on the dict reference path, the pipelines pass their
-    own backend through.  One residue is drawn per color class in
-    sorted color order on every backend (rooting consumes no
-    randomness).
+    The result's trees have strong diameter at most ``2(z-1)``.  One
+    residue is drawn per color class in sorted color order (rooting
+    consumes no randomness).
     """
     if z < 1:
         raise DecompositionError(f"z must be >= 1, got {z}")
     counter = ensure_counter(rounds)
     rng = make_rng(seed)
-    resolved = resolve_backend(graph, backend, DecompositionError)
     classes = sorted(color_classes(coloring).items())
     kept: Coloring = {}
     deleted: List[int] = []
     deletion_tail: Dict[int, int] = {}
-    if resolved == "csr":
-        snap = snapshot_of(graph)
-        per_class, _waves = rooted_forest_class_depths(
-            snap, [snap.edge_positions(eids) for _color, eids in classes]
-        )
-        for (color, eids), (du, dv, child_ids) in zip(classes, per_class):
-            residue = rng.randrange(z)
-            # The child endpoint of a forest edge is the deeper one
-            # (depths differ by exactly 1); cutting the parent edges of
-            # vertices at depth ≡ residue (mod z) is cutting the edges
-            # whose child depth hits the residue.
-            is_cut = (np.maximum(du, dv) % z) == residue
-            for eid, cut, child in zip(
-                eids, is_cut.tolist(), child_ids.tolist()
-            ):
-                if cut:
-                    deleted.append(eid)
-                    deletion_tail[eid] = int(child)
-                else:
-                    kept[eid] = color
-    else:
-        for color, eids in classes:
-            forest = RootedForest(graph, eids)
-            residue = rng.randrange(z)
-            cut_edges = set(forest.edges_at_depth_residue(residue, z))
-            for eid in eids:
-                if eid in cut_edges:
-                    u, v = graph.endpoints(eid)
-                    child = u if forest.depth[u] > forest.depth[v] else v
-                    deleted.append(eid)
-                    deletion_tail[eid] = child
-                else:
-                    kept[eid] = color
+    snap = snapshot_of(graph)
+    per_class, _waves = rooted_forest_class_depths(
+        snap, [snap.edge_positions(eids) for _color, eids in classes]
+    )
+    for (color, eids), (du, dv, child_ids) in zip(classes, per_class):
+        residue = rng.randrange(z)
+        # The child endpoint of a forest edge is the deeper one
+        # (depths differ by exactly 1); cutting the parent edges of
+        # vertices at depth ≡ residue (mod z) is cutting the edges
+        # whose child depth hits the residue.
+        is_cut = (np.maximum(du, dv) % z) == residue
+        for eid, cut, child in zip(
+            eids, is_cut.tolist(), child_ids.tolist()
+        ):
+            if cut:
+                deleted.append(eid)
+                deletion_tail[eid] = int(child)
+            else:
+                kept[eid] = color
     # Rooting + cutting is O(z) rounds distributed (depth mod z is known
     # within z hops of the root segment); we charge the target diameter.
     counter.charge(2 * z, "depth-cut diameter reduction")
@@ -203,7 +183,6 @@ def reduce_diameter(
     mode: str = "auto",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "dict",
 ) -> DiameterReductionResult:
     """Corollary 2.5 front-end: pick ``z`` by regime.
 
@@ -213,8 +192,6 @@ def reduce_diameter(
       with per-vertex load ~ εα/20 in expectation at any α.
     * ``mode="auto"``: strong when α ≥ log₂ n, else safe.
 
-    ``backend`` selects the rooting substrate (see :func:`depth_cut`);
-    cuts are identical on every backend.
     """
     n = max(graph.n, 2)
     if mode == "auto":
@@ -225,6 +202,4 @@ def reduce_diameter(
         z = max(2, math.ceil(20.0 * math.log2(n) / epsilon))
     else:
         raise DecompositionError(f"unknown diameter-reduction mode {mode!r}")
-    return depth_cut(
-        graph, coloring, z, seed=seed, rounds=rounds, backend=backend
-    )
+    return depth_cut(graph, coloring, z, seed=seed, rounds=rounds)

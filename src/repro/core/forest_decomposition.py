@@ -39,10 +39,10 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..errors import AugmentationError, DecompositionError
+from ..errors import AugmentationError
 from ..graph.csr import CSRGraph, _concat_ranges, _sorted_unique
+from ..graph import traversal as _traversal
 from ..graph.multigraph import MultiGraph
-from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
 from ..nashwilliams.pseudoarboricity import exact_pseudoarboricity
@@ -63,6 +63,9 @@ from .partial_coloring import PartialListForestDecomposition
 from .results import DecompositionResult
 
 Palettes = Dict[int, Sequence[int]]
+
+# Re-exported only because the frozen perfbench tracer patches this name here.
+power_graph = _traversal.power_graph
 
 
 @dataclass
@@ -134,7 +137,6 @@ def algorithm2(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     strict_locality: bool = False,
-    backend: str = "auto",
     carve_rule: str = "doubling",
 ) -> Algorithm2Result:
     """Run Algorithm 2 on ``graph`` with the given per-edge palettes.
@@ -157,18 +159,11 @@ def algorithm2(
     strict_locality:
         If True, a failed radius-capped augmenting search raises instead
         of falling back to an uncapped search.
-    backend:
-        Graph substrate: ``"auto"`` (default, kernel-backed),
-        ``"dict"`` (the byte-identical reference paths throughout) or
-        ``"csr"``.  Outputs are identical across backends (certified by
-        the kernel-equivalence suite).
     """
-    if backend not in ("auto", "dict", "csr"):
-        raise DecompositionError(f"unknown backend {backend!r}")
     counter = ensure_counter(rounds)
     rng = make_rng(seed)
     stats = Algorithm2Stats()
-    state = PartialListForestDecomposition(graph, palettes, backend=backend)
+    state = PartialListForestDecomposition(graph, palettes)
     if graph.m == 0:
         return Algorithm2Result(state, stats, counter)
 
@@ -180,20 +175,16 @@ def algorithm2(
     stats.search_radius = r_prime
     d = r + r_prime
 
-    # "auto" runs the kernel throughout Algorithm 2.
-    substrate = "dict" if backend == "dict" else "csr"
     orientation_j = None
     if cut_rule == "conditioned_sampling":
         with counter.phase("orientation J"):
             pseudo = exact_pseudoarboricity(graph)
-            snapshot = None if substrate == "dict" else state.csr_snapshot()
+            snapshot = state.csr_snapshot()
             partition = h_partition(
-                graph, max(1, 3 * pseudo), counter,
-                backend=substrate, snapshot=snapshot,
+                graph, max(1, 3 * pseudo), counter, snapshot=snapshot,
             )
             orientation_j = acyclic_orientation(
-                graph, partition, counter,
-                backend=substrate, snapshot=snapshot,
+                graph, partition, counter, snapshot=snapshot,
             )
 
     controller = CutController(
@@ -211,21 +202,12 @@ def algorithm2(
         # G^{2(R+R')} is carved implicitly on G, as Theorem 4.1
         # simulates it: every shell or wave of the carve is one
         # depth-≤k relaxation over the run's CSR snapshot, so the power
-        # graph (K_n on a low-diameter input) is never built.  The dict
-        # reference path materializes it and carves the result; the
-        # clusters are identical (kernel-equivalence suite + golden
-        # regression certify this).
+        # graph (K_n on a low-diameter input) is never built.
         k = max(1, min(2 * d, 2 * n))
-        if substrate == "dict":
-            nd = network_decomposition(
-                power_graph(graph, k, backend="dict"), counter,
-                radius_cost=2 * d, backend="dict", carve_rule=carve_rule,
-            )
-        else:
-            nd = network_decomposition(
-                state.csr_snapshot(), counter, radius_cost=2 * d,
-                backend="csr", carve_rule=carve_rule, power=k,
-            )
+        nd = network_decomposition(
+            state.csr_snapshot(), counter, radius_cost=2 * d,
+            carve_rule=carve_rule, power=k,
+        )
 
     balls = _BallResolver(state.csr_snapshot())
     log_n = max(1, math.ceil(math.log2(n + 1)))
@@ -424,7 +406,6 @@ def _forest_algorithm2(ctx: PipelineContext) -> None:
             search_radius=ctx["search_radius"],
             seed=child_rng(ctx["rng"], "alg2"),
             rounds=counter,
-            backend=ctx["backend"],
             carve_rule=ctx["carve_rule"],
         )
     ctx["alg2"] = result
@@ -443,7 +424,6 @@ def _forest_leftover_recolor(ctx: PipelineContext) -> None:
             ctx["graph"], ctx["leftover"], ctx["coloring"],
             ctx["next_color"], counter,
             as_star_forests=ctx["diameter_mode"] is not None,
-            backend=ctx["backend"],
         )
     ctx.note(reconcile_volume=len(ctx["leftover"]))
 
@@ -461,7 +441,6 @@ def _forest_diameter_reduce(ctx: PipelineContext) -> None:
             mode=ctx["diameter_mode"],
             seed=child_rng(ctx["rng"], "diam"),
             rounds=counter,
-            backend=ctx["backend"],
         )
         ctx["coloring"] = dict(reduction.kept)
         ctx["next_color"] = _recolor_fresh(
@@ -471,7 +450,6 @@ def _forest_diameter_reduce(ctx: PipelineContext) -> None:
             ctx["next_color"],
             counter,
             as_star_forests=True,
-            backend=ctx["backend"],
         )
     ctx.note(
         items=len(set(ctx["coloring"].values())),
@@ -557,7 +535,6 @@ def forest_decomposition_algorithm2(
     rounds: Optional[RoundCounter] = None,
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
-    backend: str = "auto",
     carve_rule: str = "doubling",
 ) -> ForestDecompositionResult:
     """Theorem 4.6: a (1+ε)α-forest decomposition of a multigraph.
@@ -584,7 +561,6 @@ def forest_decomposition_algorithm2(
             "rng": make_rng(seed),
             "radius": radius,
             "search_radius": search_radius,
-            "backend": backend,
             "carve_rule": carve_rule,
         },
     )
@@ -600,20 +576,15 @@ def _recolor_fresh(
     next_color: int,
     counter: RoundCounter,
     as_star_forests: bool,
-    backend: str,
 ) -> int:
     """Color ``eids`` with fresh colors starting at ``next_color`` via
-    Theorem 2.1; returns the next unused color index.  The peel runs
-    on the kernel unless ``backend`` is ``"dict"``, as in Algorithm 2."""
+    Theorem 2.1; returns the next unused color index."""
     if not eids:
         return next_color
     sub = graph.edge_subgraph(eids)
     pseudo = max(1, exact_pseudoarboricity(sub))
     threshold = max(1, math.floor(2.5 * pseudo))
-    partition = h_partition(
-        sub, threshold, counter,
-        backend="dict" if backend == "dict" else "csr",
-    )
+    partition = h_partition(sub, threshold, counter)
     if as_star_forests:
         star = star_forest_decomposition_via_hpartition(sub, partition, counter)
         labels = sorted(set(star.values()))

@@ -114,7 +114,6 @@ def _lf_algorithm2(ctx: PipelineContext) -> None:
             search_radius=ctx["search_radius"],
             seed=child_rng(ctx["rng"], "alg2"),
             rounds=counter,
-            backend=ctx["backend"],
         )
     ctx["coloring_0"] = dict(result.colored)
     ctx["leftover"] = set(result.leftover)
@@ -135,7 +134,6 @@ def _lf_diameter_reduce(ctx: PipelineContext) -> None:
             mode="auto",
             seed=child_rng(ctx["rng"], "diam"),
             rounds=counter,
-            backend=ctx["backend"],
         )
     ctx["coloring_0"] = dict(reduction.kept)
     ctx["leftover"].update(reduction.deleted)
@@ -155,7 +153,6 @@ def _lf_reserve(ctx: PipelineContext) -> None:
         ctx["coloring_1"] = _reserve_lsfd(
             ctx["graph"], sorted(ctx["leftover"]),
             ctx["split"].palettes_1, counter,
-            backend=ctx["backend"],
         )
     ctx.note(reconcile_volume=len(ctx["coloring_1"]))
 
@@ -249,7 +246,6 @@ def list_forest_decomposition(
     rounds: Optional[RoundCounter] = None,
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
-    backend: str = "auto",
 ) -> ListForestDecompositionResult:
     """Theorem 4.10: (1+ε)α-LFD of a multigraph.
 
@@ -276,7 +272,6 @@ def list_forest_decomposition(
             "rng": make_rng(seed),
             "radius": radius,
             "search_radius": search_radius,
-            "backend": backend,
         },
     )
     result = Scheduler().run(LIST_FOREST_PIPELINE, ctx)
@@ -314,7 +309,6 @@ def _reserve_lsfd(
     leftover: List[int],
     reserve_palettes: Palettes,
     counter: RoundCounter,
-    backend: str = "csr",
 ) -> Dict[int, int]:
     """Color the leftover edges from their reserve palettes via
     Theorem 2.3 (a star forest is in particular a forest)."""
@@ -329,6 +323,4 @@ def _reserve_lsfd(
             f"reserve palettes empty for {len(deficient)} leftover edges; "
             "increase palette sizes or epsilon"
         )
-    return list_star_forest_decomposition(
-        sub, palettes, pseudo, 0.5, counter, backend=backend,
-    )
+    return list_star_forest_decomposition(sub, palettes, pseudo, 0.5, counter)

@@ -27,7 +27,7 @@ import math
 from typing import Dict, Optional, Tuple
 
 from ..errors import DecompositionError
-from ..graph.csr import resolve_backend, rooted_forest_arrays, snapshot_of
+from ..graph.csr import rooted_forest_arrays, snapshot_of
 from ..graph.forests import color_classes
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -126,25 +126,19 @@ def _or_decompose(ctx: PipelineContext) -> None:
             diameter_mode="auto",
             seed=ctx["seed"],
             rounds=ctx.counter,
-            backend=ctx["backend"],
         )
         ctx["forest_result"] = result
         ctx["bound"] = result.colors_used
         ctx.note(reconcile_volume=len(result.coloring))
     elif method == "hpartition":
-        peel_backend = resolve_backend(
-            graph, ctx["backend"], DecompositionError
-        )
         pseudo = ctx["pseudoarboricity"]
         if pseudo is None:
             pseudo = exact_pseudoarboricity(graph)
         threshold = max(1, default_threshold(pseudo, ctx["epsilon"]))
-        snapshot = snapshot_of(graph) if peel_backend != "dict" else None
+        snapshot = snapshot_of(graph)
         ctx["partition"] = h_partition(
-            graph, threshold, ctx.counter, backend=peel_backend,
-            snapshot=snapshot,
+            graph, threshold, ctx.counter, snapshot=snapshot,
         )
-        ctx["peel_backend"] = peel_backend
         ctx["snapshot"] = snapshot
         ctx["bound"] = threshold
         ctx.note(vertices_touched=graph.n)
@@ -160,8 +154,7 @@ def _or_orient(ctx: PipelineContext) -> None:
         )
     elif method == "hpartition":
         ctx["orientation"] = acyclic_orientation(
-            graph, ctx["partition"], ctx.counter,
-            backend=ctx["peel_backend"], snapshot=ctx["snapshot"],
+            graph, ctx["partition"], ctx.counter, snapshot=ctx["snapshot"],
         )
     else:  # exact
         from ..nashwilliams.arboricity import exact_arboricity
@@ -211,8 +204,7 @@ _ORIENT_PASSES = [
     Pass(
         "decompose", _or_decompose,
         writes=(
-            "forest_result", "partition", "bound",
-            "peel_backend", "snapshot",
+            "forest_result", "partition", "bound", "snapshot",
         ),
         description="produce the substrate: Algorithm 2 forests "
                     "(augmentation), H-partition (hpartition), or "
@@ -274,7 +266,6 @@ def _run_orientation_pipeline(
     method: str,
     seed: SeedLike,
     counter: RoundCounter,
-    backend: str,
     pseudoarboricity: Optional[int],
 ):
     ctx = PipelineContext(
@@ -285,7 +276,6 @@ def _run_orientation_pipeline(
             "alpha": alpha,
             "method": method,
             "seed": seed,
-            "backend": backend,
             "pseudoarboricity": pseudoarboricity,
         },
     )
@@ -301,7 +291,6 @@ def orientation_decomposition(
     method: str = "augmentation",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
 ) -> OrientationResult:
     """Corollary 1.1 as a protocol result: runs
@@ -314,7 +303,7 @@ def orientation_decomposition(
     counter = ensure_counter(rounds)
     return _run_orientation_pipeline(
         ORIENTATION_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, backend, pseudoarboricity,
+        counter, pseudoarboricity,
     )
 
 
@@ -325,7 +314,6 @@ def pseudoforest_decomposition_result(
     method: str = "augmentation",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
 ) -> PseudoforestResult:
     """The pseudoforest companion of Corollary 1.1: runs
@@ -335,7 +323,7 @@ def pseudoforest_decomposition_result(
     counter = ensure_counter(rounds)
     return _run_orientation_pipeline(
         PSEUDOFOREST_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, backend, pseudoarboricity,
+        counter, pseudoarboricity,
     )
 
 
@@ -346,7 +334,6 @@ def low_outdegree_orientation(
     method: str = "augmentation",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
     pseudoarboricity: Optional[int] = None,
 ) -> Tuple[Orientation, int]:
     """A (1+ε)α-orientation; returns (orientation, out-degree bound).
@@ -359,15 +346,12 @@ def low_outdegree_orientation(
     * ``"hpartition"`` — the (2+ε)α* baseline of Theorem 2.1(2).
     * ``"exact"`` — centralized flow witness at ⌈(1+ε)α⌉ (ground truth).
 
-    ``backend`` selects the graph substrate (``"csr"`` kernel,
-    ``"dict"`` reference, or ``"auto"``); the ``"exact"`` method
-    ignores it.  ``pseudoarboricity`` lets callers (e.g. a
+    ``pseudoarboricity`` lets callers (e.g. a
     :class:`~repro.core.session.Session`) inject the memoized exact
     value for the ``"hpartition"`` method instead of recomputing it.
     """
     result = orientation_decomposition(
         graph, epsilon, alpha=alpha, method=method, seed=seed,
-        rounds=rounds, backend=backend,
-        pseudoarboricity=pseudoarboricity,
+        rounds=rounds, pseudoarboricity=pseudoarboricity,
     )
     return result.orientation, result.bound

@@ -17,16 +17,15 @@ Every mutation maintains the invariant that each color class is a
 forest: the forest's ``link`` refuses to close a cycle, and
 ``set_color`` turns that into a :class:`~repro.errors.ValidationError`.
 
-``backend="dict"`` keeps a BFS over the forest's adjacency as the
-reference the equivalence corpus compares against; ``"auto"`` and
-``"csr"`` read the parent pointers (paths, connectivity) and the
-per-tree vertex sets (components).  All paths return identical values:
-paths in a forest are unique, and the component queries are order-free.
+The queries read the forests' parent pointers (paths, connectivity)
+and per-tree vertex sets (components).  The test suite's reference
+(``tests/reference/partial_coloring.py``) answers the same queries by a
+BFS over each forest's adjacency; paths in a forest are unique and the
+component queries are order-free, so both return identical values.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import PaletteError, ValidationError
@@ -41,16 +40,8 @@ Palettes = Dict[int, Sequence[int]]
 class PartialListForestDecomposition:
     """Mutable partial LFD over a multigraph with per-edge palettes."""
 
-    def __init__(
-        self,
-        graph: MultiGraph,
-        palettes: Palettes,
-        backend: str = "auto",
-    ) -> None:
-        if backend not in ("auto", "dict", "csr"):
-            raise ValidationError(f"unknown color-class backend {backend!r}")
+    def __init__(self, graph: MultiGraph, palettes: Palettes) -> None:
         self.graph = graph
-        self.backend = backend
         self.palettes = {
             eid: tuple(palettes[eid]) for eid in graph.edge_ids()
         }
@@ -195,31 +186,7 @@ class PartialListForestDecomposition:
         forest = self._forests.get(color)
         if forest is None:
             return None
-        if self.backend != "dict":
-            return forest.path(u, v)
-        adj = forest.adj
-        if u not in adj or v not in adj:
-            return None
-        if u == v:
-            return []
-        parent: Dict[int, Tuple[int, int]] = {u: (u, -1)}
-        queue = deque([u])
-        while queue:
-            vertex = queue.popleft()
-            for eid, other in adj[vertex].items():
-                if other not in parent:
-                    parent[other] = (vertex, eid)
-                    if other == v:
-                        path = []
-                        walk = v
-                        while walk != u:
-                            prev, via = parent[walk]
-                            path.append(via)
-                            walk = prev
-                        path.reverse()
-                        return path
-                    queue.append(other)
-        return None
+        return forest.path(u, v)
 
     def color_component_vertices(
         self, start: int, color: int
@@ -228,18 +195,7 @@ class PartialListForestDecomposition:
         forest = self._forests.get(color)
         if forest is None or start not in forest.adj:
             return {start}
-        if self.backend != "dict":
-            return forest.component(start)
-        adj = forest.adj
-        seen = {start}
-        queue = deque([start])
-        while queue:
-            vertex = queue.popleft()
-            for other in adj[vertex].values():
-                if other not in seen:
-                    seen.add(other)
-                    queue.append(other)
-        return seen
+        return forest.component(start)
 
     # ------------------------------------------------------------------
     # Validation

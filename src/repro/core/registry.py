@@ -16,9 +16,8 @@ tasks (registered by :mod:`repro.core.session` on import) are::
 
 Use :func:`register_task` to add a task (``override=True`` to replace
 an entry); unknown names raise :class:`~repro.errors.RegistryError`
-listing what is available.  Graph substrates are not registered: the
-config's ``backend`` field is one of ``"auto"``, ``"dict"`` or
-``"csr"`` (see :mod:`repro.core.config`).
+listing what is available.  Graph substrates are not registered:
+every task runs on the flat-array CSR kernel.
 """
 
 from __future__ import annotations

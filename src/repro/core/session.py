@@ -14,8 +14,6 @@ A ``Session(graph)`` owns that shared state:
   :func:`~repro.graph.csr.snapshot_of`, so the cache is shared with
   every internal kernel path);
 * memoized exact arboricity and pseudoarboricity;
-* per-color sub-CSR adjacency extractions (:meth:`Session.sub_csr`,
-  digest-keyed, LRU-bounded);
 
 all keyed by the graph's mutation fingerprint, so mutating the graph
 transparently invalidates everything and N queries on an unchanged
@@ -32,12 +30,9 @@ session.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
-
-import numpy as np
 
 from ..errors import DecompositionError, GraphError, PaletteError, ValidationError
 from ..graph.csr import mutation_fingerprint, snapshot_of
@@ -86,20 +81,14 @@ class Session:
         :meth:`decompose` calls that do not pass their own.
     """
 
-    #: LRU bound on cached per-color sub-CSR extractions; a long-lived
-    #: session sweeping many distinct color classes stays bounded.
-    SUB_CSR_CACHE_SIZE = 64
-
     def __init__(
         self, graph, config: Optional[DecompositionConfig] = None
     ) -> None:
         self.graph = graph
         self.config = config if config is not None else DecompositionConfig()
         self._memo: Dict[str, Tuple[Tuple[int, int, int], Any]] = {}
-        self._sub_csr: "OrderedDict[Tuple, Any]" = OrderedDict()
         self._hits: Dict[str, int] = {}
         self._misses: Dict[str, int] = {}
-        self._evictions: Dict[str, int] = {}
         #: per-pass execution totals accumulated across decompose()
         #: calls: pass name -> {"runs", "wall_ms", "engine_waves"}
         self._pass_totals: Dict[str, Dict[str, float]] = {}
@@ -149,46 +138,6 @@ class Session:
             "pseudoarboricity", lambda: exact_pseudoarboricity(self.graph)
         )
 
-    def sub_csr(self, eids: Iterable[int]):
-        """Cached CSR adjacency ``(offsets, neighbors, edge ids)`` of
-        the subgraph on ``eids`` — the per-color extraction reused
-        across queries that walk the same color class (e.g. a forest
-        decomposition's trees feeding a later orientation query).
-
-        The cache key is a fixed-width digest of the sorted edge-id
-        array (hashing the contiguous bytes once is far cheaper than
-        building and hashing a ``frozenset`` of Python ints per
-        lookup), and the cache is LRU-bounded at
-        :attr:`SUB_CSR_CACHE_SIZE` entries — evictions show up in
-        :meth:`cache_info`.
-        """
-        fingerprint = self.fingerprint()
-        eid_array = np.unique(np.fromiter(eids, dtype=np.int64))
-        digest = hashlib.blake2b(
-            eid_array.tobytes(), digest_size=16
-        ).digest()
-        key = (fingerprint, int(eid_array.size), digest)
-        cached = self._sub_csr.get(key)
-        if cached is not None:
-            self._sub_csr.move_to_end(key)
-            self._hits["sub_csr"] = self._hits.get("sub_csr", 0) + 1
-            return cached
-        # A mutation invalidates every cached extraction at once; drop
-        # the stale generation so a long-lived session on an evolving
-        # graph doesn't accumulate dead arrays.
-        stale = [k for k in self._sub_csr if k[0] != fingerprint]
-        for k in stale:
-            del self._sub_csr[k]
-        arrays = self.snapshot().edge_subset_csr_arrays(eid_array)
-        self._sub_csr[key] = arrays
-        while len(self._sub_csr) > self.SUB_CSR_CACHE_SIZE:
-            self._sub_csr.popitem(last=False)
-            self._evictions["sub_csr"] = (
-                self._evictions.get("sub_csr", 0) + 1
-            )
-        self._misses["sub_csr"] = self._misses.get("sub_csr", 0) + 1
-        return arrays
-
     def prepare(self) -> "Session":
         """Force the graph-prep phase now: snapshot + exact arboricity
         + pseudoarboricity.  Every task runs this implicitly; calling
@@ -203,15 +152,14 @@ class Session:
         return self
 
     def cache_info(self) -> Dict[str, Dict[str, int]]:
-        """Hit/miss/eviction counts per cached computation, plus the
+        """Hit/miss counts per cached computation, plus the
         per-pass execution totals under ``"passes"`` and the delta
         engine's counters under ``"delta"`` once one is live."""
-        keys = set(self._hits) | set(self._misses) | set(self._evictions)
+        keys = set(self._hits) | set(self._misses)
         info = {
             key: {
                 "hits": self._hits.get(key, 0),
                 "misses": self._misses.get(key, 0),
-                "evictions": self._evictions.get(key, 0),
             }
             for key in sorted(keys)
         }
@@ -426,7 +374,6 @@ def _run_forest(
         rounds=rounds,
         radius=radius,
         search_radius=search_radius,
-        backend=config.backend,
     )
 
 
@@ -454,7 +401,6 @@ def _run_list_forest(
         rounds=rounds,
         radius=radius,
         search_radius=search_radius,
-        backend=config.backend,
     )
 
 
@@ -471,7 +417,6 @@ def _run_star_forest(
         seed=config.seed,
         rounds=rounds,
         max_lll_rounds=max_lll_rounds,
-        backend=config.backend,
     )
 
 
@@ -505,7 +450,6 @@ def _run_list_star_forest(
         pseudo = session.pseudoarboricity()
         coloring = lsfd_theorem23(
             session.graph, palettes, max(1, pseudo), 0.5, counter,
-            backend=config.backend,
         )
         colors_used = len(set(coloring.values()))
         return StarForestResult(
@@ -535,7 +479,6 @@ def _run_orientation(
         method=method,
         seed=config.seed,
         rounds=rounds,
-        backend=config.backend,
         pseudoarboricity=(
             pseudoarboricity if pseudoarboricity is not None
             else session.pseudoarboricity()
@@ -559,7 +502,6 @@ def _run_pseudoforest(
         method=method,
         seed=config.seed,
         rounds=rounds,
-        backend=config.backend,
         pseudoarboricity=(
             pseudoarboricity if pseudoarboricity is not None
             else session.pseudoarboricity()

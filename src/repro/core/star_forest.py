@@ -31,7 +31,6 @@ import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConvergenceError, DecompositionError, GraphError
-from ..graph.csr import resolve_backend
 from ..graph.forests import RootedForest, color_classes
 from ..graph.matching import hopcroft_karp
 from ..graph.multigraph import MultiGraph
@@ -285,7 +284,6 @@ def _sf_leftover_recolor(ctx: PipelineContext) -> None:
     with counter.phase("leftover recoloring"):
         _recolor_leftover_stars(
             ctx["graph"], ctx["leftover"], ctx["coloring"], counter,
-            backend=ctx["backend"],
         )
     ctx.note(reconcile_volume=len(ctx["leftover"]))
 
@@ -364,16 +362,13 @@ def star_forest_decomposition_amr(
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     max_lll_rounds: int = 60,
-    backend: str = "auto",
 ) -> StarForestResult:
     """Theorem 5.4(1): (1+O(ε))α-SFD of a simple graph.
 
     Colors matched edges via per-vertex H_v matchings with uniformly
     random α-subsets C(v) (Lemma 5.2); vertices whose matching deficit
     exceeds ``⌈2εα⌉`` are resampled (distributed LLL); the unmatched
-    leftover is recolored with fresh colors via Theorem 2.1(3) on the
-    csr kernel (``backend`` is validated; the matching phase itself is
-    per-vertex work).
+    leftover is recolored with fresh colors via Theorem 2.1(3).
 
     Executes :data:`STAR_FOREST_PIPELINE`; the executed per-pass
     records land in ``result.stats["passes"]``.
@@ -389,7 +384,6 @@ def star_forest_decomposition_amr(
             "alpha": alpha,
             "rng": make_rng(seed),
             "max_lll_rounds": max_lll_rounds,
-            "backend": backend,
         },
     )
     result = Scheduler().run(STAR_FOREST_PIPELINE, ctx)
@@ -402,15 +396,12 @@ def _recolor_leftover_stars(
     leftover: List[int],
     coloring: Dict[int, object],
     counter: RoundCounter,
-    backend: str = "auto",
 ) -> None:
     """Theorem 2.1(3) on the leftover subgraph, with fresh color names."""
     if not leftover:
         return
     sub = graph.edge_subgraph(leftover)
     pseudo = max(1, exact_pseudoarboricity(sub))
-    # Validate the name only: this helper always peels on the kernel.
-    resolve_backend(sub, backend, DecompositionError)
     partition = h_partition(sub, max(1, math.floor(2.5 * pseudo)), counter)
     star = star_forest_decomposition_via_hpartition(sub, partition, counter)
     for eid, label in star.items():

@@ -10,41 +10,33 @@ the ``αliststar ≤ 4α − 2`` bound of Corollary 1.2.
 This module provides the exact degeneracy (iterated minimum-degree
 peeling), the associated acyclic orientation, and the constructive
 Theorem 2.2 coloring — the *existential* counterpart of the distributed
-Theorem 2.3 in :mod:`repro.decomposition.lsfd`.
+Theorem 2.3 in :mod:`repro.decomposition.lsfd`.  The peeling runs on the
+flat-array kernel; the dict-of-sets heap it was ported from is the test
+suite's reference (``tests/reference/peel.py``).
 """
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import PaletteError
-from ..graph.csr import CSRGraph, resolve_backend
+from ..graph.csr import CSRGraph
 from ..graph.multigraph import MultiGraph
 
 Palettes = Dict[int, Sequence[int]]
 
 
-def degeneracy_ordering(
-    graph: MultiGraph, backend: str = "csr"
-) -> Tuple[int, List[int]]:
+def degeneracy_ordering(graph: MultiGraph) -> Tuple[int, List[int]]:
     """Exact degeneracy and a peeling order (min-degree first).
 
     Returns ``(d, order)`` where ``order`` lists vertices in removal
     order; every vertex has at most ``d`` neighbors later in the order.
     The removal rule is: always delete the vertex minimizing
     ``(remaining degree, vertex id)``, so the order is deterministic.
-
-    ``backend="csr"`` (default) runs the delete-min loop on the
-    flat-array kernel's peeling view; ``backend="dict"`` keeps the
-    original dict-of-sets loop; ``backend="auto"`` picks one by
-    :func:`~repro.graph.csr.resolve_backend`.  All return identical
-    orders.
+    The delete-min loop runs on the flat-array kernel's peeling view.
     """
-    if resolve_backend(graph, backend) == "dict":
-        return _degeneracy_ordering_dict(graph)
     snapshot = CSRGraph.from_multigraph(graph)
     degeneracy, order_indices = _peel_order(snapshot)
     vertex_ids = snapshot.vertex_ids.tolist()
@@ -67,46 +59,13 @@ def _peel_order(snapshot: CSRGraph) -> Tuple[int, List[int]]:
     return degeneracy, order
 
 
-def _degeneracy_ordering_dict(graph: MultiGraph) -> Tuple[int, List[int]]:
-    """Reference dict-backed delete-min loop (pre-kernel implementation)."""
-    degree = {v: graph.degree(v) for v in graph.vertices()}
-    removed: Set[int] = set()
-    heap = [(deg, v) for v, deg in degree.items()]
-    heapq.heapify(heap)
-    order: List[int] = []
-    degeneracy = 0
-    while heap:
-        deg, vertex = heapq.heappop(heap)
-        if vertex in removed or deg != degree[vertex]:
-            continue  # stale heap entry
-        removed.add(vertex)
-        order.append(vertex)
-        degeneracy = max(degeneracy, deg)
-        for _eid, other in graph.incident(vertex):
-            if other not in removed:
-                degree[other] -= 1
-                heapq.heappush(heap, (degree[other], other))
-    return degeneracy, order
-
-
-def degeneracy_orientation(
-    graph: MultiGraph, backend: str = "csr"
-) -> Tuple[int, Dict[int, int]]:
+def degeneracy_orientation(graph: MultiGraph) -> Tuple[int, Dict[int, int]]:
     """An acyclic d-orientation witnessing the exact degeneracy.
 
     Each edge is oriented from the endpoint peeled *earlier* (so every
     vertex's out-edges go to vertices still present when it was peeled:
-    at most ``d`` of them).  ``backend`` as in
-    :func:`degeneracy_ordering`.
+    at most ``d`` of them).
     """
-    if resolve_backend(graph, backend) == "dict":
-        degeneracy, order = _degeneracy_ordering_dict(graph)
-        position = {v: i for i, v in enumerate(order)}
-        orientation = {
-            eid: (u if position[u] < position[v] else v)
-            for eid, u, v in graph.edges()
-        }
-        return degeneracy, orientation
     snapshot = CSRGraph.from_multigraph(graph)
     degeneracy, order_indices = _peel_order(snapshot)
     if snapshot.num_edges == 0:

@@ -11,6 +11,12 @@ Given ``t = ⌊(2+ε)α*⌋``, Theorem 2.1 provides, in O(log n/ε) rounds:
 These are both the pre-existing baseline the paper improves on (its
 (2+ε)α-FD) and subroutines of the main algorithms (leftover recoloring
 in Theorem 4.6, the 3α-orientation inside CUT, Theorem 2.3's LSFD).
+
+The peel and the orientation run on the flat-array kernel
+(:class:`~repro.graph.csr.PeelingView`).  The dict loops they were
+ported from are the test suite's reference (``tests/reference/peel.py``);
+the equivalence corpus checks identical classes, orientations and
+charged rounds against it.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, PaletteError
-from ..graph.csr import CSRGraph, EdgeArrayMap, resolve_backend
+from ..graph.csr import CSRGraph, EdgeArrayMap
 from ..graph.forests import RootedForest
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -88,7 +94,6 @@ def h_partition(
     threshold: int,
     rounds: Optional[RoundCounter] = None,
     max_iterations: Optional[int] = None,
-    backend: str = "csr",
     snapshot: Optional[CSRGraph] = None,
 ) -> HPartition:
     """Peel vertices of remaining degree <= threshold into classes.
@@ -98,16 +103,11 @@ def h_partition(
     :class:`DecompositionError` is raised.  Charges one LOCAL round per
     peeling wave.
 
-    ``backend="csr"`` (default) runs each wave vectorized on the
-    flat-array kernel, touching only the previous wave's
-    threshold-crossing frontier after the first full scan (see
-    :class:`~repro.graph.csr.PeelingView`); ``backend="dict"`` keeps
-    the original dict-of-sets loop (reference implementation, used by
-    the equivalence tests and benchmarks); ``backend="auto"`` picks
-    one by :func:`~repro.graph.csr.resolve_backend`.  All produce
-    identical classes.  A prebuilt ``snapshot`` of ``graph`` can be
-    supplied to amortize conversion across several kernel-backed
-    passes.
+    Each wave runs vectorized on the flat-array kernel, touching only
+    the previous wave's threshold-crossing frontier after the first
+    full scan (see :class:`~repro.graph.csr.PeelingView`).  A prebuilt
+    ``snapshot`` of ``graph`` can be supplied to amortize conversion
+    across several kernel-backed passes.
     """
     counter = ensure_counter(rounds)
     cap = max_iterations if max_iterations is not None else 4 * graph.n + 8
@@ -119,12 +119,6 @@ def h_partition(
             if waves:
                 counter.charge(waves, "H-partition wave")
             return HPartition(cached, threshold)
-    if resolve_backend(graph, backend, DecompositionError) == "dict":
-        partition = _h_partition_dict(graph, threshold, counter, cap)
-        if oracle is not None:
-            oracle.record(graph, threshold, partition.classes)
-        return partition
-
     snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
     view = snap.peeling_view()
     vertex_ids = snap.vertex_ids.tolist()
@@ -151,46 +145,6 @@ def h_partition(
     return HPartition(classes, threshold)
 
 
-def _h_partition_dict(
-    graph: MultiGraph, threshold: int, counter: RoundCounter, cap: int
-) -> HPartition:
-    """Reference dict-backed peeling loop (pre-kernel implementation)."""
-    remaining_degree: Dict[int, int] = {
-        v: graph.degree(v) for v in graph.vertices()
-    }
-    classes: Dict[int, int] = {}
-    alive = set(graph.vertices())
-    wave = 0
-
-    while alive:
-        wave += 1
-        if wave > cap:
-            raise DecompositionError(
-                f"H-partition stalled: threshold {threshold} too small"
-            )
-        # repro: allow(det-set-order) — int-only vertex set: int hashes are
-        # PYTHONHASHSEED-independent, so iteration order is a pure function
-        # of the insertion sequence; the order feeds only commutative
-        # per-vertex class stamps, and the frozen goldens certify it.
-        leaving = [v for v in alive if remaining_degree[v] <= threshold]
-        if not leaving:
-            raise DecompositionError(
-                f"H-partition stalled: threshold {threshold} too small "
-                f"(no vertex of degree <= {threshold} remains)"
-            )
-        for v in leaving:
-            classes[v] = wave
-        leaving_set = set(leaving)
-        alive -= leaving_set
-        for v in leaving:
-            for _eid, other in graph.incident(v):
-                if other in alive:
-                    remaining_degree[other] -= 1
-        counter.charge(1, "H-partition wave")
-
-    return HPartition(classes, threshold)
-
-
 def default_threshold(pseudoarboricity: int, epsilon: float) -> int:
     """``t = ⌊(2+ε)α*⌋`` as in Theorem 2.1."""
     return int(math.floor((2.0 + epsilon) * pseudoarboricity))
@@ -200,51 +154,38 @@ def acyclic_orientation(
     graph: MultiGraph,
     partition: HPartition,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "csr",
     snapshot: Optional[CSRGraph] = None,
 ) -> Orientation:
     """Theorem 2.1(2): orient low class -> high class, ties by vertex id.
 
     The result is acyclic with out-degree at most the partition
     threshold.  Charges one round (purely local decision per edge).
-    The default ``backend="csr"`` evaluates the per-edge comparison
-    vectorized on the flat-array kernel; ``backend="dict"`` is the
-    reference per-edge loop; ``backend="auto"`` picks one by
-    :func:`~repro.graph.csr.resolve_backend`.  Outputs are identical.
+    The per-edge comparison runs vectorized on the flat-array kernel.
     """
     counter = ensure_counter(rounds)
     classes = partition.classes
     orientation: Orientation
-    if resolve_backend(graph, backend, DecompositionError) == "dict":
+    # The result is an array-backed mapping
+    # (:class:`~repro.graph.csr.EdgeArrayMap`) — == any dict with the
+    # same items, but never materializes m Python ints unless a caller
+    # truly iterates it, which is what keeps the orientation step
+    # inside the out-of-core RSS budget on memmap snapshots.
+    snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
+    if snap.num_edges == 0:
         orientation = {}
-        for eid, u, v in graph.edges():
-            cu, cv = classes[u], classes[v]
-            if (cu, u) < (cv, v):
-                orientation[eid] = u
-            else:
-                orientation[eid] = v
     else:
-        # The result is an array-backed mapping
-        # (:class:`~repro.graph.csr.EdgeArrayMap`) — == any dict with
-        # the same items, but never materializes m Python ints unless a
-        # caller truly iterates it, which is what keeps the orientation
-        # step inside the out-of-core RSS budget on memmap snapshots.
-        snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
-        if snap.num_edges == 0:
-            orientation = {}
-        else:
-            class_by_index = np.fromiter(
-                (classes[v] for v in snap.vertex_ids.tolist()),
-                dtype=np.int64,
-                count=snap.num_vertices,
-            )
-            class_u = class_by_index[snap.edge_u]
-            class_v = class_by_index[snap.edge_v]
-            u_ids = snap.edge_u_ids
-            v_ids = snap.edge_v_ids
-            u_wins = (class_u < class_v) | ((class_u == class_v) & (u_ids < v_ids))
-            tails = np.where(u_wins, u_ids, v_ids)
-            orientation = EdgeArrayMap(snap.edge_id, tails)
+        class_by_index = np.fromiter(
+            (classes[v] for v in snap.vertex_ids.tolist()),
+            dtype=np.int64,
+            count=snap.num_vertices,
+        )
+        class_u = class_by_index[snap.edge_u]
+        class_v = class_by_index[snap.edge_v]
+        u_ids = snap.edge_u_ids
+        v_ids = snap.edge_v_ids
+        u_wins = (class_u < class_v) | ((class_u == class_v) & (u_ids < v_ids))
+        tails = np.where(u_wins, u_ids, v_ids)
+        orientation = EdgeArrayMap(snap.edge_id, tails)
     counter.charge(1, "orientation")
     return orientation
 

@@ -26,7 +26,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..errors import PaletteError
-from ..graph.csr import CSRGraph, resolve_backend
+from ..graph.csr import CSRGraph
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from .hpartition import (
@@ -47,7 +47,6 @@ def list_star_forest_decomposition(
     pseudoarboricity: int,
     epsilon: float = 0.5,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "csr",
 ) -> Dict[int, int]:
     """Compute a list-star-forest decomposition (Theorem 2.3).
 
@@ -60,10 +59,6 @@ def list_star_forest_decomposition(
         (An upper bound on) α*(G), used for the H-partition threshold.
     epsilon:
         The ε of the theorem.
-    backend:
-        Validated against the known backend names; the H-partition
-        phase always peels on the csr kernel, and the batch coloring
-        itself is dict-based either way.
 
     Returns edge id -> chosen color.  Raises :class:`PaletteError` if
     some palette is exhausted (possible only when the size requirement
@@ -73,7 +68,6 @@ def list_star_forest_decomposition(
     if graph.m == 0:
         return {}
 
-    resolve_backend(graph, backend, PaletteError)
     threshold = max(1, int(math.floor((2.0 + epsilon / 10.0) * pseudoarboricity)))
     with counter.phase("h-partition"):
         snapshot = CSRGraph.from_multigraph(graph)

@@ -14,16 +14,20 @@ Two constructions, matching the two notions used by the paper
   stops growing within log2(n) steps, so cluster radius is O(log n).
   The LOCAL round cost charged follows the randomized algorithms the
   paper cites ([LS93, EN16]: O(log² n) rounds on G, times the radius
-  when applied to a power graph).  With ``power=k`` the csr path
-  carves ``G^k`` implicitly on G, as Theorem 4.1 simulates it: each
-  shell or wave is a depth-≤k relaxation over G, and ``G^k`` is never
-  built.
+  when applied to a power graph).  With ``power=k`` it carves ``G^k``
+  implicitly on G, as Theorem 4.1 simulates it: each shell or wave is
+  a depth-≤k relaxation over G, and ``G^k`` is never built.
 
 * :func:`partial_network_decomposition` — the ``(O(log n / β), β)``
   *partial* decomposition of [MPX13] (random exponential shifts): a
   partition into clusters of radius O(log n / β) such that each edge is
   cut (endpoints in different clusters) with probability at most β.
   Used by the vertex-color-splitting step (Theorem 4.9).
+
+Both run on the flat-array kernel.  The dict-adjacency carves and sweep
+they were ported from are the test suite's reference
+(``tests/reference/network_decomposition.py``), and the equivalence
+corpus checks cluster-for-cluster identity against it.
 """
 
 from __future__ import annotations
@@ -39,11 +43,9 @@ from ..graph.csr import (
     CSRGraph,
     _concat_ranges,
     _sorted_unique,
-    resolve_backend,
     snapshot_of,
 )
 from ..graph.multigraph import MultiGraph
-from ..graph.traversal import power_graph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..parallel.bfs import resolve_claims
 from ..rng import SeedLike, make_rng
@@ -90,7 +92,6 @@ def network_decomposition(
     graph: GraphLike,
     rounds: Optional[RoundCounter] = None,
     radius_cost: int = 1,
-    backend: str = "auto",
     carve_rule: str = "doubling",
     power: int = 1,
 ) -> NetworkDecomposition:
@@ -102,16 +103,14 @@ def network_decomposition(
     cited by Theorem 4.1.
 
     ``power=k`` decomposes ``G^k`` (vertices joined at G-distance ≤ k)
-    instead of G.  The csr path carves ``G^k`` implicitly on G: every
-    doubling shell, simultaneous wave and boundary check is one
-    depth-≤k relaxation over G that relays through every vertex of G,
-    so ``G^k`` is never built and a clique component of ``G^k`` costs
-    a few BFS sweeps of G.  The dict reference path materializes
-    ``power_graph(graph, k)`` and carves it.  Both give exactly the
-    clusters of ``network_decomposition(power_graph(graph, k))``.
+    instead of G, carving it implicitly on G: every doubling shell,
+    simultaneous wave and boundary check is one depth-≤k relaxation
+    over G that relays through every vertex of G, so ``G^k`` is never
+    built and a clique component of ``G^k`` costs a few BFS sweeps of
+    G.  The clusters are exactly those of
+    ``network_decomposition(power_graph(graph, k))``.
 
-    Accepts a :class:`MultiGraph` or a CSR snapshot; the csr backend
-    produces exactly the clusters of the dict reference path.
+    Accepts a :class:`MultiGraph` or a CSR snapshot.
 
     ``carve_rule`` picks the ball-growth schedule:
 
@@ -135,19 +134,11 @@ def network_decomposition(
     if n == 0:
         return NetworkDecomposition([])
 
-    if resolve_backend(graph, backend, DecompositionError) == "csr":
-        reach = _PowerReach(snapshot_of(graph), power)
-        if carve_rule == "simultaneous":
-            classes = _decompose_simultaneous_csr(reach, n)
-        else:
-            classes = _decompose_csr(reach, n)
+    reach = _PowerReach(snapshot_of(graph), power)
+    if carve_rule == "simultaneous":
+        classes = _decompose_simultaneous_csr(reach, n)
     else:
-        if power > 1:
-            graph = power_graph(graph, power, backend="dict")
-        if carve_rule == "simultaneous":
-            classes = _decompose_simultaneous_dict(graph, n)
-        else:
-            classes = _decompose_dict(graph, n)
+        classes = _decompose_csr(reach, n)
 
     log_n = max(1, math.ceil(math.log2(n + 1)))
     counter.charge(log_n * log_n * max(1, radius_cost), "network decomposition")
@@ -243,32 +234,10 @@ class _PowerReach:
         return out
 
 
-def _decompose_dict(graph: GraphLike, n: int) -> List[List[List[int]]]:
-    """Reference ball carving on the dict adjacency."""
-    remaining: Set[int] = set(graph.vertices())
-    classes: List[List[List[int]]] = []
-    guard = 2 * max(1, math.ceil(math.log2(n + 1))) + 4
-
-    while remaining:
-        if len(classes) >= guard:
-            raise DecompositionError("network decomposition did not converge")
-        clusters: List[List[int]] = []
-        unvisited = set(remaining)
-        while unvisited:
-            seed_vertex = min(unvisited)
-            ball, shell = _grow_doubling_ball(graph, seed_vertex, unvisited)
-            clusters.append(sorted(ball))
-            unvisited -= ball
-            unvisited -= shell
-            remaining -= ball
-        classes.append(clusters)
-    return classes
-
-
 def _decompose_csr(reach: "_PowerReach", n: int) -> List[List[List[int]]]:
-    """Ball carving of ``G^k`` over dense-index masks; cluster-for-cluster
-    equal to :func:`_decompose_dict` on ``G^k`` (seeds by minimum vertex
-    id, identical doubling rule).
+    """Ball carving of ``G^k`` over dense-index masks: each class seeds
+    a ball at the minimum unvisited vertex id, grows it until the next
+    shell would not double it, carves it and defers the shell.
 
     Seeds come from a cursor over the id-sorted vertex order: within a
     class the minimum unvisited id only grows, so the scan is amortized
@@ -307,27 +276,6 @@ def _decompose_csr(reach: "_PowerReach", n: int) -> List[List[List[int]]]:
     return classes
 
 
-def _grow_doubling_ball(
-    graph: GraphLike, center: int, allowed: Set[int]
-) -> Tuple[Set[int], Set[int]]:
-    """Grow a BFS ball inside ``allowed`` until the next shell would not
-    double it; return (ball, next shell)."""
-    ball: Set[int] = {center}
-    frontier: Set[int] = {center}
-    while True:
-        shell: Set[int] = set()
-        for v in frontier:
-            for other in graph.neighbors(v):
-                if other in allowed and other not in ball:
-                    shell.add(other)
-        if not shell:
-            return ball, set()
-        if len(ball) + len(shell) <= 2 * len(ball):
-            return ball, shell
-        ball |= shell
-        frontier = shell
-
-
 def _grow_doubling_ball_csr(
     reach: "_PowerReach",
     center: int,
@@ -335,8 +283,9 @@ def _grow_doubling_ball_csr(
     stamp: np.ndarray,
     token: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """:func:`_grow_doubling_ball` in ``G^k`` over dense indices;
-    returns (ball indices, next-shell indices).  Each next shell is
+    """Grow a ball from ``center`` inside ``allowed`` in ``G^k`` until
+    the next shell would not double it; returns (ball indices,
+    next-shell indices).  Each next shell is
     ``N^k(frontier) ∩ allowed`` minus the ball, one depth-≤k sweep of G.
     ``stamp`` marks ball membership with ``token`` (one shared array
     instead of a fresh mask per cluster)."""
@@ -389,10 +338,10 @@ def _grow_doubling_ball_csr(
 # progress; the convergence guard bounds the class count exactly as
 # for the doubling rule.
 #
-# Both backends run this schedule step for step: the dict path with
-# scalar hashes and per-wave dicts, the csr path with the vectorized
-# hash and sort-based claim resolution (`resolve_claims`), which is
-# order-free — so dict == csr holds bit for bit.
+# The kernel runs this schedule with a vectorized hash and sort-based
+# claim resolution (`resolve_claims`), which is order-free; the test
+# suite's reference replays it step for step with scalar hashes and
+# per-wave dicts, bit for bit.
 
 _SHIFT_MIX_1 = 0x9E3779B97F4A7C15
 _SHIFT_MIX_2 = 0xBF58476D1CE4E5B9
@@ -400,33 +349,18 @@ _SHIFT_MIX_3 = 0x94D049BB133111EB
 _CLASS_SALT = 0xC2B2AE3D27D4EB4F
 _MASK64 = (1 << 64) - 1
 
-#: owner-array sentinels for the csr path
+#: owner-array sentinels
 _OUTSIDE = -2
 _UNCLAIMED = -1
-
-
-def _carve_shift(vid: int, class_index: int, cap: int) -> int:
-    """Scalar staggered-start shift: trailing-zero count of a
-    splitmix64-style hash of ``(vertex id, class index)``, capped.
-    Exact integer arithmetic — :func:`_carve_shift_array` reproduces it
-    bit for bit in numpy uint64."""
-    h = (((vid + 1) * _SHIFT_MIX_1) & _MASK64) ^ (
-        ((class_index + 1) * _CLASS_SALT) & _MASK64
-    )
-    h = ((h ^ (h >> 30)) * _SHIFT_MIX_2) & _MASK64
-    h = ((h ^ (h >> 27)) * _SHIFT_MIX_3) & _MASK64
-    h ^= h >> 31
-    if h == 0:
-        return cap
-    tz = (h & -h).bit_length() - 1
-    return tz if tz < cap else cap
 
 
 def _carve_shift_array(
     vids: np.ndarray, class_index: int, cap: int
 ) -> np.ndarray:
-    """Vectorized :func:`_carve_shift` (uint64 wraparound arithmetic =
-    the scalar path's masked python ints, element for element)."""
+    """Staggered-start shifts: the trailing-zero count of a
+    splitmix64-style hash of ``(vertex id, class index)``, capped at
+    ``cap``, in uint64 wraparound arithmetic (equal, element for
+    element, to the masked Python-int hash of the test reference)."""
     h = (vids.astype(np.uint64) + np.uint64(1)) * np.uint64(_SHIFT_MIX_1)
     h ^= np.uint64(((class_index + 1) * _CLASS_SALT) & _MASK64)
     h = (h ^ (h >> np.uint64(30))) * np.uint64(_SHIFT_MIX_2)
@@ -442,96 +376,10 @@ def _carve_shift_array(
     return shifts
 
 
-def _decompose_simultaneous_dict(
-    graph: GraphLike, n: int
-) -> List[List[List[int]]]:
-    """Reference simultaneous carve on the dict adjacency."""
-    remaining: Set[int] = set(graph.vertices())
-    classes: List[List[List[int]]] = []
-    guard = 2 * max(1, math.ceil(math.log2(n + 1))) + 4
-
-    while remaining:
-        if len(classes) >= guard:
-            raise DecompositionError("network decomposition did not converge")
-        kept = _carve_class_simultaneous_dict(graph, remaining, len(classes))
-        clusters = [sorted(members) for _seed, members in sorted(kept.items())]
-        classes.append(clusters)
-        for members in kept.values():
-            remaining.difference_update(members)
-    return classes
-
-
-def _carve_class_simultaneous_dict(
-    graph: GraphLike, live: Set[int], class_index: int
-) -> Dict[int, List[int]]:
-    """One simultaneous class: seed -> kept members (fully deferred
-    balls simply contribute no entry)."""
-    cap = max(1, math.ceil(math.log2(len(live) + 1)))
-    by_start: Dict[int, List[int]] = {}
-    for v in live:
-        start = cap - _carve_shift(v, class_index, cap)
-        by_start.setdefault(start, []).append(v)
-
-    owner: Dict[int, int] = {}
-    parent: Dict[int, int] = {}
-    waves: List[List[int]] = []
-    frontier: List[int] = []
-    for wave in range(cap + 1):
-        # proposal = (seed id, proposer id); the minimum pair wins the
-        # target, so ownership goes to the smallest seed and the parent
-        # link to that seed's smallest-id proposer.
-        proposals: Dict[int, Tuple[int, int]] = {}
-        for u in frontier:
-            candidate = (owner[u], u)
-            for other in graph.neighbors(u):
-                if other in live and other not in owner:
-                    best = proposals.get(other)
-                    if best is None or best > candidate:
-                        proposals[other] = candidate
-        for v in by_start.get(wave, ()):
-            if v not in owner:
-                best = proposals.get(v)
-                if best is None or best > (v, v):
-                    proposals[v] = (v, v)
-        for target, (seed, proposer) in proposals.items():
-            owner[target] = seed
-            parent[target] = proposer
-        frontier = sorted(proposals)
-        if frontier:
-            waves.append(frontier)
-        if len(owner) == len(live):
-            break
-
-    # Boundary rule + parent-chain cascade, in claim-wave order
-    # (parents are claimed strictly earlier, so their verdict is in).
-    kept: Set[int] = set()
-    for wave_vertices in waves:
-        for v in wave_vertices:
-            mine = owner[v]
-            if any(
-                other in live and owner[other] < mine
-                for other in graph.neighbors(v)
-            ):
-                continue
-            if mine == v or parent[v] in kept:
-                kept.add(v)
-
-    clusters: Dict[int, List[int]] = {}
-    # repro: allow(det-set-order) — int-only vertex set built in wave order:
-    # int hashes are PYTHONHASHSEED-independent, so the member order is a
-    # pure function of the carve sequence; the frozen simultaneous-carve
-    # goldens certify exactly this order (sorting would regenerate them).
-    for v in kept:
-        clusters.setdefault(owner[v], []).append(v)
-    return clusters
-
-
 def _decompose_simultaneous_csr(
     reach: "_PowerReach", n: int
 ) -> List[List[List[int]]]:
-    """Simultaneous carve of ``G^k`` over dense-index arrays;
-    cluster-for-cluster equal to :func:`_decompose_simultaneous_dict`
-    on ``G^k``.
+    """Simultaneous carve of ``G^k`` over dense-index arrays.
 
     Ball priority compares seed *ids*, so the csr path works in id
     ranks (position in the id-sorted vertex order): rank comparisons
@@ -603,9 +451,9 @@ def _carve_class_simultaneous_csr(
     for wave in range(first_wave, cap + 1):
         if frontier.size:
             # Proposal priority packs (seed rank, proposer rank) into
-            # one key — the minimum recovers the dict path's (seed id,
-            # proposer id) lexicographic winner, because ranks order
-            # exactly like ids.  Each unclaimed target takes the
+            # one key — the minimum is the (seed id, proposer id)
+            # lexicographic winner, because ranks order exactly like
+            # ids.  Each unclaimed target takes the
             # minimum over the proposers within G-distance k.
             targets, priorities = reach.min_keys(
                 frontier, owner[frontier] * n + rank_of[frontier]
@@ -721,7 +569,6 @@ def partial_network_decomposition(
     beta: float,
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    backend: str = "auto",
 ) -> Dict[int, int]:
     """MPX random-shift clustering: vertex -> cluster head.
 
@@ -730,10 +577,9 @@ def partial_network_decomposition(
     radius is ``O(log n / β)`` w.h.p. and every edge is cut with
     probability at most ~β.  Charged rounds: O(log n / β).
 
-    Both backends draw shifts in vertex insertion order and order the
-    heap by ``(time, vertex id, head id)``, so for a given seed the
-    clustering is identical; the csr path only swaps the dict adjacency
-    for flat index arrays in the Dijkstra sweep.
+    Shifts are drawn in vertex insertion order and the heap is ordered
+    by ``(time, vertex id, head id)``, so a given seed fixes the
+    clustering; the Dijkstra sweep reads flat index arrays.
     """
     if not (0.0 < beta <= 1.0):
         raise DecompositionError(f"beta must be in (0, 1], got {beta}")
@@ -743,55 +589,27 @@ def partial_network_decomposition(
     if n == 0:
         return {}
 
-    if resolve_backend(graph, backend, DecompositionError) == "csr":
-        head_of = _mpx_sweep_csr(snapshot_of(graph), beta, rng)
-    else:
-        head_of = _mpx_sweep_dict(graph, beta, rng)
+    head_of = _mpx_sweep_csr(snapshot_of(graph), beta, rng)
 
     expected_radius = math.ceil(math.log(max(n, 2)) / beta) + 1
     counter.charge(expected_radius, "MPX partial network decomposition")
     return head_of
 
 
-def _mpx_sweep_dict(graph: GraphLike, beta: float, rng) -> Dict[int, int]:
-    """Reference Dijkstra sweep with unit edges and start times -shift."""
-    shift: Dict[int, float] = {
-        v: rng.expovariate(beta) for v in graph.vertices()
-    }
-    best: Dict[int, float] = {}
-    head_of: Dict[int, int] = {}
-    heap: List[Tuple[float, int, int]] = []
-    for v in graph.vertices():
-        start = -shift[v]
-        best[v] = start
-        head_of[v] = v
-        heapq.heappush(heap, (start, v, v))
-    while heap:
-        time, vertex, head = heapq.heappop(heap)
-        if head_of[vertex] != head or best[vertex] != time:
-            continue
-        for other in graph.neighbors(vertex):
-            candidate = time + 1.0
-            if candidate < best.get(other, math.inf):
-                best[other] = candidate
-                head_of[other] = head
-                heapq.heappush(heap, (candidate, other, head))
-    return head_of
-
-
 def _mpx_sweep_csr(snapshot: CSRGraph, beta: float, rng) -> Dict[int, int]:
-    """The same sweep over flat adjacency arrays.
+    """Dijkstra sweep with unit edges and start times -shift, over
+    flat adjacency arrays.
 
-    Heap entries carry ``(time, vertex id, head id)`` first — identical
-    ordering to the dict path — with the dense indices appended as
-    payload so the state arrays never need an id lookup.  Parallel
-    half-edges relax twice, but the second attempt always fails the
-    strict ``<`` test, so the pushed multiset matches the reference.
+    Heap entries carry ``(time, vertex id, head id)`` first, with the
+    dense indices appended as payload so the state arrays never need an
+    id lookup.  Parallel half-edges relax twice, but the second attempt
+    always fails the strict ``<`` test, so the pushed multiset is that
+    of a sweep over simple adjacency.
     """
     n = snapshot.num_vertices
     vids = snapshot.vertex_id_list()
     offsets, nbr = snapshot.adjacency_lists()
-    # Same draw order as the dict path: vertex insertion order.
+    # Draw order: vertex insertion order.
     best: List[float] = [-rng.expovariate(beta) for _ in range(n)]
     head: List[int] = list(range(n))
     heap = [(best[i], vids[i], vids[i], i, i) for i in range(n)]
@@ -813,35 +631,26 @@ def _mpx_sweep_csr(snapshot: CSRGraph, beta: float, rng) -> Dict[int, int]:
 
 
 def cut_edges_of_clustering(
-    graph: GraphLike, head_of: Dict[int, int], backend: str = "auto"
+    graph: GraphLike, head_of: Dict[int, int]
 ) -> List[int]:
     """Edge ids whose endpoints lie in different MPX clusters.
 
     A clustering that misses a vertex of the graph raises
-    :class:`DecompositionError` naming the vertex (on both backends),
-    instead of leaking a bare ``KeyError`` out of the gather.
+    :class:`DecompositionError` naming the vertex, instead of leaking a
+    bare ``KeyError`` out of the gather.
     """
-    if resolve_backend(graph, backend, DecompositionError) == "csr":
-        snap = snapshot_of(graph)
-        if snap.num_edges == 0:
-            return []
-        try:
-            heads = np.fromiter(
-                (head_of[v] for v in snap.vertex_id_list()),
-                dtype=np.int64,
-                count=snap.num_vertices,
-            )
-        except KeyError as exc:
-            raise DecompositionError(
-                f"clustering has no head for vertex {exc.args[0]}"
-            ) from None
-        cut = heads[snap.edge_u] != heads[snap.edge_v]
-        return snap.edge_id[cut].tolist()
+    snap = snapshot_of(graph)
+    if snap.num_edges == 0:
+        return []
     try:
-        return [
-            eid for eid, u, v in graph.edges() if head_of[u] != head_of[v]
-        ]
+        heads = np.fromiter(
+            (head_of[v] for v in snap.vertex_id_list()),
+            dtype=np.int64,
+            count=snap.num_vertices,
+        )
     except KeyError as exc:
         raise DecompositionError(
             f"clustering has no head for vertex {exc.args[0]}"
         ) from None
+    cut = heads[snap.edge_u] != heads[snap.edge_v]
+    return snap.edge_id[cut].tolist()

@@ -45,7 +45,8 @@ algorithms need:
   vertex minimizing ``(remaining degree, vertex id)``, via a lazy heap.
 
 Both maintain ``remaining degree`` counting parallel edges, exactly
-like the dict-backed loops they replace; results are byte-identical
+like the dict-backed loops they replaced (kept as the test suite's
+reference, ``tests/reference/peel.py``); results are byte-identical
 (see ``tests/test_kernel_equivalence.py``).  The view never touches the
 snapshot arrays, so many views can share one snapshot.
 
@@ -121,27 +122,6 @@ def _half_edge_csr(
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, half_dst[order], half_eid[order]
-
-
-# MultiGraphs below this vertex count stay on the dict reference path
-# under backend="auto": converting to arrays costs more than it saves.
-AUTO_CSR_CUTOFF = 256
-
-def resolve_backend(graph, backend: str, error_cls=GraphError) -> str:
-    """The one backend parser of the traversal / decomposition layers.
-
-    ``auto`` routes :class:`CSRGraph` inputs (and large ``MultiGraph``
-    inputs) to the kernel and keeps small dict graphs on the reference
-    path.  Unknown names raise ``error_cls`` so each layer keeps its
-    own error taxonomy.
-    """
-    if backend == "auto":
-        if isinstance(graph, CSRGraph):
-            return "csr"
-        return "csr" if graph.n >= AUTO_CSR_CUTOFF else "dict"
-    if backend not in ("dict", "csr"):
-        raise error_cls(f"unknown backend {backend!r}")
-    return backend
 
 
 def apply_degree_decrements(
@@ -855,8 +835,8 @@ class CSRGraph:
 
         Runs simultaneous BFS from blocks of sources over boolean
         reachability matrices and assembles the CSR adjacency directly
-        from the visited masks — the dict multigraph of the reference
-        path is never materialized.  Vertex ids (and their order) are
+        from the visited masks; no dict multigraph is materialized.
+        Vertex ids (and their order) are
         shared with this snapshot; power-edge ids are dense ``0..m'-1``
         assigned in (u, v) dense-index lexicographic order.
         """
@@ -1147,7 +1127,7 @@ class PeelingView:
 
         Returns ``(dense index, degree at removal)``, or None when no
         vertex is left.  Ties break on original vertex id, matching the
-        dict-backed heap implementation entry for entry.  The heap
+        dict-backed heap of the test reference entry for entry.  The heap
         tolerates stale entries because degrees only ever decrease.
         """
         if self._buckets is None:

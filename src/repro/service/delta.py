@@ -59,6 +59,7 @@ from ..graph.csr import (
     EdgeArrayMap,
     _concat_ranges,
     _half_edge_csr,
+    _sorted_unique,
     mutation_fingerprint,
 )
 from ..decomposition.hpartition import (
@@ -357,7 +358,7 @@ def repair_waves(
     waves = waves.copy()
     changed_mask = np.zeros(n, dtype=bool)
     total_changed = 0
-    frontier = np.unique(np.asarray(seeds, dtype=np.int64))
+    frontier = _sorted_unique(np.asarray(seeds, dtype=np.int64))
     if frontier.size and (frontier[0] < 0 or frontier[-1] >= n):
         raise GraphError("wave-repair seed index out of range")
     cap = 4 * n + 8
@@ -380,7 +381,7 @@ def repair_waves(
         if total_changed > max_dirty:
             return None
         half = _concat_ranges(offsets[changed], offsets[changed + 1])
-        frontier = np.unique(neighbors[half])
+        frontier = _sorted_unique(neighbors[half])
     return waves, np.flatnonzero(changed_mask)
 
 
@@ -790,7 +791,7 @@ def _seed_indices(snap: CSRGraph, info_edges) -> np.ndarray:
         idx = np.fromiter(
             (index_of[v] for v in ids), dtype=np.int64, count=len(ids)
         )
-    return np.unique(idx)
+    return _sorted_unique(idx)
 
 
 def apply_delta(

@@ -40,7 +40,7 @@ def small_graph(simple=False):
 
 def test_config_roundtrip():
     config = DecompositionConfig(
-        epsilon=0.5, alpha=3, seed=11, backend="csr",
+        epsilon=0.5, alpha=3, seed=11,
         diameter_mode="auto", cut_rule="conditioned_sampling",
         validation="basic", options={"method": "hpartition"},
     )
@@ -74,11 +74,9 @@ def test_config_rejects_bad_values():
         DecompositionConfig(diameter_mode="sideways")
     with pytest.raises(ValidationError):
         DecompositionConfig(epsilon=-1.0)
-    with pytest.raises(TypeError):
-        DecompositionConfig(workers=2)
-    for retired in ("sharded", "parallel", "mp"):
-        with pytest.raises(ValidationError, match="'csr'"):
-            DecompositionConfig(backend=retired)
+    for retired in ("workers", "schedule", "backend"):
+        with pytest.raises(TypeError):
+            DecompositionConfig(**{retired: 2})
 
 
 def test_config_workers_roundtrip():
@@ -86,7 +84,7 @@ def test_config_workers_roundtrip():
     it: a non-negative int is accepted and dropped, anything else in
     it (a bool included) still raises, and to_json() no longer emits
     it."""
-    config = DecompositionConfig(backend="csr")
+    config = DecompositionConfig(seed=2)
     assert "workers" not in config.to_json()
     assert DecompositionConfig.from_json(config.to_json()) == config
     legacy = dict(config.to_json(), workers=4)
@@ -113,23 +111,25 @@ def test_config_legacy_schedule_key():
 
 
 def test_config_legacy_backend_names():
-    """Payloads written while ``sharded``, ``parallel`` and ``mp`` were
-    accepted backend names (all three ran the csr kernel) load as
-    ``"csr"`` and run exactly like it; any other unknown name still
-    raises."""
-    config = DecompositionConfig(epsilon=0.5, seed=11, backend="csr")
+    """Payloads written before the ``backend`` field was retired carry
+    it: every value the old field ever accepted is dropped and the run
+    is exactly the default one; anything else (a bool and an int
+    included) raises."""
+    config = DecompositionConfig(epsilon=0.5, seed=11)
+    assert "backend" not in config.to_json()
     graph = small_graph()
     reference = decompose(graph, task="forest", config=config)
-    for retired in ("sharded", "parallel", "mp"):
+    for retired in ("auto", "dict", "csr", "sharded", "parallel", "mp"):
         legacy = dict(config.to_json(), backend=retired)
         loaded = DecompositionConfig.from_json(legacy)
         assert loaded == config
-        assert loaded.to_json()["backend"] == "csr"
+        assert "backend" not in loaded.to_json()
         result = decompose(graph, task="forest", config=loaded)
         assert result.coloring == reference.coloring
         assert result.rounds.total == reference.rounds.total
-    with pytest.raises(ValidationError, match="unknown backend"):
-        DecompositionConfig.from_json(dict(config.to_json(), backend="threads"))
+    for bad in (True, 1, "bogus", "threads", None):
+        with pytest.raises(ValidationError, match="backend"):
+            DecompositionConfig.from_json(dict(config.to_json(), backend=bad))
 
 
 def test_config_replace_and_defaults():
@@ -176,11 +176,15 @@ def test_unknown_task_error_lists_available():
 
 
 def test_unknown_backend_error():
-    with pytest.raises(ValidationError, match="'auto', 'dict', 'csr'"):
-        decompose(
-            small_graph(), task="forest",
-            config=DecompositionConfig(backend="bogus"),
-        )
+    """No entry point takes a substrate: ``backend=`` is a TypeError on
+    the config and the legacy wrappers, and an unknown legacy value in
+    a JSON payload names the retired field."""
+    with pytest.raises(TypeError):
+        DecompositionConfig(backend="csr")
+    with pytest.raises(TypeError):
+        repro.forest_decomposition(small_graph(), backend="csr")
+    with pytest.raises(ValidationError, match="backend"):
+        DecompositionConfig.from_json({"backend": "bogus"})
 
 
 def test_register_task_and_override():
@@ -263,60 +267,6 @@ def test_session_mutation_fingerprint_invalidates():
     info = session.cache_info()
     assert info["snapshot"]["misses"] == 2
     assert info["snapshot"]["hits"] == 1
-
-
-def test_session_sub_csr_cached():
-    graph = small_graph()
-    session = Session(graph)
-    result = session.decompose(
-        "forest", DecompositionConfig(epsilon=0.5, seed=11)
-    )
-    eids = result.forests()[0]
-    first = session.sub_csr(eids)
-    second = session.sub_csr(eids)
-    assert first is second
-    assert session.cache_info()["sub_csr"]["hits"] == 1
-
-
-def test_session_sub_csr_evicts_stale_generation():
-    graph = small_graph()
-    session = Session(graph)
-    eids = sorted(graph.edge_ids())[:10]
-    session.sub_csr(eids)
-    graph.add_edge(0, 1)  # invalidates the cached generation
-    session.sub_csr(eids)
-    assert len(session._sub_csr) == 1  # stale fingerprint entries dropped
-
-
-def test_session_sub_csr_key_is_order_and_duplicate_insensitive():
-    """The digest key hashes the sorted unique eid array, so permuted
-    or duplicated inputs hit the same entry — same semantics as the
-    frozenset key it replaced, without per-lookup set building."""
-    graph = small_graph()
-    session = Session(graph)
-    eids = sorted(graph.edge_ids())[:10]
-    first = session.sub_csr(eids)
-    assert session.sub_csr(list(reversed(eids))) is first
-    assert session.sub_csr(eids + eids[:3]) is first
-    assert session.cache_info()["sub_csr"]["hits"] == 2
-    assert session.cache_info()["sub_csr"]["misses"] == 1
-
-
-def test_session_sub_csr_lru_bound_and_evictions(monkeypatch):
-    graph = small_graph()
-    session = Session(graph)
-    monkeypatch.setattr(Session, "SUB_CSR_CACHE_SIZE", 4)
-    eids = sorted(graph.edge_ids())
-    for k in range(1, 8):  # 7 distinct color classes
-        session.sub_csr(eids[:k])
-    assert len(session._sub_csr) == 4  # bounded
-    assert session.cache_info()["sub_csr"]["evictions"] == 3
-    # Most-recently-used entries survived, the oldest were evicted.
-    assert session.cache_info()["sub_csr"]["hits"] == 0
-    session.sub_csr(eids[:7])
-    assert session.cache_info()["sub_csr"]["hits"] == 1
-    session.sub_csr(eids[:1])  # evicted earlier: a miss again
-    assert session.cache_info()["sub_csr"]["misses"] == 8
 
 
 def test_unknown_lsfd_method_is_decomposition_error():
@@ -509,20 +459,19 @@ def test_shim_matches_session_path():
 
 
 def test_backend_dict_csr_identical_through_api():
+    """The legacy-shaped wrapper and ``decompose`` under configs loaded
+    from payloads naming each former substrate agree bit for bit (the
+    substrate comparison itself lives in test_kernel_equivalence.py,
+    kernel by kernel against tests/reference/)."""
     graph = union_of_random_forests(60, 3, seed=9)
-    results = {
-        backend: repro.forest_decomposition(
-            graph, epsilon=0.5, seed=13, backend=backend
+    wrapper = repro.forest_decomposition(graph, epsilon=0.5, seed=13)
+    for backend in ("auto", "dict", "csr"):
+        config = DecompositionConfig.from_json(
+            {"epsilon": 0.5, "seed": 13, "backend": backend}
         )
-        for backend in ("auto", "dict", "csr")
-    }
-    assert results["auto"].coloring == results["dict"].coloring
-    assert results["dict"].coloring == results["csr"].coloring
-    assert (
-        results["auto"].rounds.total
-        == results["dict"].rounds.total
-        == results["csr"].rounds.total
-    )
+        result = decompose(graph.copy(), task="forest", config=config)
+        assert result.coloring == wrapper.coloring
+        assert result.rounds.total == wrapper.rounds.total
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 The hard contract under test: after ``Session.apply_delta``, every
 watched decomposition is **bit-identical** to recomputing the task
-from scratch on the mutated graph — for every backend, worker count,
-delta mode, and mutation mix.  The corpus drives ~200 seeded mutation
+from scratch on the mutated graph — for every delta mode and mutation
+mix, and under configs loaded from payloads that name a retired
+substrate.  The corpus drives ~200 seeded mutation
 streams (insert-only / delete-only / mixed, plus dirty-fraction
 threshold crossings that force the fallback path) and checks each
 batch against a fresh session on a copy of the graph.
@@ -107,20 +108,31 @@ def run_stream(seed, kind, cfg, batches=3, batch_size=4, n=40, m=90,
 # The corpus: ~200 seeded streams
 # ----------------------------------------------------------------------
 
-# Fast tier: 3 mutation mixes x 2 substrates x 10 seeds = 60 streams.
+# Fast tier: 3 mutation mixes x 10 seeds x 2 legacy payloads = 60
+# distinct streams.  Each payload names a value of the retired
+# ``backend`` field, which loads as the default config; the "dict"
+# payload drives seeds 10-19 and the "csr" payload seeds 0-9, so no
+# stream runs twice.
+FAST_LEGACY_BACKENDS = ["csr", "dict"]
+
+
 @pytest.mark.parametrize("kind", ["insert", "delete", "mixed"])
 @pytest.mark.parametrize("backend", ["dict", "csr"])
 @pytest.mark.parametrize("seed", range(10))
 def test_stream_corpus_fast(kind, backend, seed):
-    cfg = DecompositionConfig(backend=backend, validation="basic")
-    reports = run_stream(seed * 7 + 1, kind, cfg)
+    cfg = DecompositionConfig.from_json(
+        {"backend": backend, "validation": "basic"}
+    )
+    assert cfg == DecompositionConfig(validation="basic")
+    stream = seed + 10 * FAST_LEGACY_BACKENDS.index(backend)
+    reports = run_stream(stream * 7 + 1, kind, cfg)
     assert [r.seq for r in reports] == [1, 2, 3]
 
 
 # Legacy tier: configs loaded from payloads naming a retired backend
-# (both names load as csr) x stream lengths {1, 2, 4} x 20 seeds = 120
-# distinct csr streams.  Each retired name drives its own 20 seeds, so
-# no stream runs twice.
+# (both names are dropped) x stream lengths {1, 2, 4} x 20 seeds = 120
+# distinct streams.  Each retired name drives its own 20 seeds, so no
+# stream runs twice.
 RETIRED_BACKENDS = ["sharded", "parallel"]
 
 
@@ -132,7 +144,7 @@ def test_stream_corpus_engine(retired_backend, batches, seed):
     cfg = DecompositionConfig.from_json(
         {"backend": retired_backend, "validation": "basic"}
     )
-    assert cfg.backend == "csr"
+    assert cfg == DecompositionConfig(validation="basic")
     stream = seed + 20 * RETIRED_BACKENDS.index(retired_backend)
     reports = run_stream(stream * 13 + 3, "mixed", cfg, batches=batches)
     assert len(reports) == batches
@@ -142,9 +154,7 @@ def test_stream_corpus_engine(retired_backend, batches, seed):
 # heavy batches, so repairs keep crossing into the fallback path.
 @pytest.mark.parametrize("seed", range(20))
 def test_stream_corpus_threshold_crossing(seed):
-    cfg = DecompositionConfig(
-        backend="csr", validation="basic", delta_threshold=0.02
-    )
+    cfg = DecompositionConfig(validation="basic", delta_threshold=0.02)
     reports = run_stream(
         seed * 31 + 5, "mixed", cfg, batches=3, batch_size=10
     )
@@ -162,7 +172,7 @@ def test_corpus_exercises_both_paths():
     hide behind the corpus's randomness."""
     from repro.graph.generators import grid_graph
 
-    cfg = DecompositionConfig(backend="csr", validation="basic")
+    cfg = DecompositionConfig(validation="basic")
     reports = run_stream(2, "mixed", cfg, batches=4, batch_size=2)
     assert any(
         w.mode == "incremental" for r in reports for w in r.watches
@@ -171,9 +181,7 @@ def test_corpus_exercises_both_paths():
     # gradient: deleting an interior edge changes waves, and a zero
     # dirty budget turns any change into a forced fallback.
     grid = grid_graph(10, 10)
-    cfg_tight = DecompositionConfig(
-        backend="csr", validation="basic", delta_threshold=0.0
-    )
+    cfg_tight = DecompositionConfig(validation="basic", delta_threshold=0.0)
     session = repro.Session(grid, cfg_tight)
     session.watch("orientation", method="hpartition", pseudoarboricity=1)
     # joining two degree-2 corners pushes both above the threshold, so
@@ -190,7 +198,7 @@ def test_corpus_exercises_both_paths():
     # the dropped oracle entry re-records, so the next batch repairs
     report = session.apply_delta(
         inserts=[(0, 1)], config=DecompositionConfig(
-            backend="csr", validation="basic", delta_threshold=0.5
+            validation="basic", delta_threshold=0.5
         )
     )
     assert report.watches[0].mode == "incremental"
@@ -198,9 +206,7 @@ def test_corpus_exercises_both_paths():
 
 @pytest.mark.parametrize("mode", ["auto", "incremental", "full"])
 def test_delta_mode_never_changes_results(mode):
-    cfg = DecompositionConfig(
-        backend="csr", validation="basic", delta_mode=mode
-    )
+    cfg = DecompositionConfig(validation="basic", delta_mode=mode)
     reports = run_stream(17, "mixed", cfg, batches=3)
     if mode == "full":
         assert all(
@@ -209,7 +215,7 @@ def test_delta_mode_never_changes_results(mode):
 
 
 def test_watch_without_refresher_falls_back_full():
-    cfg = DecompositionConfig(backend="csr", validation="basic")
+    cfg = DecompositionConfig(validation="basic")
     watches = (("forest", {}),) + WATCHES
     reports = run_stream(5, "mixed", cfg, batches=2, watches=watches)
     forest = [
@@ -232,7 +238,7 @@ def test_repaired_waves_equal_fresh_peel():
 
     rng = np.random.default_rng(3)
     graph = random_graph(rng, 50, 120)
-    session = repro.Session(graph, DecompositionConfig(backend="csr"))
+    session = repro.Session(graph, DecompositionConfig())
     session.watch("orientation", method="hpartition")
     state = ensure_delta_state(session)
     for _ in range(5):
@@ -293,7 +299,7 @@ def test_segment_kth_largest_matches_reference():
 def test_content_digest_incremental_equals_scratch():
     rng = np.random.default_rng(4)
     graph = random_graph(rng, 40, 80)
-    session = repro.Session(graph, DecompositionConfig(backend="csr"))
+    session = repro.Session(graph, DecompositionConfig())
     session.watch("orientation", method="hpartition")
     baseline = session.content_digest()
     assert baseline == repro.Session(graph.copy()).content_digest()
@@ -364,14 +370,12 @@ def test_delta_knobs_json_round_trip():
 
 
 def test_per_call_config_overrides_session_default():
-    cfg = DecompositionConfig(backend="csr", validation="basic")
+    cfg = DecompositionConfig(validation="basic")
     rng = np.random.default_rng(6)
     graph = random_graph(rng, 40, 90)
     session = repro.Session(graph, cfg)
     session.watch("orientation", method="hpartition")
-    forced = DecompositionConfig(
-        backend="csr", validation="basic", delta_mode="full"
-    )
+    forced = DecompositionConfig(validation="basic", delta_mode="full")
     report = session.apply_delta(inserts=[(0, 1)], config=forced)
     assert report.delta_mode == "full"
     assert all(w.mode == "full" for w in report.watches)
@@ -423,7 +427,7 @@ def test_bad_batch_is_atomic():
 
 
 def test_delta_reports_accumulate_and_expose_shard_dirty():
-    cfg = DecompositionConfig(backend="csr", validation="basic")
+    cfg = DecompositionConfig(validation="basic")
     rng = np.random.default_rng(8)
     graph = random_graph(rng, 60, 140)
     session = repro.Session(graph, cfg)
@@ -445,7 +449,7 @@ def test_delta_reports_accumulate_and_expose_shard_dirty():
 def test_oracle_reused_across_unrelated_queries():
     """A plain decompose between deltas rides the repaired oracle
     instead of re-peeling (the seam that makes full re-runs cheap)."""
-    cfg = DecompositionConfig(backend="csr", validation="basic")
+    cfg = DecompositionConfig(validation="basic")
     graph = union_of_random_forests(40, 3, seed=9)
     session = repro.Session(graph, cfg)
     session.watch("orientation", method="hpartition")

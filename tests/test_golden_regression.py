@@ -14,6 +14,7 @@ To intentionally re-freeze after an algorithmic change:
 import hashlib
 import json
 import os
+from collections.abc import Mapping
 
 import pytest
 
@@ -42,8 +43,10 @@ GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "decompositions.
 
 
 def _sha(mapping):
-    """Order-independent digest of a coloring / ordering object."""
-    if isinstance(mapping, dict):
+    """Order-independent digest of a coloring / ordering object.  Any
+    mapping (a dict or an array-backed ``EdgeArrayMap``) hashes its
+    ``(key, value)`` pairs, so its values are checked too."""
+    if isinstance(mapping, Mapping):
         canonical = sorted((int(k), str(v)) for k, v in mapping.items())
     else:
         canonical = [str(item) for item in mapping]

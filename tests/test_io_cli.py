@@ -172,16 +172,21 @@ def test_cli_fd_json(graph_file, capsys):
 
 
 def test_cli_fd_backend_dict_matches_csr(graph_file, capsys):
+    """``fd --json`` prints exactly the library's forest decomposition
+    (one substrate since ``--backend`` was removed; the library run is
+    what the goldens and the kernel-vs-reference checks pin)."""
     import json
 
-    outputs = {}
-    for backend in ("dict", "csr"):
-        assert cli_main([
-            "fd", graph_file, "--alpha", "2", "--json",
-            "--backend", backend,
-        ]) == 0
-        outputs[backend] = json.loads(capsys.readouterr().out)["coloring"]
-    assert outputs["dict"] == outputs["csr"]
+    import repro
+    from repro.graph.io import read_edge_list
+
+    assert cli_main(["fd", graph_file, "--alpha", "2", "--json"]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    library = repro.forest_decomposition(
+        read_edge_list(graph_file), epsilon=0.5, alpha=2, seed=0
+    ).to_json()
+    assert printed["coloring"] == library["coloring"]
+    assert printed["colors_used"] == library["colors_used"]
 
 
 def test_cli_decompose_forest(graph_file, capsys):
@@ -215,15 +220,16 @@ def test_cli_decompose_profile(graph_file, capsys):
 
 @pytest.mark.parametrize("command", ["fd", "decompose", "serve"])
 def test_cli_rejects_unknown_backend(graph_file, capsys, command):
-    """An unknown --backend is a usage error (exit status 2), caught by
-    the parser before any graph is read or any daemon started."""
+    """``--backend`` is gone: even a formerly valid value is a usage
+    error (exit status 2), caught by the parser before any graph is
+    read or any daemon started."""
     argv = [command] + ([] if command == "serve" else [graph_file])
     with pytest.raises(SystemExit) as exit_info:
-        cli_main(argv + ["--backend", "bogus"])
+        cli_main(argv + ["--backend", "csr"])
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: repro " + command)
-    assert "invalid choice: 'bogus'" in err
+    assert err.startswith("usage: repro")
+    assert "unrecognized arguments: --backend csr" in err
 
 
 def test_cli_decompose_carve_rule(graph_file, capsys):

@@ -1,4 +1,4 @@
-"""Property-based equivalence: flat-array kernel vs. dict-backed graph.
+"""Property-based equivalence: flat-array kernel vs. the dict reference.
 
 For ~200 seeded random multigraphs — varying vertex count, density,
 parallel-edge rate, vertex-id gaps, and deleted edges (non-contiguous
@@ -6,34 +6,37 @@ edge ids) — assert that
 
 * the :class:`CSRGraph` snapshot agrees with :class:`MultiGraph` on
   degrees, neighbor multisets, edge ids and endpoints;
-* the ported algorithms (``h_partition``, ``degeneracy_ordering``,
+* the peels (``h_partition``, ``degeneracy_ordering``,
   ``degeneracy_orientation``, ``acyclic_orientation``,
   ``low_outdegree_orientation``) return results identical to the
-  dict-backed reference implementations, including charged rounds;
+  dict-adjacency implementations of the reference package
+  (``tests/reference/``), including charged rounds;
 * the traversal layer (``bfs_distances``, ``neighborhood``,
   ``power_graph``, ``connected_components``,
   ``diameter_of_component``) and the network-decomposition machinery
   (``network_decomposition``, ``partial_network_decomposition``,
-  ``cut_edges_of_clustering``) return identical values on both
-  backends, including cluster and head orderings;
+  ``cut_edges_of_clustering``) return the reference's values,
+  including cluster and head orderings;
 * the link/cut color forests of
   :class:`~repro.core.partial_coloring.PartialListForestDecomposition`
   answer every path/component/connectivity query exactly like the
-  dict BFS reference under an identical mutation history;
-* :func:`rooted_forest_arrays` reproduces :class:`RootedForest`'s
-  rooting (depths, parent edges, root choice) on forest subsets.
+  reference's BFS under an identical mutation history;
+* :func:`rooted_forest_arrays` and ``depth_cut`` reproduce
+  :class:`RootedForest`'s rooting (depths, parent edges, root choice)
+  and cuts.
 
 Instances are derived deterministically from the parametrized seed, so
 a failure always reproduces.
 """
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.errors import DecompositionError, GraphError, ValidationError
+from repro.errors import GraphError, ValidationError
 from repro.graph import CSRGraph, MultiGraph, RootedForest, rooted_forest_arrays
-from repro.graph.csr import bfs_distance_array, resolve_backend, snapshot_of
+from repro.graph.csr import bfs_distance_array, snapshot_of
 from repro.graph.generators import preferential_attachment
 from repro.graph.traversal import (
     bfs_distances,
@@ -48,13 +51,24 @@ from repro.decomposition.degeneracy import (
     degeneracy_ordering,
     degeneracy_orientation,
 )
-from repro.decomposition.hpartition import acyclic_orientation, h_partition
+from repro.decomposition.hpartition import (
+    acyclic_orientation,
+    default_threshold,
+    h_partition,
+)
 from repro.decomposition.network_decomposition import (
     cut_edges_of_clustering,
     network_decomposition,
     partial_network_decomposition,
 )
 from repro.local import RoundCounter
+from repro.nashwilliams import exact_pseudoarboricity
+
+from reference import network_decomposition as ref_nd
+from reference import peel as ref_peel
+from reference import traversal as ref_traversal
+from reference.diameter_reduction import depth_cut as ref_depth_cut
+from reference.partial_coloring import BFSPartialListForestDecomposition
 
 SEEDS = range(200)
 
@@ -123,66 +137,72 @@ def test_snapshot_matches_multigraph(seed):
 def test_ported_algorithms_match_reference(seed):
     graph = random_multigraph(seed)
 
-    ref_d, ref_order = degeneracy_ordering(graph, backend="dict")
-    csr_d, csr_order = degeneracy_ordering(graph, backend="csr")
+    ref_d, ref_order = ref_peel.degeneracy_ordering(graph)
+    csr_d, csr_order = degeneracy_ordering(graph)
     assert (csr_d, csr_order) == (ref_d, ref_order)
 
-    ref_pair = degeneracy_orientation(graph, backend="dict")
-    csr_pair = degeneracy_orientation(graph, backend="csr")
-    assert csr_pair == ref_pair
+    assert degeneracy_orientation(graph) == ref_peel.degeneracy_orientation(
+        graph
+    )
 
     # Peeling with threshold >= degeneracy can never stall.
     threshold = max(1, ref_d)
     ref_rounds, csr_rounds = RoundCounter(), RoundCounter()
-    ref_partition = h_partition(graph, threshold, ref_rounds, backend="dict")
-    csr_partition = h_partition(graph, threshold, csr_rounds, backend="csr")
+    ref_partition = ref_peel.h_partition(graph, threshold, ref_rounds)
+    csr_partition = h_partition(graph, threshold, csr_rounds)
     assert csr_partition.classes == ref_partition.classes
     assert csr_partition.threshold == ref_partition.threshold
     assert csr_rounds.total == ref_rounds.total
 
-    ref_orient = acyclic_orientation(graph, ref_partition, backend="dict")
-    csr_orient = acyclic_orientation(graph, csr_partition, backend="csr")
+    ref_orient = ref_peel.acyclic_orientation(graph, ref_partition)
+    csr_orient = acyclic_orientation(graph, csr_partition)
     assert csr_orient == ref_orient
 
 
-def _peel_classes(graph, backend):
-    return h_partition(graph, _degeneracy(graph), backend=backend).classes
-
-
-def _peel_orientation(graph, backend):
-    partition = h_partition(graph, _degeneracy(graph), backend="dict")
-    return acyclic_orientation(graph, partition, backend=backend)
-
-
 def _degeneracy(graph):
-    return max(1, degeneracy_ordering(graph, backend="dict")[0])
+    return max(1, ref_peel.degeneracy_ordering(graph)[0])
+
+
+#: The kernel peels under the reference module's names.
+kernel_peel = SimpleNamespace(
+    h_partition=h_partition,
+    acyclic_orientation=acyclic_orientation,
+    degeneracy_ordering=degeneracy_ordering,
+    degeneracy_orientation=degeneracy_orientation,
+)
+
+
+def _peel_classes(peel, graph, **kwargs):
+    return peel.h_partition(graph, _degeneracy(graph), **kwargs).classes
+
+
+def _peel_orientation(peel, graph, **kwargs):
+    partition = ref_peel.h_partition(graph, _degeneracy(graph))
+    return peel.acyclic_orientation(graph, partition, **kwargs)
 
 
 @pytest.mark.parametrize(
-    "kernel, error",
+    "run",
     [
-        (_peel_classes, DecompositionError),
-        (_peel_orientation, DecompositionError),
-        (degeneracy_ordering, GraphError),
-        (degeneracy_orientation, GraphError),
+        _peel_classes, _peel_orientation,
+        lambda peel, graph, **kw: peel.degeneracy_ordering(graph, **kw),
+        lambda peel, graph, **kw: peel.degeneracy_orientation(graph, **kw),
     ],
     ids=[
         "h_partition", "acyclic_orientation",
         "degeneracy_ordering", "degeneracy_orientation",
     ],
 )
-def test_peel_kernels_accept_every_config_backend(kernel, error):
-    """The four peel kernels take every value a config's ``backend``
-    can hold (``"auto"`` included: below and above the csr cutoff) with
-    identical outputs, and reject any other name in their layer's error
-    class."""
+def test_peel_kernels_accept_every_config_backend(run):
+    """The four peel kernels take no substrate argument: below and
+    above the size where the retired ``backend="auto"`` switched to the
+    kernel (n = 256) they match the reference, and a ``backend=``
+    keyword is a ``TypeError``."""
     for n in (50, 300):
         graph = preferential_attachment(n, 3, seed=n)
-        reference = kernel(graph, "dict")
-        for backend in ("auto", "csr"):
-            assert kernel(graph, backend) == reference
-        with pytest.raises(error, match="unknown backend"):
-            kernel(graph, "parallel")
+        assert run(kernel_peel, graph) == run(ref_peel, graph)
+        with pytest.raises(TypeError):
+            run(kernel_peel, graph, backend="csr")
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
@@ -190,9 +210,13 @@ def test_low_outdegree_orientation_matches_reference(seed):
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("empty instance")
-    ref = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dict")
-    csr = low_outdegree_orientation(graph, 0.5, method="hpartition", backend="csr")
-    assert csr == ref
+    orientation, bound = low_outdegree_orientation(
+        graph, 0.5, method="hpartition"
+    )
+    threshold = max(1, default_threshold(exact_pseudoarboricity(graph), 0.5))
+    partition = ref_peel.h_partition(graph, threshold)
+    assert bound == threshold
+    assert orientation == ref_peel.acyclic_orientation(graph, partition)
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
@@ -245,22 +269,20 @@ def test_traversal_matches_reference(seed):
     sources = rng.sample(graph.vertices(), max(1, graph.n // 4))
 
     for radius in (None, 0, 1, 3):
-        ref = bfs_distances(graph, sources, radius, backend="dict")
-        csr = bfs_distances(graph, sources, radius, backend="csr")
-        assert csr == ref
-    assert neighborhood(graph, sources, 2, backend="csr") == neighborhood(
-        graph, sources, 2, backend="dict"
+        ref = ref_traversal.bfs_distances(graph, sources, radius)
+        assert bfs_distances(graph, sources, radius) == ref
+    assert neighborhood(graph, sources, 2) == ref_traversal.neighborhood(
+        graph, sources, 2
     )
 
-    ref_components = connected_components(graph, backend="dict")
-    assert connected_components(graph, backend="csr") == ref_components
-    # A snapshot input routes through the csr path under "auto" too.
+    ref_components = ref_traversal.connected_components(graph)
+    assert connected_components(graph) == ref_components
     assert connected_components(snapshot_of(graph)) == ref_components
 
     largest = max(ref_components, key=len)
     assert diameter_of_component(
-        graph, largest, backend="csr"
-    ) == diameter_of_component(graph, largest, backend="dict")
+        graph, largest
+    ) == ref_traversal.diameter_of_component(graph, largest)
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
@@ -268,47 +290,43 @@ def test_power_graph_matches_reference(seed):
     graph = random_multigraph(seed)
     snap = snapshot_of(graph)
     for radius in (1, 2, 4):
-        ref = power_graph(graph, radius, backend="dict")
-        csr = power_graph(graph, radius, backend="csr")
+        ref = ref_traversal.power_graph(graph, radius)
+        csr = power_graph(graph, radius)
         assert isinstance(ref, MultiGraph)
         assert isinstance(csr, CSRGraph)
         assert csr.vertices() == ref.vertices()
         assert csr.m == ref.m  # both simple: one edge per joined pair
         for vertex in graph.vertices():
             assert sorted(csr.neighbors(vertex)) == sorted(ref.neighbors(vertex))
-        # "auto" keeps the input's representation.
-        assert isinstance(power_graph(graph, radius), MultiGraph)
-        assert isinstance(power_graph(snap, radius), CSRGraph)
+        # A snapshot input gives the same power graph.
+        from_snap = power_graph(snap, radius)
+        assert isinstance(from_snap, CSRGraph)
+        assert from_snap.edge_u_ids.tolist() == csr.edge_u_ids.tolist()
+        assert from_snap.edge_v_ids.tolist() == csr.edge_v_ids.tolist()
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
 def test_network_decomposition_matches_reference(seed):
     graph = random_multigraph(seed)
     ref_rounds, csr_rounds = RoundCounter(), RoundCounter()
-    ref = network_decomposition(graph, ref_rounds, radius_cost=3, backend="dict")
-    csr = network_decomposition(graph, csr_rounds, radius_cost=3, backend="csr")
+    ref = ref_nd.network_decomposition(graph, ref_rounds, radius_cost=3)
+    csr = network_decomposition(graph, csr_rounds, radius_cost=3)
     assert csr.classes == ref.classes
     assert csr_rounds.total == ref_rounds.total
 
-    # End to end across substrates: the ball carving applied to the
-    # power graph must not care which backend produced it.
-    power_ref = power_graph(graph, 2, backend="dict")
-    power_csr = power_graph(graph, 2, backend="csr")
-    assert (
-        network_decomposition(power_csr, backend="csr").classes
-        == network_decomposition(power_ref, backend="dict").classes
-    )
+    # The carve must not care which side built the power graph it is
+    # given: the reference's MultiGraph or the kernel's snapshot.
+    power_ref = ref_traversal.power_graph(graph, 2)
+    expected = ref_nd.network_decomposition(power_ref).classes
+    assert network_decomposition(power_graph(graph, 2)).classes == expected
+    assert network_decomposition(power_ref).classes == expected
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
 def test_simultaneous_carve_matches_reference(seed):
     graph = random_multigraph(seed)
-    ref = network_decomposition(
-        graph, backend="dict", carve_rule="simultaneous"
-    )
-    csr = network_decomposition(
-        graph, backend="csr", carve_rule="simultaneous"
-    )
+    ref = ref_nd.network_decomposition(graph, carve_rule="simultaneous")
+    csr = network_decomposition(graph, carve_rule="simultaneous")
     assert csr.classes == ref.classes
 
 
@@ -316,8 +334,9 @@ def test_simultaneous_carve_matches_reference(seed):
 @pytest.mark.parametrize("seed", range(0, 200, 5))
 def test_implicit_power_carve_matches_materialized(seed, carve_rule):
     """``power=k`` carves G^k on G without building it: cluster for
-    cluster equal to carving the materialized ``power_graph``, with the
-    same charged rounds."""
+    cluster equal to carving the materialized ``power_graph``, and to
+    the reference carving its own ``G^k``, with the same charged
+    rounds."""
     graph = random_multigraph(seed)
     snap = snapshot_of(graph)
     for k in (1, 2, 3, 5, 8):
@@ -332,23 +351,24 @@ def test_implicit_power_carve_matches_materialized(seed, carve_rule):
         )
         assert implicit.classes == explicit.classes, k
         assert implicit_rounds.total == explicit_rounds.total
+        if k <= 3:
+            reference = ref_nd.network_decomposition(
+                graph, radius_cost=k, carve_rule=carve_rule, power=k,
+            )
+            assert implicit.classes == reference.classes, k
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 5))
 def test_partial_network_decomposition_matches_reference(seed):
     graph = random_multigraph(seed)
     for beta in (0.2, 0.6):
-        ref = partial_network_decomposition(
-            graph, beta, seed=seed, backend="dict"
-        )
-        csr = partial_network_decomposition(
-            graph, beta, seed=seed, backend="csr"
-        )
+        ref = ref_nd.partial_network_decomposition(graph, beta, seed=seed)
+        csr = partial_network_decomposition(graph, beta, seed=seed)
         assert csr == ref
         assert list(csr) == list(ref)  # insertion order preserved too
         assert cut_edges_of_clustering(
-            graph, ref, backend="csr"
-        ) == cut_edges_of_clustering(graph, ref, backend="dict")
+            graph, ref
+        ) == ref_nd.cut_edges_of_clustering(graph, ref)
 
 
 def _assert_color_queries_match(ref, ker, graph, probes, palette):
@@ -363,17 +383,18 @@ def _assert_color_queries_match(ref, ker, graph, probes, palette):
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
 def test_partial_coloring_backends_match(seed):
-    """An identical mutation history on the dict and forced-csr color
-    backends must agree on every success/failure, and on paths and
-    components after every mutation (colorings, recolorings and
-    uncolorings interleave links and cuts in the color forests)."""
+    """An identical mutation history on the kernel state and the
+    reference's BFS-query state must agree on every success/failure,
+    and on paths and components after every mutation (colorings,
+    recolorings and uncolorings interleave links and cuts in the color
+    forests)."""
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("empty instance")
     palette = range(4)
     palettes = {eid: palette for eid in graph.edge_ids()}
-    ref = PartialListForestDecomposition(graph, palettes, backend="dict")
-    ker = PartialListForestDecomposition(graph, palettes, backend="csr")
+    ref = BFSPartialListForestDecomposition(graph, palettes)
+    ker = PartialListForestDecomposition(graph, palettes)
     edge_ids = graph.edge_ids()
 
     rng = random.Random(seed * 131 + 5)
@@ -417,17 +438,23 @@ def test_partial_coloring_backends_match(seed):
 
 
 def test_partial_coloring_rejects_unknown_backend():
+    """The color-class state has one substrate: a ``backend`` argument
+    is a ``TypeError``, not a silently ignored value."""
     graph = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):
         PartialListForestDecomposition(
-            graph, {eid: range(2) for eid in graph.edge_ids()}, backend="dcit"
+            graph, {eid: range(2) for eid in graph.edge_ids()}, backend="dict"
         )
 
 
 def test_traversal_rejects_unknown_backend():
+    """Traversal has one substrate: a ``backend`` keyword is a
+    ``TypeError``, and an unknown source still raises ``GraphError``."""
     graph = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
+    with pytest.raises(TypeError):
+        bfs_distances(graph, [0], backend="dict")
     with pytest.raises(GraphError):
-        bfs_distances(graph, [0], backend="dcit")
+        bfs_distances(graph, [9])
 
 
 def test_snapshot_cache_invalidates_on_mutation():
@@ -462,9 +489,11 @@ def test_rooted_forest_arrays_empty_edge_set():
 
 
 def test_low_outdegree_orientation_rejects_unknown_backend():
+    """The orientation wrapper has one substrate: a ``backend`` keyword
+    is a ``TypeError``."""
     graph = MultiGraph.from_edges(3, [(0, 1), (1, 2)])
-    with pytest.raises(DecompositionError):
-        low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dcit")
+    with pytest.raises(TypeError):
+        low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dict")
 
 
 def test_rooted_forest_arrays_rejects_cycles():
@@ -475,7 +504,7 @@ def test_rooted_forest_arrays_rejects_cycles():
 
 
 # ----------------------------------------------------------------------
-# Threshold-peel work-list (PeelingView) and backend parsing
+# Threshold-peel work-list (PeelingView)
 # ----------------------------------------------------------------------
 
 
@@ -516,16 +545,13 @@ def _view_ids(snap, indices):
 
 
 def _assert_peel_matches(graph, threshold):
-    """dict == csr H-partition classes and charged rounds, and
-    ``auto`` (whichever path it picks) agrees too."""
+    """Kernel == reference H-partition classes and charged rounds, with
+    and without a prebuilt snapshot."""
     ref_rounds = RoundCounter()
-    ref = h_partition(graph, threshold, ref_rounds, backend="dict")
-    snap = snapshot_of(graph)
-    for backend in ("csr", "auto"):
+    ref = ref_peel.h_partition(graph, threshold, ref_rounds)
+    for snap in (snapshot_of(graph), None):
         rounds = RoundCounter()
-        got = h_partition(
-            graph, threshold, rounds, backend=backend, snapshot=snap
-        )
+        got = h_partition(graph, threshold, rounds, snapshot=snap)
         assert got.classes == ref.classes
         assert got.threshold == ref.threshold
         assert rounds.total == ref_rounds.total
@@ -596,32 +622,14 @@ def test_sharded_view_threshold_changes_between_waves():
     _assert_peel_matches(graph, max(1, d))
 
 
-def test_resolve_backend_sharded_size_fallback():
-    """``csr`` stays ``csr`` at every size; ``auto`` keeps its size
-    gate; the retired executor names (``sharded`` among them) are
-    unknown to the parser at every size."""
-    small = MultiGraph.with_vertices(10)
-
-    class _FakeBig:
-        n = 1_000_000
-
-    for graph in (small, _FakeBig()):
-        assert resolve_backend(graph, "csr") == "csr"
-        for name in ("sharded", "parallel", "mp", "threads"):
-            with pytest.raises(GraphError, match="unknown backend"):
-                resolve_backend(graph, name)
-    assert resolve_backend(small, "auto") == "dict"
-    assert resolve_backend(_FakeBig(), "auto") == "csr"
-
-
 def test_h_partition_sharded_empty_and_tiny_graphs():
     """The csr peel (which ran under the retired ``sharded`` name) on
     the empty graph and a single vertex."""
     empty = MultiGraph()
-    assert h_partition(empty, 1, backend="csr").classes == {}
+    assert h_partition(empty, 1).classes == {}
     single = MultiGraph.with_vertices(1)
-    assert h_partition(single, 1, backend="csr").classes == \
-        h_partition(single, 1, backend="dict").classes
+    assert h_partition(single, 1).classes == \
+        ref_peel.h_partition(single, 1).classes
 
 
 # ----------------------------------------------------------------------
@@ -668,47 +676,41 @@ def test_peeling_view_interleaves_disciplines():
 
 @pytest.mark.parametrize("seed", range(0, 200, 10))
 def test_parallel_traversal_matches_reference(seed):
-    """dict == csr (the kernel the retired ``parallel`` name ran) for
-    the BFS-shaped entry points."""
+    """Kernel == reference (the kernel ran under the retired
+    ``parallel`` name) for the BFS-shaped entry points."""
     graph = random_multigraph(seed)
     vertices = graph.vertices()
     sources = vertices[: max(1, len(vertices) // 4)]
 
-    assert bfs_distances(graph, sources, backend="csr") == \
-        bfs_distances(graph, sources, backend="dict")
-    assert neighborhood(graph, sources[:1], 2, backend="csr") == \
-        neighborhood(graph, sources[:1], 2, backend="dict")
-    assert connected_components(graph, backend="csr") == \
-        connected_components(graph, backend="dict")
+    assert bfs_distances(graph, sources) == \
+        ref_traversal.bfs_distances(graph, sources)
+    assert neighborhood(graph, sources[:1], 2) == \
+        ref_traversal.neighborhood(graph, sources[:1], 2)
+    components = ref_traversal.connected_components(graph)
+    assert connected_components(graph) == components
 
-    nd_ref = network_decomposition(graph, backend="dict")
-    nd_csr = network_decomposition(graph, backend="csr")
-    assert nd_csr.classes == nd_ref.classes
+    assert network_decomposition(graph).classes == \
+        ref_nd.network_decomposition(graph).classes
 
-    for comp in connected_components(graph, backend="dict")[:2]:
-        assert diameter_of_component(graph, comp, backend="csr") == \
-            diameter_of_component(graph, comp, backend="dict")
+    for comp in components[:2]:
+        assert diameter_of_component(graph, comp) == \
+            ref_traversal.diameter_of_component(graph, comp)
 
 
 @pytest.mark.parametrize("seed", range(3, 200, 16))
 def test_depth_cut_backends_identical(seed):
-    """depth_cut's stacked csr rooting (every color class in one call)
-    cuts exactly the dict RootedForest path's edges, same RNG stream,
-    on greedy forest colorings and on colorings that mix small classes
-    (1-63 edges) with full-size ones; a small class holding a cycle
-    raises GraphError on both backends; and the forest, orientation
-    and list_forest tasks are bit-identical across backends."""
-    import repro
-    from repro.core import DecompositionConfig
+    """depth_cut's stacked rooting (every color class in one call) cuts
+    exactly the reference's edges (one ``RootedForest`` per class),
+    same RNG stream, on greedy forest colorings and on colorings that
+    mix small classes (1-63 edges) with full-size ones; a small class
+    holding a cycle raises GraphError on both."""
     from repro.core.diameter_reduction import depth_cut
-    from repro.graph.generators import random_palettes
+    from repro.graph.union_find import UnionFind
 
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("edgeless corpus instance")
     # A proper forest coloring: split edges into forests greedily.
-    from repro.graph.union_find import UnionFind
-
     coloring = {}
     finders = []
     for eid in sorted(graph.edge_ids()):
@@ -725,43 +727,20 @@ def test_depth_cut_backends_identical(seed):
 
     mixed_graph, mixed = _mixed_size_forest_coloring(seed)
     for g, col, z in ((graph, coloring, 3), (mixed_graph, mixed, 5)):
-        reference = depth_cut(g, col, z=z, seed=seed, backend="dict")
-        for backend in ("auto", "csr"):
-            got = depth_cut(g, col, z=z, seed=seed, backend=backend)
-            assert got.kept == reference.kept
-            assert got.deleted == reference.deleted
-            assert got.deletion_tail == reference.deletion_tail
+        reference = ref_depth_cut(g, col, z=z, seed=seed)
+        got = depth_cut(g, col, z=z, seed=seed)
+        assert got.kept == reference.kept
+        assert got.deleted == reference.deleted
+        assert got.deletion_tail == reference.deletion_tail
 
     # Two parallel edges as one small class: not a forest.
     u, v = mixed_graph.endpoints(min(mixed))
     cyclic = dict(mixed)
     for _ in range(2):
         cyclic[mixed_graph.add_edge(u, v)] = -1
-    for backend in ("dict", "csr"):
+    for cut in (ref_depth_cut, depth_cut):
         with pytest.raises(GraphError):
-            depth_cut(mixed_graph, cyclic, z=5, seed=seed, backend=backend)
-
-    # Whole tasks: the dict run is the reference.
-    alpha = max(1, len(finders))
-    palettes = random_palettes(graph, 2 * alpha + 2, 4 * alpha + 4, seed=seed)
-    tasks = (
-        ("forest", {}, {"diameter_mode": "auto"}),
-        ("orientation", {}, {}),
-        ("list_forest", {"palettes": palettes}, {}),
-    )
-    for task, kwargs, fields in tasks:
-        reference = repro.decompose(
-            graph, task=task, config=DecompositionConfig(
-                seed=seed, backend="dict", **fields
-            ), **kwargs,
-        )
-        got = repro.decompose(
-            graph, task=task, config=DecompositionConfig(
-                seed=seed, backend="csr", **fields
-            ), **kwargs,
-        )
-        assert got.coloring == reference.coloring
-        assert got.rounds.total == reference.rounds.total
+            cut(mixed_graph, cyclic, z=5, seed=seed)
 
 
 def _mixed_size_forest_coloring(seed):
@@ -790,16 +769,17 @@ def _mixed_size_forest_coloring(seed):
 @pytest.mark.parametrize("seed", range(5, 120, 18))
 def test_color_class_parallel_backend_matches_dict(seed):
     """PartialListForestDecomposition path/component queries agree
-    between the dict walk and the csr parent walk (what the retired
-    ``parallel`` name ran) under an identical mutation history."""
+    between the reference's BFS walk and the kernel's parent walk (what
+    the retired ``parallel`` name ran) under an identical mutation
+    history."""
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("edgeless corpus instance")
     palettes = {eid: (0, 1, 2) for eid in graph.edge_ids()}
     rng = random.Random(seed)
     states = {
-        "dict": PartialListForestDecomposition(graph, palettes, "dict"),
-        "csr": PartialListForestDecomposition(graph, palettes, "csr"),
+        "dict": BFSPartialListForestDecomposition(graph, palettes),
+        "csr": PartialListForestDecomposition(graph, palettes),
     }
     for eid in sorted(graph.edge_ids()):
         color = rng.choice((0, 1, 2))

@@ -176,7 +176,6 @@ def test_decompose_on_memmap_snapshot_matches_ram_path(tmp_path):
     )
     graph = MultiGraph.from_edges(n, pairs)
     config = repro.DecompositionConfig(
-        backend="csr",
         seed=5,
         # the out-of-core recipe: the h-partition peel with a pinned
         # pseudoarboricity never needs the exact path-reversal loop

@@ -22,6 +22,9 @@ from repro.decomposition import (
     validate_network_decomposition,
 )
 
+from reference import network_decomposition as ref_nd
+from reference.traversal import power_graph as reference_power_graph
+
 
 def diameter_cap(n):
     return 2 * max(1, math.ceil(math.log2(n + 1))) + 2
@@ -159,15 +162,15 @@ def test_mpx_deterministic_with_seed():
 
 
 # ----------------------------------------------------------------------
-# CSR backend
+# Kernel carve against the dict reference
 # ----------------------------------------------------------------------
 
 
 def test_nd_csr_backend_validates():
     g = grid_graph(8, 8)
-    nd = network_decomposition(g, backend="csr")
+    nd = network_decomposition(g)
     validate_network_decomposition(g, nd, diameter_cap(64), class_cap(64))
-    assert nd.classes == network_decomposition(g, backend="dict").classes
+    assert nd.classes == ref_nd.network_decomposition(g).classes
 
 
 def test_nd_on_csr_power_graph():
@@ -182,17 +185,21 @@ def test_nd_on_csr_power_graph():
 
 
 def test_nd_rejects_unknown_backend():
-    with pytest.raises(DecompositionError):
-        network_decomposition(path_graph(4), backend="dcit")
+    """The carves have one substrate: a ``backend`` keyword is a
+    ``TypeError`` on both decompositions."""
+    with pytest.raises(TypeError):
+        network_decomposition(path_graph(4), backend="dict")
+    with pytest.raises(TypeError):
+        partial_network_decomposition(path_graph(4), 0.5, backend="dict")
 
 
 def test_mpx_csr_backend_matches():
     g = erdos_renyi(30, 0.2, seed=4)
-    a = partial_network_decomposition(g, beta=0.4, seed=11, backend="dict")
-    b = partial_network_decomposition(g, beta=0.4, seed=11, backend="csr")
+    a = ref_nd.partial_network_decomposition(g, beta=0.4, seed=11)
+    b = partial_network_decomposition(g, beta=0.4, seed=11)
     assert a == b
-    assert cut_edges_of_clustering(g, a, backend="csr") == cut_edges_of_clustering(
-        g, a, backend="dict"
+    assert cut_edges_of_clustering(g, a) == ref_nd.cut_edges_of_clustering(
+        g, a
     )
 
 
@@ -220,8 +227,8 @@ def test_nd_simultaneous_validates(make):
 
     g = make()
     max_diameter, max_classes = _simultaneous_caps(g.n)
-    ref = network_decomposition(g, carve_rule="simultaneous", backend="dict")
-    csr = network_decomposition(g, carve_rule="simultaneous", backend="csr")
+    ref = ref_nd.network_decomposition(g, carve_rule="simultaneous")
+    csr = network_decomposition(g, carve_rule="simultaneous")
     assert csr.classes == ref.classes
     validate_network_decomposition(g, ref, max_diameter, max_classes)
     # The independent checker (plain BFS, none of the carve kernels)
@@ -271,13 +278,14 @@ def test_nd_simultaneous_on_power_graph():
 
 def test_cut_edges_missing_head_raises():
     """A clustering that misses a vertex raises DecompositionError
-    naming it on both backends (used to leak a bare KeyError)."""
+    naming it, in the kernel and the reference (used to leak a bare
+    KeyError)."""
     g = path_graph(5)
     heads = {v: 0 for v in g.vertices()}
     del heads[3]
-    for backend in ("dict", "csr"):
+    for cut_edges in (cut_edges_of_clustering, ref_nd.cut_edges_of_clustering):
         with pytest.raises(DecompositionError, match="vertex 3"):
-            cut_edges_of_clustering(g, heads, backend=backend)
+            cut_edges(g, heads)
 
 
 def test_nd_guard_counts_current_class(monkeypatch):
@@ -300,9 +308,9 @@ def test_nd_guard_counts_current_class(monkeypatch):
         calls["dict"] += 1
         return {center}, set(allowed) - {center}
 
-    monkeypatch.setattr(nd_module, "_grow_doubling_ball", singleton_ball)
+    monkeypatch.setattr(ref_nd, "grow_doubling_ball", singleton_ball)
     with pytest.raises(DecompositionError, match="converge"):
-        network_decomposition(g, backend="dict")
+        ref_nd.network_decomposition(g)
     assert calls["dict"] == guard  # one singleton cluster per class
 
     def singleton_ball_csr(reach, seed_index, unvisited, stamp, token):
@@ -315,7 +323,7 @@ def test_nd_guard_counts_current_class(monkeypatch):
 
     monkeypatch.setattr(nd_module, "_grow_doubling_ball_csr", singleton_ball_csr)
     with pytest.raises(DecompositionError, match="converge"):
-        network_decomposition(g, backend="csr")
+        network_decomposition(g)
     assert calls["csr"] == guard
 
 
@@ -351,16 +359,17 @@ def test_nd_implicit_power_matches_materialized(name, carve_rule):
     g = _STRUCTURED[name]()
     snap = snapshot_of(g)
     for k in (1, 2, 3, 5, 8):
-        power = power_graph(g, k, backend="dict")
-        expected = network_decomposition(
-            power, carve_rule=carve_rule, backend="dict"
-        )
+        power = reference_power_graph(g, k)
+        expected = ref_nd.network_decomposition(power, carve_rule=carve_rule)
         implicit = network_decomposition(
             snap, carve_rule=carve_rule, power=k
         )
         assert implicit.classes == expected.classes, k
+        assert ref_nd.network_decomposition(
+            g, carve_rule=carve_rule, power=k
+        ).classes == expected.classes
         assert network_decomposition(
-            g, carve_rule=carve_rule, backend="dict", power=k
+            power, carve_rule=carve_rule
         ).classes == expected.classes
         # The independent checker certifies the carve against G^k itself.
         check_network_decomposition(power, implicit.classes)
@@ -376,30 +385,43 @@ def test_nd_rejects_power_below_one():
 @pytest.mark.parametrize("radii", [(1, 1), (2, 1), (2, 3)])
 def test_algorithm2_small_radii_dict_matches_csr(name, carve_rule, radii):
     """Small ``radius``/``search_radius`` make k = 2(R + R') far below
-    the diameter, so the carve runs real non-clique shells and waves."""
+    the diameter, so the carve runs real non-clique shells and waves.
+    Algorithm 2 carves G^k implicitly; the reference carves a
+    materialized G^k on the dict adjacency, and both must agree on the
+    clusters Algorithm 2 processes and on the charged rounds."""
     from repro.core.forest_decomposition import algorithm2
     from repro.graph.generators import uniform_palette
+    from repro.verify import (
+        check_forest_decomposition,
+        check_palettes_respected,
+    )
 
     g = _STRUCTURED[name]()
     palettes = uniform_palette(g, range(3))
-    runs = {}
-    for backend in ("dict", "csr"):
-        counter = RoundCounter()
-        result = algorithm2(
-            g, palettes, 0.5, 2, radius=radii[0], search_radius=radii[1],
-            seed=5, rounds=counter, backend=backend, carve_rule=carve_rule,
-        )
-        runs[backend] = (
-            result.colored, result.leftover, result.stats.clusters_processed,
-            counter.total, counter.by_phase(),
-        )
-    assert runs["csr"] == runs["dict"]
-    assert runs["csr"][2] > 1  # the carve split the graph
+    r, r_prime = radii
+    counter = RoundCounter()
+    result = algorithm2(
+        g, palettes, 0.5, 2, radius=r, search_radius=r_prime,
+        seed=5, rounds=counter, carve_rule=carve_rule,
+    )
+    ref_rounds = RoundCounter()
+    reference = ref_nd.network_decomposition(
+        g, ref_rounds, radius_cost=2 * (r + r_prime), carve_rule=carve_rule,
+        power=max(1, min(2 * (r + r_prime), 2 * g.n)),
+    )
+    clusters = sum(len(classes) for classes in reference.classes)
+    assert result.stats.clusters_processed == clusters
+    assert counter.by_phase()["network decomposition"] == ref_rounds.total
+    assert clusters > 1  # the carve split the graph
+    check_forest_decomposition(g, result.colored, partial=True)
+    check_palettes_respected(result.colored, palettes)
 
 
 @pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
 @pytest.mark.parametrize("backend", ["auto", "csr"])
 def test_forest_never_builds_power_graph(monkeypatch, backend, carve_rule):
+    """The forest task never materializes G^k, also under configs
+    loaded from payloads that name a retired ``backend`` value."""
     import repro
     from repro.graph.csr import CSRGraph
     from repro.graph.generators import preferential_attachment
@@ -409,8 +431,9 @@ def test_forest_never_builds_power_graph(monkeypatch, backend, carve_rule):
 
     monkeypatch.setattr(CSRGraph, "power_csr", refuse)
     g = preferential_attachment(600, 3, seed=1)
-    config = repro.DecompositionConfig(
-        epsilon=0.5, seed=1, backend=backend, carve_rule=carve_rule
-    )
+    config = repro.DecompositionConfig.from_json({
+        "epsilon": 0.5, "seed": 1, "backend": backend,
+        "carve_rule": carve_rule,
+    })
     result = repro.decompose(g, "forest", config=config)
     result.validate()

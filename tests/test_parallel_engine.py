@@ -4,16 +4,15 @@ backend names ran.
 Covers the order-free reconcile helper ``resolve_claims``, the
 zero-reporting ``pool_stats`` the end-to-end benchmark reads, the
 dense-wave scatter dedup folded into ``bfs_distance_array`` (against
-the sort-dedup sweep it replaced and the dict BFS), and the csr
+the sort-dedup sweep it replaced and the reference BFS), and the
 traversal entry points that ``backend="parallel"`` ran before that
-name was retired.
+name was retired, against the reference package.
 """
 
 import numpy as np
 import pytest
 
 import repro
-from repro.core import Session
 from repro.errors import GraphError
 from repro.graph import MultiGraph
 from repro.graph.csr import _concat_ranges, bfs_distance_array, snapshot_of
@@ -25,6 +24,7 @@ from repro.graph.traversal import (
 )
 from repro.parallel import pool_stats
 
+from reference import traversal as ref_traversal
 from test_kernel_equivalence import random_multigraph
 
 
@@ -76,24 +76,25 @@ def test_parallel_bfs_rejects_bad_seeds():
 
 
 def test_parallel_bfs_on_color_class_sub_csr():
-    """The color-class shape: a sub-CSR extracted via Session.sub_csr
-    sweeps exactly like the dict BFS over the same edge subset."""
+    """The color-class shape: a sub-CSR extracted from the snapshot
+    sweeps exactly like the reference BFS over the same edge subset."""
     graph = random_multigraph(17)
-    session = Session(graph)
     eids = graph.edge_ids()[:: 2]
     if not eids:
         pytest.skip("corpus instance has no edges")
-    offsets, nbr, _eids = session.sub_csr(eids)
+    snap = snapshot_of(graph)
+    offsets, nbr, _eids = snap.edge_subset_csr_arrays(
+        np.asarray(sorted(eids), dtype=np.int64)
+    )
     n = graph.n
     dist = bfs_distance_array(offsets, nbr, n, [0])
-    snap = snapshot_of(graph)
     reached = {
         int(snap.vertex_ids[i]): int(dist[i]) for i in np.flatnonzero(dist >= 0)
     }
     sub = graph.edge_subgraph(eids)
     start = int(snap.vertex_ids[0])
     expected = (
-        bfs_distances(sub, [start], backend="dict")
+        ref_traversal.bfs_distances(sub, [start])
         if sub.has_vertex(start) else {start: 0}
     )
     assert reached == expected
@@ -109,14 +110,15 @@ def test_traversal_parallel_backend_matches_csr(seed):
     graph = random_multigraph(seed)
     vertices = graph.vertices()
     sources = vertices[:2]
-    assert bfs_distances(graph, sources, backend="csr") == \
-        bfs_distances(graph, sources, backend="dict")
-    components = connected_components(graph, backend="dict")
+    assert bfs_distances(graph, sources) == \
+        ref_traversal.bfs_distances(graph, sources)
+    components = ref_traversal.connected_components(graph)
+    assert connected_components(graph) == components
     for comp in components[:3]:
-        assert diameter_of_component(graph, comp, backend="csr") == \
-            diameter_of_component(graph, comp, backend="dict")
-        assert weak_diameter(graph, comp, backend="csr") == \
-            weak_diameter(graph, comp, backend="dict")
+        assert diameter_of_component(graph, comp) == \
+            ref_traversal.diameter_of_component(graph, comp)
+        assert weak_diameter(graph, comp) == \
+            ref_traversal.weak_diameter(graph, comp)
 
 
 # ----------------------------------------------------------------------

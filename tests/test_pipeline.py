@@ -1,5 +1,5 @@
 """Tests for the pass pipelines: declaration validation, scheduler
-semantics, bit-identity of pipelined tasks across backends, per-pass
+semantics, bit-identity of pipelined tasks under legacy configs, per-pass
 instrumentation, ``describe``, and the config-first dispatch shim."""
 
 import json
@@ -187,8 +187,14 @@ def test_concurrent_level_runs_independent_passes():
 
 
 # ----------------------------------------------------------------------
-# Bit-identity of real tasks across backends
+# Bit-identity of real tasks under legacy configs
 # ----------------------------------------------------------------------
+#
+# The dict substrate these tests once compared against now lives in
+# tests/reference/ and is checked kernel by kernel in
+# test_kernel_equivalence.py; the goldens pin the task outputs.  Here a
+# config loaded from a payload naming the retired ``dict`` substrate
+# must reproduce the default run bit for bit, on a fresh graph copy.
 
 
 def _corpus():
@@ -198,8 +204,11 @@ def _corpus():
     ]
 
 
-def _run(graph, task, seed, backend="auto", **kwargs):
-    config = DecompositionConfig(seed=seed, backend=backend)
+def _run(graph, task, seed, legacy_backend=None, **kwargs):
+    payload = {"seed": seed}
+    if legacy_backend is not None:
+        payload["backend"] = legacy_backend
+    config = DecompositionConfig.from_json(payload)
     return repro.decompose(graph, task=task, config=config, **kwargs)
 
 
@@ -207,27 +216,27 @@ def _run(graph, task, seed, backend="auto", **kwargs):
     "forest", "star_forest", "orientation", "pseudoforest",
 ])
 def test_serial_concurrent_bit_identity(task):
-    """The pipelined task on the dict reference (one color class at a
-    time) and on the csr kernel (orientation's depth cut roots every
-    class in one stacked call) agrees bit for bit."""
+    """The pipelined task under a legacy ``"backend": "dict"`` payload
+    agrees bit for bit with the default run on a fresh graph copy."""
     for graph, _alpha in _corpus():
         if task == "star_forest" and not graph.is_simple():
             continue
-        reference = _run(graph, task, seed=5, backend="dict")
-        got = _run(graph, task, seed=5, backend="csr")
+        reference = _run(graph.copy(), task, seed=5)
+        got = _run(graph, task, seed=5, legacy_backend="dict")
         assert got.coloring == reference.coloring
         assert got.rounds.total == reference.rounds.total
 
 
 def test_list_forest_bit_identity_across_schedules():
-    """list_forest on the dict reference and on the csr kernel (every
-    color class rooted in one stacked call) agrees bit for bit."""
+    """list_forest under a legacy ``"backend": "dict"`` payload agrees
+    bit for bit with the default run on a fresh graph copy."""
     graph, alpha = _corpus()[0]
     palettes = random_palettes(graph, 12, 36, seed=7)
-    reference = _run(
-        graph, "list_forest", seed=5, backend="dict", palettes=palettes
+    reference = _run(graph.copy(), "list_forest", seed=5, palettes=palettes)
+    got = _run(
+        graph, "list_forest", seed=5, legacy_backend="dict",
+        palettes=palettes,
     )
-    got = _run(graph, "list_forest", seed=5, backend="csr", palettes=palettes)
     assert got.coloring == reference.coloring
     assert got.rounds.total == reference.rounds.total
 

@@ -52,7 +52,7 @@ def make_session(seed=0, n=40, m=90):
     rng = np.random.default_rng(seed)
     graph = repro.MultiGraph.from_edges(n, random_edges(rng, n, m))
     session = repro.Session(
-        graph, DecompositionConfig(backend="csr", validation="basic")
+        graph, DecompositionConfig(validation="basic")
     )
     session.watch("orientation", method="hpartition")
     return session
@@ -85,11 +85,11 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
-    """Checkpoints written while the config still had the ``workers``
-    and ``schedule`` fields and accepted the ``mp`` backend name carry
-    them in every config payload; resuming one must drop the keys, load
-    ``mp`` as the csr backend it ran, and rebuild a bit-identical
-    state."""
+    """Checkpoints written while the config still had the ``workers``,
+    ``schedule`` and ``backend`` fields carry them in every config
+    payload (the session config saying ``"backend": "dict"``, the
+    watches the retired ``mp`` name); resuming one must drop the keys
+    and rebuild a bit-identical state."""
     session = make_session(seed=4)
     session.apply_delta(inserts=[(0, 1), (2, 3)])
     ckpt = Checkpointer(str(tmp_path))
@@ -98,9 +98,9 @@ def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
 
     state_path = tmp_path / f"state-{generation:06d}.json"
     meta = json.loads(state_path.read_text(encoding="utf-8"))
-    meta["config"].update(workers=2, schedule="concurrent", backend="mp")
+    meta["config"].update(workers=2, schedule="concurrent", backend="dict")
     for entry in meta["watches"]:
-        assert entry["config"]["backend"] == "csr"
+        assert "backend" not in entry["config"]
         entry["config"].update(workers=2, schedule="auto", backend="mp")
     state_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
@@ -257,7 +257,7 @@ def test_daemon_shutdown_reclaims_worker_pools(tmp_path):
     threads_before = set(threading.enumerate())
     server = ReproServer(
         checkpoint_dir=str(tmp_path),
-        # a payload written while "parallel" named the csr backend
+        # a payload written while "parallel" named a graph substrate
         config=DecompositionConfig.from_json({"backend": "parallel"}),
     )
     server.start()

@@ -18,11 +18,14 @@ from repro.graph import (
     weak_diameter,
 )
 from repro.graph.generators import cycle_graph, grid_graph, path_graph
+from repro.graph import traversal as _kernel_traversal
 from repro.graph.traversal import (
     components_of_vertices,
     eccentricity,
     spanning_tree_edges,
 )
+
+from reference import traversal as ref_traversal
 
 
 def test_bfs_distances_path():
@@ -72,9 +75,10 @@ def test_edges_within():
 def test_power_graph_path():
     g = path_graph(5)
     p2 = power_graph(g, 2)
-    assert p2.multiplicity(0, 2) == 1
-    assert p2.multiplicity(0, 3) == 0
-    assert p2.is_simple()
+    assert sorted(p2.neighbors(0)) == [1, 2]
+    assert sorted(p2.neighbors(2)) == [0, 1, 3, 4]
+    pairs = list(zip(p2.edge_u_ids.tolist(), p2.edge_v_ids.tolist()))
+    assert len(pairs) == len(set(pairs)) == 4 + 3  # simple
 
 
 def test_power_graph_collapses_parallels():
@@ -151,29 +155,34 @@ def test_grid_diameter():
 
 
 def test_csr_backend_small_graphs():
-    """The kernel path honours the same contracts on toy inputs."""
+    """The kernel honours the same contracts on toy inputs, from a
+    MultiGraph and from its snapshot alike."""
     from repro.graph import CSRGraph
+    from repro.graph.csr import snapshot_of
+
+    from reference.traversal import power_graph as reference_power_graph
 
     g = path_graph(5)
-    assert bfs_distances(g, [0], backend="csr") == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-    assert bfs_distances(g, [0], radius=2, backend="csr") == {0: 0, 1: 1, 2: 2}
-    assert neighborhood(g, [3], 0, backend="csr") == {3}
-    with pytest.raises(GraphError):
-        bfs_distances(g, [99], backend="csr")
+    for graph in (g, snapshot_of(g)):
+        assert bfs_distances(graph, [0]) == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+        assert bfs_distances(graph, [0], radius=2) == {0: 0, 1: 1, 2: 2}
+        assert neighborhood(graph, [3], 0) == {3}
+        with pytest.raises(GraphError):
+            bfs_distances(graph, [99])
 
-    p2 = power_graph(g, 2, backend="csr")
-    assert isinstance(p2, CSRGraph)
-    assert sorted(p2.neighbors(0)) == [1, 2]
-    assert p2.m == power_graph(g, 2, backend="dict").m
-    with pytest.raises(GraphError):
-        power_graph(g, 0, backend="csr")
+        p2 = power_graph(graph, 2)
+        assert isinstance(p2, CSRGraph)
+        assert sorted(p2.neighbors(0)) == [1, 2]
+        assert p2.m == reference_power_graph(g, 2).m
+        with pytest.raises(GraphError):
+            power_graph(graph, 0)
 
-    assert diameter_of_component(g, g.vertices(), backend="csr") == 4
+        assert diameter_of_component(graph, g.vertices()) == 4
     broken = MultiGraph.with_vertices(3)
     broken.add_edge(0, 1)
     with pytest.raises(GraphError):
-        diameter_of_component(broken, [0, 1, 2], backend="csr")
-    assert connected_components(broken, backend="csr") == [[0, 1], [2]]
+        diameter_of_component(broken, [0, 1, 2])
+    assert connected_components(broken) == [[0, 1], [2]]
 
 
 def test_spanning_tree_edges():
@@ -188,7 +197,7 @@ def test_spanning_tree_edges():
 
 # ----------------------------------------------------------------------
 # bfs_distance_array regression: multi-seed / disconnected / empty /
-# single-vertex, identical across dict, csr and parallel backends
+# single-vertex, identical to the reference BFS
 # ----------------------------------------------------------------------
 
 
@@ -212,11 +221,10 @@ def test_bfs_distance_array_multi_seed_disconnected():
     dist = bfs_distance_array(offsets, nbr, n, [0, 4])
     # Seeds reach only their own components; everything else stays -1.
     assert dist.tolist() == [0, 1, 2, 3, 0, 1, 1, -1, -1]
-    # The dict-facing entry point agrees across all three backends.
-    for backend in ("auto", "dict", "csr"):
-        assert bfs_distances(g, [0, 4], backend=backend) == {
-            0: 0, 1: 1, 2: 2, 3: 3, 4: 0, 5: 1, 6: 1
-        }
+    # The dict-facing entry point agrees with the reference.
+    expected = {0: 0, 1: 1, 2: 2, 3: 3, 4: 0, 5: 1, 6: 1}
+    assert bfs_distances(g, [0, 4]) == expected
+    assert ref_traversal.bfs_distances(g, [0, 4]) == expected
 
 
 def test_bfs_distance_array_empty_seed_set():
@@ -226,8 +234,8 @@ def test_bfs_distance_array_empty_seed_set():
     snap = snapshot_of(g)
     args = (snap.vertex_offsets, snap.neighbor_ids, snap.num_vertices, [])
     assert bfs_distance_array(*args).tolist() == [-1] * g.n
-    for backend in ("auto", "dict", "csr"):
-        assert bfs_distances(g, [], backend=backend) == {}
+    assert bfs_distances(g, []) == {}
+    assert ref_traversal.bfs_distances(g, []) == {}
 
 
 def test_bfs_distance_array_single_vertex_component():
@@ -240,10 +248,10 @@ def test_bfs_distance_array_single_vertex_component():
     expected = [-1] * n
     expected[7] = 0
     assert dist.tolist() == expected
-    for backend in ("auto", "dict", "csr"):
-        assert bfs_distances(g, [7], backend=backend) == {7: 0}
-        assert diameter_of_component(g, [7], backend=backend) == 0
-        assert weak_diameter(g, [7], backend=backend) == 0
+    for traversal in (ref_traversal, _kernel_traversal):
+        assert traversal.bfs_distances(g, [7]) == {7: 0}
+        assert traversal.diameter_of_component(g, [7]) == 0
+        assert traversal.weak_diameter(g, [7]) == 0
 
 
 def test_bfs_backends_agree_on_radius_capped_multi_seed():
@@ -252,11 +260,8 @@ def test_bfs_backends_agree_on_radius_capped_multi_seed():
 
     g = _three_component_graph()
     for radius in (0, 1, 2):
-        reference = bfs_distances(g, [0, 4, 8], radius=radius, backend="dict")
-        for backend in ("auto", "csr"):
-            assert bfs_distances(
-                g, [0, 4, 8], radius=radius, backend=backend
-            ) == reference
+        reference = ref_traversal.bfs_distances(g, [0, 4, 8], radius=radius)
+        assert bfs_distances(g, [0, 4, 8], radius=radius) == reference
 
     # Dense waves: on a preferential-attachment graph the frontier's
     # half-edges soon reach n / 8, where bfs_distance_array dedups with
@@ -266,7 +271,7 @@ def test_bfs_backends_agree_on_radius_capped_multi_seed():
     offsets, nbr, n = snap.vertex_offsets, snap.neighbor_ids, snap.num_vertices
     for seeds in ([0], [2999], list(range(0, 3000, 47))):
         for radius in (None, 1, 2, 3):
-            reference = bfs_distances(pa, seeds, radius=radius, backend="dict")
+            reference = ref_traversal.bfs_distances(pa, seeds, radius=radius)
             dist = bfs_distance_array(offsets, nbr, n, seeds, radius)
             reached = {
                 int(snap.vertex_ids[i]): int(dist[i])
@@ -277,10 +282,9 @@ def test_bfs_backends_agree_on_radius_capped_multi_seed():
 
 def test_weak_diameter_backends_agree():
     g = cycle_graph(8)
-    for backend in ("auto", "dict", "csr"):
-        assert weak_diameter(g, [0, 4], backend=backend) == 4
     broken = MultiGraph.with_vertices(3)
     broken.add_edge(0, 1)
-    for backend in ("auto", "dict", "csr"):
+    for traversal in (ref_traversal, _kernel_traversal):
+        assert traversal.weak_diameter(g, [0, 4]) == 4
         with pytest.raises(GraphError):
-            weak_diameter(broken, [0, 1, 2], backend=backend)
+            traversal.weak_diameter(broken, [0, 1, 2])

@@ -1,7 +1,7 @@
 """Determinism lint: rules over the kernel packages.
 
 The library's core guarantee is that every decomposition is
-bit-identical across backends.  These
+bit-identical run to run and to the test suite's dict reference.  These
 rules flag the constructs that historically (or structurally) break it:
 
 * ``det-hash`` — ``hash()`` on anything.  ``hash(str)`` is randomized
