@@ -36,7 +36,9 @@ check:
 # (>= 1.5x on dense-frontier workloads at n >= 50k), the simultaneous
 # carve rule vs the doubling csr carve (>= 1.5x at n >= 50k), the
 # stacked csr depth_cut vs the per-class rooting sweep (>= 1.3x at
-# n >= 50k, cuts identical), the delta engine vs full recompute, and
+# n >= 50k, cuts identical), the witness k-orientation vs the reference
+# Dinic (>= 5x at t, >= 2x at alpha*, witnesses identical), the delta
+# engine vs full recompute, and
 # the out-of-core leg (a 10^7-edge memmap ingest + decompose in a
 # fresh subprocess, peak RSS <= ~2x the on-disk snapshot);
 # writes benchmarks/results/BENCH_*.json (incl. BENCH_passes,

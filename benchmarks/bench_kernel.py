@@ -4,7 +4,7 @@ The dict side is the test suite's reference package
 (``tests/reference/``): the dict-adjacency implementations the kernel
 was ported from, which the library itself no longer contains.
 
-Seven sections, one per substrate milestone:
+One section per substrate milestone:
 
 * ``bench_kernel`` — the PR-1 peeling paths: ``h_partition`` (threshold
   peeling) and ``degeneracy_ordering`` (delete-min peeling).
@@ -44,6 +44,15 @@ Seven sections, one per substrate milestone:
   waves.  Asserts >= 1.5x vs. the doubling csr carve (in practice the
   win is algorithmic and large).
 
+* ``bench_witness`` — the witness k-orientation
+  (:func:`~repro.nashwilliams.pseudoarboricity.orientation_exists`,
+  routed on the snapshot's edge arrays) vs. the reference Dinic on the
+  dict-keyed network it replaced, on forest unions at n = 3000 and
+  30000, at ``t = ⌈1.5α⌉`` (the greedy first phase routes every edge)
+  and at ``k = α*`` (Dinic's later phases run).  The kernel is timed
+  on fresh copies, so its time includes the snapshot build.  Witnesses
+  are asserted identical; asserts >= 5x at ``t`` and >= 2x at ``α*``.
+
 * ``bench_ooc`` — the out-of-core leg: a 10^7-edge graph streamed
   through ``CSRGraph.from_edge_iter(mmap_dir=...)`` into
   ``decompose()`` in a fresh subprocess, asserting peak RSS stays
@@ -58,6 +67,7 @@ Run directly:  PYTHONPATH=src python benchmarks/bench_kernel.py
 Snapshot mode: BENCH_SNAPSHOT=1 PYTHONPATH=src python benchmarks/bench_kernel.py
 """
 
+import math
 import os
 import random
 import sys
@@ -83,6 +93,10 @@ from repro.graph.traversal import (
     connected_components,
     power_graph,
 )
+from repro.nashwilliams.pseudoarboricity import (
+    exact_pseudoarboricity,
+    orientation_exists,
+)
 
 from harness import SNAPSHOT_MODE, emit, emit_json, format_table
 
@@ -93,6 +107,7 @@ sys.path.insert(
 from reference import network_decomposition as ref_nd  # noqa: E402
 from reference import peel as ref_peel  # noqa: E402
 from reference import traversal as ref_traversal  # noqa: E402
+from reference.flow import orientation_exists as ref_orientation_exists  # noqa: E402
 
 REPEATS = 5
 TRAVERSAL_REPEATS = 3
@@ -878,6 +893,106 @@ def run_carve_comparison():
 
 
 # ----------------------------------------------------------------------
+# Witness orientations: snapshot arrays vs the dict-keyed Dinic network
+# ----------------------------------------------------------------------
+
+WITNESS_REPEATS = 3
+WITNESS_ALPHA = 6
+# At t = ceil(1.5 alpha) the greedy first phase routes every edge; at
+# k = alpha* Dinic's later phases run on the flat arc lists.
+WITNESS_FLOORS = {"t": 5.0, "alpha*": 2.0}
+WITNESS_WORKLOADS = [
+    ("forests n=3000 a=6", 3000),
+    ("forests n=30000 a=6", 30000),
+]
+
+
+def run_witness_comparison():
+    rows = []
+    json_rows = []
+    asserted = []
+    for name, n in WITNESS_WORKLOADS:
+        graph = union_of_random_forests(n, WITNESS_ALPHA, seed=31, simple=True)
+        pseudo = exact_pseudoarboricity(graph)
+        bounds = (("t", math.ceil(1.5 * WITNESS_ALPHA)), ("alpha*", pseudo))
+        for bound, k in bounds:
+            got = orientation_exists(graph, k)
+            # One timed shot of the reference: it is the slow side, so
+            # repeat noise is irrelevant and repeats dominate runtime.
+            start = time.perf_counter()
+            want = ref_orientation_exists(graph, k)
+            ref_ms = (time.perf_counter() - start) * 1e3
+            assert got is not None and list(got.items()) == list(want.items())
+            # Fresh copies carry no cached snapshot: the kernel's time
+            # includes building the one it routes on.
+            copies = iter([graph.copy() for _ in range(WITNESS_REPEATS)])
+            kernel_ms = _best(
+                lambda: orientation_exists(next(copies), k), WITNESS_REPEATS
+            ) * 1e3
+            speedup = ref_ms / kernel_ms
+            rows.append(
+                (
+                    name,
+                    graph.m,
+                    f"{bound}={k}",
+                    f"{ref_ms:.1f}",
+                    f"{kernel_ms:.1f}",
+                    f"{speedup:.1f}x",
+                )
+            )
+            json_rows.append(
+                {
+                    "workload": name,
+                    "n": graph.n,
+                    "m": graph.m,
+                    "bound": bound,
+                    "k": k,
+                    "reference_ms": round(ref_ms, 3),
+                    "kernel_ms": round(kernel_ms, 3),
+                    "speedup": round(speedup, 3),
+                }
+            )
+            asserted.append((name, bound, speedup))
+
+    emit(
+        "witness",
+        format_table(
+            "Witness k-orientation: snapshot arrays vs reference Dinic",
+            ["workload", "m", "k", "reference ms", "kernel ms", "speedup"],
+            rows,
+        ),
+    )
+    emit_json(
+        "BENCH_witness",
+        {
+            "bench": "witness",
+            "schema_version": 1,
+            "mode": "snapshot" if SNAPSHOT_MODE else "assert",
+            "threshold": min(WITNESS_FLOORS.values()),
+            "rows": json_rows,
+            "asserted": [
+                {
+                    "workload": name,
+                    "bound": bound,
+                    "floor": WITNESS_FLOORS[bound],
+                    "speedup": round(value, 3),
+                }
+                for name, bound, value in asserted
+            ],
+        },
+    )
+
+    if not SNAPSHOT_MODE:
+        for name, bound, speedup in asserted:
+            floor = WITNESS_FLOORS[bound]
+            assert speedup >= floor, (
+                f"{name} at k = {bound}: witness speedup {speedup:.2f}x < "
+                f"{floor}x over the reference Dinic network"
+            )
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Stacked depth cut vs the per-class sweep
 # ----------------------------------------------------------------------
 
@@ -1428,6 +1543,15 @@ def bench_carve(benchmark=None):
         once(benchmark, run_carve_comparison)
 
 
+def bench_witness(benchmark=None):
+    if benchmark is None:
+        run_witness_comparison()
+    else:
+        from harness import once
+
+        once(benchmark, run_witness_comparison)
+
+
 def bench_passes(benchmark=None):
     if benchmark is None:
         run_passes_comparison()
@@ -1462,6 +1586,7 @@ if __name__ == "__main__":
     bench_shard()
     bench_parallel_bfs()
     bench_carve()
+    bench_witness()
     bench_passes()
     bench_delta()
     bench_ooc()

@@ -226,7 +226,7 @@ class Session:
                 f"config must be a DecompositionConfig, got {type(cfg).__name__}"
             )
         cfg = cfg.with_defaults(spec.default_epsilon)
-        if spec.simple_only and not self.graph.is_simple():
+        if spec.simple_only and not snapshot_of(self.graph).is_simple():
             raise GraphError(
                 f"task {spec.name!r} needs a simple graph "
                 "(parallel edges present)"

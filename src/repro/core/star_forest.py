@@ -31,6 +31,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import ConvergenceError, DecompositionError, GraphError
+from ..graph.csr import snapshot_of
 from ..graph.forests import RootedForest, color_classes
 from ..graph.matching import hopcroft_karp
 from ..graph.multigraph import MultiGraph
@@ -85,7 +86,10 @@ def _t_orientation(
     """A max-out-degree-``t`` orientation.
 
     Substitutes the [SV19a] CONGEST routine the paper calls; we use the
-    exact flow witness and charge the cited O~(log² n / ε²) rounds.
+    exact flow witness (:func:`orientation_exists`, routed on the
+    graph's cached snapshot: at ``t = ⌈(1+ε)α⌉`` its greedy first phase
+    usually routes every edge) and charge the cited O~(log² n / ε²)
+    rounds.
     """
     orientation = orientation_exists(graph, t)
     if orientation is None:
@@ -373,7 +377,7 @@ def star_forest_decomposition_amr(
     Executes :data:`STAR_FOREST_PIPELINE`; the executed per-pass
     records land in ``result.stats["passes"]``.
     """
-    if not graph.is_simple():
+    if not snapshot_of(graph).is_simple():
         raise GraphError("Section 5 star-forest decomposition needs a simple graph")
     counter = ensure_counter(rounds)
     ctx = PipelineContext(
@@ -604,7 +608,7 @@ def list_star_forest_decomposition_amr(
 
     Executes :data:`LIST_STAR_FOREST_PIPELINE`.
     """
-    if not graph.is_simple():
+    if not snapshot_of(graph).is_simple():
         raise GraphError("Section 5 star-forest decomposition needs a simple graph")
     counter = ensure_counter(rounds)
     ctx = PipelineContext(

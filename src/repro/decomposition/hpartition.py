@@ -27,7 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, PaletteError
-from ..graph.csr import CSRGraph, EdgeArrayMap
+from ..graph.csr import CSRGraph, EdgeArrayMap, snapshot_of
 from ..graph.forests import RootedForest
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -105,9 +105,10 @@ def h_partition(
 
     Each wave runs vectorized on the flat-array kernel, touching only
     the previous wave's threshold-crossing frontier after the first
-    full scan (see :class:`~repro.graph.csr.PeelingView`).  A prebuilt
-    ``snapshot`` of ``graph`` can be supplied to amortize conversion
-    across several kernel-backed passes.
+    full scan (see :class:`~repro.graph.csr.PeelingView`).  Without a
+    ``snapshot`` it peels the graph's cached one
+    (:func:`~repro.graph.csr.snapshot_of`), so every kernel-backed pass
+    on the same graph shares one conversion.
     """
     counter = ensure_counter(rounds)
     cap = max_iterations if max_iterations is not None else 4 * graph.n + 8
@@ -119,7 +120,7 @@ def h_partition(
             if waves:
                 counter.charge(waves, "H-partition wave")
             return HPartition(cached, threshold)
-    snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
+    snap = snapshot if snapshot is not None else snapshot_of(graph)
     view = snap.peeling_view()
     vertex_ids = snap.vertex_ids.tolist()
     classes: Dict[int, int] = {}
@@ -160,7 +161,8 @@ def acyclic_orientation(
 
     The result is acyclic with out-degree at most the partition
     threshold.  Charges one round (purely local decision per edge).
-    The per-edge comparison runs vectorized on the flat-array kernel.
+    The per-edge comparison runs vectorized on the flat-array kernel
+    (``snapshot``, or the graph's cached one).
     """
     counter = ensure_counter(rounds)
     classes = partition.classes
@@ -170,7 +172,7 @@ def acyclic_orientation(
     # same items, but never materializes m Python ints unless a caller
     # truly iterates it, which is what keeps the orientation step
     # inside the out-of-core RSS budget on memmap snapshots.
-    snap = snapshot if snapshot is not None else CSRGraph.from_multigraph(graph)
+    snap = snapshot if snapshot is not None else snapshot_of(graph)
     if snap.num_edges == 0:
         orientation = {}
     else:

@@ -1,5 +1,5 @@
 """Graph substrate: multigraphs, the flat-array kernel, traversal,
-forests, flow, matching, generators."""
+forests, matching, generators."""
 
 from .multigraph import MultiGraph
 from .csr import CSRGraph, PeelingView, rooted_forest_arrays, snapshot_of
@@ -24,7 +24,6 @@ from .forests import (
     is_star_forest,
     max_forest_diameter,
 )
-from .flow import FlowNetwork
 from .matching import greedy_matching, hopcroft_karp, maximum_matching_size
 
 __all__ = [
@@ -51,7 +50,6 @@ __all__ = [
     "forest_components",
     "color_classes",
     "max_forest_diameter",
-    "FlowNetwork",
     "hopcroft_karp",
     "maximum_matching_size",
     "greedy_matching",

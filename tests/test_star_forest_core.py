@@ -137,3 +137,56 @@ def test_sfd_er_graph():
     if alpha >= 1:
         result = star_forest_decomposition_amr(g, 0.5, alpha=alpha, seed=16)
         check_star_forest_decomposition(g, result.coloring)
+
+
+def test_sfd_builds_each_snapshot_once(monkeypatch):
+    """One star_forest call converts each graph it touches once: the
+    host (t-orientation, simplicity check) and the leftover subgraph
+    (its pseudoarboricity, H-partition and acyclic orientation share
+    the subgraph's cached snapshot)."""
+    from repro.graph.csr import CSRGraph
+
+    graph = union_of_random_forests(600, 4, seed=3, simple=True)
+    builds = []
+    original = CSRGraph.from_multigraph.__func__
+
+    def counting(cls, g):
+        builds.append(g)
+        return original(cls, g)
+
+    monkeypatch.setattr(CSRGraph, "from_multigraph", classmethod(counting))
+    result = star_forest_decomposition_amr(graph, epsilon=0.5, alpha=4, seed=3)
+    leftover = result.stats.leftover_size
+    assert leftover > 0
+    assert [g.m for g in builds] == [graph.m, leftover]
+    assert builds[0] is graph
+
+
+def test_simplicity_checked_once_per_call(monkeypatch):
+    """A Session star_forest call answers "is the graph simple?" from
+    the host snapshot once; MultiGraph's adjacency walk never runs."""
+    from repro.core import DecompositionConfig, Session
+    from repro.graph.csr import CSRGraph, snapshot_of
+
+    graph = union_of_random_forests(40, 4, seed=7, simple=True)
+    scans = []
+    original = CSRGraph.is_simple
+
+    def counting(self):
+        if self._simple is None:
+            scans.append(self)
+        return original(self)
+
+    def forbidden(self):
+        raise AssertionError("MultiGraph.is_simple walked the adjacency")
+
+    monkeypatch.setattr(CSRGraph, "is_simple", counting)
+    monkeypatch.setattr(MultiGraph, "is_simple", forbidden)
+    session = Session(graph)
+    config = DecompositionConfig(epsilon=0.5, alpha=4, seed=9)
+    session.decompose("star_forest", config)
+    session.decompose(
+        "list_star_forest", config,
+        palettes=random_palettes(graph, 36, 72, seed=8),
+    )
+    assert scans == [snapshot_of(graph)]
