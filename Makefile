@@ -16,13 +16,14 @@ test-fast:
 	python -m pytest -x -q -m "not slow"
 
 # Compile check everywhere + pyflakes when available + API-surface
-# freeze + the determinism/concurrency checks (tools/lint.py).
+# freeze + the determinism checks (tools/lint.py).
 lint:
 	python tools/lint.py
 
-# Determinism & concurrency static analysis (tools/checks/): kernel
-# determinism lint, fan-out closure-race detection, pass-DAG
-# reads/writes effect checking.  Zero unbaselined findings required;
+# Determinism static analysis (tools/checks/): the det-* rules (hash,
+# id, set order, wall clock, environment) and pragma hygiene.  Task
+# stages pass data as Python locals, which pyflakes checks in
+# `make lint`.  Zero unbaselined findings required;
 # writes CHECK_findings.json (archived by CI).  Rule catalog:
 # `python -m tools.checks --list-rules`; docs/determinism.md explains
 # the contract and the pragma/baseline workflow.

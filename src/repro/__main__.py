@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .graph.io import (
@@ -163,7 +164,7 @@ _REPORT_KIND = {
 
 
 def _print_pass_profile(result) -> None:
-    """--profile: the executed per-pass records as a fixed-width table."""
+    """--profile: the executed per-stage records as a fixed-width table."""
     passes = getattr(getattr(result, "stats", None), "passes", None)
     if not passes:
         print("(no per-pass records on this result)")
@@ -383,14 +384,14 @@ def main(argv=None) -> int:
     p_dec.add_argument("--validation", default="basic",
                        choices=("none", "basic", "full"))
     p_dec.add_argument("--profile", action="store_true",
-                       help="print the executed per-pass records "
-                       "(wall time, rounds, fan-out items, reconcile "
+                       help="print the executed per-stage records "
+                       "(wall time, rounds, items, reconcile "
                        "volume, vertices touched) after the run")
     p_dec.set_defaults(func=_cmd_decompose)
 
     p_desc = sub.add_parser(
         "describe",
-        help="print a task's declared passes (no execution)",
+        help="print a task's stages (no execution)",
     )
     p_desc.add_argument(
         "task",
@@ -457,7 +458,17 @@ def main(argv=None) -> int:
     p_gen.set_defaults(func=_cmd_generate)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        status = args.func(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``repro describe forest | head -3``).
+        # Point stdout at devnull so the interpreter's final flush
+        # cannot raise again, and exit nonzero as a closed pipe should.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

@@ -1,8 +1,8 @@
-"""Typed statistics containers for the core pipelines.
+"""Typed statistics containers for the core tasks.
 
 Every task-level stats object is a dataclass deriving from
-:class:`TaskStats`: it carries the executed per-pass
-:class:`~repro.pipeline.passes.PassStats` records in ``passes``,
+:class:`TaskStats`: it carries the executed per-stage
+:class:`~repro.pipeline.PassStats` records in ``passes``,
 indexes like a mapping (``result.stats["passes"]``), and serializes
 through an explicit, documented :meth:`TaskStats.to_json` schema
 (replacing the old best-effort ``vars()`` walk — the old keys are all
@@ -15,12 +15,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from ..pipeline.passes import PassStats
+from ..pipeline import PassStats
 
 
 @dataclass
 class TaskStats:
-    """Base stats record: the per-pass execution history plus mapping
+    """Base stats record: the per-stage execution history plus mapping
     access over the declared fields.
 
     ``to_json()`` emits every dataclass field by name; ``passes``
@@ -62,7 +62,7 @@ class TaskStats:
 
 @dataclass
 class ListForestStats(TaskStats):
-    """Diagnostics from the Theorem 4.10 pipeline."""
+    """Diagnostics from the Theorem 4.10 task."""
 
     k0: int = 0  # smallest main-side palette after splitting
     k1: int = 0  # smallest reserve-side palette after splitting
@@ -73,7 +73,7 @@ class ListForestStats(TaskStats):
 
 @dataclass
 class StarForestStats(TaskStats):
-    """Diagnostics from the Section 5 pipeline."""
+    """Diagnostics from the Section 5 tasks."""
 
     matching_deficits: List[int] = field(default_factory=list)
     lll_rounds: int = 0

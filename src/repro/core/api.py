@@ -2,8 +2,8 @@
 
 These wrappers are what downstream users should call; each maps to one
 headline result of the paper.  Since the unified-API redesign they are
-thin shims over the task registry, and since the pass-pipeline
-redesign the dispatch plumbing is *config-first*: every wrapper
+thin shims over the task registry, and the dispatch plumbing is
+*config-first*: every wrapper
 accepts ``config=`` directly, and its legacy keyword signature is
 funneled through one shim (:func:`_config_from_kwargs`) into a
 :class:`~repro.core.config.DecompositionConfig` before dispatching
@@ -16,8 +16,9 @@ and the golden regressions are untouched.  The per-knob keyword
 spellings remain supported indefinitely, but new code should prefer
 passing ``config=`` (see the deprecation note in ``docs/api.md``).
 
-:func:`describe` prints a task's declared passes — names, in
-execution order, and paper citations — without running anything.
+:func:`describe` prints a task's stages — names, in execution order,
+and paper citations — from the static :data:`TASK_STAGES` table,
+without running anything.
 
 For repeated queries against one graph prefer::
 
@@ -50,7 +51,7 @@ from .forest_decomposition import (
     ForestDecompositionResult,
     algorithm2,
 )
-from .list_forest import ListForestDecompositionResult
+from .list_forest import RESERVE_ATTEMPTS, ListForestDecompositionResult
 from .orientation import Orientation
 from .registry import (
     available_tasks,
@@ -114,12 +115,116 @@ def _config_from_kwargs(
     return DecompositionConfig(**kwargs)
 
 
-def describe(task: str) -> str:
-    """The declared pass list of a registered task, as text.
+#: (stage, description, citation) per built-in task, in execution
+#: order; the stage names are those of the ``PassStats`` records a run
+#: leaves in ``result.stats["passes"]``.
+_ORIENT_STAGES = (
+    ("setup", "validate the method selection", ""),
+    ("decompose",
+     "produce the substrate: Algorithm 2 forests (augmentation), "
+     "H-partition (hpartition), or nothing (exact)",
+     "Theorem 4.6 / Theorem 2.1(2)"),
+    ("orient",
+     "point every edge at its parent / peel level / flow witness; "
+     "per-color rootings are the fan-out unit",
+     "Corollary 1.1"),
+)
+_SECTION5_HEAD = (
+    ("setup", "resolve α and the t = ⌈(1+ε)α⌉ budget", ""),
+    ("orient", "exact t-orientation ([SV19a] substitute)",
+     "Theorem 5.4 setup"),
+)
+TASK_STAGES: Dict[str, Tuple[Tuple[str, str, str], ...]] = {
+    "forest": (
+        ("setup",
+         "resolve α (Gabow–Westermann exact) and build the (1+ε/6)α "
+         "ordinary palettes",
+         "Theorem 4.6 budget split"),
+        ("algorithm2",
+         "Algorithm 2: network decomposition schedules cluster balls; "
+         "CUT + augmenting sequences color E0",
+         "Theorem 4.5"),
+        ("leftover_recolor",
+         "recolor the CUT leftover with fresh colors via an H-partition",
+         "Theorem 2.1(4)"),
+        ("diameter_reduce",
+         "depth-cut every color class at a random residue mod z, recolor "
+         "deletions as star forests (no-op unless diameter_mode is set)",
+         "Corollary 2.5"),
+        ("finalize", "assemble the ForestDecompositionResult", ""),
+    ),
+    "list_forest": (
+        ("setup", "resolve α and split the ε budget (ε' = ε/10)", ""),
+        ("split",
+         "vertex-color-splitting of every palette into main Q0 / "
+         "reserve Q1",
+         "Theorem 4.9 / Proposition 4.8"),
+        ("algorithm2", "Algorithm 2 on the main palettes colors E0",
+         "Theorem 4.5"),
+        ("diameter_reduce",
+         "depth-cut φ0's deep trees; deletions join the leftover",
+         "Proposition 2.4"),
+        ("reserve", "LSFD recolors the leftover from the reserve palettes",
+         "Theorem 2.3"),
+        ("combine", "overlay the two phases", "Proposition 4.8"),
+    ),
+    "star_forest": _SECTION5_HEAD + (
+        ("sample", "uniform random α-subsets C(v)", "Lemma 5.2"),
+        ("matchings",
+         "per-vertex H_v matchings (fan-out unit), LLL-resampling "
+         "vertices whose deficit exceeds ⌈2εα⌉",
+         "Lemma 5.2 (distributed LLL)"),
+        ("assemble",
+         "matched slots become ('amr', i) colors; unmatched edges join "
+         "the leftover",
+         ""),
+        ("leftover_recolor",
+         "Theorem 2.1(3) recoloring of the leftover with fresh "
+         "('extra', ...) colors",
+         "Proposition 5.1 / Theorem 2.1(3)"),
+        ("finalize", "assemble the StarForestResult", ""),
+    ),
+    "list_star_forest": _SECTION5_HEAD + (
+        ("sample", "independent (1−ε) color retention per vertex",
+         "Lemma 5.3"),
+        ("matchings",
+         "per-vertex H_v matchings (fan-out unit); must become perfect "
+         "or ConvergenceError",
+         "Lemma 5.3 (distributed LLL)"),
+        ("finalize", "matched slots become palette colors", ""),
+    ),
+    "orientation": _ORIENT_STAGES + (
+        ("finalize", "assemble the OrientationResult", ""),
+    ),
+    "pseudoforest": _ORIENT_STAGES + (
+        ("fold",
+         "group each vertex's out-edges into one pseudoforest per "
+         "out-slot",
+         "Corollary 1.1 companion"),
+        ("finalize", "assemble the PseudoforestResult", ""),
+    ),
+}
 
-    Lists the passes in execution order with their descriptions and
-    paper citations, plus any Las Vegas retry rule — without running
-    anything.  Also available as ``python -m repro describe <task>``.
+#: Lines ``describe`` prints after a task's stages.
+_STAGE_NOTES: Dict[str, str] = {
+    "list_forest": (
+        "retry: on ReservePaletteError restart from 'split' "
+        f"(max {RESERVE_ATTEMPTS} attempts)"
+    ),
+    "list_star_forest": (
+        "method=\"hpartition\" runs Theorem 2.3 directly and records "
+        "no stages"
+    ),
+}
+
+
+def describe(task: str) -> str:
+    """The stages of a registered task, as text.
+
+    Lists the stages in execution order with their descriptions and
+    paper citations, plus list_forest's Las Vegas retry — without
+    running anything.  Also available as
+    ``python -m repro describe <task>``.
     """
     spec = get_task(task)
     lines = [f"task: {spec.name}"]
@@ -127,10 +232,19 @@ def describe(task: str) -> str:
         lines.append(f"  {spec.description}")
     if spec.citation:
         lines.append(f"  [{spec.citation}]")
-    if spec.pipeline is None:
-        lines.append("  (opaque runner: no declared pass pipeline)")
+    stages = TASK_STAGES.get(spec.name)
+    if stages is None:
+        lines.append("  (opaque runner: no declared stages)")
         return "\n".join(lines)
-    return "\n".join(lines) + "\n" + spec.pipeline.describe()
+    lines.append("passes (execution order):")
+    for i, (name, description, citation) in enumerate(stages, start=1):
+        lines.append(f"  {i}. {name}")
+        lines.append(f"       {description}")
+        if citation:
+            lines.append(f"       [{citation}]")
+    if spec.name in _STAGE_NOTES:
+        lines.append(_STAGE_NOTES[spec.name])
+    return "\n".join(lines)
 
 
 def forest_decomposition(

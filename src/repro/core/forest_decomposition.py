@@ -1,4 +1,4 @@
-"""Algorithm 2 and the full (1+ε)α forest-decomposition pipelines
+"""Algorithm 2 and the full (1+ε)α forest decomposition
 (Theorems 4.1, 4.5, 4.6).
 
 ``algorithm2`` is the paper's main loop: a network decomposition of the
@@ -11,8 +11,10 @@ on ``E0`` and a small-pseudo-arboricity leftover ``E1``.
 ``forest_decomposition_algorithm2`` = Theorem 4.6: run Algorithm 2 with
 ordinary palettes ``{0..⌈(1+ε')α⌉-1}``, recolor the leftover with fresh
 colors via Theorem 2.1, and optionally reduce forest diameters via
-Corollary 2.5 (recoloring that pass's deletions as star forests, whose
-diameter is 2).
+Corollary 2.5 (recoloring that stage's deletions as star forests, whose
+diameter is 2).  Each step is a stage function that takes its inputs as
+arguments and returns its outputs; :class:`~repro.pipeline.Scheduler`
+records one :class:`~repro.pipeline.PassStats` per stage.
 
 Locality note: the augmenting search is radius-capped at ``R'``; when a
 cap is too small for the instance (paper constants are asymptotic) the
@@ -54,7 +56,7 @@ from ..decomposition.hpartition import (
     star_forest_decomposition_via_hpartition,
 )
 from ..decomposition.network_decomposition import network_decomposition
-from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler
+from ..pipeline import PassStats, Scheduler
 from .algorithm_stats import TaskStats
 from .augmenting import AugmentationStats, augment_edge
 from .cut import CutController, is_cut_good
@@ -374,155 +376,100 @@ class ForestDecompositionResult(DecompositionResult):
         return max(1, math.ceil((1.0 + self.epsilon) * self.alpha))
 
 
-def _forest_setup(ctx: PipelineContext) -> None:
-    graph = ctx["graph"]
-    alpha = ctx["alpha"]
+def _forest_setup(record: PassStats, graph: MultiGraph,
+                  alpha: Optional[int], epsilon: float):
+    """Resolve α and the ⌈(1+ε/6)α⌉ ordinary palettes; returns
+    ``(alpha, base_colors, palettes)``."""
     if alpha is None:
         alpha = exact_arboricity(graph)
-        ctx["alpha"] = alpha
-    ctx["empty"] = alpha == 0
-    if ctx["empty"]:
-        return
-    eps_prime = ctx["epsilon"] / 6.0
-    base_colors = max(1, math.ceil((1.0 + eps_prime) * alpha))
-    ctx["eps_prime"] = eps_prime
-    ctx["base_colors"] = base_colors
-    ctx["palettes"] = {eid: range(base_colors) for eid in graph.edge_ids()}
-    ctx.note(vertices_touched=graph.n)
+    if alpha == 0:
+        return alpha, 0, {}
+    base_colors = max(1, math.ceil((1.0 + epsilon / 6.0) * alpha))
+    palettes = {eid: range(base_colors) for eid in graph.edge_ids()}
+    record.vertices_touched = graph.n
+    return alpha, base_colors, palettes
 
 
-def _forest_algorithm2(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    counter = ctx.counter
+def _forest_algorithm2(
+    record: PassStats,
+    graph: MultiGraph,
+    palettes: Palettes,
+    epsilon: float,
+    alpha: int,
+    rng,
+    counter: RoundCounter,
+    cut_rule: str,
+    radius: Optional[int],
+    search_radius: Optional[int],
+    carve_rule: str,
+) -> Tuple[Algorithm2Result, Dict[int, int]]:
     with counter.phase("algorithm2"):
         result = algorithm2(
-            ctx["graph"],
-            ctx["palettes"],
-            ctx["eps_prime"],
-            ctx["alpha"],
-            cut_rule=ctx["cut_rule"],
-            radius=ctx["radius"],
-            search_radius=ctx["search_radius"],
-            seed=child_rng(ctx["rng"], "alg2"),
+            graph,
+            palettes,
+            epsilon / 6.0,
+            alpha,
+            cut_rule=cut_rule,
+            radius=radius,
+            search_radius=search_radius,
+            seed=child_rng(rng, "alg2"),
             rounds=counter,
-            carve_rule=ctx["carve_rule"],
+            carve_rule=carve_rule,
         )
-    ctx["alg2"] = result
-    ctx["coloring"] = dict(result.colored)
-    ctx["next_color"] = ctx["base_colors"]
-    ctx["leftover"] = result.leftover
-    ctx.note(reconcile_volume=len(ctx["coloring"]))
+    coloring = dict(result.colored)
+    record.reconcile_volume = len(coloring)
+    return result, coloring
 
 
-def _forest_leftover_recolor(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    counter = ctx.counter
+def _forest_leftover_recolor(
+    record: PassStats,
+    graph: MultiGraph,
+    leftover: List[int],
+    coloring: Dict[int, int],
+    next_color: int,
+    counter: RoundCounter,
+    as_star_forests: bool,
+) -> int:
     with counter.phase("leftover recoloring"):
-        ctx["next_color"] = _recolor_fresh(
-            ctx["graph"], ctx["leftover"], ctx["coloring"],
-            ctx["next_color"], counter,
-            as_star_forests=ctx["diameter_mode"] is not None,
+        next_color = _recolor_fresh(
+            graph, leftover, coloring, next_color, counter,
+            as_star_forests=as_star_forests,
         )
-    ctx.note(reconcile_volume=len(ctx["leftover"]))
+    record.reconcile_volume = len(leftover)
+    return next_color
 
 
-def _forest_diameter_reduce(ctx: PipelineContext) -> None:
-    if ctx["empty"] or ctx["diameter_mode"] is None:
-        return
-    counter = ctx.counter
+def _forest_diameter_reduce(
+    record: PassStats,
+    graph: MultiGraph,
+    coloring: Dict[int, int],
+    next_color: int,
+    epsilon: float,
+    alpha: int,
+    diameter_mode: Optional[str],
+    rng,
+    counter: RoundCounter,
+) -> Dict[int, int]:
+    if diameter_mode is None:
+        return coloring
     with counter.phase("diameter reduction"):
         reduction = reduce_diameter(
-            ctx["graph"],
-            ctx["coloring"],
-            ctx["epsilon"] / 6.0,
-            ctx["alpha"],
-            mode=ctx["diameter_mode"],
-            seed=child_rng(ctx["rng"], "diam"),
+            graph,
+            coloring,
+            epsilon / 6.0,
+            alpha,
+            mode=diameter_mode,
+            seed=child_rng(rng, "diam"),
             rounds=counter,
         )
-        ctx["coloring"] = dict(reduction.kept)
-        ctx["next_color"] = _recolor_fresh(
-            ctx["graph"],
-            reduction.deleted,
-            ctx["coloring"],
-            ctx["next_color"],
-            counter,
+        coloring = dict(reduction.kept)
+        _recolor_fresh(
+            graph, reduction.deleted, coloring, next_color, counter,
             as_star_forests=True,
         )
-    ctx.note(
-        items=len(set(ctx["coloring"].values())),
-        reconcile_volume=len(reduction.deleted),
-    )
-
-
-def _forest_finalize(ctx: PipelineContext) -> None:
-    graph = ctx["graph"]
-    if ctx["empty"]:
-        ctx["result"] = ForestDecompositionResult(
-            graph, {}, 0, ctx["epsilon"], 0, ctx.counter,
-            Algorithm2Stats(), 0,
-        )
-        return
-    coloring = ctx["coloring"]
-    colors_used = len(set(coloring.values()))
-    ctx["result"] = ForestDecompositionResult(
-        graph,
-        coloring,
-        ctx["alpha"],
-        ctx["epsilon"],
-        colors_used,
-        ctx.counter,
-        ctx["alg2"].stats,
-        len(ctx["leftover"]),
-    )
-
-
-#: Theorem 4.6 as a declared pass list (each stage consumes the
-#: previous stage's coloring).
-FOREST_PIPELINE = Pipeline(
-    "forest",
-    [
-        Pass(
-            "setup", _forest_setup,
-            writes=("alpha", "empty", "eps_prime", "base_colors", "palettes"),
-            description="resolve α (Gabow–Westermann exact) and build "
-                        "the (1+ε/6)α ordinary palettes",
-            citation="Theorem 4.6 budget split",
-        ),
-        Pass(
-            "algorithm2", _forest_algorithm2,
-            reads=("graph", "palettes", "eps_prime", "alpha"),
-            writes=("alg2", "coloring", "next_color", "leftover"),
-            description="Algorithm 2: network decomposition schedules "
-                        "cluster balls; CUT + augmenting sequences "
-                        "color E0",
-            citation="Theorem 4.5",
-        ),
-        Pass(
-            "leftover_recolor", _forest_leftover_recolor,
-            reads=("leftover",), writes=("coloring", "next_color"),
-            description="recolor the CUT leftover with fresh colors "
-                        "via an H-partition",
-            citation="Theorem 2.1(4)",
-        ),
-        Pass(
-            "diameter_reduce", _forest_diameter_reduce,
-            reads=("coloring",), writes=("coloring", "next_color"),
-            description="depth-cut every color class at a random "
-                        "residue mod z, recolor deletions as star "
-                        "forests (no-op unless diameter_mode is set)",
-            citation="Corollary 2.5",
-        ),
-        Pass(
-            "finalize", _forest_finalize,
-            reads=("coloring",), writes=("result",),
-            description="assemble the ForestDecompositionResult",
-        ),
-    ],
-    description="Theorem 4.6: (1+ε)α forest decomposition",
-)
+    record.items = len(set(coloring.values()))
+    record.reconcile_volume = len(reduction.deleted)
+    return coloring
 
 
 def forest_decomposition_algorithm2(
@@ -543,29 +490,48 @@ def forest_decomposition_algorithm2(
     ⌈(1+ε')α⌉ colors; the CUT leftover (pseudo-arboricity ≤ ⌈ε'α⌉) is
     recolored with fresh colors via Theorem 2.1(4); with
     ``diameter_mode`` in {"strong", "safe", "auto"} a Corollary 2.5
-    pass then bounds forest diameters, recoloring its own deletions as
+    stage then bounds forest diameters, recoloring its own deletions as
     star forests (diameter 2).
 
-    Executes :data:`FOREST_PIPELINE`; the executed per-pass records
-    land in ``result.stats["passes"]``.
+    Runs the stages ``setup``, ``algorithm2``, ``leftover_recolor``,
+    ``diameter_reduce`` and ``finalize``; their records land in
+    ``result.stats["passes"]``.
     """
     counter = ensure_counter(rounds)
-    ctx = PipelineContext(
-        counter=counter,
-        values={
-            "graph": graph,
-            "epsilon": epsilon,
-            "alpha": alpha,
-            "cut_rule": cut_rule,
-            "diameter_mode": diameter_mode,
-            "rng": make_rng(seed),
-            "radius": radius,
-            "search_radius": search_radius,
-            "carve_rule": carve_rule,
-        },
+    rng = make_rng(seed)
+    scheduler = Scheduler(counter)
+    alpha, base_colors, palettes = scheduler.stage(
+        "setup", _forest_setup, graph, alpha, epsilon,
     )
-    result = Scheduler().run(FOREST_PIPELINE, ctx)
-    result.stats.passes = ctx.pass_stats
+    if alpha == 0:
+        result = ForestDecompositionResult(
+            graph, {}, 0, epsilon, 0, counter, Algorithm2Stats(), 0,
+        )
+        result.stats.passes = scheduler.passes
+        return result
+    alg2, coloring = scheduler.stage(
+        "algorithm2", _forest_algorithm2, graph, palettes, epsilon, alpha,
+        rng, counter, cut_rule=cut_rule, radius=radius,
+        search_radius=search_radius, carve_rule=carve_rule,
+    )
+    leftover = alg2.leftover
+    next_color = scheduler.stage(
+        "leftover_recolor", _forest_leftover_recolor, graph, leftover,
+        coloring, base_colors, counter,
+        as_star_forests=diameter_mode is not None,
+    )
+    coloring = scheduler.stage(
+        "diameter_reduce", _forest_diameter_reduce, graph, coloring,
+        next_color, epsilon, alpha, diameter_mode, rng, counter,
+    )
+    result = scheduler.stage(
+        "finalize",
+        lambda _record: ForestDecompositionResult(
+            graph, coloring, alpha, epsilon, len(set(coloring.values())),
+            counter, alg2.stats, len(leftover),
+        ),
+    )
+    result.stats.passes = scheduler.passes
     return result
 
 

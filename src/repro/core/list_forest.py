@@ -1,6 +1,6 @@
 """(1+ε)α list-forest decomposition (Theorem 4.10).
 
-Pipeline (declared as :data:`LIST_FOREST_PIPELINE`):
+Stages, in order:
 
 1. **Split** each edge's palette into ``Q0`` (main) and ``Q1``
    (reserve) with a vertex-color-splitting (Theorem 4.9), so that the
@@ -13,22 +13,21 @@ Pipeline (declared as :data:`LIST_FOREST_PIPELINE`):
    palettes ``Q1`` (stars are forests, so this is a valid LFD part).
 5. **Combine** by Proposition 4.8.
 
-A :class:`~repro.pipeline.pipeline.RetryRule` encodes the Las Vegas
-loop: an empty reserve palette (:class:`~repro.errors.
-ReservePaletteError`) restarts from the split pass with the same RNG
-stream, exactly as the historical retry loop did.
+The Las Vegas loop: an empty reserve palette (:class:`~repro.errors.
+ReservePaletteError`) restarts from the split stage with the same RNG
+stream, at most :data:`RESERVE_ATTEMPTS` attempts in all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import DecompositionError, ReservePaletteError
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
 from ..nashwilliams.pseudoarboricity import exact_pseudoarboricity
-from ..pipeline import Pass, Pipeline, PipelineContext, RetryRule, Scheduler
+from ..pipeline import PassStats, Scheduler
 from ..rng import SeedLike, child_rng, make_rng
 from ..decomposition.lsfd import list_star_forest_decomposition
 from .algorithm_stats import ListForestStats
@@ -68,170 +67,135 @@ class ListForestDecompositionResult(DecompositionResult):
         self.graph = graph
 
 
-def _lf_setup(ctx: PipelineContext) -> None:
-    graph = ctx["graph"]
-    ctx["stats"] = ListForestStats()
-    ctx["empty"] = graph.m == 0
-    if ctx["empty"]:
-        return
-    if ctx["alpha"] is None:
-        ctx["alpha"] = exact_arboricity(graph)
+#: Attempts at the split → reserve stages before an empty reserve
+#: palette is re-raised (Theorem 4.9 holds only w.h.p.).
+RESERVE_ATTEMPTS = 5
+
+
+def _lf_setup(record: PassStats, graph: MultiGraph, alpha: Optional[int],
+              epsilon: float) -> Tuple[int, float]:
+    """Resolve α and split the ε budget; returns ``(alpha, ε')``."""
+    if alpha is None:
+        alpha = exact_arboricity(graph)
     # The paper splits ε very conservatively (ε/1000) so the reserve
     # palettes dominate the leftover's pseudo-arboricity; ε/10 keeps the
     # same inequality direction at practical scales (PaletteError makes
     # any violation loud rather than silent).
-    ctx["eps_prime"] = ctx["epsilon"] / 10.0
+    return alpha, epsilon / 10.0
 
 
-def _lf_split(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    counter = ctx.counter
+def _lf_split(
+    record: PassStats,
+    graph: MultiGraph,
+    palettes: Palettes,
+    epsilon: float,
+    splitting: str,
+    reserve_probability: Optional[float],
+    rng,
+    stats: ListForestStats,
+    counter: RoundCounter,
+) -> VertexColorSplitting:
     with counter.phase("color splitting"):
         split = _make_splitting(
-            ctx["graph"], ctx["palettes"], ctx["epsilon"],
-            ctx["splitting"], ctx["reserve_probability"], ctx["rng"],
+            graph, palettes, epsilon, splitting, reserve_probability, rng,
             counter,
         )
-    ctx["split"] = split
-    ctx["stats"].k0 = split.k0
-    ctx["stats"].k1 = split.k1
-    ctx.note(vertices_touched=ctx["graph"].n)
+    stats.k0 = split.k0
+    stats.k1 = split.k1
+    record.vertices_touched = graph.n
+    return split
 
 
-def _lf_algorithm2(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    counter = ctx.counter
+def _lf_algorithm2(
+    record: PassStats,
+    graph: MultiGraph,
+    palettes: Palettes,
+    eps_prime: float,
+    alpha: int,
+    rng,
+    stats: ListForestStats,
+    counter: RoundCounter,
+    cut_rule: str,
+    radius: Optional[int],
+    search_radius: Optional[int],
+) -> Tuple[Dict[int, int], Set[int]]:
+    """Algorithm 2 on the main palettes; returns ``(φ0, leftover)``."""
     with counter.phase("algorithm2"):
         result = algorithm2(
-            ctx["graph"],
-            ctx["split"].palettes_0,
-            ctx["eps_prime"],
-            ctx["alpha"],
-            cut_rule=ctx["cut_rule"],
-            radius=ctx["radius"],
-            search_radius=ctx["search_radius"],
-            seed=child_rng(ctx["rng"], "alg2"),
+            graph,
+            palettes,
+            eps_prime,
+            alpha,
+            cut_rule=cut_rule,
+            radius=radius,
+            search_radius=search_radius,
+            seed=child_rng(rng, "alg2"),
             rounds=counter,
         )
-    ctx["coloring_0"] = dict(result.colored)
-    ctx["leftover"] = set(result.leftover)
-    ctx["stats"].algorithm2 = result.stats
-    ctx.note(reconcile_volume=len(ctx["coloring_0"]))
+    coloring_0 = dict(result.colored)
+    stats.algorithm2 = result.stats
+    record.reconcile_volume = len(coloring_0)
+    return coloring_0, set(result.leftover)
 
 
-def _lf_diameter_reduce(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    counter = ctx.counter
+def _lf_diameter_reduce(
+    record: PassStats,
+    graph: MultiGraph,
+    coloring_0: Dict[int, int],
+    leftover: Set[int],
+    eps_prime: float,
+    alpha: int,
+    rng,
+    stats: ListForestStats,
+    counter: RoundCounter,
+) -> Dict[int, int]:
+    """Depth-cut φ0's deep trees; the deletions join ``leftover``."""
     with counter.phase("diameter reduction"):
         reduction = reduce_diameter(
-            ctx["graph"],
-            ctx["coloring_0"],
-            ctx["eps_prime"],
-            ctx["alpha"],
+            graph,
+            coloring_0,
+            eps_prime,
+            alpha,
             mode="auto",
-            seed=child_rng(ctx["rng"], "diam"),
+            seed=child_rng(rng, "diam"),
             rounds=counter,
         )
-    ctx["coloring_0"] = dict(reduction.kept)
-    ctx["leftover"].update(reduction.deleted)
-    ctx["stats"].leftover_size = len(ctx["leftover"])
-    ctx.note(
-        items=len(set(ctx["coloring_0"].values())),
-        reconcile_volume=len(reduction.deleted),
-    )
+    coloring_0 = dict(reduction.kept)
+    leftover.update(reduction.deleted)
+    stats.leftover_size = len(leftover)
+    record.items = len(set(coloring_0.values()))
+    record.reconcile_volume = len(reduction.deleted)
+    return coloring_0
 
 
-def _lf_reserve(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        ctx["coloring_1"] = {}
-        return
-    counter = ctx.counter
+def _lf_reserve(
+    record: PassStats,
+    graph: MultiGraph,
+    leftover: Set[int],
+    reserve_palettes: Palettes,
+    counter: RoundCounter,
+) -> Dict[int, int]:
     with counter.phase("reserve LSFD"):
-        ctx["coloring_1"] = _reserve_lsfd(
-            ctx["graph"], sorted(ctx["leftover"]),
-            ctx["split"].palettes_1, counter,
+        coloring_1 = _reserve_lsfd(
+            graph, sorted(leftover), reserve_palettes, counter,
         )
-    ctx.note(reconcile_volume=len(ctx["coloring_1"]))
+    record.reconcile_volume = len(coloring_1)
+    return coloring_1
 
 
-def _lf_combine(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        ctx["result"] = ListForestDecompositionResult(
-            {}, ctx.counter, ctx["stats"], graph=ctx["graph"]
-        )
-        return
-    combined = combine_colorings(ctx["coloring_0"], ctx["coloring_1"])
-    ctx["result"] = ListForestDecompositionResult(
-        combined, ctx.counter, ctx["stats"], graph=ctx["graph"]
+def _lf_combine(
+    record: PassStats,
+    graph: MultiGraph,
+    coloring_0: Dict[int, int],
+    coloring_1: Dict[int, int],
+    counter: RoundCounter,
+    stats: ListForestStats,
+) -> ListForestDecompositionResult:
+    combined = combine_colorings(coloring_0, coloring_1)
+    record.reconcile_volume = len(combined)
+    return ListForestDecompositionResult(
+        combined, counter, stats, graph=graph
     )
-    ctx.note(reconcile_volume=len(combined))
-
-
-def _lf_on_retry(ctx: PipelineContext) -> None:
-    # Theorem 4.9 guarantees nonempty reserve palettes only w.h.p.;
-    # the retry (fresh draws from the same parent stream) converts
-    # that to Las Vegas.  The first attempt consumes the stream
-    # exactly like a retry-free run, so seeds reproduce their
-    # historical outputs.
-    ctx["stats"].reserve_retries += 1
-
-
-#: Theorem 4.10 as a declared pass list with a Las Vegas retry rule.
-LIST_FOREST_PIPELINE = Pipeline(
-    "list_forest",
-    [
-        Pass(
-            "setup", _lf_setup,
-            writes=("stats", "empty", "alpha", "eps_prime"),
-            description="resolve α and split the ε budget (ε' = ε/10)",
-        ),
-        Pass(
-            "split", _lf_split,
-            reads=("palettes",), writes=("split", "stats"),
-            description="vertex-color-splitting of every palette into "
-                        "main Q0 / reserve Q1",
-            citation="Theorem 4.9 / Proposition 4.8",
-        ),
-        Pass(
-            "algorithm2", _lf_algorithm2,
-            reads=("split", "alpha"),
-            writes=("coloring_0", "leftover", "stats"),
-            description="Algorithm 2 on the main palettes colors E0",
-            citation="Theorem 4.5",
-        ),
-        Pass(
-            "diameter_reduce", _lf_diameter_reduce,
-            reads=("coloring_0",),
-            writes=("coloring_0", "leftover", "stats"),
-            description="depth-cut φ0's deep trees; deletions join the "
-                        "leftover",
-            citation="Proposition 2.4",
-        ),
-        Pass(
-            "reserve", _lf_reserve,
-            reads=("leftover", "split"), writes=("coloring_1",),
-            description="LSFD recolors the leftover from the reserve "
-                        "palettes",
-            citation="Theorem 2.3",
-        ),
-        Pass(
-            "combine", _lf_combine,
-            reads=("coloring_0", "coloring_1"), writes=("result",),
-            description="overlay the two phases",
-            citation="Proposition 4.8",
-        ),
-    ],
-    description="Theorem 4.10: (1+ε)α list-forest decomposition",
-    retry=RetryRule(
-        exceptions=(ReservePaletteError,),
-        from_pass="split",
-        max_attempts=5,
-        on_retry=_lf_on_retry,
-    ),
-)
 
 
 def list_forest_decomposition(
@@ -254,28 +218,53 @@ def list_forest_decomposition(
     (α ≥ Ω(log n) regime) or ``"independent"`` (ε²α ≥ Ω(log Δ) regime,
     LLL-based).
 
-    Executes :data:`LIST_FOREST_PIPELINE`; the executed per-pass
-    records (including any Las Vegas retries) land in
-    ``result.stats["passes"]``.
+    Runs the stages ``setup``, ``split``, ``algorithm2``,
+    ``diameter_reduce``, ``reserve`` and ``combine``; their records
+    (including any Las Vegas retries) land in ``result.stats["passes"]``.
     """
     counter = ensure_counter(rounds)
-    ctx = PipelineContext(
-        counter=counter,
-        values={
-            "graph": graph,
-            "palettes": palettes,
-            "epsilon": epsilon,
-            "alpha": alpha,
-            "splitting": splitting,
-            "cut_rule": cut_rule,
-            "reserve_probability": reserve_probability,
-            "rng": make_rng(seed),
-            "radius": radius,
-            "search_radius": search_radius,
-        },
+    rng = make_rng(seed)
+    stats = ListForestStats()
+    if graph.m == 0:
+        return ListForestDecompositionResult({}, counter, stats, graph=graph)
+    scheduler = Scheduler(counter)
+    alpha, eps_prime = scheduler.stage(
+        "setup", _lf_setup, graph, alpha, epsilon,
     )
-    result = Scheduler().run(LIST_FOREST_PIPELINE, ctx)
-    result.stats.passes = ctx.pass_stats
+    for attempt in range(1, RESERVE_ATTEMPTS + 1):
+        try:
+            split = scheduler.stage(
+                "split", _lf_split, graph, palettes, epsilon, splitting,
+                reserve_probability, rng, stats, counter,
+            )
+            coloring_0, leftover = scheduler.stage(
+                "algorithm2", _lf_algorithm2, graph, split.palettes_0,
+                eps_prime, alpha, rng, stats, counter, cut_rule=cut_rule,
+                radius=radius, search_radius=search_radius,
+            )
+            coloring_0 = scheduler.stage(
+                "diameter_reduce", _lf_diameter_reduce, graph, coloring_0,
+                leftover, eps_prime, alpha, rng, stats, counter,
+            )
+            coloring_1 = scheduler.stage(
+                "reserve", _lf_reserve, graph, leftover, split.palettes_1,
+                counter,
+            )
+            break
+        except ReservePaletteError:
+            if attempt == RESERVE_ATTEMPTS:
+                raise
+            # Theorem 4.9 guarantees nonempty reserve palettes only
+            # w.h.p.; a retry (fresh draws from the same parent stream)
+            # converts that to Las Vegas.  The first attempt consumes
+            # the stream exactly like a retry-free run, so seeds
+            # reproduce their historical outputs.
+            stats.reserve_retries += 1
+    result = scheduler.stage(
+        "combine", _lf_combine, graph, coloring_0, coloring_1, counter,
+        stats,
+    )
+    stats.passes = scheduler.passes
     return result
 
 

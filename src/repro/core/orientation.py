@@ -11,14 +11,10 @@ Also provided: the (2+ε)α*-orientation baseline from the H-partition
 (Theorem 2.1(2)) and the exact flow-based witness, so benches can
 compare all three.
 
-Both registry tasks run as declared pass lists
-(:data:`ORIENTATION_PIPELINE`, :data:`PSEUDOFOREST_PIPELINE`): a
-``decompose`` pass producing the substrate (forest decomposition,
-H-partition, or nothing for the exact witness), an ``orient`` pass
-converting it, and for pseudoforests a ``fold`` pass grouping the
-out-edges.  The augmentation orient step fans the per-color tree
-rootings out through ``ctx.fan_out`` — rooting consumes no randomness,
-so the reconciled orientation does not depend on execution order.
+Both registry tasks run the same stage functions: ``decompose``
+produces the substrate (forest decomposition, H-partition, or nothing
+for the exact witness), ``orient`` converts it, and for pseudoforests
+a ``fold`` stage groups the out-edges.
 """
 
 from __future__ import annotations
@@ -36,7 +32,7 @@ from ..nashwilliams.pseudoarboricity import (
     orientation_exists,
     pseudoforest_decomposition_from_orientation,
 )
-from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler
+from ..pipeline import PassStats, Scheduler
 from ..rng import SeedLike
 from ..decomposition.hpartition import (
     acyclic_orientation,
@@ -54,8 +50,7 @@ ORIENTATION_METHODS = ("augmentation", "hpartition", "exact")
 
 def _class_parent_arrays(snapshot, eids):
     """Root one color class; returns the (parent edge id, child vertex
-    id) arrays plus the tree depth — pure per-class work, fanned out by
-    the orient pass."""
+    id) arrays plus the tree depth."""
     forest = rooted_forest_arrays(snapshot, eids)
     children = forest.parent_eid >= 0
     return (
@@ -69,32 +64,19 @@ def orientation_from_forest_decomposition(
     graph: MultiGraph,
     coloring: Dict[int, int],
     rounds: Optional[RoundCounter] = None,
-    ctx: Optional[PipelineContext] = None,
 ) -> Orientation:
     """Orient every edge toward its tree root (Corollary 1.1 step).
 
     Out-degree is bounded by the number of colors.  Charges O(D) rounds
     where D is the largest tree diameter (the paper's conversion cost).
-    Given a pipeline ``ctx``, the per-color rootings fan out through
-    ``ctx.fan_out`` (reconciled in sorted color order).
+    Color classes are rooted one at a time, in sorted color order.
     """
     counter = ensure_counter(rounds)
     snapshot = snapshot_of(graph)
-    classes = sorted(color_classes(coloring).items())
-    if ctx is not None:
-        per_class = ctx.fan_out(
-            [
-                (lambda eids=eids: _class_parent_arrays(snapshot, eids))
-                for _color, eids in classes
-            ]
-        )
-    else:
-        per_class = [
-            _class_parent_arrays(snapshot, eids) for _color, eids in classes
-        ]
     orientation: Orientation = {}
     worst_depth = 0
-    for parent_eids, child_ids, depth in per_class:
+    for _color, eids in sorted(color_classes(coloring).items()):
+        parent_eids, child_ids, depth = _class_parent_arrays(snapshot, eids)
         worst_depth = max(worst_depth, depth)
         # tail = child; edge points to parent
         orientation.update(zip(parent_eids.tolist(), child_ids.tolist()))
@@ -103,163 +85,17 @@ def orientation_from_forest_decomposition(
 
 
 # ----------------------------------------------------------------------
-# Corollary 1.1 as a pass list
+# Corollary 1.1 as stage functions
 # ----------------------------------------------------------------------
 
 
-def _or_setup(ctx: PipelineContext) -> None:
-    if ctx["method"] not in ORIENTATION_METHODS:
-        raise DecompositionError(
-            f"unknown orientation method {ctx['method']!r}"
-        )
-    ctx["stats"] = TaskStats()
+def _or_setup(record: PassStats, method: str) -> None:
+    if method not in ORIENTATION_METHODS:
+        raise DecompositionError(f"unknown orientation method {method!r}")
 
 
-def _or_decompose(ctx: PipelineContext) -> None:
-    graph = ctx["graph"]
-    method = ctx["method"]
-    if method == "augmentation":
-        result = forest_decomposition_algorithm2(
-            graph,
-            ctx["epsilon"],
-            alpha=ctx["alpha"],
-            diameter_mode="auto",
-            seed=ctx["seed"],
-            rounds=ctx.counter,
-        )
-        ctx["forest_result"] = result
-        ctx["bound"] = result.colors_used
-        ctx.note(reconcile_volume=len(result.coloring))
-    elif method == "hpartition":
-        pseudo = ctx["pseudoarboricity"]
-        if pseudo is None:
-            pseudo = exact_pseudoarboricity(graph)
-        threshold = max(1, default_threshold(pseudo, ctx["epsilon"]))
-        snapshot = snapshot_of(graph)
-        ctx["partition"] = h_partition(
-            graph, threshold, ctx.counter, snapshot=snapshot,
-        )
-        ctx["snapshot"] = snapshot
-        ctx["bound"] = threshold
-        ctx.note(vertices_touched=graph.n)
-    # "exact" needs no substrate — the orient pass computes the witness.
-
-
-def _or_orient(ctx: PipelineContext) -> None:
-    graph = ctx["graph"]
-    method = ctx["method"]
-    if method == "augmentation":
-        ctx["orientation"] = orientation_from_forest_decomposition(
-            graph, ctx["forest_result"].coloring, ctx.counter, ctx=ctx
-        )
-    elif method == "hpartition":
-        ctx["orientation"] = acyclic_orientation(
-            graph, ctx["partition"], ctx.counter, snapshot=ctx["snapshot"],
-        )
-    else:  # exact
-        from ..nashwilliams.arboricity import exact_arboricity
-
-        alpha = ctx["alpha"]
-        if alpha is None:
-            alpha = exact_arboricity(graph)
-        bound = max(1, math.ceil((1.0 + ctx["epsilon"]) * max(alpha, 1)))
-        witness = orientation_exists(graph, bound)
-        if witness is None:
-            raise DecompositionError(
-                f"no {bound}-orientation exists (alpha underestimated?)"
-            )
-        ctx.counter.charge(1, "exact orientation (centralized witness)")
-        ctx["orientation"] = witness
-        ctx["bound"] = bound
-    ctx.note(reconcile_volume=len(ctx["orientation"]))
-
-
-def _or_finalize(ctx: PipelineContext) -> None:
-    ctx["result"] = OrientationResult(
-        ctx["orientation"], ctx["bound"], rounds=ctx.counter,
-        stats=ctx["stats"], graph=ctx["graph"],
-    )
-
-
-def _pf_fold(ctx: PipelineContext) -> None:
-    ctx["pf_coloring"] = pseudoforest_decomposition_from_orientation(
-        ctx["graph"], ctx["orientation"]
-    )
-    ctx.note(reconcile_volume=len(ctx["pf_coloring"]))
-
-
-def _pf_finalize(ctx: PipelineContext) -> None:
-    ctx["result"] = PseudoforestResult(
-        ctx["pf_coloring"], ctx["bound"], rounds=ctx.counter,
-        stats=ctx["stats"], graph=ctx["graph"],
-    )
-
-
-_ORIENT_PASSES = [
-    Pass(
-        "setup", _or_setup,
-        writes=("stats",),
-        description="validate the method selection",
-    ),
-    Pass(
-        "decompose", _or_decompose,
-        writes=(
-            "forest_result", "partition", "bound", "snapshot",
-        ),
-        description="produce the substrate: Algorithm 2 forests "
-                    "(augmentation), H-partition (hpartition), or "
-                    "nothing (exact)",
-        citation="Theorem 4.6 / Theorem 2.1(2)",
-    ),
-    Pass(
-        "orient", _or_orient,
-        reads=("forest_result", "partition"),
-        writes=("orientation", "bound"),
-        description="point every edge at its parent / peel level / "
-                    "flow witness; per-color rootings are the fan-out "
-                    "unit",
-        citation="Corollary 1.1",
-    ),
-]
-
-#: Corollary 1.1 as a declared pass list.
-ORIENTATION_PIPELINE = Pipeline(
-    "orientation",
-    _ORIENT_PASSES + [
-        Pass(
-            "finalize", _or_finalize,
-            reads=("orientation", "bound"), writes=("result",),
-            description="assemble the OrientationResult",
-        ),
-    ],
-    description="Corollary 1.1: (1+ε)α low out-degree orientation",
-)
-
-#: The pseudoforest companion rides on the orientation passes and adds
-#: a fold: out-edges of one vertex share a pseudoforest index.
-PSEUDOFOREST_PIPELINE = Pipeline(
-    "pseudoforest",
-    _ORIENT_PASSES + [
-        Pass(
-            "fold", _pf_fold,
-            reads=("orientation",), writes=("pf_coloring",),
-            description="group each vertex's out-edges into one "
-                        "pseudoforest per out-slot",
-            citation="Corollary 1.1 companion",
-        ),
-        Pass(
-            "finalize", _pf_finalize,
-            reads=("pf_coloring", "bound"), writes=("result",),
-            description="assemble the PseudoforestResult",
-        ),
-    ],
-    description="Corollary 1.1 companion: (1+ε)α pseudoforest "
-                "decomposition",
-)
-
-
-def _run_orientation_pipeline(
-    pipeline: Pipeline,
+def _or_decompose(
+    record: PassStats,
     graph: MultiGraph,
     epsilon: float,
     alpha: Optional[int],
@@ -268,19 +104,114 @@ def _run_orientation_pipeline(
     counter: RoundCounter,
     pseudoarboricity: Optional[int],
 ):
-    ctx = PipelineContext(
-        counter=counter,
-        values={
-            "graph": graph,
-            "epsilon": epsilon,
-            "alpha": alpha,
-            "method": method,
-            "seed": seed,
-            "pseudoarboricity": pseudoarboricity,
-        },
+    """The substrate the orient stage converts, and its out-degree
+    bound: Algorithm 2 forests (augmentation), an H-partition with its
+    snapshot (hpartition), or nothing (exact)."""
+    if method == "augmentation":
+        result = forest_decomposition_algorithm2(
+            graph, epsilon, alpha=alpha, diameter_mode="auto", seed=seed,
+            rounds=counter,
+        )
+        record.reconcile_volume = len(result.coloring)
+        return result, result.colors_used
+    if method == "hpartition":
+        if pseudoarboricity is None:
+            pseudoarboricity = exact_pseudoarboricity(graph)
+        threshold = max(1, default_threshold(pseudoarboricity, epsilon))
+        snapshot = snapshot_of(graph)
+        partition = h_partition(graph, threshold, counter, snapshot=snapshot)
+        record.vertices_touched = graph.n
+        return (partition, snapshot), threshold
+    # "exact" needs no substrate — the orient stage computes the witness.
+    return None, None
+
+
+def _or_orient(
+    record: PassStats,
+    graph: MultiGraph,
+    epsilon: float,
+    alpha: Optional[int],
+    method: str,
+    substrate,
+    bound: Optional[int],
+    counter: RoundCounter,
+) -> Tuple[Orientation, int]:
+    if method == "augmentation":
+        orientation = orientation_from_forest_decomposition(
+            graph, substrate.coloring, counter,
+        )
+        record.items = substrate.colors_used
+    elif method == "hpartition":
+        partition, snapshot = substrate
+        orientation = acyclic_orientation(
+            graph, partition, counter, snapshot=snapshot,
+        )
+    else:  # exact
+        from ..nashwilliams.arboricity import exact_arboricity
+
+        if alpha is None:
+            alpha = exact_arboricity(graph)
+        bound = max(1, math.ceil((1.0 + epsilon) * max(alpha, 1)))
+        orientation = orientation_exists(graph, bound)
+        if orientation is None:
+            raise DecompositionError(
+                f"no {bound}-orientation exists (alpha underestimated?)"
+            )
+        counter.charge(1, "exact orientation (centralized witness)")
+    record.reconcile_volume = len(orientation)
+    return orientation, bound
+
+
+def _pf_fold(
+    record: PassStats, graph: MultiGraph, orientation: Orientation,
+) -> Dict[int, int]:
+    """Group each vertex's out-edges into one pseudoforest per slot."""
+    coloring = pseudoforest_decomposition_from_orientation(graph, orientation)
+    record.reconcile_volume = len(coloring)
+    return coloring
+
+
+def _run_orientation_stages(
+    graph: MultiGraph,
+    epsilon: float,
+    alpha: Optional[int],
+    method: str,
+    seed: SeedLike,
+    rounds: Optional[RoundCounter],
+    pseudoarboricity: Optional[int],
+    fold: bool,
+):
+    """``setup``, ``decompose``, ``orient``, then ``finalize`` — with a
+    ``fold`` stage before it for the pseudoforest companion."""
+    counter = ensure_counter(rounds)
+    scheduler = Scheduler(counter)
+    stats = TaskStats()
+    scheduler.stage("setup", _or_setup, method)
+    substrate, bound = scheduler.stage(
+        "decompose", _or_decompose, graph, epsilon, alpha, method, seed,
+        counter, pseudoarboricity,
     )
-    result = Scheduler().run(pipeline, ctx)
-    result.stats.passes = ctx.pass_stats
+    orientation, bound = scheduler.stage(
+        "orient", _or_orient, graph, epsilon, alpha, method, substrate,
+        bound, counter,
+    )
+    if fold:
+        coloring = scheduler.stage("fold", _pf_fold, graph, orientation)
+        result = scheduler.stage(
+            "finalize",
+            lambda _record: PseudoforestResult(
+                coloring, bound, rounds=counter, stats=stats, graph=graph,
+            ),
+        )
+    else:
+        result = scheduler.stage(
+            "finalize",
+            lambda _record: OrientationResult(
+                orientation, bound, rounds=counter, stats=stats,
+                graph=graph,
+            ),
+        )
+    stats.passes = scheduler.passes
     return result
 
 
@@ -293,17 +224,15 @@ def orientation_decomposition(
     rounds: Optional[RoundCounter] = None,
     pseudoarboricity: Optional[int] = None,
 ) -> OrientationResult:
-    """Corollary 1.1 as a protocol result: runs
-    :data:`ORIENTATION_PIPELINE` and returns the
-    :class:`~repro.core.results.OrientationResult` (per-pass records in
+    """Corollary 1.1 as a protocol result: returns the
+    :class:`~repro.core.results.OrientationResult` (per-stage records in
     ``result.stats["passes"]``).  See :func:`low_outdegree_orientation`
     for the knobs; that wrapper unwraps this result into the historical
     ``(orientation, bound)`` tuple.
     """
-    counter = ensure_counter(rounds)
-    return _run_orientation_pipeline(
-        ORIENTATION_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, pseudoarboricity,
+    return _run_orientation_stages(
+        graph, epsilon, alpha, method, seed, rounds, pseudoarboricity,
+        fold=False,
     )
 
 
@@ -316,14 +245,12 @@ def pseudoforest_decomposition_result(
     rounds: Optional[RoundCounter] = None,
     pseudoarboricity: Optional[int] = None,
 ) -> PseudoforestResult:
-    """The pseudoforest companion of Corollary 1.1: runs
-    :data:`PSEUDOFOREST_PIPELINE` (the orientation passes plus the
-    fold) and returns the :class:`~repro.core.results.
+    """The pseudoforest companion of Corollary 1.1: the orientation
+    stages plus a ``fold``; returns the :class:`~repro.core.results.
     PseudoforestResult`."""
-    counter = ensure_counter(rounds)
-    return _run_orientation_pipeline(
-        PSEUDOFOREST_PIPELINE, graph, epsilon, alpha, method, seed,
-        counter, pseudoarboricity,
+    return _run_orientation_stages(
+        graph, epsilon, alpha, method, seed, rounds, pseudoarboricity,
+        fold=True,
     )
 
 

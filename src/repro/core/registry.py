@@ -51,11 +51,6 @@ class TaskSpec:
     #: "pseudoarboricity") — also documentation of what Session caching
     #: saves on repeated queries
     uses: Tuple[str, ...] = ()
-    #: the declared :class:`~repro.pipeline.pipeline.Pipeline` the
-    #: runner executes (None for opaque third-party runners); this is
-    #: what ``repro.describe(task)`` prints — the runner stays the
-    #: entry point, the pipeline is its declared structure
-    pipeline: Optional[Any] = None
     #: optional incremental refresher consumed by the delta engine
     #: (:meth:`repro.core.session.Session.apply_delta`):
     #: ``delta(session, watch, info) -> DecompositionResult | None``,

@@ -40,14 +40,9 @@ from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
 from ..nashwilliams.pseudoarboricity import exact_pseudoarboricity
 from .config import DecompositionConfig
-from .forest_decomposition import (
-    FOREST_PIPELINE,
-    forest_decomposition_algorithm2,
-)
-from .list_forest import LIST_FOREST_PIPELINE, list_forest_decomposition
+from .forest_decomposition import forest_decomposition_algorithm2
+from .list_forest import list_forest_decomposition
 from .orientation import (
-    ORIENTATION_PIPELINE,
-    PSEUDOFOREST_PIPELINE,
     orientation_decomposition,
     pseudoforest_decomposition_result,
 )
@@ -59,8 +54,6 @@ from .registry import (
 )
 from .results import DecompositionResult, OrientationResult, PseudoforestResult
 from .star_forest import (
-    LIST_STAR_FOREST_PIPELINE,
-    STAR_FOREST_PIPELINE,
     StarForestResult,
     list_star_forest_decomposition_amr,
     star_forest_decomposition_amr,
@@ -517,7 +510,6 @@ def _run_pseudoforest(
 register_task(TaskSpec(
     name="forest",
     runner=_run_forest,
-    pipeline=FOREST_PIPELINE,
     description="(1+eps)alpha forest decomposition of a multigraph",
     citation="Theorem 4.6",
     default_epsilon=0.5,
@@ -526,7 +518,6 @@ register_task(TaskSpec(
 register_task(TaskSpec(
     name="list_forest",
     runner=_run_list_forest,
-    pipeline=LIST_FOREST_PIPELINE,
     description="(1+eps)alpha list-forest decomposition",
     citation="Theorem 4.10",
     default_epsilon=0.5,
@@ -536,7 +527,6 @@ register_task(TaskSpec(
 register_task(TaskSpec(
     name="star_forest",
     runner=_run_star_forest,
-    pipeline=STAR_FOREST_PIPELINE,
     description="(1+O(eps))alpha star-forest decomposition (simple graphs)",
     citation="Theorem 5.4(1)",
     default_epsilon=0.25,
@@ -546,7 +536,6 @@ register_task(TaskSpec(
 register_task(TaskSpec(
     name="list_star_forest",
     runner=_run_list_star_forest,
-    pipeline=LIST_STAR_FOREST_PIPELINE,
     description="list star-forest decomposition (simple graphs)",
     citation="Theorem 5.4(2) / Theorem 2.3",
     default_epsilon=0.05,
@@ -557,7 +546,6 @@ register_task(TaskSpec(
 register_task(TaskSpec(
     name="orientation",
     runner=_run_orientation,
-    pipeline=ORIENTATION_PIPELINE,
     description="(1+eps)alpha low out-degree orientation",
     citation="Corollary 1.1",
     default_epsilon=0.5,
@@ -566,7 +554,6 @@ register_task(TaskSpec(
 register_task(TaskSpec(
     name="pseudoforest",
     runner=_run_pseudoforest,
-    pipeline=PSEUDOFOREST_PIPELINE,
     description="(1+eps)alpha pseudoforest decomposition",
     citation="Corollary 1.1 companion",
     default_epsilon=0.5,

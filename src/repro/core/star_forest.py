@@ -14,11 +14,11 @@ list variant.  Unmatched edges are recolored via Theorem 2.1(3)
 (ordinary) — Proposition 5.1 bounds their pseudo-arboricity by the
 matching deficit.
 
-Both variants are declared pass lists (:data:`STAR_FOREST_PIPELINE`,
-:data:`LIST_STAR_FOREST_PIPELINE`).  The per-vertex ``H_v`` matchings
-are the natural fan-out unit: each LLL round maps the independent
-matchings through ``ctx.fan_out`` (the color-set draws stay in the
-single RNG stream, and matchings consume no randomness).
+Both variants run as stage functions (``setup``, ``orient``,
+``sample``, ``matchings``, then ``assemble`` and ``leftover_recolor``
+for the ordinary variant, then ``finalize``).  Each LLL round solves
+the per-vertex ``H_v`` matchings in vertex order; the color-set draws
+stay in the single RNG stream, and matchings consume no randomness.
 
 Baselines for Corollary 1.2 are also here:
 :func:`two_coloring_star_forests` (the classical ``αstar ≤ 2α``) and
@@ -41,7 +41,7 @@ from ..nashwilliams.pseudoarboricity import (
     exact_pseudoarboricity,
     orientation_exists,
 )
-from ..pipeline import Pass, Pipeline, PipelineContext, Scheduler
+from ..pipeline import PassStats, Scheduler
 from ..rng import SeedLike, make_rng
 from ..decomposition.hpartition import (
     h_partition,
@@ -142,8 +142,8 @@ def _sf_vertex_matching(
     ``(slot -> color, deficit, dummy slots)``.
 
     Slots are indices into ``sorted(out_edges[v])`` plus dummy padding
-    to ``t``.  Pure per-vertex work — no shared-state mutation and no
-    RNG draws — so the LLL round can fan these out concurrently.
+    to ``t``.  Pure per-vertex work: no shared-state mutation and no
+    RNG draws.
     """
     slots: List[Optional[int]] = []
     for eid in sorted(out_edges[v]):
@@ -162,84 +162,75 @@ def _sf_vertex_matching(
 
 
 # ----------------------------------------------------------------------
-# Theorem 5.4(1): ordinary star-forest decomposition, as a pass list
+# Theorem 5.4(1): ordinary star-forest decomposition
 # ----------------------------------------------------------------------
 
 
-def _sf_setup(ctx: PipelineContext) -> None:
-    graph = ctx["graph"]
-    ctx["stats"] = StarForestStats()
-    ctx["empty"] = graph.m == 0
-    if ctx["empty"]:
-        return
-    alpha = ctx["alpha"]
+def _sf_setup(record: PassStats, graph: MultiGraph, alpha: Optional[int],
+              epsilon: float) -> Tuple[int, int]:
+    """Resolve α and the ``t = ⌈(1+ε)α⌉`` budget."""
     if alpha is None:
         alpha = exact_arboricity(graph)
-    ctx["alpha"] = max(alpha, 1)
-    ctx["t"] = max(1, math.ceil((1.0 + ctx["epsilon"]) * ctx["alpha"]))
+    alpha = max(alpha, 1)
+    return alpha, max(1, math.ceil((1.0 + epsilon) * alpha))
 
 
-def _sf_orient(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    graph = ctx["graph"]
-    orientation = _t_orientation(graph, ctx["t"], ctx.counter)
-    ctx["stats"].orientation_bound = ctx["t"]
+def _sf_orient(record: PassStats, graph: MultiGraph, t: int,
+               stats: StarForestStats,
+               counter: RoundCounter) -> Dict[int, List[int]]:
+    """Each vertex's out-edges under a ``t``-orientation."""
+    orientation = _t_orientation(graph, t, counter)
+    stats.orientation_bound = t
     out_edges: Dict[int, List[int]] = {v: [] for v in graph.vertices()}
     for eid, tail in orientation.items():
         out_edges[tail].append(eid)
-    ctx["out_edges"] = out_edges
-    ctx.note(reconcile_volume=len(orientation))
+    record.reconcile_volume = len(orientation)
+    return out_edges
 
 
-def _sf_sample(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    graph = ctx["graph"]
-    t = ctx["t"]
-    alpha = ctx["alpha"]
+def _sf_sample(record: PassStats, graph: MultiGraph, alpha: int, t: int,
+               rng, counter: RoundCounter):
+    """Uniform random α-subsets ``C(v)`` of the ``t`` colors; returns
+    the sets and the sampler the LLL resamples with."""
     color_space = list(range(t))
-    ctx["deficit_budget"] = max(0, math.ceil(2.0 * ctx["epsilon"] * alpha))
 
     def sample_color_set(rng_) -> Set[int]:
         return set(rng_.sample(color_space, min(alpha, t)))
 
-    ctx["sample_color_set"] = sample_color_set
-    ctx["color_sets"] = {
-        v: sample_color_set(ctx["rng"]) for v in graph.vertices()
-    }
-    ctx.counter.charge(1, "C(v) sampling")
-    ctx.note(vertices_touched=graph.n)
+    color_sets = {v: sample_color_set(rng) for v in graph.vertices()}
+    counter.charge(1, "C(v) sampling")
+    record.vertices_touched = graph.n
+    return color_sets, sample_color_set
 
 
-def _sf_matchings(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    graph = ctx["graph"]
-    counter = ctx.counter
-    stats = ctx["stats"]
-    out_edges = ctx["out_edges"]
-    t = ctx["t"]
-    color_sets = ctx["color_sets"]
-    deficit_budget = ctx["deficit_budget"]
-    max_lll_rounds = ctx["max_lll_rounds"]
+def _sf_matchings(
+    record: PassStats,
+    graph: MultiGraph,
+    out_edges: Dict[int, List[int]],
+    t: int,
+    color_sets: Dict[int, Set[int]],
+    sample_color_set,
+    rng,
+    deficit_budget: int,
+    max_lll_rounds: int,
+    stats: StarForestStats,
+    counter: RoundCounter,
+) -> Dict[int, Dict[int, int]]:
+    """Per-vertex ``H_v`` matchings, LLL-resampling the vertices whose
+    deficit exceeds ``deficit_budget``."""
     verts = list(graph.vertices())
     matchings: Dict[int, Dict[int, int]] = {}
     lll_round = 0
     while True:
-        results = ctx.fan_out(
-            [
-                (lambda v=v: _sf_vertex_matching(
-                    graph, v, out_edges, t, color_sets
-                ))
-                for v in verts
-            ]
-        )
         deficits: Dict[int, int] = {}
-        for v, (slot_color, deficit, dummies) in zip(verts, results):
+        for v in verts:
+            slot_color, deficit, dummies = _sf_vertex_matching(
+                graph, v, out_edges, t, color_sets
+            )
             matchings[v] = slot_color
             deficits[v] = deficit
             stats.dummy_slots += dummies
+        record.items += len(verts)
         counter.charge(1, "H_v matchings")
         bad = [v for v, d in deficits.items() if d > deficit_budget]
         if not bad:
@@ -254,17 +245,20 @@ def _sf_matchings(ctx: PipelineContext) -> None:
             stats.matching_deficits = sorted(deficits.values())
             break
         for v in bad:
-            color_sets[v] = ctx["sample_color_set"](ctx["rng"])
+            color_sets[v] = sample_color_set(rng)
         counter.charge(1, "LLL resampling")
-    ctx["matchings"] = matchings
+    return matchings
 
 
-def _sf_assemble(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    graph = ctx["graph"]
-    out_edges = ctx["out_edges"]
-    matchings = ctx["matchings"]
+def _sf_assemble(
+    record: PassStats,
+    graph: MultiGraph,
+    out_edges: Dict[int, List[int]],
+    matchings: Dict[int, Dict[int, int]],
+    stats: StarForestStats,
+) -> Tuple[Dict[int, object], List[int]]:
+    """Matched slots become ``("amr", i)`` colors; unmatched edges
+    form the leftover."""
     coloring: Dict[int, object] = {}
     leftover: List[int] = []
     for v in graph.vertices():
@@ -275,88 +269,29 @@ def _sf_assemble(ctx: PipelineContext) -> None:
                 coloring[eid] = ("amr", slot_color[slot])
             else:
                 leftover.append(eid)
-    ctx["coloring"] = coloring
-    ctx["leftover"] = leftover
-    ctx["stats"].leftover_size = len(leftover)
-    ctx.note(reconcile_volume=len(coloring) + len(leftover))
+    stats.leftover_size = len(leftover)
+    record.reconcile_volume = len(coloring) + len(leftover)
+    return coloring, leftover
 
 
-def _sf_leftover_recolor(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    counter = ctx.counter
+def _sf_leftover_recolor(
+    record: PassStats,
+    graph: MultiGraph,
+    leftover: List[int],
+    coloring: Dict[int, object],
+    counter: RoundCounter,
+) -> None:
     with counter.phase("leftover recoloring"):
-        _recolor_leftover_stars(
-            ctx["graph"], ctx["leftover"], ctx["coloring"], counter,
-        )
-    ctx.note(reconcile_volume=len(ctx["leftover"]))
+        _recolor_leftover_stars(graph, leftover, coloring, counter)
+    record.reconcile_volume = len(leftover)
 
 
-def _sf_finalize(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        ctx["result"] = StarForestResult(
-            {}, 0, ctx.counter, ctx["stats"], graph=ctx["graph"]
-        )
-        return
-    coloring = ctx["coloring"]
-    colors_used = len(set(coloring.values()))
-    ctx["result"] = StarForestResult(
-        coloring, colors_used, ctx.counter, ctx["stats"],
-        graph=ctx["graph"],
+def _star_forest_result(record: PassStats, coloring: Dict[int, object],
+                        counter: RoundCounter, stats: StarForestStats,
+                        graph: MultiGraph) -> StarForestResult:
+    return StarForestResult(
+        coloring, len(set(coloring.values())), counter, stats, graph=graph,
     )
-
-
-#: Theorem 5.4(1) as a declared pass list.
-STAR_FOREST_PIPELINE = Pipeline(
-    "star_forest",
-    [
-        Pass(
-            "setup", _sf_setup,
-            writes=("stats", "empty", "alpha", "t"),
-            description="resolve α and the t = ⌈(1+ε)α⌉ budget",
-        ),
-        Pass(
-            "orient", _sf_orient,
-            reads=("t",), writes=("out_edges", "stats"),
-            description="exact t-orientation ([SV19a] substitute)",
-            citation="Theorem 5.4 setup",
-        ),
-        Pass(
-            "sample", _sf_sample,
-            writes=("color_sets", "deficit_budget", "sample_color_set"),
-            description="uniform random α-subsets C(v)",
-            citation="Lemma 5.2",
-        ),
-        Pass(
-            "matchings", _sf_matchings,
-            reads=("out_edges", "color_sets"), writes=("matchings",),
-            description="per-vertex H_v matchings (fan-out unit), "
-                        "LLL-resampling vertices whose deficit exceeds "
-                        "⌈2εα⌉",
-            citation="Lemma 5.2 (distributed LLL)",
-        ),
-        Pass(
-            "assemble", _sf_assemble,
-            reads=("matchings", "out_edges"),
-            writes=("coloring", "leftover", "stats"),
-            description="matched slots become ('amr', i) colors; "
-                        "unmatched edges join the leftover",
-        ),
-        Pass(
-            "leftover_recolor", _sf_leftover_recolor,
-            reads=("leftover",), writes=("coloring",),
-            description="Theorem 2.1(3) recoloring of the leftover "
-                        "with fresh ('extra', ...) colors",
-            citation="Proposition 5.1 / Theorem 2.1(3)",
-        ),
-        Pass(
-            "finalize", _sf_finalize,
-            reads=("coloring",), writes=("result",),
-            description="assemble the StarForestResult",
-        ),
-    ],
-    description="Theorem 5.4(1): (1+O(ε))α star-forest decomposition",
-)
 
 
 def star_forest_decomposition_amr(
@@ -374,24 +309,40 @@ def star_forest_decomposition_amr(
     exceeds ``⌈2εα⌉`` are resampled (distributed LLL); the unmatched
     leftover is recolored with fresh colors via Theorem 2.1(3).
 
-    Executes :data:`STAR_FOREST_PIPELINE`; the executed per-pass
-    records land in ``result.stats["passes"]``.
+    Runs the stages ``setup``, ``orient``, ``sample``, ``matchings``,
+    ``assemble``, ``leftover_recolor`` and ``finalize``; their records
+    land in ``result.stats["passes"]``.
     """
     if not snapshot_of(graph).is_simple():
         raise GraphError("Section 5 star-forest decomposition needs a simple graph")
     counter = ensure_counter(rounds)
-    ctx = PipelineContext(
-        counter=counter,
-        values={
-            "graph": graph,
-            "epsilon": epsilon,
-            "alpha": alpha,
-            "rng": make_rng(seed),
-            "max_lll_rounds": max_lll_rounds,
-        },
+    rng = make_rng(seed)
+    stats = StarForestStats()
+    if graph.m == 0:
+        return StarForestResult({}, 0, counter, stats, graph=graph)
+    scheduler = Scheduler(counter)
+    alpha, t = scheduler.stage("setup", _sf_setup, graph, alpha, epsilon)
+    out_edges = scheduler.stage("orient", _sf_orient, graph, t, stats, counter)
+    color_sets, sample_color_set = scheduler.stage(
+        "sample", _sf_sample, graph, alpha, t, rng, counter,
     )
-    result = Scheduler().run(STAR_FOREST_PIPELINE, ctx)
-    result.stats.passes = ctx.pass_stats
+    matchings = scheduler.stage(
+        "matchings", _sf_matchings, graph, out_edges, t, color_sets,
+        sample_color_set, rng,
+        deficit_budget=max(0, math.ceil(2.0 * epsilon * alpha)),
+        max_lll_rounds=max_lll_rounds, stats=stats, counter=counter,
+    )
+    coloring, leftover = scheduler.stage(
+        "assemble", _sf_assemble, graph, out_edges, matchings, stats,
+    )
+    scheduler.stage(
+        "leftover_recolor", _sf_leftover_recolor, graph, leftover, coloring,
+        counter,
+    )
+    result = scheduler.stage(
+        "finalize", _star_forest_result, coloring, counter, stats, graph,
+    )
+    stats.passes = scheduler.passes
     return result
 
 
@@ -413,7 +364,7 @@ def _recolor_leftover_stars(
 
 
 # ----------------------------------------------------------------------
-# Theorem 5.4(2): list star-forest decomposition, as a pass list
+# Theorem 5.4(2): list star-forest decomposition
 # ----------------------------------------------------------------------
 
 
@@ -424,8 +375,7 @@ def _lsf_vertex_matching(
     color_sets: Dict[int, Set[int]],
     palette_sets: Dict[int, Set[int]],
 ) -> Tuple[Dict[int, int], int]:
-    """List-variant H_v matching (palette-restricted, no dummies);
-    pure per-vertex work, fanned out per LLL round."""
+    """List-variant H_v matching (palette-restricted, no dummies)."""
     ordered = sorted(out_edges[v])
     slots: List[Optional[int]] = [
         graph.other_endpoint(eid, v) for eid in ordered
@@ -442,151 +392,90 @@ def _lsf_vertex_matching(
     return slot_color, len(ordered) - len(slot_color)
 
 
-def _lsf_setup(ctx: PipelineContext) -> None:
-    graph = ctx["graph"]
-    ctx["stats"] = StarForestStats()
-    ctx["empty"] = graph.m == 0
-    if ctx["empty"]:
-        return
-    alpha = ctx["alpha"]
-    if alpha is None:
-        alpha = exact_arboricity(graph)
-    ctx["alpha"] = max(alpha, 1)
-    ctx["t"] = max(1, math.ceil((1.0 + ctx["epsilon"]) * ctx["alpha"]))
-
-
-def _lsf_sample(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    graph = ctx["graph"]
-    palettes = ctx["palettes"]
+def _lsf_sample(
+    record: PassStats,
+    graph: MultiGraph,
+    palettes: Palettes,
+    epsilon: float,
+    rng,
+    counter: RoundCounter,
+):
+    """Independent ``(1−ε)`` retention of every palette color per
+    vertex; returns the sets, the sampler and the palettes as sets."""
     color_space: Set[int] = set()
     for palette in palettes.values():
         color_space.update(palette)
     space = sorted(color_space)
-    keep_probability = 1.0 - ctx["epsilon"]
+    keep_probability = 1.0 - epsilon
 
     def sample_color_set(rng_) -> Set[int]:
         return {c for c in space if rng_.random() < keep_probability}
 
-    ctx["sample_color_set"] = sample_color_set
-    ctx["color_sets"] = {
-        v: sample_color_set(ctx["rng"]) for v in graph.vertices()
-    }
-    ctx.counter.charge(1, "C(v) sampling")
-    ctx["palette_sets"] = {
-        eid: set(palette) for eid, palette in palettes.items()
-    }
-    ctx.note(vertices_touched=graph.n)
+    color_sets = {v: sample_color_set(rng) for v in graph.vertices()}
+    counter.charge(1, "C(v) sampling")
+    palette_sets = {eid: set(palette) for eid, palette in palettes.items()}
+    record.vertices_touched = graph.n
+    return color_sets, sample_color_set, palette_sets
 
 
-def _lsf_matchings(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        return
-    graph = ctx["graph"]
-    counter = ctx.counter
-    stats = ctx["stats"]
-    out_edges = ctx["out_edges"]
-    color_sets = ctx["color_sets"]
-    palette_sets = ctx["palette_sets"]
-    max_lll_rounds = ctx["max_lll_rounds"]
+def _lsf_matchings(
+    record: PassStats,
+    graph: MultiGraph,
+    out_edges: Dict[int, List[int]],
+    color_sets: Dict[int, Set[int]],
+    sample_color_set,
+    palette_sets: Dict[int, Set[int]],
+    rng,
+    max_lll_rounds: int,
+    stats: StarForestStats,
+    counter: RoundCounter,
+) -> Dict[int, Dict[int, int]]:
+    """Per-vertex ``H_v`` matchings; they must become perfect within
+    ``max_lll_rounds`` resampling rounds or :class:`ConvergenceError`."""
     verts = list(graph.vertices())
     matchings: Dict[int, Dict[int, int]] = {}
     for lll_round in range(max_lll_rounds + 1):
-        results = ctx.fan_out(
-            [
-                (lambda v=v: _lsf_vertex_matching(
-                    graph, v, out_edges, color_sets, palette_sets
-                ))
-                for v in verts
-            ]
-        )
         deficits: Dict[int, int] = {}
-        for v, (slot_color, deficit) in zip(verts, results):
+        for v in verts:
+            slot_color, deficit = _lsf_vertex_matching(
+                graph, v, out_edges, color_sets, palette_sets
+            )
             matchings[v] = slot_color
             deficits[v] = deficit
+        record.items += len(verts)
         counter.charge(1, "H_v matchings")
         bad = [v for v, d in deficits.items() if d > 0]
         if not bad:
             stats.matching_deficits = sorted(deficits.values())
             stats.lll_rounds = lll_round
-            break
+            return matchings
         for v in bad:
-            color_sets[v] = ctx["sample_color_set"](ctx["rng"])
+            color_sets[v] = sample_color_set(rng)
         counter.charge(1, "LLL resampling")
-    else:
-        raise ConvergenceError(
-            "LSFD matchings did not become perfect; the Lemma 5.3 regime "
-            "needs alpha >= Omega(log Delta) and palettes of size "
-            "alpha(1 + 200 epsilon)"
-        )
-    ctx["matchings"] = matchings
+    raise ConvergenceError(
+        "LSFD matchings did not become perfect; the Lemma 5.3 regime "
+        "needs alpha >= Omega(log Delta) and palettes of size "
+        "alpha(1 + 200 epsilon)"
+    )
 
 
-def _lsf_finalize(ctx: PipelineContext) -> None:
-    if ctx["empty"]:
-        ctx["result"] = StarForestResult(
-            {}, 0, ctx.counter, ctx["stats"], graph=ctx["graph"]
-        )
-        return
-    graph = ctx["graph"]
-    out_edges = ctx["out_edges"]
-    matchings = ctx["matchings"]
+def _lsf_finalize(
+    record: PassStats,
+    graph: MultiGraph,
+    out_edges: Dict[int, List[int]],
+    matchings: Dict[int, Dict[int, int]],
+    counter: RoundCounter,
+    stats: StarForestStats,
+) -> StarForestResult:
+    """Matched slots become palette colors."""
     coloring: Dict[int, object] = {}
     for v in graph.vertices():
         ordered = sorted(out_edges[v])
         slot_color = matchings[v]
         for slot, eid in enumerate(ordered):
             coloring[eid] = slot_color[slot]
-    colors_used = len(set(coloring.values()))
-    ctx["result"] = StarForestResult(
-        coloring, colors_used, ctx.counter, ctx["stats"],
-        graph=ctx["graph"],
-    )
-    ctx.note(reconcile_volume=len(coloring))
-
-
-#: Theorem 5.4(2) as a declared pass list (shares the orient pass shape
-#: with the ordinary variant; matchings must be perfect, so there is no
-#: leftover stage).
-LIST_STAR_FOREST_PIPELINE = Pipeline(
-    "list_star_forest",
-    [
-        Pass(
-            "setup", _lsf_setup,
-            writes=("stats", "empty", "alpha", "t"),
-            description="resolve α and the t = ⌈(1+ε)α⌉ budget",
-        ),
-        Pass(
-            "orient", _sf_orient,
-            reads=("t",), writes=("out_edges", "stats"),
-            description="exact t-orientation ([SV19a] substitute)",
-            citation="Theorem 5.4 setup",
-        ),
-        Pass(
-            "sample", _lsf_sample,
-            reads=("palettes",),
-            writes=("color_sets", "palette_sets", "sample_color_set"),
-            description="independent (1−ε) color retention per vertex",
-            citation="Lemma 5.3",
-        ),
-        Pass(
-            "matchings", _lsf_matchings,
-            reads=("out_edges", "color_sets", "palette_sets"),
-            writes=("matchings",),
-            description="per-vertex H_v matchings (fan-out unit); "
-                        "must become perfect or ConvergenceError",
-            citation="Lemma 5.3 (distributed LLL)",
-        ),
-        Pass(
-            "finalize", _lsf_finalize,
-            reads=("matchings", "out_edges"), writes=("result",),
-            description="matched slots become palette colors",
-        ),
-    ],
-    description="Theorem 5.4(2): (1+O(ε))α list star-forest "
-                "decomposition",
-)
+    record.reconcile_volume = len(coloring)
+    return _star_forest_result(record, coloring, counter, stats, graph)
 
 
 def list_star_forest_decomposition_amr(
@@ -606,24 +495,31 @@ def list_star_forest_decomposition_amr(
     has no leftover to absorb deficits; Lemma 5.3's regime is
     α ≥ Ω(log Δ) with palettes of size α(1+200ε)).
 
-    Executes :data:`LIST_STAR_FOREST_PIPELINE`.
+    Runs the stages ``setup``, ``orient``, ``sample``, ``matchings``
+    and ``finalize`` (the ordinary variant's shape, without a leftover).
     """
     if not snapshot_of(graph).is_simple():
         raise GraphError("Section 5 star-forest decomposition needs a simple graph")
     counter = ensure_counter(rounds)
-    ctx = PipelineContext(
-        counter=counter,
-        values={
-            "graph": graph,
-            "palettes": palettes,
-            "epsilon": epsilon,
-            "alpha": alpha,
-            "rng": make_rng(seed),
-            "max_lll_rounds": max_lll_rounds,
-        },
+    rng = make_rng(seed)
+    stats = StarForestStats()
+    if graph.m == 0:
+        return StarForestResult({}, 0, counter, stats, graph=graph)
+    scheduler = Scheduler(counter)
+    alpha, t = scheduler.stage("setup", _sf_setup, graph, alpha, epsilon)
+    out_edges = scheduler.stage("orient", _sf_orient, graph, t, stats, counter)
+    color_sets, sample_color_set, palette_sets = scheduler.stage(
+        "sample", _lsf_sample, graph, palettes, epsilon, rng, counter,
     )
-    result = Scheduler().run(LIST_STAR_FOREST_PIPELINE, ctx)
-    result.stats.passes = ctx.pass_stats
+    matchings = scheduler.stage(
+        "matchings", _lsf_matchings, graph, out_edges, color_sets,
+        sample_color_set, palette_sets, rng, max_lll_rounds, stats, counter,
+    )
+    result = scheduler.stage(
+        "finalize", _lsf_finalize, graph, out_edges, matchings, counter,
+        stats,
+    )
+    stats.passes = scheduler.passes
     return result
 
 

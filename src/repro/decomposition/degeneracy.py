@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PaletteError
-from ..graph.csr import CSRGraph
+from ..graph.csr import CSRGraph, snapshot_of
 from ..graph.multigraph import MultiGraph
 
 Palettes = Dict[int, Sequence[int]]
@@ -37,7 +37,7 @@ def degeneracy_ordering(graph: MultiGraph) -> Tuple[int, List[int]]:
     ``(remaining degree, vertex id)``, so the order is deterministic.
     The delete-min loop runs on the flat-array kernel's peeling view.
     """
-    snapshot = CSRGraph.from_multigraph(graph)
+    snapshot = snapshot_of(graph)
     degeneracy, order_indices = _peel_order(snapshot)
     vertex_ids = snapshot.vertex_ids.tolist()
     return degeneracy, [vertex_ids[i] for i in order_indices]
@@ -66,7 +66,7 @@ def degeneracy_orientation(graph: MultiGraph) -> Tuple[int, Dict[int, int]]:
     vertex's out-edges go to vertices still present when it was peeled:
     at most ``d`` of them).
     """
-    snapshot = CSRGraph.from_multigraph(graph)
+    snapshot = snapshot_of(graph)
     degeneracy, order_indices = _peel_order(snapshot)
     if snapshot.num_edges == 0:
         return degeneracy, {}

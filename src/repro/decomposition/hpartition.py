@@ -44,7 +44,7 @@ Orientation = Dict[int, int]  # edge id -> tail vertex
 # (repro.service.delta) hangs off a graph instance; it caches the peel's
 # wave labels per threshold and repairs them locally under edge
 # mutations.  ``h_partition`` consults it before peeling and feeds it
-# after, so every caller — the orientation pipeline, CUT's internal
+# after, so every caller — the orientation task, CUT's internal
 # 3α-orientation when run on the session graph, direct calls — shares
 # one maintained wave assignment.  An oracle hit charges the same number
 # of LOCAL rounds the peel would have (one per wave), keeping round

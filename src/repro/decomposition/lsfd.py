@@ -26,7 +26,7 @@ import math
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..errors import PaletteError
-from ..graph.csr import CSRGraph
+from ..graph.csr import snapshot_of
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from .hpartition import (
@@ -70,7 +70,7 @@ def list_star_forest_decomposition(
 
     threshold = max(1, int(math.floor((2.0 + epsilon / 10.0) * pseudoarboricity)))
     with counter.phase("h-partition"):
-        snapshot = CSRGraph.from_multigraph(graph)
+        snapshot = snapshot_of(graph)
         partition = h_partition(graph, threshold, counter, snapshot=snapshot)
         orientation = acyclic_orientation(
             graph, partition, counter, snapshot=snapshot

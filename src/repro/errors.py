@@ -44,7 +44,7 @@ class ReservePaletteError(DecompositionError):
 
 class RegistryError(ReproError):
     """Unknown or conflicting task name in the decomposition registry
-    (see :mod:`repro.core.registry`), or a malformed pass pipeline."""
+    (see :mod:`repro.core.registry`)."""
 
 
 class LocalModelError(ReproError):

@@ -1,77 +1,92 @@
-"""Stage scheduler: executes a validated Pipeline over a context.
+"""Stage runner: one :class:`PassStats` record per executed task stage.
 
-Every pass runs inline in the pipeline's declared order; fan-outs
-(``ctx.fan_out``) are plain in-order loops.  The LOCAL rounds a pass
-charges do not depend on the order a host runs it in, so there is one
-execution path and it is the bit-identical reference.
+Each task is a fixed chain of the paper's steps, written as plain
+Python in its module: stage functions take their inputs as arguments
+and return their outputs.  :meth:`Scheduler.stage` runs one of them and
+records wall time, charged LOCAL rounds and the counts the stage notes
+on its record; the records, in execution order (retries included), are
+what ``result.stats["passes"]``, ``Session.cache_info()["passes"]`` and
+``repro decompose --profile`` report.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List
 
-from .passes import Pass, PassStats, PipelineContext
-from .pipeline import Pipeline
+from ..local.rounds import RoundCounter
+
+
+@dataclass
+class PassStats:
+    """Per-stage instrumentation record (stable, documented schema).
+
+    Fields (all in :meth:`to_json`):
+
+    * ``name`` — the stage name;
+    * ``wall_ms`` — wall-clock milliseconds spent in the stage;
+    * ``rounds`` — LOCAL rounds charged to the shared counter during
+      the stage;
+    * ``engine_waves`` — always 0 (no stage runs on a thread pool);
+      kept for the schema;
+    * ``items`` — independent work units the stage mapped (color
+      classes rooted, per-vertex matchings solved);
+    * ``reconcile_volume`` — elements reconciled into shared state
+      (edges colored/deleted, vertices claimed);
+    * ``vertices_touched`` — vertices the stage scanned.
+    """
+
+    name: str
+    wall_ms: float = 0.0
+    rounds: int = 0
+    engine_waves: int = 0
+    items: int = 0
+    reconcile_volume: int = 0
+    vertices_touched: int = 0
+
+    def to_json(self) -> Dict[str, Any]:
+        """Explicit JSON schema — one key per documented field."""
+        return {
+            "name": self.name,
+            "wall_ms": self.wall_ms,
+            "rounds": self.rounds,
+            "engine_waves": self.engine_waves,
+            "items": self.items,
+            "reconcile_volume": self.reconcile_volume,
+            "vertices_touched": self.vertices_touched,
+        }
 
 
 class Scheduler:
-    """Runs a :class:`Pipeline`'s passes in list order."""
+    """Runs one task's stages and keeps their records in ``passes``."""
 
-    def run(self, pipeline: Pipeline, ctx: PipelineContext) -> Any:
-        """Execute the pipeline over ``ctx``; returns
-        ``ctx[pipeline.result_key]`` (or ``None`` if unset).
+    def __init__(self, counter: RoundCounter) -> None:
+        self.counter = counter
+        self.passes: List[PassStats] = []
 
-        Retry semantics: when a :class:`RetryRule` exception escapes a
-        pass, execution restarts at ``retry.from_pass``; the final
-        attempt re-raises.  PassStats of re-executed passes are
-        appended again, so ``result.stats["passes"]`` shows the true
-        execution history.
-        """
-        retry = pipeline.retry
-        passes = pipeline.passes
-        attempt = 1
-        index = 0
-        while index < len(passes):
-            try:
-                self._run_pass(passes[index], ctx)
-            except Exception as exc:
-                if (
-                    retry is not None
-                    and isinstance(exc, retry.exceptions)
-                    and attempt < retry.max_attempts
-                ):
-                    attempt += 1
-                    if retry.on_retry is not None:
-                        retry.on_retry(ctx)
-                    index = pipeline.pass_names().index(retry.from_pass)
-                    continue
-                raise
-            index += 1
-        return ctx.get(pipeline.result_key)
+    def stage(self, name: str, fn: Callable[..., Any], *args: Any,
+              **kwargs: Any) -> Any:
+        """Run ``fn(record, *args, **kwargs)`` as stage ``name`` and
+        return its value; the stage notes its counts on ``record``."""
+        return self._execute_pass(PassStats(name=name), fn, *args, **kwargs)
 
-    def _run_pass(self, p: Pass, ctx: PipelineContext) -> None:
-        record = PassStats(name=p.name)
-        try:
-            self._execute_pass(p, ctx, record)
-        finally:
-            ctx.pass_stats.append(record)
-
-    def _execute_pass(
-        self, p: Pass, ctx: PipelineContext, record: PassStats
-    ) -> None:
-        counter = ctx.counter
-        rounds_before = counter.total if counter is not None else 0
+    def _execute_pass(self, record: PassStats, fn: Callable[..., Any],
+                      *args: Any, **kwargs: Any) -> Any:
+        # One call per stage: the perfbench tracer wraps this attribute
+        # to time every stage as a ``pipeline.pass`` span.
+        counter = self.counter
+        rounds_before = counter.total
         # repro: allow(det-wallclock) — observability only: wall_ms feeds
         # PassStats reporting, never any ordering or algorithmic choice.
         started = time.perf_counter()
-        ctx._begin(record)
         try:
-            p.runner(ctx)
+            return fn(record, *args, **kwargs)
         finally:
-            ctx._end()
             # repro: allow(det-wallclock) — observability only: timing lands
             # in PassStats.wall_ms and is never read back by the scheduler.
             record.wall_ms += (time.perf_counter() - started) * 1000.0
-            if counter is not None:
-                record.rounds += counter.total - rounds_before
+            record.rounds += counter.total - rounds_before
+            # Kept even when the stage raises, so a retried task shows
+            # its true execution history.
+            self.passes.append(record)

@@ -236,6 +236,41 @@ def test_session_snapshot_built_once_across_two_tasks(monkeypatch):
     assert len(host_builds) == 1  # one snapshot of the host graph total
 
 
+def test_lsfd_hpartition_and_degeneracy_reuse_the_session_snapshot(
+    monkeypatch,
+):
+    """The Theorem 2.3 LSFD and the degeneracy peels read the host's
+    cached snapshot: a Session ``list_star_forest`` call with
+    ``method="hpartition"`` followed by both degeneracy calls converts
+    the host graph exactly once."""
+    from repro.decomposition.degeneracy import (
+        degeneracy_ordering,
+        degeneracy_orientation,
+    )
+    from repro.graph.csr import CSRGraph
+
+    graph = union_of_random_forests(400, 4, seed=2, simple=True)
+    builds = []
+    original = CSRGraph.from_multigraph.__func__
+
+    def counting(cls, g):
+        builds.append(g)
+        return original(cls, g)
+
+    monkeypatch.setattr(
+        CSRGraph, "from_multigraph", classmethod(counting)
+    )
+    palettes = {eid: list(range(40)) for eid in graph.edge_ids()}
+    result = Session(graph).decompose(
+        "list_star_forest", DecompositionConfig(seed=1),
+        palettes=palettes, method="hpartition",
+    )
+    result.validate("full")
+    degeneracy_ordering(graph)
+    degeneracy_orientation(graph)
+    assert [g for g in builds if g is graph] == [graph]
+
+
 def test_session_memoizes_arboricity(monkeypatch):
     import repro.core.session as session_module
 

@@ -1,4 +1,4 @@
-"""Tests for the determinism & concurrency analyzer (tools/checks).
+"""Tests for the determinism analyzer (tools/checks).
 
 Three layers of coverage:
 
@@ -8,11 +8,10 @@ Three layers of coverage:
 * **pragma / baseline semantics** — suppression, mandatory reasons,
   unused-pragma findings, baseline matching and the shrink-only rule;
 * **mutation self-tests** — copy the real ``src`` tree, reintroduce a
-  historical bug (the PR 2 ``hash(str)`` in the wave engine, a PR 7
-  closure write inside ``ctx.fan_out``, an undeclared ``Pass`` write),
-  and require *exactly one* new finding at the mutated file/line.  This
-  proves the shipped analyzer would have caught each bug, and the
-  unmutated copy doubles as the shipped-baseline self-check.
+  historical bug (the PR 2 ``hash(str)`` in the wave engine) and
+  require *exactly one* new finding at the mutated file/line.  This
+  proves the shipped analyzer would have caught it, and the unmutated
+  copy doubles as the shipped-baseline self-check.
 """
 
 import json
@@ -210,163 +209,6 @@ def test_det_env_sanctioned_helper_exempt(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# fan-out race rules
-
-
-def test_race_closure_write_lambda_in_fan_out(tmp_path):
-    report = check_tree(tmp_path, {NONKERNEL: """
-        def run(ctx, items):
-            acc = []
-            ctx.fan_out([lambda i=i: acc.append(i) for i in items])
-            return acc
-    """})
-    assert rules_of(report) == ["race-closure-write"]
-    assert report.active[0].line == 3
-
-
-def test_race_closure_write_named_kernel_in_gather(tmp_path):
-    report = check_tree(tmp_path, {KERNEL: """
-        def run(engine, work, stats):
-            def kernel(item):
-                stats["seen"] += 1
-                return item
-
-            return engine.gather(kernel, work, cost=1)
-    """})
-    assert rules_of(report) == ["race-closure-write"]
-    assert report.active[0].line == 3
-
-
-def test_race_closure_write_nonlocal(tmp_path):
-    report = check_tree(tmp_path, {KERNEL: """
-        def run(engine, work):
-            total = 0
-
-            def kernel(item):
-                nonlocal total
-                total += 1
-                return item
-
-            return engine.scan_shards(kernel)
-    """})
-    assert "race-closure-write" in rules_of(report)
-
-
-def test_race_good_twin_locals_and_reconcile(tmp_path):
-    # mutating locals inside the kernel is fine; the wave() reconcile
-    # is *defined* as the single writer of shared state and is exempt.
-    report = check_tree(tmp_path, {KERNEL: """
-        def run(engine, work, out):
-            def kernel(item):
-                local = []
-                local.append(item)
-                return local
-
-            def reconcile(results):
-                out.extend(results)
-
-            return engine.wave(work, kernel, reconcile)
-    """})
-    assert report.active == []
-
-
-def test_race_rng_method_draw_in_fanned_kernel(tmp_path):
-    report = check_tree(tmp_path, {KERNEL: """
-        def run(engine, work, rng):
-            def kernel(item):
-                return rng.randrange(4)
-
-            return engine.map_ranges(kernel, 8, cost=1)
-    """})
-    assert rules_of(report) == ["race-rng"]
-
-
-def test_race_rng_helper_draw_in_submitted_fn(tmp_path):
-    report = check_tree(tmp_path, {KERNEL: """
-        def run(pool, rng):
-            def job():
-                return child_rng(rng, "shard")
-
-            pool.submit(job)
-    """})
-    assert rules_of(report) == ["race-rng"]
-
-
-def test_race_rng_good_twin_draws_before_fanout(tmp_path):
-    report = check_tree(tmp_path, {KERNEL: """
-        def run(ctx, rng, items):
-            draws = [rng.randrange(4) for _ in items]
-            ctx.fan_out([lambda d=d: d * 2 for d in draws])
-    """})
-    assert report.active == []
-
-
-# ---------------------------------------------------------------------------
-# pass-effect rules
-
-
-def test_effect_undeclared_write_fires(tmp_path):
-    report = check_tree(tmp_path, {NONKERNEL: """
-        def _run(ctx):
-            ctx["out"] = ctx["inp"] + 1
-            ctx["extra"] = 2
-
-        P = Pass("p", _run, reads=("inp",), writes=("out",))
-    """})
-    assert rules_of(report) == ["effect-undeclared-write"]
-    (finding,) = report.active
-    assert finding.line == 3
-    assert "'extra'" in finding.message
-
-
-def test_effect_write_through_mutation_counts(tmp_path):
-    report = check_tree(tmp_path, {NONKERNEL: """
-        def _run(ctx):
-            ctx["bucket"].append(1)
-
-        P = Pass("p", _run, writes=())
-    """})
-    assert rules_of(report) == ["effect-undeclared-write"]
-
-
-def test_effect_dead_decl_fires_for_write_and_read(tmp_path):
-    report = check_tree(tmp_path, {NONKERNEL: """
-        def _run(ctx):
-            ctx["out"] = 1
-
-        P = Pass("p", _run, reads=("ghost_read",), writes=("out", "ghost"))
-    """})
-    assert sorted(rules_of(report)) == ["effect-dead-decl", "effect-dead-decl"]
-    # dead declarations anchor at the Pass(...) declaration line
-    assert {f.line for f in report.active} == {4}
-
-
-def test_effect_good_twin_helper_arg_counts_as_mentioned(tmp_path):
-    # aliasing/helper mutation is out of lexical reach by design: a key
-    # passed as a call argument counts as mentioned, so a declared
-    # write satisfied through a helper does not trip dead-decl.
-    report = check_tree(tmp_path, {NONKERNEL: """
-        def _run(ctx):
-            fill(ctx["out"], ctx["inp"])
-
-        P = Pass("p", _run, reads=("inp",), writes=("out",))
-    """})
-    assert report.active == []
-
-
-def test_effect_declared_writes_are_silent(tmp_path):
-    report = check_tree(tmp_path, {NONKERNEL: """
-        def _run(ctx):
-            if "cache" in ctx:
-                ctx["out"] = ctx.get("inp", 0)
-            ctx.update({"stats": 1})
-
-        P = Pass("p", _run, reads=("inp", "cache"), writes=("out", "stats"))
-    """})
-    assert report.active == []
-
-
-# ---------------------------------------------------------------------------
 # pragma semantics
 
 
@@ -516,47 +358,6 @@ def test_mutation_pr2_hash_str_in_wave_engine(tmp_path):
     assert finding.line == line_of(text, "seed ^ hash(name)")
 
 
-def test_mutation_pr7_closure_write_in_fan_out(tmp_path):
-    root = copy_src(tmp_path)
-    relpath = "src/repro/pipeline/pipeline.py"
-    text = mutate(root, relpath, """
-
-        def _pr7_regression(ctx, items):
-            acc = []
-
-            def _thunk(value):
-                acc.append(value)
-                return value
-
-            ctx.fan_out([_thunk])
-            return acc
-    """)
-    report = check_real_copy(root)
-    assert len(report.active) == 1
-    (finding,) = report.active
-    assert finding.rule == "race-closure-write"
-    assert finding.path == relpath
-    assert finding.line == line_of(text, "acc.append(value)")
-
-
-def test_mutation_undeclared_pass_write(tmp_path):
-    root = copy_src(tmp_path)
-    relpath = "src/repro/core/list_forest.py"
-    text = mutate(root, relpath, """
-
-        def _pr9_regression_runner(ctx):
-            ctx["pr9_undeclared"] = 1
-
-        _PR9_REGRESSION = Pass("pr9-regression", _pr9_regression_runner, writes=())
-    """)
-    report = check_real_copy(root)
-    assert len(report.active) == 1
-    (finding,) = report.active
-    assert finding.rule == "effect-undeclared-write"
-    assert finding.path == relpath
-    assert finding.line == line_of(text, 'ctx["pr9_undeclared"] = 1')
-
-
 # ---------------------------------------------------------------------------
 # the shipped analyzer + baseline against the real tree
 
@@ -575,8 +376,6 @@ def test_rule_catalog_ids_are_unique_and_complete():
     assert len(ids) == len(set(ids))
     assert set(ids) == {
         "det-hash", "det-id", "det-set-order", "det-wallclock", "det-env",
-        "race-closure-write", "race-rng",
-        "effect-undeclared-write", "effect-dead-decl",
     }
 
 
@@ -599,4 +398,4 @@ def test_cli_list_rules(capsys):
     assert checks_main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     assert "det-hash" in out
-    assert "race-closure-write" in out
+    assert "det-wallclock" in out

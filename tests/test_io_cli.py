@@ -2,6 +2,9 @@
 
 import io
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -200,8 +203,8 @@ def test_cli_decompose_forest(graph_file, capsys):
 
 def test_cli_decompose_profile(graph_file, capsys):
     """--profile prints the pass table: its header, a rule, then one
-    row per executed pass in execution order."""
-    from repro.core.forest_decomposition import FOREST_PIPELINE
+    row per executed stage in execution order."""
+    from repro.core.api import TASK_STAGES
 
     assert cli_main([
         "decompose", graph_file, "--task", "forest", "--alpha", "2",
@@ -214,8 +217,34 @@ def test_cli_decompose_profile(graph_file, capsys):
     ]
     assert set(lines[start + 1]) == {"-"}
     rows = [line.split() for line in lines[start + 2:]]
-    assert [row[0] for row in rows] == [p.name for p in FOREST_PIPELINE.passes]
+    assert [row[0] for row in rows] == [
+        name for name, _description, _citation in TASK_STAGES["forest"]
+    ]
     assert all(len(row) == 6 for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["describe", "forest"],
+    ["generate", "grid", "--n", "4000"],
+])
+def test_cli_exits_quietly_when_stdout_closes(argv):
+    """``repro describe forest | head -3``: once the reader has gone,
+    the CLI exits nonzero without a traceback.  The pipe's read end is
+    closed before the child starts, so every write hits EPIPE."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            stdout=write_end, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": src, "PATH": ""}, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    assert "BrokenPipeError" not in proc.stderr
 
 
 @pytest.mark.parametrize("command", ["fd", "decompose", "serve"])

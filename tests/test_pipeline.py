@@ -1,6 +1,6 @@
-"""Tests for the pass pipelines: declaration validation, scheduler
-semantics, bit-identity of pipelined tasks under legacy configs, per-pass
-instrumentation, ``describe``, and the config-first dispatch shim."""
+"""Tests for the task stages: bit-identity under legacy configs, the
+per-stage records, list_forest's Las Vegas retry, ``describe``, and the
+config-first dispatch shim."""
 
 import json
 import subprocess
@@ -11,179 +11,16 @@ import pytest
 
 import repro
 from repro.core import DecompositionConfig, Session
-from repro.core.api import _config_from_kwargs, describe
-from repro.errors import RegistryError
+import repro.core.list_forest as list_forest_module
+from repro.core.api import TASK_STAGES, _config_from_kwargs, describe
+from repro.errors import RegistryError, ReservePaletteError
 from repro.graph.generators import (
     random_palettes,
     union_of_random_forests,
 )
-from repro.local import RoundCounter
-from repro.pipeline import (
-    Pass,
-    PassStats,
-    Pipeline,
-    PipelineContext,
-    RetryRule,
-    Scheduler,
-)
+from repro.pipeline import PassStats
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
-
-
-# ----------------------------------------------------------------------
-# Declaration validation
-# ----------------------------------------------------------------------
-
-
-def _noop(ctx):
-    pass
-
-
-def test_duplicate_pass_name_rejected():
-    with pytest.raises(RegistryError, match="duplicate pass 'a'"):
-        Pipeline("p", [Pass("a", _noop), Pass("a", _noop)])
-
-
-def test_retry_rule_must_name_known_pass():
-    with pytest.raises(RegistryError, match="unknown pass 'nope'"):
-        Pipeline(
-            "p", [Pass("a", _noop)],
-            retry=RetryRule(exceptions=(ValueError,), from_pass="nope"),
-        )
-
-
-def test_levels_follow_declaration_order():
-    """A pipeline is its passes in declaration order: no dependency
-    levels are computed, so the list is the execution order."""
-    pipe = Pipeline("p", [Pass(name, _noop) for name in "adbc"])
-    assert pipe.pass_names() == ["a", "d", "b", "c"]
-    assert [p.name for p in pipe.passes] == pipe.pass_names()
-
-
-# ----------------------------------------------------------------------
-# Scheduler semantics on toy pipelines
-# ----------------------------------------------------------------------
-
-
-def _toy_pipeline(width=6):
-    def produce(ctx):
-        ctx["xs"] = list(range(width))
-
-    def fan(ctx):
-        ctx["ys"] = ctx.fan_out([(lambda x=x: x * x) for x in ctx["xs"]])
-
-    def reduce_(ctx):
-        ctx["result"] = sum(ctx["ys"])
-
-    return Pipeline("toy", [
-        Pass("produce", produce),
-        Pass("fan", fan),
-        Pass("reduce", reduce_),
-    ])
-
-
-@pytest.mark.parametrize("schedule", ["serial", "concurrent"])
-@pytest.mark.parametrize("width", [1, 2, 4])
-def test_toy_pipeline_identical_across_schedules(schedule, width):
-    """A config carrying either value of the retired ``schedule`` field
-    still loads, and the pipeline it drives runs the one execution
-    path: same result and same per-pass history for both values."""
-    config = DecompositionConfig.from_json({"schedule": schedule})
-    assert config == DecompositionConfig()
-    ctx = PipelineContext(config=config, counter=RoundCounter())
-    out = Scheduler().run(_toy_pipeline(width), ctx)
-    assert out == sum(x * x for x in range(width))
-    fan_stats = [s for s in ctx.pass_stats if s.name == "fan"]
-    assert fan_stats[0].items == width
-    assert [s.name for s in ctx.pass_stats] == ["produce", "fan", "reduce"]
-
-
-def test_retry_reruns_from_declared_pass_and_keeps_history():
-    calls = {"n": 0}
-
-    def setup(ctx):
-        ctx["base"] = 1
-
-    def flaky(ctx):
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise ValueError("try again")
-        ctx["result"] = ctx["base"] + calls["n"]
-
-    pipe = Pipeline(
-        "flaky", [Pass("setup", setup), Pass("flaky", flaky)],
-        retry=RetryRule(exceptions=(ValueError,), from_pass="flaky",
-                        max_attempts=5),
-    )
-    ctx = PipelineContext(counter=RoundCounter())
-    assert Scheduler().run(pipe, ctx) == 4
-    # Execution history keeps the failed attempts.
-    assert [s.name for s in ctx.pass_stats] == [
-        "setup", "flaky", "flaky", "flaky",
-    ]
-
-
-def test_retry_restarts_mid_list_and_reruns_every_later_pass():
-    calls = {"n": 0}
-
-    def flaky(ctx):
-        calls["n"] += 1
-        if calls["n"] < 3:
-            raise ValueError("try again")
-
-    pipe = Pipeline(
-        "p",
-        [
-            Pass("setup", _noop),
-            Pass("split", _noop),
-            Pass("flaky", flaky),
-            Pass("combine", lambda ctx: ctx.__setitem__("result", "ok")),
-        ],
-        retry=RetryRule(exceptions=(ValueError,), from_pass="split"),
-    )
-    ctx = PipelineContext(counter=RoundCounter())
-    assert Scheduler().run(pipe, ctx) == "ok"
-    assert [s.name for s in ctx.pass_stats] == [
-        "setup", "split", "flaky", "split", "flaky", "split", "flaky",
-        "combine",
-    ]
-
-
-def test_retry_exhaustion_reraises():
-    def always(ctx):
-        raise ValueError("never converges")
-
-    pipe = Pipeline(
-        "p", [Pass("a", always)],
-        retry=RetryRule(exceptions=(ValueError,), from_pass="a",
-                        max_attempts=3),
-    )
-    with pytest.raises(ValueError):
-        Scheduler().run(pipe, PipelineContext(counter=RoundCounter()))
-
-
-def test_concurrent_level_runs_independent_passes():
-    """Passes with no data between them (once one concurrent level) run
-    in list order, and their PassStats land in that order."""
-    def seed_(ctx):
-        ctx["acc"] = []
-
-    def mk(name):
-        def run(ctx):
-            ctx["acc"].append(name)
-        return run
-
-    pipe = Pipeline("p", [
-        Pass("seed", seed_),
-        Pass("right", mk("right")),
-        Pass("left", mk("left")),
-        Pass("join", lambda ctx: ctx.__setitem__("result", ctx["acc"])),
-    ])
-    ctx = PipelineContext(counter=RoundCounter())
-    assert Scheduler().run(pipe, ctx) == ["right", "left"]
-    assert [s.name for s in ctx.pass_stats] == [
-        "seed", "right", "left", "join",
-    ]
 
 
 # ----------------------------------------------------------------------
@@ -216,7 +53,7 @@ def _run(graph, task, seed, legacy_backend=None, **kwargs):
     "forest", "star_forest", "orientation", "pseudoforest",
 ])
 def test_serial_concurrent_bit_identity(task):
-    """The pipelined task under a legacy ``"backend": "dict"`` payload
+    """The task under a legacy ``"backend": "dict"`` payload
     agrees bit for bit with the default run on a fresh graph copy."""
     for graph, _alpha in _corpus():
         if task == "star_forest" and not graph.is_simple():
@@ -242,7 +79,7 @@ def test_list_forest_bit_identity_across_schedules():
 
 
 # ----------------------------------------------------------------------
-# Per-pass instrumentation
+# Per-stage records
 # ----------------------------------------------------------------------
 
 
@@ -289,6 +126,68 @@ def test_session_cache_info_aggregates_passes():
 
 
 # ----------------------------------------------------------------------
+# list_forest's Las Vegas retry
+# ----------------------------------------------------------------------
+
+_ATTEMPT = ["split", "algorithm2", "diameter_reduce", "reserve"]
+
+
+def _failing_reserve(monkeypatch, failures):
+    """Make the reserve LSFD raise ``ReservePaletteError`` on its first
+    ``failures`` calls; returns the list of calls seen."""
+    original = list_forest_module._reserve_lsfd
+    calls = []
+
+    def flaky(*args, **kwargs):
+        calls.append(len(calls))
+        if len(calls) <= failures:
+            raise ReservePaletteError("reserve palettes empty (injected)")
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(list_forest_module, "_reserve_lsfd", flaky)
+    return calls
+
+
+def _list_forest_run(seed=5):
+    graph, _alpha = _corpus()[0]
+    palettes = random_palettes(graph, 12, 36, seed=7)
+    return graph, repro.list_forest_decomposition(
+        graph, palettes, 1.0, seed=seed,
+    )
+
+
+def _assert_retried(monkeypatch, failures):
+    calls = _failing_reserve(monkeypatch, failures)
+    graph, result = _list_forest_run()
+    assert len(calls) == failures + 1
+    assert [p.name for p in result.stats.passes] == (
+        ["setup"] + _ATTEMPT * (failures + 1) + ["combine"]
+    )
+    assert result.stats.reserve_retries == failures
+    result.validate("basic", graph=graph)
+
+
+def test_retry_reruns_from_declared_pass_and_keeps_history(monkeypatch):
+    """An empty reserve palette restarts list_forest at ``split``; the
+    failed attempt's stage records stay in the history."""
+    _assert_retried(monkeypatch, failures=1)
+
+
+def test_retry_restarts_mid_list_and_reruns_every_later_pass(monkeypatch):
+    """Every restart re-runs split through reserve, then combine runs
+    once."""
+    _assert_retried(monkeypatch, failures=3)
+
+
+def test_retry_exhaustion_reraises(monkeypatch):
+    """The fifth failed attempt re-raises ``ReservePaletteError``."""
+    calls = _failing_reserve(monkeypatch, failures=10)
+    with pytest.raises(ReservePaletteError):
+        _list_forest_run()
+    assert len(calls) == list_forest_module.RESERVE_ATTEMPTS == 5
+
+
+# ----------------------------------------------------------------------
 # describe()
 # ----------------------------------------------------------------------
 
@@ -302,6 +201,32 @@ def test_describe_lists_dag_with_citations():
     assert describe("list_forest").count("retry:") == 1
     with pytest.raises(RegistryError):
         describe("bogus")
+
+
+@pytest.mark.parametrize("task", sorted(TASK_STAGES))
+def test_describe_table_matches_executed_stages(task):
+    """``describe`` reads a static table; a run's stage records carry
+    exactly those names, in that order."""
+    graph = union_of_random_forests(40, 4, seed=7, simple=True)
+    config = DecompositionConfig(epsilon=0.5, alpha=4, seed=9)
+    kwargs = {}
+    if task in ("list_forest", "list_star_forest"):
+        kwargs["palettes"] = random_palettes(graph, 36, 72, seed=8)
+    result = repro.decompose(graph, task=task, config=config, **kwargs)
+    assert [p.name for p in result.stats.passes] == [
+        name for name, _description, _citation in TASK_STAGES[task]
+    ]
+    text = describe(task)
+    for i, (name, description, citation) in enumerate(TASK_STAGES[task], 1):
+        assert f"  {i}. {name}\n       {description}" in text
+        if citation:
+            assert f"[{citation}]" in text
+
+
+def test_describe_list_star_forest_notes_hpartition_method():
+    assert 'method="hpartition" runs Theorem 2.3 directly' in describe(
+        "list_star_forest"
+    )
 
 
 def test_describe_via_module_namespace():

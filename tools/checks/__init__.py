@@ -1,4 +1,4 @@
-"""Repo-specific static analysis: determinism & concurrency checks.
+"""Repo-specific static analysis: determinism checks.
 
 Run as ``python -m tools.checks`` (or ``make check``).  See
 ``docs/determinism.md`` for the contract, the rule catalog, and the

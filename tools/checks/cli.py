@@ -1,4 +1,4 @@
-"""Driver for the determinism & concurrency checks.
+"""Driver for the determinism checks.
 
 Usage (from the repo root)::
 
@@ -27,22 +27,18 @@ if __package__ in (None, ""):  # script mode: python tools/checks/cli.py
         CheckReport, Rule, collect_modules, load_baseline, run_rules,
     )
     from tools.checks.determinism import DETERMINISM_RULES  # type: ignore
-    from tools.checks.effects import EFFECT_RULES  # type: ignore
-    from tools.checks.fanout import FANOUT_RULES  # type: ignore
 else:
     from .core import (
         CheckReport, Rule, collect_modules, load_baseline, run_rules,
     )
     from .determinism import DETERMINISM_RULES
-    from .effects import EFFECT_RULES
-    from .fanout import FANOUT_RULES
 
 DEFAULT_TARGETS = ("src",)
 BASELINE_NAME = "baseline.json"
 
 
 def all_rules() -> List[Rule]:
-    return list(DETERMINISM_RULES) + list(FANOUT_RULES) + list(EFFECT_RULES)
+    return list(DETERMINISM_RULES)
 
 
 def repo_root() -> Path:
@@ -71,7 +67,7 @@ def run_checks(
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="tools.checks",
-        description="repo-specific determinism & concurrency checks",
+        description="repo-specific determinism checks",
     )
     parser.add_argument(
         "targets", nargs="*", default=list(DEFAULT_TARGETS),

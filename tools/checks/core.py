@@ -4,8 +4,8 @@ The framework is deliberately small and stdlib-only (``ast`` + ``re``):
 
 * :class:`Finding` — one (rule, file, line) diagnostic;
 * :class:`SourceModule` — a parsed file plus the scope flags rules key
-  off (``is_kernel`` for the determinism rules, which only police the
-  wave/graph/decomposition/pipeline kernel packages);
+  off (``is_kernel`` for the kernel-only rules, which police the
+  parallel/graph/decomposition packages and the stage runner);
 * :class:`Rule` — the visitor contract every rule implements;
 * pragma handling — ``# repro: allow(rule-id) — reason`` suppresses a
   finding on its line (or, for a comment-only line, on the next code
@@ -16,8 +16,7 @@ The framework is deliberately small and stdlib-only (``ast`` + ``re``):
   may only shrink: a stale entry (finding no longer produced) fails the
   check until the entry is deleted.
 
-Rules live in :mod:`tools.checks.determinism`, :mod:`tools.checks.fanout`
-and :mod:`tools.checks.effects`; the CLI driver in
+Rules live in :mod:`tools.checks.determinism`; the CLI driver in
 :mod:`tools.checks.cli` wires them into ``make check`` / ``make lint``
 and emits ``CHECK_findings.json`` for the CI artifact.
 """
@@ -33,8 +32,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: packages whose modules are "kernel" scope: they implement the
 #: deterministic substrate (reconcile primitives, CSR kernel,
-#: decomposition algorithms, pass scheduler), so the determinism rules
-#: apply in full.
+#: decomposition algorithms, and the stage runner that times every
+#: task stage), so the determinism rules apply in full.
 KERNEL_PACKAGES = (
     "repro/parallel",
     "repro/graph",

@@ -18,9 +18,8 @@ Four layers, matching what the environment can guarantee:
 3. **API-surface check** (tools/api_surface.py): the exported
    names/signatures must match the frozen tools/api_surface.json —
    accidental public-API breakage fails the lint job.
-4. **Determinism & concurrency checks** (tools/checks/, also
-   ``make check``): kernel determinism lint, fan-out closure-race
-   detection, pass-DAG effect checking.  See docs/determinism.md.
+4. **Determinism checks** (tools/checks/, also ``make check``): the
+   ``det-*`` rules and pragma hygiene.  See docs/determinism.md.
 
 Exit status is non-zero on any finding, so the Make target and the CI
 job gate on it.
@@ -220,7 +219,7 @@ def main() -> int:
         print("lint: public API surface drifted")
         return 1
     if not determinism_check(root):
-        print("lint: determinism/concurrency check findings (make check)")
+        print("lint: determinism check findings (make check)")
         return 1
     print("lint: OK")
     return 0
