@@ -81,7 +81,7 @@ from repro.decomposition.network_decomposition import (
     partial_network_decomposition,
 )
 from repro.graph import MultiGraph
-from repro.graph.csr import snapshot_of
+from repro.graph.csr import CSRGraph, snapshot_of
 from repro.graph.generators import (
     erdos_renyi,
     grid_graph,
@@ -1233,6 +1233,22 @@ def _delta_batches(graph, seed):
     return batches
 
 
+_SNAPSHOT_ARRAYS = (
+    "vertex_offsets", "neighbor_ids", "edge_ids", "edge_id", "edge_u",
+    "edge_v", "edge_u_ids", "edge_v_ids", "vertex_ids",
+)
+
+
+def _assert_same_snapshot(patched, rebuilt):
+    import numpy as np
+
+    for name in _SNAPSHOT_ARRAYS:
+        got, want = getattr(patched, name), getattr(rebuilt, name)
+        assert got.dtype == want.dtype and np.array_equal(got, want), (
+            f"patched snapshot array {name} != CSRGraph.from_multigraph"
+        )
+
+
 def run_delta_comparison():
     rows = []
     json_rows = []
@@ -1272,6 +1288,10 @@ def run_delta_comparison():
             full_ms_total += best_full
             # bit-identity of the maintained result, every batch
             assert session.current("orientation").coloring == result.coloring
+            # ... and of the spliced snapshot against a full rebuild
+            _assert_same_snapshot(
+                snapshot_of(graph), CSRGraph.from_multigraph(baseline_graph)
+            )
 
         per_batch_delta = delta_ms_total / len(batches)
         per_batch_full = full_ms_total / len(batches)

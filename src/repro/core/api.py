@@ -126,7 +126,7 @@ _ORIENT_STAGES = (
      "Theorem 4.6 / Theorem 2.1(2)"),
     ("orient",
      "point every edge at its parent / peel level / flow witness; "
-     "per-color rootings are the fan-out unit",
+     "per-color rootings are independent work units",
      "Corollary 1.1"),
 )
 _SECTION5_HEAD = (
@@ -171,8 +171,8 @@ TASK_STAGES: Dict[str, Tuple[Tuple[str, str, str], ...]] = {
     "star_forest": _SECTION5_HEAD + (
         ("sample", "uniform random α-subsets C(v)", "Lemma 5.2"),
         ("matchings",
-         "per-vertex H_v matchings (fan-out unit), LLL-resampling "
-         "vertices whose deficit exceeds ⌈2εα⌉",
+         "per-vertex H_v matchings (independent work units), "
+         "LLL-resampling vertices whose deficit exceeds ⌈2εα⌉",
          "Lemma 5.2 (distributed LLL)"),
         ("assemble",
          "matched slots become ('amr', i) colors; unmatched edges join "
@@ -188,8 +188,8 @@ TASK_STAGES: Dict[str, Tuple[Tuple[str, str, str], ...]] = {
         ("sample", "independent (1−ε) color retention per vertex",
          "Lemma 5.3"),
         ("matchings",
-         "per-vertex H_v matchings (fan-out unit); must become perfect "
-         "or ConvergenceError",
+         "per-vertex H_v matchings (independent work units); must "
+         "become perfect or ConvergenceError",
          "Lemma 5.3 (distributed LLL)"),
         ("finalize", "matched slots become palette colors", ""),
     ),

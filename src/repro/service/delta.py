@@ -18,10 +18,12 @@ is bit-identical to a full recompute on the mutated graph, in every
 
 Layers in this module:
 
-* :func:`patched_snapshot` — rebuild the CSR snapshot in
-  O(m) array ops (mask deleted positions, append inserts, re-run the
-  shared counting-sort assembly) instead of re-walking the MultiGraph's
-  dicts; byte-identical arrays to ``CSRGraph.from_multigraph``.
+* :func:`patched_snapshot` — splice the CSR snapshot out of the
+  previous one: drop each deleted edge's two halves (found by edge id
+  in its endpoints' segments), place the inserted halves with one
+  sorted-slot ``np.insert`` per array and shift the offsets.  No
+  ``argsort`` and no walk of the MultiGraph's dicts; what is left is
+  O(m) copies.  Byte-identical arrays to ``CSRGraph.from_multigraph``.
 * :func:`repair_waves` — the dirty-cascade worklist over the snapshot,
   one vectorized order-statistic evaluation per wave
   (:func:`repro.parallel.bfs.segment_kth_largest`); aborts (returning None) when the dirty fraction crosses
@@ -31,9 +33,10 @@ Layers in this module:
   the delta engine repairs its entries in place.
 * task refreshers for ``orientation`` / ``pseudoforest`` (method
   ``"hpartition"``), registered on the task registry via
-  :func:`repro.core.registry.set_task_delta`: they patch the
-  orientation dict for dirty-incident edges only and re-fold the
-  pseudoforest indices vectorized.  Tasks without a refresher fall back
+  :func:`repro.core.registry.set_task_delta`: they patch the previous
+  batch's tail arrays, re-ruling only inserted edges and edges at a
+  vertex whose wave changed, and re-fold the pseudoforest indices
+  vectorized.  Tasks without a refresher fall back
   to a full ``session.decompose`` (trivially bit-identical, still
   accelerated by the patched snapshot and the wave oracle).
 * the session-facing entry points :func:`watch_task`,
@@ -58,9 +61,9 @@ from ..graph.csr import (
     CSRGraph,
     EdgeArrayMap,
     _concat_ranges,
-    _half_edge_csr,
     _sorted_unique,
     mutation_fingerprint,
+    snapshot_of,
 )
 from ..decomposition.hpartition import (
     default_threshold,
@@ -251,57 +254,124 @@ class _SortedEidPos:
         return iter(self._edge_id.tolist())
 
 
+def _dense_endpoints(
+    index_of: Optional[Dict[int, int]], records, column: int
+) -> np.ndarray:
+    """Dense indices of one endpoint column of ``(eid, u, v)`` records."""
+    if index_of is None:
+        return np.asarray([r[column] for r in records], dtype=np.int64)
+    return np.asarray([index_of[r[column]] for r in records], dtype=np.int64)
+
+
+def _segment_halves(
+    offsets: np.ndarray, segments: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Half-edge positions of the given vertex segments, concatenated,
+    and the index into ``segments`` each one came from."""
+    lengths = offsets[segments + 1] - offsets[segments]
+    half = _concat_ranges(offsets[segments], offsets[segments + 1])
+    return half, np.repeat(np.arange(segments.size), lengths)
+
+
 def patched_snapshot(
     old: CSRGraph,
     graph,
     inserts: Sequence[Tuple[int, int, int]],
     deletes: Sequence[Tuple[int, int, int]],
 ) -> Tuple[CSRGraph, Optional[np.ndarray]]:
-    """Rebuild ``graph``'s snapshot from the previous one in O(m)
-    array work; returns ``(snapshot, kept_mask)``.
+    """Splice ``graph``'s snapshot out of the previous one; returns
+    ``(snapshot, kept_mask)``.
 
-    Byte-identical to ``CSRGraph.from_multigraph(graph)``: the
-    MultiGraph's edge dict preserves insertion order, so the mutated
-    edge list is exactly "old order minus the deleted positions, plus
-    the inserts appended" — and both paths run the same stable
-    counting-sort CSR assembly.  Requires an unchanged vertex set
-    (``apply_delta`` guarantees it; anything else takes the full
-    rebuild path).
+    Byte-identical to ``CSRGraph.from_multigraph(graph)`` without
+    sorting anything.  The MultiGraph's edge dict preserves insertion
+    order, so the new edge list is "old order minus the deleted
+    positions, plus the inserts appended".  In the half-edge arrays
+    each vertex segment holds its u-side halves in edge order, then
+    its v-side halves in edge order.  So a deleted edge drops one half
+    from each endpoint's segment (found by edge id, scanning only
+    those segments); an inserted edge's u-side half goes right after
+    the u-part of its u-endpoint's segment and its v-side half at the
+    end of its v-endpoint's segment.  One sorted-slot ``np.insert``
+    per array places every new half and ``offsets`` shift by a
+    cumulative per-vertex count.  The work left is O(m) copies
+    (keep-mask compaction, the insert, the edge-array concatenation);
+    only the touched segments are scanned.  Requires an unchanged
+    vertex set (``apply_delta`` guarantees it; anything else takes the
+    full rebuild path).
     """
     if old.num_vertices != graph.n:
         snap = CSRGraph.from_multigraph(graph)
         return snap, None
-    keep = np.ones(old.num_edges, dtype=bool)
-    if deletes:
-        del_ids = np.asarray(sorted(d[0] for d in deletes), dtype=np.int64)
-        # edge ids are assigned monotonically, so old.edge_id ascends
-        keep[np.searchsorted(old.edge_id, del_ids)] = False
+    n = old.num_vertices
     index_of = old._index_of
+    offsets = old.vertex_offsets
+    neighbor_ids = old.neighbor_ids
+    edge_ids = old.edge_ids
+    keep = np.ones(old.num_edges, dtype=bool)
+    edge_id, edge_u, edge_v = old.edge_id, old.edge_u, old.edge_v
     ins_eid = np.asarray([i[0] for i in inserts], dtype=np.int64)
-    if index_of is None:
-        ins_u = np.asarray([i[1] for i in inserts], dtype=np.int64)
-        ins_v = np.asarray([i[2] for i in inserts], dtype=np.int64)
-    else:
-        ins_u = np.asarray(
-            [index_of[i[1]] for i in inserts], dtype=np.int64
+    ins_u = _dense_endpoints(index_of, inserts, 1)
+    ins_v = _dense_endpoints(index_of, inserts, 2)
+    del_eid = np.asarray([d[0] for d in deletes], dtype=np.int64)
+    del_ends = np.concatenate(
+        (_dense_endpoints(index_of, deletes, 1),
+         _dense_endpoints(index_of, deletes, 2))
+    )
+    dropped = np.empty(0, dtype=np.int64)
+    if deletes:
+        keep[old.edge_positions(del_eid)] = False
+        edge_id, edge_u, edge_v = edge_id[keep], edge_u[keep], edge_v[keep]
+        # each deleted half, by edge id inside its endpoint's segment
+        half, owner = _segment_halves(offsets, del_ends)
+        wanted = np.concatenate((del_eid, del_eid))[owner]
+        dropped = half[edge_ids[half] == wanted]
+        dropped.sort()
+        half_keep = np.ones(edge_ids.shape[0], dtype=bool)
+        half_keep[dropped] = False
+        neighbor_ids = neighbor_ids[half_keep]
+        edge_ids = edge_ids[half_keep]
+    counts = np.bincount(
+        np.concatenate((ins_u, ins_v)), minlength=n
+    ) - np.bincount(del_ends, minlength=n)
+    new_offsets = offsets.copy()
+    np.cumsum(counts, out=counts)
+    new_offsets[1:] += counts
+    if inserts:
+        # u-part length of each touched segment, counted in the old
+        # arrays (deleted u-halves included: slots are old positions)
+        touched = _sorted_unique(ins_u)
+        half, owner = _segment_halves(offsets, touched)
+        is_u = old.edge_u[old.edge_positions(old.edge_ids[half])] == (
+            touched[owner]
         )
-        ins_v = np.asarray(
-            [index_of[i[2]] for i in inserts], dtype=np.int64
+        u_part = np.bincount(owner[is_u], minlength=touched.size)
+        at = np.searchsorted(touched, ins_u)
+        slot = np.concatenate(
+            (offsets[touched][at] + u_part[at], offsets[ins_v + 1])
         )
-    edge_id = np.concatenate((old.edge_id[keep], ins_eid))
-    edge_u = np.concatenate((old.edge_u[keep], ins_u))
-    edge_v = np.concatenate((old.edge_v[keep], ins_v))
+        k = len(inserts)
+        segment = np.concatenate((ins_u, ins_v))
+        side = np.repeat(np.arange(2), k)
+        rank = np.tile(np.arange(k), 2)
+        # the v-side end of segment b and the u-side slot of segment
+        # b + 1 can share an old position: segment, then side, breaks it
+        order = np.lexsort((rank, side, segment, slot))
+        slot = slot[order]
+        slot -= np.searchsorted(dropped, slot)
+        neighbor_ids = np.insert(
+            neighbor_ids, slot, np.concatenate((ins_v, ins_u))[order]
+        )
+        edge_ids = np.insert(edge_ids, slot, np.tile(ins_eid, 2)[order])
+        edge_id = np.concatenate((edge_id, ins_eid))
+        edge_u = np.concatenate((edge_u, ins_u))
+        edge_v = np.concatenate((edge_v, ins_v))
     m = int(edge_id.shape[0])
-    identity_edges = bool(
-        m == 0 or np.array_equal(edge_id, np.arange(m, dtype=np.int64))
-    )
+    # ids ascend and are distinct, so they are 0..m-1 iff the last is m-1
+    identity_edges = m == 0 or int(edge_id[-1]) == m - 1
     eid_pos = None if identity_edges else _SortedEidPos(edge_id)
-    offsets, neighbor_ids, edge_ids = _half_edge_csr(
-        old.num_vertices, edge_u, edge_v, edge_id
-    )
     snap = CSRGraph(
         old.vertex_ids,
-        offsets,
+        new_offsets,
         neighbor_ids,
         edge_ids,
         edge_u,
@@ -432,8 +502,6 @@ class SessionWaveOracle:
     def record(self, graph, threshold: int, classes: Dict[int, int]) -> None:
         if graph is not self.graph:
             return
-        from ..graph.csr import snapshot_of
-
         snap = snapshot_of(graph)
         waves = np.fromiter(
             (classes[v] for v in snap.vertex_ids.tolist()),
@@ -617,24 +685,35 @@ def _watch_threshold(session, ws: WatchState) -> Optional[int]:
     return max(1, default_threshold(pseudo, ws.resolved_config.epsilon))
 
 
+def _tail_rule(
+    waves: np.ndarray,
+    eu: np.ndarray,
+    ev: np.ndarray,
+    eu_ids: np.ndarray,
+    ev_ids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Theorem 2.1(2) on endpoint arrays: ``(tail vertex ids, tail
+    dense indices)`` — exactly
+    :func:`~repro.decomposition.hpartition.acyclic_orientation`'s
+    ``u_wins`` comparison."""
+    cu = waves[eu]
+    cv = waves[ev]
+    u_wins = (cu < cv) | ((cu == cv) & (eu_ids < ev_ids))
+    return np.where(u_wins, eu_ids, ev_ids), np.where(u_wins, eu, ev)
+
+
 def _tails_arrays(
     snap: CSRGraph, waves: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Vectorized Theorem 2.1(2) rule over every edge: returns
-    ``(tail vertex ids, tail dense indices)`` per edge position —
-    exactly :func:`~repro.decomposition.hpartition.acyclic_orientation`'s
-    ``u_wins`` comparison."""
-    cu = waves[snap.edge_u]
-    cv = waves[snap.edge_v]
-    u_wins = (cu < cv) | ((cu == cv) & (snap.edge_u_ids < snap.edge_v_ids))
-    tails_ids = np.where(u_wins, snap.edge_u_ids, snap.edge_v_ids)
-    tails_idx = np.where(u_wins, snap.edge_u, snap.edge_v)
-    return tails_ids, tails_idx
+    """The Theorem 2.1(2) rule over every edge position of ``snap``."""
+    return _tail_rule(
+        waves, snap.edge_u, snap.edge_v, snap.edge_u_ids, snap.edge_v_ids
+    )
 
 
 def _prime_watch_extras(session, state: DeltaState, ws: WatchState) -> None:
-    """Seed the per-watch incremental scratch (the orientation dict the
-    refreshers patch) after a full run."""
+    """Seed the per-watch incremental scratch (the tails the refreshers
+    patch, aligned with the current snapshot) after a full run."""
     ws.extras.clear()
     threshold = _watch_threshold(session, ws)
     if threshold is None:
@@ -642,18 +721,62 @@ def _prime_watch_extras(session, state: DeltaState, ws: WatchState) -> None:
     entry = state.oracle.entry(threshold, session.fingerprint())
     if entry is None:
         return
+    # not session.snapshot(): its memo would pin this snapshot for as
+    # long as the session lives, long after the next batch replaces it
+    snap = snapshot_of(session.graph)
+    tails_ids, tails_idx = _tails_arrays(snap, entry.waves)
     ws.extras["threshold"] = threshold
-    if ws.task == "orientation":
-        ws.extras["orientation"] = ws.result.orientation
-    else:
-        snap = session.snapshot()
-        tails_ids, _tails_idx = _tails_arrays(snap, entry.waves)
-        ws.extras["orientation"] = EdgeArrayMap(snap.edge_id, tails_ids)
+    ws.extras["orientation"] = EdgeArrayMap(snap.edge_id, tails_ids)
+    ws.extras["tails_idx"] = tails_idx
 
 
 # ----------------------------------------------------------------------
 # Task refreshers
 # ----------------------------------------------------------------------
+
+
+def _spliced_tails(
+    ws: WatchState, info: DeltaInfo, waves: np.ndarray, changed: np.ndarray
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """Patch the previous batch's tails onto the new snapshot, or None
+    when no previous state is aligned with ``info.old_snapshot``.
+
+    A tail depends only on its edge's endpoint waves and ids, so only
+    inserted edges and edges at a vertex whose wave changed can differ
+    from the kept tails.  Those positions are re-ruled; the rest is
+    the old arrays under ``kept_mask`` with the inserts appended."""
+    prev = ws.extras.get("orientation")
+    prev_idx = ws.extras.get("tails_idx")
+    old = info.old_snapshot
+    if (
+        info.kept_mask is None
+        or prev_idx is None
+        or not isinstance(prev, EdgeArrayMap)
+        or old is None
+        or prev.eids is not old.edge_id
+    ):
+        return None
+    snap = info.new_snapshot
+    kept = info.kept_mask
+    m_kept = snap.num_edges - len(info.inserts)
+    tails_ids = np.empty(snap.num_edges, dtype=prev.vals.dtype)
+    tails_idx = np.empty(snap.num_edges, dtype=prev_idx.dtype)
+    tails_ids[:m_kept] = prev.vals[kept]
+    tails_idx[:m_kept] = prev_idx[kept]
+    offsets = snap.vertex_offsets
+    half = _concat_ranges(offsets[changed], offsets[changed + 1])
+    pos = np.concatenate((
+        snap.edge_positions(snap.edge_ids[half]),
+        np.arange(m_kept, snap.num_edges, dtype=np.int64),
+    ))
+    tails_ids[pos], tails_idx[pos] = _tail_rule(
+        waves,
+        snap.edge_u[pos],
+        snap.edge_v[pos],
+        snap.edge_u_ids[pos],
+        snap.edge_v_ids[pos],
+    )
+    return tails_ids, tails_idx
 
 
 def _patched_orientation(
@@ -663,17 +786,18 @@ def _patched_orientation(
     refreshers: returns ``(orientation mapping, tail dense indices per
     edge position, threshold)`` or None when repair is impossible.
 
-    The patch tail is flat array work end to end: the Theorem 2.1(2)
-    rule is a pure function of the repaired waves and the patched edge
-    arrays, so the new orientation is one vectorized
-    :func:`_tails_arrays` pass wrapped in an
-    :class:`~repro.graph.csr.EdgeArrayMap` — no O(m) dict copy, no
-    per-edge scatter loop.  Unaffected edges recompute to exactly
-    their previous tails (neither endpoint's wave changed), so the
-    result is bit-identical to the historical copy-pop-patch dict.
-    The primed ``extras["orientation"]`` entry still gates the path:
-    its absence means the last full run predates this watch's scratch
-    and repair must fall back.
+    The previous batch's tails are patched, not recomputed: kept under
+    ``kept_mask``, the inserts appended, and the Theorem 2.1(2) rule
+    re-applied only at inserted edges and at edges incident to a
+    vertex whose wave changed (:func:`_spliced_tails`).  Every other
+    edge keeps its tail because neither endpoint's wave moved, so the
+    result is bit-identical to a full :func:`_tails_arrays` pass, which
+    still runs when no aligned previous state exists.  The mapping is
+    an :class:`~repro.graph.csr.EdgeArrayMap` over the new snapshot's
+    ``edge_id``, and ``extras["tails_idx"]`` keeps the dense tails next
+    to it for the next batch.  The primed ``extras["orientation"]``
+    entry gates the path: its absence means the last full run predates
+    this watch's scratch and repair must fall back.
     """
     state = getattr(session, "_delta_state", None)
     if state is None:
@@ -683,14 +807,21 @@ def _patched_orientation(
     threshold = _watch_threshold(session, ws)
     if threshold is None or threshold != ws.extras.get("threshold"):
         return None
-    if info.changed_by_threshold.get(threshold) is None:
+    changed = info.changed_by_threshold.get(threshold)
+    if changed is None:
         return None
     entry = state.oracle.entry(threshold, session.fingerprint())
     if entry is None:
         return None
     snap = info.new_snapshot
-    tails_ids, tails_idx = _tails_arrays(snap, entry.waves)
-    return EdgeArrayMap(snap.edge_id, tails_ids), tails_idx, threshold
+    tails = _spliced_tails(ws, info, entry.waves, changed)
+    if tails is None:
+        tails = _tails_arrays(snap, entry.waves)
+    tails_ids, tails_idx = tails
+    orientation = EdgeArrayMap(snap.edge_id, tails_ids)
+    ws.extras["orientation"] = orientation
+    ws.extras["tails_idx"] = tails_idx
+    return orientation, tails_idx, threshold
 
 
 def _refresh_orientation(session, ws: WatchState, info: DeltaInfo):
@@ -698,7 +829,6 @@ def _refresh_orientation(session, ws: WatchState, info: DeltaInfo):
     if patched is None:
         return None
     orientation, _tails_idx, threshold = patched
-    ws.extras["orientation"] = orientation
     counter = ensure_counter(None)
     counter.charge(1, "delta: orientation patch")
     return OrientationResult(
@@ -737,8 +867,7 @@ def _refresh_pseudoforest(session, ws: WatchState, info: DeltaInfo):
     patched = _patched_orientation(session, ws, info)
     if patched is None:
         return None
-    orientation, tails_idx, threshold = patched
-    ws.extras["orientation"] = orientation
+    _orientation, tails_idx, threshold = patched
     coloring = _fold_pseudoforests(info.new_snapshot.edge_id, tails_idx)
     counter = ensure_counter(None)
     counter.charge(1, "delta: orientation patch + fold")
@@ -908,11 +1037,6 @@ def apply_delta(
             else:
                 reason = "refresher fell back"
             result = session.decompose(task, config=ws.config, **ws.kwargs)
-            # Bind the fresh result BEFORE priming: the orientation
-            # watch's patch base is read off ws.result, and priming
-            # against the stale one would leave the next incremental
-            # batch patching on top of a pre-fallback orientation.
-            ws.result = result
             _prime_watch_extras(session, state, ws)
         else:
             resolved = ws.resolved_config

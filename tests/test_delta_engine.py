@@ -17,12 +17,15 @@ and JSON round-trip, and the watch/unwatch/current session surface.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro import DecompositionConfig, GraphError, ValidationError
-from repro.graph.csr import CSRGraph
+from repro.graph.csr import CSRGraph, EdgeArrayMap
 from repro.graph.generators import union_of_random_forests
 from repro.parallel import segment_kth_largest
+from repro.service import delta as delta_module
 from repro.service.delta import (
     JOURNAL_CHAIN_SEED,
     chain_digest,
@@ -251,30 +254,224 @@ def test_repaired_waves_equal_fresh_peel():
             )
 
 
-def test_patched_snapshot_matches_full_rebuild():
-    rng = np.random.default_rng(9)
-    graph = random_graph(rng, 30, 70)
-    old = CSRGraph.from_multigraph(graph)
+SNAPSHOT_ARRAYS = (
+    "vertex_offsets", "neighbor_ids", "edge_ids", "edge_id",
+    "edge_u", "edge_v", "edge_u_ids", "edge_v_ids", "vertex_ids",
+)
+
+
+def assert_same_snapshot(patched, full):
+    for attr in SNAPSHOT_ARRAYS:
+        got, want = getattr(patched, attr), getattr(full, attr)
+        assert got.dtype == want.dtype, f"snapshot array {attr}: dtype"
+        assert np.array_equal(got, want), f"snapshot array {attr} diverged"
+    assert (patched._eid_pos is None) == (full._eid_pos is None)
+    assert (patched._index_of is None) == (full._index_of is None)
+
+
+def patch_and_check(graph, snap, inserts, deletes):
+    """Apply one batch to ``graph``, splice ``snap`` and compare it with
+    a full rebuild; returns the spliced snapshot."""
     dels = []
-    for eid in graph.edge_ids()[:5]:
+    for eid in deletes:
         u, v = graph.endpoints(eid)
         dels.append((eid, u, v))
         graph.remove_edge(eid)
+    ins = [(graph.add_edge(u, v), u, v) for u, v in inserts]
+    patched, kept = patched_snapshot(snap, graph, ins, dels)
+    assert_same_snapshot(patched, CSRGraph.from_multigraph(graph))
+    assert kept is not None and kept.sum() == snap.num_edges - len(dels)
+    return patched
+
+
+def graph_on(vertex_ids, pairs):
+    graph = repro.MultiGraph()
+    for v in vertex_ids:
+        graph.add_vertex(v)
+    for u, v in pairs:
+        graph.add_edge(u, v)
+    return graph
+
+
+def test_patched_snapshot_matches_full_rebuild():
+    rng = np.random.default_rng(9)
+    graph = random_graph(rng, 30, 70)
     ins = []
     for _ in range(6):
         u, v = int(rng.integers(0, 30)), int(rng.integers(0, 30))
         if u != v:
-            ins.append((graph.add_edge(u, v), u, v))
-    patched, kept = patched_snapshot(old, graph, ins, dels)
-    full = CSRGraph.from_multigraph(graph)
-    for attr in (
-        "vertex_offsets", "neighbor_ids", "edge_ids", "edge_id",
-        "edge_u", "edge_v", "edge_u_ids", "edge_v_ids", "vertex_ids",
-    ):
-        assert np.array_equal(
-            getattr(patched, attr), getattr(full, attr)
-        ), f"snapshot array {attr} diverged"
-    assert kept is not None and kept.sum() == old.num_edges - len(dels)
+            ins.append((u, v))
+    patch_and_check(
+        graph, CSRGraph.from_multigraph(graph), ins, graph.edge_ids()[:5]
+    )
+
+
+@pytest.mark.parametrize(
+    "vertex_ids", [list(range(6)), [40, 3, 17, 8, 99, 21]],
+    ids=["identity", "gappy"],
+)
+def test_patched_snapshot_chain_named_cases(vertex_ids):
+    """One chain through every splice corner on purpose: parallel
+    edges, a vertex losing all its edges, a re-insert parallel to an
+    edge deleted in the same batch, the slot tie between the v-side
+    end of segment b and the u-side slot of segment b + 1, and empty,
+    insert-only and delete-only batches."""
+    a, b, c, d, e, f = vertex_ids
+    graph = graph_on(
+        vertex_ids, [(a, b), (a, b), (b, a), (c, d), (d, e), (a, f), (e, c)]
+    )
+    snap = CSRGraph.from_multigraph(graph)
+    snap = patch_and_check(graph, snap, [], [])
+    snap = patch_and_check(graph, snap, [(b, c), (c, b)], [])
+    # every edge at a (dense index 0) goes
+    snap = patch_and_check(graph, snap, [], graph.incident_edges(a))
+    # delete (c, d) and insert it again in both directions
+    cd = graph.edges_between(c, d)[0]
+    snap = patch_and_check(graph, snap, [(c, d), (d, c)], [cd])
+    # b has no u-side halves left: (b, a) lands at a's end and b's
+    # u-slot, the same old position
+    snap = patch_and_check(graph, snap, [(b, a), (a, b), (f, e)], [])
+    snap = patch_and_check(
+        graph, snap, [(e, f), (f, a)], graph.edge_ids()[::2]
+    )
+    snap = patch_and_check(graph, snap, [], graph.edge_ids())
+    patch_and_check(graph, snap, [(a, b)], [])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_patched_snapshot_chain_property(data):
+    """A chain of splices, each on the previous spliced snapshot,
+    equals ``from_multigraph`` on every array after every batch."""
+    n = data.draw(st.integers(2, 8), label="n")
+    if data.draw(st.booleans(), label="identity ids"):
+        vertex_ids = list(range(n))
+    else:
+        vertex_ids = data.draw(
+            st.lists(st.integers(0, 60), min_size=n, max_size=n, unique=True),
+            label="vertex ids",
+        )
+    pair = st.tuples(
+        st.sampled_from(vertex_ids), st.sampled_from(vertex_ids)
+    ).filter(lambda p: p[0] != p[1])
+    graph = graph_on(
+        vertex_ids, data.draw(st.lists(pair, max_size=16), label="edges")
+    )
+    snap = CSRGraph.from_multigraph(graph)
+    for _ in range(data.draw(st.integers(1, 5), label="batches")):
+        kind = data.draw(st.sampled_from(
+            ["empty", "insert", "delete", "mixed", "clear", "reinsert",
+             "adjacent"]
+        ))
+        inserts, deletes = [], []
+        live = graph.edge_ids()
+        if kind in ("delete", "mixed") and live:
+            deletes = data.draw(st.lists(
+                st.sampled_from(live), max_size=len(live), unique=True
+            ))
+        if kind == "clear":
+            deletes = graph.incident_edges(data.draw(st.sampled_from(
+                vertex_ids
+            )))
+        if kind == "reinsert" and live:
+            eid = data.draw(st.sampled_from(live))
+            u, v = graph.endpoints(eid)
+            deletes = [eid]
+            inserts = [(u, v) if data.draw(st.booleans()) else (v, u)]
+        if kind == "adjacent":
+            i = data.draw(st.integers(0, n - 2))
+            lo, hi = vertex_ids[i], vertex_ids[i + 1]
+            inserts = [(hi, lo), (lo, hi)]
+        if kind in ("insert", "mixed", "clear", "adjacent"):
+            inserts += data.draw(st.lists(pair, max_size=6))
+        snap = patch_and_check(graph, snap, inserts, deletes)
+
+
+# Two random forests peeled with pseudoarboricity pinned to 2: several
+# waves deep, and the repair changes waves on every batch.
+DEEP_WATCHES = tuple(
+    (task, dict(kwargs, pseudoarboricity=2)) for task, kwargs in WATCHES
+)
+DEEP_CONFIG = DecompositionConfig(validation="basic", delta_mode="incremental")
+
+
+def stream_tails_check(graph, rng, batches, monkeypatch):
+    """Watch orientation + pseudoforest, run mixed batches, and after
+    each one compare every watch's patched tails with a full
+    ``_tails_arrays`` pass; returns the session, the snapshots the full
+    pass ran on inside ``apply_delta``, and the dirty count per batch."""
+    session = repro.Session(graph, DEEP_CONFIG)
+    for task, kwargs in DEEP_WATCHES:
+        session.watch(task, **kwargs)
+    state = ensure_delta_state(session)
+    full_calls = []
+    real = delta_module._tails_arrays
+
+    def counting(snap, waves):
+        full_calls.append(snap)
+        return real(snap, waves)
+
+    monkeypatch.setattr(delta_module, "_tails_arrays", counting)
+    vertex_ids = graph.vertices()
+    dirty = []
+    for _ in range(batches):
+        inserts = []
+        for _ in range(4):
+            u, v = rng.choice(len(vertex_ids), size=2, replace=False)
+            inserts.append((vertex_ids[int(u)], vertex_ids[int(v)]))
+        live = graph.edge_ids()
+        picks = rng.choice(len(live), size=min(4, len(live)), replace=False)
+        report = session.apply_delta(inserts, [live[int(i)] for i in picks])
+        dirty.append(report.dirty_vertices)
+        snap = session.snapshot()
+        for task, _kwargs in DEEP_WATCHES:
+            extras = session._watches[task].extras
+            waves = state.oracle.entry(extras["threshold"]).waves
+            want_ids, want_idx = real(snap, waves)
+            assert extras["orientation"].eids is snap.edge_id
+            assert np.array_equal(extras["orientation"].vals, want_ids)
+            assert np.array_equal(extras["tails_idx"], want_idx)
+        assert report.mode == "incremental"
+        assert_matches_scratch(session, DEEP_CONFIG, DEEP_WATCHES)
+    return session, full_calls, dirty
+
+
+@pytest.mark.parametrize("gappy", [False, True], ids=["identity", "gappy"])
+def test_patched_tails_equal_full_tails(gappy, monkeypatch):
+    ids = [3 * i + 7 for i in range(40)] if gappy else list(range(40))
+    forests = union_of_random_forests(40, 2, seed=11)
+    graph = graph_on(ids, [(ids[u], ids[v]) for _e, u, v in forests.edges()])
+    _session, full_calls, dirty = stream_tails_check(
+        graph, np.random.default_rng(11), 6, monkeypatch
+    )
+    # every batch was spliced: priming left tails aligned with the
+    # snapshot, and each patch keeps them aligned; and waves moved, so
+    # the re-ruled edges at changed vertices were exercised
+    assert full_calls == []
+    assert sum(dirty) > 0
+
+
+def test_unaligned_previous_tails_take_full_recompute(monkeypatch):
+    graph = union_of_random_forests(40, 2, seed=5)
+    session, full_calls, _dirty = stream_tails_check(
+        graph, np.random.default_rng(5), 1, monkeypatch
+    )
+    # re-key the pseudoforest's tails on an equal copy of edge_id: no
+    # longer aligned with the cached snapshot by identity
+    extras = session._watches["pseudoforest"].extras
+    prev = extras["orientation"]
+    extras["orientation"] = EdgeArrayMap(prev.eids.copy(), prev.vals)
+    live = graph.edge_ids()
+    session.apply_delta([(0, 1), (2, 3)], live[:3])
+    assert len(full_calls) == 1
+    snap = session.snapshot()
+    waves = ensure_delta_state(session).oracle.entry(
+        extras["threshold"]
+    ).waves
+    want_ids, want_idx = delta_module._tails_arrays(snap, waves)
+    assert np.array_equal(extras["orientation"].vals, want_ids)
+    assert np.array_equal(extras["tails_idx"], want_idx)
+    assert_matches_scratch(session, DEEP_CONFIG, DEEP_WATCHES)
 
 
 def test_segment_kth_largest_matches_reference():
