@@ -25,8 +25,7 @@ Tasks: ``"forest"`` (Theorem 4.6), ``"list_forest"`` (Theorem 4.10),
 
 For repeated queries against one graph, a :class:`repro.Session` caches
 the graph-prep phase — CSR snapshot, exact arboricity (the
-Gabow–Westermann ground truth) and pseudoarboricity, per-color
-sub-CSRs — across calls::
+Gabow–Westermann ground truth) and pseudoarboricity — across calls::
 
     session = repro.Session(graph)
     fd = session.decompose("forest", config)

@@ -116,8 +116,15 @@ class Session:
         return value
 
     def snapshot(self):
-        """The graph's CSR snapshot (built once per fingerprint)."""
-        return self._memoized("snapshot", lambda: snapshot_of(self.graph))
+        """The graph's CSR snapshot (built once per fingerprint).
+
+        The snapshot itself stays cached on the graph
+        (:func:`~repro.graph.csr.snapshot_of`); the session keeps only
+        the fingerprint, for the hit/miss counts, so a snapshot that
+        an edit or a delta batch replaced is not held here.
+        """
+        self._memoized("snapshot", lambda: None)
+        return snapshot_of(self.graph)
 
     def arboricity(self) -> int:
         """Memoized exact arboricity (Nash-Williams ground truth)."""

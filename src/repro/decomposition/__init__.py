@@ -1,5 +1,5 @@
 """Distributed building blocks: H-partition, Cole-Vishkin, network
-decomposition, LLL, and the (4+ε)α*-LSFD of Theorem 2.3."""
+decomposition, and the (4+ε)α*-LSFD of Theorem 2.3."""
 
 from .cole_vishkin import three_color_rooted_forest
 from .degeneracy import (
@@ -17,7 +17,6 @@ from .hpartition import (
     rooted_forests_from_orientation,
     star_forest_decomposition_via_hpartition,
 )
-from .lll import BadEvent, LLLInstance, dependency_degree, moser_tardos
 from .lsfd import (
     list_star_forest_decomposition,
     lsfd_palette_requirement,
@@ -44,10 +43,6 @@ __all__ = [
     "rooted_forests_from_orientation",
     "star_forest_decomposition_via_hpartition",
     "list_forest_decomposition_via_hpartition",
-    "BadEvent",
-    "LLLInstance",
-    "moser_tardos",
-    "dependency_degree",
     "list_star_forest_decomposition",
     "lsfd_palette_requirement",
     "validate_star_invariant",

@@ -10,9 +10,10 @@ the ``αliststar ≤ 4α − 2`` bound of Corollary 1.2.
 This module provides the exact degeneracy (iterated minimum-degree
 peeling), the associated acyclic orientation, and the constructive
 Theorem 2.2 coloring — the *existential* counterpart of the distributed
-Theorem 2.3 in :mod:`repro.decomposition.lsfd`.  The peeling runs on the
-flat-array kernel; the dict-of-sets heap it was ported from is the test
-suite's reference (``tests/reference/peel.py``).
+Theorem 2.3 in :mod:`repro.decomposition.lsfd`.  The peeling is the
+kernel's :func:`~repro.graph.csr.degeneracy_peel`; the dict-of-sets heap
+it was ported from is the test suite's reference
+(``tests/reference/peel.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import PaletteError
-from ..graph.csr import CSRGraph, snapshot_of
+from ..graph.csr import degeneracy_peel, snapshot_of
 from ..graph.multigraph import MultiGraph
 
 Palettes = Dict[int, Sequence[int]]
@@ -35,28 +36,13 @@ def degeneracy_ordering(graph: MultiGraph) -> Tuple[int, List[int]]:
     order; every vertex has at most ``d`` neighbors later in the order.
     The removal rule is: always delete the vertex minimizing
     ``(remaining degree, vertex id)``, so the order is deterministic.
-    The delete-min loop runs on the flat-array kernel's peeling view.
+    The delete-min loop is the kernel's
+    :func:`~repro.graph.csr.degeneracy_peel`.
     """
     snapshot = snapshot_of(graph)
-    degeneracy, order_indices = _peel_order(snapshot)
+    degeneracy, order_indices = degeneracy_peel(snapshot)
     vertex_ids = snapshot.vertex_ids.tolist()
     return degeneracy, [vertex_ids[i] for i in order_indices]
-
-
-def _peel_order(snapshot: CSRGraph) -> Tuple[int, List[int]]:
-    """Delete-min peeling on the kernel; returns (d, dense-index order)."""
-    view = snapshot.peeling_view()
-    order: List[int] = []
-    degeneracy = 0
-    while True:
-        popped = view.pop_min()
-        if popped is None:
-            break
-        index, deg = popped
-        if deg > degeneracy:
-            degeneracy = deg
-        order.append(index)
-    return degeneracy, order
 
 
 def degeneracy_orientation(graph: MultiGraph) -> Tuple[int, Dict[int, int]]:
@@ -67,7 +53,7 @@ def degeneracy_orientation(graph: MultiGraph) -> Tuple[int, Dict[int, int]]:
     at most ``d`` of them).
     """
     snapshot = snapshot_of(graph)
-    degeneracy, order_indices = _peel_order(snapshot)
+    degeneracy, order_indices = degeneracy_peel(snapshot)
     if snapshot.num_edges == 0:
         return degeneracy, {}
     position = np.empty(snapshot.num_vertices, dtype=np.int64)

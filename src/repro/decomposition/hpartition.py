@@ -12,8 +12,8 @@ These are both the pre-existing baseline the paper improves on (its
 (2+ε)α-FD) and subroutines of the main algorithms (leftover recoloring
 in Theorem 4.6, the 3α-orientation inside CUT, Theorem 2.3's LSFD).
 
-The peel and the orientation run on the flat-array kernel
-(:class:`~repro.graph.csr.PeelingView`).  The dict loops they were
+The peel and the orientation run on the flat-array kernel's snapshot
+arrays (:mod:`repro.graph.csr`).  The dict loops they were
 ported from are the test suite's reference (``tests/reference/peel.py``);
 the equivalence corpus checks identical classes, orientations and
 charged rounds against it.
@@ -27,7 +27,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DecompositionError, PaletteError
-from ..graph.csr import CSRGraph, EdgeArrayMap, snapshot_of
+from ..graph.csr import (
+    CSRGraph,
+    EdgeArrayMap,
+    _concat_ranges,
+    apply_degree_decrements,
+    snapshot_of,
+)
 from ..graph.forests import RootedForest
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -103,10 +109,9 @@ def h_partition(
     :class:`DecompositionError` is raised.  Charges one LOCAL round per
     peeling wave.
 
-    Each wave runs vectorized on the flat-array kernel, touching only
+    Each wave runs vectorized on the snapshot's arrays, touching only
     the previous wave's threshold-crossing frontier after the first
-    full scan (see :class:`~repro.graph.csr.PeelingView`).  Without a
-    ``snapshot`` it peels the graph's cached one
+    full scan.  Without a ``snapshot`` it peels the graph's cached one
     (:func:`~repro.graph.csr.snapshot_of`), so every kernel-backed pass
     on the same graph shares one conversion.
     """
@@ -121,25 +126,40 @@ def h_partition(
                 counter.charge(waves, "H-partition wave")
             return HPartition(cached, threshold)
     snap = snapshot if snapshot is not None else snapshot_of(graph)
-    view = snap.peeling_view()
+    n = snap.num_vertices
+    offsets = snap.vertex_offsets
     vertex_ids = snap.vertex_ids.tolist()
+    alive = np.ones(n, dtype=bool)
+    remaining = snap.degrees().astype(np.int64)
+    # Work-list invariant: after a wave, a live vertex has remaining
+    # degree <= threshold iff that wave's degree update pushed it
+    # there (any other such vertex left in the wave itself), so the
+    # update's crossing set is the next wave's removal set.
+    removed = np.flatnonzero(remaining <= threshold)
+    left = n
     classes: Dict[int, int] = {}
     wave = 0
-    while view.alive_count:
+    while left:
         wave += 1
         if wave > cap:
             raise DecompositionError(
                 f"H-partition stalled: threshold {threshold} too small"
             )
-        removed = view.peel_leq(threshold)
         if removed.size == 0:
             raise DecompositionError(
                 f"H-partition stalled: threshold {threshold} too small "
                 f"(no vertex of degree <= {threshold} remains)"
             )
+        alive[removed] = False
+        left -= int(removed.size)
         for index in removed.tolist():
             classes[vertex_ids[index]] = wave
         counter.charge(1, "H-partition wave")
+        half = _concat_ranges(offsets[removed], offsets[removed + 1])
+        neighbors = snap.neighbor_ids[half]
+        neighbors = neighbors[alive[neighbors]]
+        touched = apply_degree_decrements(remaining, neighbors, n)
+        removed = touched[remaining[touched] <= threshold]
 
     if oracle is not None:
         oracle.record(graph, threshold, classes)

@@ -8,8 +8,8 @@ only ever need degree queries and neighborhood iteration.  Those map
 onto flat index arrays, which is how this kernel makes them run at
 array speed while the public API keeps accepting ``MultiGraph``.
 
-Snapshot / peeling-view contract
---------------------------------
+Snapshot / peel contract
+------------------------
 
 :class:`CSRGraph` is an **immutable snapshot** of a ``MultiGraph`` at
 build time:
@@ -26,7 +26,10 @@ build time:
   colorings computed on the snapshot transfer back without
   translation.  Parallel edges appear once per copy.
 * ``edge_u``/``edge_v`` (endpoint indices) and ``edge_id`` (original
-  ids) list edges by position in ``MultiGraph`` insertion order.
+  ids) list edges by position in ``MultiGraph`` insertion order.  An
+  edge id resolves to its position by binary search over ``edge_id``
+  (or over its stable argsort, when the ids do not ascend); no
+  per-edge side structure is built.
 * Degree lookup is O(1): ``vertex_offsets[i+1] - vertex_offsets[i]``.
 
 The snapshot is only valid while the source graph is unmutated; every
@@ -35,26 +38,25 @@ snapshot per run (cached on the graph by :func:`snapshot_of`, which
 :class:`~repro.core.partial_coloring.PartialListForestDecomposition`
 hands to CUT and the augmenting search) is safe.
 
-:class:`PeelingView` layers *mutable* degree bookkeeping over a frozen
-snapshot.  It supports the two deletion disciplines the decomposition
-algorithms need:
+The two peels read a snapshot and keep their own degree bookkeeping,
+so many peels can share one snapshot:
 
-* :meth:`PeelingView.peel_leq` — one H-partition wave: remove every
-  live vertex of remaining degree ≤ t simultaneously (vectorized), and
-* :meth:`PeelingView.pop_min` — degeneracy peeling: remove the live
-  vertex minimizing ``(remaining degree, vertex id)``, via a lazy heap.
+* :func:`repro.decomposition.hpartition.h_partition` runs Theorem
+  2.1's threshold waves on arrays: each wave removes every live vertex
+  of remaining degree ≤ t at once, and the batched degree update
+  (:func:`apply_degree_decrements`) returns exactly the vertices it
+  pushed to ≤ t, which are the next wave's removals.  A cascade of
+  waves touches only its frontier instead of rescanning all ``n``
+  vertices per wave.
+* :func:`degeneracy_peel` is the delete-min peel: it removes the live
+  vertex minimizing ``(remaining degree, vertex id)``, one at a time.
+  The degeneracy ordering and exact pseudoarboricity both start from
+  its order.
 
-Both maintain ``remaining degree`` counting parallel edges, exactly
-like the dict-backed loops they replaced (kept as the test suite's
-reference, ``tests/reference/peel.py``); results are byte-identical
-(see ``tests/test_kernel_equivalence.py``).  The view never touches the
-snapshot arrays, so many views can share one snapshot.
-
-Threshold waves keep a work-list: the vertices a wave's batched
-degree update (:func:`apply_degree_decrements`) pushed to or below
-the threshold are exactly the next wave's removals, so a cascade of
-waves touches only its frontier instead of rescanning all ``n``
-vertices per wave (see :meth:`PeelingView.peel_leq`).
+Both count remaining degree with parallel edges, exactly like the
+dict-backed loops they replaced (kept as the test suite's reference,
+``tests/reference/peel.py``); results are byte-identical (see
+``tests/test_kernel_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -207,7 +209,7 @@ def mutation_fingerprint(graph) -> Tuple[int, int, int]:
     restores all three, so an equal fingerprint means the graph is
     unchanged.  This keys every derived-data cache in the library: the
     per-graph snapshot below and the :class:`~repro.core.session.Session`
-    memos (arboricity, pseudoarboricity, per-color sub-CSRs).
+    memos (arboricity, pseudoarboricity).
 
     :class:`CSRGraph` inputs are immutable, so their highest edge id
     stands in for the mutation counter — this is what lets a
@@ -356,12 +358,14 @@ class CSRGraph:
         "edge_u_ids",
         "edge_v_ids",
         "_index_of",
-        "_eid_pos",
+        "_identity_edges",
+        "_eid_search",
         "_endpoint_lists",
         "_adj_lists",
         "_vertex_id_list",
         "_simple",
         "mmap_dir",
+        "__weakref__",
     )
 
     def __init__(
@@ -374,7 +378,7 @@ class CSRGraph:
         edge_v: np.ndarray,
         edge_id: np.ndarray,
         index_of: Optional[Dict[int, int]],
-        eid_pos: Optional[Dict[int, int]],
+        identity_edges: bool,
         mmap_dir: Optional[str] = None,
     ) -> None:
         self.num_vertices = int(vertex_ids.shape[0])
@@ -397,7 +401,8 @@ class CSRGraph:
             self.edge_u_ids = vertex_ids[edge_u]
             self.edge_v_ids = vertex_ids[edge_v]
         self._index_of = index_of  # None => identity (ids are 0..n-1)
-        self._eid_pos = eid_pos  # None => identity (ids are 0..m-1)
+        self._identity_edges = identity_edges  # ids are 0..m-1
+        self._eid_search = None  # built by _eid_index on first lookup
         self._endpoint_lists: Optional[Tuple[Sequence, Sequence]] = None
         self._adj_lists: Optional[Tuple[List[int], List[int]]] = None
         self._vertex_id_list: Optional[List[int]] = None
@@ -440,12 +445,6 @@ class CSRGraph:
         identity_edges = bool(
             m == 0 or np.array_equal(edge_id, np.arange(m, dtype=np.int64))
         )
-        eid_pos = (
-            None
-            if identity_edges
-            else {int(e): pos for pos, e in enumerate(edge_id.tolist())}
-        )
-
         vertex_offsets, neighbor_ids, edge_ids = _half_edge_csr(
             n, edge_u, edge_v, edge_id
         )
@@ -459,7 +458,7 @@ class CSRGraph:
             edge_v,
             edge_id,
             index_of,
-            eid_pos,
+            identity_edges,
         )
 
     @classmethod
@@ -631,7 +630,7 @@ class CSRGraph:
             edge_v,
             edge_id,
             None,
-            None,
+            True,
             mmap_dir=mmap_dir,
         )
 
@@ -722,7 +721,7 @@ class CSRGraph:
 
     def endpoints(self, eid: int) -> Tuple[int, int]:
         """Original ``(u, v)`` vertex ids of edge ``eid``."""
-        pos = eid if self._eid_pos is None else self._eid_pos[eid]
+        pos = eid if self._identity_edges else int(self.edge_positions([eid])[0])
         return int(self.edge_u_ids[pos]), int(self.edge_v_ids[pos])
 
     def endpoint_maps(self) -> Tuple[Sequence, Sequence]:
@@ -735,7 +734,7 @@ class CSRGraph:
         if self._endpoint_lists is None:
             u_ids = self.edge_u_ids.tolist()
             v_ids = self.edge_v_ids.tolist()
-            if self._eid_pos is None:
+            if self._identity_edges:
                 self._endpoint_lists = (u_ids, v_ids)
             else:
                 eids = self.edge_id.tolist()
@@ -930,7 +929,7 @@ class CSRGraph:
             edge_v,
             edge_id,
             self._index_of,
-            None,
+            True,
         )
 
     # ------------------------------------------------------------------
@@ -938,18 +937,41 @@ class CSRGraph:
     # ------------------------------------------------------------------
 
     def edge_positions(self, eids: Sequence[int]) -> np.ndarray:
-        """Dense edge positions of the given original edge ids."""
-        if self._eid_pos is None:
-            return np.asarray(eids, dtype=np.int64)
-        pos_of = self._eid_pos
-        vectorized = getattr(pos_of, "positions", None)
-        if vectorized is not None:
-            # array-backed position maps (the delta engine's
-            # searchsorted variant) resolve whole batches at once
-            return vectorized(np.asarray(eids, dtype=np.int64))
-        return np.fromiter(
-            (pos_of[e] for e in eids), dtype=np.int64, count=len(eids)
-        )
+        """Dense edge positions of the given original edge ids.
+
+        Unless the ids are ``0..m-1``, one binary search over the
+        ascending ids resolves the whole batch; ``KeyError`` names the
+        first unknown id.
+        """
+        eids = np.asarray(eids, dtype=np.int64)
+        if self._identity_edges:
+            return eids
+        keys, perm = self._eid_index()
+        found = np.searchsorted(keys, eids)
+        clipped = np.minimum(found, keys.size - 1)
+        bad = (found >= keys.size) | (keys[clipped] != eids)
+        if bad.any():
+            raise KeyError(int(eids[bad][0]))
+        return found if perm is None else perm[found]
+
+    def _eid_index(self) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """``(ascending edge ids, their positions)``, built on first use;
+        the positions are None when ``edge_id`` itself ascends.
+
+        Snapshots of a ``MultiGraph`` list ids in insertion order, which
+        ascends (as do the delta engine's spliced ids), so the ids are
+        their own search keys and positions need no permutation.  An
+        ``edge_subgraph`` taken from an unsorted id list does not
+        ascend; it keeps the stable argsort of ``edge_id``.
+        """
+        if self._eid_search is None:
+            edge_id = self.edge_id
+            if bool(np.all(edge_id[1:] > edge_id[:-1])):
+                self._eid_search = (edge_id, None)
+            else:
+                perm = np.argsort(edge_id, kind="stable")
+                self._eid_search = (edge_id[perm], perm)
+        return self._eid_search
 
     def edge_subset_csr_arrays(
         self, eids: Sequence[int]
@@ -999,236 +1021,65 @@ class CSRGraph:
         np.cumsum(counts, out=offsets[1:])
         return offsets, dst_local
 
-    # ------------------------------------------------------------------
-
-    def peeling_view(self) -> "PeelingView":
-        return PeelingView(self)
-
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.num_vertices}, m={self.num_edges})"
 
 
-class PeelingView:
-    """Incremental vertex-deletion bookkeeping over a :class:`CSRGraph`.
+def degeneracy_peel(snapshot: CSRGraph) -> Tuple[int, List[int]]:
+    """Delete-min peel: repeatedly remove the live vertex minimizing
+    ``(remaining degree, vertex id)``.
 
-    Tracks, per dense vertex index, liveness and remaining degree
-    (counting parallel edges).  ``peel_leq`` serves the H-partition
-    threshold waves; ``pop_min`` serves degeneracy's delete-min.
+    Returns ``(d, order)``: the largest degree a vertex had when it was
+    removed (the degeneracy) and the dense indices in removal order.
+    Remaining degree counts parallel edges, and ties break on original
+    vertex id, matching the dict-backed heap of the test reference
+    entry for entry.
 
-    The two disciplines want different representations: threshold waves
-    are numpy-vectorized over degree arrays, while delete-min is a
-    scalar loop where plain Python lists beat numpy scalar indexing by
-    a wide margin.  The view therefore starts in *array mode* and
-    switches to *scalar mode* on the first ``pop_min``; both operations
-    stay correct in either mode (a post-switch ``peel_leq`` runs a
-    scalar wave), so the disciplines may be interleaved.
-
-    Delete-min uses a bucket queue — one small min-heap of vertices per
-    remaining degree, with lazy deletion of stale entries — so the
-    frequent operation (a neighbor's degree drops by one) costs an
-    integer push instead of a tuple push into one big heap.
-
-    Threshold waves keep a work-list: ``_cand`` is the exact removal
-    set of the next wave at threshold ``_cand_threshold``.  Invariant:
-    after a ``peel_leq(t)`` wave, a live vertex has remaining degree
-    <= t iff that wave's degree update pushed it to <= t, since any
-    other such vertex would have been removed by the wave itself.  So
-    the update's threshold-crossing set *is* the next full scan's
-    ``flatnonzero(alive & (remaining <= t))``.  A threshold change
-    invalidates the work-list, so that wave scans in full; the first
-    ``pop_min`` switches the view to scalar mode for good, and scalar
-    waves never read the work-list.
+    A bucket queue holds one small min-heap per remaining degree.  Each
+    heap holds vertex *ranks* (positions in ascending-id order), so the
+    id tie-break is one int comparison whatever the ids are.  Stale
+    entries (a removed vertex, or one whose degree dropped since the
+    push) are skipped lazily; degrees only decrease.
     """
-
-    __slots__ = (
-        "snapshot",
-        "alive_count",
-        "_alive_arr",
-        "_remaining_arr",
-        "_alive",
-        "_remaining",
-        "_buckets",
-        "_dmin",
-        "_identity",
-        "_cand",
-        "_cand_threshold",
-    )
-
-    def __init__(self, snapshot: CSRGraph) -> None:
-        self.snapshot = snapshot
-        self.alive_count = snapshot.num_vertices
-        # Array mode state (scalar mode swaps these for Python lists).
-        self._alive_arr: Optional[np.ndarray] = np.ones(
-            snapshot.num_vertices, dtype=bool
-        )
-        self._remaining_arr: Optional[np.ndarray] = snapshot.degrees().astype(
-            np.int64, copy=True
-        )
-        self._alive: Optional[List[bool]] = None
-        self._remaining: Optional[List[int]] = None
-        # Bucket entries are vertex indices (or (vertex id, index) when
-        # original ids differ from indices, to keep the id tie-break).
-        self._identity = snapshot._index_of is None
-        self._buckets: Optional[List[list]] = None
-        self._dmin = 0
-        self._cand: Optional[np.ndarray] = None
-        self._cand_threshold: Optional[int] = None
-
-    # -- threshold peeling ---------------------------------------------
-
-    def peel_leq(self, threshold: int) -> np.ndarray:
-        """Remove every live vertex of remaining degree ≤ ``threshold``.
-
-        Returns the removed dense indices (ascending).  Neighbors that
-        survive the wave lose one degree per connecting parallel edge —
-        exactly one H-partition wave, fully vectorized in array mode.
-        """
-        if self._alive_arr is None:
-            return self._peel_leq_scalar(threshold)
-        alive = self._alive_arr
-        remaining = self._remaining_arr
-        if self._cand is not None and self._cand_threshold == threshold:
-            removed = self._cand
-        else:
-            removed = np.flatnonzero(alive & (remaining <= threshold))
-        self._cand = None
-        if removed.size == 0:
-            return removed
-        alive[removed] = False
-        self.alive_count -= int(removed.size)
-        offsets = self.snapshot.vertex_offsets
-        half = _concat_ranges(offsets[removed], offsets[removed + 1])
-        neighbors = self.snapshot.neighbor_ids[half]
-        neighbors = neighbors[alive[neighbors]]
-        touched = apply_degree_decrements(
-            remaining, neighbors, self.snapshot.num_vertices
-        )
-        self._cand = touched[remaining[touched] <= threshold]
-        self._cand_threshold = threshold
-        return removed
-
-    def _peel_leq_scalar(self, threshold: int) -> np.ndarray:
-        """Scalar-mode wave (after ``pop_min`` switched representations)."""
-        alive = self._alive
-        remaining = self._remaining
-        removed = [
-            i for i in range(self.snapshot.num_vertices)
-            if alive[i] and remaining[i] <= threshold
-        ]
-        if not removed:
-            return np.empty(0, dtype=np.int64)
-        for i in removed:
-            alive[i] = False
-        self.alive_count -= len(removed)
-        offsets, neighbors = self.snapshot.adjacency_lists()
-        vertex_ids = self.snapshot.vertex_id_list()
-        buckets = self._buckets
-        for i in removed:
-            for half in range(offsets[i], offsets[i + 1]):
-                j = neighbors[half]
-                if alive[j]:
-                    degree = remaining[j] - 1
-                    remaining[j] = degree
-                    entry = j if self._identity else (vertex_ids[j], j)
-                    heapq.heappush(buckets[degree], entry)
-                    if degree < self._dmin:
-                        self._dmin = degree
-        return np.asarray(removed, dtype=np.int64)
-
-    # -- delete-min peeling --------------------------------------------
-
-    def pop_min(self) -> Optional[Tuple[int, int]]:
-        """Remove the live vertex minimizing ``(remaining degree, id)``.
-
-        Returns ``(dense index, degree at removal)``, or None when no
-        vertex is left.  Ties break on original vertex id, matching the
-        dict-backed heap of the test reference entry for entry.  The heap
-        tolerates stale entries because degrees only ever decrease.
-        """
-        if self._buckets is None:
-            self._enter_scalar_mode()
-        buckets = self._buckets
-        alive = self._alive
-        remaining = self._remaining
-        offsets, neighbors = self.snapshot.adjacency_lists()
-        heappop = heapq.heappop
-        heappush = heapq.heappush
-        num_buckets = len(buckets)
-        identity = self._identity
-
-        # Find the live vertex minimizing (degree, id): advance past
-        # empty buckets, discard stale entries (dead vertex or degree
-        # changed since the entry was pushed).
-        deg = self._dmin
+    n = snapshot.num_vertices
+    offsets, neighbors = snapshot.adjacency_lists()
+    remaining = snapshot.degrees().tolist()
+    by_id = np.argsort(snapshot.vertex_ids, kind="stable")
+    ranks = np.empty(n, dtype=np.int64)
+    ranks[by_id] = np.arange(n, dtype=np.int64)
+    rank = ranks.tolist()
+    at_rank = by_id.tolist()
+    # Ranks are appended in ascending order, so each bucket starts as a
+    # valid min-heap.
+    buckets: List[List[int]] = [[] for _ in range(max(remaining, default=0) + 1)]
+    for r, i in enumerate(at_rank):
+        buckets[remaining[i]].append(r)
+    alive = [True] * n
+    heappop = heapq.heappop
+    heappush = heapq.heappush
+    order: List[int] = []
+    degeneracy = 0
+    deg = 0
+    for _ in range(n):
         while True:
-            while deg < num_buckets and not buckets[deg]:
+            while not buckets[deg]:
                 deg += 1
-            if deg >= num_buckets:
-                self._dmin = deg
-                return None
-            entry = heappop(buckets[deg])
-            index = entry if identity else entry[1]
+            index = at_rank[heappop(buckets[deg])]
             if alive[index] and remaining[index] == deg:
                 break
-
         alive[index] = False
-        self.alive_count -= 1
-        if identity:
-            for half in range(offsets[index], offsets[index + 1]):
-                j = neighbors[half]
-                if alive[j]:
-                    degree = remaining[j] - 1
-                    remaining[j] = degree
-                    heappush(buckets[degree], j)
-                    if degree < deg:
-                        deg = degree
-        else:
-            vertex_ids = self.snapshot.vertex_id_list()
-            for half in range(offsets[index], offsets[index + 1]):
-                j = neighbors[half]
-                if alive[j]:
-                    degree = remaining[j] - 1
-                    remaining[j] = degree
-                    heappush(buckets[degree], (vertex_ids[j], j))
-                    if degree < deg:
-                        deg = degree
-        self._dmin = deg
-        return index, remaining[index]
-
-    def _enter_scalar_mode(self) -> None:
-        self._alive = self._alive_arr.tolist()
-        self._remaining = self._remaining_arr.tolist()
-        self._alive_arr = None
-        self._remaining_arr = None
-        max_degree = max(self._remaining, default=0)
-        buckets: List[list] = [[] for _ in range(max_degree + 1)]
-        if self._identity:
-            # Indices are appended in ascending order, so each bucket
-            # is already a valid min-heap.
-            for i, degree in enumerate(self._remaining):
-                if self._alive[i]:
-                    buckets[degree].append(i)
-        else:
-            vertex_ids = self.snapshot.vertex_id_list()
-            for i, degree in enumerate(self._remaining):
-                if self._alive[i]:
-                    buckets[degree].append((vertex_ids[i], i))
-            for bucket in buckets:
-                heapq.heapify(bucket)
-        self._buckets = buckets
-        self._dmin = 0
-
-    # -- introspection --------------------------------------------------
-
-    def is_alive(self, index: int) -> bool:
-        alive = self._alive_arr if self._alive_arr is not None else self._alive
-        return bool(alive[index])
-
-    def remaining_degree(self, index: int) -> int:
-        remaining = (
-            self._remaining_arr if self._remaining_arr is not None else self._remaining
-        )
-        return int(remaining[index])
+        order.append(index)
+        if deg > degeneracy:
+            degeneracy = deg
+        for half in range(offsets[index], offsets[index + 1]):
+            j = neighbors[half]
+            if alive[j]:
+                degree = remaining[j] - 1
+                remaining[j] = degree
+                heappush(buckets[degree], rank[j])
+                if degree < deg:
+                    deg = degree
+    return degeneracy, order
 
 
 # ----------------------------------------------------------------------

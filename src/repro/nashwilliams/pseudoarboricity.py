@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import GraphError
-from ..graph.csr import snapshot_of
+from ..graph.csr import degeneracy_peel, snapshot_of
 from ..graph.multigraph import MultiGraph
 
 Orientation = Dict[int, int]  # edge id -> tail vertex (edge points away)
@@ -243,15 +243,11 @@ def _route_rest(
 
 def exact_pseudoarboricity(graph: MultiGraph) -> int:
     """The exact pseudoarboricity α*(G) (0 for edgeless graphs)."""
-    # Imported here so that loading repro.nashwilliams on its own does
-    # not pull in the repro.decomposition package.
-    from ..decomposition.degeneracy import _peel_order
-
     snapshot = snapshot_of(graph)
     n, m = snapshot.num_vertices, snapshot.num_edges
     if m == 0:
         return 0
-    _degeneracy, order = _peel_order(snapshot)
+    _degeneracy, order = degeneracy_peel(snapshot)
     rank = np.empty(n, dtype=np.int64)
     rank[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
     edge_u, edge_v = snapshot.edge_u, snapshot.edge_v

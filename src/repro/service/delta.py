@@ -194,66 +194,6 @@ class DeltaInfo:
 # ----------------------------------------------------------------------
 
 
-class _SortedEidPos:
-    """Array-backed ``edge id -> dense position`` mapping for patched
-    snapshots.
-
-    Patched edge ids ascend by construction (the kept prefix preserves
-    the old ascending order and fresh insert ids are larger still), so
-    a position lookup is one binary search over the snapshot's own
-    ``edge_id`` array — no side structure at all.  The dict this
-    replaces cost O(m) Python-object work per delta batch (its deferred
-    variant still paid the full materialization on the first consumer
-    lookup); scalar probes now run ``searchsorted``, and
-    :meth:`positions` resolves whole batches vectorized —
-    ``CSRGraph.edge_positions`` calls it when present, so the
-    full-decompose consumers (sub-CSR extraction, endpoint maps) never
-    build a dict either.  Snapshots are immutable, so the mapping is
-    valid forever.
-    """
-
-    __slots__ = ("_edge_id",)
-
-    def __init__(self, edge_id: np.ndarray) -> None:
-        self._edge_id = edge_id
-
-    def positions(self, eids: np.ndarray) -> np.ndarray:
-        """Dense positions of a whole id batch (vectorized); raises
-        ``KeyError`` on the first unknown id, like the dict would."""
-        edge_id = self._edge_id
-        found = np.searchsorted(edge_id, eids)
-        clipped = np.minimum(found, edge_id.shape[0] - 1)
-        bad = (found >= edge_id.shape[0]) | (edge_id[clipped] != eids)
-        if np.any(bad):
-            raise KeyError(int(np.asarray(eids)[bad][0]))
-        return found
-
-    def _find(self, eid: int) -> int:
-        pos = int(np.searchsorted(self._edge_id, eid))
-        if pos >= int(self._edge_id.shape[0]) or int(self._edge_id[pos]) != eid:
-            return -1
-        return pos
-
-    def __getitem__(self, eid: int) -> int:
-        pos = self._find(eid)
-        if pos < 0:
-            raise KeyError(eid)
-        return pos
-
-    def get(self, eid, default=None):
-        pos = self._find(eid)
-        return default if pos < 0 else pos
-
-    def __contains__(self, eid) -> bool:
-        return self._find(int(eid)) >= 0
-
-    def __len__(self) -> int:
-        return int(self._edge_id.shape[0])
-
-    def __iter__(self):
-        return iter(self._edge_id.tolist())
-
-
 def _dense_endpoints(
     index_of: Optional[Dict[int, int]], records, column: int
 ) -> np.ndarray:
@@ -368,7 +308,6 @@ def patched_snapshot(
     m = int(edge_id.shape[0])
     # ids ascend and are distinct, so they are 0..m-1 iff the last is m-1
     identity_edges = m == 0 or int(edge_id[-1]) == m - 1
-    eid_pos = None if identity_edges else _SortedEidPos(edge_id)
     snap = CSRGraph(
         old.vertex_ids,
         new_offsets,
@@ -378,7 +317,7 @@ def patched_snapshot(
         edge_v,
         edge_id,
         index_of,
-        eid_pos,
+        identity_edges,
     )
     return snap, keep
 
@@ -721,8 +660,6 @@ def _prime_watch_extras(session, state: DeltaState, ws: WatchState) -> None:
     entry = state.oracle.entry(threshold, session.fingerprint())
     if entry is None:
         return
-    # not session.snapshot(): its memo would pin this snapshot for as
-    # long as the session lives, long after the next batch replaces it
     snap = snapshot_of(session.graph)
     tails_ids, tails_idx = _tails_arrays(snap, entry.waves)
     ws.extras["threshold"] = threshold

