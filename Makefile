@@ -33,11 +33,11 @@ check:
 # Dict vs flat-array kernel on the peeling + traversal hot paths
 # (asserts >= 2x at n >= 2000), session reuse (>= 1.5x warm prep),
 # the csr peel's work-list vs the full-scan peel (>= 1.5x on wave
-# cascades at n >= 50k), the scatter-dedup BFS vs the sort-dedup BFS
-# (>= 1.5x on dense-frontier workloads at n >= 50k), the simultaneous
-# carve rule vs the doubling csr carve (>= 1.5x at n >= 50k), the
-# stacked csr depth_cut vs the per-class rooting sweep (>= 1.3x at
-# n >= 50k, cuts identical), the witness k-orientation vs the reference
+# cascades at n >= 50k, the two timed in alternation), the
+# scatter-dedup BFS vs the sort-dedup BFS (>= 1.5x on dense-frontier
+# workloads at n >= 50k), the stacked csr depth_cut vs the per-class
+# rooting sweep (>= 1.3x at n >= 50k, cuts identical), the witness
+# k-orientation vs the reference
 # Dinic (>= 5x at t, >= 2x at alpha*, witnesses identical), the delta
 # engine vs full recompute, and
 # the out-of-core leg (a 10^7-edge memmap ingest + decompose in a

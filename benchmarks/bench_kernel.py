@@ -23,7 +23,8 @@ One section per substrate milestone:
   Asserts >= 1.5x on the wave-cascade workloads (many peel waves — the
   full scan's worst case, where it rescans all n vertices per wave)
   and verifies identical classes everywhere; wave-poor workloads are
-  reported unasserted (~1x there by design).
+  reported unasserted (~1x there by design).  The two peels are timed
+  in alternation, so a load burst slows both sides alike.
 * ``bench_parallel_bfs`` — ``bfs_distance_array`` (scatter-mask dedup
   on dense waves) vs. a bench-local copy of the sort-dedup BFS it
   replaced, at n >= 50k.  Asserts >= 1.5x on the dense-frontier
@@ -36,14 +37,6 @@ One section per substrate milestone:
   per class of 64+ edges, ``RootedForest`` below that).  Asserts
   >= 1.3x at n >= 50k with kept/deleted/deletion_tail asserted
   identical; smaller rows are reported unasserted.
-* ``bench_carve`` — the simultaneous carve rule
-  (``carve_rule="simultaneous"``) vs. the doubling rule's sequential
-  ball-at-a-time carve at n >= 50k.  The doubling rule grows one ball
-  per BFS level per *cluster*; the simultaneous rule grows every live
-  ball one level per wave, so a class finishes in O(log n) array-wide
-  waves.  Asserts >= 1.5x vs. the doubling csr carve (in practice the
-  win is algorithmic and large).
-
 * ``bench_witness`` — the witness k-orientation
   (:func:`~repro.nashwilliams.pseudoarboricity.orientation_exists`,
   routed on the snapshot's edge arrays) vs. the reference Dinic on the
@@ -138,6 +131,20 @@ def _best(func, repeats=REPEATS):
         func()
         times.append(time.perf_counter() - start)
     return min(times)
+
+
+def _best_interleaved(first, second, repeats):
+    """Best-of-``repeats`` times of two callables run in alternation
+    (the order flips every round), so a load burst on a shared machine
+    slows both sides instead of one."""
+    funcs = (first, second)
+    best = [math.inf, math.inf]
+    for round_index in range(repeats):
+        for side in (0, 1) if round_index % 2 == 0 else (1, 0):
+            start = time.perf_counter()
+            funcs[side]()
+            best[side] = min(best[side], time.perf_counter() - start)
+    return best[0], best[1]
 
 
 def run_kernel_comparison():
@@ -569,10 +576,8 @@ def run_shard_comparison():
         snapshot = snapshot_of(graph)
         reference = h_partition(graph, threshold, snapshot=snapshot)
         assert full_scan_h_partition(snapshot, threshold) == reference.classes
-        full_ms = _best(
-            lambda: full_scan_h_partition(snapshot, threshold), SHARD_REPEATS
-        )
-        csr_ms = _best(
+        full_ms, csr_ms = _best_interleaved(
+            lambda: full_scan_h_partition(snapshot, threshold),
             lambda: h_partition(graph, threshold, snapshot=snapshot),
             SHARD_REPEATS,
         )
@@ -782,112 +787,6 @@ def run_parallel_bfs_comparison():
                 f"{name}: scatter-dedup speedup {speedup:.2f}x < "
                 f"{PARALLEL_BFS_SPEEDUP_FLOOR}x at n >= 50k — the "
                 "scatter dedup's reason to exist"
-            )
-    return rows
-
-
-# ----------------------------------------------------------------------
-# Simultaneous carve rule vs the doubling carve (PR-6)
-# ----------------------------------------------------------------------
-
-CARVE_REPEATS = 3
-CARVE_SPEEDUP_FLOOR = 1.5
-
-# Grids are the doubling rule's worst case at scale: balls stay small
-# (planar growth never doubles for long), so the sequential carve pays
-# ~n ball setups per class while the simultaneous carve finishes the
-# class in O(log n) whole-frontier waves.
-CARVE_WORKLOADS = [
-    ("grid 250x200", True, lambda: grid_graph(250, 200)),
-    ("grid 320x400", True, lambda: grid_graph(320, 400)),
-]
-
-
-def run_carve_comparison():
-    rows = []
-    json_rows = []
-    asserted = []
-    for name, assertable, make in CARVE_WORKLOADS:
-        graph = make()
-
-        def doubling():
-            return network_decomposition(graph).classes
-
-        def simultaneous():
-            return network_decomposition(
-                graph, carve_rule="simultaneous"
-            ).classes
-
-        # One timed shot for the baseline: it is tens of times slower
-        # than the thing it baselines, so repeat-noise is irrelevant
-        # and repeats would dominate the bench's runtime.
-        start = time.perf_counter()
-        doubling()
-        doubling_ms = (time.perf_counter() - start) * 1e3
-
-        # The simultaneous rule is deterministic: two runs agree.
-        assert simultaneous() == simultaneous()
-        sim_ms = _best(simultaneous, CARVE_REPEATS) * 1e3
-        speedup = doubling_ms / sim_ms
-        rows.append(
-            (
-                name,
-                graph.n,
-                graph.m,
-                f"{doubling_ms:.1f}",
-                f"{sim_ms:.1f}",
-                f"{speedup:.2f}x",
-            )
-        )
-        json_rows.append(
-            {
-                "workload": name,
-                "n": graph.n,
-                "m": graph.m,
-                "doubling_ms": round(doubling_ms, 3),
-                "simultaneous_ms": round(sim_ms, 3),
-                "speedup": round(speedup, 3),
-            }
-        )
-        if assertable:
-            asserted.append((name, speedup))
-
-    emit(
-        "carve",
-        format_table(
-            "Simultaneous carve rule vs doubling csr carve (n >= 50k)",
-            [
-                "workload",
-                "n",
-                "m",
-                "doubling ms",
-                "simultaneous ms",
-                "speedup",
-            ],
-            rows,
-        ),
-    )
-    emit_json(
-        "BENCH_carve",
-        {
-            "bench": "carve",
-            "schema_version": 2,
-            "mode": "snapshot" if SNAPSHOT_MODE else "assert",
-            "threshold": CARVE_SPEEDUP_FLOOR,
-            "rows": json_rows,
-            "asserted": [
-                {"workload": name, "speedup": round(value, 3)}
-                for name, value in asserted
-            ],
-        },
-    )
-
-    if not SNAPSHOT_MODE:
-        for name, speedup in asserted:
-            assert speedup >= CARVE_SPEEDUP_FLOOR, (
-                f"{name}: simultaneous-carve speedup {speedup:.2f}x < "
-                f"{CARVE_SPEEDUP_FLOOR}x at n >= 50k — the simultaneous "
-                "rule's reason to exist"
             )
     return rows
 
@@ -1554,15 +1453,6 @@ def bench_parallel_bfs(benchmark=None):
         once(benchmark, run_parallel_bfs_comparison)
 
 
-def bench_carve(benchmark=None):
-    if benchmark is None:
-        run_carve_comparison()
-    else:
-        from harness import once
-
-        once(benchmark, run_carve_comparison)
-
-
 def bench_witness(benchmark=None):
     if benchmark is None:
         run_witness_comparison()
@@ -1605,7 +1495,6 @@ if __name__ == "__main__":
     bench_session()
     bench_shard()
     bench_parallel_bfs()
-    bench_carve()
     bench_witness()
     bench_passes()
     bench_delta()

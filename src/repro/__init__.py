@@ -38,7 +38,7 @@ Key pieces:
 * :func:`repro.decompose` / :class:`repro.Session` — the unified
   dispatcher and the snapshot-reusing session.
 * :class:`repro.DecompositionConfig` — shared knobs (epsilon, alpha,
-  seed, diameter_mode, cut_rule, carve_rule, validation), JSON
+  seed, diameter_mode, cut_rule, validation), JSON
   round-trippable.
 * :func:`repro.register_task` — the extension seam for new tasks.
 * Legacy-shaped wrappers, all registry-backed:

@@ -194,7 +194,6 @@ def _cmd_decompose(args: argparse.Namespace) -> int:
         seed=args.seed,
         diameter_mode=args.diameter_mode,
         cut_rule=args.cut_rule,
-        carve_rule=args.carve_rule,
         validation=args.validation,
     )
     from .core.registry import get_task
@@ -252,13 +251,8 @@ def _cmd_describe(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     """Run the incremental decomposition daemon (repro.service)."""
-    from .core import DecompositionConfig
     from .service.server import serve
 
-    config = DecompositionConfig(
-        delta_mode=args.delta_mode,
-        delta_threshold=args.delta_threshold,
-    )
     log_stream = None
     if args.log == "-":
         log_stream = sys.stderr
@@ -268,7 +262,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return serve(
             host=args.host,
             port=args.port,
-            config=config,
             checkpoint_dir=args.checkpoint_dir,
             checkpoint_every=args.checkpoint_every,
             resume=args.resume,
@@ -379,8 +372,6 @@ def main(argv=None) -> int:
                        choices=("safe", "strong", "auto"))
     p_dec.add_argument("--cut-rule", default="depth_residue",
                        choices=("depth_residue", "conditioned_sampling"))
-    p_dec.add_argument("--carve-rule", default="doubling",
-                       choices=("doubling", "simultaneous"))
     p_dec.add_argument("--validation", default="basic",
                        choices=("none", "basic", "full"))
     p_dec.add_argument("--profile", action="store_true",
@@ -410,13 +401,6 @@ def main(argv=None) -> int:
                          "port is printed in the READY handshake)")
     p_serve.add_argument("--graph", default=None,
                          help="edge-list file to load at startup")
-    p_serve.add_argument("--delta-mode", default="auto",
-                         choices=("auto", "incremental", "full"),
-                         help="delta engine policy (latency only; "
-                         "results are identical)")
-    p_serve.add_argument("--delta-threshold", type=float, default=0.25,
-                         help="dirty-fraction above which auto mode "
-                         "falls back to full recompute")
     p_serve.add_argument("--checkpoint-dir", default=None,
                          help="directory for snapshots + delta journal "
                          "(enables kill -9 durability)")

@@ -253,7 +253,6 @@ def forest_decomposition(
     alpha: Optional[int] = None,
     diameter_mode: Optional[str] = None,
     cut_rule: str = "depth_residue",
-    carve_rule: str = "doubling",
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
     config: Optional[DecompositionConfig] = None,
@@ -276,10 +275,6 @@ def forest_decomposition(
     cut_rule:
         CUT implementation per Theorem 4.2: ``"depth_residue"`` or
         ``"conditioned_sampling"``.
-    carve_rule:
-        Ball-growth schedule of the network-decomposition phase:
-        ``"doubling"`` (default) or ``"simultaneous"`` (multi-ball
-        growth, see :func:`~repro.decomposition.network_decomposition`).
 
     Returns a :class:`ForestDecompositionResult` whose ``coloring`` maps
     every edge id to a forest index, with ``colors_used`` and charged
@@ -291,7 +286,6 @@ def forest_decomposition(
         config,
         epsilon=epsilon, alpha=alpha, seed=seed,
         diameter_mode=diameter_mode, cut_rule=cut_rule,
-        carve_rule=carve_rule,
     )
     return decompose(graph, task="forest", config=config, rounds=rounds)
 

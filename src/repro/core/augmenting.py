@@ -50,7 +50,6 @@ def find_almost_augmenting_sequence(
     state: PartialListForestDecomposition,
     start: int,
     allowed_vertices: Optional[Set[int]] = None,
-    max_iterations: Optional[int] = None,
     stats: Optional[AugmentationStats] = None,
 ) -> Optional[Sequence_]:
     """Algorithm 1: grow edge sets ``E_1 ⊆ E_2 ⊆ ...`` from the
@@ -91,8 +90,6 @@ def find_almost_augmenting_sequence(
         if stats is not None:
             stats.iterations = iteration
             stats.explored_sizes.append(len(explored))
-        if max_iterations is not None and iteration > max_iterations:
-            return None
         newly_added: List[int] = []
         for eid in sorted(explored):
             own_color = state.color_of(eid)
@@ -231,7 +228,6 @@ def augment_edge(
     state: PartialListForestDecomposition,
     start: int,
     allowed_vertices: Optional[Set[int]] = None,
-    max_iterations: Optional[int] = None,
     stats: Optional[AugmentationStats] = None,
 ) -> Sequence_:
     """Find and apply an augmenting sequence from ``start``.
@@ -240,7 +236,7 @@ def augment_edge(
     the (possibly restricted) search fails.
     """
     almost = find_almost_augmenting_sequence(
-        state, start, allowed_vertices, max_iterations, stats
+        state, start, allowed_vertices, stats
     )
     if almost is None:
         raise AugmentationError(

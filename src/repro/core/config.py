@@ -21,32 +21,19 @@ Semantics of the shared fields:
 * ``diameter_mode`` — forest-diameter bounding per Corollary 2.5:
   ``None`` (unbounded), ``"safe"``, ``"strong"``, or ``"auto"``.
 * ``cut_rule`` — CUT implementation per Theorem 4.2.
-* ``carve_rule`` — ball-growth schedule of the network decomposition:
-  ``"doubling"`` (default; one ball at a time, grow until the next
-  shell stops doubling it) or ``"simultaneous"`` (every unvisited
-  vertex is a live seed on a staggered start; contested vertices
-  resolve by ``(level, seed id)``).
 * ``validation`` — ``"none"`` (default), ``"basic"`` (structural
   checks via :mod:`repro.verify` after the run), or ``"full"``
   (structure + palette membership where applicable).
-* ``delta_mode`` — how :meth:`~repro.core.session.Session.apply_delta`
-  maintains watched decompositions under edge-stream mutations:
-  ``"auto"`` (default; repair the dirty cascade incrementally, fall
-  back to a full recompute when the dirty fraction crosses
-  ``delta_threshold``), ``"incremental"`` (never fall back on dirty
-  fraction — still recomputes when repair is structurally
-  impossible), or ``"full"`` (always recompute from scratch).  The
-  post-delta result is bit-identical in every mode — this is purely a
-  latency knob.
-* ``delta_threshold`` — dirty-fraction cutoff for ``delta_mode="auto"``
-  in ``[0, 1]``: when more than ``delta_threshold * n`` vertices
-  change their H-partition wave during repair, the delta engine
-  abandons the cascade and recomputes from scratch.
+* ``options`` — task-specific extras (plain JSON values).
 
-There is no substrate knob: every task runs on the flat-array CSR
-kernel.  The removed ``backend`` field selected between outputs that
-were always identical, so :meth:`DecompositionConfig.from_json` drops
-it from persisted payloads.
+There is no substrate, carve or delta knob.  Every task runs on the
+flat-array CSR kernel, the network decomposition always uses the
+doubling ball carve, and
+:meth:`~repro.core.session.Session.apply_delta` always repairs
+incrementally, falling back to a full recompute past a fixed
+dirty-vertex fraction (the result is bit-identical either way).
+:meth:`DecompositionConfig.from_json` drops the removed fields from
+persisted payloads when their value could not have changed a result.
 """
 
 from __future__ import annotations
@@ -60,8 +47,6 @@ from ..errors import ValidationError
 from ..rng import SeedLike
 
 VALIDATION_LEVELS = ("none", "basic", "full")
-CARVE_RULES = ("doubling", "simultaneous")
-DELTA_MODES = ("auto", "incremental", "full")
 
 
 @dataclass(frozen=True)
@@ -73,10 +58,7 @@ class DecompositionConfig:
     seed: SeedLike = None
     diameter_mode: Optional[str] = None
     cut_rule: str = "depth_residue"
-    carve_rule: str = "doubling"
     validation: str = "none"
-    delta_mode: str = "auto"
-    delta_threshold: float = 0.25
     options: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -89,28 +71,9 @@ class DecompositionConfig:
             raise ValidationError(
                 f"unknown diameter_mode {self.diameter_mode!r}"
             )
-        if self.carve_rule not in CARVE_RULES:
-            raise ValidationError(
-                f"unknown carve_rule {self.carve_rule!r}; "
-                f"expected one of {CARVE_RULES}"
-            )
         if self.epsilon is not None and self.epsilon <= 0:
             raise ValidationError(
                 f"epsilon must be positive, got {self.epsilon}"
-            )
-        if self.delta_mode not in DELTA_MODES:
-            raise ValidationError(
-                f"unknown delta_mode {self.delta_mode!r}; "
-                f"expected one of {DELTA_MODES}"
-            )
-        if (
-            not isinstance(self.delta_threshold, (int, float))
-            or isinstance(self.delta_threshold, bool)
-            or not 0.0 <= self.delta_threshold <= 1.0
-        ):
-            raise ValidationError(
-                f"delta_threshold must be a fraction in [0, 1], "
-                f"got {self.delta_threshold!r}"
             )
 
     # -- evolution ------------------------------------------------------
@@ -151,11 +114,16 @@ class DecompositionConfig:
         Unknown keys raise so that configs written by a newer library
         version fail loudly instead of being silently truncated.  The
         exceptions are the retired ``workers`` (thread count),
-        ``schedule`` (pass-execution mode) and ``backend`` (graph
-        substrate) fields: checkpoints and daemon payloads written
-        before their removal carry them, so a value the old field
-        accepted is dropped and any other value (a bool included)
-        raises.
+        ``schedule`` (pass-execution mode), ``backend`` (graph
+        substrate), ``delta_mode`` / ``delta_threshold`` (delta-engine
+        latency) and ``carve_rule`` (network-decomposition schedule)
+        fields: checkpoints and daemon payloads written before their
+        removal carry them, so a value the old field accepted is
+        dropped and any other value (a bool included) raises.  Of
+        ``carve_rule`` only ``"doubling"`` is dropped: the removed
+        ``"simultaneous"`` carve produced different clusters, so a
+        payload naming it raises rather than silently change its
+        results on resume.
         """
         payload = dict(payload)
         backend = payload.pop("backend", "auto")
@@ -177,6 +145,29 @@ class DecompositionConfig:
             raise ValidationError(
                 f"schedule must be 'auto', 'serial' or 'concurrent', "
                 f"got {schedule!r}"
+            )
+        carve_rule = payload.pop("carve_rule", "doubling")
+        if carve_rule != "doubling":
+            raise ValidationError(
+                f"carve_rule must be 'doubling', got {carve_rule!r}: "
+                "the doubling carve is the only one left, and its "
+                "clusters differ from the removed simultaneous carve's"
+            )
+        delta_mode = payload.pop("delta_mode", "auto")
+        if delta_mode not in ("auto", "incremental", "full"):
+            raise ValidationError(
+                f"delta_mode must be 'auto', 'incremental' or 'full', "
+                f"got {delta_mode!r}"
+            )
+        delta_threshold = payload.pop("delta_threshold", 0.25)
+        if (
+            not isinstance(delta_threshold, (int, float))
+            or isinstance(delta_threshold, bool)
+            or not 0.0 <= delta_threshold <= 1.0
+        ):
+            raise ValidationError(
+                f"delta_threshold must be a fraction in [0, 1], "
+                f"got {delta_threshold!r}"
             )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = set(payload) - known

@@ -74,7 +74,7 @@ class CutController:
         (edge id -> tail vertex).  Required for that rule.
     probability:
         For conditioned sampling: the deletion probability ``p``
-        (defaults to the Lemma 4.4 schedule with η = 1/2).
+        (default 1/2).
     """
 
     def __init__(
@@ -116,14 +116,15 @@ class CutController:
         """Execute CUT(core, R); returns the removed edge ids."""
         self.stats.invocations += 1
         region_mask = self.snapshot.neighborhood_mask(core, radius)
-        region = self.snapshot.vertex_set_from_mask(region_mask)
         removable = self._removable_edges(core, region_mask)
         if self.rule == "depth_residue":
-            removed = self._cut_depth_residue(core, region, removable, radius)
+            removed = self._cut_depth_residue(core, removable, radius)
         else:
-            removed = self._cut_conditioned_sampling(core, region, removable)
-            repair = self._repair_if_bad(core, region, removable, radius)
-            removed.extend(repair)
+            region = self.snapshot.vertex_set_from_mask(region_mask)
+            removed = self._cut_conditioned_sampling(removable)
+            removed.extend(
+                self._repair_if_bad(core, region, removable, radius)
+            )
         self.stats.removed_edges += len(removed)
         if self.load:
             self.stats.max_load = max(self.stats.max_load, max(self.load.values()))
@@ -148,45 +149,40 @@ class CutController:
     # -- depth-residue rule ---------------------------------------------
 
     def _cut_depth_residue(
-        self,
-        core: Set[int],
-        region: Set[int],
-        removable: Set[int],
-        radius: int,
+        self, core: Set[int], removable: Set[int], radius: int
     ) -> List[int]:
-        modulus = max(1, radius // 2)
         removed: List[int] = []
         for color in sorted(self.state.used_colors()):
-            ring_edges = [
-                eid
-                for eid in self.state.class_edges(color)
-                if eid in removable and self.state.color_of(eid) == color
-            ]
-            if not ring_edges:
-                continue
-            forest = RootedForest(self.graph, ring_edges, roots=core)
-            residue = self.rng.randrange(modulus)
-            for eid in forest.edges_at_depth_residue(residue, modulus):
-                u, v = self.graph.endpoints(eid)
-                # Orient away from the child (deeper endpoint).
-                child = u if forest.depth[u] > forest.depth[v] else v
-                self.state.remove_to_leftover(eid, tail=child)
-                self.load[child] += 1
-                removed.append(eid)
+            removed.extend(self._cut_ring(core, removable, color, radius))
+        return removed
+
+    def _cut_ring(
+        self, core: Set[int], removable: Set[int], color: int, radius: int
+    ) -> List[int]:
+        """Root the color-``color`` ring forest (its ``removable`` edges)
+        at ``core`` and delete the edges at one random depth residue
+        mod ``max(1, R // 2)``; draws nothing when the ring is empty."""
+        ring_edges = [
+            eid for eid in self.state.class_edges(color) if eid in removable
+        ]
+        if not ring_edges:
+            return []
+        modulus = max(1, radius // 2)
+        forest = RootedForest(self.graph, ring_edges, roots=core)
+        residue = self.rng.randrange(modulus)
+        removed: List[int] = []
+        for eid in forest.edges_at_depth_residue(residue, modulus):
+            u, v = self.graph.endpoints(eid)
+            # Orient away from the child (deeper endpoint).
+            child = u if forest.depth[u] > forest.depth[v] else v
+            self.state.remove_to_leftover(eid, tail=child)
+            self.load[child] += 1
+            removed.append(eid)
         return removed
 
     # -- conditioned-sampling rule ----------------------------------------
 
-    def default_probability(self, radius: int, total_classes: int) -> float:
-        """The Lemma 4.4 schedule ``p = K α log n / (η R)`` with η = 1/2,
-        clamped to [0, 1]; K is folded into a practical constant."""
-        n = max(self.graph.n, 2)
-        value = 2.0 * self.alpha * math.log(n) / max(1, radius)
-        return min(1.0, value / max(1, total_classes))
-
-    def _cut_conditioned_sampling(
-        self, core: Set[int], region: Set[int], removable: Set[int]
-    ) -> List[int]:
+    def _cut_conditioned_sampling(self, removable: Set[int]) -> List[int]:
         assert self.orientation is not None
         p = self.probability if self.probability is not None else 0.5
         out_edges: Dict[int, List[int]] = {}
@@ -221,24 +217,9 @@ class CutController:
         removed: List[int] = []
         for color in sorted(self.state.used_colors()):
             if self._color_escapes(core, region, color):
-                before = len(removed)
-                modulus = max(1, radius // 2)
-                ring_edges = [
-                    eid
-                    for eid in self.state.class_edges(color)
-                    if eid in removable
-                ]
-                if not ring_edges:
-                    continue
-                forest = RootedForest(self.graph, ring_edges, roots=core)
-                residue = self.rng.randrange(modulus)
-                for eid in forest.edges_at_depth_residue(residue, modulus):
-                    u, v = self.graph.endpoints(eid)
-                    child = u if forest.depth[u] > forest.depth[v] else v
-                    self.state.remove_to_leftover(eid, tail=child)
-                    self.load[child] += 1
-                    removed.append(eid)
-                self.stats.fallback_removed += len(removed) - before
+                cut = self._cut_ring(core, removable, color, radius)
+                self.stats.fallback_removed += len(cut)
+                removed.extend(cut)
         return removed
 
     def _color_escapes(self, core: Set[int], region: Set[int], color: int) -> bool:

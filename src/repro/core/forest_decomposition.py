@@ -138,8 +138,6 @@ def algorithm2(
     search_radius: Optional[int] = None,
     seed: SeedLike = None,
     rounds: Optional[RoundCounter] = None,
-    strict_locality: bool = False,
-    carve_rule: str = "doubling",
 ) -> Algorithm2Result:
     """Run Algorithm 2 on ``graph`` with the given per-edge palettes.
 
@@ -152,15 +150,10 @@ def algorithm2(
         The decomposition parameters; ``⌈εα⌉`` is the leftover budget.
     cut_rule:
         ``"depth_residue"`` or ``"conditioned_sampling"`` (Theorem 4.2).
-    carve_rule:
-        Ball-growth schedule of the network decomposition phase:
-        ``"doubling"`` (default) or ``"simultaneous"`` (see
-        :func:`~repro.decomposition.network_decomposition`).
     radius, search_radius:
-        ``R`` and ``R'``; defaults follow :func:`default_radii`.
-    strict_locality:
-        If True, a failed radius-capped augmenting search raises instead
-        of falling back to an uncapped search.
+        ``R`` and ``R'``; defaults follow :func:`default_radii`.  A
+        radius-capped augmenting search that fails falls back to an
+        uncapped one (see the module's locality note).
     """
     counter = ensure_counter(rounds)
     rng = make_rng(seed)
@@ -202,13 +195,12 @@ def algorithm2(
 
     with counter.phase("network decomposition"):
         # G^{2(R+R')} is carved implicitly on G, as Theorem 4.1
-        # simulates it: every shell or wave of the carve is one
-        # depth-≤k relaxation over the run's CSR snapshot, so the power
-        # graph (K_n on a low-diameter input) is never built.
+        # simulates it: every shell of the carve is one depth-≤k BFS
+        # over the run's CSR snapshot, so the power graph (K_n on a
+        # low-diameter input) is never built.
         k = max(1, min(2 * d, 2 * n))
         nd = network_decomposition(
-            state.csr_snapshot(), counter, radius_cost=2 * d,
-            carve_rule=carve_rule, power=k,
+            state.csr_snapshot(), counter, radius_cost=2 * d, power=k,
         )
 
     balls = _BallResolver(state.csr_snapshot())
@@ -226,7 +218,6 @@ def algorithm2(
                         r,
                         r_prime,
                         stats,
-                        strict_locality,
                         counter,
                     )
             counter.charge(2 * d * log_n, "class simulation")
@@ -300,7 +291,6 @@ def _process_cluster(
     r: int,
     r_prime: int,
     stats: Algorithm2Stats,
-    strict_locality: bool,
     counter: RoundCounter,
 ) -> None:
     stats.clusters_processed += 1
@@ -325,8 +315,6 @@ def _process_cluster(
         try:
             sequence = augment_edge(state, eid, ball, stats=search_stats)
         except AugmentationError:
-            if strict_locality:
-                raise
             stats.locality_violations += 1
             sequence = augment_edge(state, eid, None, stats=search_stats)
         stats.edges_augmented += 1
@@ -401,7 +389,6 @@ def _forest_algorithm2(
     cut_rule: str,
     radius: Optional[int],
     search_radius: Optional[int],
-    carve_rule: str,
 ) -> Tuple[Algorithm2Result, Dict[int, int]]:
     with counter.phase("algorithm2"):
         result = algorithm2(
@@ -414,7 +401,6 @@ def _forest_algorithm2(
             search_radius=search_radius,
             seed=child_rng(rng, "alg2"),
             rounds=counter,
-            carve_rule=carve_rule,
         )
     coloring = dict(result.colored)
     record.reconcile_volume = len(coloring)
@@ -482,7 +468,6 @@ def forest_decomposition_algorithm2(
     rounds: Optional[RoundCounter] = None,
     radius: Optional[int] = None,
     search_radius: Optional[int] = None,
-    carve_rule: str = "doubling",
 ) -> ForestDecompositionResult:
     """Theorem 4.6: a (1+ε)α-forest decomposition of a multigraph.
 
@@ -512,7 +497,7 @@ def forest_decomposition_algorithm2(
     alg2, coloring = scheduler.stage(
         "algorithm2", _forest_algorithm2, graph, palettes, epsilon, alpha,
         rng, counter, cut_rule=cut_rule, radius=radius,
-        search_radius=search_radius, carve_rule=carve_rule,
+        search_radius=search_radius,
     )
     leftover = alg2.leftover
     next_color = scheduler.stage(

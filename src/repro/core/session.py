@@ -289,7 +289,6 @@ class Session:
         self,
         inserts: Iterable[Tuple[int, int]] = (),
         deletes: Iterable[int] = (),
-        config: Optional[DecompositionConfig] = None,
     ):
         """Mutate the graph by one batch of edge edits and refresh
         every watched decomposition.
@@ -304,16 +303,13 @@ class Session:
         **Contract:** after the call, :meth:`current` of every watched
         task is bit-identical (same coloring/orientation content, same
         bound) to running the task from scratch on the mutated graph.
-        ``config.delta_mode`` / ``config.delta_threshold`` (from the
-        per-call ``config``, falling back to the session default)
-        choose between incremental repair and full recompute; they
-        never change results, only latency.
+        The engine repairs incrementally and recomputes from scratch
+        when the repair dirties too many vertices; that choice changes
+        only latency, never results.
         """
         from ..service.delta import apply_delta as _apply_delta
 
-        return _apply_delta(
-            self, tuple(inserts), tuple(deletes), config=config
-        )
+        return _apply_delta(self, tuple(inserts), tuple(deletes))
 
     def content_digest(self) -> str:
         """A blake2b digest of the graph's full content (vertex set +
@@ -368,7 +364,6 @@ def _run_forest(
         config.epsilon,
         alpha=session.resolve_alpha(config),
         cut_rule=config.cut_rule,
-        carve_rule=config.carve_rule,
         diameter_mode=config.diameter_mode,
         seed=config.seed,
         rounds=rounds,

@@ -99,7 +99,6 @@ def h_partition(
     graph: MultiGraph,
     threshold: int,
     rounds: Optional[RoundCounter] = None,
-    max_iterations: Optional[int] = None,
     snapshot: Optional[CSRGraph] = None,
 ) -> HPartition:
     """Peel vertices of remaining degree <= threshold into classes.
@@ -116,7 +115,7 @@ def h_partition(
     on the same graph shares one conversion.
     """
     counter = ensure_counter(rounds)
-    cap = max_iterations if max_iterations is not None else 4 * graph.n + 8
+    cap = 4 * graph.n + 8  # stall guard
     oracle = wave_oracle_of(graph)
     if oracle is not None:
         cached = oracle.lookup(graph, threshold)

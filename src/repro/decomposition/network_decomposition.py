@@ -15,8 +15,8 @@ Two constructions, matching the two notions used by the paper
   The LOCAL round cost charged follows the randomized algorithms the
   paper cites ([LS93, EN16]: O(log² n) rounds on G, times the radius
   when applied to a power graph).  With ``power=k`` it carves ``G^k``
-  implicitly on G, as Theorem 4.1 simulates it: each shell or wave is
-  a depth-≤k relaxation over G, and ``G^k`` is never built.
+  implicitly on G, as Theorem 4.1 simulates it: each shell is a
+  depth-≤k BFS over G, and ``G^k`` is never built.
 
 * :func:`partial_network_decomposition` — the ``(O(log n / β), β)``
   *partial* decomposition of [MPX13] (random exponential shifts): a
@@ -47,16 +47,9 @@ from ..graph.csr import (
 )
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
-from ..parallel.bfs import resolve_claims
 from ..rng import SeedLike, make_rng
 
 GraphLike = Union[MultiGraph, CSRGraph]
-
-#: ball-growth rules: "doubling" carves one ball at a time (grow until
-#: the next shell stops doubling it), "simultaneous" grows every live
-#: seed at once on staggered starts and resolves contested vertices by
-#: (level, seed id)
-CARVE_RULES = ("doubling", "simultaneous")
 
 
 class NetworkDecomposition:
@@ -92,7 +85,6 @@ def network_decomposition(
     graph: GraphLike,
     rounds: Optional[RoundCounter] = None,
     radius_cost: int = 1,
-    carve_rule: str = "doubling",
     power: int = 1,
 ) -> NetworkDecomposition:
     """Deterministic (O(log n), O(log n)) network decomposition.
@@ -103,30 +95,16 @@ def network_decomposition(
     cited by Theorem 4.1.
 
     ``power=k`` decomposes ``G^k`` (vertices joined at G-distance ≤ k)
-    instead of G, carving it implicitly on G: every doubling shell,
-    simultaneous wave and boundary check is one depth-≤k relaxation
-    over G that relays through every vertex of G, so ``G^k`` is never
-    built and a clique component of ``G^k`` costs a few BFS sweeps of
-    G.  The clusters are exactly those of
+    instead of G, carving it implicitly on G: every doubling shell is
+    one depth-≤k BFS over G that relays through every vertex of G, so
+    ``G^k`` is never built and a clique component of ``G^k`` costs a
+    few BFS sweeps of G.  The clusters are exactly those of
     ``network_decomposition(power_graph(graph, k))``.
 
-    Accepts a :class:`MultiGraph` or a CSR snapshot.
-
-    ``carve_rule`` picks the ball-growth schedule:
-
-    * ``"doubling"`` (default) — one ball at a time: grow a BFS ball
-      from the minimum unvisited id until the next shell would not
-      double it, carve it, defer its boundary shell.
-    * ``"simultaneous"`` — every unvisited vertex is a live seed with a
-      deterministic hash-derived staggered start; each wave grows every
-      live ball one BFS level through a single gather, and contested
-      vertices resolve by ``(level, seed id)`` — the tie-break
-      :func:`_mpx_sweep_csr` uses.
+    Accepts a :class:`MultiGraph` or a CSR snapshot.  Each class grows
+    one BFS ball at a time from the minimum unvisited id until the next
+    shell would not double it, carves it and defers its boundary shell.
     """
-    if carve_rule not in CARVE_RULES:
-        raise DecompositionError(
-            f"unknown carve_rule {carve_rule!r}; expected one of {CARVE_RULES}"
-        )
     if power < 1:
         raise DecompositionError(f"power must be >= 1, got {power}")
     counter = ensure_counter(rounds)
@@ -134,33 +112,23 @@ def network_decomposition(
     if n == 0:
         return NetworkDecomposition([])
 
-    reach = _PowerReach(snapshot_of(graph), power)
-    if carve_rule == "simultaneous":
-        classes = _decompose_simultaneous_csr(reach, n)
-    else:
-        classes = _decompose_csr(reach, n)
+    classes = _decompose_csr(_PowerReach(snapshot_of(graph), power), n)
 
     log_n = max(1, math.ceil(math.log2(n + 1)))
     counter.charge(log_n * log_n * max(1, radius_cost), "network decomposition")
     return NetworkDecomposition(classes)
 
 
-#: ``_PowerReach`` key of a vertex no source has reached yet
-_NO_KEY = np.iinfo(np.int64).max
-
-
 class _PowerReach:
-    """``G^k`` queries answered on G by a bounded relaxation.
+    """``N^k[sources]`` in ``G^k``, answered on G by a bounded BFS.
 
-    Every query the csr carves make of ``G^k`` is one question: for each
-    vertex, the minimum key over ``sources`` within G-distance ≤ k.
     Adjacency in ``G^k`` is "G-distance ≤ k through *any* vertex of G",
-    so the relaxation relays through deferred, carved and out-of-class
-    vertices alike.  A wave pushes only keys that improved, so the sweep
-    stops when nothing improves: on a component of eccentricity e < k
-    it ends after about e waves, not k.  ``best`` is scratch shared by
-    every query and restored on the vertices a query touched, so a query
-    costs the edges it reaches, never O(n).
+    so the BFS relays through deferred, carved and out-of-class
+    vertices alike, and it stops early when a wave reaches nothing new:
+    on a component of eccentricity e < k it ends after about e waves,
+    not k.  ``_seen`` is scratch shared by every query and cleared on
+    the vertices a query touched, so a query costs the edges it
+    reaches, never O(n).
     """
 
     def __init__(self, snapshot: CSRGraph, power: int) -> None:
@@ -169,57 +137,27 @@ class _PowerReach:
         self._offsets = snapshot.vertex_offsets
         self._nbr = snapshot.neighbor_ids
         n = snapshot.num_vertices
-        self._best = np.full(n, _NO_KEY, dtype=np.int64)
+        self._seen = np.zeros(n, dtype=bool)
         self._hit = np.zeros(n, dtype=bool)
 
-    def min_keys(
-        self, sources: np.ndarray, keys: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """``(reached, best)``: the dense indices within G-distance ≤ k
-        of the (distinct) ``sources``, and for each the minimum key over
-        the sources that reach it.  ``reached`` starts with ``sources``
-        in the given order."""
-        offsets, nbr, best = self._offsets, self._nbr, self._best
-        best[sources] = keys
-        parts = [sources]
-        frontier = sources
-        for _ in range(self.power):
-            starts = offsets[frontier]
-            ends = offsets[frontier + 1]
-            targets = nbr[_concat_ranges(starts, ends)]
-            offered = np.repeat(best[frontier], ends - starts)
-            better = offered < best[targets]
-            targets = targets[better]
-            if targets.size == 0:
-                break
-            improved = self._distinct(targets)
-            parts.append(improved[best[improved] == _NO_KEY])
-            np.minimum.at(best, targets, offered[better])
-            frontier = improved
-        reached = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        found = best[reached]
-        best[reached] = _NO_KEY
-        return reached, found
-
     def reach(self, sources: np.ndarray) -> np.ndarray:
-        """``N^k[sources]`` in G, sources included: :meth:`min_keys`
-        with one shared key, where a key improves exactly when it first
-        arrives, so each wave is a plain BFS level."""
-        offsets, nbr, best = self._offsets, self._nbr, self._best
-        best[sources] = 0
+        """Dense indices within G-distance ≤ k of ``sources``, sources
+        first, then each BFS level ascending."""
+        offsets, nbr, seen = self._offsets, self._nbr, self._seen
+        seen[sources] = True
         parts = [sources]
         frontier = sources
         for _ in range(self.power):
             half = _concat_ranges(offsets[frontier], offsets[frontier + 1])
             targets = nbr[half]
-            targets = targets[best[targets] == _NO_KEY]
+            targets = targets[~seen[targets]]
             if targets.size == 0:
                 break
             frontier = self._distinct(targets)
-            best[frontier] = 0
+            seen[frontier] = True
             parts.append(frontier)
         reached = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        best[reached] = _NO_KEY
+        seen[reached] = False
         return reached
 
     def _distinct(self, targets: np.ndarray) -> np.ndarray:
@@ -303,217 +241,6 @@ def _grow_doubling_ball_csr(
         parts.append(shell)
         ball_size += int(shell.size)
         frontier = shell
-
-
-# ----------------------------------------------------------------------
-# Simultaneous multi-ball carving (carve_rule="simultaneous")
-# ----------------------------------------------------------------------
-#
-# Per class, every unvisited vertex is a live seed.  Seed ``v`` gets a
-# deterministic integer shift delta(v, class) with geometric tail
-# P(delta >= k) = 2^-k, capped at T = ceil(log2(|unvisited| + 1)), and
-# activates (claims itself) at wave ``T - delta`` if still unclaimed.
-# Each wave, every vertex claimed in the previous wave proposes its
-# unclaimed neighbors; all of a wave's proposals (growth + activations)
-# resolve jointly per target by minimum seed id — priority
-# ``(level, seed id)``, the tie-break the MPX array-Dijkstra uses.
-# This is the integer-shift analog of [MPX13]'s exponential shifts
-# (and of the [LS93]/[EN16] shape behind Theorem 4.1): every vertex is
-# claimed by wave T (its own activation wins if nothing else did), and
-# claims extend only from already-claimed neighbors, so each ball is
-# connected with radius <= delta(seed) <= T from its seed.
-#
-# Each claim records its *parent*: among the winning seed's proposers
-# the one with minimum id (activations parent themselves), so the
-# parent chain walks back to the seed along claim waves.  A vertex is
-# *carved* (kept in the class) when (a) no neighbor sits in a ball
-# with a smaller seed id — the one-sided boundary rule: if two
-# adjacent vertices end in different balls, only the one in the
-# larger-id ball defers to the next class — and (b) its whole parent
-# chain is kept.  (a) makes same-class clusters pairwise non-adjacent
-# (the smaller-id side of any cross-ball edge keeps, the larger
-# defers), (b) keeps each cluster connected with an in-cluster path of
-# length <= T to its seed, so strong cluster diameter is <= 2T.  The
-# minimum-id surviving seed can never defer, so every class makes
-# progress; the convergence guard bounds the class count exactly as
-# for the doubling rule.
-#
-# The kernel runs this schedule with a vectorized hash and sort-based
-# claim resolution (`resolve_claims`), which is order-free; the test
-# suite's reference replays it step for step with scalar hashes and
-# per-wave dicts, bit for bit.
-
-_SHIFT_MIX_1 = 0x9E3779B97F4A7C15
-_SHIFT_MIX_2 = 0xBF58476D1CE4E5B9
-_SHIFT_MIX_3 = 0x94D049BB133111EB
-_CLASS_SALT = 0xC2B2AE3D27D4EB4F
-_MASK64 = (1 << 64) - 1
-
-#: owner-array sentinels
-_OUTSIDE = -2
-_UNCLAIMED = -1
-
-
-def _carve_shift_array(
-    vids: np.ndarray, class_index: int, cap: int
-) -> np.ndarray:
-    """Staggered-start shifts: the trailing-zero count of a
-    splitmix64-style hash of ``(vertex id, class index)``, capped at
-    ``cap``, in uint64 wraparound arithmetic (equal, element for
-    element, to the masked Python-int hash of the test reference)."""
-    h = (vids.astype(np.uint64) + np.uint64(1)) * np.uint64(_SHIFT_MIX_1)
-    h ^= np.uint64(((class_index + 1) * _CLASS_SALT) & _MASK64)
-    h = (h ^ (h >> np.uint64(30))) * np.uint64(_SHIFT_MIX_2)
-    h = (h ^ (h >> np.uint64(27))) * np.uint64(_SHIFT_MIX_3)
-    h ^= h >> np.uint64(31)
-    lsb = h & (~h + np.uint64(1))
-    # log2 of an exact power of two: float64 holds every 2^k <= 2^63
-    shifts = np.full(h.shape, cap, dtype=np.int64)
-    nonzero = lsb != 0
-    shifts[nonzero] = np.minimum(
-        np.log2(lsb[nonzero].astype(np.float64)).astype(np.int64), cap
-    )
-    return shifts
-
-
-def _decompose_simultaneous_csr(
-    reach: "_PowerReach", n: int
-) -> List[List[List[int]]]:
-    """Simultaneous carve of ``G^k`` over dense-index arrays.
-
-    Ball priority compares seed *ids*, so the csr path works in id
-    ranks (position in the id-sorted vertex order): rank comparisons
-    equal id comparisons, and every state array stays dense-indexed.
-    """
-    vertex_ids = reach.snapshot.vertex_ids
-    order_by_id = np.argsort(vertex_ids, kind="stable")
-    rank_of = np.empty(n, dtype=np.int64)
-    rank_of[order_by_id] = np.arange(n, dtype=np.int64)
-
-    remaining = np.ones(n, dtype=bool)
-    owner = np.empty(n, dtype=np.int64)
-    parent = np.empty(n, dtype=np.int64)
-    kept = np.zeros(n, dtype=bool)
-    classes: List[List[List[int]]] = []
-    guard = 2 * max(1, math.ceil(math.log2(n + 1))) + 4
-
-    while remaining.any():
-        if len(classes) >= guard:
-            raise DecompositionError("network decomposition did not converge")
-        clusters, kept_indices = _carve_class_simultaneous_csr(
-            reach,
-            remaining,
-            len(classes),
-            rank_of,
-            order_by_id,
-            owner,
-            parent,
-            kept,
-        )
-        classes.append(clusters)
-        remaining[kept_indices] = False
-    return classes
-
-
-def _carve_class_simultaneous_csr(
-    reach: "_PowerReach",
-    remaining: np.ndarray,
-    class_index: int,
-    rank_of: np.ndarray,
-    order_by_id: np.ndarray,
-    owner: np.ndarray,
-    parent: np.ndarray,
-    kept: np.ndarray,
-) -> Tuple[List[List[int]], np.ndarray]:
-    """Grow, bound and cascade one simultaneous class of ``G^k``;
-    returns ``(clusters, kept dense indices)``.  ``owner``/``parent``/
-    ``kept`` are reusable scratch arrays owned by the driver."""
-    vertex_ids = reach.snapshot.vertex_ids
-    n = reach.snapshot.num_vertices
-
-    live = np.flatnonzero(remaining)
-    cap = max(1, math.ceil(math.log2(live.size + 1)))
-    starts = cap - _carve_shift_array(vertex_ids[live], class_index, cap)
-    owner[:] = _OUTSIDE
-    owner[live] = _UNCLAIMED
-
-    # Bucket activations by start wave (one argsort, then slices).
-    act_order = np.argsort(starts, kind="stable")
-    act_sorted = live[act_order]
-    bounds = np.searchsorted(
-        starts[act_order], np.arange(cap + 2, dtype=np.int64)
-    )
-
-    waves: List[np.ndarray] = []
-    frontier = np.empty(0, dtype=np.int64)
-    claimed = 0
-    first_wave = int(starts.min()) if live.size else cap + 1
-    for wave in range(first_wave, cap + 1):
-        if frontier.size:
-            # Proposal priority packs (seed rank, proposer rank) into
-            # one key — the minimum is the (seed id, proposer id)
-            # lexicographic winner, because ranks order exactly like
-            # ids.  Each unclaimed target takes the
-            # minimum over the proposers within G-distance k.
-            targets, priorities = reach.min_keys(
-                frontier, owner[frontier] * n + rank_of[frontier]
-            )
-            open_targets = owner[targets] == _UNCLAIMED
-            targets = targets[open_targets]
-            priorities = priorities[open_targets]
-        else:
-            targets = np.empty(0, dtype=np.int64)
-            priorities = np.empty(0, dtype=np.int64)
-        activations = act_sorted[bounds[wave] : bounds[wave + 1]]
-        activations = activations[owner[activations] == _UNCLAIMED]
-        if activations.size:
-            self_rank = rank_of[activations]
-            targets = np.concatenate((targets, activations))
-            priorities = np.concatenate(
-                (priorities, self_rank * n + self_rank)
-            )
-        if targets.size == 0:
-            continue
-        won_targets, won_priorities = resolve_claims(
-            targets, priorities, n * n
-        )
-        owner[won_targets] = won_priorities // n
-        parent[won_targets] = order_by_id[won_priorities % n]
-        waves.append(won_targets)
-        frontier = won_targets
-        claimed += won_targets.size
-        if claimed == live.size:
-            break
-
-    # One-sided boundary rule: one relaxation over the class finds,
-    # per vertex, the smallest owner within G-distance k (its own
-    # included); a vertex adjacent in G^k to a smaller-seed ball defers.
-    # Every live vertex is claimed by now, and ``reached`` starts with
-    # the sources, so its first ``live.size`` keys line up with ``live``.
-    mine = owner[live]
-    _reached, smallest = reach.min_keys(live, mine)
-    kept[live] = smallest[: live.size] == mine
-
-    # Parent-chain cascade in claim-wave order (parents are claimed
-    # strictly earlier, so their verdict is already final): a vertex
-    # survives only if its whole chain back to the seed does.
-    for wave_vertices in waves:
-        kept[wave_vertices] &= kept[parent[wave_vertices]] | (
-            owner[wave_vertices] == rank_of[wave_vertices]
-        )
-
-    kept_indices = np.flatnonzero(kept & remaining)
-    if kept_indices.size == 0:
-        return [], kept_indices
-    owners = owner[kept_indices]
-    order = np.lexsort((vertex_ids[kept_indices], owners))
-    grouped = kept_indices[order]
-    group_owner = owners[order]
-    cuts = np.flatnonzero(group_owner[1:] != group_owner[:-1]) + 1
-    flat = vertex_ids[grouped].tolist()
-    edges = [0, *cuts.tolist(), len(flat)]
-    clusters = [flat[a:b] for a, b in zip(edges[:-1], edges[1:])]
-    return clusters, kept_indices
 
 
 def validate_network_decomposition(

@@ -847,7 +847,7 @@ class CSRGraph:
     def power_csr(self, radius: int) -> "CSRGraph":
         """The power graph ``G^radius`` as a fresh simple CSR snapshot.
 
-        Runs simultaneous BFS from blocks of sources over boolean
+        Runs one BFS per block of sources over boolean
         reachability matrices and assembles the CSR adjacency directly
         from the visited masks; no dict multigraph is materialized.
         Vertex ids (and their order) are
@@ -1206,7 +1206,7 @@ def rooted_forest_class_depths(
     its tree, every tree is rooted at its minimum original vertex id
     (matching :class:`~repro.graph.forests.RootedForest` and
     :func:`rooted_forest_arrays` root selection), and one multi-source
-    BFS assigns depths to all classes simultaneously — wave count is
+    BFS assigns depths to all classes at once — wave count is
     the *maximum* tree depth over classes instead of the per-class sum,
     and no per-class python union-find or O(n) scratch is allocated.
 

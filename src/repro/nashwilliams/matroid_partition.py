@@ -15,7 +15,7 @@ the graphic matroid:
   ``k``-forest partition covers them, so the arboricity exceeds ``k``
   and we open a new forest.
 
-The result is simultaneously the exact arboricity ``α(G)`` and a
+The result is both the exact arboricity ``α(G)`` and a
 witness α-forest decomposition — ground truth for every bench.
 """
 

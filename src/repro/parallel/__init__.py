@@ -1,16 +1,10 @@
-"""repro.parallel — order-free reconcile primitives.
+"""repro.parallel — what the end-to-end benchmark still imports.
 
-:func:`resolve_claims` and :func:`segment_kth_largest` resolve a batch
-of proposals into an answer that does not depend on proposal order
-(see :mod:`repro.parallel.bfs`).  :func:`pool_stats` survives only for
-the end-to-end benchmark (see :mod:`repro.parallel.engine`).
+The library runs every wave serially and owns no worker pools;
+:func:`pool_stats` survives only because ``perfbench`` reads it to fill
+its ``parallel.*`` metrics (see :mod:`repro.parallel.engine`).
 """
 
-from .bfs import resolve_claims, segment_kth_largest
 from .engine import pool_stats
 
-__all__ = [
-    "pool_stats",
-    "resolve_claims",
-    "segment_kth_largest",
-]
+__all__ = ["pool_stats"]

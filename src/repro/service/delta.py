@@ -13,8 +13,8 @@ the endpoints can violate their equation, and a worklist relaxation
 that re-evaluates dirty vertices until quiescence is **provably equal
 to a from-scratch peel** — which is the hard contract of
 :meth:`~repro.core.session.Session.apply_delta`: the post-delta result
-is bit-identical to a full recompute on the mutated graph, in every
-``delta_mode``.
+is bit-identical to a full recompute on the mutated graph, whether
+the batch was repaired or recomputed.
 
 Layers in this module:
 
@@ -26,8 +26,9 @@ Layers in this module:
   O(m) copies.  Byte-identical arrays to ``CSRGraph.from_multigraph``.
 * :func:`repair_waves` — the dirty-cascade worklist over the snapshot,
   one vectorized order-statistic evaluation per wave
-  (:func:`repro.parallel.bfs.segment_kth_largest`); aborts (returning None) when the dirty fraction crosses
-  the configured threshold so the caller falls back to a full peel.
+  (:func:`segment_kth_largest`); aborts (returning None) when more
+  than :data:`FALLBACK_DIRTY_FRACTION` of the vertices change wave,
+  so the caller falls back to a full peel.
 * :class:`SessionWaveOracle` — the per-graph cache ``h_partition``
   consults (see :func:`repro.decomposition.hpartition.install_wave_oracle`);
   the delta engine repairs its entries in place.
@@ -71,7 +72,6 @@ from ..decomposition.hpartition import (
     uninstall_wave_oracle,
 )
 from ..local.rounds import ensure_counter
-from ..parallel.bfs import segment_kth_largest
 from ..core.algorithm_stats import TaskStats
 from ..core.config import DecompositionConfig
 from ..core.registry import get_task, set_task_delta
@@ -88,6 +88,7 @@ __all__ = [
     "chain_digest",
     "patched_snapshot",
     "repair_waves",
+    "segment_kth_largest",
     "watch_task",
     "JOURNAL_CHAIN_SEED",
 ]
@@ -98,6 +99,10 @@ JOURNAL_CHAIN_SEED = hashlib.blake2b(
 ).hexdigest()
 
 _DIGEST_MOD = 1 << 256
+
+#: a wave repair that changes more than this fraction of the vertices
+#: is abandoned for a full peel (the result is the same either way)
+FALLBACK_DIRTY_FRACTION = 0.25
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +135,6 @@ class DeltaReport:
     seq: int
     inserted: Tuple[int, ...]  # edge ids assigned to the inserts
     deleted: Tuple[int, ...]
-    delta_mode: str
     dirty_vertices: int
     dirty_fraction: float
     watches: List[WatchReport]
@@ -152,7 +156,6 @@ class DeltaReport:
             "inserted": list(self.inserted),
             "deleted": list(self.deleted),
             "mode": self.mode,
-            "delta_mode": self.delta_mode,
             "dirty_vertices": self.dirty_vertices,
             "dirty_fraction": round(self.dirty_fraction, 6),
             "watches": [w.to_json() for w in self.watches],
@@ -325,6 +328,35 @@ def patched_snapshot(
 # ----------------------------------------------------------------------
 # Wave repair
 # ----------------------------------------------------------------------
+
+
+def segment_kth_largest(
+    values: np.ndarray,
+    lengths: np.ndarray,
+    k: int,
+    fill: int = 0,
+) -> np.ndarray:
+    """Per-segment ``k``-th largest (0-based) of a concatenated array.
+
+    ``values`` is the concatenation of ``len(lengths)`` variable-length
+    segments; segment ``i`` holds ``lengths[i]`` entries.  Returns one
+    value per segment: its ``(k+1)``-th largest entry, or ``fill`` for
+    segments shorter than ``k + 1``.  One lexsort over the whole batch,
+    no per-segment Python: this is the order statistic of the wave
+    equation ("one plus the ``(t+1)``-th largest neighbor wave").
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    num_segments = int(lengths.shape[0])
+    out = np.full(num_segments, fill, dtype=np.int64)
+    big = lengths > k
+    if not np.any(big):
+        return out
+    seg_idx = np.repeat(np.arange(num_segments, dtype=np.int64), lengths)
+    order = np.lexsort((-np.asarray(values, dtype=np.int64), seg_idx))
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    out[big] = np.asarray(values, dtype=np.int64)[order[starts[big] + k]]
+    return out
 
 
 def _frontier_wave_values(
@@ -864,19 +896,12 @@ def apply_delta(
     session,
     inserts: Sequence[Tuple[int, int]] = (),
     deletes: Sequence[int] = (),
-    config: Optional[DecompositionConfig] = None,
 ) -> DeltaReport:
     """Apply one batch of edge mutations and refresh every watched
     decomposition (see :meth:`Session.apply_delta` for the contract)."""
     start = time.perf_counter()
     state = ensure_delta_state(session)
     graph = session.graph
-    cfg = config if config is not None else session.config
-    if not isinstance(cfg, DecompositionConfig):
-        raise GraphError(
-            f"config must be a DecompositionConfig, got {type(cfg).__name__}"
-        )
-    mode = cfg.delta_mode
 
     ins, del_records = _validate_batch(graph, inserts, deletes)
 
@@ -916,17 +941,12 @@ def apply_delta(
     n = new_snap.num_vertices
     changed_by_threshold: Dict[int, np.ndarray] = {}
     oracle = state.oracle
-    if mode == "full":
-        max_dirty = -1
-    elif mode == "incremental":
-        max_dirty = n + 1
-    else:
-        max_dirty = int(cfg.delta_threshold * n)
+    max_dirty = int(FALLBACK_DIRTY_FRACTION * n)
     seeds = _seed_indices(new_snap, ins_records + del_records)
 
     for threshold in list(oracle.entries.keys()):
         entry = oracle.entries[threshold]
-        if entry.fingerprint != old_fp or mode == "full":
+        if entry.fingerprint != old_fp:
             oracle.drop(threshold)
             continue
         repaired = repair_waves(
@@ -962,14 +982,12 @@ def apply_delta(
         result = None
         wmode = "full"
         reason = ""
-        if spec.delta is not None and mode != "full":
+        if spec.delta is not None:
             result = spec.delta(session, ws, info)
             if result is not None:
                 wmode = "incremental"
         if result is None:
-            if mode == "full":
-                reason = "delta_mode=full"
-            elif spec.delta is None:
+            if spec.delta is None:
                 reason = "no incremental refresher"
             else:
                 reason = "refresher fell back"
@@ -1010,7 +1028,6 @@ def apply_delta(
         seq=state.seq,
         inserted=tuple(eid for eid, _u, _v in ins_records),
         deleted=tuple(eid for eid, _u, _v in del_records),
-        delta_mode=mode,
         dirty_vertices=dirty,
         dirty_fraction=dirty / n if n else 0.0,
         watches=watch_reports,

@@ -59,22 +59,47 @@ def test_config_from_json_rejects_unknown_fields():
         DecompositionConfig.from_json({"epsilon": 0.5, "bogus": 1})
 
 
-def test_config_carve_rule_roundtrip():
-    config = DecompositionConfig(carve_rule="simultaneous")
-    assert DecompositionConfig.from_json(config.to_json()) == config
-    assert config.to_json()["carve_rule"] == "simultaneous"
+@pytest.mark.parametrize("delta_mode", ["auto", "incremental", "full"])
+def test_config_from_json_drops_retired_carve_and_delta_fields(delta_mode):
+    """Payloads written before ``carve_rule``, ``delta_mode`` and
+    ``delta_threshold`` left the config still load: the doubling carve
+    is the only carve, and the delta knobs never changed a result."""
+    payload = DecompositionConfig(epsilon=0.5, seed=3).to_json()
+    payload.update(
+        carve_rule="doubling", delta_mode=delta_mode, delta_threshold=0.4
+    )
+    loaded = DecompositionConfig.from_json(payload)
+    assert loaded == DecompositionConfig(epsilon=0.5, seed=3)
+    assert "carve_rule" not in loaded.to_json()
+
+
+@pytest.mark.parametrize("retired", [
+    {"carve_rule": "simultaneous"},
+    {"carve_rule": "doubing"},
+    {"delta_threshold": 1.5},
+    {"delta_threshold": -0.1},
+    {"delta_threshold": True},
+    {"delta_threshold": "0.25"},
+    {"delta_mode": "sometimes"},
+], ids=lambda retired: "-".join(f"{k}={v}" for k, v in retired.items()))
+def test_config_from_json_rejects_retired_values_it_cannot_honor(retired):
+    """A simultaneous-carve payload would silently change its clusters
+    on resume, so it raises; so does any value the old fields refused."""
+    with pytest.raises(ValidationError):
+        DecompositionConfig.from_json(dict(retired))
 
 
 def test_config_rejects_bad_values():
     with pytest.raises(ValidationError):
         DecompositionConfig(validation="loud")
     with pytest.raises(ValidationError):
-        DecompositionConfig(carve_rule="doubing")
-    with pytest.raises(ValidationError):
         DecompositionConfig(diameter_mode="sideways")
     with pytest.raises(ValidationError):
         DecompositionConfig(epsilon=-1.0)
-    for retired in ("workers", "schedule", "backend"):
+    for retired in (
+        "workers", "schedule", "backend",
+        "carve_rule", "delta_mode", "delta_threshold",
+    ):
         with pytest.raises(TypeError):
             DecompositionConfig(**{retired: 2})
 

@@ -1,5 +1,7 @@
 """Tests for CUT (Theorem 4.2) and its load accounting."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from repro.errors import DecompositionError
 from repro.graph import neighborhood
 from repro.graph.generators import (
+    grid_graph,
     line_multigraph,
     path_graph,
     uniform_palette,
@@ -156,3 +159,33 @@ def test_cut_stats_accumulate():
     controller.cut({20}, radius=6)
     assert controller.stats.invocations == 2
     assert controller.stats.removed_edges == len(state.leftover_edges())
+
+
+@pytest.mark.parametrize("rule, digest, fallback", [
+    ("depth_residue", "efbe2477e879ff35", 0),
+    ("conditioned_sampling", "563150ee6d128c70", 98),
+])
+def test_cut_removals_pinned(rule, digest, fallback):
+    """Both rules' removals and leftover tails over six invocations on a
+    grid, frozen: this pins the RNG draw order of the depth-residue
+    cut and of the conditioned-sampling repair, which the forest goldens
+    never reach (CUT removes nothing on their single-cluster runs)."""
+    g = grid_graph(14, 14)
+    state = colored_state(g, 3, seed=6)
+    orientation = None
+    if rule == "conditioned_sampling":
+        pseudo = exact_pseudoarboricity(g)
+        orientation = acyclic_orientation(g, h_partition(g, 3 * pseudo))
+    controller = CutController(
+        state, epsilon=1.0, alpha=2, rule=rule, orientation=orientation,
+        probability=0.05, seed=7,
+    )
+    rng = random.Random(8)
+    removals = []
+    for _ in range(6):
+        core = neighborhood(g, [rng.randrange(g.n)], 1)
+        removals.append(controller.cut(core, radius=4))
+    tails = sorted(state.leftover_orientation().items())
+    blob = json.dumps([removals, tails]).encode()
+    assert hashlib.sha256(blob).hexdigest()[:16] == digest
+    assert controller.stats.fallback_removed == fallback

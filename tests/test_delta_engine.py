@@ -2,17 +2,17 @@
 
 The hard contract under test: after ``Session.apply_delta``, every
 watched decomposition is **bit-identical** to recomputing the task
-from scratch on the mutated graph — for every delta mode and mutation
-mix, and under configs loaded from payloads that name a retired
-substrate.  The corpus drives ~200 seeded mutation
-streams (insert-only / delete-only / mixed, plus dirty-fraction
-threshold crossings that force the fallback path) and checks each
-batch against a fresh session on a copy of the graph.
+from scratch on the mutated graph — for every mutation mix, on both
+the repair and the fallback path, and under configs loaded from
+payloads that name a retired substrate.  The corpus drives ~200 seeded
+mutation streams (insert-only / delete-only / mixed, plus dirty-fraction
+cutoff crossings that force the fallback path) and checks each batch
+against a fresh session on a copy of the graph.
 
 Alongside the corpus: unit equivalence of the repaired H-partition
 waves, byte-equality of the patched CSR snapshot, the O(|delta|)
-content digest vs a from-scratch rehash, the config knobs' validation
-and JSON round-trip, and the watch/unwatch/current session surface.
+content digest vs a from-scratch rehash, and the
+watch/unwatch/current session surface.
 """
 
 import numpy as np
@@ -24,13 +24,13 @@ import repro
 from repro import DecompositionConfig, GraphError, ValidationError
 from repro.graph.csr import CSRGraph, EdgeArrayMap
 from repro.graph.generators import union_of_random_forests
-from repro.parallel import segment_kth_largest
 from repro.service import delta as delta_module
 from repro.service.delta import (
     JOURNAL_CHAIN_SEED,
     chain_digest,
     ensure_delta_state,
     patched_snapshot,
+    segment_kth_largest,
 )
 
 
@@ -154,10 +154,12 @@ def test_stream_corpus_engine(retired_backend, batches, seed):
 
 
 # Threshold tier: 20 streams with a tiny dirty-fraction budget and
-# heavy batches, so repairs keep crossing into the fallback path.
+# heavy batches, so repairs keep crossing into the fallback path.  The
+# cutoff is a module constant; the test lowers it through monkeypatch.
 @pytest.mark.parametrize("seed", range(20))
-def test_stream_corpus_threshold_crossing(seed):
-    cfg = DecompositionConfig(validation="basic", delta_threshold=0.02)
+def test_stream_corpus_threshold_crossing(seed, monkeypatch):
+    monkeypatch.setattr(delta_module, "FALLBACK_DIRTY_FRACTION", 0.02)
+    cfg = DecompositionConfig(validation="basic")
     reports = run_stream(
         seed * 31 + 5, "mixed", cfg, batches=3, batch_size=10
     )
@@ -169,7 +171,7 @@ def test_stream_corpus_threshold_crossing(seed):
     )
 
 
-def test_corpus_exercises_both_paths():
+def test_corpus_exercises_both_paths(monkeypatch):
     """Pin a stream that provably repairs incrementally and one that
     provably falls back, so a silent regression in either path cannot
     hide behind the corpus's randomness."""
@@ -184,7 +186,8 @@ def test_corpus_exercises_both_paths():
     # gradient: deleting an interior edge changes waves, and a zero
     # dirty budget turns any change into a forced fallback.
     grid = grid_graph(10, 10)
-    cfg_tight = DecompositionConfig(validation="basic", delta_threshold=0.0)
+    cfg_tight = DecompositionConfig(validation="basic")
+    monkeypatch.setattr(delta_module, "FALLBACK_DIRTY_FRACTION", 0.0)
     session = repro.Session(grid, cfg_tight)
     session.watch("orientation", method="hpartition", pseudoarboricity=1)
     # joining two degree-2 corners pushes both above the threshold, so
@@ -199,22 +202,9 @@ def test_corpus_exercises_both_paths():
     )
     assert session.current("orientation").coloring == fresh.coloring
     # the dropped oracle entry re-records, so the next batch repairs
-    report = session.apply_delta(
-        inserts=[(0, 1)], config=DecompositionConfig(
-            validation="basic", delta_threshold=0.5
-        )
-    )
+    monkeypatch.setattr(delta_module, "FALLBACK_DIRTY_FRACTION", 0.5)
+    report = session.apply_delta(inserts=[(0, 1)])
     assert report.watches[0].mode == "incremental"
-
-
-@pytest.mark.parametrize("mode", ["auto", "incremental", "full"])
-def test_delta_mode_never_changes_results(mode):
-    cfg = DecompositionConfig(validation="basic", delta_mode=mode)
-    reports = run_stream(17, "mixed", cfg, batches=3)
-    if mode == "full":
-        assert all(
-            w.mode == "full" for r in reports for w in r.watches
-        )
 
 
 def test_watch_without_refresher_falls_back_full():
@@ -392,7 +382,7 @@ def test_patched_snapshot_chain_property(data):
 DEEP_WATCHES = tuple(
     (task, dict(kwargs, pseudoarboricity=2)) for task, kwargs in WATCHES
 )
-DEEP_CONFIG = DecompositionConfig(validation="basic", delta_mode="incremental")
+DEEP_CONFIG = DecompositionConfig(validation="basic")
 
 
 def stream_tails_check(graph, rng, batches, monkeypatch):
@@ -537,47 +527,6 @@ def test_journal_chain_links_batches():
         {"seq": 2, "inserts": [], "deletes": [r1.inserted[0]]},
     )
     assert r2.chain == expected
-
-
-# ----------------------------------------------------------------------
-# Config knobs
-# ----------------------------------------------------------------------
-
-
-def test_delta_knobs_validation():
-    with pytest.raises(ValidationError):
-        DecompositionConfig(delta_mode="sometimes")
-    with pytest.raises(ValidationError):
-        DecompositionConfig(delta_threshold=1.5)
-    with pytest.raises(ValidationError):
-        DecompositionConfig(delta_threshold=-0.1)
-    with pytest.raises(ValidationError):
-        DecompositionConfig(delta_threshold=True)
-
-
-def test_delta_knobs_json_round_trip():
-    cfg = DecompositionConfig(delta_mode="incremental", delta_threshold=0.4)
-    payload = cfg.to_json()
-    assert payload["delta_mode"] == "incremental"
-    assert payload["delta_threshold"] == 0.4
-    back = DecompositionConfig.from_json(payload)
-    assert back.delta_mode == "incremental"
-    assert back.delta_threshold == 0.4
-    assert back == cfg
-
-
-def test_per_call_config_overrides_session_default():
-    cfg = DecompositionConfig(validation="basic")
-    rng = np.random.default_rng(6)
-    graph = random_graph(rng, 40, 90)
-    session = repro.Session(graph, cfg)
-    session.watch("orientation", method="hpartition")
-    forced = DecompositionConfig(validation="basic", delta_mode="full")
-    report = session.apply_delta(inserts=[(0, 1)], config=forced)
-    assert report.delta_mode == "full"
-    assert all(w.mode == "full" for w in report.watches)
-    assert_matches_scratch(session, cfg, (("orientation",
-                                           {"method": "hpartition"}),))
 
 
 # ----------------------------------------------------------------------

@@ -70,31 +70,6 @@ def _case_fd_depth_residue():
     }
 
 
-def _case_fd_simultaneous_carve():
-    graph = union_of_random_forests(40, 3, seed=7)
-    result = forest_decomposition(
-        graph, epsilon=0.5, carve_rule="simultaneous", seed=11
-    )
-    return {
-        "colors_used": result.colors_used,
-        "leftover_size": result.leftover_size,
-        "rounds": result.rounds.total,
-        "coloring": _sha(result.coloring),
-    }
-
-
-def _case_nd_simultaneous_clusters():
-    from repro.decomposition import network_decomposition
-
-    graph = grid_graph(10, 10)
-    nd = network_decomposition(graph, carve_rule="simultaneous")
-    return {
-        "num_classes": nd.num_classes,
-        "clusters_per_class": [len(clusters) for clusters in nd.classes],
-        "classes": _sha([json.dumps(c) for c in nd.classes]),
-    }
-
-
 def _case_fd_conditioned_sampling():
     graph = union_of_random_forests(40, 3, seed=7)
     result = forest_decomposition(
@@ -192,8 +167,6 @@ def _case_orientation_augmentation():
 
 CASES = {
     "fd_depth_residue": _case_fd_depth_residue,
-    "fd_simultaneous_carve": _case_fd_simultaneous_carve,
-    "nd_simultaneous_clusters": _case_nd_simultaneous_clusters,
     "fd_conditioned_sampling": _case_fd_conditioned_sampling,
     "fd_diameter_bounded": _case_fd_diameter_bounded,
     "fd_line_multigraph": _case_fd_line_multigraph,
@@ -237,3 +210,10 @@ def test_golden(name, regen):
         f"{name}: output drifted from frozen golden values — if the change "
         f"is intentional, re-freeze with --regen"
     )
+
+
+def test_golden_has_no_orphan_entries():
+    """Every frozen entry belongs to a case: an entry no case produces
+    certifies nothing and would hide a deleted case."""
+    orphans = sorted(set(_load()) - set(CASES))
+    assert not orphans, f"golden entries without a case: {orphans}"

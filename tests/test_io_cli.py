@@ -261,21 +261,22 @@ def test_cli_rejects_unknown_backend(graph_file, capsys, command):
     assert "unrecognized arguments: --backend csr" in err
 
 
-def test_cli_decompose_carve_rule(graph_file, capsys):
-    """--carve-rule reaches the config; both rules produce a valid
-    forest decomposition with the same color count on this instance."""
-    import json
-
-    outputs = {}
-    for rule in ("doubling", "simultaneous"):
-        assert cli_main([
-            "decompose", graph_file, "--task", "forest", "--alpha", "2",
-            "--seed", "7", "--carve-rule", rule, "--json",
-            "--validation", "basic",
-        ]) == 0
-        outputs[rule] = json.loads(capsys.readouterr().out)
-    assert outputs["doubling"]["config"]["carve_rule"] == "doubling"
-    assert outputs["simultaneous"]["config"]["carve_rule"] == "simultaneous"
+@pytest.mark.parametrize("command, flag, value", [
+    ("decompose", "--carve-rule", "doubling"),
+    ("serve", "--delta-mode", "auto"),
+    ("serve", "--delta-threshold", "0.25"),
+])
+def test_cli_rejects_removed_knob_flags(graph_file, capsys, command, flag,
+                                        value):
+    """The carve and delta knobs left the config, and their flags with
+    them: naming one is a usage error, even with its old default."""
+    argv = [command] + ([] if command == "serve" else [graph_file])
+    with pytest.raises(SystemExit) as exit_info:
+        cli_main(argv + [flag, value])
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in (
+        capsys.readouterr().err
+    )
 
 
 def test_cli_decompose_orientation_json(graph_file, capsys):

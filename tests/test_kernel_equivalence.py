@@ -359,17 +359,11 @@ def test_network_decomposition_matches_reference(seed):
     assert network_decomposition(power_ref).classes == expected
 
 
-@pytest.mark.parametrize("seed", range(0, 200, 5))
-def test_simultaneous_carve_matches_reference(seed):
-    graph = random_multigraph(seed)
-    ref = ref_nd.network_decomposition(graph, carve_rule="simultaneous")
-    csr = network_decomposition(graph, carve_rule="simultaneous")
-    assert csr.classes == ref.classes
-
-
-@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
-@pytest.mark.parametrize("seed", range(0, 200, 5))
-def test_implicit_power_carve_matches_materialized(seed, carve_rule):
+# The ids name the carve under test (the doubling ball carve).
+@pytest.mark.parametrize(
+    "seed", range(0, 200, 5), ids=lambda seed: f"{seed}-doubling"
+)
+def test_implicit_power_carve_matches_materialized(seed):
     """``power=k`` carves G^k on G without building it: cluster for
     cluster equal to carving the materialized ``power_graph``, and to
     the reference carving its own ``G^k``, with the same charged
@@ -379,18 +373,16 @@ def test_implicit_power_carve_matches_materialized(seed, carve_rule):
     for k in (1, 2, 3, 5, 8):
         implicit_rounds, explicit_rounds = RoundCounter(), RoundCounter()
         implicit = network_decomposition(
-            snap, implicit_rounds, radius_cost=k, carve_rule=carve_rule,
-            power=k,
+            snap, implicit_rounds, radius_cost=k, power=k,
         )
         explicit = network_decomposition(
             power_graph(snap, k), explicit_rounds, radius_cost=k,
-            carve_rule=carve_rule,
         )
         assert implicit.classes == explicit.classes, k
         assert implicit_rounds.total == explicit_rounds.total
         if k <= 3:
             reference = ref_nd.network_decomposition(
-                graph, radius_cost=k, carve_rule=carve_rule, power=k,
+                graph, radius_cost=k, power=k,
             )
             assert implicit.classes == reference.classes, k
 

@@ -204,74 +204,6 @@ def test_mpx_csr_backend_matches():
 
 
 # ----------------------------------------------------------------------
-# Simultaneous carve rule
-# ----------------------------------------------------------------------
-
-
-def _simultaneous_caps(n):
-    """The simultaneous carve's proven bounds: strong diameter <= 2L,
-    classes <= 2L + 4 with L = ceil(log2(n + 1))."""
-    level = max(1, math.ceil(math.log2(n + 1)))
-    return 2 * level, 2 * level + 4
-
-
-@pytest.mark.parametrize("make", [
-    lambda: path_graph(50),
-    lambda: grid_graph(8, 8),
-    lambda: union_of_random_forests(120, 3, seed=2),
-    lambda: complete_graph(12),
-    lambda: erdos_renyi(60, 0.08, seed=9),
-])
-def test_nd_simultaneous_validates(make):
-    from repro.verify import check_network_decomposition
-
-    g = make()
-    max_diameter, max_classes = _simultaneous_caps(g.n)
-    ref = ref_nd.network_decomposition(g, carve_rule="simultaneous")
-    csr = network_decomposition(g, carve_rule="simultaneous")
-    assert csr.classes == ref.classes
-    validate_network_decomposition(g, ref, max_diameter, max_classes)
-    # The independent checker (plain BFS, none of the carve kernels)
-    # proves the same (D, chi) bounds.
-    worst, chi = check_network_decomposition(
-        g, ref.classes, max_diameter=max_diameter, max_classes=max_classes
-    )
-    assert worst <= max_diameter and chi == ref.num_classes
-
-
-def test_nd_simultaneous_complete_graph_single_class():
-    g = complete_graph(12)
-    nd = network_decomposition(g, carve_rule="simultaneous")
-    assert nd.num_classes == 1
-    assert len(nd.classes[0]) == 1
-
-
-def test_nd_simultaneous_isolated_vertices():
-    g = MultiGraph.with_vertices(5)
-    nd = network_decomposition(g, carve_rule="simultaneous")
-    validate_network_decomposition(g, nd, 0, class_cap(5))
-    assert nd.num_classes == 1  # every isolated vertex keeps its own ball
-
-
-def test_nd_simultaneous_empty_graph():
-    nd = network_decomposition(MultiGraph(), carve_rule="simultaneous")
-    assert nd.num_classes == 0
-
-
-def test_nd_rejects_unknown_carve_rule():
-    with pytest.raises(DecompositionError, match="carve_rule"):
-        network_decomposition(path_graph(4), carve_rule="doubing")
-
-
-def test_nd_simultaneous_on_power_graph():
-    g = path_graph(40)
-    g2 = power_graph(g, 2)
-    max_diameter, max_classes = _simultaneous_caps(40)
-    nd = network_decomposition(g2, radius_cost=2, carve_rule="simultaneous")
-    validate_network_decomposition(g2, nd, max_diameter, max_classes)
-
-
-# ----------------------------------------------------------------------
 # Regressions: cut-edge KeyError, convergence-guard off-by-one
 # ----------------------------------------------------------------------
 
@@ -350,9 +282,11 @@ _STRUCTURED = {
 }
 
 
-@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
-@pytest.mark.parametrize("name", sorted(_STRUCTURED))
-def test_nd_implicit_power_matches_materialized(name, carve_rule):
+# The ids name the carve under test (the doubling ball carve).
+@pytest.mark.parametrize(
+    "name", sorted(_STRUCTURED), ids=lambda name: f"{name}-doubling"
+)
+def test_nd_implicit_power_matches_materialized(name):
     from repro.graph.csr import snapshot_of
     from repro.verify import check_network_decomposition
 
@@ -360,17 +294,13 @@ def test_nd_implicit_power_matches_materialized(name, carve_rule):
     snap = snapshot_of(g)
     for k in (1, 2, 3, 5, 8):
         power = reference_power_graph(g, k)
-        expected = ref_nd.network_decomposition(power, carve_rule=carve_rule)
-        implicit = network_decomposition(
-            snap, carve_rule=carve_rule, power=k
-        )
+        expected = ref_nd.network_decomposition(power)
+        implicit = network_decomposition(snap, power=k)
         assert implicit.classes == expected.classes, k
         assert ref_nd.network_decomposition(
-            g, carve_rule=carve_rule, power=k
+            g, power=k
         ).classes == expected.classes
-        assert network_decomposition(
-            power, carve_rule=carve_rule
-        ).classes == expected.classes
+        assert network_decomposition(power).classes == expected.classes
         # The independent checker certifies the carve against G^k itself.
         check_network_decomposition(power, implicit.classes)
 
@@ -380,10 +310,11 @@ def test_nd_rejects_power_below_one():
         network_decomposition(path_graph(4), power=0)
 
 
-@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
-@pytest.mark.parametrize("name", ["path", "cycle", "grid"])
+@pytest.mark.parametrize(
+    "name", ["path", "cycle", "grid"], ids=lambda name: f"{name}-doubling"
+)
 @pytest.mark.parametrize("radii", [(1, 1), (2, 1), (2, 3)])
-def test_algorithm2_small_radii_dict_matches_csr(name, carve_rule, radii):
+def test_algorithm2_small_radii_dict_matches_csr(name, radii):
     """Small ``radius``/``search_radius`` make k = 2(R + R') far below
     the diameter, so the carve runs real non-clique shells and waves.
     Algorithm 2 carves G^k implicitly; the reference carves a
@@ -402,11 +333,11 @@ def test_algorithm2_small_radii_dict_matches_csr(name, carve_rule, radii):
     counter = RoundCounter()
     result = algorithm2(
         g, palettes, 0.5, 2, radius=r, search_radius=r_prime,
-        seed=5, rounds=counter, carve_rule=carve_rule,
+        seed=5, rounds=counter,
     )
     ref_rounds = RoundCounter()
     reference = ref_nd.network_decomposition(
-        g, ref_rounds, radius_cost=2 * (r + r_prime), carve_rule=carve_rule,
+        g, ref_rounds, radius_cost=2 * (r + r_prime),
         power=max(1, min(2 * (r + r_prime), 2 * g.n)),
     )
     clusters = sum(len(classes) for classes in reference.classes)
@@ -417,11 +348,12 @@ def test_algorithm2_small_radii_dict_matches_csr(name, carve_rule, radii):
     check_palettes_respected(result.colored, palettes)
 
 
-@pytest.mark.parametrize("carve_rule", ["doubling", "simultaneous"])
+@pytest.mark.parametrize("carve_rule", ["doubling"])
 @pytest.mark.parametrize("backend", ["auto", "csr"])
 def test_forest_never_builds_power_graph(monkeypatch, backend, carve_rule):
     """The forest task never materializes G^k, also under configs
-    loaded from payloads that name a retired ``backend`` value."""
+    loaded from payloads that name a retired ``backend`` or
+    ``carve_rule`` value."""
     import repro
     from repro.graph.csr import CSRGraph
     from repro.graph.generators import preferential_attachment

@@ -1,11 +1,10 @@
 """What remains of repro.parallel, and the kernel the retired
 backend names ran.
 
-Covers the order-free reconcile helper ``resolve_claims``, the
-zero-reporting ``pool_stats`` the end-to-end benchmark reads, the
-dense-wave scatter dedup folded into ``bfs_distance_array`` (against
-the sort-dedup sweep it replaced and the reference BFS), and the
-traversal entry points that ``backend="parallel"`` ran before that
+Covers the zero-reporting ``pool_stats`` the end-to-end benchmark
+reads, the dense-wave scatter dedup folded into ``bfs_distance_array``
+(against the sort-dedup sweep it replaced and the reference BFS), and
+the traversal entry points that ``backend="parallel"`` ran before that
 name was retired, against the reference package.
 """
 
@@ -119,57 +118,6 @@ def test_traversal_parallel_backend_matches_csr(seed):
             ref_traversal.diameter_of_component(graph, comp)
         assert weak_diameter(graph, comp) == \
             ref_traversal.weak_diameter(graph, comp)
-
-
-# ----------------------------------------------------------------------
-# resolve_claims (the simultaneous carve's reconcile helper)
-# ----------------------------------------------------------------------
-
-
-def test_resolve_claims_min_per_target():
-    from repro.parallel import resolve_claims
-
-    targets = np.array([5, 1, 5, 2, 1, 5], dtype=np.int64)
-    priorities = np.array([7, 3, 2, 9, 4, 11], dtype=np.int64)
-    won_targets, won_priorities = resolve_claims(targets, priorities, 16)
-    assert won_targets.tolist() == [1, 2, 5]
-    assert won_priorities.tolist() == [3, 9, 2]
-    # Input order is irrelevant (shard concatenation order must not
-    # matter).
-    perm = np.array([3, 0, 5, 2, 4, 1])
-    again = resolve_claims(targets[perm], priorities[perm], 16)
-    assert again[0].tolist() == [1, 2, 5]
-    assert again[1].tolist() == [3, 9, 2]
-
-
-def test_resolve_claims_empty():
-    from repro.parallel import resolve_claims
-
-    empty = np.empty(0, dtype=np.int64)
-    won_targets, won_priorities = resolve_claims(empty, empty, 10)
-    assert won_targets.size == 0 and won_priorities.size == 0
-
-
-@pytest.mark.parametrize("seed", range(6))
-def test_resolve_claims_packed_matches_lexsort(seed):
-    """The packed-key fast path and the lexsort fallback (forced by an
-    overflowing limit) agree on random claim sets."""
-    from repro.parallel import resolve_claims
-
-    rng = np.random.default_rng(seed)
-    size = int(rng.integers(1, 200))
-    limit = int(rng.integers(2, 50))
-    targets = rng.integers(0, 40, size=size).astype(np.int64)
-    priorities = rng.integers(0, limit, size=size).astype(np.int64)
-    packed = resolve_claims(targets, priorities, limit)
-    fallback = resolve_claims(targets, priorities, 1 << 62)
-    assert packed[0].tolist() == fallback[0].tolist()
-    assert packed[1].tolist() == fallback[1].tolist()
-    # Reference: python min per target.
-    best = {}
-    for t, p in zip(targets.tolist(), priorities.tolist()):
-        best[t] = min(best.get(t, p), p)
-    assert dict(zip(packed[0].tolist(), packed[1].tolist())) == best
 
 
 # ----------------------------------------------------------------------

@@ -84,12 +84,10 @@ def test_checkpoint_round_trip(tmp_path):
     assert a.chain == b.chain and a.inserted == b.inserted
 
 
-def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
-    """Checkpoints written while the config still had the ``workers``,
-    ``schedule`` and ``backend`` fields carry them in every config
-    payload (the session config saying ``"backend": "dict"``, the
-    watches the retired ``mp`` name); resuming one must drop the keys
-    and rebuild a bit-identical state."""
+def _assert_resumes_with_legacy_keys(tmp_path, session_keys, watch_keys):
+    """Checkpoint a session, write ``session_keys`` / ``watch_keys``
+    into the stored config payloads, and check that resuming drops them
+    and rebuilds a bit-identical state."""
     session = make_session(seed=4)
     session.apply_delta(inserts=[(0, 1), (2, 3)])
     ckpt = Checkpointer(str(tmp_path))
@@ -98,10 +96,10 @@ def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
 
     state_path = tmp_path / f"state-{generation:06d}.json"
     meta = json.loads(state_path.read_text(encoding="utf-8"))
-    meta["config"].update(workers=2, schedule="concurrent", backend="dict")
+    meta["config"].update(session_keys)
     for entry in meta["watches"]:
-        assert "backend" not in entry["config"]
-        entry["config"].update(workers=2, schedule="auto", backend="mp")
+        assert not set(watch_keys) & set(entry["config"])
+        entry["config"].update(watch_keys)
     state_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
 
     restored = checkpoint_mod.load(str(tmp_path))
@@ -116,6 +114,47 @@ def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
     a = session.apply_delta(inserts=[(5, 6)])
     b = twin.apply_delta(inserts=[(5, 6)])
     assert a.chain == b.chain and a.inserted == b.inserted
+
+
+def test_checkpoint_resume_accepts_legacy_workers_key(tmp_path):
+    """Checkpoints written while the config still had the ``workers``,
+    ``schedule`` and ``backend`` fields carry them in every config
+    payload (the session config saying ``"backend": "dict"``, the
+    watches the retired ``mp`` name); resuming one must drop the keys
+    and rebuild a bit-identical state."""
+    _assert_resumes_with_legacy_keys(
+        tmp_path,
+        dict(workers=2, schedule="concurrent", backend="dict"),
+        dict(workers=2, schedule="auto", backend="mp"),
+    )
+
+
+def test_checkpoint_resume_accepts_legacy_carve_and_delta_keys(tmp_path):
+    """Checkpoints written while the config had ``carve_rule``,
+    ``delta_mode`` and ``delta_threshold`` carry them in every config
+    payload; resuming one drops them with the same digest, watched
+    results and chain."""
+    _assert_resumes_with_legacy_keys(
+        tmp_path,
+        dict(carve_rule="doubling", delta_mode="full", delta_threshold=0.4),
+        dict(carve_rule="doubling", delta_mode="incremental",
+             delta_threshold=0.25),
+    )
+
+
+def test_checkpoint_resume_refuses_simultaneous_carve(tmp_path):
+    """A payload naming the removed simultaneous carve cannot be
+    honored without changing its clusters, so resuming it raises."""
+    session = make_session(seed=4)
+    ckpt = Checkpointer(str(tmp_path))
+    generation = ckpt.checkpoint(session)
+    ckpt.close()
+    state_path = tmp_path / f"state-{generation:06d}.json"
+    meta = json.loads(state_path.read_text(encoding="utf-8"))
+    meta["config"]["carve_rule"] = "simultaneous"
+    state_path.write_text(json.dumps(meta, indent=2), encoding="utf-8")
+    with pytest.raises(repro.ValidationError, match="carve_rule"):
+        checkpoint_mod.load(str(tmp_path))
 
 
 def test_checkpoint_journal_replay(tmp_path):

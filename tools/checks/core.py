@@ -31,8 +31,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 #: packages whose modules are "kernel" scope: they implement the
-#: deterministic substrate (reconcile primitives, CSR kernel,
-#: decomposition algorithms, and the stage runner that times every
+#: deterministic substrate (CSR kernel, decomposition algorithms, and the stage runner that times every
 #: task stage), so the determinism rules apply in full.
 KERNEL_PACKAGES = (
     "repro/parallel",
