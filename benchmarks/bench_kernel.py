@@ -33,8 +33,7 @@ One section per substrate milestone:
   asserted identical; sparse-frontier BFS is reported unasserted.
 * ``bench_passes`` — the csr ``depth_cut`` (every color class rooted
   in one stacked ``rooted_forest_class_depths`` call) vs. a bench-local
-  copy of the per-class sweep it replaced (``rooted_forest_arrays``
-  per class of 64+ edges, ``RootedForest`` below that).  Asserts
+  per-class sweep (one ``RootedForest`` per class).  Asserts
   >= 1.3x at n >= 50k with kept/deleted/deletion_tail asserted
   identical; smaller rows are reported unasserted.
 * ``bench_witness`` — the witness k-orientation
@@ -574,11 +573,11 @@ def run_shard_comparison():
     for name, assertable, threshold, make in SHARD_WORKLOADS:
         graph = make()
         snapshot = snapshot_of(graph)
-        reference = h_partition(graph, threshold, snapshot=snapshot)
+        reference = h_partition(graph, threshold)
         assert full_scan_h_partition(snapshot, threshold) == reference.classes
         full_ms, csr_ms = _best_interleaved(
             lambda: full_scan_h_partition(snapshot, threshold),
-            lambda: h_partition(graph, threshold, snapshot=snapshot),
+            lambda: h_partition(graph, threshold),
             SHARD_REPEATS,
         )
         speedup = full_ms / csr_ms
@@ -919,57 +918,35 @@ def forest_coloring_graph(n, k, seed):
 
 
 def per_class_depth_cut(graph, coloring, z, seed):
-    """The csr ``depth_cut`` as it was before the stacked rooting:
-    each class of 64+ edges is rooted on its own with
-    ``rooted_forest_arrays`` (a union-find + BFS per class), smaller
-    ones with ``RootedForest``.  Same residue stream, so it returns
-    the same ``(kept, deleted, deletion_tail)``."""
-    import numpy as np
-
-    from repro.graph import RootedForest, rooted_forest_arrays
+    """``depth_cut`` with one ``RootedForest`` per color class, the
+    per-class rooting the stacked kernel replaced.  Same residue
+    stream, so it returns the same ``(kept, deleted, deletion_tail)``."""
+    from repro.graph import RootedForest
     from repro.graph.forests import color_classes
     from repro.rng import make_rng
 
     rng = make_rng(seed)
-    snap = snapshot_of(graph)
     kept, deleted, deletion_tail = {}, [], {}
     for color, eids in sorted(color_classes(coloring).items()):
-        if len(eids) < 64:
-            forest = RootedForest(graph, eids)
-            residue = rng.randrange(z)
-            cut_edges = set(forest.edges_at_depth_residue(residue, z))
-            for eid in eids:
-                if eid in cut_edges:
-                    u, v = graph.endpoints(eid)
-                    deleted.append(eid)
-                    deletion_tail[eid] = (
-                        u if forest.depth[u] > forest.depth[v] else v
-                    )
-                else:
-                    kept[eid] = color
-            continue
-        depth = rooted_forest_arrays(snap, eids).depth
+        forest = RootedForest(graph, eids)
         residue = rng.randrange(z)
-        positions = snap.edge_positions(eids)
-        du = depth[snap.edge_u[positions]]
-        dv = depth[snap.edge_v[positions]]
-        child_ids = np.where(
-            du > dv, snap.edge_u_ids[positions], snap.edge_v_ids[positions]
-        )
-        is_cut = (np.maximum(du, dv) % z) == residue
-        for eid, cut, child in zip(eids, is_cut.tolist(), child_ids.tolist()):
-            if cut:
+        cut_edges = set(forest.edges_at_depth_residue(residue, z))
+        for eid in eids:
+            if eid in cut_edges:
+                u, v = graph.endpoints(eid)
                 deleted.append(eid)
-                deletion_tail[eid] = int(child)
+                deletion_tail[eid] = (
+                    u if forest.depth[u] > forest.depth[v] else v
+                )
             else:
                 kept[eid] = color
     return kept, deleted, deletion_tail
 
 
 # (name, asserted, factory).  Many mid-sized classes are the per-class
-# sweep's worst case: each class pays its own union-find rooting and
-# BFS, while the stacked rooting handles every class in one array
-# pass.  The small rows are reported unasserted.
+# sweep's worst case: each class pays its own dict rooting and BFS,
+# while the stacked rooting handles every class in one array pass.
+# The small rows are reported unasserted.
 PASSES_WORKLOADS = [
     (
         "forest-classes n=60k k=8",

@@ -48,7 +48,7 @@ def main() -> None:
     assert all(
         colors[u] != colors[v] for _e, u, v in tree.edges()
     ), "improper coloring!"
-    central_colors = three_color_rooted_forest(forest)
+    central_colors = three_color_rooted_forest(forest.parent)
     print("Cole-Vishkin tree 3-coloring:")
     print(f"  distributed rounds: {cv_rounds} (O(log* n) + O(1))")
     print(f"  colors used (distributed): {sorted(set(colors.values()))}")

@@ -47,8 +47,8 @@ from .forest_decomposition import (
     forest_decomposition_algorithm2,
 )
 from .list_forest import ListForestDecompositionResult, list_forest_decomposition
+from .api import low_outdegree_orientation
 from .orientation import (
-    low_outdegree_orientation,
     orientation_decomposition,
     orientation_from_forest_decomposition,
     pseudoforest_decomposition_result,

@@ -425,7 +425,6 @@ def barenboim_elkin_forest_decomposition(
     Returns (coloring, number of forests).  The coloring is the
     H-partition t-forest decomposition with t = ⌊(2+ε)α*⌋ (each
     vertex's out-edges get distinct forest labels)."""
-    from ..graph.csr import snapshot_of
     from ..local.rounds import ensure_counter
 
     counter = ensure_counter(rounds)
@@ -437,11 +436,8 @@ def barenboim_elkin_forest_decomposition(
         rooted_forests_from_orientation,
     )
 
-    snapshot = snapshot_of(graph)
-    partition = h_partition(graph, threshold, counter, snapshot=snapshot)
-    orientation = acyclic_orientation(
-        graph, partition, counter, snapshot=snapshot
-    )
+    partition = h_partition(graph, threshold, counter)
+    orientation = acyclic_orientation(graph, partition, counter)
     forests = rooted_forests_from_orientation(graph, orientation)
     coloring: Dict[int, int] = {}
     for label, eids in enumerate(forests):

@@ -174,13 +174,8 @@ def algorithm2(
     if cut_rule == "conditioned_sampling":
         with counter.phase("orientation J"):
             pseudo = exact_pseudoarboricity(graph)
-            snapshot = state.csr_snapshot()
-            partition = h_partition(
-                graph, max(1, 3 * pseudo), counter, snapshot=snapshot,
-            )
-            orientation_j = acyclic_orientation(
-                graph, partition, counter, snapshot=snapshot,
-            )
+            partition = h_partition(graph, max(1, 3 * pseudo), counter)
+            orientation_j = acyclic_orientation(graph, partition, counter)
 
     controller = CutController(
         state,

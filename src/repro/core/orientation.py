@@ -22,8 +22,10 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from ..errors import DecompositionError
-from ..graph.csr import rooted_forest_arrays, snapshot_of
+from ..graph.csr import rooted_forest_class_depths, snapshot_of
 from ..graph.forests import color_classes
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -48,18 +50,6 @@ Orientation = Dict[int, int]
 ORIENTATION_METHODS = ("augmentation", "hpartition", "exact")
 
 
-def _class_parent_arrays(snapshot, eids):
-    """Root one color class; returns the (parent edge id, child vertex
-    id) arrays plus the tree depth."""
-    forest = rooted_forest_arrays(snapshot, eids)
-    children = forest.parent_eid >= 0
-    return (
-        forest.parent_eid[children],
-        snapshot.vertex_ids[children],
-        forest.max_depth,
-    )
-
-
 def orientation_from_forest_decomposition(
     graph: MultiGraph,
     coloring: Dict[int, int],
@@ -69,17 +59,20 @@ def orientation_from_forest_decomposition(
 
     Out-degree is bounded by the number of colors.  Charges O(D) rounds
     where D is the largest tree diameter (the paper's conversion cost).
-    Color classes are rooted one at a time, in sorted color order.
+    All color classes are rooted in one stacked kernel call.
     """
     counter = ensure_counter(rounds)
     snapshot = snapshot_of(graph)
+    classes = list(color_classes(coloring).values())
+    per_class, _waves = rooted_forest_class_depths(
+        snapshot, [snapshot.edge_positions(eids) for eids in classes]
+    )
     orientation: Orientation = {}
     worst_depth = 0
-    for _color, eids in sorted(color_classes(coloring).items()):
-        parent_eids, child_ids, depth = _class_parent_arrays(snapshot, eids)
-        worst_depth = max(worst_depth, depth)
+    for eids, (depth_u, depth_v, child_ids) in zip(classes, per_class):
+        worst_depth = max(worst_depth, int(np.maximum(depth_u, depth_v).max()))
         # tail = child; edge points to parent
-        orientation.update(zip(parent_eids.tolist(), child_ids.tolist()))
+        orientation.update(zip(eids, child_ids.tolist()))
     counter.charge(2 * worst_depth + 1, "orient toward roots")
     return orientation
 
@@ -105,8 +98,8 @@ def _or_decompose(
     pseudoarboricity: Optional[int],
 ):
     """The substrate the orient stage converts, and its out-degree
-    bound: Algorithm 2 forests (augmentation), an H-partition with its
-    snapshot (hpartition), or nothing (exact)."""
+    bound: Algorithm 2 forests (augmentation), an H-partition
+    (hpartition), or nothing (exact)."""
     if method == "augmentation":
         result = forest_decomposition_algorithm2(
             graph, epsilon, alpha=alpha, diameter_mode="auto", seed=seed,
@@ -118,10 +111,9 @@ def _or_decompose(
         if pseudoarboricity is None:
             pseudoarboricity = exact_pseudoarboricity(graph)
         threshold = max(1, default_threshold(pseudoarboricity, epsilon))
-        snapshot = snapshot_of(graph)
-        partition = h_partition(graph, threshold, counter, snapshot=snapshot)
+        partition = h_partition(graph, threshold, counter)
         record.vertices_touched = graph.n
-        return (partition, snapshot), threshold
+        return partition, threshold
     # "exact" needs no substrate — the orient stage computes the witness.
     return None, None
 
@@ -142,10 +134,7 @@ def _or_orient(
         )
         record.items = substrate.colors_used
     elif method == "hpartition":
-        partition, snapshot = substrate
-        orientation = acyclic_orientation(
-            graph, partition, counter, snapshot=snapshot,
-        )
+        orientation = acyclic_orientation(graph, substrate, counter)
     else:  # exact
         from ..nashwilliams.arboricity import exact_arboricity
 
@@ -226,9 +215,21 @@ def orientation_decomposition(
 ) -> OrientationResult:
     """Corollary 1.1 as a protocol result: returns the
     :class:`~repro.core.results.OrientationResult` (per-stage records in
-    ``result.stats["passes"]``).  See :func:`low_outdegree_orientation`
-    for the knobs; that wrapper unwraps this result into the historical
-    ``(orientation, bound)`` tuple.
+    ``result.stats["passes"]``).
+
+    ``method``:
+
+    * ``"augmentation"`` — Corollary 1.1: Algorithm 2 forest
+      decomposition (with bounded diameter), then orient to roots.
+      Out-degree ≤ #forests ≈ (1+ε)α; rounds linear in 1/ε.
+    * ``"hpartition"`` — the (2+ε)α* baseline of Theorem 2.1(2).
+    * ``"exact"`` — centralized flow witness at ⌈(1+ε)α⌉ (ground truth).
+
+    ``pseudoarboricity`` lets callers (e.g. a
+    :class:`~repro.core.session.Session`) inject the memoized exact
+    value for the ``"hpartition"`` method instead of recomputing it.
+    :func:`repro.low_outdegree_orientation` unwraps this result into
+    the historical ``(orientation, bound)`` tuple.
     """
     return _run_orientation_stages(
         graph, epsilon, alpha, method, seed, rounds, pseudoarboricity,
@@ -252,33 +253,3 @@ def pseudoforest_decomposition_result(
         graph, epsilon, alpha, method, seed, rounds, pseudoarboricity,
         fold=True,
     )
-
-
-def low_outdegree_orientation(
-    graph: MultiGraph,
-    epsilon: float,
-    alpha: Optional[int] = None,
-    method: str = "augmentation",
-    seed: SeedLike = None,
-    rounds: Optional[RoundCounter] = None,
-    pseudoarboricity: Optional[int] = None,
-) -> Tuple[Orientation, int]:
-    """A (1+ε)α-orientation; returns (orientation, out-degree bound).
-
-    ``method``:
-
-    * ``"augmentation"`` — Corollary 1.1: Algorithm 2 forest
-      decomposition (with bounded diameter), then orient to roots.
-      Out-degree ≤ #forests ≈ (1+ε)α; rounds linear in 1/ε.
-    * ``"hpartition"`` — the (2+ε)α* baseline of Theorem 2.1(2).
-    * ``"exact"`` — centralized flow witness at ⌈(1+ε)α⌉ (ground truth).
-
-    ``pseudoarboricity`` lets callers (e.g. a
-    :class:`~repro.core.session.Session`) inject the memoized exact
-    value for the ``"hpartition"`` method instead of recomputing it.
-    """
-    result = orientation_decomposition(
-        graph, epsilon, alpha=alpha, method=method, seed=seed,
-        rounds=rounds, pseudoarboricity=pseudoarboricity,
-    )
-    return result.orientation, result.bound

@@ -30,9 +30,11 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..errors import ConvergenceError, DecompositionError, GraphError
-from ..graph.csr import snapshot_of
-from ..graph.forests import RootedForest, color_classes
+from ..graph.csr import rooted_forest_class_depths, snapshot_of
+from ..graph.forests import color_classes
 from ..graph.matching import hopcroft_karp
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -534,17 +536,22 @@ def two_coloring_star_forests(
     rounds: Optional[RoundCounter] = None,
 ) -> Dict[int, Tuple[int, int]]:
     """The classical ``αstar ≤ 2α`` construction: split every forest of
-    a forest decomposition by the depth parity of the parent endpoint."""
+    a forest decomposition by the depth parity of the parent endpoint.
+    All forests are rooted in one stacked kernel call."""
     counter = ensure_counter(rounds)
+    classes = sorted(color_classes(forest_coloring).items())
+    snapshot = snapshot_of(graph)
+    per_class, _waves = rooted_forest_class_depths(
+        snapshot, [snapshot.edge_positions(eids) for _color, eids in classes]
+    )
     coloring: Dict[int, Tuple[int, int]] = {}
-    for color, eids in sorted(color_classes(forest_coloring).items()):
-        forest = RootedForest(graph, eids)
-        even, odd = forest.depth_parity_split()
-        for eid in even:
-            coloring[eid] = (color, 0)
-        for eid in odd:
-            coloring[eid] = (color, 1)
+    for (color, eids), (depth_u, depth_v, _children) in zip(classes, per_class):
+        # The parent endpoint is the shallower one.
+        parity = np.minimum(depth_u, depth_v) % 2
+        for eid, odd in zip(eids, parity.tolist()):
+            coloring[eid] = (color, odd)
         counter.charge(
-            2 * max(1, forest.max_depth()), "depth parity labelling"
+            2 * max(1, int(np.maximum(depth_u, depth_v).max())),
+            "depth parity labelling",
         )
     return coloring

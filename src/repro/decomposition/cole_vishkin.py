@@ -6,13 +6,17 @@ update centrally, charging the round cost to a
 :class:`~repro.local.rounds.RoundCounter`.  The genuinely distributed
 node-program version lives in :mod:`repro.local.algorithms`; the two
 are cross-checked in tests.
+
+A rooted forest is given as its parent map ``{vertex: parent or
+None}``: the library's callers derive it from the stacked rooting
+kernel (:func:`~repro.graph.csr.rooted_forest_class_depths`), and a
+:class:`~repro.graph.forests.RootedForest` hands over its ``parent``.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Optional
 
-from ..graph.forests import RootedForest
 from ..local.rounds import RoundCounter, ensure_counter
 
 
@@ -30,15 +34,16 @@ def _reduction_iterations(n: int) -> int:
 
 
 def three_color_rooted_forest(
-    forest: RootedForest, rounds: Optional[RoundCounter] = None
+    parent: Dict[int, Optional[int]], rounds: Optional[RoundCounter] = None
 ) -> Dict[int, int]:
     """Proper 3-coloring of the vertices of a rooted forest.
 
-    Vertices not spanned by the forest are absent from the result.
+    ``parent`` maps every vertex the forest spans to its parent, or to
+    None for a root; vertices outside it are absent from the result.
     Charges O(log* n) LOCAL rounds.
     """
     counter = ensure_counter(rounds)
-    vertices = forest.vertices()
+    vertices = list(parent)
     if not vertices:
         return {}
 
@@ -49,8 +54,8 @@ def three_color_rooted_forest(
     for _ in range(iterations):
         new_color: Dict[int, int] = {}
         for v in vertices:
-            parent = forest.parent[v]
-            parent_color = color[parent] if parent is not None else color[v] ^ 1
+            up = parent[v]
+            parent_color = color[up] if up is not None else color[v] ^ 1
             bit = _lowest_differing_bit(color[v], parent_color)
             new_color[v] = 2 * bit + ((color[v] >> bit) & 1)
         color = new_color
@@ -61,16 +66,16 @@ def three_color_rooted_forest(
         pre = color
         shifted: Dict[int, int] = {}
         for v in vertices:
-            parent = forest.parent[v]
-            if parent is not None:
-                shifted[v] = pre[parent]
+            up = parent[v]
+            if up is not None:
+                shifted[v] = pre[up]
             else:
                 shifted[v] = min(c for c in (0, 1, 2) if c != pre[v])
         color = {}
         for v in vertices:
             if shifted[v] == target:
-                parent = forest.parent[v]
-                parent_post = shifted[parent] if parent is not None else -1
+                up = parent[v]
+                parent_post = shifted[up] if up is not None else -1
                 forbidden = {parent_post, pre[v]}
                 color[v] = min(c for c in (0, 1, 2) if c not in forbidden)
             else:

@@ -12,11 +12,14 @@ These are both the pre-existing baseline the paper improves on (its
 (2+ε)α-FD) and subroutines of the main algorithms (leftover recoloring
 in Theorem 4.6, the 3α-orientation inside CUT, Theorem 2.3's LSFD).
 
-The peel and the orientation run on the flat-array kernel's snapshot
-arrays (:mod:`repro.graph.csr`).  The dict loops they were
-ported from are the test suite's reference (``tests/reference/peel.py``);
-the equivalence corpus checks identical classes, orientations and
-charged rounds against it.
+The peel and the orientation run on the arrays of the graph's cached
+flat-array snapshot (:func:`~repro.graph.csr.snapshot_of`).  The dict
+loops they were ported from are the test suite's reference
+(``tests/reference/peel.py``); the equivalence corpus checks identical
+classes, orientations and charged rounds against it.  The 3t-star
+split roots all of its label classes in one call of the stacked
+rooting kernel (:func:`~repro.graph.csr.rooted_forest_class_depths`)
+and feeds Cole–Vishkin the resulting parent maps.
 """
 
 from __future__ import annotations
@@ -28,13 +31,12 @@ import numpy as np
 
 from ..errors import DecompositionError, PaletteError
 from ..graph.csr import (
-    CSRGraph,
     EdgeArrayMap,
     _concat_ranges,
     apply_degree_decrements,
+    rooted_forest_class_depths,
     snapshot_of,
 )
-from ..graph.forests import RootedForest
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from .cole_vishkin import three_color_rooted_forest
@@ -99,7 +101,6 @@ def h_partition(
     graph: MultiGraph,
     threshold: int,
     rounds: Optional[RoundCounter] = None,
-    snapshot: Optional[CSRGraph] = None,
 ) -> HPartition:
     """Peel vertices of remaining degree <= threshold into classes.
 
@@ -110,7 +111,7 @@ def h_partition(
 
     Each wave runs vectorized on the snapshot's arrays, touching only
     the previous wave's threshold-crossing frontier after the first
-    full scan.  Without a ``snapshot`` it peels the graph's cached one
+    full scan.  It peels the graph's cached snapshot
     (:func:`~repro.graph.csr.snapshot_of`), so every kernel-backed pass
     on the same graph shares one conversion.
     """
@@ -124,7 +125,7 @@ def h_partition(
             if waves:
                 counter.charge(waves, "H-partition wave")
             return HPartition(cached, threshold)
-    snap = snapshot if snapshot is not None else snapshot_of(graph)
+    snap = snapshot_of(graph)
     n = snap.num_vertices
     offsets = snap.vertex_offsets
     vertex_ids = snap.vertex_ids.tolist()
@@ -174,14 +175,13 @@ def acyclic_orientation(
     graph: MultiGraph,
     partition: HPartition,
     rounds: Optional[RoundCounter] = None,
-    snapshot: Optional[CSRGraph] = None,
 ) -> Orientation:
     """Theorem 2.1(2): orient low class -> high class, ties by vertex id.
 
     The result is acyclic with out-degree at most the partition
     threshold.  Charges one round (purely local decision per edge).
-    The per-edge comparison runs vectorized on the flat-array kernel
-    (``snapshot``, or the graph's cached one).
+    The per-edge comparison runs vectorized on the graph's cached
+    flat-array snapshot.
     """
     counter = ensure_counter(rounds)
     classes = partition.classes
@@ -191,7 +191,7 @@ def acyclic_orientation(
     # same items, but never materializes m Python ints unless a caller
     # truly iterates it, which is what keeps the orientation step
     # inside the out-of-core RSS budget on memmap snapshots.
-    snap = snapshot if snapshot is not None else snapshot_of(graph)
+    snap = snapshot_of(graph)
     if snap.num_edges == 0:
         orientation = {}
     else:
@@ -251,22 +251,31 @@ def star_forest_decomposition_via_hpartition(
     star-forest color.  Each label class is a rooted forest (edges point
     to parents); Cole–Vishkin 3-colors its vertices and each edge takes
     its parent's color, splitting the forest into 3 star-forests.
+    Cole–Vishkin runs on each class rooted at its trees' minimum vertex
+    ids, all classes rooted in one stacked kernel call.
     """
     counter = ensure_counter(rounds)
     orientation = acyclic_orientation(graph, partition, counter)
     forests = rooted_forests_from_orientation(graph, orientation)
+    labelled = [(label, eids) for label, eids in enumerate(forests) if eids]
+    snap = snapshot_of(graph)
+    positions = [snap.edge_positions(eids) for _label, eids in labelled]
+    per_class, _waves = rooted_forest_class_depths(snap, positions)
     coloring: Dict[int, Tuple[int, int]] = {}
-    for label, eids in enumerate(forests):
-        if not eids:
-            continue
+    for (label, eids), pos, (_du, _dv, children) in zip(
+        labelled, positions, per_class
+    ):
+        u_ids = snap.edge_u_ids[pos]
+        v_ids = snap.edge_v_ids[pos]
+        parents = np.where(children == u_ids, v_ids, u_ids).tolist()
+        # Roots appear only as parents and keep None.
+        parent = dict.fromkeys(parents)
+        parent.update(zip(children.tolist(), parents))
+        vertex_colors = three_color_rooted_forest(parent, counter)
         # Parent of edge (u -> v) is v: edges point from child to parent
         # (each vertex has at most one out-edge per label).
-        forest = RootedForest(graph, eids)
-        vertex_colors = three_color_rooted_forest(forest, counter)
-        for eid in eids:
-            u, v = graph.endpoints(eid)
-            tail = orientation[eid]
-            head = v if tail == u else u
+        for eid, u, v in zip(eids, u_ids.tolist(), v_ids.tolist()):
+            head = v if orientation[eid] == u else u
             coloring[eid] = (label, vertex_colors[head])
     return coloring
 

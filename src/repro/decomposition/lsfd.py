@@ -26,7 +26,6 @@ import math
 from typing import Dict, List, Optional, Sequence, Set
 
 from ..errors import PaletteError
-from ..graph.csr import snapshot_of
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from .hpartition import (
@@ -70,11 +69,8 @@ def list_star_forest_decomposition(
 
     threshold = max(1, int(math.floor((2.0 + epsilon / 10.0) * pseudoarboricity)))
     with counter.phase("h-partition"):
-        snapshot = snapshot_of(graph)
-        partition = h_partition(graph, threshold, counter, snapshot=snapshot)
-        orientation = acyclic_orientation(
-            graph, partition, counter, snapshot=snapshot
-        )
+        partition = h_partition(graph, threshold, counter)
+        orientation = acyclic_orientation(graph, partition, counter)
 
     out_by_vertex = out_edges_by_vertex(graph, orientation)
     classes = partition.classes

@@ -2,7 +2,7 @@
 forests, matching, generators."""
 
 from .multigraph import MultiGraph
-from .csr import CSRGraph, rooted_forest_arrays, snapshot_of
+from .csr import CSRGraph, snapshot_of
 from .union_find import RollbackUnionFind, UnionFind
 from .traversal import (
     bfs_distances,
@@ -29,7 +29,6 @@ from .matching import greedy_matching, hopcroft_karp, maximum_matching_size
 __all__ = [
     "MultiGraph",
     "CSRGraph",
-    "rooted_forest_arrays",
     "snapshot_of",
     "UnionFind",
     "RollbackUnionFind",

@@ -1087,134 +1087,34 @@ def degeneracy_peel(snapshot: CSRGraph) -> Tuple[int, List[int]]:
 # ----------------------------------------------------------------------
 
 
-class ForestArrays:
-    """Array form of a rooted forest: per dense vertex index, BFS depth
-    (-1 when unspanned) and parent edge id (-1 for roots/unspanned)."""
-
-    __slots__ = ("snapshot", "depth", "parent_eid", "roots", "max_depth")
-
-    def __init__(
-        self,
-        snapshot: CSRGraph,
-        depth: np.ndarray,
-        parent_eid: np.ndarray,
-        roots: List[int],
-    ) -> None:
-        self.snapshot = snapshot
-        self.depth = depth
-        self.parent_eid = parent_eid
-        self.roots = roots
-        # Clamp at 0: an edgeless forest has depth -1 everywhere but,
-        # like RootedForest.max_depth(), reports depth 0.
-        self.max_depth = max(0, int(depth.max())) if depth.size else 0
-
-
-def rooted_forest_arrays(
-    snapshot: CSRGraph,
-    eids: Sequence[int],
-    preferred_roots: Optional[Iterable[int]] = None,
-) -> ForestArrays:
-    """Root the forest formed by ``eids``, entirely on flat arrays.
-
-    Root selection matches :class:`repro.graph.forests.RootedForest`:
-    each tree is rooted at its smallest preferred vertex if any member
-    of ``preferred_roots`` is present, else at its minimum vertex id.
-    Raises :class:`GraphError` when the edges contain a cycle.
-
-    A union-find pass validates acyclicity and groups components; one
-    multi-source frontier-vectorized BFS then assigns depths and parent
-    edges (unique in a forest, so no tie-breaking is needed).
-    """
-    n = snapshot.num_vertices
-    depth = np.full(n, -1, dtype=np.int64)
-    parent_eid = np.full(n, -1, dtype=np.int64)
-    eid_list = list(eids)
-    if not eid_list:
-        return ForestArrays(snapshot, depth, parent_eid, [])
-
-    positions = snapshot.edge_positions(eid_list)
-    sub_u = snapshot.edge_u[positions]
-    sub_v = snapshot.edge_v[positions]
-    sub_eid = snapshot.edge_id[positions]
-
-    # Union-find: validate forest, group components.
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for a, b in zip(sub_u.tolist(), sub_v.tolist()):
-        if a not in parent:
-            parent[a] = a
-        if b not in parent:
-            parent[b] = b
-        ra, rb = find(a), find(b)
-        if ra == rb:
-            raise GraphError("edge set is not a forest")
-        parent[rb] = ra
-
-    vertex_ids = snapshot.vertex_ids
-    preferred = set(preferred_roots) if preferred_roots is not None else set()
-    best: Dict[int, Tuple[int, int]] = {}  # component rep -> (best key, index)
-    for index in parent:
-        rep = find(index)
-        vid = int(vertex_ids[index])
-        key = (0, vid) if vid in preferred else (1, vid)
-        if rep not in best or key < best[rep][0]:
-            best[rep] = (key, index)
-    roots = [index for _key, index in best.values()]
-
-    # Sub-CSR over the forest edges, then one multi-source BFS.
-    sub_offsets, sub_nbr, sub_edge = _half_edge_csr(n, sub_u, sub_v, sub_eid)
-
-    frontier = np.asarray(sorted(roots), dtype=np.int64)
-    depth[frontier] = 0
-    level = 0
-    while frontier.size:
-        level += 1
-        half = _concat_ranges(sub_offsets[frontier], sub_offsets[frontier + 1])
-        targets = sub_nbr[half]
-        via = sub_edge[half]
-        fresh = depth[targets] < 0
-        targets, via = targets[fresh], via[fresh]
-        depth[targets] = level
-        parent_eid[targets] = via
-        frontier = targets
-
-    return ForestArrays(snapshot, depth, parent_eid, sorted(roots))
-
-
 def rooted_forest_class_depths(
     snapshot: CSRGraph,
     class_positions: Sequence[np.ndarray],
 ) -> Tuple[List[Tuple[np.ndarray, np.ndarray, np.ndarray]], int]:
     """Root *every* color class's forest in one stacked, fully
-    vectorized computation — the kernel behind the csr depth cut.
+    vectorized computation — the library's one rooting kernel (depth
+    cut, orientation toward roots, Cole–Vishkin parents, depth-parity
+    star splits).
 
     ``class_positions`` holds one array of snapshot edge positions per
     color class.  Classes are stacked into a single disjoint forest
     over synthetic nodes ``class_index * n + vertex_index``, which is
     validated and rooted as a whole: leaf peeling consumes the forest
-    inward (proving acyclicity exactly like the union-find on the
-    per-class path — a cycle core never reaches degree 1 and trips the
-    same :class:`GraphError`), pointer doubling labels each node with
-    its tree, every tree is rooted at its minimum original vertex id
-    (matching :class:`~repro.graph.forests.RootedForest` and
-    :func:`rooted_forest_arrays` root selection), and one multi-source
-    BFS assigns depths to all classes at once — wave count is
-    the *maximum* tree depth over classes instead of the per-class sum,
-    and no per-class python union-find or O(n) scratch is allocated.
+    inward (a cycle core never reaches degree 1 and raises
+    :class:`GraphError`), pointer doubling labels each node with its
+    tree, every tree is rooted at its minimum original vertex id
+    (matching :class:`~repro.graph.forests.RootedForest`'s root
+    selection), and one multi-source BFS assigns depths to all classes
+    at once — wave count is the *maximum* tree depth over classes
+    instead of the per-class sum, and no per-class python union-find
+    or O(n) scratch is allocated.
 
     Returns ``(per_class, waves)`` where ``per_class[i]`` is
     ``(depth_u, depth_v, child_vertex_ids)`` aligned with
-    ``class_positions[i]`` — exactly the arrays the per-class
-    :func:`rooted_forest_arrays` cut path derives — and ``waves``
-    counts the frontier-synchronous sweeps (peel + label + BFS).
+    ``class_positions[i]``: each edge's endpoint depths and the id of
+    its deeper endpoint (the child; the other endpoint is its parent).
+    ``waves`` counts the frontier-synchronous sweeps (peel + label +
+    BFS).
     """
     sizes = [int(len(p)) for p in class_positions]
     total = sum(sizes)

@@ -18,7 +18,7 @@ def proper(graph, eids, colors):
 def test_path_coloring():
     g = path_graph(64)
     forest = RootedForest(g, g.edge_ids(), roots=[0])
-    colors = three_color_rooted_forest(forest)
+    colors = three_color_rooted_forest(forest.parent)
     assert proper(g, g.edge_ids(), colors)
     assert set(colors.values()) <= {0, 1, 2}
 
@@ -26,7 +26,7 @@ def test_path_coloring():
 def test_star_coloring():
     g = star_graph(20)
     forest = RootedForest(g, g.edge_ids(), roots=[0])
-    colors = three_color_rooted_forest(forest)
+    colors = three_color_rooted_forest(forest.parent)
     assert proper(g, g.edge_ids(), colors)
     assert set(colors.values()) <= {0, 1, 2}
 
@@ -34,7 +34,7 @@ def test_star_coloring():
 def test_random_forest_coloring():
     g = union_of_random_forests(100, 1, seed=3)
     forest = RootedForest(g, g.edge_ids())
-    colors = three_color_rooted_forest(forest)
+    colors = three_color_rooted_forest(forest.parent)
     assert proper(g, g.edge_ids(), colors)
     assert set(colors.values()) <= {0, 1, 2}
 
@@ -43,21 +43,21 @@ def test_rounds_charged_log_star():
     g = path_graph(1000)
     forest = RootedForest(g, g.edge_ids(), roots=[0])
     rc = RoundCounter()
-    three_color_rooted_forest(forest, rc)
+    three_color_rooted_forest(forest.parent, rc)
     assert 0 < rc.total <= 30  # O(log* n) + 6 shift rounds
 
 
 def test_empty_forest():
     g = MultiGraph.with_vertices(4)
     forest = RootedForest(g, [])
-    assert three_color_rooted_forest(forest) == {}
+    assert three_color_rooted_forest(forest.parent) == {}
 
 
 def test_matches_distributed_guarantees():
     """Centralized and distributed versions both 3-color properly."""
     g = union_of_random_forests(60, 1, seed=9)
     forest = RootedForest(g, g.edge_ids())
-    central = three_color_rooted_forest(forest)
+    central = three_color_rooted_forest(forest.parent)
     parents = {v: forest.parent_edge[v] for v in forest.vertices()}
     # The distributed run needs the graph restricted to forest edges
     # (here the graph IS the forest).

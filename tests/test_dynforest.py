@@ -1,5 +1,6 @@
 """Tests for the link/cut forest against a brute-force edge-set oracle,
-and the guard that keeps it out of the validators."""
+the guard that keeps it out of the validators, and the guard that keeps
+the dict ``RootedForest`` out of the library's kernel paths."""
 
 import ast
 import importlib
@@ -185,12 +186,14 @@ def test_long_path_query_is_iterative():
     )
 
 
-VERIFY_DIR = Path(__file__).resolve().parents[1] / "src" / "repro" / "verify"
+SRC_DIR = Path(__file__).resolve().parents[1] / "src"
+VERIFY_DIR = SRC_DIR / "repro" / "verify"
 
 
-def _imported_modules(path):
-    """Absolute dotted names of every module ``path`` imports."""
-    package = ["repro", "verify"]
+def _imported_modules(path, package=("repro", "verify")):
+    """Absolute dotted names of every module ``path`` (a module of
+    ``package``) imports."""
+    package = list(package)
     names = []
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Import):
@@ -225,3 +228,43 @@ def test_validators_do_not_import_the_dynamic_forest():
     # The resolver sees the validators' real imports.
     validators = _imported_modules(VERIFY_DIR / "validators.py")
     assert "repro.graph.union_find.UnionFind" in validators
+
+
+#: The modules that may use the dict ``RootedForest``: the validators
+#: (their independent rooting), its home package, CUT's preferred-root
+#: ring BFS and ``random_sparse_cut``'s correction pass.  Every other
+#: library path roots color classes with the stacked array kernel
+#: (``repro.graph.csr.rooted_forest_class_depths``).
+ROOTED_FOREST_MODULES = (
+    "repro.graph",
+    "repro.graph.forests",
+    "repro.core.cut",
+    "repro.core.diameter_reduction",
+)
+
+
+def test_rooted_forest_stays_out_of_kernel_paths():
+    for module in ROOTED_FOREST_MODULES:
+        importlib.import_module(module)
+    offenders = []
+    for path in sorted((SRC_DIR / "repro").rglob("*.py")):
+        parts = list(path.relative_to(SRC_DIR).with_suffix("").parts)
+        if parts[-1] == "__init__":
+            parts.pop()
+            package = parts
+        else:
+            package = parts[:-1]
+        module = ".".join(parts)
+        if module in ROOTED_FOREST_MODULES or module.startswith("repro.verify"):
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        uses = any(
+            name.endswith(".RootedForest")
+            for name in _imported_modules(path, package)
+        ) or any(
+            isinstance(node, ast.Attribute) and node.attr == "RootedForest"
+            for node in ast.walk(tree)
+        )
+        if uses:
+            offenders.append(module)
+    assert offenders == []

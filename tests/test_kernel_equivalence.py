@@ -21,9 +21,10 @@ edge ids) — assert that
   :class:`~repro.core.partial_coloring.PartialListForestDecomposition`
   answer every path/component/connectivity query exactly like the
   reference's BFS under an identical mutation history;
-* :func:`rooted_forest_arrays` and ``depth_cut`` reproduce
-  :class:`RootedForest`'s rooting (depths, parent edges, root choice)
-  and cuts.
+* the stacked rooting kernel (:func:`rooted_forest_class_depths`) and
+  its callers (``depth_cut``, Cole–Vishkin parents, the 2α star split)
+  reproduce :class:`RootedForest`'s rooting (depths, child endpoints,
+  root choice), cuts, colors and charged rounds.
 
 Instances are derived deterministically from the parametrized seed, so
 a failure always reproduces.
@@ -35,8 +36,13 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import GraphError, ValidationError
-from repro.graph import CSRGraph, MultiGraph, RootedForest, rooted_forest_arrays
-from repro.graph.csr import bfs_distance_array, snapshot_of
+from repro.graph import CSRGraph, MultiGraph, RootedForest, color_classes
+from repro.graph.csr import (
+    bfs_distance_array,
+    rooted_forest_class_depths,
+    snapshot_of,
+)
+from repro.graph.union_find import UnionFind
 from repro.graph.generators import preferential_attachment
 from repro.graph.traversal import (
     bfs_distances,
@@ -45,7 +51,9 @@ from repro.graph.traversal import (
     neighborhood,
     power_graph,
 )
-from repro.core.orientation import low_outdegree_orientation
+from repro.core.api import low_outdegree_orientation
+from repro.core.star_forest import two_coloring_star_forests
+from repro.decomposition.cole_vishkin import three_color_rooted_forest
 from repro.core.partial_coloring import PartialListForestDecomposition
 from repro.decomposition.degeneracy import (
     degeneracy_ordering,
@@ -55,6 +63,8 @@ from repro.decomposition.hpartition import (
     acyclic_orientation,
     default_threshold,
     h_partition,
+    rooted_forests_from_orientation,
+    star_forest_decomposition_via_hpartition,
 )
 from repro.decomposition.network_decomposition import (
     cut_edges_of_clustering,
@@ -256,47 +266,128 @@ def test_low_outdegree_orientation_matches_reference(seed):
     assert orientation == ref_peel.acyclic_orientation(graph, partition)
 
 
+def _greedy_forest_coloring(graph):
+    """Split every edge into forests greedily, in edge-id order."""
+    coloring = {}
+    finders = []
+    for eid in sorted(graph.edge_ids()):
+        u, v = graph.endpoints(eid)
+        for color, uf in enumerate(finders):
+            if uf.union(u, v):
+                coloring[eid] = color
+                break
+        else:
+            uf = UnionFind()
+            uf.union(u, v)
+            finders.append(uf)
+            coloring[eid] = len(finders) - 1
+    return coloring
+
+
+def _stacked_rooting(graph):
+    """``(color, eids, (depth_u, depth_v, child ids))`` per class of the
+    greedy forest coloring, all classes rooted in one kernel call."""
+    snap = snapshot_of(graph)
+    classes = sorted(color_classes(_greedy_forest_coloring(graph)).items())
+    per_class, _waves = rooted_forest_class_depths(
+        snap, [snap.edge_positions(eids) for _color, eids in classes]
+    )
+    return [
+        (color, eids, arrays)
+        for (color, eids), arrays in zip(classes, per_class)
+    ]
+
+
+def _kernel_parent_map(graph, eids, child_ids):
+    """``{vertex: parent or None}`` read off the kernel's child ids."""
+    parent = {}
+    for eid, child in zip(eids, child_ids.tolist()):
+        u, v = graph.endpoints(eid)
+        parent.setdefault(u, None)
+        parent.setdefault(v, None)
+        parent[child] = v if child == u else u
+    return parent
+
+
 @pytest.mark.parametrize("seed", range(0, 200, 5))
-def test_rooted_forest_arrays_match_rooted_forest(seed):
+def test_rooted_forest_class_depths_match_rooted_forest(seed):
+    """The stacked kernel roots every class exactly like one
+    ``RootedForest`` per class: endpoint depths, child endpoints and
+    the root of every tree (its minimum vertex id)."""
     graph = random_multigraph(seed)
-    snap = CSRGraph.from_multigraph(graph)
+    for _color, eids, (depth_u, depth_v, child_ids) in _stacked_rooting(graph):
+        reference = RootedForest(graph, eids)
+        roots = set()
+        for eid, du, dv, child in zip(
+            eids, depth_u.tolist(), depth_v.tolist(), child_ids.tolist()
+        ):
+            u, v = graph.endpoints(eid)
+            assert (du, dv) == (reference.depth[u], reference.depth[v])
+            assert reference.parent_edge[child] == eid
+            roots.update(x for x, d in ((u, du), (v, dv)) if d == 0)
+        assert sorted(roots) == sorted(reference.roots)
 
-    # A spanning-forest subset via union-find-free greedy: add edges
-    # that RootedForest accepts (it validates acyclicity itself).
-    rng = random.Random(seed)
-    eids = []
-    for eid in graph.edge_ids():
-        if rng.random() < 0.7:
-            eids.append(eid)
-    # Drop edges until acyclic.
-    while True:
-        try:
-            reference = RootedForest(graph, eids)
-            break
-        except GraphError:
-            eids.pop(rng.randrange(len(eids)))
 
-    arrays = rooted_forest_arrays(snap, eids)
-    assert arrays.max_depth == reference.max_depth()
-    assert sorted(int(snap.vertex_ids[i]) for i in arrays.roots) == sorted(
-        reference.roots
-    )
-    for vertex, eid in reference.parent_edge.items():
-        index = snap.index_of(vertex)
-        expected = -1 if eid is None else eid
-        assert int(arrays.parent_eid[index]) == expected
-        assert int(arrays.depth[index]) == reference.depth[vertex]
+def _reference_hpartition_star_split(graph, partition, rounds):
+    """Theorem 2.1(3)'s star split with Cole–Vishkin on one
+    ``RootedForest(...).parent`` per label class."""
+    orientation = acyclic_orientation(graph, partition, rounds)
+    coloring = {}
+    forests = rooted_forests_from_orientation(graph, orientation)
+    for label, eids in enumerate(forests):
+        parent = RootedForest(graph, eids).parent
+        colors = three_color_rooted_forest(parent, rounds)
+        for eid in eids:
+            u, v = graph.endpoints(eid)
+            coloring[eid] = (label, colors[v if orientation[eid] == u else u])
+    return coloring
 
-    # Preferred roots change the rooting exactly like RootedForest.
-    preferred = set(rng.sample(graph.vertices(), max(1, graph.n // 3)))
-    reference_pref = RootedForest(graph, eids, roots=preferred)
-    arrays_pref = rooted_forest_arrays(snap, eids, preferred_roots=preferred)
-    assert sorted(int(snap.vertex_ids[i]) for i in arrays_pref.roots) == sorted(
-        reference_pref.roots
-    )
-    for vertex in reference_pref.depth:
-        index = snap.index_of(vertex)
-        assert int(arrays_pref.depth[index]) == reference_pref.depth[vertex]
+
+@pytest.mark.parametrize("seed", range(0, 200, 10))
+def test_cole_vishkin_on_kernel_parents_matches_rooted_forest(seed):
+    """Cole–Vishkin on the kernel's parent map colors and charges
+    exactly as on ``RootedForest(...).parent``, per class and inside
+    the H-partition star split."""
+    graph = random_multigraph(seed)
+    for _color, eids, (_du, _dv, child_ids) in _stacked_rooting(graph):
+        reference = RootedForest(graph, eids).parent
+        parent = _kernel_parent_map(graph, eids, child_ids)
+        assert parent == reference
+        rounds, ref_rounds = RoundCounter(), RoundCounter()
+        assert three_color_rooted_forest(parent, rounds) == \
+            three_color_rooted_forest(reference, ref_rounds)
+        assert rounds.total == ref_rounds.total
+
+    if graph.m == 0:
+        return
+    threshold = max(1, default_threshold(exact_pseudoarboricity(graph), 0.5))
+    partition = h_partition(graph, threshold)
+    rounds, ref_rounds = RoundCounter(), RoundCounter()
+    got = star_forest_decomposition_via_hpartition(graph, partition, rounds)
+    assert got == _reference_hpartition_star_split(graph, partition, ref_rounds)
+    assert rounds.total == ref_rounds.total
+
+
+def _reference_two_coloring(graph, forest_coloring, rounds):
+    """The 2α star split on one ``RootedForest`` per class."""
+    coloring = {}
+    for color, eids in sorted(color_classes(forest_coloring).items()):
+        forest = RootedForest(graph, eids)
+        even, odd = forest.depth_parity_split()
+        coloring.update((eid, (color, 0)) for eid in even)
+        coloring.update((eid, (color, 1)) for eid in odd)
+        rounds.charge(2 * max(1, forest.max_depth()), "depth parity labelling")
+    return coloring
+
+
+@pytest.mark.parametrize("seed", range(0, 200, 10))
+def test_two_coloring_star_forests_matches_rooted_forest(seed):
+    graph = random_multigraph(seed)
+    forest_coloring = _greedy_forest_coloring(graph)
+    rounds, ref_rounds = RoundCounter(), RoundCounter()
+    got = two_coloring_star_forests(graph, forest_coloring, rounds)
+    assert got == _reference_two_coloring(graph, forest_coloring, ref_rounds)
+    assert rounds.total == ref_rounds.total
 
 
 @pytest.mark.parametrize("seed", range(0, 200, 3))
@@ -509,12 +600,15 @@ def test_mask_of_rejects_unknown_vertices():
         snap.mask_of({7})
 
 
-def test_rooted_forest_arrays_empty_edge_set():
+def test_rooted_forest_class_depths_empty_classes():
     graph = MultiGraph.with_vertices(3)
     snap = CSRGraph.from_multigraph(graph)
-    arrays = rooted_forest_arrays(snap, [])
-    assert arrays.max_depth == 0  # matches RootedForest.max_depth()
-    assert arrays.roots == []
+    assert rooted_forest_class_depths(snap, []) == ([], 0)
+    per_class, waves = rooted_forest_class_depths(
+        snap, [snap.edge_positions([])]
+    )
+    assert waves == 0
+    assert [[a.size for a in arrays] for arrays in per_class] == [[0, 0, 0]]
 
 
 def test_low_outdegree_orientation_rejects_unknown_backend():
@@ -525,11 +619,16 @@ def test_low_outdegree_orientation_rejects_unknown_backend():
         low_outdegree_orientation(graph, 0.5, method="hpartition", backend="dict")
 
 
-def test_rooted_forest_arrays_rejects_cycles():
-    graph = MultiGraph.from_edges(3, [(0, 1), (1, 2), (2, 0)])
+def test_rooted_forest_class_depths_rejects_cycles():
+    """A cycle in any class raises, also behind a class that is a
+    forest; so do two parallel edges."""
+    graph = MultiGraph.from_edges(4, [(0, 1), (1, 2), (2, 0), (2, 3), (2, 3)])
     snap = CSRGraph.from_multigraph(graph)
-    with pytest.raises(GraphError):
-        rooted_forest_arrays(snap, graph.edge_ids())
+    for classes in ([[0, 1, 2]], [[3], [0, 1, 2]], [[0, 1], [3, 4]]):
+        with pytest.raises(GraphError):
+            rooted_forest_class_depths(
+                snap, [snap.edge_positions(eids) for eids in classes]
+            )
 
 
 # ----------------------------------------------------------------------
@@ -538,16 +637,14 @@ def test_rooted_forest_arrays_rejects_cycles():
 
 
 def _assert_peel_matches(graph, threshold):
-    """Kernel == reference H-partition classes and charged rounds, with
-    and without a prebuilt snapshot."""
+    """Kernel == reference H-partition classes and charged rounds."""
     ref_rounds = RoundCounter()
     ref = ref_peel.h_partition(graph, threshold, ref_rounds)
-    for snap in (snapshot_of(graph), None):
-        rounds = RoundCounter()
-        got = h_partition(graph, threshold, rounds, snapshot=snap)
-        assert got.classes == ref.classes
-        assert got.threshold == ref.threshold
-        assert rounds.total == ref_rounds.total
+    rounds = RoundCounter()
+    got = h_partition(graph, threshold, rounds)
+    assert got.classes == ref.classes
+    assert got.threshold == ref.threshold
+    assert rounds.total == ref_rounds.total
     return ref
 
 
@@ -655,25 +752,11 @@ def test_depth_cut_backends_identical(seed):
     mix small classes (1-63 edges) with full-size ones; a small class
     holding a cycle raises GraphError on both."""
     from repro.core.diameter_reduction import depth_cut
-    from repro.graph.union_find import UnionFind
 
     graph = random_multigraph(seed)
     if graph.m == 0:
         pytest.skip("edgeless corpus instance")
-    # A proper forest coloring: split edges into forests greedily.
-    coloring = {}
-    finders = []
-    for eid in sorted(graph.edge_ids()):
-        u, v = graph.endpoints(eid)
-        for color, uf in enumerate(finders):
-            if uf.union(u, v):
-                coloring[eid] = color
-                break
-        else:
-            uf = UnionFind()
-            uf.union(u, v)
-            finders.append(uf)
-            coloring[eid] = len(finders) - 1
+    coloring = _greedy_forest_coloring(graph)
 
     mixed_graph, mixed = _mixed_size_forest_coloring(seed)
     for g, col, z in ((graph, coloring, 3), (mixed_graph, mixed, 5)):
