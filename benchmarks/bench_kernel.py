@@ -704,8 +704,8 @@ def _bfs_case(graph, kind):
     # approximates a per-color subset) extracted as a sub-CSR over the
     # host indices — the per-color extraction shape.
     eids = snap.edge_id.tolist()[::5]
-    offsets, nbr, _eids = snap.edge_subset_csr_arrays(eids)
-    return offsets, nbr, n, [0, n // 2]
+    color_class = snap.edge_subgraph(eids)
+    return color_class.vertex_offsets, color_class.neighbor_ids, n, [0, n // 2]
 
 
 def run_parallel_bfs_comparison():
@@ -1110,7 +1110,7 @@ def _delta_batches(graph, seed):
 
 
 _SNAPSHOT_ARRAYS = (
-    "vertex_offsets", "neighbor_ids", "edge_ids", "edge_id", "edge_u",
+    "vertex_offsets", "neighbor_ids", "half_edge_ids", "edge_id", "edge_u",
     "edge_v", "edge_u_ids", "edge_v_ids", "vertex_ids",
 )
 

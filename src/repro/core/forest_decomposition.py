@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..errors import AugmentationError
-from ..graph.csr import CSRGraph, _concat_ranges, _sorted_unique
+from ..graph.csr import CSRGraph, _concat_ranges, _sorted_unique, snapshot_of
 from ..graph import traversal as _traversal
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
@@ -274,7 +274,7 @@ def _incident_edge_ids(
     )
     offsets = snapshot.vertex_offsets
     half = _concat_ranges(offsets[index], offsets[index + 1])
-    return _sorted_unique(snapshot.edge_ids[half]).tolist()
+    return _sorted_unique(snapshot.half_edge_ids[half]).tolist()
 
 
 def _process_cluster(
@@ -527,7 +527,7 @@ def _recolor_fresh(
     Theorem 2.1; returns the next unused color index."""
     if not eids:
         return next_color
-    sub = graph.edge_subgraph(eids)
+    sub = snapshot_of(graph).edge_subgraph(eids)
     pseudo = max(1, exact_pseudoarboricity(sub))
     threshold = max(1, math.floor(2.5 * pseudo))
     partition = h_partition(sub, threshold, counter)

@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..errors import DecompositionError, ReservePaletteError
+from ..graph.csr import snapshot_of
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
@@ -303,7 +304,7 @@ def _reserve_lsfd(
     Theorem 2.3 (a star forest is in particular a forest)."""
     if not leftover:
         return {}
-    sub = graph.edge_subgraph(leftover)
+    sub = snapshot_of(graph).edge_subgraph(leftover)
     pseudo = max(1, exact_pseudoarboricity(sub))
     palettes = {eid: reserve_palettes[eid] for eid in leftover}
     deficient = [eid for eid in leftover if not palettes[eid]]

@@ -30,12 +30,15 @@ session.
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import time
 from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Tuple
 
 from ..errors import DecompositionError, GraphError, PaletteError, ValidationError
 from ..graph.csr import mutation_fingerprint, snapshot_of
+from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
 from ..nashwilliams.pseudoarboricity import exact_pseudoarboricity
@@ -66,9 +69,12 @@ class Session:
     Parameters
     ----------
     graph:
-        The :class:`~repro.graph.multigraph.MultiGraph` all queries run
-        against.  Mutating it between queries is allowed — caches are
-        fingerprint-keyed and rebuild on demand.
+        The :class:`~repro.graph.multigraph.MultiGraph` or
+        :class:`~repro.graph.csr.CSRGraph` snapshot all queries run
+        against.  Mutating a ``MultiGraph`` between queries is allowed
+        — caches are fingerprint-keyed and rebuild on demand.  Every
+        task runs on either; :meth:`watch`, :meth:`apply_delta` and
+        :meth:`content_digest` need a ``MultiGraph``.
     config:
         Default :class:`~repro.core.config.DecompositionConfig` for
         :meth:`decompose` calls that do not pass their own.
@@ -233,6 +239,7 @@ class Session:
             )
         merged: Dict[str, Any] = dict(cfg.options)
         merged.update(kwargs)
+        _check_task_options(spec, merged)
         result = spec.runner(self, cfg, rounds=rounds, **merged)
         if result.graph is None:
             result.graph = self.graph
@@ -262,6 +269,7 @@ class Session:
         Re-watching a task replaces its knobs."""
         from ..service.delta import watch_task
 
+        self._require_mutable("watch")
         return watch_task(self, task, config, kwargs)
 
     def unwatch(self, task: Optional[str] = None) -> None:
@@ -309,6 +317,7 @@ class Session:
         """
         from ..service.delta import apply_delta as _apply_delta
 
+        self._require_mutable("apply_delta")
         return _apply_delta(self, tuple(inserts), tuple(deletes))
 
     def content_digest(self) -> str:
@@ -318,11 +327,52 @@ class Session:
         out-of-band mutations trigger one full resync."""
         from ..service.delta import content_digest as _content_digest
 
+        self._require_mutable("content_digest")
         return _content_digest(self)
 
     def delta_reports(self) -> Tuple[Any, ...]:
         """DeltaReports of the :meth:`apply_delta` batches so far."""
         return tuple(self._delta_reports)
+
+    def _require_mutable(self, method: str) -> None:
+        if not isinstance(self.graph, MultiGraph):
+            raise ValidationError(
+                f"Session.{method} needs a mutable MultiGraph; this "
+                f"session runs on an immutable {type(self.graph).__name__}"
+            )
+
+
+#: Runner parameters the dispatcher fills itself, never task options.
+_DISPATCH_PARAMS = ("session", "config", "rounds")
+
+
+def _check_task_options(spec: TaskSpec, options: Dict[str, Any]) -> None:
+    """Raise :class:`ValidationError` naming the task and the options
+    its runner accepts when ``options`` holds any other name (a runner
+    taking ``**kwargs`` accepts everything)."""
+    params = inspect.signature(spec.runner).parameters
+    if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+        return
+    accepted = [
+        name for name, p in params.items()
+        if p.kind in (p.POSITIONAL_OR_KEYWORD, p.KEYWORD_ONLY)
+        and name not in _DISPATCH_PARAMS
+    ]
+    unknown = sorted(set(options) - set(accepted))
+    if not unknown:
+        return
+    message = (
+        f"task {spec.name!r} got unknown option(s) {unknown}; it accepts "
+        f"{accepted if accepted else 'no options'}"
+    )
+    fields = {f.name for f in dataclasses.fields(DecompositionConfig)}
+    as_fields = [name for name in unknown if name in fields]
+    if as_fields:
+        message += (
+            f"; {as_fields} belong to the config: pass "
+            f"config=DecompositionConfig({as_fields[0]}=...)"
+        )
+    raise ValidationError(message)
 
 
 def decompose(

@@ -357,7 +357,7 @@ def _recolor_leftover_stars(
     """Theorem 2.1(3) on the leftover subgraph, with fresh color names."""
     if not leftover:
         return
-    sub = graph.edge_subgraph(leftover)
+    sub = snapshot_of(graph).edge_subgraph(leftover)
     pseudo = max(1, exact_pseudoarboricity(sub))
     partition = h_partition(sub, max(1, math.floor(2.5 * pseudo)), counter)
     star = star_forest_decomposition_via_hpartition(sub, partition, counter)

@@ -116,7 +116,6 @@ def h_partition(
     on the same graph shares one conversion.
     """
     counter = ensure_counter(rounds)
-    cap = 4 * graph.n + 8  # stall guard
     oracle = wave_oracle_of(graph)
     if oracle is not None:
         cached = oracle.lookup(graph, threshold)
@@ -141,10 +140,6 @@ def h_partition(
     wave = 0
     while left:
         wave += 1
-        if wave > cap:
-            raise DecompositionError(
-                f"H-partition stalled: threshold {threshold} too small"
-            )
         if removed.size == 0:
             raise DecompositionError(
                 f"H-partition stalled: threshold {threshold} too small "

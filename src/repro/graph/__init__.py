@@ -3,7 +3,7 @@ forests, matching, generators."""
 
 from .multigraph import MultiGraph
 from .csr import CSRGraph, snapshot_of
-from .union_find import RollbackUnionFind, UnionFind
+from .union_find import UnionFind
 from .traversal import (
     bfs_distances,
     connected_components,
@@ -31,7 +31,6 @@ __all__ = [
     "CSRGraph",
     "snapshot_of",
     "UnionFind",
-    "RollbackUnionFind",
     "bfs_distances",
     "neighborhood",
     "edge_neighborhood",

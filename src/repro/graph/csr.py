@@ -6,7 +6,8 @@ H-partition threshold peeling, degeneracy delete-min, orientation
 sweeps, CUT's region scans, the augmenting search's endpoint lookups —
 only ever need degree queries and neighborhood iteration.  Those map
 onto flat index arrays, which is how this kernel makes them run at
-array speed while the public API keeps accepting ``MultiGraph``.
+array speed.  The public API accepts a ``MultiGraph`` or a
+:class:`CSRGraph` snapshot itself: every task runs on either.
 
 Snapshot / peel contract
 ------------------------
@@ -19,9 +20,9 @@ build time:
   :meth:`index_of` inverts it (both are the identity for the common
   case of graphs built via ``with_vertices``).
 * ``vertex_offsets`` (length ``n+1``), ``neighbor_ids`` and
-  ``edge_ids`` (length ``2m``) form the CSR adjacency: the half-edges
+  ``half_edge_ids`` (length ``2m``) form the CSR adjacency: the half-edges
   of vertex index ``i`` occupy ``vertex_offsets[i]:vertex_offsets[i+1]``,
-  where ``neighbor_ids`` holds the neighbor *index* and ``edge_ids``
+  where ``neighbor_ids`` holds the neighbor *index* and ``half_edge_ids``
   the **original edge id** — stable ids survive the conversion, so
   colorings computed on the snapshot transfer back without
   translation.  Parallel edges appear once per copy.
@@ -351,7 +352,7 @@ class CSRGraph:
         "vertex_ids",
         "vertex_offsets",
         "neighbor_ids",
-        "edge_ids",
+        "half_edge_ids",
         "edge_u",
         "edge_v",
         "edge_id",
@@ -373,7 +374,7 @@ class CSRGraph:
         vertex_ids: np.ndarray,
         vertex_offsets: np.ndarray,
         neighbor_ids: np.ndarray,
-        edge_ids: np.ndarray,
+        half_edge_ids: np.ndarray,
         edge_u: np.ndarray,
         edge_v: np.ndarray,
         edge_id: np.ndarray,
@@ -386,7 +387,7 @@ class CSRGraph:
         self.vertex_ids = vertex_ids
         self.vertex_offsets = vertex_offsets
         self.neighbor_ids = neighbor_ids
-        self.edge_ids = edge_ids
+        self.half_edge_ids = half_edge_ids
         self.edge_u = edge_u
         self.edge_v = edge_v
         self.edge_id = edge_id
@@ -445,7 +446,7 @@ class CSRGraph:
         identity_edges = bool(
             m == 0 or np.array_equal(edge_id, np.arange(m, dtype=np.int64))
         )
-        vertex_offsets, neighbor_ids, edge_ids = _half_edge_csr(
+        vertex_offsets, neighbor_ids, half_edge_ids = _half_edge_csr(
             n, edge_u, edge_v, edge_id
         )
 
@@ -453,7 +454,7 @@ class CSRGraph:
             vertex_ids,
             vertex_offsets,
             neighbor_ids,
-            edge_ids,
+            half_edge_ids,
             edge_u,
             edge_v,
             edge_id,
@@ -563,7 +564,7 @@ class CSRGraph:
         del counts
 
         neighbor_ids = alloc("neighbor_ids", 2 * m)
-        edge_ids = alloc("edge_ids", 2 * m)
+        half_edge_ids = alloc("half_edge_ids", 2 * m)
         edge_u = alloc("edge_u", m)
         edge_v = alloc("edge_v", m)
         edge_id = alloc("edge_id", m)
@@ -605,7 +606,7 @@ class CSRGraph:
                 ) - np.repeat(run_starts, run_lengths)
                 slots = cursor[src_sorted] + rank
                 neighbor_ids[slots] = dst[order]
-                edge_ids[slots] = lo + order
+                half_edge_ids[slots] = lo + order
                 cursor[src_sorted[run_starts]] += run_lengths
             if side == 0:
                 # v-side halves start after each vertex's u-side block.
@@ -614,7 +615,7 @@ class CSRGraph:
 
         if mmap_dir is not None:
             for arr in (
-                vertex_offsets, neighbor_ids, edge_ids,
+                vertex_offsets, neighbor_ids, half_edge_ids,
                 edge_u, edge_v, edge_id, vertex_ids,
             ):
                 arr.flush()
@@ -625,7 +626,7 @@ class CSRGraph:
             vertex_ids,
             vertex_offsets,
             neighbor_ids,
-            edge_ids,
+            half_edge_ids,
             edge_u,
             edge_v,
             edge_id,
@@ -638,9 +639,10 @@ class CSRGraph:
     # MultiGraph-compatible surface
     # ------------------------------------------------------------------
     #
-    # The traversal layer and the network decomposition accept either
-    # substrate; these make a snapshot answer the (read-only) subset of
-    # the MultiGraph API those algorithms touch.
+    # Every task accepts either substrate: these read-only methods share
+    # MultiGraph's names, signatures and meaning, so a snapshot answers
+    # every query a task makes of its input graph.  Mutation (and the
+    # delta engine, which mutates) needs a MultiGraph.
 
     @property
     def n(self) -> int:
@@ -677,6 +679,22 @@ class CSRGraph:
             self.edge_u_ids.tolist(),
             self.edge_v_ids.tolist(),
         )
+
+    def edge_ids(self) -> List[int]:
+        """All edge ids, in the source graph's insertion order."""
+        return self.edge_id.tolist()
+
+    def other_endpoint(self, eid: int, vertex: int) -> int:
+        """Return the endpoint of ``eid`` that is not ``vertex``."""
+        try:
+            u, v = self.endpoints(eid)
+        except KeyError:
+            raise GraphError(f"edge {eid} does not exist") from None
+        if vertex == u:
+            return v
+        if vertex == v:
+            return u
+        raise GraphError(f"vertex {vertex} is not an endpoint of edge {eid}")
 
     # ------------------------------------------------------------------
     # Vertex-level queries
@@ -720,9 +738,20 @@ class CSRGraph:
         return int(self.vertex_offsets[index]), int(self.vertex_offsets[index + 1])
 
     def endpoints(self, eid: int) -> Tuple[int, int]:
-        """Original ``(u, v)`` vertex ids of edge ``eid``."""
-        pos = eid if self._identity_edges else int(self.edge_positions([eid])[0])
-        return int(self.edge_u_ids[pos]), int(self.edge_v_ids[pos])
+        """Original ``(u, v)`` vertex ids of edge ``eid``; ``KeyError``
+        for an unknown id.
+
+        Ids other than ``0..m-1`` (an edge subgraph, a graph with
+        deleted edges) resolve through the cached :meth:`endpoint_maps`
+        dicts: tasks call this once per edge, where a binary search per
+        call doubled the time of the leftover recolor's LSFD.
+        """
+        if self._identity_edges:
+            if not 0 <= eid < self.num_edges:
+                raise KeyError(eid)
+            return int(self.edge_u_ids[eid]), int(self.edge_v_ids[eid])
+        u_of, v_of = self.endpoint_maps()
+        return u_of[eid], v_of[eid]
 
     def endpoint_maps(self) -> Tuple[Sequence, Sequence]:
         """Scalar-fast ``eid -> endpoint id`` lookups ``(u_of, v_of)``.
@@ -961,7 +990,7 @@ class CSRGraph:
         Snapshots of a ``MultiGraph`` list ids in insertion order, which
         ascends (as do the delta engine's spliced ids), so the ids are
         their own search keys and positions need no permutation.  An
-        ``edge_subgraph`` taken from an unsorted id list does not
+        :meth:`edge_subgraph` taken from an unsorted id list does not
         ascend; it keeps the stable argsort of ``edge_id``.
         """
         if self._eid_search is None:
@@ -973,21 +1002,48 @@ class CSRGraph:
                 self._eid_search = (edge_id[perm], perm)
         return self._eid_search
 
-    def edge_subset_csr_arrays(
-        self, eids: Sequence[int]
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR adjacency ``(offsets, neighbors, edge ids)`` of the
-        subgraph formed by ``eids``, over this snapshot's dense indices.
+    def edge_subgraph(self, eids: Iterable[int]) -> "CSRGraph":
+        """Snapshot of the subgraph on the given edges (and all vertices).
 
-        This is the per-color extraction primitive: a color class is an
-        edge subset, and its BFS runs on these arrays at kernel speed.
+        Edge ids and their order are kept (a repeated id counts once, at
+        its first position), so the arrays are byte-identical to
+        ``CSRGraph.from_multigraph(graph.edge_subgraph(eids))``; vertex
+        ids and their dense numbering are shared with this snapshot.
         """
-        positions = self.edge_positions(eids)
-        return _half_edge_csr(
-            self.num_vertices,
-            self.edge_u[positions],
-            self.edge_v[positions],
-            self.edge_id[positions],
+        eids = (
+            eids if isinstance(eids, np.ndarray)
+            else np.fromiter(eids, dtype=np.int64)
+        )
+        try:
+            positions = self.edge_positions(eids)
+        except KeyError as exc:
+            raise GraphError(f"edge {exc.args[0]} does not exist") from None
+        bad = (positions < 0) | (positions >= self.num_edges)
+        if bad.any():
+            raise GraphError(f"edge {int(eids[bad][0])} does not exist")
+        if _sorted_unique(positions).size != positions.size:
+            _, first = np.unique(positions, return_index=True)
+            positions = positions[np.sort(first)]
+        edge_u = self.edge_u[positions]
+        edge_v = self.edge_v[positions]
+        edge_id = self.edge_id[positions]
+        k = int(edge_id.size)
+        identity_edges = bool(
+            k == 0 or np.array_equal(edge_id, np.arange(k, dtype=np.int64))
+        )
+        offsets, neighbor_ids, half_edge_ids = _half_edge_csr(
+            self.num_vertices, edge_u, edge_v, edge_id
+        )
+        return CSRGraph(
+            self.vertex_ids,
+            offsets,
+            neighbor_ids,
+            half_edge_ids,
+            edge_u,
+            edge_v,
+            edge_id,
+            self._index_of,
+            identity_edges,
         )
 
     def induced_sub_csr(

@@ -1,19 +1,11 @@
-"""Disjoint-set (union-find) structures.
-
-Two variants are provided:
-
-* :class:`UnionFind` — classic union-by-rank with path compression,
-  amortized near-constant operations.  Used wherever connectivity is
-  grown monotonically (forest validity checks, component counting).
-* :class:`RollbackUnionFind` — union-by-rank *without* path compression
-  so that unions can be undone in LIFO order.  Used by the augmenting
-  search, which tentatively recolors edges and must restore per-color
-  connectivity after exploring a branch.
+"""Disjoint-set (union-find): union-by-rank with path compression,
+amortized near-constant operations.  Used wherever connectivity is
+grown monotonically (forest validity checks, component counting).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Tuple
+from typing import Dict, Hashable, Iterable, List
 
 
 class UnionFind:
@@ -78,72 +70,3 @@ class UnionFind:
         for item in self._parent:
             by_root.setdefault(self.find(item), []).append(item)
         return list(by_root.values())
-
-
-class RollbackUnionFind:
-    """Union-find supporting LIFO rollback of unions.
-
-    Path compression is disabled (it would make rollback incorrect), so
-    ``find`` is O(log n) by union-by-rank alone; this is the standard
-    trade-off for a persistent/undoable DSU.
-    """
-
-    def __init__(self, items: Iterable[Hashable] = ()) -> None:
-        self._parent: Dict[Hashable, Hashable] = {}
-        self._rank: Dict[Hashable, int] = {}
-        self._history: List[Tuple[Hashable, Hashable, bool]] = []
-        self._components = 0
-        for item in items:
-            self.add(item)
-
-    def add(self, item: Hashable) -> None:
-        if item not in self._parent:
-            self._parent[item] = item
-            self._rank[item] = 0
-            self._components += 1
-
-    @property
-    def components(self) -> int:
-        return self._components
-
-    def find(self, item: Hashable) -> Hashable:
-        self.add(item)
-        while self._parent[item] != item:
-            item = self._parent[item]
-        return item
-
-    def union(self, a: Hashable, b: Hashable) -> bool:
-        """Merge sets; records the operation so it can be undone."""
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            self._history.append((ra, rb, False))
-            return False
-        if self._rank[ra] < self._rank[rb]:
-            ra, rb = rb, ra
-        rank_bumped = self._rank[ra] == self._rank[rb]
-        self._parent[rb] = ra
-        if rank_bumped:
-            self._rank[ra] += 1
-        self._components -= 1
-        self._history.append((ra, rb, rank_bumped))
-        return True
-
-    def connected(self, a: Hashable, b: Hashable) -> bool:
-        return self.find(a) == self.find(b)
-
-    def checkpoint(self) -> int:
-        """Return a marker for the current history position."""
-        return len(self._history)
-
-    def rollback(self, checkpoint: int) -> None:
-        """Undo all unions performed after ``checkpoint``."""
-        if checkpoint > len(self._history):
-            raise ValueError("checkpoint is ahead of history")
-        while len(self._history) > checkpoint:
-            ra, rb, rank_bumped = self._history.pop()
-            if ra == rb:
-                continue  # recorded no-op union: sets were already merged
-            self._parent[rb] = rb
-            if rank_bumped:
-                self._rank[ra] -= 1
-            self._components += 1

@@ -256,7 +256,7 @@ def exact_pseudoarboricity(graph: MultiGraph) -> int:
     tail = tails.tolist()
     out = np.bincount(tails, minlength=n).tolist()
     offsets, neighbors = snapshot.adjacency_lists()
-    half_pos = snapshot.edge_positions(snapshot.edge_ids).tolist()
+    half_pos = snapshot.edge_positions(snapshot.half_edge_ids).tolist()
     low = max(1, -(-m // n))
     seen = [0] * n  # BFS stamp of the last search that reached a vertex
     via = [0] * n  # edge position that search first reached it by

@@ -249,7 +249,7 @@ def patched_snapshot(
     index_of = old._index_of
     offsets = old.vertex_offsets
     neighbor_ids = old.neighbor_ids
-    edge_ids = old.edge_ids
+    half_edge_ids = old.half_edge_ids
     keep = np.ones(old.num_edges, dtype=bool)
     edge_id, edge_u, edge_v = old.edge_id, old.edge_u, old.edge_v
     ins_eid = np.asarray([i[0] for i in inserts], dtype=np.int64)
@@ -267,12 +267,12 @@ def patched_snapshot(
         # each deleted half, by edge id inside its endpoint's segment
         half, owner = _segment_halves(offsets, del_ends)
         wanted = np.concatenate((del_eid, del_eid))[owner]
-        dropped = half[edge_ids[half] == wanted]
+        dropped = half[half_edge_ids[half] == wanted]
         dropped.sort()
-        half_keep = np.ones(edge_ids.shape[0], dtype=bool)
+        half_keep = np.ones(half_edge_ids.shape[0], dtype=bool)
         half_keep[dropped] = False
         neighbor_ids = neighbor_ids[half_keep]
-        edge_ids = edge_ids[half_keep]
+        half_edge_ids = half_edge_ids[half_keep]
     counts = np.bincount(
         np.concatenate((ins_u, ins_v)), minlength=n
     ) - np.bincount(del_ends, minlength=n)
@@ -284,7 +284,7 @@ def patched_snapshot(
         # arrays (deleted u-halves included: slots are old positions)
         touched = _sorted_unique(ins_u)
         half, owner = _segment_halves(offsets, touched)
-        is_u = old.edge_u[old.edge_positions(old.edge_ids[half])] == (
+        is_u = old.edge_u[old.edge_positions(old.half_edge_ids[half])] == (
             touched[owner]
         )
         u_part = np.bincount(owner[is_u], minlength=touched.size)
@@ -304,7 +304,9 @@ def patched_snapshot(
         neighbor_ids = np.insert(
             neighbor_ids, slot, np.concatenate((ins_v, ins_u))[order]
         )
-        edge_ids = np.insert(edge_ids, slot, np.tile(ins_eid, 2)[order])
+        half_edge_ids = np.insert(
+            half_edge_ids, slot, np.tile(ins_eid, 2)[order]
+        )
         edge_id = np.concatenate((edge_id, ins_eid))
         edge_u = np.concatenate((edge_u, ins_u))
         edge_v = np.concatenate((edge_v, ins_v))
@@ -315,7 +317,7 @@ def patched_snapshot(
         old.vertex_ids,
         new_offsets,
         neighbor_ids,
-        edge_ids,
+        half_edge_ids,
         edge_u,
         edge_v,
         edge_id,
@@ -735,7 +737,7 @@ def _spliced_tails(
     offsets = snap.vertex_offsets
     half = _concat_ranges(offsets[changed], offsets[changed + 1])
     pos = np.concatenate((
-        snap.edge_positions(snap.edge_ids[half]),
+        snap.edge_positions(snap.half_edge_ids[half]),
         np.arange(m_kept, snap.num_edges, dtype=np.int64),
     ))
     tails_ids[pos], tails_idx[pos] = _tail_rule(

@@ -8,6 +8,8 @@ kernel against an independent implementation.  They never import the
 kernel modules, and ``repro`` never imports them
 (``tests/test_reference_guards.py``).
 
-``lll.py`` is the one module that is not a kernel twin: a Moser–Tardos
-engine that no library path runs, kept with its tests.
+``lll.py`` (a Moser–Tardos engine) and ``list_forest_exact.py`` (the
+backtracking list-forest solver behind the Seymour checks, with its
+rollback union-find) are not kernel twins: no library path runs them,
+and they are kept with their tests.
 """

@@ -16,12 +16,10 @@ def h_partition(
     graph: MultiGraph,
     threshold: int,
     rounds: Optional[RoundCounter] = None,
-    max_iterations: Optional[int] = None,
 ) -> HPartition:
     """Peel every live vertex of remaining degree <= ``threshold`` per
     wave; one LOCAL round per wave."""
     counter = ensure_counter(rounds)
-    cap = max_iterations if max_iterations is not None else 4 * graph.n + 8
     remaining_degree: Dict[int, int] = {
         v: graph.degree(v) for v in graph.vertices()
     }
@@ -31,10 +29,6 @@ def h_partition(
 
     while alive:
         wave += 1
-        if wave > cap:
-            raise DecompositionError(
-                f"H-partition stalled: threshold {threshold} too small"
-            )
         leaving = [v for v in alive if remaining_degree[v] <= threshold]
         if not leaving:
             raise DecompositionError(

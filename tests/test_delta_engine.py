@@ -245,7 +245,7 @@ def test_repaired_waves_equal_fresh_peel():
 
 
 SNAPSHOT_ARRAYS = (
-    "vertex_offsets", "neighbor_ids", "edge_ids", "edge_id",
+    "vertex_offsets", "neighbor_ids", "half_edge_ids", "edge_id",
     "edge_u", "edge_v", "edge_u_ids", "edge_v_ids", "vertex_ids",
 )
 

@@ -131,7 +131,7 @@ def test_snapshot_matches_multigraph(seed):
         start, stop = snap.incident_slice(index)
         mine = sorted(
             (int(eid), int(snap.vertex_ids[int(j)]))
-            for eid, j in zip(snap.edge_ids[start:stop], snap.neighbor_ids[start:stop])
+            for eid, j in zip(snap.half_edge_ids[start:stop], snap.neighbor_ids[start:stop])
         )
         assert mine == sorted(graph.incident(vertex))
 

@@ -16,11 +16,12 @@ from repro.graph.generators import (
     uniform_palette,
 )
 from repro.nashwilliams import exact_arboricity
-from repro.nashwilliams.list_forest_exact import (
+from repro.verify import check_forest_decomposition, check_palettes_respected
+
+from reference.list_forest_exact import (
     exact_list_forest_decomposition,
     seymour_holds,
 )
-from repro.verify import check_forest_decomposition, check_palettes_respected
 
 
 def test_triangle_two_colors():

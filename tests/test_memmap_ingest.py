@@ -25,7 +25,7 @@ ARRAYS = (
     "vertex_ids",
     "vertex_offsets",
     "neighbor_ids",
-    "edge_ids",
+    "half_edge_ids",
     "edge_u",
     "edge_v",
     "edge_id",

@@ -82,9 +82,8 @@ def test_parallel_bfs_on_color_class_sub_csr():
     if not eids:
         pytest.skip("corpus instance has no edges")
     snap = snapshot_of(graph)
-    offsets, nbr, _eids = snap.edge_subset_csr_arrays(
-        np.asarray(sorted(eids), dtype=np.int64)
-    )
+    color_class = snap.edge_subgraph(np.asarray(sorted(eids), dtype=np.int64))
+    offsets, nbr = color_class.vertex_offsets, color_class.neighbor_ids
     n = graph.n
     dist = bfs_distance_array(offsets, nbr, n, [0])
     reached = {

@@ -140,26 +140,34 @@ def test_sfd_er_graph():
 
 
 def test_sfd_builds_each_snapshot_once(monkeypatch):
-    """One star_forest call converts each graph it touches once: the
-    host (t-orientation, simplicity check) and the leftover subgraph
-    (its pseudoarboricity, H-partition and acyclic orientation share
-    the subgraph's cached snapshot)."""
+    """One star_forest call converts the host graph once (t-orientation,
+    simplicity check); the leftover subgraph is taken from that
+    snapshot (its pseudoarboricity, H-partition and acyclic orientation
+    all read it), so no second graph is converted."""
     from repro.graph.csr import CSRGraph
 
     graph = union_of_random_forests(600, 4, seed=3, simple=True)
     builds = []
+    subgraphs = []
     original = CSRGraph.from_multigraph.__func__
+    original_subgraph = CSRGraph.edge_subgraph
 
     def counting(cls, g):
         builds.append(g)
         return original(cls, g)
 
+    def counting_subgraph(self, eids):
+        sub = original_subgraph(self, eids)
+        subgraphs.append(sub)
+        return sub
+
     monkeypatch.setattr(CSRGraph, "from_multigraph", classmethod(counting))
+    monkeypatch.setattr(CSRGraph, "edge_subgraph", counting_subgraph)
     result = star_forest_decomposition_amr(graph, epsilon=0.5, alpha=4, seed=3)
     leftover = result.stats.leftover_size
     assert leftover > 0
-    assert [g.m for g in builds] == [graph.m, leftover]
-    assert builds[0] is graph
+    assert len(builds) == 1 and builds[0] is graph
+    assert [sub.m for sub in subgraphs] == [leftover]
 
 
 def test_simplicity_checked_once_per_call(monkeypatch):

