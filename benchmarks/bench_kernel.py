@@ -45,6 +45,13 @@ One section per substrate milestone:
   on fresh copies, so its time includes the snapshot build.  Witnesses
   are asserted identical; asserts >= 5x at ``t`` and >= 2x at ``α*``.
 
+* ``bench_cold_forest`` — the cold forest call on
+  ``preferential_attachment(10^5, 3)``: ``exact_arboricity`` (the
+  bound sandwich, on a fresh copy so the snapshot build is included)
+  vs. ``exact_forest_partition(g).num_forests`` (the matroid), values
+  asserted equal and >= 3x faster; and one forest call with α pinned,
+  timed and reported unasserted.
+
 * ``bench_ooc`` — the out-of-core leg: a 10^7-edge graph streamed
   through ``CSRGraph.from_edge_iter(mmap_dir=...)`` into
   ``decompose()`` in a fresh subprocess, asserting peak RSS stays
@@ -85,6 +92,9 @@ from repro.graph.traversal import (
     connected_components,
     power_graph,
 )
+from repro.core.api import forest_decomposition
+from repro.nashwilliams.arboricity import exact_arboricity
+from repro.nashwilliams.matroid_partition import exact_forest_partition
 from repro.nashwilliams.pseudoarboricity import (
     exact_pseudoarboricity,
     orientation_exists,
@@ -1241,6 +1251,97 @@ def run_delta_comparison():
 
 
 # ----------------------------------------------------------------------
+# The cold forest call: α by the bound sandwich, Algorithm 2's greedy step
+# ----------------------------------------------------------------------
+
+COLD_FOREST_N = 100_000
+COLD_FOREST_REPEATS = 3
+COLD_FOREST_SPEEDUP_FLOOR = 3.0
+COLD_FOREST_EPSILON = 0.5
+
+
+def run_cold_forest_comparison():
+    graph = preferential_attachment(COLD_FOREST_N, 3, seed=1)
+    name = f"pa n={COLD_FOREST_N} k=3"
+    # One timed shot of the matroid: it is the slow side.
+    start = time.perf_counter()
+    want = exact_forest_partition(graph).num_forests
+    matroid_ms = (time.perf_counter() - start) * 1e3
+    # Fresh copies carry no cached snapshot: the sandwich's time
+    # includes building the one it peels.
+    copies = iter([graph.copy() for _ in range(COLD_FOREST_REPEATS)])
+    alphas = []
+    sandwich_ms = _best(
+        lambda: alphas.append(exact_arboricity(next(copies))),
+        COLD_FOREST_REPEATS,
+    ) * 1e3
+    assert alphas == [want] * COLD_FOREST_REPEATS, (alphas, want)
+    speedup = matroid_ms / sandwich_ms
+
+    fresh = graph.copy()
+    start = time.perf_counter()
+    result = forest_decomposition(
+        fresh, epsilon=COLD_FOREST_EPSILON, alpha=want, seed=1
+    )
+    forest_ms = (time.perf_counter() - start) * 1e3
+
+    rows = [
+        (name, graph.m, "exact_arboricity", f"{matroid_ms:.0f}",
+         f"{sandwich_ms:.0f}", f"{speedup:.1f}x"),
+        (name, graph.m, f"forest[alpha={want}]", "-", f"{forest_ms:.0f}",
+         f"{result.colors_used} colors"),
+    ]
+    emit(
+        "cold_forest",
+        format_table(
+            "Cold forest call: bound sandwich vs matroid; pinned-alpha call",
+            ["workload", "m", "op", "matroid ms", "ms", "result"],
+            rows,
+        ),
+    )
+    emit_json(
+        "BENCH_cold_forest",
+        {
+            "bench": "cold_forest",
+            "schema_version": 1,
+            "mode": "snapshot" if SNAPSHOT_MODE else "assert",
+            "threshold": COLD_FOREST_SPEEDUP_FLOOR,
+            "rows": [
+                {
+                    "workload": name,
+                    "n": graph.n,
+                    "m": graph.m,
+                    "op": "exact_arboricity",
+                    "alpha": want,
+                    "matroid_ms": round(matroid_ms, 3),
+                    "sandwich_ms": round(sandwich_ms, 3),
+                    "speedup": round(speedup, 3),
+                },
+                {
+                    "workload": name,
+                    "n": graph.n,
+                    "m": graph.m,
+                    "op": "forest",
+                    "alpha": want,
+                    "epsilon": COLD_FOREST_EPSILON,
+                    "call_ms": round(forest_ms, 3),
+                    "colors": result.colors_used,
+                    "max_sequence_length": result.stats.max_sequence_length,
+                },
+            ],
+            "asserted": [{"workload": name, "speedup": round(speedup, 3)}],
+        },
+    )
+
+    if not SNAPSHOT_MODE:
+        assert speedup >= COLD_FOREST_SPEEDUP_FLOOR, (
+            f"{name}: exact_arboricity speedup {speedup:.2f}x < "
+            f"{COLD_FOREST_SPEEDUP_FLOOR}x over the matroid partition"
+        )
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Out-of-core ingest
 # ----------------------------------------------------------------------
 
@@ -1457,6 +1558,15 @@ def bench_delta(benchmark=None):
         once(benchmark, run_delta_comparison)
 
 
+def bench_cold_forest(benchmark=None):
+    if benchmark is None:
+        run_cold_forest_comparison()
+    else:
+        from harness import once
+
+        once(benchmark, run_cold_forest_comparison)
+
+
 def bench_ooc(benchmark=None):
     if benchmark is None:
         run_ooc_comparison()
@@ -1475,4 +1585,5 @@ if __name__ == "__main__":
     bench_witness()
     bench_passes()
     bench_delta()
+    bench_cold_forest()
     bench_ooc()

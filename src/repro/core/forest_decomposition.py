@@ -21,6 +21,13 @@ cap is too small for the instance (paper constants are asymptotic) the
 search falls back to an uncapped run and the event is counted in
 ``stats.locality_violations`` — the output is still a valid
 decomposition, and benches report the violation rate per regime.
+Algorithm 1's first iteration reads only the uncolored edge ``e = uv``
+itself: it returns the first palette color ``c`` with ``C(e, c) = ∅``,
+whatever the cap.  So ``_process_cluster`` asks
+:meth:`~repro.core.partial_coloring.PartialListForestDecomposition.free_color`
+first and colors ``e`` with that color directly; only an edge with no
+free color builds its ``N^{R'}(e)`` and runs ``augment_edge``.  The
+outputs and counters are those of the search.
 
 Every ``R'``-ball (a cluster's ``C'`` and each augmenting search's
 ``N^{R'}(e)``) is resolved per connected component.  One multi-source
@@ -303,6 +310,15 @@ def _process_cluster(
     ]
     for eid in pending:
         if state.color_of(eid) is not None or state.is_leftover(eid):
+            continue
+        # Algorithm 1's first iteration, without the search: when some
+        # palette color leaves u and v disconnected, the first such
+        # color is the length-1 sequence augment_edge would apply.
+        color = state.free_color(eid)
+        if color is not None:
+            state.set_color(eid, color)
+            stats.edges_augmented += 1
+            stats.max_sequence_length = max(stats.max_sequence_length, 1)
             continue
         u, v = graph.endpoints(eid)
         ball = balls.ball((u, v), r_prime)

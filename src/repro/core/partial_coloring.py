@@ -182,6 +182,22 @@ class PartialListForestDecomposition:
             return [eid]
         return self._path_search(u, v, color)
 
+    def free_color(self, eid: int) -> Optional[int]:
+        """The first palette color ``c`` with ``C(e, c) = ∅``, or None.
+
+        For an uncolored edge this is exactly the pair Algorithm 1's
+        first iteration returns: it scans the edge's palette in order
+        and stops at the first color whose forest does not connect
+        ``u`` and ``v``.  None means the search must go deeper.
+        """
+        u, v = self.graph.endpoints(eid)
+        forests = self._forests
+        for color in self.palettes[eid]:
+            forest = forests.get(color)
+            if forest is None or not forest.connected(u, v):
+                return color
+        return None
+
     def _path_search(self, u: int, v: int, color: int) -> Optional[List[int]]:
         forest = self._forests.get(color)
         if forest is None:

@@ -15,7 +15,9 @@ vertex.  When a BFS from an over-full vertex ``v`` fails, the set ``S``
 it reached is closed under out-edges and every vertex of ``S`` has
 out-degree ≥ ``k`` (``v`` has ``k + 1``), so ``|E(S)| > k|S|`` and no
 ``k``-orientation exists: α* = ``k + 1``.  If every level succeeds,
-α* = ``L``, the whole-graph density bound.
+α* = ``L``, the whole-graph density bound.  The peel's degeneracy
+``d`` comes out alongside (``_pseudoarboricity_and_degeneracy``), for
+the upper bound of ``exact_arboricity``'s sandwich.
 
 **Witnesses** (:func:`orientation_exists`) are Dinic's maximum flow
 [PQ82] on the bipartite network
@@ -56,7 +58,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..errors import GraphError
-from ..graph.csr import degeneracy_peel, snapshot_of
+from ..graph.csr import CSRGraph, degeneracy_peel, snapshot_of
 from ..graph.multigraph import MultiGraph
 
 Orientation = Dict[int, int]  # edge id -> tail vertex (edge points away)
@@ -243,11 +245,16 @@ def _route_rest(
 
 def exact_pseudoarboricity(graph: MultiGraph) -> int:
     """The exact pseudoarboricity α*(G) (0 for edgeless graphs)."""
-    snapshot = snapshot_of(graph)
+    return _pseudoarboricity_and_degeneracy(snapshot_of(graph))[0]
+
+
+def _pseudoarboricity_and_degeneracy(snapshot: CSRGraph) -> Tuple[int, int]:
+    """``(α*, d)``: the pseudoarboricity and the degeneracy, from one
+    peel (both 0 for edgeless graphs)."""
     n, m = snapshot.num_vertices, snapshot.num_edges
     if m == 0:
-        return 0
-    _degeneracy, order = degeneracy_peel(snapshot)
+        return 0, 0
+    degeneracy, order = degeneracy_peel(snapshot)
     rank = np.empty(n, dtype=np.int64)
     rank[np.asarray(order, dtype=np.int64)] = np.arange(n, dtype=np.int64)
     edge_u, edge_v = snapshot.edge_u, snapshot.edge_v
@@ -289,7 +296,7 @@ def exact_pseudoarboricity(graph: MultiGraph) -> int:
             if end < 0:
                 # ``queue`` is closed under out-edges with out-degree
                 # sum > k * len(queue): denser than k.
-                return k + 1
+                return k + 1, degeneracy
             out[start] -= 1
             out[end] += 1
             x = end
@@ -298,7 +305,7 @@ def exact_pseudoarboricity(graph: MultiGraph) -> int:
                 previous = tail[pos]
                 tail[pos] = x
                 x = previous
-    return low
+    return low, degeneracy
 
 
 def exact_pseudoarboricity_with_orientation(

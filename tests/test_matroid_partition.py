@@ -1,6 +1,7 @@
 """Tests for the exact matroid-partition forest decomposition."""
 
 import math
+import random
 from collections import deque
 
 import pytest
@@ -10,11 +11,13 @@ from hypothesis import strategies as st
 from repro.errors import DecompositionError
 from repro.graph import MultiGraph, is_forest
 from repro.graph.generators import (
+    add_parallel_copies,
     complete_graph,
     cycle_graph,
     erdos_renyi,
     grid_graph,
     line_multigraph,
+    preferential_attachment,
     star_graph,
     union_of_random_forests,
 )
@@ -24,6 +27,9 @@ from repro.nashwilliams import (
     exact_forest_partition,
     nash_williams_density_exact,
 )
+from repro.nashwilliams import arboricity as arboricity_module
+
+from test_kernel_equivalence import SEEDS, random_multigraph
 
 
 def check_valid_fd(graph, coloring, num_forests):
@@ -248,3 +254,76 @@ def test_coloring_matches_dict_bfs_reference(seed):
     assert result.coloring == coloring
     assert list(result.coloring) == list(coloring)
     assert result.num_forests == num_forests
+
+
+# -- the bound sandwich against the matroid ------------------------------
+
+
+def _matroid_alpha(graph):
+    return exact_forest_partition(graph).num_forests
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_sandwich_matches_matroid_on_corpus(seed):
+    graph = random_multigraph(seed)
+    assert exact_arboricity(graph) == _matroid_alpha(graph)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_sandwich_matches_matroid_on_bundles(seed):
+    """Multigraphs with parallel bundles, where ``p + 1`` is no bound."""
+    rng = random.Random(seed)
+    if rng.random() < 0.3:
+        graph = line_multigraph(rng.randint(2, 8), rng.randint(1, 5))
+    else:
+        base = MultiGraph.with_vertices(rng.randint(2, 9))
+        for _ in range(rng.randint(0, 2 * base.n)):
+            base.add_edge(*rng.sample(range(base.n), 2))
+        graph = add_parallel_copies(base, rng.randint(1, 3))
+    u, v = rng.sample(graph.vertices(), 2)
+    for _ in range(rng.randint(0, 5)):
+        graph.add_edge(u, v)
+    assert exact_arboricity(graph) == _matroid_alpha(graph)
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_sandwich_matches_matroid_on_cliques(n):
+    graph = complete_graph(n)
+    assert exact_arboricity(graph) == _matroid_alpha(graph) == math.ceil(n / 2)
+
+
+def _path_with_bundle():
+    """A 10-vertex path whose middle pair carries 4 parallel edges:
+    L = 2 (p and ⌈12/9⌉) but α = d = 4."""
+    graph = MultiGraph.from_edges(10, [(i, i + 1) for i in range(9)])
+    for _ in range(3):
+        graph.add_edge(4, 5)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "graph,matroid_calls",
+    [
+        (preferential_attachment(2000, 3, seed=1), 0),
+        (line_multigraph(12, 3), 0),
+        (complete_graph(5), 0),
+        (complete_graph(4), 1),  # L = 2 < U = 3
+        (add_parallel_copies(complete_graph(3), 2), 1),  # L = 3 < U = 4
+        (_path_with_bundle(), 1),
+    ],
+    ids=["pa2000", "line12x3", "K5", "K4", "K3x2", "path-bundle"],
+)
+def test_sandwich_and_fallback_are_both_reached(
+    monkeypatch, graph, matroid_calls
+):
+    calls = []
+
+    def counting(g, *args, **kwargs):
+        calls.append(g)
+        return exact_forest_partition(g, *args, **kwargs)
+
+    monkeypatch.setattr(arboricity_module, "exact_forest_partition", counting)
+    alpha = exact_arboricity(graph)
+    assert len(calls) == matroid_calls
+    assert alpha == _matroid_alpha(graph)
