@@ -52,6 +52,14 @@ One section per substrate milestone:
   asserted equal and >= 3x faster; and one forest call with α pinned,
   timed and reported unasserted.
 
+* ``bench_star_matchings`` — Section 5's ``H_v`` matchings on
+  ``union_of_random_forests(3000, 6)`` at ``t = ⌈1.5α⌉``: the library's
+  slot table plus one batched greedy pass (Hopcroft-Karp rerun only
+  where greedy leaves a color free) vs. a bench-local copy of the
+  per-vertex path it replaced (dict out-edges, one adjacency list and
+  one Hopcroft-Karp call per vertex).  Matchings are asserted
+  identical; asserts >= 5x.
+
 * ``bench_ooc`` — the out-of-core leg: a 10^7-edge graph streamed
   through ``CSRGraph.from_edge_iter(mmap_dir=...)`` into
   ``decompose()`` in a fresh subprocess, asserting peak RSS stays
@@ -72,6 +80,9 @@ import random
 import sys
 import time
 
+import numpy as np
+
+import repro.core.star_forest as star_forest
 from repro.core import DecompositionConfig, Session, depth_cut
 from repro.decomposition.degeneracy import degeneracy_ordering
 from repro.decomposition.hpartition import h_partition
@@ -81,6 +92,7 @@ from repro.decomposition.network_decomposition import (
 )
 from repro.graph import MultiGraph
 from repro.graph.csr import CSRGraph, snapshot_of
+from repro.graph.matching import batched_greedy_matching, hopcroft_karp
 from repro.graph.generators import (
     erdos_renyi,
     grid_graph,
@@ -1342,6 +1354,132 @@ def run_cold_forest_comparison():
 
 
 # ----------------------------------------------------------------------
+# Section 5 H_v matchings: one batched greedy pass vs per-vertex HK
+# ----------------------------------------------------------------------
+
+STAR_MATCHINGS_N = 3000
+STAR_MATCHINGS_ALPHA = 6
+STAR_MATCHINGS_EPSILON = 0.5
+STAR_MATCHINGS_REPEATS = 5
+STAR_MATCHINGS_SPEEDUP_FLOOR = 5.0
+
+
+def per_vertex_star_matchings(graph, orientation, color_sets, t):
+    """Bench-local copy of the per-vertex path the batched matchings
+    replaced: each vertex's out-edges gathered into a dict, its ``H_v``
+    built as adjacency lists and solved by its own Hopcroft-Karp call.
+    Returns ``{vertex: {slot: color}}``."""
+    out_edges = {v: [] for v in graph.vertices()}
+    for eid, tail in orientation.items():
+        out_edges[tail].append(eid)
+    matchings = {}
+    for v in graph.vertices():
+        slots = [graph.other_endpoint(eid, v) for eid in sorted(out_edges[v])]
+        slots.extend([None] * (t - len(slots)))
+        colors_v = sorted(color_sets[v])
+        adjacency = [
+            [
+                slot
+                for slot, u in enumerate(slots)
+                if u is None or color not in color_sets[u]
+            ]
+            for color in colors_v
+        ]
+        match_left, _ = hopcroft_karp(adjacency)
+        matchings[v] = {
+            slot: colors_v[left] for left, slot in match_left.items()
+        }
+    return matchings
+
+
+def bulk_star_matchings(graph, orientation, colors, t):
+    """The library path: the slot table, then every ``H_v`` in one
+    batched greedy pass plus Hopcroft-Karp where greedy leaves a color
+    free.  Returns the ``(n, t)`` color-per-slot array."""
+    slots = star_forest._slot_table(graph, orientation, t)
+    return star_forest._hv_matchings(slots, colors)
+
+
+def run_star_matchings_comparison():
+    graph = union_of_random_forests(
+        STAR_MATCHINGS_N, STAR_MATCHINGS_ALPHA, seed=1, simple=True
+    )
+    name = f"forests n={STAR_MATCHINGS_N} a={STAR_MATCHINGS_ALPHA}"
+    t = math.ceil((1 + STAR_MATCHINGS_EPSILON) * STAR_MATCHINGS_ALPHA)
+    orientation = orientation_exists(graph, t)
+    rng = random.Random(1)
+    draws = [
+        sorted(rng.sample(range(t), STAR_MATCHINGS_ALPHA))
+        for _ in graph.vertices()
+    ]
+    color_sets = {v: set(d) for v, d in zip(graph.vertices(), draws)}
+    colors = np.array(draws, dtype=np.int64)
+
+    bulk = bulk_star_matchings(graph, orientation, colors, t)
+    reference = per_vertex_star_matchings(graph, orientation, color_sets, t)
+    for i, v in enumerate(graph.vertices()):
+        row = bulk[i].tolist()
+        got = {slot: color for slot, color in enumerate(row) if color >= 0}
+        assert got == reference[v], (v, got, reference[v])
+    matched = int(np.count_nonzero(bulk >= 0))
+    slots = star_forest._slot_table(graph, orientation, t)
+    greedy = batched_greedy_matching(star_forest._hv_adjacency(slots, colors))
+    residual = int(np.count_nonzero((greedy < 0).any(axis=1)))
+
+    per_vertex_s, bulk_s = _best_interleaved(
+        lambda: per_vertex_star_matchings(graph, orientation, color_sets, t),
+        lambda: bulk_star_matchings(graph, orientation, colors, t),
+        STAR_MATCHINGS_REPEATS,
+    )
+    speedup = per_vertex_s / bulk_s
+    rows = [
+        (name, graph.m, t, residual, f"{per_vertex_s * 1e3:.1f}",
+         f"{bulk_s * 1e3:.1f}", f"{speedup:.1f}x"),
+    ]
+    emit(
+        "star_matchings",
+        format_table(
+            "Section 5 H_v matchings: batched greedy + residual HK vs "
+            "per-vertex HK",
+            ["workload", "m", "t", "residual", "per-vertex ms", "bulk ms",
+             "speedup"],
+            rows,
+        ),
+    )
+    emit_json(
+        "BENCH_star_matchings",
+        {
+            "bench": "star_matchings",
+            "schema_version": 1,
+            "mode": "snapshot" if SNAPSHOT_MODE else "assert",
+            "threshold": STAR_MATCHINGS_SPEEDUP_FLOOR,
+            "rows": [
+                {
+                    "workload": name,
+                    "n": graph.n,
+                    "m": graph.m,
+                    "alpha": STAR_MATCHINGS_ALPHA,
+                    "t": t,
+                    "matched_slots": matched,
+                    "residual_vertices": residual,
+                    "per_vertex_ms": round(per_vertex_s * 1e3, 3),
+                    "bulk_ms": round(bulk_s * 1e3, 3),
+                    "speedup": round(speedup, 3),
+                },
+            ],
+            "asserted": [{"workload": name, "speedup": round(speedup, 3)}],
+        },
+    )
+
+    if not SNAPSHOT_MODE:
+        assert speedup >= STAR_MATCHINGS_SPEEDUP_FLOOR, (
+            f"{name}: batched H_v matchings speedup {speedup:.2f}x < "
+            f"{STAR_MATCHINGS_SPEEDUP_FLOOR}x over the per-vertex path"
+        )
+    return rows
+
+
+# ----------------------------------------------------------------------
 # Out-of-core ingest
 # ----------------------------------------------------------------------
 
@@ -1567,6 +1705,15 @@ def bench_cold_forest(benchmark=None):
         once(benchmark, run_cold_forest_comparison)
 
 
+def bench_star_matchings(benchmark=None):
+    if benchmark is None:
+        run_star_matchings_comparison()
+    else:
+        from harness import once
+
+        once(benchmark, run_star_matchings_comparison)
+
+
 def bench_ooc(benchmark=None):
     if benchmark is None:
         run_ooc_comparison()
@@ -1586,4 +1733,5 @@ if __name__ == "__main__":
     bench_passes()
     bench_delta()
     bench_cold_forest()
+    bench_star_matchings()
     bench_ooc()

@@ -16,9 +16,21 @@ matching deficit.
 
 Both variants run as stage functions (``setup``, ``orient``,
 ``sample``, ``matchings``, then ``assemble`` and ``leftover_recolor``
-for the ordinary variant, then ``finalize``).  Each LLL round solves
-the per-vertex ``H_v`` matchings in vertex order; the color-set draws
-stay in the single RNG stream, and matchings consume no randomness.
+for the ordinary variant, then ``finalize``).  ``orient`` lays every
+vertex's out-edges into one slot table (a row per vertex: out-edges in
+edge-id order, dummies up to ``t``).  The ordinary variant keeps
+``C(v)`` as an ``(n, α)`` matrix and stacks every ``H_v`` into one
+``(n, α, t)`` boolean array.  Hopcroft–Karp's first phase is plain
+greedy (every left node has ``dist`` 0, so its DFS takes the first free
+slot in order), and when greedy matches every color no later phase
+runs (``graph/matching.py``).  So each LLL round runs one batched
+greedy pass over all vertices and reruns Hopcroft–Karp
+(``_sf_vertex_matching``) only at the few vertices greedy leaves a
+color free, in vertex order: the matchings are exactly the per-vertex
+Hopcroft–Karp ones.  The list variant's palettes are per-edge and
+ragged; it reads the same slot table and runs Hopcroft–Karp per vertex.
+The color-set draws stay in the single RNG stream, one per vertex in
+``graph.vertices()`` order, and matchings consume no randomness.
 
 Baselines for Corollary 1.2 are also here:
 :func:`two_coloring_star_forests` (the classical ``αstar ≤ 2α``) and
@@ -28,14 +40,14 @@ the H-partition ``3t``-SFD re-export.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..errors import ConvergenceError, DecompositionError, GraphError
 from ..graph.csr import rooted_forest_class_depths, snapshot_of
 from ..graph.forests import color_classes
-from ..graph.matching import hopcroft_karp
+from ..graph.matching import batched_greedy_matching, hopcroft_karp
 from ..graph.multigraph import MultiGraph
 from ..local.rounds import RoundCounter, ensure_counter
 from ..nashwilliams.arboricity import exact_arboricity
@@ -104,63 +116,95 @@ def _t_orientation(
     return orientation
 
 
-def _build_hv_adjacency(
-    colors_v: Sequence[int],
-    out_neighbors: Sequence[Optional[int]],
-    color_sets: Dict[int, Set[int]],
-    palette_for: Optional[Dict[int, Set[int]]],
-) -> List[List[int]]:
-    """Left-adjacency of H_v: for each color index, the right slots.
+class _SlotTable(NamedTuple):
+    """Every vertex's out-edges under the ``t``-orientation, as the
+    right nodes (slots) of its ``H_v``.
 
-    ``out_neighbors`` contains vertex ids and ``None`` dummy slots
-    (dummies accept every color — they pad A(v) to exactly t, as in the
-    paper's setup).  ``palette_for[u]`` restricts colors allowed on the
-    edge to u (list variant); None means unrestricted.
+    Row ``i`` belongs to the ``i``-th vertex of ``graph.vertices()``
+    (the snapshot's dense index): its out-edges in ascending edge-id
+    order, then dummy slots (-1) up to ``t``.
     """
-    adjacency: List[List[int]] = []
-    for color in colors_v:
-        row: List[int] = []
-        for slot, u in enumerate(out_neighbors):
-            if u is None:
-                row.append(slot)
-                continue
-            if color in color_sets[u]:
-                continue
-            if palette_for is not None and color not in palette_for[u]:
-                continue
-            row.append(slot)
-        adjacency.append(row)
-    return adjacency
+
+    eids: np.ndarray  # (n, t) edge id of each slot, -1 for a dummy
+    heads: np.ndarray  # (n, t) dense index of the out-neighbor, or -1
 
 
-def _sf_vertex_matching(
-    graph: MultiGraph,
-    v: int,
-    out_edges: Dict[int, List[int]],
-    t: int,
-    color_sets: Dict[int, Set[int]],
-) -> Tuple[Dict[int, int], int, int]:
-    """Match colors to out-edge slots; returns
-    ``(slot -> color, deficit, dummy slots)``.
+def _slot_table(graph: MultiGraph, orientation: Dict[int, int],
+                t: int) -> _SlotTable:
+    """One sort of the oriented edges by ``(tail, eid)``; segment
+    offsets give each edge its slot."""
+    snapshot = snapshot_of(graph)
+    n = snapshot.num_vertices
+    count = len(orientation)
+    eids = np.fromiter(orientation.keys(), dtype=np.int64, count=count)
+    tail_ids = np.fromiter(orientation.values(), dtype=np.int64, count=count)
+    pos = snapshot.edge_positions(eids)
+    at_u = snapshot.edge_u_ids[pos] == tail_ids
+    tails = np.where(at_u, snapshot.edge_u[pos], snapshot.edge_v[pos])
+    heads = np.where(at_u, snapshot.edge_v[pos], snapshot.edge_u[pos])
+    order = np.lexsort((eids, tails))
+    tails = tails[order]
+    out_degree = np.bincount(tails, minlength=n)
+    starts = np.cumsum(out_degree) - out_degree
+    slot = np.arange(count) - starts[tails]
+    table = _SlotTable(
+        np.full((n, t), -1, dtype=np.int64),
+        np.full((n, t), -1, dtype=np.int64),
+    )
+    table.eids[tails, slot] = eids[order]
+    table.heads[tails, slot] = heads[order]
+    return table
 
-    Slots are indices into ``sorted(out_edges[v])`` plus dummy padding
-    to ``t``.  Pure per-vertex work: no shared-state mutation and no
-    RNG draws.
+
+def _hv_adjacency(slots: _SlotTable, colors: np.ndarray) -> np.ndarray:
+    """Every vertex's ``H_v`` as one ``(n, α, t)`` boolean stack.
+
+    ``colors[i]`` is ``sorted(C(v))`` of the ``i``-th vertex; entry
+    ``[i, c, s]`` says color ``colors[i, c]`` may take slot ``s``:
+    the slot is a dummy (dummies accept every color; they pad ``A(v)``
+    to exactly ``t``, as in the paper's setup) or the out-neighbor's
+    own set lacks the color.
     """
-    slots: List[Optional[int]] = []
-    for eid in sorted(out_edges[v]):
-        slots.append(graph.other_endpoint(eid, v))
-    dummies = t - len(slots)
-    slots.extend([None] * dummies)
-    colors_v = sorted(color_sets[v])
-    adjacency = _build_hv_adjacency(colors_v, slots, color_sets, None)
-    match_left, _ = hopcroft_karp(adjacency)
-    slot_color: Dict[int, int] = {}
+    n, t = slots.heads.shape
+    member = np.zeros((n, t), dtype=bool)
+    member[np.arange(n)[:, None], colors] = True
+    dummy = slots.heads < 0
+    heads = np.where(dummy, 0, slots.heads)
+    held = member[heads[:, None, :], colors[:, :, None]]
+    return dummy[:, None, :] | ~held
+
+
+def _sf_vertex_matching(adjacency: np.ndarray) -> np.ndarray:
+    """Hopcroft–Karp on one ``H_v`` (``adjacency[c, s]``: color ``c``
+    may take slot ``s``); returns the slot each color took, -1 where
+    it stays free.  Pure per-vertex work: no shared-state mutation and
+    no RNG draws."""
+    match_left, _ = hopcroft_karp(
+        [np.flatnonzero(row).tolist() for row in adjacency]
+    )
+    match = np.full(len(adjacency), -1, dtype=np.int64)
     for left_index, slot in match_left.items():
-        slot_color[slot] = colors_v[left_index]
-    real = len(out_edges[v])
-    matched_real = sum(1 for slot in slot_color if slot < real)
-    return slot_color, real - matched_real, dummies
+        match[left_index] = slot
+    return match
+
+
+def _hv_matchings(slots: _SlotTable, colors: np.ndarray) -> np.ndarray:
+    """Maximum matchings of every ``H_v``: the color on each slot
+    (``(n, t)``, -1 where unmatched).
+
+    Greedy is Hopcroft–Karp's first phase, and its answer wherever it
+    matches every color (``graph/matching.py``), so one batched greedy
+    pass settles most vertices; the rest rerun Hopcroft–Karp, in
+    vertex order.
+    """
+    adjacency = _hv_adjacency(slots, colors)
+    match = batched_greedy_matching(adjacency)
+    for i in np.flatnonzero((match < 0).any(axis=1)).tolist():
+        match[i] = _sf_vertex_matching(adjacency[i])
+    slot_colors = np.full(slots.heads.shape, -1, dtype=np.int64)
+    rows, left = np.nonzero(match >= 0)
+    slot_colors[rows, match[rows, left]] = colors[rows, left]
+    return slot_colors
 
 
 # ----------------------------------------------------------------------
@@ -179,64 +223,61 @@ def _sf_setup(record: PassStats, graph: MultiGraph, alpha: Optional[int],
 
 def _sf_orient(record: PassStats, graph: MultiGraph, t: int,
                stats: StarForestStats,
-               counter: RoundCounter) -> Dict[int, List[int]]:
-    """Each vertex's out-edges under a ``t``-orientation."""
+               counter: RoundCounter) -> _SlotTable:
+    """Each vertex's out-edges under a ``t``-orientation, as slots."""
     orientation = _t_orientation(graph, t, counter)
     stats.orientation_bound = t
-    out_edges: Dict[int, List[int]] = {v: [] for v in graph.vertices()}
-    for eid, tail in orientation.items():
-        out_edges[tail].append(eid)
     record.reconcile_volume = len(orientation)
-    return out_edges
+    return _slot_table(graph, orientation, t)
 
 
 def _sf_sample(record: PassStats, graph: MultiGraph, alpha: int, t: int,
                rng, counter: RoundCounter):
-    """Uniform random α-subsets ``C(v)`` of the ``t`` colors; returns
-    the sets and the sampler the LLL resamples with."""
+    """Uniform random α-subsets ``C(v)`` of the ``t`` colors, one
+    draw per vertex in ``graph.vertices()`` order; returns them as the
+    ``(n, α)`` matrix of sorted sets and the sampler the LLL resamples
+    with."""
     color_space = list(range(t))
+    size = min(alpha, t)
 
-    def sample_color_set(rng_) -> Set[int]:
-        return set(rng_.sample(color_space, min(alpha, t)))
+    def sample_color_set(rng_) -> List[int]:
+        return sorted(rng_.sample(color_space, size))
 
-    color_sets = {v: sample_color_set(rng) for v in graph.vertices()}
+    colors = np.array(
+        [sample_color_set(rng) for _v in graph.vertices()], dtype=np.int64,
+    ).reshape(graph.n, size)
     counter.charge(1, "C(v) sampling")
     record.vertices_touched = graph.n
-    return color_sets, sample_color_set
+    return colors, sample_color_set
 
 
 def _sf_matchings(
     record: PassStats,
-    graph: MultiGraph,
-    out_edges: Dict[int, List[int]],
-    t: int,
-    color_sets: Dict[int, Set[int]],
+    slots: _SlotTable,
+    colors: np.ndarray,
     sample_color_set,
     rng,
     deficit_budget: int,
     max_lll_rounds: int,
     stats: StarForestStats,
     counter: RoundCounter,
-) -> Dict[int, Dict[int, int]]:
-    """Per-vertex ``H_v`` matchings, LLL-resampling the vertices whose
-    deficit exceeds ``deficit_budget``."""
-    verts = list(graph.vertices())
-    matchings: Dict[int, Dict[int, int]] = {}
+) -> np.ndarray:
+    """Every ``H_v`` matching, LLL-resampling (in vertex order) the
+    vertices whose deficit exceeds ``deficit_budget``; returns the color
+    on each slot, -1 where unmatched."""
+    real = slots.heads >= 0
+    n = len(real)
+    dummies = int(real.size - np.count_nonzero(real))
     lll_round = 0
     while True:
-        deficits: Dict[int, int] = {}
-        for v in verts:
-            slot_color, deficit, dummies = _sf_vertex_matching(
-                graph, v, out_edges, t, color_sets
-            )
-            matchings[v] = slot_color
-            deficits[v] = deficit
-            stats.dummy_slots += dummies
-        record.items += len(verts)
+        slot_colors = _hv_matchings(slots, colors)
+        deficits = np.count_nonzero(real & (slot_colors < 0), axis=1)
+        stats.dummy_slots += dummies
+        record.items += n
         counter.charge(1, "H_v matchings")
-        bad = [v for v, d in deficits.items() if d > deficit_budget]
+        bad = np.flatnonzero(deficits > deficit_budget).tolist()
         if not bad:
-            stats.matching_deficits = sorted(deficits.values())
+            stats.matching_deficits = np.sort(deficits).tolist()
             break
         lll_round += 1
         stats.lll_rounds = lll_round
@@ -244,33 +285,31 @@ def _sf_matchings(
             # Accept the current sets; excess deficit flows into the
             # leftover, which is recolored anyway — the output stays a
             # valid SFD, only the color count degrades (reported).
-            stats.matching_deficits = sorted(deficits.values())
+            stats.matching_deficits = np.sort(deficits).tolist()
             break
-        for v in bad:
-            color_sets[v] = sample_color_set(rng)
+        for i in bad:
+            colors[i] = sample_color_set(rng)
         counter.charge(1, "LLL resampling")
-    return matchings
+    return slot_colors
 
 
 def _sf_assemble(
     record: PassStats,
-    graph: MultiGraph,
-    out_edges: Dict[int, List[int]],
-    matchings: Dict[int, Dict[int, int]],
+    slots: _SlotTable,
+    slot_colors: np.ndarray,
     stats: StarForestStats,
 ) -> Tuple[Dict[int, object], List[int]]:
     """Matched slots become ``("amr", i)`` colors; unmatched edges
-    form the leftover."""
-    coloring: Dict[int, object] = {}
-    leftover: List[int] = []
-    for v in graph.vertices():
-        ordered = sorted(out_edges[v])
-        slot_color = matchings[v]
-        for slot, eid in enumerate(ordered):
-            if slot in slot_color:
-                coloring[eid] = ("amr", slot_color[slot])
-            else:
-                leftover.append(eid)
+    form the leftover (both in vertex, then slot order)."""
+    real = slots.heads >= 0
+    matched = real & (slot_colors >= 0)
+    coloring: Dict[int, object] = {
+        eid: ("amr", color)
+        for eid, color in zip(
+            slots.eids[matched].tolist(), slot_colors[matched].tolist()
+        )
+    }
+    leftover = slots.eids[real & ~matched].tolist()
     stats.leftover_size = len(leftover)
     record.reconcile_volume = len(coloring) + len(leftover)
     return coloring, leftover
@@ -324,18 +363,17 @@ def star_forest_decomposition_amr(
         return StarForestResult({}, 0, counter, stats, graph=graph)
     scheduler = Scheduler(counter)
     alpha, t = scheduler.stage("setup", _sf_setup, graph, alpha, epsilon)
-    out_edges = scheduler.stage("orient", _sf_orient, graph, t, stats, counter)
-    color_sets, sample_color_set = scheduler.stage(
+    slots = scheduler.stage("orient", _sf_orient, graph, t, stats, counter)
+    colors, sample_color_set = scheduler.stage(
         "sample", _sf_sample, graph, alpha, t, rng, counter,
     )
-    matchings = scheduler.stage(
-        "matchings", _sf_matchings, graph, out_edges, t, color_sets,
-        sample_color_set, rng,
+    slot_colors = scheduler.stage(
+        "matchings", _sf_matchings, slots, colors, sample_color_set, rng,
         deficit_budget=max(0, math.ceil(2.0 * epsilon * alpha)),
         max_lll_rounds=max_lll_rounds, stats=stats, counter=counter,
     )
     coloring, leftover = scheduler.stage(
-        "assemble", _sf_assemble, graph, out_edges, matchings, stats,
+        "assemble", _sf_assemble, slots, slot_colors, stats,
     )
     scheduler.stage(
         "leftover_recolor", _sf_leftover_recolor, graph, leftover, coloring,
@@ -371,27 +409,28 @@ def _recolor_leftover_stars(
 
 
 def _lsf_vertex_matching(
-    graph: MultiGraph,
     v: int,
-    out_edges: Dict[int, List[int]],
+    eids: List[int],
+    heads: List[int],
     color_sets: Dict[int, Set[int]],
     palette_sets: Dict[int, Set[int]],
 ) -> Tuple[Dict[int, int], int]:
-    """List-variant H_v matching (palette-restricted, no dummies)."""
-    ordered = sorted(out_edges[v])
-    slots: List[Optional[int]] = [
-        graph.other_endpoint(eid, v) for eid in ordered
-    ]
-    palette_for = {
-        graph.other_endpoint(eid, v): palette_sets[eid] for eid in ordered
-    }
+    """List-variant ``H_v`` matching of ``C(v)`` onto the out-edges
+    ``eids`` (to ``heads``): palette-restricted, no dummies."""
     colors_v = sorted(color_sets[v])
-    adjacency = _build_hv_adjacency(colors_v, slots, color_sets, palette_for)
+    adjacency = [
+        [
+            slot
+            for slot, (eid, u) in enumerate(zip(eids, heads))
+            if color not in color_sets[u] and color in palette_sets[eid]
+        ]
+        for color in colors_v
+    ]
     match_left, _ = hopcroft_karp(adjacency)
     slot_color: Dict[int, int] = {}
     for left_index, slot in match_left.items():
         slot_color[slot] = colors_v[left_index]
-    return slot_color, len(ordered) - len(slot_color)
+    return slot_color, len(eids) - len(slot_color)
 
 
 def _lsf_sample(
@@ -423,7 +462,7 @@ def _lsf_sample(
 def _lsf_matchings(
     record: PassStats,
     graph: MultiGraph,
-    out_edges: Dict[int, List[int]],
+    slots: _SlotTable,
     color_sets: Dict[int, Set[int]],
     sample_color_set,
     palette_sets: Dict[int, Set[int]],
@@ -431,20 +470,26 @@ def _lsf_matchings(
     max_lll_rounds: int,
     stats: StarForestStats,
     counter: RoundCounter,
-) -> Dict[int, Dict[int, int]]:
-    """Per-vertex ``H_v`` matchings; they must become perfect within
-    ``max_lll_rounds`` resampling rounds or :class:`ConvergenceError`."""
-    verts = list(graph.vertices())
-    matchings: Dict[int, Dict[int, int]] = {}
+) -> List[Dict[int, int]]:
+    """Per-vertex ``H_v`` matchings (``slot -> color``, in vertex
+    order); they must become perfect within ``max_lll_rounds``
+    resampling rounds or :class:`ConvergenceError`."""
+    vertex_ids = snapshot_of(graph).vertex_ids
+    out_degree = np.count_nonzero(slots.heads >= 0, axis=1).tolist()
+    out_lists = [
+        (v, slots.eids[i, :k].tolist(), vertex_ids[slots.heads[i, :k]].tolist())
+        for i, (v, k) in enumerate(zip(graph.vertices(), out_degree))
+    ]
     for lll_round in range(max_lll_rounds + 1):
+        matchings: List[Dict[int, int]] = []
         deficits: Dict[int, int] = {}
-        for v in verts:
+        for v, eids, heads in out_lists:
             slot_color, deficit = _lsf_vertex_matching(
-                graph, v, out_edges, color_sets, palette_sets
+                v, eids, heads, color_sets, palette_sets
             )
-            matchings[v] = slot_color
+            matchings.append(slot_color)
             deficits[v] = deficit
-        record.items += len(verts)
+        record.items += len(out_lists)
         counter.charge(1, "H_v matchings")
         bad = [v for v, d in deficits.items() if d > 0]
         if not bad:
@@ -464,18 +509,17 @@ def _lsf_matchings(
 def _lsf_finalize(
     record: PassStats,
     graph: MultiGraph,
-    out_edges: Dict[int, List[int]],
-    matchings: Dict[int, Dict[int, int]],
+    slots: _SlotTable,
+    matchings: List[Dict[int, int]],
     counter: RoundCounter,
     stats: StarForestStats,
 ) -> StarForestResult:
-    """Matched slots become palette colors."""
+    """Matched slots become palette colors (the matchings are perfect:
+    every real slot holds one)."""
     coloring: Dict[int, object] = {}
-    for v in graph.vertices():
-        ordered = sorted(out_edges[v])
-        slot_color = matchings[v]
-        for slot, eid in enumerate(ordered):
-            coloring[eid] = slot_color[slot]
+    for eids, slot_color in zip(slots.eids.tolist(), matchings):
+        for slot in range(len(slot_color)):
+            coloring[eids[slot]] = slot_color[slot]
     record.reconcile_volume = len(coloring)
     return _star_forest_result(record, coloring, counter, stats, graph)
 
@@ -509,17 +553,16 @@ def list_star_forest_decomposition_amr(
         return StarForestResult({}, 0, counter, stats, graph=graph)
     scheduler = Scheduler(counter)
     alpha, t = scheduler.stage("setup", _sf_setup, graph, alpha, epsilon)
-    out_edges = scheduler.stage("orient", _sf_orient, graph, t, stats, counter)
+    slots = scheduler.stage("orient", _sf_orient, graph, t, stats, counter)
     color_sets, sample_color_set, palette_sets = scheduler.stage(
         "sample", _lsf_sample, graph, palettes, epsilon, rng, counter,
     )
     matchings = scheduler.stage(
-        "matchings", _lsf_matchings, graph, out_edges, color_sets,
+        "matchings", _lsf_matchings, graph, slots, color_sets,
         sample_color_set, palette_sets, rng, max_lll_rounds, stats, counter,
     )
     result = scheduler.stage(
-        "finalize", _lsf_finalize, graph, out_edges, matchings, counter,
-        stats,
+        "finalize", _lsf_finalize, graph, slots, matchings, counter, stats,
     )
     stats.passes = scheduler.passes
     return result

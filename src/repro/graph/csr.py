@@ -365,6 +365,7 @@ class CSRGraph:
         "_adj_lists",
         "_vertex_id_list",
         "_simple",
+        "_peel_bounds",
         "mmap_dir",
         "__weakref__",
     )
@@ -408,6 +409,9 @@ class CSRGraph:
         self._adj_lists: Optional[Tuple[List[int], List[int]]] = None
         self._vertex_id_list: Optional[List[int]] = None
         self._simple: Optional[bool] = None
+        # (pseudoarboricity, degeneracy), memoized by
+        # nashwilliams.pseudoarboricity: one peel per snapshot.
+        self._peel_bounds: Optional[Tuple[int, int]] = None
         #: directory holding this snapshot's .npy memmaps (None = RAM)
         self.mmap_dir = mmap_dir
 

@@ -1,4 +1,4 @@
-"""Hopcroft-Karp maximum bipartite matching.
+"""Hopcroft-Karp maximum bipartite matching, and greedy in bulk.
 
 Section 5 of the paper builds, for every vertex ``v``, a bipartite graph
 ``H_v`` between colors and out-neighbors and needs a maximum (or
@@ -6,12 +6,26 @@ near-maximum) matching in it.  This module provides that from scratch.
 
 The interface is adjacency-based: ``left_adjacency[i]`` lists the right
 nodes adjacent to left node ``i``.  Right nodes are arbitrary hashables.
+
+**Phase 1 of Hopcroft–Karp is greedy.**  Before the first phase no node
+is matched, so the BFS gives every left node ``dist`` 0 and reaches no
+matched right node; the DFS from left node ``i`` (in index order) can
+then only take an edge to a *free* right node, and takes the first one
+in ``left_adjacency[i]`` order.  That is :func:`greedy_matching`
+exactly.  If greedy matched every left node, the next BFS starts from
+no free left node and finds nothing, so Hopcroft–Karp returns the
+greedy matching unchanged.  :func:`batched_greedy_matching` runs that
+greedy on a whole stack of equal-shaped bipartite graphs at once
+(Section 5's ``H_v`` for every ``v``); only the graphs where it leaves
+a left node free need :func:`hopcroft_karp`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from typing import Dict, Hashable, Sequence, Tuple
+
+import numpy as np
 
 INFINITY = float("inf")
 
@@ -84,8 +98,9 @@ def maximum_matching_size(left_adjacency: Sequence[Sequence[Hashable]]) -> int:
 def greedy_matching(
     left_adjacency: Sequence[Sequence[Hashable]],
 ) -> Dict[int, Hashable]:
-    """Simple greedy matching — a fast baseline used in tests as a lower
-    bound oracle (greedy achieves at least half the maximum)."""
+    """Greedy matching: each left node in index order takes its first
+    free right node.  Hopcroft–Karp's first phase (module docstring);
+    it achieves at least half the maximum."""
     taken: set = set()
     match_left: Dict[int, Hashable] = {}
     for i, options in enumerate(left_adjacency):
@@ -95,3 +110,27 @@ def greedy_matching(
                 match_left[i] = r
                 break
     return match_left
+
+
+def batched_greedy_matching(adjacency: np.ndarray) -> np.ndarray:
+    """:func:`greedy_matching` on a stack of bipartite graphs at once.
+
+    ``adjacency`` is a boolean ``(graphs, left, right)`` array: graph
+    ``g`` has an edge ``(i, r)`` iff ``adjacency[g, i, r]``, and the
+    right nodes of a left node are in index order.  Returns a
+    ``(graphs, left)`` array holding the right node each left node
+    took, or -1 where it stayed free — per graph, the same matching
+    ``greedy_matching`` returns.  One step per left node, each an
+    ``argmax`` over the still-free right nodes of every graph.
+    """
+    graphs, lefts, rights = adjacency.shape
+    match = np.full((graphs, lefts), -1, dtype=np.int64)
+    free = np.ones((graphs, rights), dtype=bool)
+    rows = np.arange(graphs)
+    for i in range(lefts):
+        options = adjacency[:, i, :] & free
+        first = options.argmax(axis=1)
+        took = options[rows, first]
+        match[took, i] = first[took]
+        free[rows[took], first[took]] = False
+    return match

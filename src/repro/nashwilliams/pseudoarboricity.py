@@ -17,7 +17,8 @@ out-degree ≥ ``k`` (``v`` has ``k + 1``), so ``|E(S)| > k|S|`` and no
 ``k``-orientation exists: α* = ``k + 1``.  If every level succeeds,
 α* = ``L``, the whole-graph density bound.  The peel's degeneracy
 ``d`` comes out alongside (``_pseudoarboricity_and_degeneracy``), for
-the upper bound of ``exact_arboricity``'s sandwich.
+the upper bound of ``exact_arboricity``'s sandwich; the pair is
+memoized on the snapshot, so the two functions share one peel.
 
 **Witnesses** (:func:`orientation_exists`) are Dinic's maximum flow
 [PQ82] on the bipartite network
@@ -250,7 +251,15 @@ def exact_pseudoarboricity(graph: MultiGraph) -> int:
 
 def _pseudoarboricity_and_degeneracy(snapshot: CSRGraph) -> Tuple[int, int]:
     """``(α*, d)``: the pseudoarboricity and the degeneracy, from one
-    peel (both 0 for edgeless graphs)."""
+    peel (both 0 for edgeless graphs).  Memoized on the snapshot (it
+    is immutable), so ``exact_arboricity`` followed by
+    ``exact_pseudoarboricity`` peels once."""
+    if snapshot._peel_bounds is None:
+        snapshot._peel_bounds = _peel(snapshot)
+    return snapshot._peel_bounds
+
+
+def _peel(snapshot: CSRGraph) -> Tuple[int, int]:
     n, m = snapshot.num_vertices, snapshot.num_edges
     if m == 0:
         return 0, 0

@@ -315,6 +315,28 @@ def test_session_memoizes_arboricity(monkeypatch):
     assert session.cache_info()["arboricity"]["hits"] >= 1
 
 
+def test_session_prepare_peels_once(monkeypatch):
+    """Arboricity and pseudoarboricity read one degeneracy peel: the
+    (p, d) pair is memoized on the snapshot."""
+    import repro.nashwilliams.pseudoarboricity as pseudo_module
+
+    graph = small_graph()
+    peels = []
+    original = pseudo_module.degeneracy_peel
+
+    def counting(snapshot):
+        peels.append(snapshot)
+        return original(snapshot)
+
+    monkeypatch.setattr(pseudo_module, "degeneracy_peel", counting)
+    session = Session(graph).prepare()
+    assert peels == [session.snapshot()]
+    assert session.pseudoarboricity() == pseudo_module.exact_pseudoarboricity(
+        graph.copy()
+    )
+    assert len(peels) == 2  # a copy is a new snapshot, peeled afresh
+
+
 def test_session_mutation_fingerprint_invalidates():
     graph = small_graph()
     session = Session(graph)

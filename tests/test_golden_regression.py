@@ -113,6 +113,22 @@ def _case_star_forest_amr():
     }
 
 
+def _case_star_forest_amr_tight():
+    """ε = 0.1 at α = 11 gives t = α + 2 slots, where Hopcroft–Karp
+    augments past the greedy first phase at some vertices (at
+    t = α + 1 it never can) and the LLL resamples once."""
+    graph = union_of_random_forests(30, 11, seed=0, simple=True)
+    result = star_forest_decomposition(graph, epsilon=0.1, seed=1)
+    return {
+        "colors_used": result.colors_used,
+        "rounds": result.rounds.total,
+        "lll_rounds": result.stats.lll_rounds,
+        "leftover_size": result.stats.leftover_size,
+        "dummy_slots": result.stats.dummy_slots,
+        "coloring": _sha(result.coloring),
+    }
+
+
 def _case_barenboim_elkin():
     graph = union_of_random_forests(30, 3, seed=4)
     coloring, forests = barenboim_elkin_forest_decomposition(graph, 0.5)
@@ -171,6 +187,7 @@ CASES = {
     "fd_diameter_bounded": _case_fd_diameter_bounded,
     "fd_line_multigraph": _case_fd_line_multigraph,
     "star_forest_amr": _case_star_forest_amr,
+    "star_forest_amr_tight": _case_star_forest_amr_tight,
     "barenboim_elkin": _case_barenboim_elkin,
     "degeneracy": _case_degeneracy,
     "h_partition": _case_h_partition,
